@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sps
-from scipy.integrate import quad
 
 from .errors import ConvergenceError
 
@@ -101,6 +100,9 @@ def gamma_deriv(n: int, x: float, cfg: SpecialFnConfig = DEFAULT_CONFIG) -> floa
         raise ValueError("derivative order must be >= 0")
     if x <= 0:
         raise ValueError("gamma_deriv requires x > 0")
+    # imported here: no library path integrates with quad, so glfock does
+    # not pay for loading scipy.integrate
+    from scipy.integrate import quad
 
     sign = (-1.0) ** n
 

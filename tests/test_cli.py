@@ -62,6 +62,8 @@ def test_load_config_errors(tmp_path):
         load_config(write_cfg(tmp_path, {"output": {"format": "xml"}}))
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, {"quadrature": {"radial": "monte_carlo"}}))
+    with pytest.raises(ConfigError):  # the exp-sinh rule has no split point
+        load_config(write_cfg(tmp_path, {"quadrature": {"cut": 10.0}}))
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +137,16 @@ def test_check_failure_exit_code(capsys, tmp_path):
     rc, _, err = run_cli(capsys, ["check", "--suite", "moments", "--config", p])
     assert rc == 1
     assert "FAILED" in err
+
+
+def test_check_nonconvergence_exit_code(capsys, tmp_path):
+    # no double-precision rule meets a 1e-300 tolerance
+    p = write_cfg(tmp_path, {"phi": {"family": "mittag_leffler",
+                                     "params": {"rho": 2.0, "mu": 1.0}},
+                             "quadrature": {"radial": "adaptive_tail", "tol": 1e-300}})
+    rc, out, err = run_cli(capsys, ["check", "--suite", "moments", "--config", p])
+    assert rc == 3
+    assert "non-convergence" in err and out == ""
 
 
 def test_check_non_entire_rejected(capsys, tmp_path):
@@ -289,6 +301,20 @@ def test_console_script_installed(tmp_path):
                        capture_output=True, text=True, env=env)
     assert r.returncode == 2
     assert "config error" in r.stderr
+
+
+def test_cli_import_skips_scipy_integrate():
+    src = Path(glfock.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, glfock.cli; print(glfock.cli.__file__); "
+                        "print('scipy.integrate' in sys.modules)"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    where, loaded = r.stdout.split()
+    assert Path(where).resolve().is_relative_to(src)
+    assert loaded == "False"
 
 
 @pytest.mark.skipif(shutil.which("glfock") is None,

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -77,6 +78,40 @@ def test_log_weight_is_signed():
     assert not wk.is_positive
     with pytest.warns(UserWarning):
         moment(wk, 1)
+
+
+def _gamma_deriv_moment(order):
+    return lambda mp, n: mp.diff(mp.gamma, n + 1, order)
+
+
+# int_0^inf x^n W(x) dx in closed form, independent of phi and of the rule
+MOMENT_ORACLES = {
+    "ML(2,1)": (PhiDescriptor.mittag_leffler(2, 1), lambda mp, n: mp.gamma(1 + mp.mpf(n) / 2)),
+    "ML(0.5,1.5)": (PhiDescriptor.mittag_leffler(0.5, 1.5), lambda mp, n: mp.gamma(1.5 + 2 * n)),
+    # x^15 overflows where exp(-x^8) underflows: those far nodes carry no weight
+    "ML(8,2)": (PhiDescriptor.mittag_leffler(8, 2), lambda mp, n: mp.gamma(2 + mp.mpf(n) / 8)),
+    "SG(1,2)": (PhiDescriptor.stretched_gamma(1.0, 2.0),
+                lambda mp, n: mp.gamma(mp.mpf(n + 1) / 2) / 2),
+    "SG(2.5,0.7)": (PhiDescriptor.stretched_gamma(2.5, 0.7),
+                    lambda mp, n: mp.gamma((n + 1) / mp.mpf("0.7"))
+                    / (mp.mpf("0.7") * mp.mpf("2.5") ** ((n + 1) / mp.mpf("0.7")))),
+    "GD(1)": (GD1, _gamma_deriv_moment(1)),
+    "GD(3)": (PhiDescriptor.gamma_deriv(3), _gamma_deriv_moment(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_ORACLES))
+def test_moments_match_closed_forms(name):
+    mp = pytest.importorskip("mpmath")
+    desc, exact = MOMENT_ORACLES[name]
+    wk = registered_weight(desc)
+    signed = pytest.warns(UserWarning) if not wk.is_positive else contextlib.nullcontext()
+    with signed:
+        got = [moment(wk, n) for n in range(31)]
+    with mp.workdps(30):
+        want = [float(exact(mp, n)) for n in range(31)]
+    for n, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - w) <= 1e-13 * abs(w), (name, n, g, w)
 
 
 def test_carleman_partial():
