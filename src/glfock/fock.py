@@ -184,30 +184,24 @@ _DE_H0 = 1.0 / 16.0
 _DE_LEVELS = 4
 
 
-@lru_cache(maxsize=None)
-def _exp_sinh_nodes(level: int):
-    """Nodes x(t) and Jacobians dx/dt that `level` adds to the rule: every
-    multiple of the step at level 0, the odd multiples after that."""
+@lru_cache(maxsize=64)
+def _weighted_nodes(wk: WeightKernel, level: int):
+    """Nodes x = exp(pi/2 sinh t) that `level` adds to the exp-sinh rule
+    (every multiple of the step at level 0, the odd multiples after that),
+    kept where dx/dt * W(x) is nonzero, and those products.
+
+    At the far nodes (x up to 1e30) a power in W can overflow while its
+    exponential factor underflows; the resulting inf or nan stands for a
+    weight that is 0 in exact arithmetic, so those nodes are dropped too.
+    """
     h = _DE_H0 / 2 ** level
     k = np.arange(-round(_DE_T_MAX / h), round(_DE_T_MAX / h) + 1)
     if level:
         k = k[k % 2 == 1]
     t = k * h
     x = np.exp(0.5 * np.pi * np.sinh(t))
-    return x, 0.5 * np.pi * np.cosh(t) * x
-
-
-@lru_cache(maxsize=64)
-def _weighted_nodes(wk: WeightKernel, level: int):
-    """The level's nodes where dx/dt * W(x) is nonzero, and those products.
-
-    At the far nodes (x up to 1e30) a power in W can overflow while its
-    exponential factor underflows; the resulting inf or nan stands for a
-    weight that is 0 in exact arithmetic, so those nodes are dropped too.
-    """
-    x, jac = _exp_sinh_nodes(level)
     with np.errstate(over="ignore", invalid="ignore"):
-        ww = jac * wk.weight(x)
+        ww = 0.5 * np.pi * np.cosh(t) * x * wk.weight(x)
     keep = np.isfinite(ww) & (ww != 0.0)
     return x[keep], ww[keep]
 
@@ -232,7 +226,7 @@ def _radial_integral(wk: WeightKernel, fn, quad_scheme: QuadratureScheme) -> com
         return complex(np.sum(total * vals))
 
     tol = quad_scheme.tol
-    total, magnitude, prev = 0.0j, 0.0, 0.0j
+    total, magnitude = 0.0j, 0.0
     for level in range(_DE_LEVELS):
         x, ww = _weighted_nodes(wk, level)
         terms = ww * np.asarray(fn(x), dtype=complex)

@@ -80,10 +80,6 @@ def test_log_weight_is_signed():
         moment(wk, 1)
 
 
-def _gamma_deriv_moment(order):
-    return lambda mp, n: mp.diff(mp.gamma, n + 1, order)
-
-
 # int_0^inf x^n W(x) dx in closed form, independent of phi and of the rule
 MOMENT_ORACLES = {
     "ML(2,1)": (PhiDescriptor.mittag_leffler(2, 1), lambda mp, n: mp.gamma(1 + mp.mpf(n) / 2)),
@@ -95,8 +91,8 @@ MOMENT_ORACLES = {
     "SG(2.5,0.7)": (PhiDescriptor.stretched_gamma(2.5, 0.7),
                     lambda mp, n: mp.gamma((n + 1) / mp.mpf("0.7"))
                     / (mp.mpf("0.7") * mp.mpf("2.5") ** ((n + 1) / mp.mpf("0.7")))),
-    "GD(1)": (GD1, _gamma_deriv_moment(1)),
-    "GD(3)": (PhiDescriptor.gamma_deriv(3), _gamma_deriv_moment(3)),
+    "GD(1)": (GD1, lambda mp, n: mp.diff(mp.gamma, n + 1, 1)),
+    "GD(3)": (PhiDescriptor.gamma_deriv(3), lambda mp, n: mp.diff(mp.gamma, n + 1, 3)),
 }
 
 
