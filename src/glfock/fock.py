@@ -178,7 +178,10 @@ def _laggauss(n: int):
     return x, w
 
 
-# exp-sinh rule: x = exp(pi/2 sinh t) on |t| <= _DE_T_MAX, step _DE_H0 / 2^level
+# exp-sinh rule: x = exp(pi/2 sinh t) on _DE_T_MIN <= t <= _DE_T_MAX, step
+# _DE_H0 / 2^level.  The left end reaches x ~ 1e-227, so a weight like
+# x^(a-1) at 0 loses about x^a / a there: below 1e-20 down to a = 0.1.
+_DE_T_MIN = -6.5
 _DE_T_MAX = 4.5
 _DE_H0 = 1.0 / 16.0
 _DE_LEVELS = 4
@@ -195,7 +198,7 @@ def _weighted_nodes(wk: WeightKernel, level: int):
     weight that is 0 in exact arithmetic, so those nodes are dropped too.
     """
     h = _DE_H0 / 2 ** level
-    k = np.arange(-round(_DE_T_MAX / h), round(_DE_T_MAX / h) + 1)
+    k = np.arange(round(_DE_T_MIN / h), round(_DE_T_MAX / h) + 1)
     if level:
         k = k[k % 2 == 1]
     t = k * h

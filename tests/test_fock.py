@@ -84,6 +84,11 @@ def test_log_weight_is_signed():
 MOMENT_ORACLES = {
     "ML(2,1)": (PhiDescriptor.mittag_leffler(2, 1), lambda mp, n: mp.gamma(1 + mp.mpf(n) / 2)),
     "ML(0.5,1.5)": (PhiDescriptor.mittag_leffler(0.5, 1.5), lambda mp, n: mp.gamma(1.5 + 2 * n)),
+    # W ~ x^(rho mu - 1) at 0: the nodes must reach far enough left for x^0.25 and x^0.1
+    "ML(0.5,0.5)": (PhiDescriptor.mittag_leffler(0.5, 0.5),
+                    lambda mp, n: mp.gamma(mp.mpf("0.5") + 2 * n)),
+    "ML(1,0.1)": (PhiDescriptor.mittag_leffler(1, 0.1),
+                  lambda mp, n: mp.gamma(mp.mpf("0.1") + n)),
     # x^15 overflows where exp(-x^8) underflows: those far nodes carry no weight
     "ML(8,2)": (PhiDescriptor.mittag_leffler(8, 2), lambda mp, n: mp.gamma(2 + mp.mpf(n) / 8)),
     "SG(1,2)": (PhiDescriptor.stretched_gamma(1.0, 2.0),
