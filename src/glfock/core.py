@@ -187,14 +187,8 @@ def _raw_signs_logs(desc: PhiDescriptor, ks: np.ndarray):
                 - (sps.gammaln(kap + 0.5 + mm) - sps.gammaln(kap + 0.5)))
         return ones, logs
     if fam == "gamma_deriv":
-        n = int(p["n"])
-        signs = np.empty_like(ks)
-        logs = np.empty_like(ks)
-        for i, k in enumerate(ks):
-            s, la = log_gamma_deriv(n, float(k) + 1.0)
-            signs[i] = s
-            logs[i] = -la  # phi_k = 1 / Gamma^(n)(k+1)
-        return signs, logs
+        signs, logs = log_gamma_deriv(int(p["n"]), ks + 1.0)
+        return signs, -logs  # phi_k = 1 / Gamma^(n)(k+1)
     raise ValueError(f"unknown family {fam!r}")
 
 

@@ -8,7 +8,7 @@ from glfock.bargmann import (HermiteCoeffs, bargmann_forward, bargmann_inverse,
                              ladder_lower, ladder_raise, sqrt_phi)
 from glfock.core import PhiDescriptor, TruncatedSeries, phi_coeff
 from glfock.fock import inner_product_l2phi
-from glfock.special import hermite_fn
+from mp_oracles import hermite_fn
 
 EXP = PhiDescriptor.exponential()
 ML12 = PhiDescriptor.mittag_leffler(1, 2)

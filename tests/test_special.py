@@ -1,122 +1,119 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from glfock.errors import ConvergenceError
-from glfock.special import (SpecialFnConfig, digamma, gamma, gamma_deriv,
-                            gamma_deriv_closed, harmonic, hermite_fn,
-                            hermite_fn_table, hyp1f1, mittag_leffler)
+from glfock.special import hermite_fn_table, log_gamma_deriv
+from mp_oracles import hermite_fn
 
 EULER = 0.5772156649015329
 
 
+def _gamma_deriv(n, x):
+    s, l = log_gamma_deriv(n, x)
+    return float(s) * math.exp(l)
+
+
 def test_gamma_exact_values():
-    assert gamma(5.0) == 24.0
-    assert gamma(1.0) == 1.0
+    # n = 0 is the Bell recursion's base case, log Gamma itself
+    assert _gamma_deriv(0, 5.0) == pytest.approx(24.0, rel=1e-15)
+    assert _gamma_deriv(0, 1.0) == 1.0
     # sqrt(pi), 40-digit oracle
-    assert abs(gamma(0.5) - 1.7724538509055160273) <= 1e-13 * 1.78
-
-
-def test_gamma_overflow():
-    with pytest.raises(OverflowError):
-        gamma(200.0)
+    assert abs(_gamma_deriv(0, 0.5) - 1.7724538509055160273) <= 1e-13 * 1.78
 
 
 def test_gamma_functional_equation():
+    # differentiating Gamma(x+1) = x Gamma(x) n times:
+    # Gamma^(n)(x+1) = x Gamma^(n)(x) + n Gamma^(n-1)(x)
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = rng.uniform(0.1, 50.0)
-        assert abs(gamma(x + 1.0) - x * gamma(x)) <= 1e-12 * abs(gamma(x + 1.0))
+        for n in range(4):
+            lhs = _gamma_deriv(n, x + 1.0)
+            rhs = x * _gamma_deriv(n, x) + (n * _gamma_deriv(n - 1, x) if n else 0.0)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_digamma_values():
-    assert abs(digamma(1.0) - (-EULER)) <= 1e-12
-    assert abs(digamma(2.0) - (1.0 - EULER)) <= 1e-12
+    # psi = Gamma' / Gamma
+    def psi(x):
+        (s1, l1), (_, l0) = log_gamma_deriv(1, x), log_gamma_deriv(0, x)
+        return float(s1) * math.exp(l1 - l0)
+    assert abs(psi(1.0) - (-EULER)) <= 1e-12
+    assert abs(psi(2.0) - (1.0 - EULER)) <= 1e-12
     # recurrence oracle: psi(10) = psi(1) + H_9
-    assert abs(digamma(10.0) - 2.251752589066721) <= 1e-12
+    assert abs(psi(10.0) - 2.251752589066721) <= 1e-12
     with pytest.raises(ValueError):
-        digamma(0.0)
+        log_gamma_deriv(1, 0.0)
+    with pytest.raises(ValueError):
+        log_gamma_deriv(2, np.array([1.0, -1.0]))
 
 
 def test_harmonic():
-    assert harmonic(0) == 0.0
-    assert harmonic(1) == 1.0
-    assert abs(harmonic(4) - 25.0 / 12.0) <= 1e-15
+    # Gamma'(n+1) = n! (H_n - euler_gamma), H_n summed exactly: the
+    # gamma_deriv(1) coefficients are the reciprocals of these values
+    for n in range(21):
+        h = float(sum(Fraction(1, j) for j in range(1, n + 1)))
+        want = math.factorial(n) * (h - EULER)
+        assert abs(_gamma_deriv(1, n + 1.0) - want) <= 1e-13 * abs(want)
 
 
 def test_gamma_deriv_values():
-    assert abs(gamma_deriv(0, 3.0) - 2.0) <= 1e-10
-    assert abs(gamma_deriv(1, 2.0) - (1.0 - EULER)) <= 1e-10
+    assert abs(_gamma_deriv(0, 3.0) - 2.0) <= 1e-14
+    assert abs(_gamma_deriv(1, 2.0) - (1.0 - EULER)) <= 1e-14
     # Gamma''(1) = euler^2 + pi^2/6, high-precision oracle
-    assert abs(gamma_deriv(2, 1.0) - 1.978111990655945) <= 1e-9
+    assert abs(_gamma_deriv(2, 1.0) - 1.978111990655945) <= 1e-14
 
 
 def test_gamma_deriv_matches_digamma_route():
+    # Gamma' = Gamma * psi, the n = 1 Bell polynomial, against mpmath
     for x in (0.5, 1.0, 2.0, 5.0, 10.0):
-        want = gamma(x) * digamma(x)
-        assert abs(gamma_deriv(1, x) - want) <= 1e-8 * max(1.0, abs(want))
+        want = float(mp.gamma(x) * mp.digamma(x))
+        assert abs(_gamma_deriv(1, x) - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_gamma_deriv_quadrature_vs_bell_closed_form():
-    # two independent routes: split quadrature vs Gamma(x) * B_n(psi, psi', ...)
+    # two independent routes: mpmath quadrature of the defining integral
+    # int_0^inf t^(x-1) e^(-t) ln(t)^n dt against Gamma(x) * B_n(psi, psi', ...)
     for n in (1, 2, 3):
         for x in (1.0, 2.0, 3.5):
-            a = gamma_deriv(n, x)
-            b = gamma_deriv_closed(n, x)
-            assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+            with mp.workdps(30):
+                want = float(mp.quad(lambda t: t ** (x - 1) * mp.exp(-t) * mp.log(t) ** n,
+                                     [0, 1, mp.inf]))
+            assert abs(_gamma_deriv(n, x) - want) <= 1e-13 * max(1.0, abs(want))
 
 
-def test_mittag_leffler_values():
-    assert abs(mittag_leffler(1, 1, 1.0) - math.e) <= 1e-13
-    assert abs(mittag_leffler(2, 3, 0.0) - 1.0 / gamma(3.0)) <= 1e-15
-    # 200-term high-precision sum of 1/Gamma(1 + k/2)
-    assert abs(mittag_leffler(2, 1, 1.0) - 5.008980080762283) <= 1e-12
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_log_gamma_deriv_matches_mpmath(n):
+    # independent route: mpmath's numerical derivative of Gamma, in high
+    # precision; large x lies far past the double range of Gamma^(n)
+    for x in (0.1, 0.5, 1.0, 2.0, 3.5, 10.0, 171.5, 1000.0, 20001.0):
+        with mp.workdps(40):
+            v = mp.diff(mp.gamma, x, n)
+            sign, log = float(mp.sign(v)), float(mp.log(abs(v)))
+        s, l = log_gamma_deriv(n, x)
+        assert s == sign, (n, x)
+        assert abs(l - log) <= 1e-13 * max(1.0, abs(log)), (n, x, l, log)
 
 
-def test_mittag_leffler_exp_grid():
-    xs = np.linspace(-2.0, 2.0, 5)
-    for a in xs:
-        for b in xs:
-            z = complex(a, b)
-            assert abs(mittag_leffler(1, 1, z) - np.exp(z)) <= 1e-10
-
-
-def test_mittag_leffler_nonconvergence():
-    cfg = SpecialFnConfig(max_terms=8)
-    with pytest.raises(ConvergenceError):
-        mittag_leffler(1, 1, 40.0, cfg)
-
-
-def test_hyp1f1_values():
-    assert hyp1f1(0.3, 1.7, 0.0) == 1.0
-    assert abs(hyp1f1(1.0, 1.0, 0.7 + 0.2j) - np.exp(0.7 + 0.2j)) <= 1e-13
-    assert abs(hyp1f1(0.5, 2.0, -2.0) - 0.6736700229433489) <= 1e-12
-    with pytest.raises(ValueError):
-        hyp1f1(1.0, -2.0, 0.5)
-
-
-def test_hyp1f1_contiguous_derivative_identity():
-    """(a z / b) M(a+1, b+1, z) equals a [M(a+1, b, z) - M(a, b, z)].
-
-    Both sides are z M'(a, b, z) via contiguous relations, computed through
-    entirely different parameter shifts.
-    """
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        a = rng.uniform(0.2, 3.0)
-        b = rng.uniform(0.5, 4.0)
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        lhs = a * z / b * hyp1f1(a + 1, b + 1, z)
-        rhs = a * (hyp1f1(a + 1, b, z) - hyp1f1(a, b, z))
-        assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_log_gamma_deriv_array_matches_scalar(n):
+    x = np.concatenate([np.linspace(0.05, 4.0, 80), np.arange(1.0, 2001.0)])
+    s, l = log_gamma_deriv(n, x)
+    assert s.shape == l.shape == x.shape
+    pairs = [log_gamma_deriv(n, float(xi)) for xi in x]
+    assert np.array_equal(s, [p[0] for p in pairs])
+    assert np.array_equal(l, [p[1] for p in pairs])
 
 
 def test_hermite_values():
-    assert abs(hermite_fn(0, 0.0) - 0.7511255444649425) <= 1e-14
-    assert hermite_fn(1, 0.0) == 0.0
+    tab = hermite_fn_table(5, np.array([0.0, 1.3]))
+    assert abs(tab[0, 0] - 0.7511255444649425) <= 1e-14
+    assert tab[1, 0] == 0.0
     # explicit degree-5 formula evaluated in high precision
-    assert abs(hermite_fn(5, 1.3) - (-0.3993914628137507)) <= 1e-13
+    assert abs(tab[5, 1] - (-0.3993914628137507)) <= 1e-13
 
 
 def test_hermite_orthonormality():
@@ -129,14 +126,8 @@ def test_hermite_orthonormality():
 
 
 def test_hermite_table_matches_scalar():
-    x = np.linspace(-3.0, 3.0, 7)
-    tab = hermite_fn_table(6, x)
-    for n in range(7):
-        assert np.allclose(tab[n], hermite_fn(n, x), rtol=0, atol=1e-14)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SpecialFnConfig(series_tol=0.0)
-    with pytest.raises(ValueError):
-        SpecialFnConfig(max_terms=2)
+    # each entry against the scalar mpmath formula H_n(x) e^(-x^2/2) / norm
+    x = np.linspace(-6.0, 6.0, 13)
+    tab = hermite_fn_table(20, x)
+    want = np.array([[hermite_fn(n, xi) for xi in x] for n in range(21)])
+    assert np.max(np.abs(tab - want)) <= 1e-14
