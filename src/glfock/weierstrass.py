@@ -18,7 +18,6 @@ range, while every quantity actually consumed downstream is a ratio.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -442,22 +441,11 @@ def g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def _write_rows_csv(path: str, rows: list):
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["z_re", "z_im", "lhs", "rhs", "ratio"])
-        w.writeheader()
-        for r in rows:
-            w.writerow({k: repr(v) if isinstance(v, float) else v for k, v in r.items()})
-
-
 @dataclass
 class SigmaLowerReport:
     rows: list
     min_ratio: float
     feasible: bool
-
-    def write_csv(self, path: str):
-        _write_rows_csv(path, self.rows)
 
 
 def sigma_lower_diag(desc: PhiDescriptor, wk: WeightKernel, lat: LatticeSpec,
@@ -488,9 +476,6 @@ class TwoSidedReport:
     c2: float
     feasible: bool
     rows: list
-
-    def write_csv(self, path: str):
-        _write_rows_csv(path, self.rows)
 
 
 def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattice,

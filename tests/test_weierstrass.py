@@ -250,7 +250,7 @@ def test_variant_validation():
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def test_sigma_lower_diag(tmp_path):
+def test_sigma_lower_diag():
     wk = verified_weight(PhiDescriptor.exponential())
     lat = LatticeSpec(1.0, 12)
     xs = np.linspace(-1.3, 1.7, 9) + 0.41
@@ -259,10 +259,6 @@ def test_sigma_lower_diag(tmp_path):
     assert rep.feasible and rep.min_ratio > 0
     assert abs(rep.min_ratio - 0.7647794358643668) <= 1e-6
     assert set(rep.rows[0]) == {"z_re", "z_im", "lhs", "rhs", "ratio"}
-    p = tmp_path / "sig.csv"
-    rep.write_csv(str(p))
-    header = p.read_text().splitlines()[0]
-    assert header == "z_re,z_im,lhs,rhs,ratio"
     with pytest.raises(ValueError):
         sigma_lower_diag(EXPN, wk, lat, np.array([1.0 + 0.0j]))
 
@@ -285,7 +281,7 @@ def test_sigma_lower_ratio_stable_near_node():
     assert ratios.max() / ratios.min() < 2.0
 
 
-def test_two_sided_diag(tmp_path):
+def test_two_sided_diag():
     wk = verified_weight(PhiDescriptor.exponential())
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.1, seed=7)
     xs = np.linspace(-2.0, 2.0, 20)
@@ -299,9 +295,6 @@ def test_two_sided_diag(tmp_path):
     # corridor actually contains the data
     for r in rep.rows:
         assert r["ratio"] <= 1 + 1e-9
-    p = tmp_path / "two.csv"
-    rep.write_csv(str(p))
-    assert p.read_text().startswith("z_re,z_im,lhs,rhs,ratio")
 
 
 def test_two_sided_single_point_and_node_guard():
