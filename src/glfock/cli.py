@@ -25,7 +25,8 @@ import numpy as np
 from .bargmann import (HermiteCoeffs, bargmann_forward, bargmann_inverse,
                        intertwine_residuals)
 from .core import (PhiDescriptor, TruncatedSeries, order_degree_check, phi_coeff)
-from .errors import ConvergenceError, DivergenceError, NonEntireError
+from .errors import (ConvergenceError, DivergenceError, NonEntireError,
+                     UnverifiedWeightError)
 from .fock import (QuadratureScheme, duality_check, moment_check,
                    registered_weight, reproduce, verified_weight)
 from .frames import density, frame_sweep
@@ -253,17 +254,25 @@ def _suite_duality(cfg: RunConfig) -> list:
     return rows
 
 
-def _suite_bargmann(cfg: RunConfig) -> list:
-    if not cfg.desc.entire:
-        raise ConfigError("bargmann suite rejects non-entire families")
+def _bargmann_trials(cfg: RunConfig, trials: int, degree: int) -> list:
+    """(round-trip, lowering, raising) residuals for `trials` random Hermite
+    expansions of the given degree, drawn from the config seed."""
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    for t in range(10):
-        c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    out = []
+    for _ in range(trials):
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
         h = HermiteCoeffs(c)
         back = bargmann_inverse(cfg.desc, bargmann_forward(cfg.desc, h))
         rt = float(np.max(np.abs(back.coeffs - h.coeffs)))
-        rl, rr = intertwine_residuals(cfg.desc, h)
+        out.append((rt, *intertwine_residuals(cfg.desc, h)))
+    return out
+
+
+def _suite_bargmann(cfg: RunConfig) -> list:
+    if not cfg.desc.entire:
+        raise ConfigError("bargmann suite rejects non-entire families")
+    rows = []
+    for t, (rt, rl, rr) in enumerate(_bargmann_trials(cfg, 10, 15)):
         ok = rt <= 1e-13 and rl <= 1e-13 and rr <= 1e-13
         rows.append({"check": f"bargmann_{t}", "residual": max(rt, rl, rr), "pass": ok})
     return rows
@@ -395,15 +404,7 @@ def cmd_density(cfg: RunConfig, args) -> int:
 def cmd_bargmann_roundtrip(cfg: RunConfig, args) -> int:
     if not cfg.desc.entire:
         raise ConfigError("bargmann-roundtrip rejects non-entire families")
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    for t in range(args.trials):
-        c = rng.standard_normal(args.degree + 1) + 1j * rng.standard_normal(args.degree + 1)
-        h = HermiteCoeffs(c)
-        back = bargmann_inverse(cfg.desc, bargmann_forward(cfg.desc, h))
-        rt = float(np.max(np.abs(back.coeffs - h.coeffs)))
-        rl, rr = intertwine_residuals(cfg.desc, h)
-        rows.append([t, rt, rl, rr])
+    rows = [[t, *r] for t, r in enumerate(_bargmann_trials(cfg, args.trials, args.degree))]
     _emit(cfg, args, ["trial", "roundtrip_err", "res_lower", "res_raise"], rows,
           {"rows": [dict(zip(["trial", "roundtrip_err", "res_lower", "res_raise"], r))
                     for r in rows]})
@@ -489,6 +490,9 @@ def main(argv=None) -> int:
     except ConvergenceError as e:
         print(f"non-convergence: {e}", file=sys.stderr)
         return EXIT_NONCONV
+    except UnverifiedWeightError as e:
+        print(f"unverified weight: {e}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, multiply_z,
-                   phi_eval, signs_logs)
+from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, log_phi_coeff,
+                   multiply_z, phi_eval, signs_logs)
 from .errors import ConvergenceError, UnverifiedWeightError
 
 __all__ = [
@@ -122,7 +122,14 @@ class WeightKernel:
 
 
 def registered_weight(desc: PhiDescriptor) -> WeightKernel:
-    """The closed-form weight registered for desc's family (unverified)."""
+    """The closed-form weight registered for desc's family (unverified).
+
+    Its moments are 1/phi_n of the unnormalized family, so a normalized
+    descriptor is accepted only when the unnormalized phi_0 is exactly 1.
+    """
+    if desc.normalized and log_phi_coeff(replace(desc, normalized=False), 0) != (1.0, 0.0):
+        raise ValueError(f"no registered weight for normalized {desc.family!r} "
+                         f"with params {desc.params_dict}: its phi_0 is not 1")
     p = desc.params_dict
     if desc.family == "exponential":
         return WeightKernel(desc, "exp")

@@ -149,6 +149,32 @@ def test_check_nonconvergence_exit_code(capsys, tmp_path):
     assert "non-convergence" in err and out == ""
 
 
+def test_normalized_weight_needs_unit_phi0(capsys, tmp_path):
+    # the registered weight's moments are 1/phi_n of the unnormalized
+    # family; normalized SG(1,2) has phi_0 = 2/sqrt(pi), so no weight fits
+    p = write_cfg(tmp_path, {"phi": {"family": "stretched_gamma",
+                                     "params": {"a": 1.0, "b": 2.0}, "normalized": True}})
+    rc, out, err = run_cli(capsys, ["check", "--suite", "reproduce", "--config", p])
+    assert rc == 2
+    assert "config error" in err and out == ""
+
+
+def test_unverified_weight_exit_code(tmp_path):
+    # two Laguerre nodes cannot integrate the ML(2,1) weight, so it fails
+    # verification: exit 1 with a one-line message, not a traceback
+    p = write_cfg(tmp_path, {"phi": {"family": "mittag_leffler",
+                                     "params": {"rho": 2.0, "mu": 1.0}},
+                             "quadrature": {"radial": "gauss_laguerre", "radial_nodes": 2}})
+    src = str(Path(glfock.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-m", "glfock.cli", "check", "--suite", "reproduce",
+                        "--config", p], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("unverified weight:") and r.stderr.count("\n") == 1
+    assert r.stdout == ""
+
+
 def test_check_non_entire_rejected(capsys, tmp_path):
     p = write_cfg(tmp_path, {"phi": {"family": "backward_shift", "params": {}}})
     for suite in ("moments", "bargmann", "reproduce"):
