@@ -1,7 +1,7 @@
 """Byte-identity gates for CLI output.
 
-`golden_exp_cli.json` maps each default (exponential) command line to the
-sha256 of its stdout.  The exponential family integrates with Gauss-Laguerre,
+`golden_exp_cli.json` maps each default (exponential) command line, once as
+CSV and once with `--format json`, to the sha256 of its stdout.  The exponential family integrates with Gauss-Laguerre,
 so no change to the other quadrature paths may move these bytes.
 
 `golden_family_cli.json` does the same for the non-exponential families in
