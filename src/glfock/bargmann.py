@@ -18,8 +18,7 @@ genuinely fails there (signed measure) and is not claimed.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -91,17 +90,15 @@ def bargmann_inverse(desc: PhiDescriptor, F: TruncatedSeries) -> HermiteCoeffs:
     return HermiteCoeffs(F.coeffs / s)
 
 
-def bargmann_sample(desc: PhiDescriptor, f: Callable, N: int,
-                    quad_nodes: Optional[int] = None) -> TruncatedSeries:
+def bargmann_sample(desc: PhiDescriptor, f: Callable, N: int) -> TruncatedSeries:
     """Transform a function given pointwise: project onto h_0..h_N, then map.
 
-    Projections use Gauss-Hermite quadrature with the e^{x^2} reweighting
-    folded in log space, so large node counts do not overflow.  Exact when
-    f(x) e^{x^2/2} is a polynomial of degree <= 2*quad_nodes - 1 - N.
+    Projections use Q = max(4(N+1), 80)-node Gauss-Hermite quadrature with
+    the e^{x^2} reweighting folded in log space, so large node counts do not
+    overflow.  Exact when f(x) e^{x^2/2} is a polynomial of degree
+    <= 2Q - 1 - N.
     """
-    if quad_nodes is None:
-        quad_nodes = max(4 * (N + 1), 80)
-    x, w = hermgauss(quad_nodes)
+    x, w = hermgauss(max(4 * (N + 1), 80))
     total = np.exp(np.log(w) + x * x)         # w_i e^{x_i^2}, stable
     tab = hermite_fn_table(N, x)              # (N+1, Q)
     fv = np.asarray([f(xi) for xi in x], dtype=complex)

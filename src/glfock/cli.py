@@ -98,11 +98,11 @@ def load_config(path: Optional[str]) -> RunConfig:
                       ("basis_N", "basis_N")):
         if key in trunc:
             v = trunc[key]
-            if not isinstance(v, int) or v <= 0:
+            if not _is_int(v) or v <= 0:
                 raise ConfigError(f"field 'truncation.{key}': positive integer required")
             setattr(cfg, attr, v)
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("field 'seed': natural number required")
     cfg.seed = seed
     out = raw.get("output", {})
@@ -115,6 +115,11 @@ def load_config(path: Optional[str]) -> RunConfig:
             raise ConfigError("field 'output.format': must be 'csv' or 'json'")
         cfg.out_format = fmt
     return cfg
+
+
+def _is_int(v) -> bool:
+    """A JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _resolve_weight(cfg: RunConfig, verify: bool = True):
@@ -150,12 +155,10 @@ def _num(v):
 
 
 def _emit(cfg: RunConfig, args, header: list, rows: list, json_obj):
-    fmt = args.format or cfg.out_format or ("csv" if header else "json")
+    fmt = args.format or cfg.out_format or "csv"
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        if header is None:
-            raise ConfigError("this command has no CSV form; use --format json")
         w.writerow(header)
         for r in rows:
             w.writerow([_num(v) for v in r])
@@ -345,6 +348,8 @@ def cmd_frames_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError("need 0 < s-min <= s-max")
     if args.steps < 0:
         raise ConfigError("steps must be >= 0")
+    if args.window_n < 0 or args.lattice_m < 0:
+        raise ConfigError("window-n and lattice-m must be >= 0")
     wk = _resolve_weight(cfg)
     if args.steps == 0:
         s_values = []
@@ -371,7 +376,12 @@ def cmd_frames_sweep(cfg: RunConfig, args) -> int:
 def cmd_weierstrass_table(cfg: RunConfig, args) -> int:
     d = cfg.desc if cfg.desc.normalized else cfg.desc.normalize()
     wk = _resolve_weight(cfg, verify=False)
-    lat = LatticeSpec(args.lam, cfg.lattice_M)
+    if args.grid_n < 1:
+        raise ConfigError("grid-n must be >= 1")
+    try:
+        lat = LatticeSpec(args.lam, cfg.lattice_M)
+    except ValueError as e:
+        raise ConfigError(str(e))
     n = args.grid_n
     h = 2.0 * args.extent / n
     xs = np.linspace(-args.extent + 0.5 * h, args.extent - 0.5 * h, n)
@@ -390,8 +400,11 @@ def cmd_density(cfg: RunConfig, args) -> int:
         radii = [float(x) for x in args.radii.split(",") if x.strip()]
     except ValueError:
         raise ConfigError("--radii must be a comma-separated list of numbers")
-    lat = LatticeSpec(args.lam, args.trunc_m if args.trunc_m else cfg.lattice_M)
-    rep = density(lat, radii, norm=args.norm)
+    try:
+        lat = LatticeSpec(args.lam, args.trunc_m if args.trunc_m else cfg.lattice_M)
+        rep = density(lat, radii, norm=args.norm)
+    except ValueError as e:
+        raise ConfigError(str(e))
     denom = (lambda r: 2.0 * math.pi * r * r) if args.norm == "paper" else (lambda r: r * r)
     rows = [[r, cnt[0], cnt[1], cnt[0] / denom(r), cnt[1] / denom(r)]
             for r, cnt in zip(rep.r_sequence, rep.counts)]
@@ -404,6 +417,8 @@ def cmd_density(cfg: RunConfig, args) -> int:
 def cmd_bargmann_roundtrip(cfg: RunConfig, args) -> int:
     if not cfg.desc.entire:
         raise ConfigError("bargmann-roundtrip rejects non-entire families")
+    if args.degree < 0 or args.trials < 0:
+        raise ConfigError("degree and trials must be >= 0")
     rows = [[t, *r] for t, r in enumerate(_bargmann_trials(cfg, args.trials, args.degree))]
     _emit(cfg, args, ["trial", "roundtrip_err", "res_lower", "res_raise"], rows,
           {"rows": [dict(zip(["trial", "roundtrip_err", "res_lower", "res_raise"], r))

@@ -13,7 +13,6 @@ log space (differences of log-gamma) to stay stable for k in the hundreds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -127,14 +126,7 @@ class PhiDescriptor:
         return PhiDescriptor(self.family, self.params, True,
                              rho=self.rho, sigma=self.sigma, entire=self.entire)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "params": self.params_dict,
-                "normalized": self.normalized}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+    # -- config input ------------------------------------------------------
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhiDescriptor":
@@ -152,10 +144,6 @@ class PhiDescriptor:
             "backward_shift": lambda: cls.backward_shift(normalized),
         }[family]
         return maker()
-
-    @classmethod
-    def from_json(cls, s: str) -> "PhiDescriptor":
-        return cls.from_dict(json.loads(s))
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +307,10 @@ def multiply_z(f: TruncatedSeries) -> TruncatedSeries:
 # evaluation and growth diagnostics
 # ---------------------------------------------------------------------------
 
-def phi_eval(desc: PhiDescriptor, z, N: int, full_output: bool = False):
+def phi_eval(desc: PhiDescriptor, z, N: int):
     """Partial sum sum_{k<=N} phi_k z^k, assembled in log space.
 
-    full_output=True additionally returns the magnitude of the last term as
-    a truncation diagnostic.  For the radius-1 family, |z| >= 1 raises
-    DivergenceError.
+    For the radius-1 family, |z| >= 1 raises DivergenceError.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -350,12 +336,6 @@ def phi_eval(desc: PhiDescriptor, z, N: int, full_output: bool = False):
     zero = az == 0
     if np.any(zero):
         val[zero] = s[0] * math.exp(l[0])
-    if full_output:
-        with np.errstate(under="ignore"):
-            last = np.exp(np.where(zero, -np.inf, expo[-1]))
-        if scalar:
-            return complex(val[0]), float(last[0])
-        return val, last
     return complex(val[0]) if scalar else val
 
 

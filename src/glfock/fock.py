@@ -16,7 +16,6 @@ scope); the registered forms below are verified by forward moments in tests.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -274,17 +273,6 @@ class MomentReport:
     passed: bool
     failures: list      # offending n
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "family": self.desc.family,
-            "params": self.desc.params_dict,
-            "weight_form": self.form,
-            "tol": self.tol,
-            "passed": self.passed,
-            "failures": self.failures,
-            "rows": self.rows,
-        }, sort_keys=True)
-
 
 def moment_check(desc: PhiDescriptor, wk: WeightKernel, n_max: int, tol: float,
                  quad_scheme: Optional[QuadratureScheme] = None) -> MomentReport:
@@ -390,16 +378,16 @@ class NormBoundReport:
     second_checked: bool
 
 
-def kernel_norm_bound_check(desc: PhiDescriptor, r: float, N: int,
-                            tol: float = 1e-12, n_radii: int = 4,
-                            n_angles: int = 8) -> NormBoundReport:
-    """Check sum phi_n |z|^(2n) <= phi(r^2) on |z| <= r, and -- when the family
-    asserts a pointwise (rho, sigma) -- phi(r^2) <= exp(sigma r^(2 rho))."""
+def kernel_norm_bound_check(desc: PhiDescriptor, r: float, N: int) -> NormBoundReport:
+    """Check sum phi_n |z|^(2n) <= phi(r^2) at four radii up to r, and -- when
+    the family asserts a pointwise (rho, sigma) -- phi(r^2) <= exp(sigma r^(2 rho)),
+    both to a relative 1e-12."""
     if r < 0:
         raise ValueError("r must be >= 0")
+    tol = 1e-12
     cap = float(np.real(phi_eval(desc, r * r, N)))
     worst = 0.0
-    for rr in np.linspace(r / n_radii, r, n_radii):
+    for rr in np.linspace(r / 4, r, 4):
         val = float(np.real(phi_eval(desc, rr * rr, N)))
         worst = max(worst, val - cap * (1.0 + tol))
     passed = worst <= 0.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import comb
@@ -72,12 +72,11 @@ class DensityReport:
             raise ValueError("d_minus exceeds d_plus")
 
 
-def density(points, radii: Sequence[float], norm: str = "paper",
-            n_scan: int = 24) -> DensityReport:
+def density(points, radii: Sequence[float], norm: str = "paper") -> DensityReport:
     """Lower/upper counting densities from square-window translates.
 
     For each r the half-open square [x0, x0+r) x [y0, y0+r) slides over a
-    grid of n_scan^2 origins inside the stored point set; the extreme counts
+    24 x 24 grid of origins inside the stored point set; the extreme counts
     at the largest radius give the densities.  norm="paper" divides by
     2 pi r^2, norm="lebesgue" by the window area r^2.
     """
@@ -101,10 +100,10 @@ def density(points, radii: Sequence[float], norm: str = "paper",
             raise ValueError(
                 f"window side {r} exceeds the stored point extent; enlarge the set")
         n_min, n_max = None, None
-        for x0 in np.linspace(xmin, xmax - r, n_scan):
+        for x0 in np.linspace(xmin, xmax - r, 24):
             inx = (x >= x0) & (x < x0 + r)
             xs, ys = x[inx], y[inx]
-            for y0 in np.linspace(ymin, ymax - r, n_scan):
+            for y0 in np.linspace(ymin, ymax - r, 24):
                 c = int(np.count_nonzero((ys >= y0) & (ys < y0 + r)))
                 n_min = c if n_min is None else min(n_min, c)
                 n_max = c if n_max is None else max(n_max, c)
@@ -212,11 +211,11 @@ def frame_bounds(desc: PhiDescriptor, wk: WeightKernel, points, N: int,
 
 
 def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
-                   N: int, ridge: float = 1e-12) -> TruncatedSeries:
+                   N: int) -> TruncatedSeries:
     """Weighted least-squares fit of a degree-N series to point values.
 
     Minimizes sum_j W(|z_j|^2)|f(z_j) - a_j|^2 + mu ||f||^2 with
-    mu = ridge * trace-scale, so under-determined systems return the
+    mu = 1e-12 * trace-scale, so under-determined systems return the
     minimum-norm interpolant (single point -> kernel column).
     """
     _check_weight(wk)
@@ -232,7 +231,7 @@ def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
     b = sw * a
     # ridge solve via the SVD-backed augmented system; plain normal equations
     # square the condition number and pollute the null directions
-    mu = ridge * max(float(np.sum(np.abs(V) ** 2)) / (N + 1), 1e-300)
+    mu = 1e-12 * max(float(np.sum(np.abs(V) ** 2)) / (N + 1), 1e-300)
     A_aug = np.vstack([V, math.sqrt(mu) * np.eye(N + 1)])
     b_aug = np.concatenate([b, np.zeros(N + 1, complex)])
     c = np.linalg.lstsq(A_aug, b_aug, rcond=None)[0]
@@ -280,7 +279,6 @@ def gabor_transform(desc: PhiDescriptor, n: int, F: TruncatedSeries, z,
 class GeneralKernelSpec:
     """Coefficients c_0..c_J of sum_j c_j (conj(z) M + z D)^j."""
     c: tuple
-    n_window: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(complex(v) for v in self.c))

@@ -125,53 +125,46 @@ def weierstrass_factor(desc: PhiDescriptor, z, N: int = 80):
     return (1.0 - z) * phi_eval(d, u, N)
 
 
-def omega(desc: PhiDescriptor, z, N: int = 80, series_cutoff: float = 1e-3,
-          series_deg: int = 14):
+def omega(desc: PhiDescriptor, z, N: int = 80):
     """Third-order remainder Omega(z) = (E(z) - 1) / z^3.
 
-    Near the origin (|z| < series_cutoff) the direct quotient loses all
-    significance, so the Maclaurin branch of E - 1 shifted by three slots is
-    used instead; the same branch is the fallback when catastrophic
-    cancellation (|E - 1| < 1e-12) is detected farther out.
+    Near the origin (|z| < 1e-3) the direct quotient loses all significance,
+    so the degree-14 Maclaurin branch of E - 1 shifted by three slots is used
+    instead; the same branch is the fallback when catastrophic cancellation
+    (|E - 1| < 1e-12) is detected farther out.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.shape == ()
     zf = np.atleast_1d(z)
-    coeff = e_series(desc, series_deg + 3)[3:]
     out = np.empty_like(zf)
-    small = np.abs(zf) < series_cutoff
-    if np.any(~small):
-        zz = zf[~small]
+    series = np.abs(zf) < 1e-3
+    far = ~series
+    if np.any(far):
+        zz = zf[far]
         E = weierstrass_factor(desc, zz, N)
-        direct = (E - 1.0) / zz**3
         cancel = np.abs(E - 1.0) < 1e-12
-        if np.any(cancel & (np.abs(zz) >= series_cutoff) & (np.abs(E - 1.0) > 0)):
+        if np.any(cancel & (np.abs(E - 1.0) > 0)):
             warnings.warn("omega: |E - 1| < 1e-12 away from 0; using series branch")
-        out_nz = direct
-        if np.any(cancel):
-            ser = np.zeros_like(zz)
-            for c in coeff[::-1]:
-                ser = ser * zz + c
-            out_nz = np.where(cancel, ser, direct)
-        out[~small] = out_nz
-    if np.any(small):
-        zz = zf[small]
+        out[far] = (E - 1.0) / zz**3
+        series[far] = cancel
+    if np.any(series):
+        zz = zf[series]
         ser = np.zeros_like(zz)
-        for c in coeff[::-1]:
+        for c in e_series(desc, 17)[3:][::-1]:
             ser = ser * zz + c
-        out[small] = ser
+        out[series] = ser
     return complex(out[0]) if scalar else out
 
 
-def omega_bound(desc: PhiDescriptor, tail_tol: float = 1e-16,
-                max_terms: int = 20000) -> float:
+def omega_bound(desc: PhiDescriptor) -> float:
     """Disk bound sup_{|z|<=1} |Omega| <= |c3| + |c4| + |c5| + 2 sum_{n>=3} |phi_n| R^n,
     R = |psi1| + |psi2|.
 
     The three explicit terms are the degree-(3,4,5) coefficients contributed
-    by phi_1, phi_2; the tail uses |1 - z| <= 2.  Returns +inf when the tail
-    fails to decay (radius-1 family at R = 1); raises if R strictly exceeds
-    the series radius.
+    by phi_1, phi_2; the tail uses |1 - z| <= 2 and stops at the first term
+    below 1e-16 of the running sum.  Returns +inf when the tail fails to
+    decay within 20000 terms (radius-1 family at R = 1); raises if R
+    strictly exceeds the series radius.
     """
     d = _normalized(desc)
     p1, p2, _ = _phi123(desc)
@@ -182,15 +175,15 @@ def omega_bound(desc: PhiDescriptor, tail_tol: float = 1e-16,
     c3 = abs(p1 * ps.psi2 - 2.0 * p2 * ps.psi1 * ps.psi2 + p2 * ps.psi1**2)
     c4 = abs(p2 * ps.psi2**2 - 2.0 * p2 * ps.psi1 * ps.psi2)
     c5 = abs(p2 * ps.psi2**2)
-    s, l = signs_logs(d, max_terms)
+    s, l = signs_logs(d, 20000)
     logR = math.log(R) if R > 0 else -math.inf
     tail = 0.0
     prev = math.inf
     converged = False
-    for n in range(3, max_terms + 1):
+    for n in range(3, 20001):
         t = math.exp(l[n] + n * logR)
         tail += t
-        if t < tail_tol * (1.0 + tail):
+        if t < 1e-16 * (1.0 + tail):
             converged = True
             break
         if n > 64 and t >= prev * 0.999999:
@@ -367,13 +360,8 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     return out
 
 
-def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TERMS,
-             full_output: bool = False):
-    """Truncated sigma-type product z * prod over nonzero lattice points.
-
-    full_output=True also returns the relative change contributed by the
-    outermost index ring, a cheap convergence diagnostic for trunc_M.
-    """
+def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TERMS):
+    """Truncated sigma-type product z * prod over nonzero lattice points."""
     z = np.asarray(z, dtype=complex)
     scalar = z.shape == ()
     zf = np.atleast_1d(z).astype(complex)
@@ -385,27 +373,11 @@ def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TER
     with np.errstate(over="ignore"):
         val = zf * np.exp(logs)
     val = np.where(np.isfinite(logs.real), val, 0.0)
-    if not full_output:
-        return complex(val[0]) if scalar else val
-    ring = np.maximum(np.abs(mm), np.abs(nn))[sel] == lat.trunc_M
-    ring_logs = _log_product(desc, zf, nodes[ring], nodes[ring], ps, N)
-    rel = np.abs(np.exp(ring_logs) - 1.0)
-    if scalar:
-        return complex(val[0]), float(rel[0])
-    return val, rel
-
-
-def _check_lat(gamma: PerturbedLattice, lat: Optional[LatticeSpec]) -> LatticeSpec:
-    if lat is None:
-        return gamma.lat
-    if lat != gamma.lat:
-        raise ValueError("lat is not the base lattice of gamma")
-    return lat
+    return complex(val[0]) if scalar else val
 
 
 def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
-             N: int = _PHI_PRODUCT_TERMS, variant: str = "printed",
-             lat: Optional[LatticeSpec] = None) -> np.ndarray:
+             N: int = _PHI_PRODUCT_TERMS, variant: str = "printed") -> np.ndarray:
     """Complex log of g(z; Gamma); -inf real part at the nodes.
 
     variant="printed" uses the mixed quadratic denominator lam_{m,n}^2 (the
@@ -414,7 +386,6 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
     """
     if variant not in ("printed", "all_gamma"):
         raise ValueError("variant must be 'printed' or 'all_gamma'")
-    _check_lat(gamma, lat)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     ps = psi_pair(desc)
     nodes, base = gamma.nonzero()
@@ -425,12 +396,11 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
 
 
 def g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
-         N: int = _PHI_PRODUCT_TERMS, variant: str = "printed",
-         lat: Optional[LatticeSpec] = None):
+         N: int = _PHI_PRODUCT_TERMS, variant: str = "printed"):
     """Interpolation-type product vanishing exactly on the perturbed nodes."""
     z = np.asarray(z, dtype=complex)
     scalar = z.shape == ()
-    logs = log_g_fn(desc, np.atleast_1d(z), gamma, N, variant, lat)
+    logs = log_g_fn(desc, np.atleast_1d(z), gamma, N, variant)
     with np.errstate(over="ignore"):
         val = np.exp(logs)
     val = np.where(np.isfinite(logs.real), val, 0.0)
@@ -479,18 +449,18 @@ class TwoSidedReport:
 
 
 def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattice,
-                   grid, N: int = _PHI_PRODUCT_TERMS, variant: str = "printed",
-                   c_grid=None, lat: Optional[LatticeSpec] = None) -> TwoSidedReport:
+                   grid, N: int = _PHI_PRODUCT_TERMS,
+                   variant: str = "printed") -> TwoSidedReport:
     """Fit constants for  c1 gam(z) e^{-c|z|log|z|} d(z) <= W|g| <= c2 gam(z) e^{c|z|log|z|}.
 
     gam(z) is 1 when the weight symbol grows no faster than e^z, else
-    |K(z)| itself.  c is chosen on a grid to minimize the log-corridor
+    |K(z)| itself.  c is chosen on the grid 0, 0.05, ..., 4 to minimize the log-corridor
     between the two envelopes; c1, c2 are then the extreme admissible
     constants.  Rows carry lhs = lower envelope, rhs = upper envelope and
     ratio = W|g| / rhs (so feasibility means ratio <= 1 and lhs <= W|g|).
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
-    logs = log_g_fn(desc, grid, gamma, N, variant, lat)
+    logs = log_g_fn(desc, grid, gamma, N, variant)
     if np.any(~np.isfinite(logs.real)):
         raise ValueError("grid touches a node of Gamma")
     w = wk.weight(np.abs(grid) ** 2)
@@ -507,10 +477,8 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
         loggam = np.log(np.abs(wk.analytic(grid)))
     low = logV - np.log(d) - loggam
     up = logV - loggam
-    if c_grid is None:
-        c_grid = np.linspace(0.0, 4.0, 81)
     best = None
-    for c in c_grid:
+    for c in np.linspace(0.0, 4.0, 81):
         gap = float((up - c * t).max() - (low + c * t).min())
         if best is None or gap < best[0]:
             best = (gap, float(c))
@@ -534,35 +502,25 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
 # interpolation and zero counting
 # ---------------------------------------------------------------------------
 
-def lagrange_interp(desc: PhiDescriptor, gamma: PerturbedLattice,
-                    g_eval: Optional[Callable], samples: dict, z: complex,
-                    M_sum: int, log_g_eval: Optional[Callable] = None,
-                    fd_scale: float = 1e-5) -> complex:
+def lagrange_interp(desc: PhiDescriptor, gamma: PerturbedLattice, samples: dict,
+                    z: complex, M_sum: int) -> complex:
     """Cardinal-series value  sum f(z_mn)/g'(z_mn) * g(z)/(z - z_mn).
 
-    samples maps (m, n) -> f(z_mn) for |m|, |n| <= M_sum.  Node derivatives
-    use central differences with step fd_scale * q(Gamma).  g_eval=None uses
-    the packaged product for desc; when log_g_eval is supplied (complex log
-    of g) the term ratios are formed in log space, which they must be: |g'|
-    at far nodes exceeds the double range.
+    samples maps (m, n) -> f(z_mn) for |m|, |n| <= M_sum.  g is the packaged
+    product for desc (log_g_fn); node derivatives use central differences
+    with step 1e-5 * q(Gamma).  The term ratios are formed in log space,
+    which they must be: |g'| at far nodes exceeds the double range.
     """
-    if g_eval is None and log_g_eval is None:
-        def log_g_eval(zz):
-            return log_g_fn(desc, zz, gamma)
-    elif log_g_eval is None:
-        def log_g_eval(zz):
-            with np.errstate(divide="ignore"):
-                return np.log(np.asarray(g_eval(zz), dtype=complex))
     z = complex(z)
-    h = fd_scale * gamma.q
+    h = 1e-5 * gamma.q
     keys = [(m, n) for m in range(-M_sum, M_sum + 1) for n in range(-M_sum, M_sum + 1)]
     missing = [k for k in keys if k not in samples]
     if missing:
         raise ValueError(f"samples missing {len(missing)} node(s), e.g. {missing[0]}")
     nodes = np.array([gamma.point(m, n) for m, n in keys])
     fvals = np.array([complex(samples[k]) for k in keys])
-    lp = np.asarray(log_g_eval(nodes + h))
-    lm = np.asarray(log_g_eval(nodes - h))
+    lp = log_g_fn(desc, nodes + h, gamma)
+    lm = log_g_fn(desc, nodes - h, gamma)
     L = np.maximum(lp.real, lm.real)
     log_gp = L + np.log((np.exp(lp - L) - np.exp(lm - L)) / (2.0 * h))
     if np.any(log_gp.real < -300):
@@ -571,24 +529,24 @@ def lagrange_interp(desc: PhiDescriptor, gamma: PerturbedLattice,
     exact = np.abs(z - nodes) == 0.0
     if exact.any():
         return complex(fvals[exact][0])
-    log_gz = complex(np.asarray(log_g_eval(np.array([z])))[0])
+    log_gz = complex(log_g_fn(desc, np.array([z]), gamma)[0])
     with np.errstate(over="ignore", under="ignore"):
         terms = fvals * np.exp(log_gz - log_gp) / (z - nodes)
     return complex(terms.sum())
 
 
-def winding_zero_count(fn: Callable, radius: float, center: complex = 0.0,
-                       n_start: int = 2048, max_doublings: int = 5) -> int:
-    """Zero count inside |z - center| = radius via the argument principle.
+def winding_zero_count(fn: Callable, radius: float) -> int:
+    """Zero count inside |z| = radius via the argument principle.
 
-    fn must be vectorized and zero-free on the contour.  The contour is
-    refined until no single argument step exceeds pi/2; a non-integer
-    winding after refinement raises ConvergenceError.
+    fn must be vectorized and zero-free on the contour.  The contour starts
+    at 2048 points and is doubled, at most five times, until no single
+    argument step exceeds pi/2; a non-integer winding after refinement
+    raises ConvergenceError.
     """
-    n = n_start
-    for _ in range(max_doublings + 1):
+    n = 2048
+    for _ in range(6):
         th = 2.0 * np.pi * np.arange(n + 1) / n
-        vals = np.asarray(fn(center + radius * np.exp(1j * th)))
+        vals = np.asarray(fn(radius * np.exp(1j * th)))
         if np.any(vals == 0) or np.any(~np.isfinite(vals)):
             raise ValueError("contour touches a zero or overflow of fn")
         d = np.diff(np.angle(vals))

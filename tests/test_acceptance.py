@@ -15,7 +15,8 @@ import numpy as np
 
 from glfock.bargmann import (HermiteCoeffs, bargmann_forward, bargmann_inverse,
                              intertwine_residuals)
-from glfock.core import PhiDescriptor, TruncatedSeries, signs_logs
+from glfock.cli import _random_series
+from glfock.core import PhiDescriptor
 from glfock.fock import (duality_check, moment_check, registered_weight,
                          reproduce, verified_weight)
 from glfock.frames import frame_sweep
@@ -42,14 +43,6 @@ def _report(num, name, ok, t, budget):
     assert t < budget, f"criterion {num} ({name}) exceeded {budget}s: {t:.2f}s"
 
 
-def _unit_series(desc, rng, deg):
-    # a_k sqrt(|phi_k|) keeps every mode at unit scale; raw monomial draws
-    # would let 1/phi_k amplify roundoff by k! and mask genuine residuals
-    _, l = signs_logs(desc, deg)
-    a = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-    return TruncatedSeries(a * np.exp(0.5 * l[: deg + 1]))
-
-
 def test_criterion_01_weight_moments():
     t0 = time.time()
     dexp = PhiDescriptor.exponential()
@@ -67,8 +60,8 @@ def test_criterion_02_duality():
     for desc in ALL_FAMILIES:
         for _ in range(100):
             deg = int(rng.integers(1, 21))
-            f = _unit_series(desc, rng, deg)
-            g = _unit_series(desc, rng, deg)
+            f = _random_series(desc, rng, deg)
+            g = _random_series(desc, rng, deg)
             worst = max(worst, duality_check(desc, f, g))
     _report(2, f"derivative/multiplier duality (max {worst:.2e})",
             worst <= 1e-12, time.time() - t0, 1.0)
@@ -177,7 +170,7 @@ def test_criterion_09_reproducing_property():
         wk = verified_weight(raw)
         for _ in range(20):
             deg = int(rng.integers(0, 11))
-            f = _unit_series(desc, rng, deg)
+            f = _random_series(desc, rng, deg)
             for _ in range(10):
                 z = complex(*rng.uniform(-1.2, 1.2, size=2))
                 worst = max(worst, abs(reproduce(desc, wk, f, z) - f(z)))

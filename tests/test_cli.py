@@ -192,6 +192,34 @@ def test_bad_config_exit_code(capsys, tmp_path):
     assert rc == 2
 
 
+OUT_OF_RANGE = [
+    (["density", "--trunc-m", "-3"], None),
+    (["density", "--lam", "0"], None),
+    (["density", "--radii", "20,10"], None),
+    (["density", "--radii", "30"], None),
+    (["weierstrass-table", "--grid-n", "0"], None),
+    (["weierstrass-table", "--lam", "-1"], None),
+    (["bargmann-roundtrip", "--degree", "-1"], None),
+    (["bargmann-roundtrip", "--trials", "-2"], None),
+    (["frames-sweep", "--lattice-m", "-1"], None),
+    (["frames-sweep", "--window-n", "-1"], None),
+    (["phi-info"], {"seed": True}),
+    (["phi-info"], {"truncation": {"lattice_M": True}}),
+]
+
+
+@pytest.mark.parametrize("argv, config", OUT_OF_RANGE,
+                         ids=[" ".join(a) + (f" {json.dumps(c)}" if c else "")
+                              for a, c in OUT_OF_RANGE])
+def test_out_of_range_arguments_exit_2(capsys, tmp_path, argv, config):
+    if config is not None:
+        argv = argv + ["--config", write_cfg(tmp_path, config)]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
 # ---------------------------------------------------------------------------
 # table commands
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import contextlib
-import json
 import math
 
 import numpy as np
@@ -51,8 +50,6 @@ def test_moment_check_registered_pairs():
     rep = moment_check(ML21, registered_weight(ML21), 8, 1e-6)
     assert rep.passed
     assert all(set(r) == {"n", "moment", "target", "residual"} for r in rep.rows)
-    obj = json.loads(rep.to_json())
-    assert obj["passed"] is True and len(obj["rows"]) == 9
 
 
 def test_moment_check_mismatched_pair_fails():

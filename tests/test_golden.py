@@ -1,8 +1,9 @@
 """Byte-identity gates for CLI output.
 
 `golden_exp_cli.json` maps each default (exponential) command line, once as
-CSV and once with `--format json`, to the sha256 of its stdout.  The exponential family integrates with Gauss-Laguerre,
-so no change to the other quadrature paths may move these bytes.
+CSV and once with `--format json`, to the sha256 of its stdout.  The
+exponential family integrates with Gauss-Laguerre, so no change to the other
+quadrature paths may move these bytes.
 
 `golden_family_cli.json` does the same for the non-exponential families in
 `FAMILIES`; its keys are "<family> <command line>", and the command runs with

@@ -98,7 +98,9 @@ def test_omega_series_branch_continuity():
 
 
 def test_omega_backward_shift_vanishes():
-    zz = disk_grid(15, 0.7)
+    # the two points near 0 lose all digits in (E - 1) / z^3, so only the
+    # cancellation fallback to the series gives 0 there
+    zz = np.concatenate([disk_grid(15, 0.7), [0.01, 0.002 + 0.003j]])
     with pytest.warns(UserWarning):  # flags the total cancellation E == 1
         vals = omega(BSN, zz, N=200)
     assert np.max(np.abs(vals)) <= 1e-12
@@ -203,9 +205,8 @@ def test_sigma_matches_classic_product():
 
 
 def test_sigma_ring_diagnostic():
-    v, rel = sigma_fn(EXPN, 0.3 + 0.4j, LatticeSpec(1.0, 12), full_output=True)
+    v = sigma_fn(EXPN, 0.3 + 0.4j, LatticeSpec(1.0, 12))
     assert abs(v - (0.30207158259277594 + 0.4241484099570185j)) <= 1e-12
-    assert rel <= 1e-4  # outer ring barely moves the value
 
 
 def test_g_fn_equals_sigma_unperturbed():
@@ -224,14 +225,6 @@ def test_g_fn_vanishes_on_nodes_and_pin():
     assert g_fn(EXPN, gam.point(2, 3), gam) == 0.0
     got = g_fn(EXPN, 0.5, gam, N=60)
     assert abs(got - (0.4512124620999843 + 0.061652103095375665j)) <= 1e-9
-
-
-def test_g_fn_lat_argument_guard():
-    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 6), 0.1, seed=1)
-    ok = g_fn(EXPN, 0.5, gam, lat=LatticeSpec(1.0, 6))
-    assert np.isfinite(ok.real)
-    with pytest.raises(ValueError):
-        g_fn(EXPN, 0.5, gam, lat=LatticeSpec(1.0, 7))
 
 
 def test_log_g_fn_node_is_neg_inf():
@@ -320,7 +313,7 @@ def test_lagrange_reconstruction():
     tgt = TruncatedSeries([0.3, 0.5 - 0.2j, 0.1j])
     samples = _samples(gam, tgt, 10)
     for z in (0.37 + 0.21j, -0.4 + 0.33j, 0.4 + 0.4j):
-        got = lagrange_interp(EXPN, gam, None, samples, z, 10)
+        got = lagrange_interp(EXPN, gam, samples, z, 10)
         assert abs(got - tgt(z)) <= 1e-8
 
 
@@ -329,25 +322,15 @@ def test_lagrange_node_and_zeros():
     tgt = TruncatedSeries([0.3, 0.5 - 0.2j, 0.1j])
     samples = _samples(gam, tgt, 10)
     node = gam.point(1, -1)
-    assert lagrange_interp(EXPN, gam, None, samples, node, 10) == tgt(node)
+    assert lagrange_interp(EXPN, gam, samples, node, 10) == tgt(node)
     zeros = {k: 0.0 for k in samples}
-    assert lagrange_interp(EXPN, gam, None, zeros, 0.3 + 0.2j, 10) == 0.0
-
-
-def test_lagrange_custom_g_eval_matches_log_route():
-    gam = PerturbedLattice.unperturbed(LatticeSpec(1.0, 14))
-    tgt = TruncatedSeries([1.0, 0.25j])
-    samples = _samples(gam, tgt, 2)
-    z = 0.3 + 0.1j
-    a = lagrange_interp(EXPN, gam, None, samples, z, 2)
-    b = lagrange_interp(EXPN, gam, lambda zz: g_fn(EXPN, zz, gam), samples, z, 2)
-    assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+    assert lagrange_interp(EXPN, gam, zeros, 0.3 + 0.2j, 10) == 0.0
 
 
 def test_lagrange_missing_sample():
     gam = PerturbedLattice.unperturbed(LatticeSpec(1.0, 6))
     with pytest.raises(ValueError):
-        lagrange_interp(EXPN, gam, None, {(0, 0): 1.0}, 0.3, 2)
+        lagrange_interp(EXPN, gam, {(0, 0): 1.0}, 0.3, 2)
 
 
 def test_winding_zero_count():
