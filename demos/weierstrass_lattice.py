@@ -75,7 +75,7 @@ def perturbed_demo():
     print(f"  two-sided fit: c={rep.c:.3f} c1={rep.c1:.4f} c2={rep.c2:.4f} "
           f"feasible={rep.feasible}")
     print(f"  corridor width factor c2/c1 = {rep.c2 / rep.c1:.2f} "
-          f"over {len(rep.rows)} grid points")
+          f"over {rep.z.size} grid points")
 
 
 if __name__ == "__main__":

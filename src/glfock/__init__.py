@@ -10,27 +10,23 @@ two-sided growth diagnostics, and empirical Gabor frame bounds on
 truncated subspaces.
 """
 
-from .core import (PhiDescriptor, TruncatedSeries, gl_derivative,
-                   gl_derivative_pow, multiply_z, phi_coeff, phi_coeffs,
-                   phi_eval, order_degree_check)
+from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, multiply_z,
+                   phi_coeff, phi_coeffs, phi_eval, order_degree_check)
 from .fock import (WeightKernel, QuadratureScheme, registered_weight,
                    verified_weight, moment, moment_check, carleman_partial,
-                   inner_product_l2phi, inner_product_fock, discrete_kernel,
-                   kernel_norm_bound_check, reproduce, duality_check,
-                   orthonormal_basis_coeff)
+                   inner_product_l2phi, inner_product_fock, reproduce,
+                   duality_check)
 from .bargmann import (HermiteCoeffs, bargmann_forward, bargmann_inverse,
                        bargmann_sample, ladder_raise, ladder_lower,
                        intertwine_residuals)
 from .weierstrass import (PsiPair, LatticeSpec, PerturbedLattice, psi_pair,
                           e_series, weierstrass_factor, omega, omega_bound,
                           radius_bounds, sigma_fn, g_fn, log_g_fn,
-                          sigma_lower_diag, two_sided_diag, lagrange_interp,
-                          winding_zero_count)
-from .frames import (DensityReport, FrameReport, GeneralKernelSpec, density,
-                     translation_apply, frame_bounds, interpolate_ls,
-                     gabor_transform, general_kernel_fockside,
-                     adjoint_kernel_coeffs, lattice_size, frame_sweep,
-                     kernel_atoms, canonical_dual, biorthogonality_check)
+                          sigma_lower_diag, two_sided_diag, winding_zero_count)
+from .frames import (DensityReport, FrameReport, density, frame_bounds,
+                     interpolate_ls, adjoint_kernel_coeffs, lattice_size,
+                     frame_sweep, kernel_atoms, canonical_dual,
+                     biorthogonality_check)
 from .errors import (ConvergenceError, DivergenceError, NonEntireError,
                      NormalizationError, UnverifiedWeightError)
 

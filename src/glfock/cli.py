@@ -110,6 +110,8 @@ def load_config(path: Optional[str]) -> RunConfig:
         if not isinstance(out, dict):
             raise ConfigError("field 'output': expected an object")
         cfg.out_path = out.get("path")
+        if cfg.out_path is not None and not isinstance(cfg.out_path, str):
+            raise ConfigError("field 'output.path': expected a file name string")
         fmt = out.get("format")
         if fmt is not None and fmt not in ("csv", "json"):
             raise ConfigError("field 'output.format': must be 'csv' or 'json'")
@@ -389,9 +391,11 @@ def cmd_weierstrass_table(cfg: RunConfig, args) -> int:
     if np.any(lat.dist(grid) < 1e-9):
         raise ConfigError("grid touches a lattice node; change --grid-n or --extent")
     rep = sigma_lower_diag(d, wk, lat, grid, N=cfg.series_N)
-    rows = [[r["z_re"], r["z_im"], r["lhs"], r["rhs"], r["ratio"]] for r in rep.rows]
-    _emit(cfg, args, ["z_re", "z_im", "lhs", "rhs", "ratio"], rows,
-          {"min_ratio": rep.min_ratio, "feasible": rep.feasible, "rows": rep.rows})
+    header = ["z_re", "z_im", "lhs", "rhs", "ratio"]
+    rows = np.column_stack([rep.z.real, rep.z.imag, rep.lhs, rep.rhs, rep.ratio]).tolist()
+    _emit(cfg, args, header, rows,
+          {"min_ratio": rep.min_ratio, "feasible": rep.feasible,
+           "rows": [dict(zip(header, r)) for r in rows]})
     return EXIT_OK
 
 

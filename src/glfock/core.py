@@ -14,6 +14,7 @@ log space (differences of log-gamma) to stay stable for k in the hundreds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -32,7 +33,6 @@ __all__ = [
     "log_phi_coeff",
     "phi_coeffs",
     "gl_derivative",
-    "gl_derivative_pow",
     "multiply_z",
     "phi_eval",
     "order_degree_check",
@@ -94,8 +94,8 @@ class PhiDescriptor:
     def gamma_deriv(cls, n: int, normalized: bool = False) -> "PhiDescriptor":
         """phi_k = 1/Gamma^(n)(k+1).  For n = 1 the k = 0 coefficient is
         negative (Gamma'(1) = -euler_gamma); see the signed-family notes."""
-        if n < 1:
-            raise ValueError("gamma_deriv requires n >= 1")
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValueError("gamma_deriv requires an integer n >= 1")
         return cls("gamma_deriv", (("n", int(n)),), normalized, rho=None, sigma=None)
 
     @classmethod
@@ -134,7 +134,9 @@ class PhiDescriptor:
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         params = d.get("params", {})
-        normalized = bool(d.get("normalized", False))
+        normalized = d.get("normalized", False)
+        if not isinstance(normalized, bool):
+            raise ValueError("normalized must be true or false")
         maker = {
             "exponential": lambda: cls.exponential(normalized),
             "mittag_leffler": lambda: cls.mittag_leffler(params["rho"], params["mu"], normalized),
@@ -250,10 +252,6 @@ class TruncatedSeries:
     def degree_cap(self) -> int:
         return self.coeffs.size - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0))
-
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         acc = np.zeros_like(z)
@@ -281,21 +279,6 @@ def gl_derivative(desc: PhiDescriptor, f: TruncatedSeries) -> TruncatedSeries:
     s, l = signs_logs(desc, f.degree_cap)
     ratio = s[:-1] * s[1:] * np.exp(l[:-1] - l[1:])
     return TruncatedSeries(a[1:] * ratio)
-
-
-def gl_derivative_pow(desc: PhiDescriptor, f: TruncatedSeries, p: int) -> TruncatedSeries:
-    """p-fold derivative in one telescoped step: out_j = f_{j+p} phi_j/phi_{j+p}."""
-    if p < 0:
-        raise ValueError("power must be >= 0")
-    if p == 0:
-        return f
-    a = f.coeffs
-    if a.size <= p:
-        return TruncatedSeries([0.0])
-    s, l = signs_logs(desc, f.degree_cap)
-    j = np.arange(a.size - p)
-    ratio = s[j] * s[j + p] * np.exp(l[j] - l[j + p])
-    return TruncatedSeries(a[p:] * ratio)
 
 
 def multiply_z(f: TruncatedSeries) -> TruncatedSeries:
@@ -343,10 +326,6 @@ def phi_eval(desc: PhiDescriptor, z, N: int):
 class OrderDegreeReport:
     rho_hat: float
     sigma_hat: float
-    rho_asserted: Optional[float]
-    sigma_asserted: Optional[float]
-    window: tuple
-    max_rel_err: Optional[float]  # vs asserted values, None if nothing asserted
 
 
 def order_degree_check(desc: PhiDescriptor, K: int = 200) -> OrderDegreeReport:
@@ -370,10 +349,4 @@ def order_degree_check(desc: PhiDescriptor, K: int = 200) -> OrderDegreeReport:
         raise ValueError("non-positive slope: coefficients do not decay like an entire family")
     rho_hat = 1.0 / slope
     sigma_hat = math.exp(-intercept * rho_hat) / (math.e * rho_hat)
-    max_rel = None
-    if desc.rho is not None:
-        max_rel = abs(rho_hat - desc.rho) / desc.rho
-        if desc.sigma is not None:
-            max_rel = max(max_rel, abs(sigma_hat - desc.sigma) / desc.sigma)
-    return OrderDegreeReport(rho_hat, sigma_hat, desc.rho, desc.sigma,
-                             (int(ks[0]), K), max_rel)
+    return OrderDegreeReport(rho_hat, sigma_hat)

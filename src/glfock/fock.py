@@ -17,6 +17,7 @@ scope); the registered forms below are verified by forward moments in tests.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -41,9 +42,6 @@ __all__ = [
     "carleman_partial",
     "inner_product_l2phi",
     "inner_product_fock",
-    "orthonormal_basis_coeff",
-    "discrete_kernel",
-    "kernel_norm_bound_check",
     "reproduce",
     "duality_check",
 ]
@@ -164,6 +162,10 @@ class QuadratureScheme:
     def __post_init__(self):
         if self.radial not in ("gauss_laguerre", "adaptive_tail"):
             raise ValueError("radial must be 'gauss_laguerre' or 'adaptive_tail'")
+        for name in ("radial_nodes", "angular_nodes"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer")
         if not (2 <= self.radial_nodes <= 150):
             raise ValueError("radial_nodes out of range [2, 150]")
         if self.angular_nodes < 2:
@@ -355,50 +357,6 @@ def inner_product_fock(wk: WeightKernel, f: TruncatedSeries, g: TruncatedSeries,
         return np.mean(np.conj(f(zz)) * g(zz), axis=1)
 
     return _radial_integral(wk, angular_mean, quad_scheme)
-
-
-def orthonormal_basis_coeff(desc: PhiDescriptor, n: int) -> float:
-    """sqrt(phi_n): e_n(z) = sqrt(phi_n) z^n has unit norm in the pairing."""
-    s, l = signs_logs(desc, n)
-    if s[n] <= 0:
-        raise ValueError(f"phi_{n} < 0 for {desc.family}: orthonormal basis "
-                         "undefined for signed coefficients")
-    return math.exp(0.5 * l[n])
-
-
-def discrete_kernel(desc: PhiDescriptor, z: complex, w: complex, N: int) -> complex:
-    """Truncated reproducing kernel k(z, w) = phi(conj(z) w)."""
-    return phi_eval(desc, np.conj(complex(z)) * complex(w), N)
-
-
-@dataclass
-class NormBoundReport:
-    passed: bool
-    max_violation: float
-    second_checked: bool
-
-
-def kernel_norm_bound_check(desc: PhiDescriptor, r: float, N: int) -> NormBoundReport:
-    """Check sum phi_n |z|^(2n) <= phi(r^2) at four radii up to r, and -- when
-    the family asserts a pointwise (rho, sigma) -- phi(r^2) <= exp(sigma r^(2 rho)),
-    both to a relative 1e-12."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    tol = 1e-12
-    cap = float(np.real(phi_eval(desc, r * r, N)))
-    worst = 0.0
-    for rr in np.linspace(r / 4, r, 4):
-        val = float(np.real(phi_eval(desc, rr * rr, N)))
-        worst = max(worst, val - cap * (1.0 + tol))
-    passed = worst <= 0.0
-    second = False
-    if desc.rho is not None and desc.sigma is not None:
-        second = True
-        bound = desc.sigma * r ** (2.0 * desc.rho)
-        if math.log(cap) > bound + math.log1p(tol):
-            passed = False
-            worst = max(worst, math.log(cap) - bound)
-    return NormBoundReport(passed, worst, second)
 
 
 def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: complex,

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import comb
 
-from .core import (PhiDescriptor, TruncatedSeries, gl_derivative_pow,
-                   gl_derivative, multiply_z, phi_eval, signs_logs)
+from .core import PhiDescriptor, TruncatedSeries, signs_logs
 from .errors import NonEntireError
 from .fock import WeightKernel
 from .weierstrass import LatticeSpec, PerturbedLattice
@@ -30,13 +28,9 @@ from .weierstrass import LatticeSpec, PerturbedLattice
 __all__ = [
     "DensityReport",
     "FrameReport",
-    "GeneralKernelSpec",
     "density",
-    "translation_apply",
     "frame_bounds",
     "interpolate_ls",
-    "gabor_transform",
-    "general_kernel_fockside",
     "adjoint_kernel_coeffs",
     "lattice_size",
     "frame_sweep",
@@ -116,27 +110,6 @@ def density(points, radii: Sequence[float], norm: str = "paper") -> DensityRepor
 
 
 # ---------------------------------------------------------------------------
-# weighted translations
-# ---------------------------------------------------------------------------
-
-def translation_apply(wk: WeightKernel, a: complex, f, z):
-    """(T_a f)(z) = sqrt(W(|z-a|^2) / W(|z|^2)) * f(z - a).
-
-    The square-root quotient makes T_a unitary on the weighted space; the
-    weight must be strictly positive at the evaluation points.
-    """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.shape == ()
-    zf = np.atleast_1d(z)
-    wz = wk.weight(np.abs(zf) ** 2)
-    if np.any(wz <= 0):
-        raise ZeroDivisionError("weight vanishes at an evaluation point")
-    wa = wk.weight(np.abs(zf - a) ** 2)
-    vals = np.sqrt(wa / wz) * np.asarray(f(zf - a), dtype=complex)
-    return complex(vals[0]) if scalar else vals
-
-
-# ---------------------------------------------------------------------------
 # frame bounds on the truncated space
 # ---------------------------------------------------------------------------
 
@@ -154,21 +127,32 @@ class FrameReport:
             raise ValueError("frame report with A > B")
 
 
-def _basis_matrix(desc: PhiDescriptor, z: np.ndarray, N: int) -> np.ndarray:
-    """Rows e_m(z_j) = sqrt(phi_m) z_j^m, assembled in log space."""
+def _sample_matrix(desc: PhiDescriptor, w: np.ndarray, N: int, window_n: int) -> np.ndarray:
+    """Rows L_j(e_m) = sum_k C(n,k)(-pi conj(w_j))^k (D^k e_m)(w_j); window 0
+    gives the basis values e_m(w_j) = sqrt(phi_m) w_j^m."""
     s, l = signs_logs(desc, N)
     if np.any(s[: N + 1] <= 0):
-        raise ValueError("orthonormal basis needs positive phi coefficients")
+        raise ValueError("sampling functionals need positive phi coefficients")
     m = np.arange(N + 1)
-    az = np.abs(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logmag = 0.5 * l[None, : N + 1] + m[None, :] * np.log(az[:, None])
-    E = np.exp(logmag) * np.exp(1j * m[None, :] * np.angle(z)[:, None])
-    zero = az == 0
-    if zero.any():
-        E[zero, :] = 0.0
-        E[zero, 0] = math.exp(0.5 * l[0])
-    return E
+    aw = np.abs(w)
+    th = np.angle(w)
+    out = np.zeros((w.size, N + 1), dtype=complex)
+    for k in range(window_n + 1):
+        live = m >= k
+        mk = m[live] - k
+        # (D^k e_m)(w) = (phi_{m-k} / sqrt(phi_m)) w^{m-k}
+        coef = np.exp(l[mk] - 0.5 * l[m[live]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logmag = mk[None, :] * np.log(aw[:, None])
+        block = coef[None, :] * np.exp(logmag) * np.exp(1j * mk[None, :] * th[:, None])
+        zero = aw == 0
+        if zero.any():
+            block[zero, :] = 0.0
+            if mk.size and mk[0] == 0:
+                block[zero, 0] = coef[0]
+        pref = math.comb(window_n, k) * (-math.pi * np.conj(w)) ** k
+        out[:, live] += pref[:, None] * block
+    return out
 
 
 def _eig_report(V: np.ndarray, n_points: int, N: int) -> FrameReport:
@@ -205,7 +189,7 @@ def frame_bounds(desc: PhiDescriptor, wk: WeightKernel, points, N: int,
     w = np.ones(z.size) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != z.shape or np.any(w <= 0):
         raise ValueError("weights must be positive, one per point")
-    E = _basis_matrix(desc, z, N)
+    E = _sample_matrix(desc, z, N, 0)
     V = np.sqrt(w * wk.weight(np.abs(z) ** 2))[:, None] * E
     return _eig_report(V, z.size, N)
 
@@ -225,7 +209,7 @@ def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
         raise ValueError("need at least one point")
     if a.shape != z.shape:
         raise ValueError("values must match points")
-    E = _basis_matrix(desc, z, N)
+    E = _sample_matrix(desc, z, N, 0)
     sw = np.sqrt(wk.weight(np.abs(z) ** 2))
     V = sw[:, None] * E
     b = sw * a
@@ -244,69 +228,8 @@ def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
 
 
 # ---------------------------------------------------------------------------
-# Gabor-type transform and operator-word kernels
+# window-n kernel coefficients and lattice sizes
 # ---------------------------------------------------------------------------
-
-def gabor_transform(desc: PhiDescriptor, n: int, F: TruncatedSeries, z,
-                    N: int = 80):
-    """Window-n transform of the transformed signal F.
-
-    V(z) = e^{i pi x y} / sqrt(pi^n phi_n) * phi(|z|^2/2)^{-1}
-           * sum_k C(n,k) (-pi conj(z))^k (D^k F)(z),   z = x + i y.
-    """
-    if not desc.entire:
-        raise NonEntireError("gabor transform needs an entire family")
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    s, l = signs_logs(desc, n)
-    if s[n] <= 0:
-        raise ValueError("phi_n must be positive for the window normalization")
-    z = np.asarray(z, dtype=complex)
-    scalar = z.shape == ()
-    zf = np.atleast_1d(z)
-    norm = math.sqrt(math.pi ** n * math.exp(l[n]))
-    denom = phi_eval(desc, 0.5 * np.abs(zf) ** 2, N)
-    acc = np.zeros_like(zf)
-    for k in range(n + 1):
-        dk = gl_derivative_pow(desc, F, k)
-        acc = acc + comb(n, k, exact=True) * (-math.pi * np.conj(zf)) ** k * dk(zf)
-    phase = np.exp(1j * math.pi * zf.real * zf.imag)
-    out = phase / norm / denom * acc
-    return complex(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class GeneralKernelSpec:
-    """Coefficients c_0..c_J of sum_j c_j (conj(z) M + z D)^j."""
-    c: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", tuple(complex(v) for v in self.c))
-        if len(self.c) == 0:
-            raise ValueError("at least one coefficient required")
-
-
-def general_kernel_fockside(desc: PhiDescriptor, spec: GeneralKernelSpec,
-                            z: complex, N: int) -> TruncatedSeries:
-    """Apply sum_j c_j (conj(z) M_w + z D)^j to the constant series 1.
-
-    The operator word is expanded by repeated application (M_w and D do not
-    commute), never by a scalar binomial shortcut.
-    """
-    J = len(spec.c) - 1
-    if 2 * J > N:
-        raise ValueError("degree cap overflow: need 2*J <= N")
-    z = complex(z)
-    cur = TruncatedSeries([1.0])
-    total = np.zeros(J + 1, dtype=complex)
-    total[0] = spec.c[0]
-    for j in range(1, J + 1):
-        up = multiply_z(cur).pad_to(j)
-        down = gl_derivative(desc, cur).pad_to(j)
-        cur = TruncatedSeries(np.conj(z) * up.coeffs + z * down.coeffs)
-        total[: j + 1] += spec.c[j] * cur.coeffs
-    return TruncatedSeries(total)
-
 
 def adjoint_kernel_coeffs(desc: PhiDescriptor, n: int, J: int) -> np.ndarray:
     """Series coefficients a_j = sum_k C(n,k)(-pi)^k phi_j^2 / phi_{j+k}."""
@@ -318,7 +241,7 @@ def adjoint_kernel_coeffs(desc: PhiDescriptor, n: int, J: int) -> np.ndarray:
         acc = 0.0
         for k in range(n + 1):
             ratio = s[j] * s[j] * s[j + k] * math.exp(2.0 * l[j] - l[j + k])
-            acc += comb(n, k, exact=True) * (-math.pi) ** k * ratio
+            acc += math.comb(n, k) * (-math.pi) ** k * ratio
         out[j] = acc
     return out
 
@@ -337,33 +260,6 @@ def lattice_size(C) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # frame sweep over lattice sizes
 # ---------------------------------------------------------------------------
-
-def _sample_matrix(desc: PhiDescriptor, w: np.ndarray, N: int, window_n: int) -> np.ndarray:
-    """Rows L_j(e_m) = sum_k C(n,k)(-pi conj(w_j))^k (D^k e_m)(w_j)."""
-    s, l = signs_logs(desc, N)
-    if np.any(s[: N + 1] <= 0):
-        raise ValueError("sampling functionals need positive phi coefficients")
-    m = np.arange(N + 1)
-    aw = np.abs(w)
-    th = np.angle(w)
-    out = np.zeros((w.size, N + 1), dtype=complex)
-    for k in range(window_n + 1):
-        live = m >= k
-        mk = m[live] - k
-        # (D^k e_m)(w) = (phi_{m-k} / sqrt(phi_m)) w^{m-k}
-        coef = np.exp(l[mk] - 0.5 * l[m[live]])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logmag = mk[None, :] * np.log(aw[:, None])
-        block = coef[None, :] * np.exp(logmag) * np.exp(1j * mk[None, :] * th[:, None])
-        zero = aw == 0
-        if zero.any():
-            block[zero, :] = 0.0
-            if mk.size and mk[0] == 0:
-                block[zero, 0] = coef[0]
-        pref = comb(window_n, k, exact=True) * (-math.pi * np.conj(w)) ** k
-        out[:, live] += pref[:, None] * block
-    return out
-
 
 def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
                 s_values: Sequence[float], N: int, M: int) -> list[FrameReport]:

@@ -45,7 +45,6 @@ __all__ = [
     "log_g_fn",
     "sigma_lower_diag",
     "two_sided_diag",
-    "lagrange_interp",
     "winding_zero_count",
 ]
 
@@ -280,10 +279,6 @@ class PerturbedLattice:
             raise ValueError("perturbed nodes collide: q = 0")
 
     @classmethod
-    def unperturbed(cls, lat: LatticeSpec) -> "PerturbedLattice":
-        return cls(lat, None, 0.0)
-
-    @classmethod
     def perturb(cls, lat: LatticeSpec, Q: float, seed: int) -> "PerturbedLattice":
         """Uniform-in-disk offsets of radius < Q, reproducible from seed."""
         rng = np.random.default_rng(seed)
@@ -413,7 +408,10 @@ def g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
 
 @dataclass
 class SigmaLowerReport:
-    rows: list
+    z: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ratio: np.ndarray
     min_ratio: float
     feasible: bool
 
@@ -432,11 +430,8 @@ def sigma_lower_diag(desc: PhiDescriptor, wk: WeightKernel, lat: LatticeSpec,
         raise ValueError("grid touches a lattice point; ratio undefined there")
     lhs = wk.weight(np.abs(grid) ** 2) * np.abs(sig)
     ratio = lhs / d
-    rows = [{"z_re": float(z.real), "z_im": float(z.imag), "lhs": float(a),
-             "rhs": float(b), "ratio": float(c)}
-            for z, a, b, c in zip(grid, lhs, d, ratio)]
     mn = float(ratio.min())
-    return SigmaLowerReport(rows, mn, mn > 0.0)
+    return SigmaLowerReport(grid, lhs, d, ratio, mn, mn > 0.0)
 
 
 @dataclass
@@ -445,7 +440,10 @@ class TwoSidedReport:
     c1: float
     c2: float
     feasible: bool
-    rows: list
+    z: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ratio: np.ndarray
 
 
 def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattice,
@@ -456,8 +454,9 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
     gam(z) is 1 when the weight symbol grows no faster than e^z, else
     |K(z)| itself.  c is chosen on the grid 0, 0.05, ..., 4 to minimize the log-corridor
     between the two envelopes; c1, c2 are then the extreme admissible
-    constants.  Rows carry lhs = lower envelope, rhs = upper envelope and
-    ratio = W|g| / rhs (so feasibility means ratio <= 1 and lhs <= W|g|).
+    constants.  The columns, one entry per grid point z, are lhs = lower
+    envelope, rhs = upper envelope and ratio = W|g| / rhs (so feasibility
+    means ratio <= 1 and lhs <= W|g|).
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
     logs = log_g_fn(desc, grid, gamma, N, variant)
@@ -489,51 +488,16 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
     lower_env = c1 * np.exp(loggam - c * t) * d
     upper_env = c2 * np.exp(loggam + c * t)
     V = np.exp(logV)
-    rows = [{"z_re": float(z.real), "z_im": float(z.imag), "lhs": float(le),
-             "rhs": float(ue), "ratio": float(v / ue)}
-            for z, le, ue, v in zip(grid, lower_env, upper_env, V)]
     feasible = (np.isfinite([c1, c2]).all() and c1 > 0
                 and bool(np.all(V >= lower_env * (1 - 1e-9)))
                 and bool(np.all(V <= upper_env * (1 + 1e-9))))
-    return TwoSidedReport(c, c1, c2, bool(feasible), rows)
+    return TwoSidedReport(c, c1, c2, bool(feasible), grid, lower_env, upper_env,
+                          V / upper_env)
 
 
 # ---------------------------------------------------------------------------
-# interpolation and zero counting
+# zero counting
 # ---------------------------------------------------------------------------
-
-def lagrange_interp(desc: PhiDescriptor, gamma: PerturbedLattice, samples: dict,
-                    z: complex, M_sum: int) -> complex:
-    """Cardinal-series value  sum f(z_mn)/g'(z_mn) * g(z)/(z - z_mn).
-
-    samples maps (m, n) -> f(z_mn) for |m|, |n| <= M_sum.  g is the packaged
-    product for desc (log_g_fn); node derivatives use central differences
-    with step 1e-5 * q(Gamma).  The term ratios are formed in log space,
-    which they must be: |g'| at far nodes exceeds the double range.
-    """
-    z = complex(z)
-    h = 1e-5 * gamma.q
-    keys = [(m, n) for m in range(-M_sum, M_sum + 1) for n in range(-M_sum, M_sum + 1)]
-    missing = [k for k in keys if k not in samples]
-    if missing:
-        raise ValueError(f"samples missing {len(missing)} node(s), e.g. {missing[0]}")
-    nodes = np.array([gamma.point(m, n) for m, n in keys])
-    fvals = np.array([complex(samples[k]) for k in keys])
-    lp = log_g_fn(desc, nodes + h, gamma)
-    lm = log_g_fn(desc, nodes - h, gamma)
-    L = np.maximum(lp.real, lm.real)
-    log_gp = L + np.log((np.exp(lp - L) - np.exp(lm - L)) / (2.0 * h))
-    if np.any(log_gp.real < -300):
-        warnings.warn("near-zero g' at a node; interpolation may be ill-conditioned")
-    # exact node hit: every other term carries g(z) = 0
-    exact = np.abs(z - nodes) == 0.0
-    if exact.any():
-        return complex(fvals[exact][0])
-    log_gz = complex(log_g_fn(desc, np.array([z]), gamma)[0])
-    with np.errstate(over="ignore", under="ignore"):
-        terms = fvals * np.exp(log_gz - log_gp) / (z - nodes)
-    return complex(terms.sum())
-
 
 def winding_zero_count(fn: Callable, radius: float) -> int:
     """Zero count inside |z| = radius via the argument principle.

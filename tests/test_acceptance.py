@@ -144,7 +144,7 @@ def test_criterion_07_two_sided_bounds():
     grid = grid[gam.dist(grid) > 1e-6]
     rep = two_sided_diag(EXP, wk, gam, grid, N=80)
     ok = (rep.feasible and rep.c1 > 0 and math.isfinite(rep.c2)
-          and all(r["ratio"] <= 1 + 1e-9 for r in rep.rows))
+          and bool(np.all(rep.ratio <= 1 + 1e-9)))
     _report(7, f"two-sided lattice bounds (c1 {rep.c1:.3f}, c2 {rep.c2:.3f})",
             bool(ok), time.time() - t0, 30.0)
 

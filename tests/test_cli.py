@@ -205,6 +205,12 @@ OUT_OF_RANGE = [
     (["frames-sweep", "--window-n", "-1"], None),
     (["phi-info"], {"seed": True}),
     (["phi-info"], {"truncation": {"lattice_M": True}}),
+    (["phi-info"], {"phi": {"family": "exponential", "normalized": "false"}}),
+    (["phi-info"], {"phi": {"family": "gamma_deriv", "params": {"n": 2.5}}}),
+    (["phi-info"], {"phi": {"family": "gamma_deriv", "params": {"n": True}}}),
+    (["check", "--suite", "reproduce"], {"quadrature": {"angular_nodes": 64.5}}),
+    (["check", "--suite", "reproduce"], {"quadrature": {"radial_nodes": 80.5}}),
+    (["phi-info"], {"output": {"path": 5}}),
 ]
 
 

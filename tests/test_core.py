@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from glfock.core import (PhiDescriptor, TruncatedSeries, gl_derivative,
-                         gl_derivative_pow, log_phi_coeff, multiply_z,
-                         order_degree_check, phi_coeff, phi_coeffs, phi_eval)
+                         log_phi_coeff, multiply_z, order_degree_check,
+                         phi_coeff, phi_coeffs, phi_eval)
 from glfock.errors import DivergenceError, NonEntireError
 
 EXP = PhiDescriptor.exponential()
@@ -83,7 +83,7 @@ def test_series_container():
 def test_gl_derivative_examples():
     out = gl_derivative(EXP, TruncatedSeries([0.0, 0.0, 1.0]))
     assert np.allclose(out.coeffs, [0.0, 2.0], rtol=0, atol=1e-15)
-    assert gl_derivative(DK, TruncatedSeries([3.5])).is_zero
+    assert np.array_equal(gl_derivative(DK, TruncatedSeries([3.5])).coeffs, [0.0])
     out = gl_derivative(BS, TruncatedSeries([1.0, 2.0, 3.0]))
     assert np.array_equal(out.coeffs, [2.0, 3.0])
 
@@ -112,36 +112,11 @@ def test_phi_is_eigenfunction():
         assert np.allclose(out.coeffs, want, rtol=1e-14, atol=1e-300)
 
 
-def test_derivative_pow_examples():
-    out = gl_derivative_pow(EXP, TruncatedSeries([0, 0, 0, 1.0]), 2)
-    assert np.allclose(out.coeffs, [0.0, 6.0], rtol=1e-15, atol=0)
-    f = TruncatedSeries([1.0, 2.0, 3.0])
-    assert gl_derivative_pow(EXP, f, 0) is f
-    dk1 = PhiDescriptor.dunkl(1.0)
-    out = gl_derivative_pow(dk1, TruncatedSeries([0, 0, 0, 0, 2.0]), 4)
-    # telescoped ratio phi_0/phi_4 = 120 for kappa = 1 (Pochhammer oracle)
-    assert abs(complex(out.coeffs[0]) - 2.0 * 120.0) <= 1e-12 * 240.0
-
-
-def test_derivative_pow_equals_iterated():
-    rng = np.random.default_rng(2)
-    for desc in ALL:
-        f = TruncatedSeries(rng.standard_normal(31) + 1j * rng.standard_normal(31))
-        for k in range(7):
-            it = f
-            for _ in range(k):
-                it = gl_derivative(desc, it)
-            tel = gl_derivative_pow(desc, f, k)
-            m = min(it.degree_cap, tel.degree_cap)
-            assert np.allclose(it.coeffs[:m + 1], tel.coeffs[:m + 1],
-                               rtol=1e-13, atol=1e-300)
-
-
 def test_multiply_z():
     assert np.array_equal(multiply_z(TruncatedSeries([1.0])).coeffs, [0.0, 1.0])
     out = multiply_z(TruncatedSeries([2.0, 3.0]))
     assert np.array_equal(out.coeffs, [0.0, 2.0, 3.0])
-    assert multiply_z(TruncatedSeries([0.0])).is_zero
+    assert np.array_equal(multiply_z(TruncatedSeries([0.0])).coeffs, [0.0, 0.0])
 
 
 def test_phi_eval_values():
@@ -175,7 +150,6 @@ def test_order_degree_exponential():
     rep = order_degree_check(EXP, 200)
     assert abs(rep.rho_hat - 1.0) <= 0.05
     assert abs(rep.sigma_hat - 1.0) <= 0.05
-    assert rep.max_rel_err is not None and rep.max_rel_err <= 0.05
 
 
 def test_order_degree_other_families():

@@ -1,16 +1,15 @@
 import contextlib
-import math
 
 import numpy as np
 import pytest
 
-from glfock.core import PhiDescriptor, TruncatedSeries, phi_coeff, phi_coeffs
+from glfock.bargmann import sqrt_phi
+from glfock.core import PhiDescriptor, TruncatedSeries, phi_coeffs
 from glfock.errors import UnverifiedWeightError
 from glfock.fock import (QuadratureScheme, WeightKernel, carleman_partial,
-                         default_quadrature, discrete_kernel, duality_check,
-                         inner_product_fock, inner_product_l2phi,
-                         kernel_norm_bound_check, moment, moment_check,
-                         orthonormal_basis_coeff, registered_weight, reproduce,
+                         default_quadrature, duality_check,
+                         inner_product_fock, inner_product_l2phi, moment,
+                         moment_check, registered_weight, reproduce,
                          verified_weight)
 
 EXP = PhiDescriptor.exponential()
@@ -173,45 +172,20 @@ def test_relation_identity_monomials():
 def test_basis_orthonormality_quadrature():
     wk = verified_weight(EXP)
     quad = default_quadrature(wk, 15)
+    sq = sqrt_phi(EXP, 15)
     for k in range(0, 16, 5):
         for n in range(0, 16, 3):
-            ek = TruncatedSeries([0.0] * k + [orthonormal_basis_coeff(EXP, k)])
-            en = TruncatedSeries([0.0] * n + [orthonormal_basis_coeff(EXP, n)])
+            ek = TruncatedSeries([0.0] * k + [sq[k]])
+            en = TruncatedSeries([0.0] * n + [sq[n]])
             v = inner_product_fock(wk, ek, en, quad)
             assert abs(v - (1.0 if k == n else 0.0)) <= 1e-7
     wk_ml = verified_weight(ML21, n_max=8, tol=1e-6)
     quad = default_quadrature(wk_ml, 8)
+    sq = sqrt_phi(ML21, 8)
     for n in range(9):
-        en = TruncatedSeries([0.0] * n + [orthonormal_basis_coeff(ML21, n)])
+        en = TruncatedSeries([0.0] * n + [sq[n]])
         v = inner_product_fock(wk_ml, en, en, quad)
         assert abs(v - 1.0) <= 1e-6
-
-
-def test_orthonormal_basis_coeff():
-    assert abs(orthonormal_basis_coeff(EXP, 2) - 1.0 / math.sqrt(2)) <= 1e-15
-    assert orthonormal_basis_coeff(EXP.normalize(), 0) == 1.0
-    ml12 = PhiDescriptor.mittag_leffler(1, 2)
-    assert abs(orthonormal_basis_coeff(ml12, 1) - 0.7071067811865476) <= 1e-15
-    with pytest.raises(ValueError):
-        orthonormal_basis_coeff(GD1, 0)  # phi_0 < 0
-
-
-def test_discrete_kernel():
-    z, w = 0.4 + 0.3j, -0.2 + 0.9j
-    assert abs(discrete_kernel(EXP, z, w, 60) - np.exp(np.conj(z) * w)) <= 1e-14
-    assert discrete_kernel(DK, 0.0, w, 40) == phi_coeff(DK, 0)
-    dk1 = PhiDescriptor.dunkl(1.0)
-    want = float(np.sum(phi_coeffs(dk1, 80)))
-    assert abs(discrete_kernel(dk1, 1.0, 1.0, 80) - want) <= 1e-13
-
-
-def test_kernel_norm_bound():
-    rep = kernel_norm_bound_check(EXP, 2.0, 120)
-    assert rep.passed and rep.second_checked
-    rep = kernel_norm_bound_check(EXP, 0.0, 10)
-    assert rep.passed
-    rep = kernel_norm_bound_check(ML21, 1.5, 200)
-    assert rep.passed and not rep.second_checked  # no asserted type
 
 
 def test_reproduce_values():

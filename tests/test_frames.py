@@ -1,18 +1,16 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from glfock.core import PhiDescriptor, TruncatedSeries, phi_coeff, phi_coeffs
+from glfock.core import (PhiDescriptor, TruncatedSeries, gl_derivative,
+                         phi_coeff, phi_coeffs)
 from glfock.errors import NonEntireError
 from glfock.fock import registered_weight, verified_weight
-from glfock.frames import (BiorthReport, GeneralKernelSpec,
-                           adjoint_kernel_coeffs, biorthogonality_check,
-                           canonical_dual, density, frame_bounds, frame_sweep,
-                           gabor_transform, general_kernel_fockside,
-                           interpolate_ls, kernel_atoms, lattice_size,
-                           translation_apply)
+from glfock.frames import (_sample_matrix, adjoint_kernel_coeffs,
+                           biorthogonality_check, canonical_dual, density,
+                           frame_bounds, frame_sweep, interpolate_ls,
+                           kernel_atoms, lattice_size)
 from glfock.weierstrass import LatticeSpec, PerturbedLattice
 
 EXPN = PhiDescriptor.exponential(normalized=True)
@@ -71,34 +69,6 @@ def test_density_empty_and_perturbed():
     # small perturbations move nodes across window edges by at most one ring
     assert abs(rep.d_plus - 1 / (2 * math.pi)) < 0.02
     assert rep.d_minus <= rep.d_plus
-
-
-# ---------------------------------------------------------------------------
-# weighted translations
-# ---------------------------------------------------------------------------
-
-def test_translation_values():
-    out = translation_apply(WK, 1.0, lambda z: np.ones_like(z), 0.0)
-    assert out == pytest.approx(math.exp(-0.5), abs=1e-15)
-    f = lambda z: z ** 2 - 1.0
-    zz = np.array([0.3 + 0.2j, -1.0 + 0.5j])
-    assert np.array_equal(translation_apply(WK, 0.0, f, zz), f(zz))
-
-
-def test_translation_unitary_pairing():
-    # |T_a f|^2 W(|z|^2) = |f(z-a)|^2 W(|z-a|^2): the weighted modulus shifts
-    a = 0.7 - 0.4j
-    f = lambda z: np.exp(0.3 * z) - z
-    zz = np.array([0.1 + 0.9j, -0.6 + 0.2j, 1.1 - 0.3j])
-    lhs = np.abs(translation_apply(WK, a, f, zz)) ** 2 * WK.weight(np.abs(zz) ** 2)
-    rhs = np.abs(f(zz - a)) ** 2 * WK.weight(np.abs(zz - a) ** 2)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-14 * np.max(rhs)
-
-
-def test_translation_nonpositive_weight():
-    wlog = registered_weight(PhiDescriptor.gamma_deriv(1))
-    with pytest.raises(ZeroDivisionError):
-        translation_apply(wlog, 0.3, lambda z: np.ones_like(z), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -187,46 +157,46 @@ def test_interpolate_zero_data_and_guards():
 
 
 # ---------------------------------------------------------------------------
-# transform-side kernels
+# window-n sampling functionals and kernel coefficients
 # ---------------------------------------------------------------------------
 
-def test_gabor_hand_value():
-    # n = 1, F = z, z = 1/2: window sum is 1/2 - pi/2, normalization
-    # sqrt(pi * phi_1) = sqrt(pi), radial factor exp(|z|^2/2) = e^{1/8}
-    val = gabor_transform(EXPN, 1, TruncatedSeries([0.0, 1.0]), 0.5)
-    hand = (0.5 - math.pi / 2) / (math.sqrt(math.pi) * math.exp(0.125))
-    assert abs(val - hand) <= 1e-14
-    assert abs(val - (-0.5331447367234342)) <= 1e-14
+def test_sample_matrix_window_hand_value():
+    # n = 1, e_1 = z (phi_1 = 1), w = 1/2: the functional e_1(w) - pi conj(w)
+    # (D e_1)(w) is 1/2 - pi/2; e_0 = 1 has no derivative term
+    L = _sample_matrix(EXPN, np.array([0.5 + 0j]), 1, 1)
+    assert abs(L[0, 1] - (0.5 - math.pi / 2)) <= 1e-14
+    assert L[0, 0] == 1.0
 
 
-def test_gabor_window0_route():
-    F = TruncatedSeries([0.3, -0.1j, 0.25])
-    z = 0.4 + 0.7j
-    from glfock.core import phi_eval
-    want = np.exp(1j * math.pi * z.real * z.imag) * F(z) / phi_eval(EXPN, 0.5 * abs(z) ** 2, 80)
-    assert abs(gabor_transform(EXPN, 0, F, z) - want) <= 1e-14 * abs(want)
-
-
-def test_gabor_guards():
-    with pytest.raises(NonEntireError):
-        gabor_transform(PhiDescriptor.backward_shift(normalized=True), 0,
-                        TruncatedSeries([1.0]), 0.3)
+def test_sample_matrix_window0_is_basis_rows():
+    # window 0 evaluates the orthonormal basis: e_m(w) = sqrt(phi_m) w^m
+    w = np.array([0.0, 0.4 + 0.7j, -1.3 + 0.2j])
+    for desc in (EXPN, PhiDescriptor.mittag_leffler(2, 1), PhiDescriptor.dunkl(0.5)):
+        want = np.sqrt(phi_coeffs(desc, 10)) * w[:, None] ** np.arange(11)
+        got = _sample_matrix(desc, w, 10, 0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     with pytest.raises(ValueError):
-        gabor_transform(EXPN, -1, TruncatedSeries([1.0]), 0.3)
+        _sample_matrix(PhiDescriptor.gamma_deriv(1), w, 4, 0)  # phi_0 < 0
 
 
-def test_general_kernel_squared_word():
-    # (conj(z) M + z D)^2 applied to 1 at z = 1: M then D do not commute,
-    # the expansion is 1 + z^2 in the monomial coordinates
-    out = general_kernel_fockside(EXPN, GeneralKernelSpec((0.0, 0.0, 1.0)), 1.0, 8)
-    assert np.array_equal(out.coeffs, np.array([1.0, 0.0, 1.0], dtype=complex))
-    z = 0.3 + 0.2j
-    out = general_kernel_fockside(EXPN, GeneralKernelSpec((0.0, 1.0)), z, 8)
-    assert np.array_equal(out.coeffs, np.array([0.0, np.conj(z)]))
-    with pytest.raises(ValueError):
-        general_kernel_fockside(EXPN, GeneralKernelSpec((0, 0, 0, 1.0)), 1.0, 5)
-    with pytest.raises(ValueError):
-        GeneralKernelSpec(())
+def test_sample_matrix_matches_iterated_derivative():
+    # column m is sum_k C(n,k) (-pi conj(w))^k (D^k e_m)(w); the oracle
+    # applies gl_derivative k times to the series e_m
+    w = np.array([0.3 - 0.5j, 1.1 + 0.4j, -0.8 - 0.9j])
+    N = 12
+    families = (EXPN, PhiDescriptor.mittag_leffler(2, 1),
+                PhiDescriptor.stretched_gamma(1.0, 2.0), PhiDescriptor.dunkl(0.5))
+    for desc in families:
+        sq = np.sqrt(phi_coeffs(desc, N))
+        for n in (1, 2, 3):
+            want = np.zeros((w.size, N + 1), dtype=complex)
+            for m in range(N + 1):
+                f = TruncatedSeries([0.0] * m + [sq[m]])
+                for k in range(n + 1):
+                    want[:, m] += math.comb(n, k) * (-math.pi * np.conj(w)) ** k * f(w)
+                    f = gl_derivative(desc, f)
+            got = _sample_matrix(desc, w, N, n)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_adjoint_kernel_coeffs():

@@ -1,6 +1,8 @@
-"""Guards on the package surface: exported names resolve, and every demo
-(the library's callers outside the tests) still runs."""
+"""Guards on the package surface: exported names resolve and have a caller
+outside the tests, and every demo (the library's callers outside the tests)
+still runs."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -14,6 +16,7 @@ import glfock
 
 SRC = Path(glfock.__file__).resolve().parents[1]
 DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
+PERFBENCH = sorted((SRC.parent / "perfbench").rglob("*.py"))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(glfock.__path__))
 
 
@@ -22,6 +25,29 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(f"glfock.{name}")
     missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
     assert missing == []
+
+
+def _used_names(paths) -> set:
+    """Identifiers read as a name or an attribute anywhere in the files; a
+    def or class line and a string in __all__ are not reads."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_public_names_have_a_caller():
+    # the package __init__ only re-exports, so it does not count as a caller
+    library = _used_names(p for p in (SRC / "glfock").glob("*.py") if p.name != "__init__.py")
+    outside = _used_names(DEMOS + PERFBENCH)
+    orphans = [f"{name}.{n}" for name in MODULES
+               for n in getattr(importlib.import_module(f"glfock.{name}"), "__all__", [])
+               if n not in library and n not in outside]
+    assert orphans == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

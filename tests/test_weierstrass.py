@@ -7,11 +7,10 @@ from glfock.core import PhiDescriptor
 from glfock.errors import NormalizationError
 from glfock.fock import verified_weight
 from glfock.weierstrass import (LatticeSpec, PerturbedLattice, e_series, g_fn,
-                                lagrange_interp, log_g_fn, omega, omega_bound,
-                                psi_pair, radius_bounds, sigma_fn,
-                                sigma_lower_diag, two_sided_diag,
-                                weierstrass_factor, winding_zero_count)
-from glfock.core import TruncatedSeries
+                                log_g_fn, omega, omega_bound, psi_pair,
+                                radius_bounds, sigma_fn, sigma_lower_diag,
+                                two_sided_diag, weierstrass_factor,
+                                winding_zero_count)
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 ML21N = PhiDescriptor.mittag_leffler(2, 1, normalized=True)
@@ -159,7 +158,7 @@ def test_lattice_spec_basics():
 
 def test_perturbed_lattice_construction():
     lat = LatticeSpec(1.0, 4)
-    pl = PerturbedLattice.unperturbed(lat)
+    pl = PerturbedLattice(lat)
     assert pl.q == pytest.approx(1.0, rel=1e-12)
     assert pl.z00 == 0.0
     assert pl.point(2, -1) == 2.0 - 1.0j
@@ -180,7 +179,7 @@ def test_perturbed_lattice_seeded():
 
 
 def test_perturbed_dist():
-    pl = PerturbedLattice.unperturbed(LatticeSpec(1.0, 4))
+    pl = PerturbedLattice(LatticeSpec(1.0, 4))
     d = pl.dist(np.array([0.5 + 0.0j, 0.5 + 0.5j]))
     assert d[0] == pytest.approx(0.5, abs=1e-15)       # edge midpoint: lam/2
     assert d[1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
@@ -211,7 +210,7 @@ def test_sigma_ring_diagnostic():
 
 def test_g_fn_equals_sigma_unperturbed():
     lat = LatticeSpec(1.0, 6)
-    gam = PerturbedLattice.unperturbed(lat)
+    gam = PerturbedLattice(lat)
     zz = np.array([0.3 + 0.4j, -0.7 + 0.1j, 1.4 - 0.6j])
     sig = sigma_fn(EXPN, zz, lat)
     for variant in ("printed", "all_gamma"):
@@ -228,13 +227,13 @@ def test_g_fn_vanishes_on_nodes_and_pin():
 
 
 def test_log_g_fn_node_is_neg_inf():
-    gam = PerturbedLattice.unperturbed(LatticeSpec(1.0, 4))
+    gam = PerturbedLattice(LatticeSpec(1.0, 4))
     lg = log_g_fn(EXPN, np.array([1.0 + 0.0j]), gam)
     assert lg[0].real == -math.inf
 
 
 def test_variant_validation():
-    gam = PerturbedLattice.unperturbed(LatticeSpec(1.0, 4))
+    gam = PerturbedLattice(LatticeSpec(1.0, 4))
     with pytest.raises(ValueError):
         g_fn(EXPN, 0.5, gam, variant="other")
 
@@ -251,7 +250,8 @@ def test_sigma_lower_diag():
     rep = sigma_lower_diag(EXPN, wk, lat, grid, N=80)
     assert rep.feasible and rep.min_ratio > 0
     assert abs(rep.min_ratio - 0.7647794358643668) <= 1e-6
-    assert set(rep.rows[0]) == {"z_re", "z_im", "lhs", "rhs", "ratio"}
+    assert np.array_equal(rep.z, grid)
+    assert all(a.shape == grid.shape for a in (rep.lhs, rep.rhs, rep.ratio))
     with pytest.raises(ValueError):
         sigma_lower_diag(EXPN, wk, lat, np.array([1.0 + 0.0j]))
 
@@ -269,9 +269,8 @@ def test_sigma_lower_ratio_stable_near_node():
     ts = np.array([0.2, 0.1, 0.05, 0.01, 0.002])
     grid = 1.0 + ts * np.exp(1j * 0.4)
     rep = sigma_lower_diag(EXPN, wk, lat, grid)
-    ratios = np.array([r["ratio"] for r in rep.rows])
-    assert np.all(ratios > 0)
-    assert ratios.max() / ratios.min() < 2.0
+    assert np.all(rep.ratio > 0)
+    assert rep.ratio.max() / rep.ratio.min() < 2.0
 
 
 def test_two_sided_diag():
@@ -286,13 +285,12 @@ def test_two_sided_diag():
     assert rep.c1 == pytest.approx(0.44044059672484387, rel=1e-9)
     assert rep.c2 == pytest.approx(0.7970353822559584, rel=1e-9)
     # corridor actually contains the data
-    for r in rep.rows:
-        assert r["ratio"] <= 1 + 1e-9
+    assert np.all(rep.ratio <= 1 + 1e-9)
 
 
 def test_two_sided_single_point_and_node_guard():
     wk = verified_weight(PhiDescriptor.exponential())
-    gam = PerturbedLattice.unperturbed(LatticeSpec(1.0, 8))
+    gam = PerturbedLattice(LatticeSpec(1.0, 8))
     rep = two_sided_diag(EXPN, wk, gam, np.array([0.5 + 0.5j]))
     assert rep.feasible and rep.c1 > 0 and np.isfinite(rep.c2)
     with pytest.raises(ValueError):
@@ -300,38 +298,8 @@ def test_two_sided_single_point_and_node_guard():
 
 
 # ---------------------------------------------------------------------------
-# interpolation and zero counting
+# zero counting
 # ---------------------------------------------------------------------------
-
-def _samples(gam, fn, M):
-    return {(m, n): fn(gam.point(m, n))
-            for m in range(-M, M + 1) for n in range(-M, M + 1)}
-
-
-def test_lagrange_reconstruction():
-    gam = PerturbedLattice.unperturbed(LatticeSpec(0.8, 14))
-    tgt = TruncatedSeries([0.3, 0.5 - 0.2j, 0.1j])
-    samples = _samples(gam, tgt, 10)
-    for z in (0.37 + 0.21j, -0.4 + 0.33j, 0.4 + 0.4j):
-        got = lagrange_interp(EXPN, gam, samples, z, 10)
-        assert abs(got - tgt(z)) <= 1e-8
-
-
-def test_lagrange_node_and_zeros():
-    gam = PerturbedLattice.unperturbed(LatticeSpec(0.8, 14))
-    tgt = TruncatedSeries([0.3, 0.5 - 0.2j, 0.1j])
-    samples = _samples(gam, tgt, 10)
-    node = gam.point(1, -1)
-    assert lagrange_interp(EXPN, gam, samples, node, 10) == tgt(node)
-    zeros = {k: 0.0 for k in samples}
-    assert lagrange_interp(EXPN, gam, zeros, 0.3 + 0.2j, 10) == 0.0
-
-
-def test_lagrange_missing_sample():
-    gam = PerturbedLattice.unperturbed(LatticeSpec(1.0, 6))
-    with pytest.raises(ValueError):
-        lagrange_interp(EXPN, gam, {(0, 0): 1.0}, 0.3, 2)
-
 
 def test_winding_zero_count():
     assert winding_zero_count(lambda z: z ** 3, 1.0) == 3
