@@ -20,10 +20,9 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import special as sps
 
 from .errors import DivergenceError, NonEntireError
-from .special import log_gamma_deriv
+from .special import gammaln, log_gamma_deriv
 
 __all__ = [
     "PhiDescriptor",
@@ -77,16 +76,14 @@ class PhiDescriptor:
     @classmethod
     def mittag_leffler(cls, rho: float, mu: float, normalized: bool = False) -> "PhiDescriptor":
         """phi_k = 1/Gamma(mu + k/rho); entire of order rho."""
-        if rho <= 0 or mu <= 0:
-            raise ValueError("mittag_leffler requires rho > 0, mu > 0")
+        _require_positive("mittag_leffler", rho=rho, mu=mu)
         return cls("mittag_leffler", (("mu", float(mu)), ("rho", float(rho))),
                    normalized, rho=float(rho), sigma=None)
 
     @classmethod
     def stretched_gamma(cls, a: float, b: float, normalized: bool = False) -> "PhiDescriptor":
         """phi_k = b a^((k+1)/b) / Gamma((k+1)/b); order b, type a."""
-        if a <= 0 or b <= 0:
-            raise ValueError("stretched_gamma requires a > 0, b > 0")
+        _require_positive("stretched_gamma", a=a, b=b)
         return cls("stretched_gamma", (("a", float(a)), ("b", float(b))),
                    normalized, rho=float(b), sigma=None)
 
@@ -103,8 +100,7 @@ class PhiDescriptor:
         """Rank-one Dunkl kernel coefficients,
         phi_{2m}   = (1/2)_m     / ((2m)!   (kappa+1/2)_m),
         phi_{2m+1} = (1/2)_{m+1} / ((2m+1)! (kappa+1/2)_{m+1})."""
-        if kappa <= 0:
-            raise ValueError("dunkl requires kappa > 0")
+        _require_positive("dunkl", kappa=kappa)
         return cls("dunkl", (("kappa", float(kappa)),), normalized, rho=None, sigma=None)
 
     @classmethod
@@ -148,6 +144,14 @@ class PhiDescriptor:
         return maker()
 
 
+def _require_positive(family: str, **params) -> None:
+    """Each parameter must be a finite real number > 0; JSON true and false
+    load as bool, a subclass of int, and are refused."""
+    for name, v in params.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0 < v < math.inf:
+            raise ValueError(f"{family} requires a finite number {name} > 0, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # coefficient values
 # ---------------------------------------------------------------------------
@@ -159,12 +163,12 @@ def _raw_signs_logs(desc: PhiDescriptor, ks: np.ndarray):
     p = desc.params_dict
     ones = np.ones_like(ks)
     if fam == "exponential":
-        return ones, -sps.gammaln(ks + 1.0)
+        return ones, -gammaln(ks + 1.0)
     if fam == "mittag_leffler":
-        return ones, -sps.gammaln(p["mu"] + ks / p["rho"])
+        return ones, -gammaln(p["mu"] + ks / p["rho"])
     if fam == "stretched_gamma":
         a, b = p["a"], p["b"]
-        return ones, math.log(b) + ((ks + 1.0) / b) * math.log(a) - sps.gammaln((ks + 1.0) / b)
+        return ones, math.log(b) + ((ks + 1.0) / b) * math.log(a) - gammaln((ks + 1.0) / b)
     if fam == "backward_shift":
         return ones, np.zeros_like(ks)
     if fam == "dunkl":
@@ -172,9 +176,9 @@ def _raw_signs_logs(desc: PhiDescriptor, ks: np.ndarray):
         m = np.floor(ks / 2.0)
         odd = (ks.astype(int) % 2).astype(bool)
         mm = np.where(odd, m + 1.0, m)
-        logs = (sps.gammaln(0.5 + mm) - sps.gammaln(0.5)
-                - sps.gammaln(ks + 1.0)
-                - (sps.gammaln(kap + 0.5 + mm) - sps.gammaln(kap + 0.5)))
+        logs = (gammaln(0.5 + mm) - gammaln(0.5)
+                - gammaln(ks + 1.0)
+                - (gammaln(kap + 0.5 + mm) - gammaln(kap + 0.5)))
         return ones, logs
     if fam == "gamma_deriv":
         signs, logs = log_gamma_deriv(int(p["n"]), ks + 1.0)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -208,6 +209,10 @@ OUT_OF_RANGE = [
     (["phi-info"], {"phi": {"family": "exponential", "normalized": "false"}}),
     (["phi-info"], {"phi": {"family": "gamma_deriv", "params": {"n": 2.5}}}),
     (["phi-info"], {"phi": {"family": "gamma_deriv", "params": {"n": True}}}),
+    (["phi-info"], {"phi": {"family": "mittag_leffler", "params": {"rho": True, "mu": True}}}),
+    (["phi-info"], {"phi": {"family": "dunkl", "params": {"kappa": "0.5"}}}),
+    (["phi-info"], {"phi": {"family": "stretched_gamma", "params": {"a": math.nan, "b": 2.0}}}),
+    (["phi-info"], {"phi": {"family": "mittag_leffler", "params": {"rho": 2.0, "mu": math.inf}}}),
     (["check", "--suite", "reproduce"], {"quadrature": {"angular_nodes": 64.5}}),
     (["check", "--suite", "reproduce"], {"quadrature": {"radial_nodes": 80.5}}),
     (["phi-info"], {"output": {"path": 5}}),
@@ -363,18 +368,44 @@ def test_console_script_installed(tmp_path):
     assert "config error" in r.stderr
 
 
-def test_cli_import_skips_scipy_integrate():
+def _scipy_after(tmp_path, argv=None, phi=None):
+    """Run `import glfock.cli` and then main(argv) in a fresh interpreter and
+    return (exit code, the scipy modules left in sys.modules)."""
     src = Path(glfock.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, "-c",
-                        "import sys, glfock.cli; print(glfock.cli.__file__); "
-                        "print('scipy.integrate' in sys.modules)"],
+    if phi is not None:
+        argv = argv + ["--config", write_cfg(tmp_path, {"phi": phi})]
+    probe = ("import contextlib, io, json, sys, glfock.cli\n"
+             "argv = json.loads(sys.argv[1])\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    rc = 0 if argv is None else glfock.cli.main(argv)\n"
+             "print(json.dumps([glfock.cli.__file__, rc,\n"
+             "                  sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    r = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    where, loaded = r.stdout.split()
+    where, rc, loaded = json.loads(r.stdout)
     assert Path(where).resolve().is_relative_to(src)
-    assert loaded == "False"
+    return rc, loaded
+
+
+def test_cli_import_skips_scipy(tmp_path):
+    assert _scipy_after(tmp_path) == (0, [])
+
+
+@pytest.mark.parametrize("argv, phi", [
+    (["check", "--suite", "moments"], None),
+    (["check", "--suite", "moments"], {"family": "mittag_leffler", "params": {"rho": 2.0, "mu": 1.0}}),
+], ids=["exp", "ml21"])
+def test_cli_run_skips_scipy(tmp_path, argv, phi):
+    assert _scipy_after(tmp_path, argv, phi) == (0, [])
+
+
+def test_gamma_deriv_loads_scipy_special(tmp_path):
+    # polygamma is imported only when the gamma-derivative family needs it
+    rc, loaded = _scipy_after(tmp_path, ["phi-info"], {"family": "gamma_deriv", "params": {"n": 2}})
+    assert rc == 0 and "scipy.special" in loaded
 
 
 @pytest.mark.skipif(shutil.which("glfock") is None,

@@ -68,6 +68,23 @@ def test_descriptor_param_validation():
         PhiDescriptor.gamma_deriv(0)
 
 
+FLOAT_PARAMS = {"mittag_leffler": {"rho": 2.0, "mu": 1.0},
+                "stretched_gamma": {"a": 1.0, "b": 2.0},
+                "dunkl": {"kappa": 0.5}}
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.5", math.nan, math.inf, -math.inf, None])
+@pytest.mark.parametrize("family, name", [(f, n) for f, ps in FLOAT_PARAMS.items() for n in ps])
+def test_float_params_must_be_finite_numbers(family, name, bad):
+    params = dict(FLOAT_PARAMS[family], **{name: bad})
+    with pytest.raises(ValueError, match=f"{family} requires a finite number {name} > 0"):
+        PhiDescriptor.from_dict({"family": family, "params": params})
+    # integers and numpy floats are numbers, and build the same descriptor
+    params[name] = np.float64(FLOAT_PARAMS[family][name])
+    assert PhiDescriptor.from_dict({"family": family, "params": params}) == \
+        PhiDescriptor.from_dict({"family": family, "params": FLOAT_PARAMS[family]})
+
+
 def test_series_container():
     f = TruncatedSeries([1.0, 2.0, 3.0])
     assert f.degree_cap == 2

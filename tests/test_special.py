@@ -4,8 +4,11 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glfock.special import hermite_fn_table, log_gamma_deriv
+from glfock.special import gammaln, hermite_fn_table, log_gamma_deriv
 from mp_oracles import hermite_fn
 
 EULER = 0.5772156649015329
@@ -106,6 +109,44 @@ def test_log_gamma_deriv_array_matches_scalar(n):
     pairs = [log_gamma_deriv(n, float(xi)) for xi in x]
     assert np.array_equal(s, [p[0] for p in pairs])
     assert np.array_equal(l, [p[1] for p in pairs])
+
+
+def test_gammaln_bit_identical_to_scipy():
+    # the port follows cephes lgam step for step, as scipy does; every
+    # branch is hit: the shift loops below 13, the rational on [2, 3), the
+    # Stirling series with its x >= 1000 and x > 1e8 forms
+    k = np.arange(20001.0)
+    rng = np.random.default_rng(20)
+    x = np.concatenate([k + 1.0, k + 0.5, (k + 1.0) / 10.0,
+                        rng.uniform(0.01, 1e5, 40000),
+                        np.logspace(-300.0, 300.0, 20001)])
+    assert np.array_equal(gammaln(x), sps.gammaln(x))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_gammaln_matches_scipy_property(x):
+    assert gammaln(x) == sps.gammaln(x)
+
+
+def test_gammaln_edges_and_shape():
+    tiny, big = 1e-310, 2.556348e305  # subnormal input; the overflow threshold
+    x = np.array([tiny, 1e-300, 1.0, 2.0, 13.0, 1000.0, 1e8, big, 3e305, math.inf, math.nan])
+    got = gammaln(x)
+    assert np.array_equal(got, sps.gammaln(x), equal_nan=True)
+    assert got[0] == got[8] == got[9] == math.inf
+    assert got[2] == got[3] == 0.0 and math.isnan(got[10])
+    assert math.isfinite(got[7]) and got[1] == pytest.approx(300 * math.log(10), rel=1e-15)
+    # a scalar gives a numpy scalar, an array keeps its shape
+    assert isinstance(gammaln(0.5), np.float64) and gammaln(0.5) == sps.gammaln(0.5)
+    assert gammaln(np.ones((2, 3))).shape == (2, 3) and gammaln(np.array([])).size == 0
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -1e300, -math.inf, [3.0, -2.5]])
+def test_gammaln_rejects_nonpositive(x):
+    # refused before any shift loop runs: cephes would step -1e300 up forever
+    with pytest.raises(ValueError, match="x > 0"):
+        gammaln(x)
 
 
 def test_hermite_values():
