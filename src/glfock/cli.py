@@ -346,8 +346,8 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
 
 def cmd_frames_sweep(cfg: RunConfig, args) -> int:
-    if not (0 < args.s_min <= args.s_max):
-        raise ConfigError("need 0 < s-min <= s-max")
+    if not (0 < args.s_min <= args.s_max < math.inf):
+        raise ConfigError("need 0 < s-min <= s-max < inf")
     if args.steps < 0:
         raise ConfigError("steps must be >= 0")
     if args.window_n < 0 or args.lattice_m < 0:
@@ -380,6 +380,8 @@ def cmd_weierstrass_table(cfg: RunConfig, args) -> int:
     wk = _resolve_weight(cfg, verify=False)
     if args.grid_n < 1:
         raise ConfigError("grid-n must be >= 1")
+    if not 0 < args.extent < math.inf:
+        raise ConfigError("extent must be a finite number > 0")
     try:
         lat = LatticeSpec(args.lam, cfg.lattice_M)
     except ValueError as e:

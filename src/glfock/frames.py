@@ -77,8 +77,8 @@ def density(points, radii: Sequence[float], norm: str = "paper") -> DensityRepor
     if norm not in ("paper", "lebesgue"):
         raise ValueError("norm must be 'paper' or 'lebesgue'")
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    if not radii or not all(0 < r < math.inf for r in radii):
+        raise ValueError("radii must be finite and positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     pts = _as_points(points)

@@ -14,6 +14,11 @@ kernel is what the two-sided diagnostics measure.
 All lattice products are accumulated as complex logarithms: the truncated
 products reach magnitudes ~ e^{800} at the window corners, far outside double
 range, while every quantity actually consumed downstream is a ratio.
+
+Where the linear node and the quadratic denominator coincide, the nodes far
+from every evaluation point collapse into one power series in z, the
+far-field idea of Greengard & Rokhlin (J. Comput. Phys. 73, 1987); only the
+near nodes take the direct product (see _log_product for the tail bound).
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ __all__ = [
 ]
 
 _PHI_PRODUCT_TERMS = 80  # series length inside lattice factors; |arg| stays << 100
+_NEAR_CELLS = 8192       # (node, point) cells per chunk of the direct product
+_FAR_RATIO = 0.5         # rho: far nodes have |z / node| <= rho r
+_FAR_TOL = 1e-17         # bound on the dropped far-field tail, summed over nodes
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +102,15 @@ def psi_pair(desc: PhiDescriptor) -> PsiPair:
 
 def e_series(desc: PhiDescriptor, deg: int) -> np.ndarray:
     """Maclaurin coefficients of E(z) through degree deg (normalized family)."""
+    return _e_series(desc, deg, deg)
+
+
+def _e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
+    """Maclaurin coefficients through degree deg of E with phi cut after N terms."""
     d = _normalized(desc)
     ps = psi_pair(desc)
-    phis = phi_coeffs(d, deg)
+    nmax = min(deg, N)
+    phis = phi_coeffs(d, nmax)
     comp = np.zeros(deg + 1)
     comp[0] = phis[0]
     power = np.zeros(deg + 1)
@@ -105,7 +119,7 @@ def e_series(desc: PhiDescriptor, deg: int) -> np.ndarray:
     base[1] = ps.psi1
     if deg >= 2:
         base[2] = ps.psi2
-    for n in range(1, deg + 1):
+    for n in range(1, nmax + 1):
         power = np.convolve(power, base)[:deg + 1]
         if not np.any(power):
             break
@@ -227,8 +241,8 @@ class LatticeSpec:
     trunc_M: int = 16
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be a finite number > 0")
         if self.trunc_M < 1:
             raise ValueError("trunc_M must be >= 1")
 
@@ -327,31 +341,67 @@ class PerturbedLattice:
 # lattice products (log accumulated)
 # ---------------------------------------------------------------------------
 
+def _log_e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
+    """Maclaurin coefficients l_0..l_deg of log E (phi cut after N terms),
+    from n l_n = n e_n - sum_{k<n} k l_k e_{n-k} with e_0 = 1."""
+    e, ell = _e_series(desc, deg, N), np.zeros(deg + 1)
+    for n in range(1, deg + 1):
+        ell[n] = e[n] - np.dot(np.arange(1, n) * ell[1:n], e[n - 1:0:-1]) / n
+    return ell
+
+
 def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                  dens: np.ndarray, ps: PsiPair, N: int) -> np.ndarray:
     """sum over nodes of log[(1 - z/node) phi(psi1 z/node + psi2 z^2/den^2)].
 
     Returns complex logs; -inf real part where z hits a node exactly.
-    Chunked so the (nodes x points) temporaries stay modest.
+
+    Near nodes go through the direct (N+1)-term Horner loop, in chunks of
+    about _NEAR_CELLS (node, point) cells.  When dens is nodes, the nodes
+    with |node| > max|z| / (rho r) are far instead, rho = _FAR_RATIO and
+    r = min(1, (2B)^(-1/3)), B = omega_bound: |E - 1| <= B|w|^3 <= 1/2 on
+    |w| <= r, so |l_k| <= log 2 / r^k (Cauchy) and the far sum of log E(z/node)
+    is sum_{k<=K} l_k S_k z^k, S_k = sum_far node^-k, with a dropped tail of
+    at most n_far log 2 rho^(K+1) / (1 - rho) < _FAR_TOL.  Every node is near
+    when B is infinite or the psi radius diverges.
     """
     d = _normalized(desc)
+    zmax = float(np.abs(z).max(initial=0.0))
+    far = np.zeros(nodes.size, dtype=bool)
+    if dens is nodes and zmax > 0:
+        try:
+            B = omega_bound(d)
+        except DivergenceError:
+            B = math.inf
+        far = np.abs(nodes) > zmax * max(1.0, (2.0 * B) ** (1.0 / 3.0)) / _FAR_RATIO
+    near_nodes, near_dens = nodes[~far], dens[~far]
     phis = phi_coeffs(d, N)
-    out = np.zeros(z.size, dtype=complex)
-    max_cells = 1 << 21
-    step = max(1, max_cells // max(1, nodes.size))
+    out = np.empty(z.size, dtype=complex)
+    # chunks of >= 2 points: numpy sums a lone column pairwise and wider
+    # ones row by row, so the bits do not depend on the chunking
+    step = max(2, _NEAR_CELLS // max(1, near_nodes.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(0, z.size, step):
-            zz = z[i:i + step]
-            Z1 = zz[None, :] / nodes[:, None]
-            U = ps.psi1 * Z1 + ps.psi2 * (zz * zz)[None, :] / (dens[:, None] ** 2)
+        for idx in np.array_split(np.arange(z.size), max(1, z.size // step)):
+            zz = z[idx]
+            Z1 = zz[None, :] / near_nodes[:, None]
+            U = ps.psi1 * Z1 + ps.psi2 * (zz * zz)[None, :] / (near_dens[:, None] ** 2)
             V = np.zeros_like(U)
             for c in phis[::-1]:
-                V = V * U + c
+                np.multiply(V, U, out=V)
+                V += c
             lg = np.log(1.0 - Z1)
-            hit = (Z1 == 1.0)
+            hit = zz[None, :] == near_nodes[:, None]  # z/z may miss 1 by an ulp
             if hit.any():
                 lg[hit] = -np.inf
-            out[i:i + step] = lg.sum(axis=0) + np.log(V).sum(axis=0)
+            out[idx] = lg.sum(axis=0) + np.log(V).sum(axis=0)
+    n_far = int(far.sum())
+    if n_far:
+        tail = n_far * math.log(2.0) * _FAR_RATIO / (1.0 - _FAR_RATIO)
+        K = int(math.log(_FAR_TOL / tail) / math.log(_FAR_RATIO)) + 1
+        # moments of zmax / node (each power <= 1 in modulus), series in z / zmax
+        S = np.power.outer(zmax / nodes[far], np.arange(1, K + 1)).sum(axis=0)
+        coef = _log_e_series(d, K, N)[1:] * S
+        out += np.polyval(np.append(coef[::-1], 0.0), z / zmax)
     return out
 
 

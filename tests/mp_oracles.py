@@ -1,5 +1,8 @@
 """mpmath reference values shared by the tests, independent of glfock."""
 
+import functools
+import math
+
 import mpmath as mp
 
 
@@ -9,3 +12,64 @@ def hermite_fn(n: int, x: float) -> float:
         x = mp.mpf(x)
         return float(mp.hermite(n, x) * mp.exp(-x * x / 2)
                      / mp.sqrt(2 ** n * mp.factorial(n) * mp.sqrt(mp.pi)))
+
+
+def _phis(family: str, params: dict, N: int) -> list:
+    """phi_n / phi_0 for n = 0..N, from the family definitions."""
+    if family == "exponential":
+        c = [1 / mp.factorial(n) for n in range(N + 1)]
+    elif family == "mittag_leffler":
+        c = [1 / mp.gamma(params["mu"] + mp.mpf(n) / params["rho"]) for n in range(N + 1)]
+    elif family == "gamma_deriv" and params["n"] == 1:
+        c = [1 / (mp.gamma(n + 1) * mp.digamma(n + 1)) for n in range(N + 1)]
+    else:
+        raise ValueError(f"no oracle for {family} {params}")
+    return [x / c[0] for x in c]
+
+
+def _factor(family: str, params: dict, N: int):
+    """E_N(w) = (1 - w) sum_{n<=N} phi_n (psi1 w + psi2 w^2)^n, with
+    psi1 = 1/phi_1 and psi2 = (phi_1^2 - phi_2)/phi_1^3.  Terms after the
+    last one of modulus >= 1e-40 are dropped, so the dropped part is below
+    N 1e-40."""
+    phis = _phis(family, params, N)
+    psi1 = 1 / phis[1]
+    psi2 = (phis[1] ** 2 - phis[2]) / phis[1] ** 3
+    logc = [float(mp.log(abs(c))) for c in phis]
+    cut = -40 * math.log(10)
+
+    def E(w):
+        u = psi1 * w + psi2 * w * w
+        lu = float(mp.log(abs(u))) if u else -math.inf
+        n = max([m for m in range(N + 1) if logc[m] + m * lu >= cut], default=0)
+        s = mp.mpc(0)
+        for c in phis[n::-1]:
+            s = s * u + c
+        return (1 - w) * s
+
+    return E
+
+
+def log_factor_taylor(family: str, params: dict, K: int, N: int = 80) -> list:
+    """Maclaurin coefficients l_0..l_K of log E_N at 30 digits: mpmath.taylor
+    by Cauchy integrals on |w| = 1/4 (every order meets the same points, so
+    log E_N is cached)."""
+    with mp.workdps(30):
+        E = _factor(family, params, N)
+        log_e = functools.lru_cache(maxsize=None)(lambda w: mp.log(E(w)))
+        coeffs = mp.taylor(log_e, 0, K, method="quad", radius=0.25)
+        return [float(mp.re(c)) for c in coeffs]
+
+
+def sigma_product(family: str, params: dict, z: complex, M: int, N: int = 80) -> complex:
+    """z prod E_N(z / node) over the nonzero nodes m + i n, |m|, |n| <= M, at
+    30 digits (mpmath's exponent range holds the product)."""
+    with mp.workdps(30):
+        E = _factor(family, params, N)
+        z = mp.mpc(z)
+        prod = z
+        for m in range(-M, M + 1):
+            for n in range(-M, M + 1):
+                if m or n:
+                    prod *= E(z / mp.mpc(m, n))
+        return complex(prod)

@@ -200,6 +200,15 @@ OUT_OF_RANGE = [
     (["density", "--radii", "30"], None),
     (["weierstrass-table", "--grid-n", "0"], None),
     (["weierstrass-table", "--lam", "-1"], None),
+    (["weierstrass-table", "--lam", "nan"], None),
+    (["weierstrass-table", "--lam", "inf"], None),
+    (["weierstrass-table", "--extent", "nan"], None),
+    (["weierstrass-table", "--extent", "inf"], None),
+    (["weierstrass-table", "--extent", "-1"], None),
+    (["density", "--lam", "nan"], None),
+    (["density", "--lam", "inf"], None),
+    (["density", "--radii", "nan"], None),
+    (["frames-sweep", "--s-max", "inf"], None),
     (["bargmann-roundtrip", "--degree", "-1"], None),
     (["bargmann-roundtrip", "--trials", "-2"], None),
     (["frames-sweep", "--lattice-m", "-1"], None),

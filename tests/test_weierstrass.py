@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from glfock.core import PhiDescriptor
 from glfock.errors import NormalizationError
 from glfock.fock import verified_weight
-from glfock.weierstrass import (LatticeSpec, PerturbedLattice, e_series, g_fn,
-                                log_g_fn, omega, omega_bound, psi_pair,
-                                radius_bounds, sigma_fn, sigma_lower_diag,
-                                two_sided_diag, weierstrass_factor,
-                                winding_zero_count)
+from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _log_e_series,
+                                e_series, g_fn, log_g_fn, omega, omega_bound,
+                                psi_pair, radius_bounds, sigma_fn,
+                                sigma_lower_diag, two_sided_diag,
+                                weierstrass_factor, winding_zero_count)
+from mp_oracles import log_factor_taylor, sigma_product
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 ML21N = PhiDescriptor.mittag_leffler(2, 1, normalized=True)
@@ -20,6 +23,13 @@ DKN = PhiDescriptor.dunkl(0.5, normalized=True)
 BSN = PhiDescriptor.backward_shift(normalized=True)
 
 FAMILIES = [EXPN, ML21N, SGN, GD1N, DKN, BSN]
+
+# (descriptor, family, params) for the mpmath oracles
+ORACLE_FAMILIES = {
+    "EXP": (EXPN, "exponential", {}),
+    "ML(2,1)": (ML21N, "mittag_leffler", {"rho": 2.0, "mu": 1.0}),
+    "GD(1)": (GD1N, "gamma_deriv", {"n": 1}),
+}
 
 
 def disk_grid(n=21, r=1.0):
@@ -150,8 +160,9 @@ def test_lattice_spec_basics():
     assert lat.points().size == 49
     assert np.min(np.abs(lat.points() - (1 + 2j))) == 0.0
     assert lat.dist(0.3 + 0.4j) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        LatticeSpec(0.0, 3)
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LatticeSpec(lam, 3)
     with pytest.raises(ValueError):
         LatticeSpec(1.0, 0)
 
@@ -236,6 +247,96 @@ def test_variant_validation():
     gam = PerturbedLattice(LatticeSpec(1.0, 4))
     with pytest.raises(ValueError):
         g_fn(EXPN, 0.5, gam, variant="other")
+
+
+# ---------------------------------------------------------------------------
+# near/far split of the lattice products
+# ---------------------------------------------------------------------------
+
+def test_log_e_series_exponential_closed_form():
+    # log[(1 - z) e^{z + z^2/2}] = -sum_{k>=3} z^k / k
+    ell = _log_e_series(EXPN, 70, 80)
+    want = np.array([0.0, 0.0, 0.0] + [-1.0 / k for k in range(3, 71)])
+    assert np.max(np.abs(ell - want)) <= 1e-16
+
+
+@pytest.mark.parametrize("name, N", [("ML(2,1)", 80), ("GD(1)", 6)])
+def test_log_e_series_against_mpmath_taylor(name, N):
+    # N = 6 < degree 16: the coefficients are those of the cut factor E_N
+    desc, family, params = ORACLE_FAMILIES[name]
+    want = np.array(log_factor_taylor(family, params, 16, N))
+    got = _log_e_series(desc, 16, N)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_sigma_split_against_mpmath_product(name):
+    """M = 24 splits (far nodes exist for |z| <= 2.5).  The printed variant
+    on the unperturbed lattice is the all-direct product; for ML(2,1) at
+    |z| = 2.5 its Horner step cancels to about 2e-11, and the split shares
+    that near-field error, so the split may add at most 1e-12 to it."""
+    desc, family, params = ORACLE_FAMILIES[name]
+    lat = LatticeSpec(1.0, 24)
+    zs = np.array([1.3 - 0.4j, -1.5 + 2.0j])
+    want = np.array([sigma_product(family, params, z, 24) for z in zs])
+    err = np.abs(sigma_fn(desc, zs, lat) - want) / np.abs(want)
+    direct_err = np.abs(g_fn(desc, zs, PerturbedLattice(lat)) - want) / np.abs(want)
+    assert np.all(err <= 1e-12 + direct_err)
+    if name != "ML(2,1)":
+        assert np.all(err <= 1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_FAMILIES)), st.integers(2, 5),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_sigma_split_property(name, M, x, y):
+    # |z| <= sqrt 2 leaves far nodes from M = 3 on; the split may add at
+    # most 1e-12 to the error of the all-direct product
+    z = complex(x, y)
+    lat = LatticeSpec(1.0, M)
+    assume(abs(z) >= 0.05 and lat.dist(z) >= 1e-3)
+    desc, family, params = ORACLE_FAMILIES[name]
+    want = sigma_product(family, params, z, M)
+    direct = g_fn(desc, z, PerturbedLattice(lat))
+    assert abs(sigma_fn(desc, z, lat) - want) <= 1e-12 * abs(want) + abs(direct - want)
+
+
+# float.hex of (real, imag) at entries 0, 31, 32 and 62 of the 63-point grid,
+# recorded before the split existed: both paths below stay fully direct
+PIN_BACKWARD_SHIFT = [("0x1.4eafbb3ff55b7p+27", "0x1.6df149c0d3de1p+28"),
+                      ("0x1.999999999998ep-59", "0x1.999999999998ep-4"),
+                      ("0x1.3333333333334p-55", "0x1.3333333333334p-2"),
+                      ("0x1.1b7dc1b2cf4e0p+86", "0x1.d9ac8b9300bf4p+86")]
+PIN_PRINTED = [("0x1.2dd33c5b86567p+3", "0x1.236cb17a235b0p-1"),
+               ("-0x1.2ba495e15acdep+0", "0x1.aea4d5008fab0p+0"),
+               ("-0x1.e14a4d45fc3f0p-2", "0x1.7ccbf2698d4a1p+0"),
+               ("0x1.8bf389bdb1e17p+3", "-0x1.c917365d376f6p+1")]
+
+
+def test_direct_paths_bit_identical():
+    xs = np.linspace(-0.8, 0.8, 7)
+    ys = np.linspace(-0.75, 0.85, 9)
+    grid = (xs[:, None] + 1j * ys[None, :]).ravel() + 0.05j
+    # backward shift: omega_bound is inf, so every node is near
+    bs = sigma_fn(BSN, grid, LatticeSpec(1.0, 8))
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 8), 0.1, seed=42)
+    printed = log_g_fn(EXPN, 2.5 * grid, gam, variant="printed")
+    for got, pins in ((bs, PIN_BACKWARD_SHIFT), (printed, PIN_PRINTED)):
+        for i, (re, im) in zip((0, 31, 32, 62), pins):
+            assert (got[i].real, got[i].imag) == (float.fromhex(re), float.fromhex(im))
+
+
+def test_split_products_vanish_on_hit_nodes():
+    zs = np.array([0.0, 1.0, -1.0j, 2.4 + 0.3j])
+    sig = sigma_fn(EXPN, zs, LatticeSpec(1.0, 24))
+    assert sig[0] == 0.0 and sig[1] == 0.0 and sig[2] == 0.0 and sig[3] != 0.0
+    # numpy's z/z is 1 - 4.6e-17j at the perturbed node (-2, 1)
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 24), 0.1, seed=3)
+    zs = np.array([gam.point(1, 0), gam.point(-2, 1), 2.2 + 0.35j])
+    for variant in ("all_gamma", "printed"):
+        lg = log_g_fn(EXPN, zs, gam, variant=variant)
+        assert lg[0].real == -math.inf and lg[1].real == -math.inf
+        assert np.isfinite(lg[2])
 
 
 # ---------------------------------------------------------------------------
