@@ -1,21 +1,28 @@
 """Special functions used by the coefficient families and the Bargmann transform.
 
-Three routines: log Gamma(x) for x > 0, a port of the cephes ``lgam``
-algorithm (Moshier, *Methods and Programs for Mathematical Functions*,
-1989) that gives the same bits as ``scipy.special.gammaln``; log|Gamma^(n)(x)|
-for the gamma-derivative family, through the closed form
-Gamma^(n) = Gamma * B_n(psi, psi', ..., psi^(n-1)) with B_n the complete
-Bell polynomial; and the orthonormal Hermite function table.  Only the
-gamma-derivative routine loads scipy, for ``polygamma``.
+glfock needs only numpy: the three routines that scipy would otherwise
+supply are ports of the cephes library (Moshier, *Methods and Programs for
+Mathematical Functions*, 1989), the same code scipy.special compiles, and
+give the same bits as ``scipy.special.gammaln`` and ``polygamma`` for x > 0.
+``gammaln`` ports ``lgam``; ``polygamma`` ports ``psi`` (with the Boost
+rational on [1, 2] that scipy uses) and the Hurwitz ``zeta(s, q)``.  Every
+pow and log goes through ``math``, that is the C library, because numpy's
+vectorized ``np.power`` and ``np.log`` differ from it in the last bit on
+some points.  On top of these: log|Gamma^(n)(x)| for the gamma-derivative
+family, through the closed form Gamma^(n) = Gamma * B_n(psi, psi', ...,
+psi^(n-1)) with B_n the complete Bell polynomial, and the orthonormal
+Hermite function table.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from itertools import accumulate
 
 import numpy as np
 
-__all__ = ["gammaln", "hermite_fn_table", "log_gamma_deriv"]
+__all__ = ["gammaln", "hermite_fn_table", "log_gamma_deriv", "polygamma"]
 
 # cephes lgam: Stirling series coefficients (A), rational approximation of
 # log Gamma on [2, 3] (B over monic C), log sqrt(2 pi), overflow threshold.
@@ -28,6 +35,30 @@ _LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.2052859
 _LS2PI = 0.91893853320467274178
 _MAXLGM = 2.556348e305
 
+# cephes psi: asymptotic series in 1/x^2 (A); Boost's rational on [1, 2],
+# psi(x) = (x - root) (Y + P(x-1)/Q(x-1)), with Y a float32 constant (exact
+# as a double too) and the positive root split in three parts; psi(n) for n = 1..10 summed as
+# cephes sums it, 1 + 1/2 + ... + 1/(n-1) - euler.
+_PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
+          -4.16666666666666666667e-3, 3.96825396825396825397e-3, -8.33333333333333333333e-3,
+          8.33333333333333333333e-2)
+_PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
+          -0.65031853770896507, -0.32555031186804491, 0.25479851061131551)
+_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
+          0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0)
+_PSI_Y = 0.99558162689208984
+_PSI_ROOT = (1569415565.0 / 1073741824.0, (381566830.0 / 1073741824.0) / 1073741824.0,
+             0.9016312093258695918615325266959189453125e-19)
+_PSI_INT = np.array(list(accumulate((1.0 / i for i in range(1, 10)), initial=0.0))) \
+    - 0.57721566490153286061
+
+# cephes zeta: (2k)!/B_2k for the Euler-Maclaurin tail; the machine epsilon
+# that ends both sums.
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
 
 def _horner(x, coef):
     acc = coef[0]
@@ -39,6 +70,19 @@ def _horner(x, coef):
 def _log(v: np.ndarray) -> np.ndarray:
     # math.log, not np.log: numpy's vectorized log is one ulp off on some points
     return np.fromiter(map(math.log, v.tolist()), float, v.size)
+
+
+def _pow1(b: float, e: float) -> float:
+    try:
+        return math.pow(b, e)
+    except OverflowError:  # C pow returns inf where math.pow raises
+        return math.inf
+
+
+def _pow(v: np.ndarray, e: float) -> np.ndarray:
+    # math.pow, not np.power: numpy's vectorized power differs in the last
+    # bit on about one point in six
+    return np.fromiter((_pow1(b, e) for b in v.tolist()), float, v.size)
 
 
 def gammaln(x):
@@ -82,6 +126,94 @@ def gammaln(x):
     return out[()]
 
 
+def _psi(x: np.ndarray) -> np.ndarray:
+    """Digamma for x > 0, cephes psi step for step; inf and nan pass through.
+
+    Integers up to 10 come from the harmonic table.  Otherwise x < 1 is
+    shifted up once and 2 < x < 10 down one at a time into [1, 2], where the
+    rational is used; from 10 on the asymptotic series (log alone from 1e17).
+    """
+    out = x.copy()
+    integer = (x <= 10.0) & (x == np.floor(x))
+    out[integer] = _PSI_INT[x[integer].astype(int) - 1]
+    rest = ~integer & np.isfinite(x)
+    u = x[rest]
+    low = u < 1.0
+    y = np.where(low, -1.0 / u, 0.0)
+    u = np.where(low, u + 1.0, u)
+    down = u < 10.0
+    while (m := down & (u > 2.0)).any():
+        u = np.where(m, u - 1.0, u)
+        y = np.where(m, y + 1.0 / u, y)
+    g = u - _PSI_ROOT[0] - _PSI_ROOT[1] - _PSI_ROOT[2]
+    r = _horner(u - 1.0, _PSI_P) / _horner(u - 1.0, _PSI_Q)
+    z = 1.0 / (u * u)
+    asy = _log(u) - 0.5 / u - np.where(u < 1.0e17, z * _horner(z, _PSI_A), 0.0)
+    out[rest] = y + np.where(u <= 2.0, g * _PSI_Y + g * r, asy)
+    return out
+
+
+def _zeta(s: float, q: np.ndarray) -> np.ndarray:
+    """Hurwitz zeta(s, q) = sum_k (k + q)^-s for s > 1 and q > 0, cephes zeta
+    step for step; nan passes through.
+
+    Above q = 1e8 the leading asymptotic terms (DLMF 25.11.43).  Otherwise
+    the direct sum runs to at least 9 terms and past k + q = 9, and ends
+    early once a term is below eps of the sum; the rest get the
+    Euler-Maclaurin tail, ended the same way.
+    """
+    out = np.full_like(q, math.nan)
+    big = q > 1e8
+    out[big] = (1.0 / (s - 1.0) + 1.0 / (2.0 * q[big])) * _pow(q[big], 1.0 - s)
+    small = q <= 1e8
+    a = q[small]
+    acc = _pow(a, -s)
+    b = np.zeros_like(a)
+    loop = np.ones(a.shape, bool)
+    done = ~loop
+    i = 0
+    while (loop := loop & ((i < 9) | (a <= 9.0))).any():
+        i += 1
+        a = np.where(loop, a + 1.0, a)
+        b[loop] = _pow(a[loop], -s)
+        acc = np.where(loop, acc + b, acc)
+        hit = loop & (np.abs(b / acc) < _MACHEP)
+        done |= hit
+        loop &= ~hit
+    w = a
+    live = ~done
+    acc = np.where(live, acc + b * w / (s - 1.0) - 0.5 * b, acc)
+    fac, k = 1.0, 0.0
+    for c in _ZETA_A:
+        if not live.any():
+            break
+        fac *= s + k
+        b = b / w
+        t = fac * b / c
+        acc = np.where(live, acc + t, acc)
+        live &= ~(np.abs(t / acc) < _MACHEP)
+        k += 1.0
+        fac *= s + k
+        b = b / w
+        k += 1.0
+    out[small] = acc
+    return out
+
+
+def polygamma(n: int, x):
+    """psi^(n)(x) for an integer n >= 0 and x > 0, elementwise; inf and nan
+    pass through.
+
+    Composed as ``scipy.special.polygamma`` composes it, psi for n = 0 and
+    (-1)^(n+1) n! zeta(n+1, x) above, and bit-identical to it.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
+        if n == 0:
+            return _psi(x)
+        return (-1.0) ** (n + 1) * math.gamma(n + 1.0) * _zeta(n + 1.0, x)
+
+
 def log_gamma_deriv(n: int, x):
     """(sign, log|Gamma^(n)(x)|) via the Bell-polynomial closed form.
 
@@ -90,8 +222,8 @@ def log_gamma_deriv(n: int, x):
     B_m = sum_k C(m-1, k) B_(m-1-k) psi^(k)(x); a zero B_n gives sign 0 and
     log -inf.
     """
-    from scipy.special import polygamma
-
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"requires an integer n >= 0, got {n!r}")
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("requires x > 0")

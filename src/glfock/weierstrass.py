@@ -177,7 +177,9 @@ def omega_bound(desc: PhiDescriptor) -> float:
     by phi_1, phi_2; the tail uses |1 - z| <= 2 and stops at the first term
     below 1e-16 of the running sum.  Returns +inf when the tail fails to
     decay within 20000 terms (radius-1 family at R = 1); raises if R
-    strictly exceeds the series radius.
+    strictly exceeds the series radius.  The tail usually ends within tens
+    of terms, so the coefficients are read in doubling prefixes of 64, 128,
+    ... terms; each prefix is bitwise the start of the longer table.
     """
     d = _normalized(desc)
     p1, p2, _ = _phi123(desc)
@@ -188,23 +190,22 @@ def omega_bound(desc: PhiDescriptor) -> float:
     c3 = abs(p1 * ps.psi2 - 2.0 * p2 * ps.psi1 * ps.psi2 + p2 * ps.psi1**2)
     c4 = abs(p2 * ps.psi2**2 - 2.0 * p2 * ps.psi1 * ps.psi2)
     c5 = abs(p2 * ps.psi2**2)
-    s, l = signs_logs(d, 20000)
     logR = math.log(R) if R > 0 else -math.inf
     tail = 0.0
     prev = math.inf
-    converged = False
-    for n in range(3, 20001):
-        t = math.exp(l[n] + n * logR)
-        tail += t
-        if t < 1e-16 * (1.0 + tail):
-            converged = True
-            break
-        if n > 64 and t >= prev * 0.999999:
-            return math.inf  # non-decaying tail (radius boundary)
-        prev = t
-    if not converged:
-        return math.inf
-    return c3 + c4 + c5 + 2.0 * tail
+    lo, hi = 3, 64
+    while lo <= hi:
+        l = signs_logs(d, hi)[1]
+        for n in range(lo, hi + 1):
+            t = math.exp(l[n] + n * logR)
+            tail += t
+            if t < 1e-16 * (1.0 + tail):
+                return c3 + c4 + c5 + 2.0 * tail
+            if n > 64 and t >= prev * 0.999999:
+                return math.inf  # non-decaying tail (radius boundary)
+            prev = t
+        lo, hi = hi + 1, min(2 * hi, 20000)
+    return math.inf
 
 
 @dataclass(frozen=True)

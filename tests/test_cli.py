@@ -11,6 +11,7 @@ import pytest
 
 import glfock
 from glfock.cli import ConfigError, load_config, main
+from glfock.special import log_gamma_deriv
 
 
 def run_cli(capsys, argv):
@@ -377,12 +378,22 @@ def test_console_script_installed(tmp_path):
     assert "config error" in r.stderr
 
 
-def _scipy_after(tmp_path, argv=None, phi=None):
-    """Run `import glfock.cli` and then main(argv) in a fresh interpreter and
-    return (exit code, the scipy modules left in sys.modules)."""
+def _fresh_python(probe, *args):
+    """Run `probe` in a fresh interpreter that imports glfock from this tree;
+    return the JSON its last stdout line holds."""
     src = Path(glfock.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    where, *rest = json.loads(r.stdout.splitlines()[-1])
+    assert Path(where).resolve().is_relative_to(src)
+    return rest
+
+
+def _scipy_after(tmp_path, argv=None, phi=None):
+    """Run `import glfock.cli` and then main(argv) in a fresh interpreter and
+    return (exit code, the scipy modules left in sys.modules)."""
     if phi is not None:
         argv = argv + ["--config", write_cfg(tmp_path, {"phi": phi})]
     probe = ("import contextlib, io, json, sys, glfock.cli\n"
@@ -391,30 +402,40 @@ def _scipy_after(tmp_path, argv=None, phi=None):
              "    rc = 0 if argv is None else glfock.cli.main(argv)\n"
              "print(json.dumps([glfock.cli.__file__, rc,\n"
              "                  sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
-    r = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
-                       capture_output=True, text=True, env=env)
-    assert r.returncode == 0, r.stderr
-    where, rc, loaded = json.loads(r.stdout)
-    assert Path(where).resolve().is_relative_to(src)
-    return rc, loaded
+    return tuple(_fresh_python(probe, json.dumps(argv)))
 
 
 def test_cli_import_skips_scipy(tmp_path):
     assert _scipy_after(tmp_path) == (0, [])
 
 
+GD = {n: {"family": "gamma_deriv", "params": {"n": n}} for n in (1, 2, 3)}
+
+
 @pytest.mark.parametrize("argv, phi", [
     (["check", "--suite", "moments"], None),
     (["check", "--suite", "moments"], {"family": "mittag_leffler", "params": {"rho": 2.0, "mu": 1.0}}),
-], ids=["exp", "ml21"])
+    *[(argv, GD[n]) for n in (1, 2, 3) for argv in (["phi-info"], ["check", "--suite", "weierstrass"])],
+], ids=["exp", "ml21", *[f"gd{n}-{cmd}" for n in (1, 2, 3) for cmd in ("phi-info", "weierstrass")]])
 def test_cli_run_skips_scipy(tmp_path, argv, phi):
+    # the gamma-derivative family too: polygamma is glfock's own port
     assert _scipy_after(tmp_path, argv, phi) == (0, [])
 
 
-def test_gamma_deriv_loads_scipy_special(tmp_path):
-    # polygamma is imported only when the gamma-derivative family needs it
-    rc, loaded = _scipy_after(tmp_path, ["phi-info"], {"family": "gamma_deriv", "params": {"n": 2}})
-    assert rc == 0 and "scipy.special" in loaded
+def test_gamma_deriv_runs_with_scipy_unimportable(tmp_path):
+    # a None entry in sys.modules makes every `import scipy...` raise ImportError
+    x = [0.05, 0.5, 1.0, 1.4616, 2.5, 10.0, 123.25, 2e8, 1e18]
+    probe = ("import sys\n"
+             "sys.modules['scipy'] = None\n"
+             "import contextlib, io, json, glfock.cli\n"
+             "from glfock.special import log_gamma_deriv\n"
+             "s, l = log_gamma_deriv(3, json.loads(sys.argv[1]))\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    rc = glfock.cli.main(['check', '--suite', 'weierstrass', '--config', sys.argv[2]])\n"
+             "print(json.dumps([glfock.cli.__file__, rc, s.tolist(), l.tolist()]))")
+    rc, s, l = _fresh_python(probe, json.dumps(x), write_cfg(tmp_path, {"phi": GD[3]}))
+    want = log_gamma_deriv(3, x)
+    assert rc == 0 and s == want[0].tolist() and l == want[1].tolist()
 
 
 @pytest.mark.skipif(shutil.which("glfock") is None,

@@ -8,7 +8,7 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glfock.special import gammaln, hermite_fn_table, log_gamma_deriv
+from glfock.special import gammaln, hermite_fn_table, log_gamma_deriv, polygamma
 from mp_oracles import hermite_fn
 
 EULER = 0.5772156649015329
@@ -52,6 +52,13 @@ def test_digamma_values():
         log_gamma_deriv(1, 0.0)
     with pytest.raises(ValueError):
         log_gamma_deriv(2, np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("n", [-1, -5, True, False, 2.0])
+def test_log_gamma_deriv_rejects_bad_order(n):
+    # n = -1 once ran as n = 0 and returned log Gamma; a bool is not an order
+    with pytest.raises(ValueError, match="n >= 0"):
+        log_gamma_deriv(n, 2.0)
 
 
 def test_harmonic():
@@ -121,6 +128,63 @@ def test_gammaln_bit_identical_to_scipy():
                         rng.uniform(0.01, 1e5, 40000),
                         np.logspace(-300.0, 300.0, 20001)])
     assert np.array_equal(gammaln(x), sps.gammaln(x))
+
+
+def _tier1_grid():
+    k = np.arange(20001.0)
+    rng = np.random.default_rng(20)
+    return np.concatenate([k + 1.0, k + 0.5, (k + 1.0) / 10.0, rng.uniform(0.01, 1e5, 20000),
+                           np.logspace(-5.0, 12.0, 4001)])
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_polygamma_bit_identical_to_scipy(n):
+    # psi and zeta follow cephes step for step, as scipy does: every branch
+    # of both is hit (the harmonic table, the shifts into [1, 2], the
+    # rational, both asymptotic series, zeta's early exit and its
+    # Euler-Maclaurin tail)
+    x = _tier1_grid()
+    assert np.array_equal(polygamma(n, x), sps.polygamma(n, x))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 4), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_polygamma_matches_scipy_property(n, x):
+    assert polygamma(n, x) == sps.polygamma(n, x)
+
+
+# one group of points per branch of psi and of zeta
+POLYGAMMA_BRANCHES = {
+    "x<1": [1e-5, 0.003, 0.1, 0.37, 0.5, 0.99],
+    "[1,2]": [1.0000001, 1.25, 1.4616321449683623, 1.5, 1.75, 1.9999],
+    "int<=10": [1.0, 2.0, 3.0, 7.0, 10.0],
+    "[10,1e17)": [2.5, 9.75, 10.5, 37.2, 1234.5, 3.3e6, 7e12, 9.9e16],
+    ">=1e17": [1e17, 3.5e20, 1e100, 1e300],
+    "q>1e8": [1.5e8, 1e10, 1e15, 1e50],
+}
+
+
+@pytest.mark.parametrize("branch", POLYGAMMA_BRANCHES)
+def test_polygamma_matches_mpmath(branch):
+    # independent oracle: mpmath's psi in 40 digits; values below the
+    # double range (psi^(n)(1e300) for n >= 2) underflow to 0
+    for x in POLYGAMMA_BRANCHES[branch]:
+        for n in range(5):
+            with mp.workdps(40):
+                want = float(mp.psi(n, x))
+            got = float(polygamma(n, x))
+            assert abs(got - want) <= 1e-15 * abs(want) + 1e-300, (n, x, got, want)
+
+
+def test_polygamma_and_log_gamma_deriv_pass_inf_and_nan():
+    x = np.array([math.inf, math.nan])
+    for n in range(5):
+        assert np.array_equal(polygamma(n, x), sps.polygamma(n, x), equal_nan=True)
+    s, l = log_gamma_deriv(2, x)
+    assert np.array_equal(s, [1.0, math.nan], equal_nan=True)
+    assert np.array_equal(l, [math.inf, math.nan], equal_nan=True)
+    # a scalar gives a 0-d result, an array keeps its shape
+    assert polygamma(1, 2.5).shape == () and polygamma(3, np.ones((2, 3))).shape == (2, 3)
 
 
 @settings(max_examples=1000, deadline=None)

@@ -1,15 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glfock.core import PhiDescriptor
+from glfock import weierstrass
+from glfock.core import PhiDescriptor, signs_logs
 from glfock.errors import NormalizationError
 from glfock.fock import verified_weight
 from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _log_e_series,
-                                e_series, g_fn, log_g_fn, omega, omega_bound,
+                                _normalized, _phi123, e_series, g_fn, log_g_fn, omega, omega_bound,
                                 psi_pair, radius_bounds, sigma_fn,
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
@@ -129,6 +131,69 @@ def test_omega_bound_values():
     assert abs(omega_bound(EXPN) - 2.713378140676129) <= 1e-9
     assert abs(omega_bound(ML21N) - 6.1810246975411856) <= 1e-9
     assert omega_bound(BSN) == math.inf  # radius-1 family, non-decaying tail
+
+
+# nine families, each normalized (as omega_bound needs) and not
+NINE = [PhiDescriptor.exponential(), PhiDescriptor.mittag_leffler(2, 1),
+        PhiDescriptor.mittag_leffler(0.5, 0.5), PhiDescriptor.stretched_gamma(1.0, 2.0),
+        PhiDescriptor.gamma_deriv(1), PhiDescriptor.gamma_deriv(2), PhiDescriptor.gamma_deriv(3),
+        PhiDescriptor.dunkl(0.5), PhiDescriptor.backward_shift()]
+NINE_BOTH = [replace(d, normalized=norm) for d in NINE for norm in (False, True)]
+
+
+def _id(d):
+    return "-".join([d.family, *(f"{v:g}" for _, v in d.params), "norm" if d.normalized else "raw"])
+
+
+@pytest.mark.parametrize("desc", NINE_BOTH, ids=_id)
+def test_signs_logs_prefix_consistent(desc):
+    # omega_bound reads prefixes of the table and relies on this
+    s, l = signs_logs(desc, 20000)
+    for k in (0, 1, 3, 10, 63, 64, 127, 128, 1000, 4096, 16384, 19999):
+        sk, lk = signs_logs(desc, k)
+        assert np.array_equal(sk, s[:k + 1]) and np.array_equal(lk, l[:k + 1]), k
+
+
+def _omega_bound_full_table(desc):
+    """omega_bound as one loop over the whole 20,001-term table."""
+    d = _normalized(desc)
+    p1, p2, _ = _phi123(desc)
+    ps = psi_pair(desc)
+    R = abs(ps.psi1) + abs(ps.psi2)
+    c3 = abs(p1 * ps.psi2 - 2.0 * p2 * ps.psi1 * ps.psi2 + p2 * ps.psi1**2)
+    c4 = abs(p2 * ps.psi2**2 - 2.0 * p2 * ps.psi1 * ps.psi2)
+    c5 = abs(p2 * ps.psi2**2)
+    _, l = signs_logs(d, 20000)
+    logR = math.log(R) if R > 0 else -math.inf
+    tail, prev = 0.0, math.inf
+    for n in range(3, 20001):
+        t = math.exp(l[n] + n * logR)
+        tail += t
+        if t < 1e-16 * (1.0 + tail):
+            return c3 + c4 + c5 + 2.0 * tail
+        if n > 64 and t >= prev * 0.999999:
+            return math.inf
+        prev = t
+    return math.inf
+
+
+@pytest.mark.parametrize("desc", [d for d in NINE_BOTH if d.normalized], ids=_id)
+def test_omega_bound_matches_full_table(desc, monkeypatch):
+    want = _omega_bound_full_table(desc)
+    requests = []
+
+    def recording(d, kmax):
+        requests.append(kmax)
+        return signs_logs(d, kmax)
+
+    monkeypatch.setattr(weierstrass, "signs_logs", recording)
+    assert omega_bound(desc) == want
+    if desc.family == "backward_shift":
+        assert want == math.inf
+    else:
+        # the tail converges within tens of terms: no 20,001-term table
+        assert math.isfinite(want)
+    assert max(requests) <= 128
 
 
 def test_omega_bound_dominates_sup():
