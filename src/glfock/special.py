@@ -1,14 +1,14 @@
 """Special functions used by the coefficient families and the Bargmann transform.
 
-glfock needs only numpy: the three routines that scipy would otherwise
+glfock needs only numpy: the special functions that scipy would otherwise
 supply are ports of the cephes library (Moshier, *Methods and Programs for
 Mathematical Functions*, 1989), the same code scipy.special compiles, and
 give the same bits as ``scipy.special.gammaln`` and ``polygamma`` for x > 0.
 ``gammaln`` ports ``lgam``; ``polygamma`` ports ``psi`` (with the Boost
-rational on [1, 2] that scipy uses) and the Hurwitz ``zeta(s, q)``.  Every
-pow and log goes through ``math``, that is the C library, because numpy's
-vectorized ``np.power`` and ``np.log`` differ from it in the last bit on
-some points.  On top of these: log|Gamma^(n)(x)| for the gamma-derivative
+rational on [1, 2] that scipy uses), the Hurwitz ``zeta(s, q)`` and
+``Gamma`` at integers.  Every pow and log goes through ``math``, that is
+the C library, because numpy's vectorized ``np.power`` and ``np.log``
+differ from it in the last bit on some points.  On top of these: log|Gamma^(n)(x)| for the gamma-derivative
 family, through the closed form Gamma^(n) = Gamma * B_n(psi, psi', ...,
 psi^(n-1)) with B_n the complete Bell polynomial, and the orthonormal
 Hermite function table.
@@ -37,8 +37,8 @@ _MAXLGM = 2.556348e305
 
 # cephes psi: asymptotic series in 1/x^2 (A); Boost's rational on [1, 2],
 # psi(x) = (x - root) (Y + P(x-1)/Q(x-1)), with Y a float32 constant (exact
-# as a double too) and the positive root split in three parts; psi(n) for n = 1..10 summed as
-# cephes sums it, 1 + 1/2 + ... + 1/(n-1) - euler.
+# as a double too) and the positive root split in three parts; psi(n) for
+# n = 1..10 summed as cephes sums it, 1 + 1/2 + ... + 1/(n-1) - euler.
 _PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
           -4.16666666666666666667e-3, 3.96825396825396825397e-3, -8.33333333333333333333e-3,
           8.33333333333333333333e-2)
@@ -58,6 +58,14 @@ _ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606
            7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
            -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
 _MACHEP = 1.11022302462515654042e-16
+
+# cephes Gamma above 33: Stirling series coefficients, the argument above
+# which pow is split in two to avoid overflow, sqrt(2 pi), overflow threshold.
+_STIR = (7.87311395793093628397e-4, -2.29549961613378126380e-4, -2.68132617805781232825e-3,
+         3.47222221605458667310e-3, 8.33333333333482257126e-2)
+_MAXSTIR = 143.01608
+_SQTPI = 2.50662827463100050242
+_MAXGAM = 171.624376956302725
 
 
 def _horner(x, coef):
@@ -200,6 +208,26 @@ def _zeta(s: float, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gamma_int(m: int) -> float:
+    """Gamma(m) for an integer m >= 1, as cephes Gamma computes it: the
+    product (m-1)(m-2)...2 taken from the left up to m = 33, Stirling's
+    formula above.  math.gamma differs from it in the last bit from m = 24."""
+    x = float(m)
+    if x <= 33.0:
+        return math.prod(map(float, range(m - 1, 1, -1)), start=1.0)
+    if x >= _MAXGAM:
+        return math.inf
+    w = 1.0 / x
+    w = 1.0 + w * _horner(w, _STIR)
+    y = math.exp(x)
+    if x > _MAXSTIR:
+        v = math.pow(x, 0.5 * x - 0.25)
+        y = v * (v / y)
+    else:
+        y = math.pow(x, x - 0.5) / y
+    return _SQTPI * y * w
+
+
 def polygamma(n: int, x):
     """psi^(n)(x) for an integer n >= 0 and x > 0, elementwise; inf and nan
     pass through.
@@ -211,7 +239,7 @@ def polygamma(n: int, x):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
         if n == 0:
             return _psi(x)
-        return (-1.0) ** (n + 1) * math.gamma(n + 1.0) * _zeta(n + 1.0, x)
+        return (-1.0) ** (n + 1) * _gamma_int(n + 1) * _zeta(n + 1.0, x)
 
 
 def log_gamma_deriv(n: int, x):
