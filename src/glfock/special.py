@@ -228,6 +228,11 @@ def _gamma_int(m: int) -> float:
     return _SQTPI * y * w
 
 
+def _check_order(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"requires an integer n >= 0, got {n!r}")
+
+
 def polygamma(n: int, x):
     """psi^(n)(x) for an integer n >= 0 and x > 0, elementwise; inf and nan
     pass through.
@@ -235,6 +240,7 @@ def polygamma(n: int, x):
     Composed as ``scipy.special.polygamma`` composes it, psi for n = 0 and
     (-1)^(n+1) n! zeta(n+1, x) above, and bit-identical to it.
     """
+    _check_order(n)
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
         if n == 0:
@@ -250,8 +256,7 @@ def log_gamma_deriv(n: int, x):
     B_m = sum_k C(m-1, k) B_(m-1-k) psi^(k)(x); a zero B_n gives sign 0 and
     log -inf.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"requires an integer n >= 0, got {n!r}")
+    _check_order(n)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("requires x > 0")

@@ -55,10 +55,12 @@ def test_digamma_values():
 
 
 @pytest.mark.parametrize("n", [-1, -5, True, False, 2.0])
-def test_log_gamma_deriv_rejects_bad_order(n):
+def test_bad_order_rejected(n):
     # n = -1 once ran as n = 0 and returned log Gamma; a bool is not an order
     with pytest.raises(ValueError, match="n >= 0"):
         log_gamma_deriv(n, 2.0)
+    with pytest.raises(ValueError, match="n >= 0"):
+        polygamma(n, 2.0)
 
 
 def test_harmonic():
