@@ -11,8 +11,8 @@ from glfock.core import PhiDescriptor, signs_logs
 from glfock.errors import NormalizationError
 from glfock.fock import verified_weight
 from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _log_e_series,
-                                _normalized, _phi123, e_series, g_fn, log_g_fn, omega, omega_bound,
-                                psi_pair, radius_bounds, sigma_fn,
+                                _normalized, _phi123, e_series, g_fn, log_g_fn,
+                                omega, omega_bound, psi_pair, radius_bounds, sigma_fn,
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
 from mp_oracles import log_factor_taylor, sigma_product
