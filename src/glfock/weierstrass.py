@@ -53,8 +53,11 @@ __all__ = [
     "winding_zero_count",
 ]
 
-_PHI_PRODUCT_TERMS = 80  # series length inside lattice factors; |arg| stays << 100
+# The lattice factors use phi cut after 80 terms.  For ML(2,1) at |z| ~ 2.65
+# that cut differs from phi by about 2e-4 relative.
+_PHI_PRODUCT_TERMS = 80
 _NEAR_CELLS = 8192       # (node, point) cells per chunk of the direct product
+_LOG_GROUP = 8           # consecutive near factors multiplied before one log
 _FAR_RATIO = 0.5         # rho: far nodes have |z / node| <= rho r
 _FAR_TOL = 1e-17         # bound on the dropped far-field tail, summed over nodes
 
@@ -355,10 +358,17 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                  dens: np.ndarray, ps: PsiPair, N: int) -> np.ndarray:
     """sum over nodes of log[(1 - z/node) phi(psi1 z/node + psi2 z^2/den^2)].
 
-    Returns complex logs; -inf real part where z hits a node exactly.
+    Returns complex logs; -inf real part where z hits a node exactly.  The
+    imaginary part is a sum of principal arguments, so it is defined only
+    mod 2 pi (exp of the result is the product itself).
 
     Near nodes go through the direct (N+1)-term Horner loop, in chunks of
-    about _NEAR_CELLS (node, point) cells.  When dens is nodes, the nodes
+    about _NEAR_CELLS (node, point) cells.  The factors of _LOG_GROUP
+    consecutive near nodes are multiplied, with 0 at a hit, and each group
+    product takes one complex log.  A point where some group product is not
+    a normal double (inf, nan, subnormal, or 0 without a hit in the group)
+    takes the per-cell sum of log(1 - z/node) + log(phi) instead, with the
+    same bits as that sum always had.  When dens is nodes, the nodes
     with |node| > max|z| / (rho r) are far instead, rho = _FAR_RATIO and
     r = min(1, (2B)^(-1/3)), B = omega_bound: |E - 1| <= B|w|^3 <= 1/2 on
     |w| <= r, so |l_k| <= log 2 / r^k (Cauchy) and the far sum of log E(z/node)
@@ -378,10 +388,12 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     near_nodes, near_dens = nodes[~far], dens[~far]
     phis = phi_coeffs(d, N)
     out = np.empty(z.size, dtype=complex)
+    starts = np.arange(0, near_nodes.size, _LOG_GROUP)
+    lo, hi = np.finfo(float).tiny, np.finfo(float).max
     # chunks of >= 2 points: numpy sums a lone column pairwise and wider
     # ones row by row, so the bits do not depend on the chunking
     step = max(2, _NEAR_CELLS // max(1, near_nodes.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         for idx in np.array_split(np.arange(z.size), max(1, z.size // step)):
             zz = z[idx]
             Z1 = zz[None, :] / near_nodes[:, None]
@@ -390,11 +402,23 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
             for c in phis[::-1]:
                 np.multiply(V, U, out=V)
                 V += c
-            lg = np.log(1.0 - Z1)
+            np.subtract(1.0, Z1, out=Z1)
+            F = np.multiply(Z1, V, out=U)
             hit = zz[None, :] == near_nodes[:, None]  # z/z may miss 1 by an ulp
-            if hit.any():
+            any_hit = hit.any()
+            if any_hit:
+                F[hit] = 0.0
+            P = np.multiply.reduceat(F, starts, axis=0)
+            mag = np.abs(P)
+            ok = (mag >= lo) & (mag <= hi)
+            if any_hit:
+                ok |= np.logical_or.reduceat(hit, starts, axis=0) & (P == 0.0)
+            out[idx] = np.log(P).sum(axis=0)
+            bad = ~ok.all(axis=0)
+            if bad.any():  # the per-cell sum, over the whole chunk as before
+                lg = np.log(Z1)
                 lg[hit] = -np.inf
-            out[idx] = lg.sum(axis=0) + np.log(V).sum(axis=0)
+                out[idx[bad]] = (lg.sum(axis=0) + np.log(V).sum(axis=0))[bad]
     n_far = int(far.sum())
     if n_far:
         tail = n_far * math.log(2.0) * _FAR_RATIO / (1.0 - _FAR_RATIO)

@@ -22,32 +22,38 @@ def _phis(family: str, params: dict, N: int) -> list:
         c = [1 / mp.gamma(params["mu"] + mp.mpf(n) / params["rho"]) for n in range(N + 1)]
     elif family == "gamma_deriv" and params["n"] == 1:
         c = [1 / (mp.gamma(n + 1) * mp.digamma(n + 1)) for n in range(N + 1)]
+    elif family == "backward_shift":
+        c = [mp.mpf(1)] * (N + 1)
     else:
         raise ValueError(f"no oracle for {family} {params}")
     return [x / c[0] for x in c]
 
 
-def _factor(family: str, params: dict, N: int):
-    """E_N(w) = (1 - w) sum_{n<=N} phi_n (psi1 w + psi2 w^2)^n, with
-    psi1 = 1/phi_1 and psi2 = (phi_1^2 - phi_2)/phi_1^3.  Terms after the
-    last one of modulus >= 1e-40 are dropped, so the dropped part is below
-    N 1e-40."""
+def _series(family: str, params: dict, N: int):
+    """(psi1, psi2, phi_N) with psi1 = 1/phi_1, psi2 = (phi_1^2 - phi_2)/phi_1^3
+    and phi_N(u) = sum_{n<=N} phi_n u^n.  Terms after the last one of modulus
+    >= 1e-40 are dropped, so the dropped part is below N 1e-40."""
     phis = _phis(family, params, N)
     psi1 = 1 / phis[1]
     psi2 = (phis[1] ** 2 - phis[2]) / phis[1] ** 3
     logc = [float(mp.log(abs(c))) for c in phis]
     cut = -40 * math.log(10)
 
-    def E(w):
-        u = psi1 * w + psi2 * w * w
+    def phi(u):
         lu = float(mp.log(abs(u))) if u else -math.inf
         n = max([m for m in range(N + 1) if logc[m] + m * lu >= cut], default=0)
         s = mp.mpc(0)
         for c in phis[n::-1]:
             s = s * u + c
-        return (1 - w) * s
+        return s
 
-    return E
+    return psi1, psi2, phi
+
+
+def _factor(family: str, params: dict, N: int):
+    """E_N(w) = (1 - w) phi_N(psi1 w + psi2 w^2)."""
+    psi1, psi2, phi = _series(family, params, N)
+    return lambda w: (1 - w) * phi(psi1 * w + psi2 * w * w)
 
 
 def log_factor_taylor(family: str, params: dict, K: int, N: int = 80) -> list:
@@ -73,3 +79,17 @@ def sigma_product(family: str, params: dict, z: complex, M: int, N: int = 80) ->
                 if m or n:
                     prod *= E(z / mp.mpc(m, n))
         return complex(prod)
+
+
+def log_abs_pair_product(family: str, params: dict, z: complex, pairs, N: int = 80) -> float:
+    """log |prod (1 - z/node) phi_N(psi1 z/node + psi2 z^2/den^2)| over the
+    (node, den) pairs, at 30 digits: the lattice product whose quadratic
+    denominator need not be its node."""
+    with mp.workdps(30):
+        psi1, psi2, phi = _series(family, params, N)
+        z = mp.mpc(z)
+        prod = mp.mpc(1)
+        for node, den in pairs:
+            node, den = mp.mpc(node), mp.mpc(den)
+            prod *= (1 - z / node) * phi(psi1 * z / node + psi2 * z * z / (den * den))
+        return float(mp.log(abs(prod)))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glfock import weierstrass
-from glfock.core import PhiDescriptor, signs_logs
+from glfock.core import PhiDescriptor, phi_coeffs, signs_logs
 from glfock.errors import NormalizationError
 from glfock.fock import verified_weight
 from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _log_e_series,
@@ -15,7 +15,7 @@ from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _log_e_series,
                                 omega, omega_bound, psi_pair, radius_bounds, sigma_fn,
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
-from mp_oracles import log_factor_taylor, sigma_product
+from mp_oracles import log_abs_pair_product, log_factor_taylor, sigma_product
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 ML21N = PhiDescriptor.mittag_leffler(2, 1, normalized=True)
@@ -366,6 +366,20 @@ def test_sigma_split_property(name, M, x, y):
     assert abs(sigma_fn(desc, z, lat) - want) <= 1e-12 * abs(want) + abs(direct - want)
 
 
+def pinned_paths():
+    """The two fully direct products the pins below record: the backward
+    shift (omega_bound is inf, so every node is near) and the printed
+    variant, whose denominators are not its nodes."""
+    xs = np.linspace(-0.8, 0.8, 7)
+    ys = np.linspace(-0.75, 0.85, 9)
+    grid = (xs[:, None] + 1j * ys[None, :]).ravel() + 0.05j
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 8), 0.1, seed=42)
+    bs = sigma_fn(BSN, grid, LatticeSpec(1.0, 8))
+    printed = log_g_fn(EXPN, 2.5 * grid, gam, variant="printed")
+    return grid, gam, bs, printed
+
+
+PINNED = (0, 31, 32, 62)
 # float.hex of (real, imag) at entries 0, 31, 32 and 62 of the 63-point grid,
 # recorded before the split existed: both paths below stay fully direct
 PIN_BACKWARD_SHIFT = [("0x1.4eafbb3ff55b7p+27", "0x1.6df149c0d3de1p+28"),
@@ -379,16 +393,25 @@ PIN_PRINTED = [("0x1.2dd33c5b86567p+3", "0x1.236cb17a235b0p-1"),
 
 
 def test_direct_paths_bit_identical():
-    xs = np.linspace(-0.8, 0.8, 7)
-    ys = np.linspace(-0.75, 0.85, 9)
-    grid = (xs[:, None] + 1j * ys[None, :]).ravel() + 0.05j
-    # backward shift: omega_bound is inf, so every node is near
-    bs = sigma_fn(BSN, grid, LatticeSpec(1.0, 8))
-    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 8), 0.1, seed=42)
-    printed = log_g_fn(EXPN, 2.5 * grid, gam, variant="printed")
+    _, _, bs, printed = pinned_paths()
     for got, pins in ((bs, PIN_BACKWARD_SHIFT), (printed, PIN_PRINTED)):
-        for i, (re, im) in zip((0, 31, 32, 62), pins):
+        for i, (re, im) in zip(PINNED, pins):
             assert (got[i].real, got[i].imag) == (float.fromhex(re), float.fromhex(im))
+
+
+def test_pinned_paths_against_mpmath():
+    """The pinned bits against 30-digit products over the same nodes: the
+    backward shift through sigma_product, the printed variant through its
+    explicit (node, denominator) pairs."""
+    grid, gam, bs, printed = pinned_paths()
+    nodes, base = gam.nonzero()
+    for i in PINNED:
+        want = sigma_product("backward_shift", {}, grid[i], 8)
+        assert abs(bs[i] - want) <= 5e-14 * abs(want)
+        z = 2.5 * grid[i]
+        want = (log_abs_pair_product("exponential", {}, z, zip(nodes, base))
+                + math.log(abs(z - gam.z00)))
+        assert abs(printed[i].real - want) <= 5e-14
 
 
 def test_split_products_vanish_on_hit_nodes():
@@ -402,6 +425,84 @@ def test_split_products_vanish_on_hit_nodes():
         lg = log_g_fn(EXPN, zs, gam, variant=variant)
         assert lg[0].real == -math.inf and lg[1].real == -math.inf
         assert np.isfinite(lg[2])
+
+
+# ---------------------------------------------------------------------------
+# grouped logs of the near field
+# ---------------------------------------------------------------------------
+
+def per_cell_logs(desc, z, nodes, dens, N=80):
+    """log(1 - z/node) + log(phi_N(psi1 z/node + psi2 z^2/den^2)) for every
+    (node, point) cell, phi_N by Horner; -inf real part at a hit."""
+    ps = psi_pair(desc)
+    Z1 = z[None, :] / nodes[:, None]
+    U = ps.psi1 * Z1 + ps.psi2 * (z * z)[None, :] / dens[:, None] ** 2
+    V = np.zeros_like(U)
+    for c in phi_coeffs(_normalized(desc), N)[::-1]:
+        V = V * U + c
+    with np.errstate(divide="ignore"):
+        lg = np.log(1.0 - Z1)
+    lg[z[None, :] == nodes[:, None]] = -np.inf
+    return lg + np.log(V)
+
+
+def near_field(desc, z, nodes, dens):
+    # a distinct dens array keeps every node near
+    return weierstrass._log_product(desc, z, nodes, dens.copy(), psi_pair(desc), 80)
+
+
+NEAR_FAMILIES = {name: desc for name, (desc, _, _) in ORACLE_FAMILIES.items()}
+NEAR_FAMILIES["BSN"] = BSN
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(NEAR_FAMILIES)), st.integers(2, 6),
+       st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                min_size=1, max_size=4))
+def test_grouped_near_field_matches_per_cell(name, M, pts):
+    # both sums round each log to about eps |log|; the backward-shift
+    # factors 1 - w^81 have logs near 30 at |w| = sqrt 2, and the two sums
+    # stay within 3e-14 of each other on this square
+    lat = LatticeSpec(1.0, M)
+    z = np.array([complex(x, y) for x, y in pts])
+    assume(np.all(lat.dist(z) >= 1e-3))
+    nodes = lat.points()
+    nodes = nodes[nodes != 0]
+    desc = NEAR_FAMILIES[name]
+    got = near_field(desc, z, nodes, nodes)
+    want = per_cell_logs(desc, z, nodes, nodes).sum(axis=0)
+    assert np.all(np.abs(np.expm1(got - want)) <= 1e-13)
+
+
+def test_grouped_near_field_falls_back_past_double_range():
+    # single EXP factors reach about 1e115 at z = 40 + 0.3j, so a group of
+    # _LOG_GROUP of them leaves double range
+    gam = PerturbedLattice(LatticeSpec(1.0, 4))
+    nodes, _ = gam.nonzero()
+    z = np.array([40 + 0.3j])
+    cells = per_cell_logs(EXPN, z, nodes, nodes)[:, 0]
+    groups = np.add.reduceat(cells.real, np.arange(0, nodes.size, weierstrass._LOG_GROUP))
+    assert groups.max() > math.log(np.finfo(float).max)
+    lg = log_g_fn(EXPN, z, gam, variant="all_gamma")[0]
+    assert math.isfinite(lg.real)
+    assert lg.real == pytest.approx(cells.sum().real + math.log(abs(z[0] - gam.z00)), rel=1e-15)
+    assert lg.real == pytest.approx(6362.92509416025, rel=1e-14)
+
+
+def test_grouped_near_field_hit_among_finite_factors():
+    # numpy's z/z is 1 - 4.6e-17j at the perturbed node (-2, 1)
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 24), 0.1, seed=3)
+    nodes, base = gam.nonzero()
+    k = int(np.flatnonzero(nodes == gam.point(-2, 1))[0])
+    group = slice(k - k % weierstrass._LOG_GROUP, k - k % weierstrass._LOG_GROUP
+                  + weierstrass._LOG_GROUP)
+    z = np.array([nodes[k], 2.2 + 0.35j])
+    for dens in (base, nodes):
+        cells = per_cell_logs(EXPN, z, nodes, dens)[group, 0]
+        assert np.sum(np.isfinite(cells)) == weierstrass._LOG_GROUP - 1
+        got = near_field(EXPN, z, nodes, dens)
+        assert got[0].real == -math.inf and math.isfinite(got[0].imag)
+        assert np.isfinite(got[1])
 
 
 # ---------------------------------------------------------------------------
