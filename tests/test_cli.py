@@ -219,6 +219,10 @@ OUT_OF_RANGE = [
     (["phi-info"], {"phi": {"family": "exponential", "normalized": "false"}}),
     (["phi-info"], {"phi": {"family": "gamma_deriv", "params": {"n": 2.5}}}),
     (["phi-info"], {"phi": {"family": "gamma_deriv", "params": {"n": True}}}),
+    (["phi-info"], {"phi": {"family": "gamma_deriv", "params": {"n": 171}}}),
+    (["phi-info"], {"phi": {"family": "gamma_deriv", "params": {"n": 200}}}),
+    (["check", "--suite", "moments"], {"phi": {"family": "gamma_deriv", "params": {"n": 171}}}),
+    (["check", "--suite", "moments"], {"phi": {"family": "gamma_deriv", "params": {"n": 200}}}),
     (["phi-info"], {"phi": {"family": "mittag_leffler", "params": {"rho": True, "mu": True}}}),
     (["phi-info"], {"phi": {"family": "dunkl", "params": {"kappa": "0.5"}}}),
     (["phi-info"], {"phi": {"family": "stretched_gamma", "params": {"a": math.nan, "b": 2.0}}}),

@@ -66,6 +66,9 @@ def test_descriptor_param_validation():
         PhiDescriptor.dunkl(-1.0)
     with pytest.raises(ValueError):
         PhiDescriptor.gamma_deriv(0)
+    PhiDescriptor.gamma_deriv(170)
+    with pytest.raises(ValueError):
+        PhiDescriptor.gamma_deriv(171)  # n! overflows
 
 
 FLOAT_PARAMS = {"mittag_leffler": {"rho": 2.0, "mu": 1.0},
