@@ -364,11 +364,11 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
 
     Near nodes go through the direct (N+1)-term Horner loop, in chunks of
     about _NEAR_CELLS (node, point) cells.  The factors of _LOG_GROUP
-    consecutive near nodes are multiplied, with 0 at a hit, and each group
-    product takes one complex log.  A point where some group product is not
-    a normal double (inf, nan, subnormal, or 0 without a hit in the group)
-    takes the per-cell sum of log(1 - z/node) + log(phi) instead, with the
-    same bits as that sum always had.  When dens is nodes, the nodes
+    consecutive near nodes are multiplied, and each group product takes one
+    complex log.  A point that hits a node, or where some group product is
+    not a normal double (inf, nan, 0 or subnormal), takes the per-cell sum
+    of log(1 - z/node) + log(phi) instead, with the bits that sum had before
+    the grouping.  When dens is nodes, the nodes
     with |node| > max|z| / (rho r) are far instead, rho = _FAR_RATIO and
     r = min(1, (2B)^(-1/3)), B = omega_bound: |E - 1| <= B|w|^3 <= 1/2 on
     |w| <= r, so |l_k| <= log 2 / r^k (Cauchy) and the far sum of log E(z/node)
@@ -403,19 +403,12 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                 np.multiply(V, U, out=V)
                 V += c
             np.subtract(1.0, Z1, out=Z1)
-            F = np.multiply(Z1, V, out=U)
-            hit = zz[None, :] == near_nodes[:, None]  # z/z may miss 1 by an ulp
-            any_hit = hit.any()
-            if any_hit:
-                F[hit] = 0.0
-            P = np.multiply.reduceat(F, starts, axis=0)
-            mag = np.abs(P)
-            ok = (mag >= lo) & (mag <= hi)
-            if any_hit:
-                ok |= np.logical_or.reduceat(hit, starts, axis=0) & (P == 0.0)
+            P = np.multiply.reduceat(np.multiply(Z1, V, out=U), starts, axis=0)
             out[idx] = np.log(P).sum(axis=0)
-            bad = ~ok.all(axis=0)
-            if bad.any():  # the per-cell sum, over the whole chunk as before
+            mag = np.abs(P)
+            hit = zz[None, :] == near_nodes[:, None]  # z/z may miss 1 by an ulp
+            bad = ~((mag >= lo) & (mag <= hi)).all(axis=0) | hit.any(axis=0)
+            if bad.any():  # per-cell logs over the whole chunk, as before grouping
                 lg = np.log(Z1)
                 lg[hit] = -np.inf
                 out[idx[bad]] = (lg.sum(axis=0) + np.log(V).sum(axis=0))[bad]

@@ -490,6 +490,19 @@ def test_grouped_near_field_falls_back_past_double_range():
     assert lg.real == pytest.approx(6362.92509416025, rel=1e-14)
 
 
+def test_grouped_near_field_falls_back_on_underflow(monkeypatch):
+    # phi = 1e-50: every group of _LOG_GROUP factors underflows to 0 away
+    # from the nodes
+    monkeypatch.setattr(weierstrass, "phi_coeffs", lambda desc, N: np.array([1e-50]))
+    nodes = LatticeSpec(1.0, 2).points()
+    nodes = nodes[nodes != 0]
+    z = np.array([0.3 + 0.2j, -0.4 + 0.1j])
+    got = near_field(EXPN, z, nodes, nodes)
+    want = np.log(1.0 - z[None, :] / nodes[:, None]).sum(axis=0) + nodes.size * math.log(1e-50)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
 def test_grouped_near_field_hit_among_finite_factors():
     # numpy's z/z is 1 - 4.6e-17j at the perturbed node (-2, 1)
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 24), 0.1, seed=3)
