@@ -54,11 +54,13 @@ __all__ = [
 ]
 
 # The lattice factors use phi cut after 80 terms.  For ML(2,1) at |z| ~ 2.65
-# that cut differs from phi by about 2e-4 relative.
+# that cut differs from phi by about 2e-4 relative.  80 is the top degree;
+# a near chunk may start Horner lower, within _HORNER_TOL.
 _PHI_PRODUCT_TERMS = 80
 _NEAR_CELLS = 8192       # (node, point) cells per chunk of the direct product
 _LOG_GROUP = 8           # consecutive near factors multiplied before one log
-_FAR_RATIO = 0.5         # rho: far nodes have |z / node| <= rho r
+_HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |phi|
+_FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r (K ~ 170 terms)
 _FAR_TOL = 1e-17         # bound on the dropped far-field tail, summed over nodes
 
 
@@ -354,6 +356,15 @@ def _log_e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
     return ell
 
 
+def _horner(coefs: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Horner's rule at U over coefs, the highest degree first, in one array."""
+    V = np.zeros_like(U)
+    for c in coefs:
+        np.multiply(V, U, out=V)
+        V += c
+    return V
+
+
 def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                  dens: np.ndarray, ps: PsiPair, N: int) -> np.ndarray:
     """sum over nodes of log[(1 - z/node) phi(psi1 z/node + psi2 z^2/den^2)].
@@ -362,19 +373,27 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     imaginary part is a sum of principal arguments, so it is defined only
     mod 2 pi (exp of the result is the product itself).
 
-    Near nodes go through the direct (N+1)-term Horner loop, in chunks of
-    about _NEAR_CELLS (node, point) cells.  The factors of _LOG_GROUP
-    consecutive near nodes are multiplied, and each group product takes one
-    complex log.  A point that hits a node, or where some group product is
-    not a normal double (inf, nan, 0 or subnormal), takes the per-cell sum
-    of log(1 - z/node) + log(phi) instead, with the bits that sum had before
-    the grouping.  When dens is nodes, the nodes
-    with |node| > max|z| / (rho r) are far instead, rho = _FAR_RATIO and
-    r = min(1, (2B)^(-1/3)), B = omega_bound: |E - 1| <= B|w|^3 <= 1/2 on
-    |w| <= r, so |l_k| <= log 2 / r^k (Cauchy) and the far sum of log E(z/node)
-    is sum_{k<=K} l_k S_k z^k, S_k = sum_far node^-k, with a dropped tail of
-    at most n_far log 2 rho^(K+1) / (1 - rho) < _FAR_TOL.  Every node is near
-    when B is infinite or the psi radius diverges.
+    Near nodes take phi(u) by Horner directly, in chunks of about
+    _NEAR_CELLS (node, point) cells.  A chunk with a = max|u| has the tail
+    t(n) = sum_{n<m<=N} |phi_m| a^m (from the signs_logs table), and Horner
+    starts at the least degree n with t(n) <= _HORNER_TOL / (1 + t(0)), the
+    reciprocal of the largest |phi(u)| standing in for the smallest.  Where
+    after the pass t(n) > _HORNER_TOL min|phi_n(u)|, the chunk is redone
+    from degree N, so a cut never drops more than 2^-60 of any cell's phi.
+    The factors of _LOG_GROUP consecutive near nodes are multiplied, and
+    each group product takes one complex log.  A point that hits a node, or
+    where some group product is not a normal double (inf, nan, 0 or
+    subnormal), takes the per-cell sum of log(1 - z/node) + log(phi)
+    instead.  When dens is nodes, the nodes with |node| > max|z| / (rho r)
+    are far instead, rho = _FAR_RATIO and r = min(1, (2B)^(-1/3)),
+    B = omega_bound: |E - 1| <= B|w|^3 <= 1/2 on |w| <= r, so
+    |l_k| <= log 2 / r^k (Cauchy) and the far sum of log E(z/node) is
+    sum_{k<=K} l_k S_k z^k, S_k = sum_far node^-k, with a dropped tail of at
+    most n_far log 2 rho^(K+1) / (1 - rho) < _FAR_TOL.  The moments come
+    from a running product over the far nodes, one multiply and one sum per
+    k.  Every node is near when B is infinite or the psi radius diverges;
+    no node is near when every node is far, and then the series alone
+    remains.
     """
     d = _normalized(desc)
     zmax = float(np.abs(z).max(initial=0.0))
@@ -387,6 +406,7 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
         far = np.abs(nodes) > zmax * max(1.0, (2.0 * B) ** (1.0 / 3.0)) / _FAR_RATIO
     near_nodes, near_dens = nodes[~far], dens[~far]
     phis = phi_coeffs(d, N)
+    log_phis, degs = signs_logs(d, N)[1][1:], np.arange(1, N + 1)
     out = np.empty(z.size, dtype=complex)
     starts = np.arange(0, near_nodes.size, _LOG_GROUP)
     lo, hi = np.finfo(float).tiny, np.finfo(float).max
@@ -398,10 +418,12 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
             zz = z[idx]
             Z1 = zz[None, :] / near_nodes[:, None]
             U = ps.psi1 * Z1 + ps.psi2 * (zz * zz)[None, :] / (near_dens[:, None] ** 2)
-            V = np.zeros_like(U)
-            for c in phis[::-1]:
-                np.multiply(V, U, out=V)
-                V += c
+            loga = np.log(np.abs(U).max(initial=0.0))
+            t = np.append(np.exp(log_phis + degs * loga)[::-1].cumsum()[::-1], 0.0)
+            n = int(np.argmax(t <= _HORNER_TOL / (1.0 + t[0])))
+            V = _horner(phis[n::-1], U)
+            if n < N and not t[n] <= _HORNER_TOL * np.abs(V).min(initial=np.inf):
+                V = _horner(phis[::-1], U)
             np.subtract(1.0, Z1, out=Z1)
             P = np.multiply.reduceat(np.multiply(Z1, V, out=U), starts, axis=0)
             out[idx] = np.log(P).sum(axis=0)
@@ -417,7 +439,11 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
         tail = n_far * math.log(2.0) * _FAR_RATIO / (1.0 - _FAR_RATIO)
         K = int(math.log(_FAR_TOL / tail) / math.log(_FAR_RATIO)) + 1
         # moments of zmax / node (each power <= 1 in modulus), series in z / zmax
-        S = np.power.outer(zmax / nodes[far], np.arange(1, K + 1)).sum(axis=0)
+        w = zmax / nodes[far]
+        S, p = np.empty(K, dtype=complex), w.copy()
+        for k in range(K):
+            S[k] = p.sum()
+            p *= w
         coef = _log_e_series(d, K, N)[1:] * S
         out += np.polyval(np.append(coef[::-1], 0.0), z / zmax)
     return out

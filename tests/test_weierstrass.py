@@ -15,7 +15,8 @@ from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _log_e_series,
                                 omega, omega_bound, psi_pair, radius_bounds, sigma_fn,
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
-from mp_oracles import log_abs_pair_product, log_factor_taylor, sigma_product
+from mp_oracles import (log_abs_pair_product, log_factor_series, log_factor_taylor,
+                        sigma_product)
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 ML21N = PhiDescriptor.mittag_leffler(2, 1, normalized=True)
@@ -334,6 +335,28 @@ def test_log_e_series_against_mpmath_taylor(name, N):
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
 
 
+@pytest.mark.parametrize("name", ["ML(2,1)", "GD(1)"])
+def test_log_e_series_to_degree_170(name):
+    # the far series runs to degree K ~ 171 at M = 48; each error is scaled
+    # by the Cauchy bound |l_k| <= log 2 / r^k that the tail bound assumes
+    desc, family, params = ORACLE_FAMILIES[name]
+    want = np.array(log_factor_series(family, params, 170))
+    got = _log_e_series(desc, 170, 80)
+    r = min(1.0, (2.0 * omega_bound(desc)) ** (-1.0 / 3.0))
+    assert np.max(np.abs(got - want) * r ** np.arange(171)) / math.log(2.0) <= 1e-15
+
+
+def test_sigma_far_series_only():
+    # EXP at z = 0.25i, M = 2: every node is far, so no near chunk runs and
+    # the value is the far series alone
+    lat = LatticeSpec(1.0, 2)
+    nodes = lat.points()
+    far_radius = 0.25 * (2.0 * omega_bound(EXPN)) ** (1.0 / 3.0) / weierstrass._FAR_RATIO
+    assert np.all(np.abs(nodes[nodes != 0]) > far_radius)
+    want = sigma_product("exponential", {}, 0.25j, 2)
+    assert abs(sigma_fn(EXPN, 0.25j, lat) - want) <= 1e-15 * abs(want)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_sigma_split_against_mpmath_product(name):
     """M = 24 splits (far nodes exist for |z| <= 2.5).  The printed variant
@@ -355,8 +378,9 @@ def test_sigma_split_against_mpmath_product(name):
 @given(st.sampled_from(sorted(ORACLE_FAMILIES)), st.integers(2, 5),
        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 def test_sigma_split_property(name, M, x, y):
-    # |z| <= sqrt 2 leaves far nodes from M = 3 on; the split may add at
-    # most 1e-12 to the error of the all-direct product
+    # far nodes appear from M = 3 on at |z| = sqrt 2 (EXP, GD(1); M = 4 for
+    # ML(2,1)) and sooner at smaller |z|; the split may add at most 1e-12
+    # to the error of the all-direct product
     z = complex(x, y)
     lat = LatticeSpec(1.0, M)
     assume(abs(z) >= 0.05 and lat.dist(z) >= 1e-3)
@@ -517,6 +541,36 @@ def test_grouped_near_field_hit_among_finite_factors():
         got = near_field(EXPN, z, nodes, dens)
         assert got[0].real == -math.inf and math.isfinite(got[0].imag)
         assert np.isfinite(got[1])
+
+
+def test_degree_cut_falls_back_to_full_degree(monkeypatch):
+    # phi = 1e-50 (1 + u + ... + u^80) under EXP's tail table: the cut drops
+    # terms of size 1e-50 |u|^n, past 2^-60 min|phi| ~ 1e-50 2^-60, so the
+    # chunk is redone from degree 80.  The group products underflow, so the
+    # result is the per-cell sum
+    phis = np.full(81, 1e-50)
+    monkeypatch.setattr(weierstrass, "phi_coeffs", lambda desc, N: phis)
+    horner, degrees = weierstrass._horner, []
+
+    def spy(coefs, U):
+        degrees.append(coefs.size - 1)
+        return horner(coefs, U)
+
+    monkeypatch.setattr(weierstrass, "_horner", spy)
+    nodes = LatticeSpec(1.0, 2).points()
+    nodes = nodes[nodes != 0]
+    z = np.array([0.3 + 0.2j, -0.4 + 0.1j])
+    got = near_field(EXPN, z, nodes, nodes)
+    assert degrees[0] < 80 and degrees[1:] == [80]
+
+    def per_cell_sum(top):
+        ps = psi_pair(EXPN)
+        Z1 = z[None, :] / nodes[:, None]
+        U = ps.psi1 * Z1 + ps.psi2 * (z * z)[None, :] / (nodes[:, None] ** 2)
+        return np.log(1.0 - Z1).sum(axis=0) + np.log(horner(phis[top::-1], U)).sum(axis=0)
+
+    assert np.array_equal(got, per_cell_sum(80))
+    assert not np.array_equal(got, per_cell_sum(degrees[0]))
 
 
 # ---------------------------------------------------------------------------
