@@ -378,8 +378,9 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     t(n) = sum_{n<m<=N} |phi_m| a^m (from the signs_logs table), and Horner
     starts at the least degree n with t(n) <= _HORNER_TOL / (1 + t(0)), the
     reciprocal of the largest |phi(u)| standing in for the smallest.  Where
-    after the pass t(n) > _HORNER_TOL min|phi_n(u)|, the chunk is redone
-    from degree N, so a cut never drops more than 2^-60 of any cell's phi.
+    after the pass t(n) <= _HORNER_TOL min|phi_n(u)| fails, the chunk is
+    redone from degree N, so a cut never drops more than 2^-60 of any
+    cell's phi.
     The factors of _LOG_GROUP consecutive near nodes are multiplied, and
     each group product takes one complex log.  A point that hits a node, or
     where some group product is not a normal double (inf, nan, 0 or
@@ -422,7 +423,8 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
             t = np.append(np.exp(log_phis + degs * loga)[::-1].cumsum()[::-1], 0.0)
             n = int(np.argmax(t <= _HORNER_TOL / (1.0 + t[0])))
             V = _horner(phis[n::-1], U)
-            if n < N and not t[n] <= _HORNER_TOL * np.abs(V).min(initial=np.inf):
+            # not <=: a nan a (from a nan z) redoes the chunk at full degree
+            if not t[n] <= _HORNER_TOL * np.abs(V).min(initial=np.inf):
                 V = _horner(phis[::-1], U)
             np.subtract(1.0, Z1, out=Z1)
             P = np.multiply.reduceat(np.multiply(Z1, V, out=U), starts, axis=0)

@@ -573,6 +573,19 @@ def test_degree_cut_falls_back_to_full_degree(monkeypatch):
     assert not np.array_equal(got, per_cell_sum(degrees[0]))
 
 
+def test_degree_cut_nan_point_keeps_its_chunk():
+    # a nan point makes the chunk's max|u| nan: the chunk must run at full
+    # degree, so the other points keep their values (GD(1): for EXP the
+    # symmetric window sums log phi(u) = u to 0, so degree 0 would pass)
+    nodes = LatticeSpec(1.0, 3).points()
+    nodes = nodes[nodes != 0]
+    z = np.array([0.3 + 0.2j, complex(math.nan, 0.0), -1.4 + 1.1j])
+    got = near_field(GD1N, z, nodes, nodes)
+    want = per_cell_logs(GD1N, z[[0, 2]], nodes, nodes).sum(axis=0)
+    assert np.isnan(got[1])
+    assert np.all(np.abs(np.expm1(got[[0, 2]] - want)) <= 1e-13)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
