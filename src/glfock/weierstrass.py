@@ -380,21 +380,20 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     reciprocal of the largest |phi(u)| standing in for the smallest.  Where
     after the pass t(n) <= _HORNER_TOL min|phi_n(u)| fails, the chunk is
     redone from degree N, so a cut never drops more than 2^-60 of any
-    cell's phi.
-    The factors of _LOG_GROUP consecutive near nodes are multiplied, and
-    each group product takes one complex log.  A point that hits a node, or
-    where some group product is not a normal double (inf, nan, 0 or
-    subnormal), takes the per-cell sum of log(1 - z/node) + log(phi)
-    instead.  When dens is nodes, the nodes with |node| > max|z| / (rho r)
-    are far instead, rho = _FAR_RATIO and r = min(1, (2B)^(-1/3)),
-    B = omega_bound: |E - 1| <= B|w|^3 <= 1/2 on |w| <= r, so
-    |l_k| <= log 2 / r^k (Cauchy) and the far sum of log E(z/node) is
-    sum_{k<=K} l_k S_k z^k, S_k = sum_far node^-k, with a dropped tail of at
-    most n_far log 2 rho^(K+1) / (1 - rho) < _FAR_TOL.  The moments come
-    from a running product over the far nodes, one multiply and one sum per
-    k.  Every node is near when B is infinite or the psi radius diverges;
-    no node is near when every node is far, and then the series alone
-    remains.
+    cell's phi.  The factors of _LOG_GROUP consecutive near nodes are
+    multiplied, and each group product takes one complex log.  A point that
+    hits a node, or where some group product is not a normal double (inf,
+    nan, 0 or subnormal), takes the per-cell sum of log(1 - z/node) +
+    log(phi) instead.  When dens is nodes, the nodes with
+    |node| > max|z| / (rho r) are far instead, rho = _FAR_RATIO and
+    r = min(1, (2B)^(-1/3)), B = omega_bound: |E - 1| <= B|w|^3 <= 1/2 on
+    |w| <= r, so |l_k| <= log 2 / r^k (Cauchy) and the far sum of
+    log E(z/node) is sum_{k<=K} l_k S_k z^k, S_k = sum_far node^-k, with a
+    dropped tail of at most n_far log 2 rho^(K+1) / (1 - rho) < _FAR_TOL.
+    The moments come from a running product over the far nodes, one
+    multiply and one sum per k.  Every node is near when B is infinite or
+    the psi radius diverges; no node is near when every node is far, and
+    then the series alone remains.
     """
     d = _normalized(desc)
     zmax = float(np.abs(z).max(initial=0.0))
