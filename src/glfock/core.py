@@ -91,7 +91,8 @@ class PhiDescriptor:
     def gamma_deriv(cls, n: int, normalized: bool = False) -> "PhiDescriptor":
         """phi_k = 1/Gamma^(n)(k+1).  For n = 1 the k = 0 coefficient is
         negative (Gamma'(1) = -euler_gamma); see the signed-family notes.
-        n! overflows from n = 171 on, so n is at most 170."""
+        n is at most 170: log_gamma_deriv is checked against mpmath up to
+        170."""
         if not isinstance(n, numbers.Integral) or isinstance(n, bool) or not 1 <= n <= 170:
             raise ValueError(f"gamma_deriv requires an integer 1 <= n <= 170, got {n!r}")
         return cls("gamma_deriv", (("n", int(n)),), normalized, rho=None, sigma=None)

@@ -101,6 +101,18 @@ def test_phi_info_non_entire(capsys, tmp_path):
     assert info["r_lower"] == 1.0 and info["r_upper"] == 1.0
 
 
+def test_phi_info_gamma_deriv_170(capsys, tmp_path):
+    # phi_k = 1/Gamma^(170)(k+1) at the order cap, against a 30-digit mpmath
+    # quadrature of the defining integral; phi_9 is positive, as the
+    # integrand t^9 e^-t (ln t)^170 is
+    p = write_cfg(tmp_path, {"phi": {"family": "gamma_deriv", "params": {"n": 170}}})
+    rc, out, _ = run_cli(capsys, ["phi-info", "--config", p, "--format", "json"])
+    assert rc == 0
+    phi = json.loads(out)["phi_coeffs"]
+    for got, want in ((phi[8], 2.0638927515837095e-144), (phi[9], 1.3779010828900428e-136)):
+        assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
 # ---------------------------------------------------------------------------
 # check suites
 # ---------------------------------------------------------------------------
@@ -422,7 +434,7 @@ GD = {n: {"family": "gamma_deriv", "params": {"n": n}} for n in (1, 2, 3)}
     *[(argv, GD[n]) for n in (1, 2, 3) for argv in (["phi-info"], ["check", "--suite", "weierstrass"])],
 ], ids=["exp", "ml21", *[f"gd{n}-{cmd}" for n in (1, 2, 3) for cmd in ("phi-info", "weierstrass")]])
 def test_cli_run_skips_scipy(tmp_path, argv, phi):
-    # the gamma-derivative family too: polygamma is glfock's own port
+    # the gamma-derivative family too: log_gamma_deriv needs numpy alone
     assert _scipy_after(tmp_path, argv, phi) == (0, [])
 
 
