@@ -505,7 +505,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonEntireError, DivergenceError) as e:
+    except (NonEntireError, DivergenceError, OverflowError) as e:  # phi_k past doubles
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as e:

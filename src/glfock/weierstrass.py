@@ -94,8 +94,12 @@ def _phi123(desc: PhiDescriptor) -> tuple[float, float, float]:
 def psi_pair(desc: PhiDescriptor) -> PsiPair:
     """Coefficients making (1 - z) phi(psi1 z + psi2 z^2) vanish to 3rd order."""
     p1, p2, _ = _phi123(desc)
-    psi1 = 1.0 / p1
-    psi2 = (p1 * p1 - p2) / p1**3
+    try:
+        psi1 = 1.0 / p1
+        psi2 = (p1 * p1 - p2) / p1**3
+    except ZeroDivisionError:  # phi_1 or its cube underflows to 0
+        raise OverflowError(
+            f"psi pair for {desc.family} outside double range (phi_1={p1!r})") from None
     # sanity: degree-1 and degree-2 coefficients of E must cancel exactly
     c1 = p1 * psi1 - 1.0
     c2 = p1 * psi2 + p2 * psi1 * psi1 - p1 * psi1
