@@ -129,29 +129,24 @@ class FrameReport:
 
 def _sample_matrix(desc: PhiDescriptor, w: np.ndarray, N: int, window_n: int) -> np.ndarray:
     """Rows L_j(e_m) = sum_k C(n,k)(-pi conj(w_j))^k (D^k e_m)(w_j); window 0
-    gives the basis values e_m(w_j) = sqrt(phi_m) w_j^m."""
+    gives the basis values e_m(w_j) = sqrt(phi_m) w_j^m.
+
+    The powers w^0 .. w^N come from one running product, so 0^0 = 1 and
+    0^p = 0 exactly, and conj(w)^k is read off as conj(w^k)."""
     s, l = signs_logs(desc, N)
-    if np.any(s[: N + 1] <= 0):
+    if np.any(s <= 0):
         raise ValueError("sampling functionals need positive phi coefficients")
-    m = np.arange(N + 1)
-    aw = np.abs(w)
-    th = np.angle(w)
-    out = np.zeros((w.size, N + 1), dtype=complex)
-    for k in range(window_n + 1):
-        live = m >= k
-        mk = m[live] - k
-        # (D^k e_m)(w) = (phi_{m-k} / sqrt(phi_m)) w^{m-k}
-        coef = np.exp(l[mk] - 0.5 * l[m[live]])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logmag = mk[None, :] * np.log(aw[:, None])
-        block = coef[None, :] * np.exp(logmag) * np.exp(1j * mk[None, :] * th[:, None])
-        zero = aw == 0
-        if zero.any():
-            block[zero, :] = 0.0
-            if mk.size and mk[0] == 0:
-                block[zero, 0] = coef[0]
-        pref = math.comb(window_n, k) * (-math.pi * np.conj(w)) ** k
-        out[:, live] += pref[:, None] * block
+    P = np.empty((w.size, N + 1), dtype=complex)
+    P[:, 0] = 1.0
+    P[:, 1:] = w[:, None]
+    np.cumprod(P, axis=1, out=P)
+    out = np.zeros_like(P)
+    for k in range(min(window_n, N) + 1):
+        # (D^k e_m)(w) = (phi_{m-k} / sqrt(phi_m)) w^{m-k}, m = k..N
+        block = P[:, : N + 1 - k] * np.exp(l[: N + 1 - k] - 0.5 * l[k:])
+        if k:
+            block *= (math.comb(window_n, k) * (-math.pi) ** k * np.conj(P[:, k]))[:, None]
+        out[:, k:] += block
     return out
 
 

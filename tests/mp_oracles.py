@@ -135,3 +135,56 @@ def log_abs_pair_product(family: str, params: dict, z: complex, pairs, N: int = 
             node, den = mp.mpc(node), mp.mpc(den)
             prod *= (1 - z / node) * phi(psi1 * z / node + psi2 * z * z / (den * den))
         return float(mp.log(abs(prod)))
+
+
+def lattice_sample_rows(log_phis, s: float, M: int, windows) -> dict:
+    """Window-n sampling rows L(e_m) = sum_k C(n,k)(-pi conj(w))^k (D^k e_m)(w)
+    for m = 0..N at 30 digits, with (D^k e_m)(w) = phi_{m-k} / sqrt(phi_m)
+    w^(m-k) and phi_m = exp(log_phis[m]), the given doubles taken as exact.
+    The nodes are the doubles w = fl(sqrt(pi s) a) + i fl(sqrt(pi s) b),
+    |a|, |b| <= M, in np.meshgrid(..., indexing="ij") order.
+
+    Returns {n: (rows, sizes)}: rows[j][m] is the cell rounded to complex,
+    sizes[j][m] = sum_k |term_k|.  Only the nodes with 0 <= b <= a are
+    summed; the others are their images under w -> i^r w and w -> i^r conj(w),
+    which are exact on the double nodes.  Term k at i^r w is i^(rm) (-1)^(rk)
+    times term k at w, and at conj(w) it is the conjugate, so each image is
+    an alternating or plain sum times a unit, rounded once."""
+    c = math.sqrt(math.pi * s)
+    side = 2 * M + 1
+    K = max(windows)
+    out = {n: ([None] * side * side, [None] * side * side) for n in windows}
+    with mp.workdps(30):
+        N = len(log_phis) - 1
+        phis = [mp.exp(mp.mpf(v)) for v in log_phis]
+        coef = [[(-mp.pi) ** k * phis[m - k] / mp.sqrt(phis[m]) for m in range(k, N + 1)]
+                for k in range(K + 1)]
+        for a in range(M + 1):
+            for b in range(a + 1):
+                z = mp.mpc(c * a, c * b)
+                P = [mp.mpc(1)]
+                for _ in range(N):
+                    P.append(P[-1] * z)
+                terms = [[0] * k + [q * mp.conj(P[k]) * p for q, p in zip(coef[k], P)]
+                         for k in range(K + 1)]
+                mags = [[abs(x) for x in row] for row in terms]
+                for n in windows:
+                    ks = range(n + 1)
+                    sums = [[complex(sum(math.comb(n, k) * sign ** k * terms[k][m]
+                                         for k in ks if k <= m))
+                             for m in range(N + 1)] for sign in (1, -1)]
+                    size = [float(sum(math.comb(n, k) * mags[k][m] for k in ks if k <= m))
+                            for m in range(N + 1)]
+                    rows, sizes = out[n]
+                    for r in range(4):
+                        unit = [(1, 1j, -1, -1j)[r * m % 4] for m in range(N + 1)]
+                        val = sums[r % 2]
+                        # i^r (a + ib) and i^r (a - ib) as lattice indices
+                        for (x, y), conj in (((a, b), False), ((a, -b), True)):
+                            for _ in range(r):
+                                x, y = -y, x
+                            j = (x + M) * side + (y + M)
+                            rows[j] = [u * (v.conjugate() if conj else v)
+                                       for u, v in zip(unit, val)]
+                            sizes[j] = size
+    return out

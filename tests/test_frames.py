@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from glfock.cli import main
 from glfock.core import (PhiDescriptor, TruncatedSeries, gl_derivative,
-                         phi_coeff, phi_coeffs)
+                         phi_coeff, phi_coeffs, signs_logs)
 from glfock.errors import NonEntireError
 from glfock.fock import registered_weight, verified_weight
 from glfock.frames import (_sample_matrix, adjoint_kernel_coeffs,
@@ -12,6 +14,7 @@ from glfock.frames import (_sample_matrix, adjoint_kernel_coeffs,
                            frame_bounds, frame_sweep, interpolate_ls,
                            kernel_atoms, lattice_size)
 from glfock.weierstrass import LatticeSpec, PerturbedLattice
+from mp_oracles import lattice_sample_rows
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 WK = verified_weight(PhiDescriptor.exponential())
@@ -197,6 +200,43 @@ def test_sample_matrix_matches_iterated_derivative():
                     f = gl_derivative(desc, f)
             got = _sample_matrix(desc, w, N, n)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def lattice_rows():
+    """30-digit window 0-2 rows of EXP at degree <= 120 on the s = 1.5,
+    M = 16 lattice, from the library's own coefficient logs: the test judges
+    the basis assembly, not the coefficient table."""
+    return lattice_sample_rows(signs_logs(EXPN, 120)[1], 1.5, 16, (0, 1, 2))
+
+
+@pytest.mark.parametrize("N", [12, 24, 120])
+@pytest.mark.parametrize("window_n", [0, 1, 2])
+def test_sample_matrix_matches_mpmath(lattice_rows, N, window_n):
+    # each cell within (N + 1) eps of the sum of its terms' moduli, so that
+    # window terms cancelling near |w|^2 ~ m / pi are judged fairly; the
+    # node w = 0 is in the lattice
+    g = np.arange(-16, 17)
+    mm, nn = [a.ravel() for a in np.meshgrid(g, g, indexing="ij")]
+    w = math.sqrt(math.pi * 1.5) * (mm + 1j * nn)
+    assert np.count_nonzero(w == 0) == 1
+    rows, sizes = (np.array(x)[:, :N + 1] for x in lattice_rows[window_n])
+    got = _sample_matrix(EXPN, w, N, window_n)
+    assert np.all(np.abs(got - rows) <= (N + 1) * np.finfo(float).eps * sizes)
+
+
+def test_frames_sweep_top_power_overflow_is_an_error_row(capsys, tmp_path):
+    # at degree 250, w^250 overflows on nodes where the weight is still
+    # positive: the row reports an error, not a number
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"truncation": {"basis_N": 250}}))
+    with np.errstate(all="ignore"):
+        rc = main(["frames-sweep", "--config", str(cfg), "--s-min", "1.5",
+                   "--steps", "1"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0 and len(out) == 2
+    s, A, B, *_, status = out[1].split(",")
+    assert status.startswith("error:") and A == B == "nan"
 
 
 def test_adjoint_kernel_coeffs():
