@@ -281,6 +281,10 @@ def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
             raise ValueError("lattice size must be positive")
         w = math.sqrt(math.pi * s) * (mm + 1j * nn)
         omega = wk.weight(np.abs(w) ** 2) / win_norm
+        bad = np.flatnonzero(~np.isfinite(omega))
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"weight {omega[j]} at the node w = {w[j]}")
         L = _sample_matrix(desc, w, N, window_n)
         V = np.sqrt(omega)[:, None] * L
         reports.append(_eig_report(V, w.size, N))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,17 @@ def test_frame_sweep_guards():
         frame_sweep(EXPN, WK, 0, [0.0], 6, 4)
     with pytest.raises(ValueError):
         frame_sweep(EXPN, WK, -1, [1.0], 6, 4)
+
+
+def test_frame_sweep_refuses_infinite_weight():
+    # GD(2)'s weight e^-x (ln x)^2 is infinite at x = 0, the node w = 0: a
+    # ValueError naming the node, not nan rows and a RuntimeWarning
+    gd2 = PhiDescriptor.gamma_deriv(2)
+    wk = verified_weight(gd2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"weight inf at the node w = 0j"):
+            frame_sweep(gd2, wk, 0, [0.5], 12, 10)
 
 
 def test_canonical_dual_biorthogonality():
