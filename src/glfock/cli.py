@@ -248,6 +248,7 @@ def _random_series(desc: PhiDescriptor, rng, deg: int) -> TruncatedSeries:
 
 
 def _suite_duality(cfg: RunConfig) -> list:
+    phi_coeff(cfg.desc, 1)  # OverflowError past doubles: a config error, as in phi-info
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for t in range(20):
@@ -262,6 +263,7 @@ def _suite_duality(cfg: RunConfig) -> list:
 def _bargmann_trials(cfg: RunConfig, trials: int, degree: int) -> list:
     """(round-trip, lowering, raising) residuals for `trials` random Hermite
     expansions of the given degree, drawn from the config seed."""
+    phi_coeff(cfg.desc, 1)  # OverflowError past doubles: a config error, as in phi-info
     rng = np.random.default_rng(cfg.seed)
     out = []
     for _ in range(trials):

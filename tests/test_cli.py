@@ -243,10 +243,12 @@ OUT_OF_RANGE = [
     (["check", "--suite", "reproduce"], {"quadrature": {"radial_nodes": 80.5}}),
     (["phi-info"], {"output": {"path": 5}}),
     # valid parameters whose phi_1 leaves the double range: no OverflowError
-    # or ZeroDivisionError traceback
+    # or ZeroDivisionError traceback, and no nan residuals
     *[(argv, {"phi": phi}) for phi in ({"family": "mittag_leffler", "params": {"rho": 1e-3, "mu": 1.0}},
                                        {"family": "stretched_gamma", "params": {"a": 1e-300, "b": 1.0}})
-      for argv in (["phi-info"], ["check", "--suite", "weierstrass"], ["weierstrass-table"])],
+      for argv in (["phi-info"], ["check", "--suite", "weierstrass"], ["weierstrass-table"],
+                   ["check", "--suite", "duality"], ["check", "--suite", "bargmann"],
+                   ["bargmann-roundtrip"])],
 ]
 
 
