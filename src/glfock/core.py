@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -189,20 +189,35 @@ def _raw_signs_logs(desc: PhiDescriptor, ks: np.ndarray):
 
 
 @lru_cache(maxsize=512)
-def _signs_logs_cached(desc: PhiDescriptor, kmax: int):
-    ks = np.arange(kmax + 1)
-    signs, logs = _raw_signs_logs(desc, ks)
-    if desc.normalized:
-        signs = signs * signs[0]
-        logs = logs - logs[0]
-    signs.setflags(write=False)
-    logs.setflags(write=False)
-    return signs, logs
+def _table(desc: PhiDescriptor) -> list:
+    """[signs, logs] of one descriptor, grown in place by _rows."""
+    return [np.ones(0), np.zeros(0)]
+
+
+def _rows(desc: PhiDescriptor, n: int) -> list:
+    """The table of desc with at least n rows.  Only the missing rows are
+    computed (each row is independent of the others), and a normalized
+    table is derived from the raw rows."""
+    table = _table(desc)
+    have = table[0].size
+    if have < n:
+        if desc.normalized:
+            s, l = _rows(replace(desc, normalized=False), n)
+            new = s[have:n] * s[0], l[have:n] - l[0]
+        else:
+            new = _raw_signs_logs(desc, np.arange(have, n))
+        for i, rows in enumerate(new):
+            table[i] = np.concatenate([table[i], rows])
+            table[i].setflags(write=False)
+    return table
 
 
 def signs_logs(desc: PhiDescriptor, kmax: int):
-    """Arrays (sign_k, log|phi_k|) for k = 0..kmax."""
-    return _signs_logs_cached(desc, int(kmax))
+    """Arrays (sign_k, log|phi_k|) for k = 0..kmax, read-only slices of the
+    descriptor's one growing table."""
+    n = int(kmax) + 1
+    s, l = _rows(desc, n)
+    return s[:n], l[:n]
 
 
 def log_phi_coeff(desc: PhiDescriptor, k: int) -> tuple[float, float]:
