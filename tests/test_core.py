@@ -8,7 +8,7 @@ import pytest
 from glfock import cli, core
 from glfock.core import (PhiDescriptor, TruncatedSeries, gl_derivative,
                          log_phi_coeff, multiply_z, order_degree_check,
-                         phi_coeff, phi_coeffs, phi_eval, signs_logs)
+                         phi_coeff, phi_coeffs, phi_eval)
 from glfock.errors import DivergenceError, NonEntireError
 
 EXP = PhiDescriptor.exponential()
@@ -204,28 +204,16 @@ def test_gamma_deriv_family_signed_phi0():
     assert abs(v + 1.0 / 0.5772156649015329) <= 1e-10
 
 
-def test_signs_logs_serves_read_only_prefixes():
-    s, l = signs_logs(ML21, 40)
-    for k in (0, 5, 40):
-        sk, lk = signs_logs(ML21, k)
-        assert sk.shape == lk.shape == (k + 1,)
-        assert not sk.flags.writeable and not lk.flags.writeable
-        assert np.array_equal(lk, l[:k + 1])
-    # the normalized table is the raw one shifted by its first row
-    _, ln = signs_logs(ML21.normalize(), 40)
-    assert np.array_equal(ln, l - l[0])
-
-
 def test_signs_logs_computes_each_row_once(monkeypatch, tmp_path, capsys):
     # a cold gamma-derivative phi-info asks for tables of 1..10 rows, then
     # longer ones, raw and normalized: every x = k + 1 is computed once
     xs = []
+    real = core.log_gamma_deriv
 
     def spy(n, x):
         xs.extend(np.atleast_1d(x).tolist())
-        return log_gamma_deriv(n, x)
+        return real(n, x)
 
-    log_gamma_deriv = core.log_gamma_deriv
     monkeypatch.setattr(core, "log_gamma_deriv", spy)
     core._table.cache_clear()
     cfg = tmp_path / "gd3.json"

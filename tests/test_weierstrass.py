@@ -153,6 +153,11 @@ def test_signs_logs_prefix_consistent(desc):
     for k in (0, 1, 3, 10, 63, 64, 127, 128, 1000, 4096, 16384, 19999):
         sk, lk = signs_logs(desc, k)
         assert np.array_equal(sk, s[:k + 1]) and np.array_equal(lk, l[:k + 1]), k
+        assert not sk.flags.writeable and not lk.flags.writeable
+    if desc.normalized:
+        # derived from the raw table
+        rs, rl = signs_logs(replace(desc, normalized=False), 20000)
+        assert np.array_equal(s, rs * rs[0]) and np.array_equal(l, rl - rl[0])
 
 
 def _omega_bound_full_table(desc):
