@@ -24,7 +24,8 @@ import numpy as np
 
 from .bargmann import (HermiteCoeffs, bargmann_forward, bargmann_inverse,
                        intertwine_residuals)
-from .core import (PhiDescriptor, TruncatedSeries, order_degree_check, phi_coeff)
+from .core import (PhiDescriptor, TruncatedSeries, order_degree_check, phi_coeff,
+                   signs_logs)
 from .errors import (ConvergenceError, DivergenceError, NonEntireError,
                      UnverifiedWeightError)
 from .fock import (QuadratureScheme, duality_check, moment_check,
@@ -124,7 +125,17 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _require_range(desc: PhiDescriptor, kmax: int) -> None:
+    """phi_0..phi_kmax, the coefficients a command uses, must be doubles."""
+    _, l = signs_logs(desc, kmax)
+    bad = np.flatnonzero(np.abs(l) > 708.0)
+    if bad.size:
+        k = int(bad[0])
+        raise ConfigError(f"phi_{k} for {desc.family} outside double range (log={l[k]:.1f})")
+
+
 def _resolve_weight(cfg: RunConfig, verify: bool = True):
+    _require_range(cfg.desc, 10)  # the moment gate's n_max
     try:
         wk = registered_weight(cfg.desc)
     except ValueError as e:
@@ -192,7 +203,7 @@ def _json_default(o):
 def cmd_phi_info(cfg: RunConfig, args) -> int:
     d = cfg.desc
     coeffs = [phi_coeff(d, k) for k in range(10)]
-    dn = d if d.normalized else d.normalize()
+    dn = d.normalize()
     ps = psi_pair(dn)
     rb = radius_bounds(dn, N=max(100, 2 * cfg.series_N))
     info = {
@@ -241,14 +252,13 @@ def _random_series(desc: PhiDescriptor, rng, deg: int) -> TruncatedSeries:
     Raw N(0,1) monomial coefficients would put all the mass in high modes,
     where 1/phi_k amplifies rounding by k! and drowns genuine residuals.
     """
-    from .core import signs_logs
     _, l = signs_logs(desc, deg)
     a = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
     return TruncatedSeries(a * np.exp(0.5 * l[: deg + 1]))
 
 
 def _suite_duality(cfg: RunConfig) -> list:
-    phi_coeff(cfg.desc, 1)  # OverflowError past doubles: a config error, as in phi-info
+    _require_range(cfg.desc, 12)  # the largest degree drawn below
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for t in range(20):
@@ -263,7 +273,7 @@ def _suite_duality(cfg: RunConfig) -> list:
 def _bargmann_trials(cfg: RunConfig, trials: int, degree: int) -> list:
     """(round-trip, lowering, raising) residuals for `trials` random Hermite
     expansions of the given degree, drawn from the config seed."""
-    phi_coeff(cfg.desc, 1)  # OverflowError past doubles: a config error, as in phi-info
+    _require_range(cfg.desc, degree + 1)  # the raising operator reaches degree + 1
     rng = np.random.default_rng(cfg.seed)
     out = []
     for _ in range(trials):
@@ -286,7 +296,7 @@ def _suite_bargmann(cfg: RunConfig) -> list:
 
 
 def _suite_weierstrass(cfg: RunConfig) -> list:
-    d = cfg.desc if cfg.desc.normalized else cfg.desc.normalize()
+    d = cfg.desc.normalize()
     rows = []
     ps = psi_pair(d)
     rows.append({"check": "psi_finite", "residual": 0.0,
@@ -378,7 +388,7 @@ def cmd_frames_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_weierstrass_table(cfg: RunConfig, args) -> int:
-    d = cfg.desc if cfg.desc.normalized else cfg.desc.normalize()
+    d = cfg.desc.normalize()
     wk = _resolve_weight(cfg, verify=False)
     if args.grid_n < 1:
         raise ConfigError("grid-n must be >= 1")

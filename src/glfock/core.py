@@ -8,7 +8,8 @@ The derivative D acts on coefficients by
 
 so phi itself is its eigenfunction with eigenvalue 1 and the classical
 d/dz is recovered for phi_k = 1/k!.  All coefficient ratios are formed in
-log space (differences of log-gamma) to stay stable for k in the hundreds.
+log space (differences of log-gamma) to stay stable for k in the hundreds;
+series are summed by Horner's rule on the double coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, NonEntireError
-from .special import gammaln, log_gamma_deriv
+from .special import _horner, gammaln, log_gamma_deriv
 
 __all__ = [
     "PhiDescriptor",
@@ -242,11 +243,15 @@ def phi_coeff(desc: PhiDescriptor, k: int) -> float:
 
 
 def phi_coeffs(desc: PhiDescriptor, kmax: int) -> np.ndarray:
-    """Dense float vector (phi_0..phi_kmax); entries beyond the double range
-    underflow to 0, which is harmless for the small-argument Horner paths."""
+    """Dense float vector (phi_0..phi_kmax).  Raises OverflowError, as
+    phi_coeff does, where log|phi_k| > 708; entries below the double range
+    underflow to 0."""
     s, l = signs_logs(desc, kmax)
+    if np.any(l > 708.0):
+        k = int(np.argmax(l > 708.0))
+        raise OverflowError(f"phi_{k} for {desc.family} outside double range (log={l[k]:.1f})")
     with np.errstate(under="ignore"):
-        return s * np.exp(np.minimum(l, 700.0))
+        return s * np.exp(l)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +279,7 @@ class TruncatedSeries:
         return self.coeffs.size - 1
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
+        acc = _horner(self.coeffs[::-1], np.asarray(z, dtype=complex))
         return acc if acc.shape else complex(acc)
 
     def pad_to(self, n: int) -> "TruncatedSeries":
@@ -312,35 +314,18 @@ def multiply_z(f: TruncatedSeries) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 def phi_eval(desc: PhiDescriptor, z, N: int):
-    """Partial sum sum_{k<=N} phi_k z^k, assembled in log space.
-
-    For the radius-1 family, |z| >= 1 raises DivergenceError.
+    """Partial sum sum_{k<=N} phi_k z^k by Horner's rule on phi_coeffs, within
+    gamma_2N sum |phi_k| |z|^k.  OverflowError where some log|phi_k| > 708;
+    phi_k below the double range count as 0, so terms phi_k z^k that matter
+    there are lost.  For the radius-1 family, |z| >= 1 raises DivergenceError.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     z = np.asarray(z, dtype=complex)
-    scalar = z.shape == ()
-    zf = np.atleast_1d(z)
-    if not desc.entire and np.any(np.abs(zf) >= 1.0):
+    if not desc.entire and np.any(np.abs(z) >= 1.0):
         raise DivergenceError("evaluation point outside radius of convergence (=1)")
-    s, l = signs_logs(desc, N)
-    az = np.abs(zf)
-    th = np.angle(zf)
-    k = np.arange(N + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logaz = np.where(az > 0, np.log(np.maximum(az, 1e-300)), -np.inf)
-        expo = l[:, None] + k[:, None] * logaz[None, :]      # (N+1, P)
-    expo = np.where(np.isnan(expo), -np.inf, expo)
-    L = expo.max(axis=0)
-    L = np.where(np.isfinite(L), L, 0.0)
-    with np.errstate(under="ignore"):
-        terms = s[:, None] * np.exp(expo - L[None, :]) * np.exp(1j * k[:, None] * th[None, :])
-    val = np.exp(L) * terms.sum(axis=0)
-    # z = 0 columns: only k = 0 survives
-    zero = az == 0
-    if np.any(zero):
-        val[zero] = s[0] * math.exp(l[0])
-    return complex(val[0]) if scalar else val
+    val = _horner(phi_coeffs(desc, N)[::-1], z)
+    return val if val.shape else complex(val)
 
 
 @dataclass(frozen=True)

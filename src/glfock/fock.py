@@ -322,41 +322,41 @@ def inner_product_l2phi(desc: PhiDescriptor, f: TruncatedSeries, g: TruncatedSer
                           * s[k] * np.exp(-l[k])))
 
 
-def _require_verified(wk: WeightKernel):
+def _polar_integral(wk: WeightKernel, deg: int, quad_scheme: Optional[QuadratureScheme],
+                    integrand) -> complex:
+    """(1/pi) int integrand(w) W(|w|^2) dA(w) for a verified weight: the
+    angular trapezoid mean of integrand on each radial node's ring of w,
+    then _radial_integral.  The angular rule must resolve degree deg in w
+    and conj(w); integrand maps an array of w to values of its shape."""
     if not wk.verified:
         raise UnverifiedWeightError(
             "weight kernel must pass moment_check (use verified_weight) "
             "before use in planar integrals")
-
-
-def _angular_check(quad_scheme: QuadratureScheme, max_degree: int):
-    need = 2 * max_degree + 2
+    if quad_scheme is None:
+        quad_scheme = default_quadrature(wk, deg)
+    need = 2 * deg + 2
     if quad_scheme.angular_nodes < need:
         raise ValueError(
             f"angular_nodes={quad_scheme.angular_nodes} < {need} required for "
-            f"polynomial degree {max_degree}")
-
-
-def inner_product_fock(wk: WeightKernel, f: TruncatedSeries, g: TruncatedSeries,
-                       quad_scheme: Optional[QuadratureScheme] = None) -> complex:
-    """Planar pairing (1/pi) int conj(f) g W(|z|^2) dA by polar quadrature."""
-    _require_verified(wk)
-    if not wk.is_positive:
-        warnings.warn("signed weight: planar pairing is signed-measure data")
-    deg = max(f.degree_cap, g.degree_cap)
-    if quad_scheme is None:
-        quad_scheme = default_quadrature(wk, deg)
-    _angular_check(quad_scheme, deg)
+            f"polynomial degree {deg}")
     A = quad_scheme.angular_nodes
     theta = 2.0 * np.pi * np.arange(A) / A
     ephase = np.exp(1j * theta)
 
     def angular_mean(x):
         r = np.sqrt(np.asarray(x, dtype=float))
-        zz = r[:, None] * ephase[None, :]
-        return np.mean(np.conj(f(zz)) * g(zz), axis=1)
+        return np.mean(integrand(r[:, None] * ephase[None, :]), axis=1)
 
     return _radial_integral(wk, angular_mean, quad_scheme)
+
+
+def inner_product_fock(wk: WeightKernel, f: TruncatedSeries, g: TruncatedSeries,
+                       quad_scheme: Optional[QuadratureScheme] = None) -> complex:
+    """Planar pairing (1/pi) int conj(f) g W(|z|^2) dA by polar quadrature."""
+    if not wk.is_positive:
+        warnings.warn("signed weight: planar pairing is signed-measure data")
+    return _polar_integral(wk, max(f.degree_cap, g.degree_cap), quad_scheme,
+                           lambda w: np.conj(f(w)) * g(w))
 
 
 def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: complex,
@@ -367,23 +367,10 @@ def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: comp
     the kernel is truncated at f's degree cap, which is exact because higher
     kernel modes integrate to zero against a polynomial.
     """
-    _require_verified(wk)
     NK = f.degree_cap
-    if quad_scheme is None:
-        quad_scheme = default_quadrature(wk, NK)
-    _angular_check(quad_scheme, NK)
-    A = quad_scheme.angular_nodes
-    theta = 2.0 * np.pi * np.arange(A) / A
-    ephase = np.exp(1j * theta)
     z = complex(z)
-
-    def angular_mean(x):
-        r = np.sqrt(np.asarray(x, dtype=float))
-        ww = r[:, None] * ephase[None, :]
-        kern = phi_eval(desc, z * np.conj(ww).ravel(), NK).reshape(ww.shape)
-        return np.mean(kern * f(ww), axis=1)
-
-    return _radial_integral(wk, angular_mean, quad_scheme)
+    return _polar_integral(wk, NK, quad_scheme,
+                           lambda w: phi_eval(desc, z * np.conj(w), NK) * f(w))
 
 
 def duality_check(desc: PhiDescriptor, f: TruncatedSeries, g: TruncatedSeries) -> float:

@@ -264,7 +264,8 @@ def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
     |m|, |n| <= M; each carries the squared transform weight
     W(|w|^2) / (pi^n phi_n).  Returns one FrameReport per s: the empirical
     break of A(s) under N-refinement locates the critical size (classic
-    calibration: s = 1).
+    calibration: s = 1).  ValueError where the weighted basis matrix is not
+    finite, as when the top power w^N leaves the double range.
     """
     _check_weight(wk)
     if window_n < 0:
@@ -285,8 +286,10 @@ def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
         if bad.size:
             j = bad[0]
             raise ValueError(f"weight {omega[j]} at the node w = {w[j]}")
-        L = _sample_matrix(desc, w, N, window_n)
-        V = np.sqrt(omega)[:, None] * L
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = np.sqrt(omega)[:, None] * _sample_matrix(desc, w, N, window_n)
+        if not np.isfinite(V).all():
+            raise ValueError(f"weighted basis matrix not finite at s = {s}")
         reports.append(_eig_report(V, w.size, N))
     return reports
 

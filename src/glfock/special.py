@@ -43,11 +43,15 @@ _GD_NARROW = tuple(a[np.abs(_GD_U) <= 1.0] for a in _GD_FULL)
 _GD_CELLS = 8192
 
 
-def _horner(x, coef):
-    acc = coef[0]
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
+def _horner(coefs, U: np.ndarray) -> np.ndarray:
+    """Horner's rule at U over coefs, the highest degree first, in one array:
+    glfock's one power-series evaluator, within gamma_2n sum |c_k| |U|^k at
+    degree n (Higham, Accuracy and Stability of Numerical Algorithms, 5.1)."""
+    V = np.zeros_like(U)
+    for c in coefs:
+        np.multiply(V, U, out=V)
+        V += c
+    return V
 
 
 def _log(v: np.ndarray) -> np.ndarray:
@@ -82,7 +86,7 @@ def gammaln(x):
             u = np.where(m, xs + p, u)
         t = xs + (p - 2.0)
         logz = _log(z)
-        out[small] = np.where(u == 2.0, logz, logz + t * _horner(t, _LGAM_B) / _horner(t, _LGAM_C))
+        out[small] = np.where(u == 2.0, logz, logz + t * _horner(_LGAM_B, t) / _horner(_LGAM_C, t))
         big = (x >= 13.0) & (x <= _MAXLGM)
         xb = x[big]
         q = (xb - 0.5) * _log(xb) - xb + _LS2PI
@@ -90,7 +94,7 @@ def gammaln(x):
         tail = np.where(xb >= 1000.0,
                         ((7.9365079365079365079365e-4 * w - 2.7777777777777777777778e-3) * w
                          + 0.0833333333333333333333) / xb,
-                        _horner(w, _LGAM_A) / xb)
+                        _horner(_LGAM_A, w) / xb)
         out[big] = np.where(xb > 1.0e8, q, q + tail)
     out[x > _MAXLGM] = math.inf
     return out[()]

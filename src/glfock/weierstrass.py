@@ -33,6 +33,7 @@ import numpy as np
 from .core import PhiDescriptor, phi_coeffs, phi_eval, signs_logs
 from .errors import ConvergenceError, DivergenceError, NormalizationError
 from .fock import WeightKernel
+from .special import _horner
 
 __all__ = [
     "PsiPair",
@@ -78,7 +79,7 @@ def _normalized(desc: PhiDescriptor) -> PhiDescriptor:
     """Accept descriptors that are normalized or already have phi_0 = 1."""
     s, l = signs_logs(desc, 0)
     if desc.normalized or (s[0] == 1.0 and l[0] == 0.0):
-        return desc if desc.normalized else desc.normalize()
+        return desc.normalize()
     raise NormalizationError(
         f"{desc.family}{desc.params_dict} has phi_0 != 1; pass the normalized "
         "descriptor (normalize())")
@@ -170,11 +171,7 @@ def omega(desc: PhiDescriptor, z, N: int = 80):
         out[far] = (E - 1.0) / zz**3
         series[far] = cancel
     if np.any(series):
-        zz = zf[series]
-        ser = np.zeros_like(zz)
-        for c in e_series(desc, 17)[3:][::-1]:
-            ser = ser * zz + c
-        out[series] = ser
+        out[series] = _horner(e_series(desc, 17)[3:][::-1], zf[series])
     return complex(out[0]) if scalar else out
 
 
@@ -360,15 +357,6 @@ def _log_e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
     return ell
 
 
-def _horner(coefs: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Horner's rule at U over coefs, the highest degree first, in one array."""
-    V = np.zeros_like(U)
-    for c in coefs:
-        np.multiply(V, U, out=V)
-        V += c
-    return V
-
-
 def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                  dens: np.ndarray, ps: PsiPair, N: int) -> np.ndarray:
     """sum over nodes of log[(1 - z/node) phi(psi1 z/node + psi2 z^2/den^2)].
@@ -450,7 +438,7 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
             S[k] = p.sum()
             p *= w
         coef = _log_e_series(d, K, N)[1:] * S
-        out += np.polyval(np.append(coef[::-1], 0.0), z / zmax)
+        out += _horner(np.append(coef[::-1], 0.0), z / zmax)
     return out
 
 

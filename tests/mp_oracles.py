@@ -109,6 +109,18 @@ def log_factor_series(family: str, params: dict, K: int, N: int = 80) -> list:
         return [float(c) for c in ell]
 
 
+def power_sum(coefs, z: complex) -> tuple[complex, float]:
+    """(sum_k c_k z^k, sum_k |c_k| |z|^k) at 40 digits, each double c_k and z
+    taken as exact: a reference for the summation alone."""
+    with mp.workdps(40):
+        z = mp.mpc(z)
+        val, size = mp.mpc(0), mp.mpf(0)
+        for c in reversed(list(coefs)):
+            val = val * z + mp.mpf(float(c))
+            size = size * abs(z) + abs(mp.mpf(float(c)))
+        return complex(val), float(size)
+
+
 def sigma_product(family: str, params: dict, z: complex, M: int, N: int = 80) -> complex:
     """z prod E_N(z / node) over the nonzero nodes m + i n, |m|, |n| <= M, at
     30 digits (mpmath's exponent range holds the product)."""

@@ -243,12 +243,22 @@ OUT_OF_RANGE = [
     (["check", "--suite", "reproduce"], {"quadrature": {"radial_nodes": 80.5}}),
     (["phi-info"], {"output": {"path": 5}}),
     # valid parameters whose phi_1 leaves the double range: no OverflowError
-    # or ZeroDivisionError traceback, and no nan residuals
+    # or ZeroDivisionError traceback, no nan residuals and no exit 3 from the
+    # moment gate
     *[(argv, {"phi": phi}) for phi in ({"family": "mittag_leffler", "params": {"rho": 1e-3, "mu": 1.0}},
                                        {"family": "stretched_gamma", "params": {"a": 1e-300, "b": 1.0}})
       for argv in (["phi-info"], ["check", "--suite", "weierstrass"], ["weierstrass-table"],
                    ["check", "--suite", "duality"], ["check", "--suite", "bargmann"],
-                   ["bargmann-roundtrip"])],
+                   ["bargmann-roundtrip"], ["check", "--suite", "moments"],
+                   ["check", "--suite", "reproduce"], ["frames-sweep"])],
+    # phi_1 in range, but log phi_4 = -863 for ML(0.02, 1), below the
+    # degrees these commands use
+    *[(argv, {"phi": {"family": "mittag_leffler", "params": {"rho": 0.02, "mu": 1.0}}})
+      for argv in (["check", "--suite", "duality"], ["check", "--suite", "bargmann"],
+                   ["bargmann-roundtrip"], ["check", "--suite", "moments"])],
+    # log phi_11 = 742 for normalized SG(1e30, 1): the lattice factors raise
+    *[(argv, {"phi": {"family": "stretched_gamma", "params": {"a": 1e30, "b": 1.0}}})
+      for argv in (["check", "--suite", "weierstrass"], ["weierstrass-table"])],
 ]
 
 

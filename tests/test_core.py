@@ -10,6 +10,7 @@ from glfock.core import (PhiDescriptor, TruncatedSeries, gl_derivative,
                          log_phi_coeff, multiply_z, order_degree_check,
                          phi_coeff, phi_coeffs, phi_eval)
 from glfock.errors import DivergenceError, NonEntireError
+from mp_oracles import power_sum
 
 EXP = PhiDescriptor.exponential()
 ML21 = PhiDescriptor.mittag_leffler(2, 1)
@@ -34,6 +35,21 @@ def test_phi_coeff_overflow_and_log_path():
         phi_coeff(EXP, 400)
     s, l = log_phi_coeff(EXP, 400)
     assert s == 1.0 and l < -2000.0
+
+
+def test_phi_coeffs_raise_past_double_range():
+    # normalized SG(a, 1) has phi_k = a^k / k!: log phi_11 = 11 ln 1e30 - ln 11!
+    # = 742 > 708; a clamp would make phi_eval and the lattice products read
+    # a different phi than phi_coeff
+    big = PhiDescriptor.stretched_gamma(1e30, 1.0, normalized=True)
+    assert phi_coeffs(big, 10)[10] == pytest.approx(1e300 / math.factorial(10), rel=1e-12)
+    with pytest.raises(OverflowError, match="phi_11"):
+        phi_coeffs(big, 11)
+    with pytest.raises(OverflowError):
+        phi_eval(big, 1e-30, 80)
+    # below the double range the coefficients are 0, not an error
+    v = phi_coeffs(EXP, 400)
+    assert v[200] == 0.0 and v[170] > 0.0
 
 
 def test_phi_coeffs_vector_consistent():
@@ -166,6 +182,34 @@ def test_phi_eval_vector_and_zero():
     assert abs(v[0] - 1.0) == 0.0
     assert abs(v[1] - math.e) <= 1e-14 * math.e
     assert abs(v[2] - np.exp(1j)) <= 1e-14
+
+
+HORNER_FAMILIES = {
+    "EXP": EXP,
+    "ML(2,1)": ML21,
+    "ML(0.5,1)": PhiDescriptor.mittag_leffler(0.5, 1.0),
+    "SG(1,2)": SG,
+    "GD(1)": GD1,
+    "GD(3)": PhiDescriptor.gamma_deriv(3),
+    "Dunkl(1)": PhiDescriptor.dunkl(1.0),
+}
+
+
+@pytest.mark.parametrize("N", [10, 80])
+@pytest.mark.parametrize("name", sorted(HORNER_FAMILIES))
+def test_phi_eval_within_summation_bound(name, N):
+    # against 40-digit sums of the same double coefficients, so the test
+    # judges the summation alone: Horner's error is at most
+    # gamma_2N sum |phi_k| |z|^k (Higham 2002, section 5.1); (N + 1) eps of
+    # that sum is the bound checked, on 16 points of each ring
+    desc = HORNER_FAMILIES[name]
+    c = phi_coeffs(desc, N)
+    ring = np.exp(2j * np.pi * np.arange(16) / 16)
+    z = np.concatenate([r * ring for r in (0.5, 2.5, 5.0, 20.0)])
+    got = phi_eval(desc, z, N)
+    for zi, gi in zip(z, got):
+        want, size = power_sum(c, zi)
+        assert abs(gi - want) <= (N + 1) * np.finfo(float).eps * size
 
 
 def test_order_degree_exponential():

@@ -290,6 +290,20 @@ def test_sigma_ring_diagnostic():
     assert abs(v - (0.30207158259277594 + 0.4241484099570185j)) <= 1e-12
 
 
+def test_sigma_scale_family_reads_one_phi_or_raises():
+    # normalized SG(a, 1) has phi_k u^k = (a u)^k / k! with u ~ 1/a, so sigma
+    # does not depend on a; where phi_k leaves the double range (a = 1e30
+    # from k = 11) the product raises instead of reading a clamped phi
+    lat, z = LatticeSpec(1.0, 12), -1.9 + 0.3j
+    assert sigma_fn(PhiDescriptor.stretched_gamma(1.0, 1.0, normalized=True), z, lat) \
+        == sigma_fn(EXPN, z, lat)
+    for a in (1e30, 1e100):
+        with pytest.raises(OverflowError):
+            sigma_fn(PhiDescriptor.stretched_gamma(a, 1.0, normalized=True), z, lat)
+    with pytest.raises(OverflowError):
+        weierstrass_factor(PhiDescriptor.stretched_gamma(1e30, 1.0, normalized=True), 2j)
+
+
 def test_g_fn_equals_sigma_unperturbed():
     lat = LatticeSpec(1.0, 6)
     gam = PerturbedLattice(lat)
