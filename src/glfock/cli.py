@@ -24,8 +24,7 @@ import numpy as np
 
 from .bargmann import (HermiteCoeffs, bargmann_forward, bargmann_inverse,
                        intertwine_residuals)
-from .core import (PhiDescriptor, TruncatedSeries, order_degree_check, phi_coeff,
-                   signs_logs)
+from .core import (PhiDescriptor, TruncatedSeries, order_degree_check, phi_coeff)
 from .errors import (ConvergenceError, DivergenceError, NonEntireError,
                      UnverifiedWeightError)
 from .fock import (QuadratureScheme, duality_check, moment_check,
@@ -126,12 +125,10 @@ def _is_int(v) -> bool:
 
 
 def _require_range(desc: PhiDescriptor, kmax: int) -> None:
-    """phi_0..phi_kmax, the coefficients a command uses, must be doubles."""
-    _, l = signs_logs(desc, kmax)
-    bad = np.flatnonzero(np.abs(l) > 708.0)
-    if bad.size:
-        k = int(bad[0])
-        raise ConfigError(f"phi_{k} for {desc.family} outside double range (log={l[k]:.1f})")
+    """phi_0..phi_kmax, the coefficients a command uses, must be doubles:
+    phi_coeff raises OverflowError, a config error, where one is not."""
+    for k in range(kmax + 1):
+        phi_coeff(desc, k)
 
 
 def _resolve_weight(cfg: RunConfig, verify: bool = True):
@@ -252,6 +249,7 @@ def _random_series(desc: PhiDescriptor, rng, deg: int) -> TruncatedSeries:
     Raw N(0,1) monomial coefficients would put all the mass in high modes,
     where 1/phi_k amplifies rounding by k! and drowns genuine residuals.
     """
+    from .core import signs_logs
     _, l = signs_logs(desc, deg)
     a = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
     return TruncatedSeries(a * np.exp(0.5 * l[: deg + 1]))

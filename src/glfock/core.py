@@ -243,8 +243,8 @@ def phi_coeff(desc: PhiDescriptor, k: int) -> float:
 
 
 def phi_coeffs(desc: PhiDescriptor, kmax: int) -> np.ndarray:
-    """Dense float vector (phi_0..phi_kmax).  Raises OverflowError, as
-    phi_coeff does, where log|phi_k| > 708; entries below the double range
+    """Dense float vector (phi_0..phi_kmax).  Raises OverflowError where
+    log|phi_k| > 708, phi_coeff's limit; entries below the double range
     underflow to 0."""
     s, l = signs_logs(desc, kmax)
     if np.any(l > 708.0):
