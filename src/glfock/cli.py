@@ -27,8 +27,8 @@ from .bargmann import (HermiteCoeffs, bargmann_forward, bargmann_inverse,
 from .core import (PhiDescriptor, TruncatedSeries, order_degree_check, phi_coeff)
 from .errors import (ConvergenceError, DivergenceError, NonEntireError,
                      UnverifiedWeightError)
-from .fock import (QuadratureScheme, duality_check, moment_check,
-                   registered_weight, reproduce, verified_weight)
+from .fock import (duality_check, moment_check, registered_weight, reproduce,
+                   verified_weight)
 from .frames import density, frame_sweep
 from .weierstrass import (LatticeSpec, omega, omega_bound, psi_pair,
                           radius_bounds, sigma_lower_diag, weierstrass_factor)
@@ -50,8 +50,6 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     desc: PhiDescriptor
-    weight_tag: str = "registered"
-    quadrature: Optional[dict] = None
     series_N: int = 80
     lattice_M: int = 12
     basis_N: int = 12
@@ -61,6 +59,27 @@ class RunConfig:
 
 
 _DEFAULT_PHI = {"family": "exponential", "params": {}, "normalized": False}
+
+# The keys a config file may set in each object ("" is the root), as the
+# README lists them; any other key is a configuration error.  phi.params
+# holds the family factory's own keyword arguments.
+CONFIG_KEYS = {
+    "": ("phi", "truncation", "seed", "output"),
+    "phi": ("family", "params", "normalized"),
+    "truncation": ("series_N", "lattice_M", "basis_N"),
+    "output": ("path", "format"),
+}
+
+
+def _check_keys(section: str, obj) -> None:
+    """The config's `section` object must set only keys CONFIG_KEYS names."""
+    where = f"field '{section}'" if section else "config root"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    unknown = sorted(set(obj) - set(CONFIG_KEYS[section]))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r} "
+                          f"(accepted: {', '.join(CONFIG_KEYS[section])})")
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -73,49 +92,32 @@ def load_config(path: Optional[str]) -> RunConfig:
             raise ConfigError(f"cannot read config: {e}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"malformed JSON in config: {e}")
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
+    _check_keys("", raw)
+    phi = raw.get("phi", _DEFAULT_PHI)
+    _check_keys("phi", phi)
     try:
-        desc = PhiDescriptor.from_dict(raw.get("phi", _DEFAULT_PHI))
+        desc = PhiDescriptor.from_dict(phi)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"field 'phi': {e}")
-    weight_tag = raw.get("weight", "registered")
-    if not isinstance(weight_tag, str):
-        raise ConfigError("field 'weight': expected a form tag string")
-    quad = raw.get("quadrature")
-    if quad is not None:
-        if not isinstance(quad, dict):
-            raise ConfigError("field 'quadrature': expected an object")
-        try:
-            QuadratureScheme(**quad)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"field 'quadrature': {e}")
+    cfg = RunConfig(desc=desc)
     trunc = raw.get("truncation", {})
-    if not isinstance(trunc, dict):
-        raise ConfigError("field 'truncation': expected an object")
-    cfg = RunConfig(desc=desc, weight_tag=weight_tag, quadrature=quad)
-    for key, attr in (("series_N", "series_N"), ("lattice_M", "lattice_M"),
-                      ("basis_N", "basis_N")):
-        if key in trunc:
-            v = trunc[key]
-            if not _is_int(v) or v <= 0:
-                raise ConfigError(f"field 'truncation.{key}': positive integer required")
-            setattr(cfg, attr, v)
+    _check_keys("truncation", trunc)
+    for key, v in trunc.items():
+        if not _is_int(v) or v <= 0:
+            raise ConfigError(f"field 'truncation.{key}': positive integer required")
+        setattr(cfg, key, v)
     seed = raw.get("seed", 0)
     if not _is_int(seed) or seed < 0:
         raise ConfigError("field 'seed': natural number required")
     cfg.seed = seed
     out = raw.get("output", {})
-    if out:
-        if not isinstance(out, dict):
-            raise ConfigError("field 'output': expected an object")
-        cfg.out_path = out.get("path")
-        if cfg.out_path is not None and not isinstance(cfg.out_path, str):
-            raise ConfigError("field 'output.path': expected a file name string")
-        fmt = out.get("format")
-        if fmt is not None and fmt not in ("csv", "json"):
-            raise ConfigError("field 'output.format': must be 'csv' or 'json'")
-        cfg.out_format = fmt
+    _check_keys("output", out)
+    cfg.out_path = out.get("path")
+    if cfg.out_path is not None and not isinstance(cfg.out_path, str):
+        raise ConfigError("field 'output.path': expected a file name string")
+    cfg.out_format = out.get("format")
+    if cfg.out_format is not None and cfg.out_format not in ("csv", "json"):
+        raise ConfigError("field 'output.format': must be 'csv' or 'json'")
     return cfg
 
 
@@ -137,17 +139,7 @@ def _resolve_weight(cfg: RunConfig, verify: bool = True):
         wk = registered_weight(cfg.desc)
     except ValueError as e:
         raise ConfigError(str(e))
-    if cfg.weight_tag not in ("registered", wk.form):
-        raise ConfigError(
-            f"weight tag {cfg.weight_tag!r} does not match the registered "
-            f"form {wk.form!r} for family {cfg.desc.family!r}")
-    if verify:
-        wk = verified_weight(cfg.desc, quad_scheme=_scheme(cfg))
-    return wk
-
-
-def _scheme(cfg: RunConfig) -> Optional[QuadratureScheme]:
-    return QuadratureScheme(**cfg.quadrature) if cfg.quadrature else None
+    return verified_weight(cfg.desc) if verify else wk
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +230,7 @@ def _suite_moments(cfg: RunConfig) -> list:
     if not cfg.desc.entire:
         raise ConfigError("moments suite rejects non-entire families")
     wk = _resolve_weight(cfg, verify=False)
-    rep = moment_check(cfg.desc, wk, n_max=10, tol=1e-8, quad_scheme=_scheme(cfg))
+    rep = moment_check(cfg.desc, wk, n_max=10, tol=1e-8)
     return [{"check": f"moment_{row['n']}", "residual": row["residual"],
              "pass": row["residual"] <= 1e-8} for row in rep.rows]
 
@@ -325,7 +317,7 @@ def _suite_reproduce(cfg: RunConfig) -> list:
         deg = int(rng.integers(0, 9))
         f = TruncatedSeries(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
         z = complex(*rng.uniform(-1.2, 1.2, size=2))
-        got = reproduce(cfg.desc, wk, f, z, quad_scheme=_scheme(cfg))
+        got = reproduce(cfg.desc, wk, f, z)
         r = abs(got - f(z))
         rows.append({"check": f"reproduce_{t}", "residual": float(r), "pass": r <= 1e-6})
     return rows

@@ -132,19 +132,12 @@ class PhiDescriptor:
         family = d["family"]
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        params = d.get("params", {})
         normalized = d.get("normalized", False)
         if not isinstance(normalized, bool):
             raise ValueError("normalized must be true or false")
-        maker = {
-            "exponential": lambda: cls.exponential(normalized),
-            "mittag_leffler": lambda: cls.mittag_leffler(params["rho"], params["mu"], normalized),
-            "stretched_gamma": lambda: cls.stretched_gamma(params["a"], params["b"], normalized),
-            "gamma_deriv": lambda: cls.gamma_deriv(params["n"], normalized),
-            "dunkl": lambda: cls.dunkl(params["kappa"], normalized),
-            "backward_shift": lambda: cls.backward_shift(normalized),
-        }[family]
-        return maker()
+        # each family's factory is named after it; a missing or unknown
+        # parameter raises TypeError there
+        return getattr(cls, family)(**d.get("params", {}), normalized=normalized)
 
 
 def _require_positive(family: str, **params) -> None:

@@ -17,11 +17,9 @@ scope); the registered forms below are verified by forward moments in tests.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
@@ -141,58 +139,45 @@ def registered_weight(desc: PhiDescriptor) -> WeightKernel:
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Radial x angular product rule for planar integrals in polar form.
+    """Radial x angular product rule for planar integrals in polar form, as
+    default_quadrature picks it from the weight.
 
-    radial = "gauss_laguerre": radial_nodes-point Laguerre rule (exact for
-    polynomial-times-exp(-x), i.e. the exponential weight).
+    radial = "gauss_laguerre": the 80-point Laguerre rule, exact for
+    polynomial-times-exp(-x), i.e. the exponential weight.
     radial = "adaptive_tail": the exp-sinh double-exponential rule on
-    [0, inf) (Takahasi & Mori 1974) for any registered weight.  Its step is
-    halved from 1/16 to at most 1/128, reusing every earlier node, until two
-    successive sums agree within 10 * max(tol, tol * |I|); radial_nodes does
-    not apply to it.
+    [0, inf) (Takahasi & Mori 1974) for every other registered weight.  Its
+    step is halved from 1/16 to at most 1/128, reusing every earlier node,
+    until two successive sums agree within 10 * max(tol, tol * |I|),
+    tol = 1e-9.
     Angular integration is the uniform trapezoid rule, exact for
     trigonometric polynomials of degree < angular_nodes.
     """
 
-    radial: str = "gauss_laguerre"
-    radial_nodes: int = 80
-    angular_nodes: int = 64
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.radial not in ("gauss_laguerre", "adaptive_tail"):
-            raise ValueError("radial must be 'gauss_laguerre' or 'adaptive_tail'")
-        for name in ("radial_nodes", "angular_nodes"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer")
-        if not (2 <= self.radial_nodes <= 150):
-            raise ValueError("radial_nodes out of range [2, 150]")
-        if self.angular_nodes < 2:
-            raise ValueError("angular_nodes must be >= 2")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+    radial: str
+    angular_nodes: int
 
 
 def default_quadrature(wk: WeightKernel, max_degree: int = 30) -> QuadratureScheme:
-    """Scheme adequate for polynomial data up to max_degree against wk."""
+    """The one rule for polynomial data up to max_degree against wk: the radial
+    rule follows wk's form, and 2 max_degree + 2 angular nodes."""
     radial = "gauss_laguerre" if wk.form == "exp" else "adaptive_tail"
     return QuadratureScheme(radial=radial, angular_nodes=2 * max_degree + 2)
 
 
-@lru_cache(maxsize=32)
-def _laggauss(n: int):
-    x, w = laggauss(n)
-    return x, w
+@lru_cache(maxsize=1)
+def _laggauss():
+    return laggauss(80)
 
 
 # exp-sinh rule: x = exp(pi/2 sinh t) on _DE_T_MIN <= t <= _DE_T_MAX, step
-# _DE_H0 / 2^level.  The left end reaches x ~ 1e-227, so a weight like
-# x^(a-1) at 0 loses about x^a / a there: below 1e-20 down to a = 0.1.
+# _DE_H0 / 2^level, to tolerance _DE_TOL.  The left end reaches x ~ 1e-227,
+# so a weight like x^(a-1) at 0 loses about x^a / a there: below 1e-20 down
+# to a = 0.1.
 _DE_T_MIN = -6.5
 _DE_T_MAX = 4.5
 _DE_H0 = 1.0 / 16.0
 _DE_LEVELS = 4
+_DE_TOL = 1e-9
 
 
 @lru_cache(maxsize=64)
@@ -217,26 +202,21 @@ def _weighted_nodes(wk: WeightKernel, level: int):
     return x[keep], ww[keep]
 
 
-def _radial_integral(wk: WeightKernel, fn, quad_scheme: QuadratureScheme) -> complex:
-    """int_0^inf fn(x) W(x) dx; fn vectorized, possibly complex-valued.
+def _radial_integral(wk: WeightKernel, fn, radial: str) -> complex:
+    """int_0^inf fn(x) W(x) dx by the rule `radial` that default_quadrature
+    picks for wk; fn vectorized, possibly complex-valued.
 
-    gauss_laguerre: one fn call on the Laguerre nodes.  adaptive_tail: the
-    exp-sinh rule, built from W alone, with one fn call per level on that
-    level's new nodes.  The error of I_h is estimated as |I_h - I_2h|,
-    floored at the rounding level eps * h * sum |dx/dt W fn| so that a tol
-    below what doubles can resolve raises; ConvergenceError when no level
-    up to h = 1/128 meets the tolerance.
+    gauss_laguerre: one fn call on the Laguerre nodes, W = exp(-x) folded
+    into the rule.  adaptive_tail: the exp-sinh rule, built from W alone,
+    with one fn call per level on that level's new nodes.  The error of I_h
+    is estimated as |I_h - I_2h|, floored at the rounding level
+    eps * h * sum |dx/dt W fn|; ConvergenceError when no level up to
+    h = 1/128 meets the tolerance.
     """
-    if quad_scheme.radial == "gauss_laguerre":
-        x, w = _laggauss(quad_scheme.radial_nodes)
-        if wk.form == "exp":
-            total = w  # exp(x) * exp(-x) folded analytically
-        else:
-            total = w * np.exp(x) * wk.weight(x)
-        vals = np.asarray(fn(x), dtype=complex)
-        return complex(np.sum(total * vals))
+    if radial == "gauss_laguerre":
+        x, w = _laggauss()
+        return complex(np.sum(w * np.asarray(fn(x), dtype=complex)))
 
-    tol = quad_scheme.tol
     total, magnitude = 0.0j, 0.0
     for level in range(_DE_LEVELS):
         x, ww = _weighted_nodes(wk, level)
@@ -247,22 +227,20 @@ def _radial_integral(wk: WeightKernel, fn, quad_scheme: QuadratureScheme) -> com
         val = complex(h * total)
         if level:
             err = max(abs(val - prev), np.finfo(float).eps * h * magnitude)
-            if err <= 10.0 * max(tol, tol * abs(val)):
+            if err <= 10.0 * max(_DE_TOL, _DE_TOL * abs(val)):
                 return val
         prev = val
     raise ConvergenceError(f"radial quadrature error {err:.2e} exceeds tolerance")
 
 
-def moment(wk: WeightKernel, n: int, quad_scheme: Optional[QuadratureScheme] = None) -> float:
+def moment(wk: WeightKernel, n: int) -> float:
     """n-th radial moment int_0^inf x^n W(x) dx."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if quad_scheme is None:
-        quad_scheme = default_quadrature(wk)
     if not wk.is_positive:
         warnings.warn(f"weight form {wk.form}{wk.params_dict} is signed on part of "
                       "the axis; treat moment results as signed-measure data")
-    val = _radial_integral(wk, lambda x: x ** float(n) + 0.0j, quad_scheme)
+    val = _radial_integral(wk, lambda x: x ** float(n) + 0.0j, default_quadrature(wk).radial)
     return float(val.real)
 
 
@@ -276,15 +254,13 @@ class MomentReport:
     failures: list      # offending n
 
 
-def moment_check(desc: PhiDescriptor, wk: WeightKernel, n_max: int, tol: float,
-                 quad_scheme: Optional[QuadratureScheme] = None) -> MomentReport:
+def moment_check(desc: PhiDescriptor, wk: WeightKernel, n_max: int,
+                 tol: float) -> MomentReport:
     """Verify moment(wk, n) * phi_n = 1 for n <= n_max within tol."""
-    if quad_scheme is None:
-        quad_scheme = default_quadrature(wk, max_degree=n_max)
     s, l = signs_logs(desc, n_max)
     rows, failures = [], []
     for n in range(n_max + 1):
-        m = moment(wk, n, quad_scheme)
+        m = moment(wk, n)
         target = s[n] * math.exp(-l[n])
         residual = abs(m * s[n] * math.exp(l[n]) - 1.0)
         rows.append({"n": n, "moment": m, "target": target, "residual": residual})
@@ -293,11 +269,10 @@ def moment_check(desc: PhiDescriptor, wk: WeightKernel, n_max: int, tol: float,
     return MomentReport(desc, wk.form, tol, rows, not failures, failures)
 
 
-def verified_weight(desc: PhiDescriptor, n_max: int = 10, tol: float = 1e-8,
-                    quad_scheme: Optional[QuadratureScheme] = None) -> WeightKernel:
+def verified_weight(desc: PhiDescriptor, n_max: int = 10, tol: float = 1e-8) -> WeightKernel:
     """registered_weight gated by its moment check; raises if the check fails."""
     wk = registered_weight(desc)
-    report = moment_check(desc, wk, n_max, tol, quad_scheme)
+    report = moment_check(desc, wk, n_max, tol)
     if not report.passed:
         raise UnverifiedWeightError(
             f"weight {wk.form} failed moment check at n={report.failures}")
@@ -322,24 +297,18 @@ def inner_product_l2phi(desc: PhiDescriptor, f: TruncatedSeries, g: TruncatedSer
                           * s[k] * np.exp(-l[k])))
 
 
-def _polar_integral(wk: WeightKernel, deg: int, quad_scheme: Optional[QuadratureScheme],
-                    integrand) -> complex:
+def _polar_integral(wk: WeightKernel, deg: int, integrand) -> complex:
     """(1/pi) int integrand(w) W(|w|^2) dA(w) for a verified weight: the
     angular trapezoid mean of integrand on each radial node's ring of w,
-    then _radial_integral.  The angular rule must resolve degree deg in w
-    and conj(w); integrand maps an array of w to values of its shape."""
+    then _radial_integral, both by default_quadrature(wk, deg), whose
+    angular rule resolves degree deg in w and conj(w); integrand maps an
+    array of w to values of its shape."""
     if not wk.verified:
         raise UnverifiedWeightError(
             "weight kernel must pass moment_check (use verified_weight) "
             "before use in planar integrals")
-    if quad_scheme is None:
-        quad_scheme = default_quadrature(wk, deg)
-    need = 2 * deg + 2
-    if quad_scheme.angular_nodes < need:
-        raise ValueError(
-            f"angular_nodes={quad_scheme.angular_nodes} < {need} required for "
-            f"polynomial degree {deg}")
-    A = quad_scheme.angular_nodes
+    scheme = default_quadrature(wk, deg)
+    A = scheme.angular_nodes
     theta = 2.0 * np.pi * np.arange(A) / A
     ephase = np.exp(1j * theta)
 
@@ -347,20 +316,18 @@ def _polar_integral(wk: WeightKernel, deg: int, quad_scheme: Optional[Quadrature
         r = np.sqrt(np.asarray(x, dtype=float))
         return np.mean(integrand(r[:, None] * ephase[None, :]), axis=1)
 
-    return _radial_integral(wk, angular_mean, quad_scheme)
+    return _radial_integral(wk, angular_mean, scheme.radial)
 
 
-def inner_product_fock(wk: WeightKernel, f: TruncatedSeries, g: TruncatedSeries,
-                       quad_scheme: Optional[QuadratureScheme] = None) -> complex:
+def inner_product_fock(wk: WeightKernel, f: TruncatedSeries, g: TruncatedSeries) -> complex:
     """Planar pairing (1/pi) int conj(f) g W(|z|^2) dA by polar quadrature."""
     if not wk.is_positive:
         warnings.warn("signed weight: planar pairing is signed-measure data")
-    return _polar_integral(wk, max(f.degree_cap, g.degree_cap), quad_scheme,
+    return _polar_integral(wk, max(f.degree_cap, g.degree_cap),
                            lambda w: np.conj(f(w)) * g(w))
 
 
-def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: complex,
-              quad_scheme: Optional[QuadratureScheme] = None) -> complex:
+def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: complex) -> complex:
     """Evaluate (1/pi) int conj(k(z, w)) f(w) W(|w|^2) dA(w).
 
     With a verified weight this returns f(z) up to radial quadrature error;
@@ -369,7 +336,7 @@ def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: comp
     """
     NK = f.degree_cap
     z = complex(z)
-    return _polar_integral(wk, NK, quad_scheme,
+    return _polar_integral(wk, NK,
                            lambda w: phi_eval(desc, z * np.conj(w), NK) * f(w))
 
 

@@ -116,7 +116,8 @@ def e_series(desc: PhiDescriptor, deg: int) -> np.ndarray:
 
 
 def _e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
-    """Maclaurin coefficients through degree deg of E with phi cut after N terms."""
+    """Maclaurin coefficients through degree deg of E with phi cut after N terms;
+    OverflowError where one is not a double (phi_n is 0 where psi1^n is inf)."""
     d = _normalized(desc)
     ps = psi_pair(desc)
     nmax = min(deg, N)
@@ -129,13 +130,17 @@ def _e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
     base[1] = ps.psi1
     if deg >= 2:
         base[2] = ps.psi2
-    for n in range(1, nmax + 1):
-        power = np.convolve(power, base)[:deg + 1]
-        if not np.any(power):
-            break
-        comp += phis[n] * power
-    out = comp.copy()
-    out[1:] -= comp[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, nmax + 1):
+            power = np.convolve(power, base)[:deg + 1]
+            if not np.any(power):
+                break
+            comp += phis[n] * power
+        out = comp.copy()
+        out[1:] -= comp[:-1]
+    if not np.isfinite(out).all():
+        raise OverflowError(f"E series for {desc.family} outside double range "
+                            f"(psi1={ps.psi1!r})")
     return out
 
 
@@ -454,7 +459,7 @@ def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TER
     logs = _log_product(desc, zf, nodes, nodes, ps, N)
     with np.errstate(over="ignore"):
         val = zf * np.exp(logs)
-    val = np.where(np.isfinite(logs.real), val, 0.0)
+    val = np.where(logs.real == -np.inf, 0.0, val)  # z on a node
     return complex(val[0]) if scalar else val
 
 
@@ -485,7 +490,7 @@ def g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
     logs = log_g_fn(desc, np.atleast_1d(z), gamma, N, variant)
     with np.errstate(over="ignore"):
         val = np.exp(logs)
-    val = np.where(np.isfinite(logs.real), val, 0.0)
+    val = np.where(logs.real == -np.inf, 0.0, val)  # z on a node
     return complex(val[0]) if scalar else val
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import glfock
-from glfock.cli import ConfigError, load_config, main
+from glfock.cli import CONFIG_KEYS, ConfigError, load_config, main
 from glfock.special import log_gamma_deriv
 
 
@@ -144,20 +145,23 @@ def test_check_csv_status_column(capsys):
     assert all(line.endswith(",pass") for line in lines[1:])
 
 
+ML_MU_003 = {"phi": {"family": "mittag_leffler", "params": {"rho": 1.0, "mu": 0.03}}}
+
+
 def test_check_failure_exit_code(capsys, tmp_path):
-    # degree-10 moments cannot survive a 2-node radial rule
-    p = write_cfg(tmp_path, {"quadrature": {"radial": "gauss_laguerre",
-                                            "radial_nodes": 2}})
+    # the ML(1, 0.03) weight x^-0.97 e^-x is too singular at 0 for the
+    # exp-sinh rule to reach 1e-8 on moment 0, though it converges
+    p = write_cfg(tmp_path, ML_MU_003)
     rc, _, err = run_cli(capsys, ["check", "--suite", "moments", "--config", p])
     assert rc == 1
-    assert "FAILED" in err
+    assert err.startswith("FAILED: moment_0 residual")
 
 
 def test_check_nonconvergence_exit_code(capsys, tmp_path):
-    # no double-precision rule meets a 1e-300 tolerance
+    # the ML(1, 0.01) weight x^-0.99 e^-x defeats the exp-sinh rule at 0:
+    # its levels never agree within the tolerance
     p = write_cfg(tmp_path, {"phi": {"family": "mittag_leffler",
-                                     "params": {"rho": 2.0, "mu": 1.0}},
-                             "quadrature": {"radial": "adaptive_tail", "tol": 1e-300}})
+                                     "params": {"rho": 1.0, "mu": 0.01}}})
     rc, out, err = run_cli(capsys, ["check", "--suite", "moments", "--config", p])
     assert rc == 3
     assert "non-convergence" in err and out == ""
@@ -174,18 +178,17 @@ def test_normalized_weight_needs_unit_phi0(capsys, tmp_path):
 
 
 def test_unverified_weight_exit_code(tmp_path):
-    # two Laguerre nodes cannot integrate the ML(2,1) weight, so it fails
-    # verification: exit 1 with a one-line message, not a traceback
-    p = write_cfg(tmp_path, {"phi": {"family": "mittag_leffler",
-                                     "params": {"rho": 2.0, "mu": 1.0}},
-                             "quadrature": {"radial": "gauss_laguerre", "radial_nodes": 2}})
+    # the ML(1, 0.03) weight fails its moment gate at n = 0 (see
+    # test_check_failure_exit_code): exit 1 with a one-line message, not a
+    # traceback
+    p = write_cfg(tmp_path, ML_MU_003)
     src = str(Path(glfock.__file__).resolve().parents[1])
     r = subprocess.run([sys.executable, "-m", "glfock.cli", "check", "--suite", "reproduce",
                         "--config", p], capture_output=True, text=True,
                        env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert r.returncode == 1
     assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("unverified weight:") and r.stderr.count("\n") == 1
+    assert r.stderr == "unverified weight: weight ml failed moment check at n=[0]\n"
     assert r.stdout == ""
 
 
@@ -259,6 +262,22 @@ OUT_OF_RANGE = [
     # log phi_11 = 742 for normalized SG(1e30, 1): the lattice factors raise
     *[(argv, {"phi": {"family": "stretched_gamma", "params": {"a": 1e30, "b": 1.0}}})
       for argv in (["check", "--suite", "weierstrass"], ["weierstrass-table"])],
+    # phi_n underflows to 0 where psi1^n overflows, so phi_n psi1^n in the
+    # series of E is nan: an error, not lhs = ratio = 0 or nan residuals
+    (["weierstrass-table"], {"phi": {"family": "stretched_gamma", "params": {"a": 1e-5, "b": 1.0}}}),
+    *[(["check", "--suite", "weierstrass"], {"phi": phi})
+      for phi in ({"family": "mittag_leffler", "params": {"rho": 0.02, "mu": 1.0}},
+                  {"family": "stretched_gamma", "params": {"a": 1e-30, "b": 1.0}})],
+    # a misspelt or unused key selects nothing: an error, not a run on the
+    # defaults
+    *[(["phi-info"], config) for config in (
+        {"truncaton": {"series_N": 40}},
+        {"truncation": {"seriesN": 40}},
+        {"output": {"paht": "out.csv"}},
+        {"phi": {"family": "mittag_leffler", "params": {"rho": 2.0, "mu": 1.0, "sigma": 1.0}}},
+        {"phi": {"family": "exponential", "params": {"rho": 1.0}}},
+        {"weight": "exp"},
+        {"phi": {"family": "mittag_leffler", "params": {"rho": 2.0, "mu": 1.0}}, "weight": "ml"})],
 ]
 
 
@@ -272,6 +291,21 @@ def test_out_of_range_arguments_exit_2(capsys, tmp_path, argv, config):
     assert rc == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+def test_readme_lists_the_config_keys():
+    # the README's config-key list is the one load_config enforces
+    readme = (Path(glfock.__file__).resolve().parents[2] / "README.md").read_text()
+    listed = {}
+    for line in readme.split("### Config keys\n", 1)[1].splitlines():
+        if not line.startswith("- "):
+            if listed:
+                break
+            continue
+        section, keys = line[2:].split(":", 1)
+        section = "" if section == "top level" else section.strip("`")
+        listed[section] = set(re.findall(r"`(\w+)`", keys))
+    assert listed == {s: set(k) for s, k in CONFIG_KEYS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import pytest
 from glfock.bargmann import sqrt_phi
 from glfock.core import PhiDescriptor, TruncatedSeries, phi_coeffs
 from glfock.errors import UnverifiedWeightError
-from glfock.fock import (QuadratureScheme, WeightKernel, carleman_partial,
-                         default_quadrature, duality_check,
+from glfock.fock import (WeightKernel, carleman_partial, duality_check,
                          inner_product_fock, inner_product_l2phi, moment,
                          moment_check, registered_weight, reproduce,
                          verified_weight)
@@ -158,33 +157,30 @@ def test_relation_identity_monomials():
              (PhiDescriptor.stretched_gamma(1.0, 2.0),
               verified_weight(PhiDescriptor.stretched_gamma(1.0, 2.0), n_max=8))]
     for desc, wk in pairs:
-        quad = default_quadrature(wk, 12)
         inv_phi_max = 1.0 / min(phi_coeffs(desc, 12))
         for k in range(0, 13, 3):
             for n in range(0, 13, 4):
                 f = TruncatedSeries([0.0] * k + [1.0])
                 g = TruncatedSeries([0.0] * n + [1.0])
-                a = inner_product_fock(wk, f, g, quad)
+                a = inner_product_fock(wk, f, g)
                 b = inner_product_l2phi(desc, f, g)
                 assert abs(a - b) <= 1e-7 * inv_phi_max
 
 
 def test_basis_orthonormality_quadrature():
     wk = verified_weight(EXP)
-    quad = default_quadrature(wk, 15)
     sq = sqrt_phi(EXP, 15)
     for k in range(0, 16, 5):
         for n in range(0, 16, 3):
             ek = TruncatedSeries([0.0] * k + [sq[k]])
             en = TruncatedSeries([0.0] * n + [sq[n]])
-            v = inner_product_fock(wk, ek, en, quad)
+            v = inner_product_fock(wk, ek, en)
             assert abs(v - (1.0 if k == n else 0.0)) <= 1e-7
     wk_ml = verified_weight(ML21, n_max=8, tol=1e-6)
-    quad = default_quadrature(wk_ml, 8)
     sq = sqrt_phi(ML21, 8)
     for n in range(9):
         en = TruncatedSeries([0.0] * n + [sq[n]])
-        v = inner_product_fock(wk_ml, en, en, quad)
+        v = inner_product_fock(wk_ml, en, en)
         assert abs(v - 1.0) <= 1e-6
 
 
@@ -231,17 +227,3 @@ def test_duality_random_all_families():
             f = unit_series(desc, rng, deg)
             g = unit_series(desc, rng, deg)
             assert duality_check(desc, f, g) <= 1e-12
-
-
-def test_quadrature_scheme_validation():
-    with pytest.raises(ValueError):
-        QuadratureScheme(radial="simpson")
-    with pytest.raises(ValueError):
-        QuadratureScheme(radial_nodes=1)
-    with pytest.raises(ValueError):
-        QuadratureScheme(angular_nodes=1)
-    # angular guard: degree-8 data needs >= 18 angular nodes
-    wk = verified_weight(EXP)
-    f = TruncatedSeries([0.0] * 8 + [1.0])
-    with pytest.raises(ValueError):
-        inner_product_fock(wk, f, f, QuadratureScheme(angular_nodes=16))
