@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, multiply_z,
                    signs_logs)
@@ -98,6 +97,7 @@ def bargmann_sample(desc: PhiDescriptor, f: Callable, N: int) -> TruncatedSeries
     overflow.  Exact when f(x) e^{x^2/2} is a polynomial of degree
     <= 2Q - 1 - N.
     """
+    from numpy.polynomial.hermite import hermgauss
     x, w = hermgauss(max(4 * (N + 1), 80))
     total = np.exp(np.log(w) + x * x)         # w_i e^{x_i^2}, stable
     tab = hermite_fn_table(N, x)              # (N+1, Q)

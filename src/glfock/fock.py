@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, log_phi_coeff,
                    multiply_z, phi_eval, signs_logs)
@@ -166,6 +165,7 @@ def default_quadrature(wk: WeightKernel, max_degree: int = 30) -> QuadratureSche
 
 @lru_cache(maxsize=1)
 def _laggauss():
+    from numpy.polynomial.laguerre import laggauss
     return laggauss(80)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,6 +61,7 @@ __all__ = [
 _PHI_PRODUCT_TERMS = 80
 _NEAR_CELLS = 8192       # (node, point) cells per chunk of the direct product
 _LOG_GROUP = 8           # consecutive near factors multiplied before one log
+_BAND_GROUPS = 4         # groups per band of near nodes ordered by |node|
 _HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |phi|
 _FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r (K ~ 170 terms)
 _FAR_TOL = 1e-17         # bound on the dropped far-field tail, summed over nodes
@@ -353,12 +355,15 @@ class PerturbedLattice:
 # lattice products (log accumulated)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _log_e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
     """Maclaurin coefficients l_0..l_deg of log E (phi cut after N terms),
-    from n l_n = n e_n - sum_{k<n} k l_k e_{n-k} with e_0 = 1."""
+    from n l_n = n e_n - sum_{k<n} k l_k e_{n-k} with e_0 = 1; read-only,
+    built once per (desc, deg, N)."""
     e, ell = _e_series(desc, deg, N), np.zeros(deg + 1)
     for n in range(1, deg + 1):
         ell[n] = e[n] - np.dot(np.arange(1, n) * ell[1:n], e[n - 1:0:-1]) / n
+    ell.setflags(write=False)
     return ell
 
 
@@ -370,27 +375,32 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     imaginary part is a sum of principal arguments, so it is defined only
     mod 2 pi (exp of the result is the product itself).
 
-    Near nodes take phi(u) by Horner directly, in chunks of about
-    _NEAR_CELLS (node, point) cells.  A chunk with a = max|u| has the tail
+    Near nodes take phi(u) by Horner directly.  They are ordered by |node|
+    (stable) and cut into bands of _BAND_GROUPS groups of _LOG_GROUP nodes;
+    one loop runs over (band, point chunk) with at most about _NEAR_CELLS
+    (node, point) cells per chunk.  A chunk with a = max|u| has the tail
     t(n) = sum_{n<m<=N} |phi_m| a^m (from the signs_logs table), and Horner
     starts at the least degree n with t(n) <= _HORNER_TOL / (1 + t(0)), the
-    reciprocal of the largest |phi(u)| standing in for the smallest.  Where
-    after the pass t(n) <= _HORNER_TOL min|phi_n(u)| fails, the chunk is
-    redone from degree N, so a cut never drops more than 2^-60 of any
-    cell's phi.  The factors of _LOG_GROUP consecutive near nodes are
-    multiplied, and each group product takes one complex log.  A point that
-    hits a node, or where some group product is not a normal double (inf,
-    nan, 0 or subnormal), takes the per-cell sum of log(1 - z/node) +
-    log(phi) instead.  When dens is nodes, the nodes with
-    |node| > max|z| / (rho r) are far instead, rho = _FAR_RATIO and
-    r = min(1, (2B)^(-1/3)), B = omega_bound: |E - 1| <= B|w|^3 <= 1/2 on
-    |w| <= r, so |l_k| <= log 2 / r^k (Cauchy) and the far sum of
-    log E(z/node) is sum_{k<=K} l_k S_k z^k, S_k = sum_far node^-k, with a
-    dropped tail of at most n_far log 2 rho^(K+1) / (1 - rho) < _FAR_TOL.
-    The moments come from a running product over the far nodes, one
-    multiply and one sum per k.  Every node is near when B is infinite or
-    the psi radius diverges; no node is near when every node is far, and
-    then the series alone remains.
+    reciprocal of the largest |phi(u)| standing in for the smallest; an
+    outer band, with its small |u|, starts lower than an inner one.  Where
+    after the pass t(n) <= _HORNER_TOL min|phi_n(u)| fails, the chunk
+    restarts from the least degree that this measured min allows and is
+    checked again; degree N is the last resort.  So a cut never drops more
+    than 2^-60 of any cell's phi.  The factors of each group are
+    multiplied, and each group product takes one complex log.  A point
+    that hits a node of the band, or where some group product of the band
+    is not a normal double (inf, nan, 0 or subnormal), takes the band's
+    per-cell sum of log(1 - z/node) + log(phi) instead.  When dens is
+    nodes, the nodes with |node| > max|z| / (rho r) are far instead,
+    rho = _FAR_RATIO and r = min(1, (2B)^(-1/3)), B = omega_bound:
+    |E - 1| <= B|w|^3 <= 1/2 on |w| <= r, so |l_k| <= log 2 / r^k (Cauchy)
+    and the far sum of log E(z/node) is sum_{k<=K} l_k S_k z^k,
+    S_k = sum_far node^-k, with a dropped tail of at most
+    n_far log 2 rho^(K+1) / (1 - rho) < _FAR_TOL.  The l_k are built once
+    per (descriptor, K, N) (_log_e_series), and the moments come from a
+    running product over the far nodes, one multiply and one sum per k.
+    Every node is near when B is infinite or the psi radius diverges; no
+    node is near when every node is far, and then the series alone remains.
     """
     d = _normalized(desc)
     zmax = float(np.abs(z).max(initial=0.0))
@@ -401,37 +411,46 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
         except DivergenceError:
             B = math.inf
         far = np.abs(nodes) > zmax * max(1.0, (2.0 * B) ** (1.0 / 3.0)) / _FAR_RATIO
-    near_nodes, near_dens = nodes[~far], dens[~far]
+    order = np.argsort(np.abs(nodes[~far]), kind="stable")
+    near_nodes, near_dens = nodes[~far][order], dens[~far][order]
     phis = phi_coeffs(d, N)
     log_phis, degs = signs_logs(d, N)[1][1:], np.arange(1, N + 1)
-    out = np.empty(z.size, dtype=complex)
-    starts = np.arange(0, near_nodes.size, _LOG_GROUP)
+    out = np.zeros(z.size, dtype=complex)
     lo, hi = np.finfo(float).tiny, np.finfo(float).max
-    # chunks of >= 2 points: numpy sums a lone column pairwise and wider
-    # ones row by row, so the bits do not depend on the chunking
-    step = max(2, _NEAR_CELLS // max(1, near_nodes.size))
+    band = _BAND_GROUPS * _LOG_GROUP
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        for idx in np.array_split(np.arange(z.size), max(1, z.size // step)):
-            zz = z[idx]
-            Z1 = zz[None, :] / near_nodes[:, None]
-            U = ps.psi1 * Z1 + ps.psi2 * (zz * zz)[None, :] / (near_dens[:, None] ** 2)
-            loga = np.log(np.abs(U).max(initial=0.0))
-            t = np.append(np.exp(log_phis + degs * loga)[::-1].cumsum()[::-1], 0.0)
-            n = int(np.argmax(t <= _HORNER_TOL / (1.0 + t[0])))
-            V = _horner(phis[n::-1], U)
-            # not <=: a nan a (from a nan z) redoes the chunk at full degree
-            if not t[n] <= _HORNER_TOL * np.abs(V).min(initial=np.inf):
-                V = _horner(phis[::-1], U)
-            np.subtract(1.0, Z1, out=Z1)
-            P = np.multiply.reduceat(np.multiply(Z1, V, out=U), starts, axis=0)
-            out[idx] = np.log(P).sum(axis=0)
-            mag = np.abs(P)
-            hit = zz[None, :] == near_nodes[:, None]  # z/z may miss 1 by an ulp
-            bad = ~((mag >= lo) & (mag <= hi)).all(axis=0) | hit.any(axis=0)
-            if bad.any():  # per-cell logs over the whole chunk, as before grouping
-                lg = np.log(Z1)
-                lg[hit] = -np.inf
-                out[idx[bad]] = (lg.sum(axis=0) + np.log(V).sum(axis=0))[bad]
+        for b in range(0, near_nodes.size, band):
+            bnodes, bdens = near_nodes[b:b + band], near_dens[b:b + band]
+            starts = np.arange(0, bnodes.size, _LOG_GROUP)
+            # chunks of >= 2 points: numpy sums a lone column pairwise and
+            # wider ones row by row, so the bits do not depend on the chunking
+            step = max(2, _NEAR_CELLS // bnodes.size)
+            for idx in np.array_split(np.arange(z.size), max(1, z.size // step)):
+                zz = z[idx]
+                Z1 = zz[None, :] / bnodes[:, None]
+                U = ps.psi1 * Z1 + ps.psi2 * (zz * zz)[None, :] / (bdens[:, None] ** 2)
+                loga = np.log(np.abs(U).max(initial=0.0))
+                t = np.append(np.exp(log_phis + degs * loga)[::-1].cumsum()[::-1], 0.0)
+                n = int(np.argmax(t <= _HORNER_TOL / (1.0 + t[0])))
+                V = _horner(phis[n::-1], U)
+                m = np.abs(V).min(initial=np.inf)
+                # not <=: a nan a (from a nan z) fails every check
+                if not t[n] <= _HORNER_TOL * m:
+                    n = int(np.argmax(t <= _HORNER_TOL * m))
+                    V = _horner(phis[n::-1], U)
+                    if not t[n] <= _HORNER_TOL * np.abs(V).min(initial=np.inf):
+                        V = _horner(phis[::-1], U)
+                np.subtract(1.0, Z1, out=Z1)
+                P = np.multiply.reduceat(np.multiply(Z1, V, out=U), starts, axis=0)
+                logs = np.log(P).sum(axis=0)
+                mag = np.abs(P)
+                hit = zz[None, :] == bnodes[:, None]  # z/z may miss 1 by an ulp
+                bad = ~((mag >= lo) & (mag <= hi)).all(axis=0) | hit.any(axis=0)
+                if bad.any():  # per-cell logs over the chunk, as before grouping
+                    lg = np.log(Z1)
+                    lg[hit] = -np.inf
+                    logs[bad] = (lg.sum(axis=0) + np.log(V).sum(axis=0))[bad]
+                out[idx] += logs
     n_far = int(far.sum())
     if n_far:
         tail = n_far * math.log(2.0) * _FAR_RATIO / (1.0 - _FAR_RATIO)

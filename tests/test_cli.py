@@ -476,6 +476,14 @@ def test_cli_import_skips_scipy(tmp_path):
     assert _scipy_after(tmp_path) == (0, [])
 
 
+def test_cli_import_skips_numpy_polynomial():
+    # the Gauss-Laguerre and Gauss-Hermite rules import it where they are built
+    probe = ("import json, sys, glfock.cli\n"
+             "print(json.dumps([glfock.cli.__file__,\n"
+             "                  sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))]))")
+    assert _fresh_python(probe) == [[]]
+
+
 GD = {n: {"family": "gamma_deriv", "params": {"n": n}} for n in (1, 2, 3)}
 
 

@@ -365,6 +365,20 @@ def test_log_e_series_to_degree_170(name):
     assert np.max(np.abs(got - want) * r ** np.arange(171)) / math.log(2.0) <= 1e-15
 
 
+def test_log_e_series_cached_read_only(monkeypatch):
+    got = _log_e_series(ML21N, 161, 80)
+    assert not got.flags.writeable
+    assert np.array_equal(got, _log_e_series.__wrapped__(ML21N, 161, 80))
+    # a second sigma_fn over the same window and points reads the cached
+    # far-field coefficients: no E series is built again
+    calls, e_series = [], weierstrass._e_series
+    monkeypatch.setattr(weierstrass, "_e_series", lambda *a: calls.append(a) or e_series(*a))
+    lat, z = LatticeSpec(1.0, 12), np.array([2.5 + 0.3j, -1.0 + 2.2j])
+    first = sigma_fn(GD1N, z, lat)
+    calls.clear()
+    assert np.array_equal(sigma_fn(GD1N, z, lat), first) and calls == []
+
+
 def test_sigma_far_series_only():
     # EXP at z = 0.25i, M = 2: every node is far, so no near chunk runs and
     # the value is the far series alone
@@ -495,6 +509,98 @@ def near_field(desc, z, nodes, dens):
     return weierstrass._log_product(desc, z, nodes, dens.copy(), psi_pair(desc), 80)
 
 
+def rounding_scale(desc, z, nodes, dens, N=80):
+    """eps sum over (node, point) cells of cond + |log F|, per point: a
+    rounding estimate for a log product, where cond = sum |phi_k| |u|^k /
+    |phi_N(u)| is the cell's Horner condition number and F its factor."""
+    ps = psi_pair(desc)
+    U = ps.psi1 * z[None, :] / nodes[:, None] + ps.psi2 * (z * z)[None, :] / dens[:, None] ** 2
+    c = phi_coeffs(_normalized(desc), N)
+    size = sum(abs(ck) * np.abs(U) ** k for k, ck in enumerate(c))
+    cond = size / np.abs(sum(ck * U ** k for k, ck in enumerate(c)))
+    logs = np.abs(per_cell_logs(desc, z, nodes, dens, N))
+    return np.finfo(float).eps * (cond + logs).sum(axis=0)
+
+
+# five points of the 2,049-point winding contour of radius 2.5
+CONTOUR_25 = 2.5 * np.exp(2j * np.pi * np.array([0, 100, 256, 700, 1337]) / 2048)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_banded_sigma_against_mpmath_product(name):
+    # M = 12 at |z| = 2.5: the near nodes fill several bands (108 for EXP,
+    # 184 for ML(2,1), 100 for GD(1)); ML(2,1)'s Horner cancels to about
+    # 3e-11 here, which the rounding estimate covers
+    desc, family, params = ORACLE_FAMILIES[name]
+    lat = LatticeSpec(1.0, 12)
+    nodes = lat.points()
+    nodes = nodes[nodes != 0]
+    far_radius = 2.5 * max(1.0, (2.0 * omega_bound(desc)) ** (1.0 / 3.0)) / weierstrass._FAR_RATIO
+    band = weierstrass._BAND_GROUPS * weierstrass._LOG_GROUP
+    assert np.sum(np.abs(nodes) <= far_radius) > 2 * band
+    want = np.array([sigma_product(family, params, z, 12) for z in CONTOUR_25])
+    err = np.abs(sigma_fn(desc, CONTOUR_25, lat) / want - 1.0)
+    assert np.all(err <= 4.0 * rounding_scale(desc, CONTOUR_25, nodes, nodes))
+
+
+def test_banded_printed_variant_against_mpmath():
+    # the printed variant keeps all 624 nodes of the perturbed M = 12
+    # lattice near: 20 bands
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.1, seed=42)
+    nodes, base = gam.nonzero()
+    got = log_g_fn(EXPN, CONTOUR_25, gam, variant="printed").real
+    want = np.array([log_abs_pair_product("exponential", {}, z, zip(nodes, base))
+                     + math.log(abs(z - gam.z00)) for z in CONTOUR_25])
+    assert np.all(np.abs(got - want) <= 4.0 * rounding_scale(EXPN, CONTOUR_25, nodes, base))
+
+
+def horner_degrees(monkeypatch):
+    """The degrees of the _horner calls that follow, in call order."""
+    horner, degrees = weierstrass._horner, []
+
+    def spy(coefs, U):
+        degrees.append(coefs.size - 1)
+        return horner(coefs, U)
+
+    monkeypatch.setattr(weierstrass, "_horner", spy)
+    return degrees
+
+
+def test_outer_band_starts_horner_lower(monkeypatch):
+    # EXP on 16 contour points at M = 12: one chunk per band, innermost
+    # band first, and the far series last (degree K = 161); EXP's
+    # a-priori min|phi| is exact, so no chunk restarts
+    degrees = horner_degrees(monkeypatch)
+    sigma_fn(EXPN, 2.5 * np.exp(2j * np.pi * np.arange(16) / 16), LatticeSpec(1.0, 12))
+    *near, far = degrees
+    assert far > 80 and len(near) == 4
+    assert near[-1] < near[0]
+
+
+def test_failed_cut_restarts_from_measured_min(monkeypatch):
+    # GD(1) on the 2,049-point contour of radius 1.2 (M = 12, 20 near
+    # nodes): the a-priori degree fails its post-check in every chunk, and
+    # the restart from the measured min|phi_n(u)| passes, so no chunk runs
+    # at degree 80
+    degrees = horner_degrees(monkeypatch)
+    lat = LatticeSpec(1.0, 12)
+    z = 1.2 * np.exp(2j * np.pi * np.arange(2049) / 2048)
+    sigma_fn(GD1N, z, lat)
+    assert 80 not in degrees
+    nodes = lat.points()
+    far_radius = 1.2 * max(1.0, (2.0 * omega_bound(GD1N)) ** (1.0 / 3.0)) / weierstrass._FAR_RATIO
+    near = nodes[(np.abs(nodes) <= far_radius) & (nodes != 0)]
+    degrees.clear()
+    got = near_field(GD1N, z, near, near)
+    # each chunk runs its a-priori degree, then one restart below 80
+    assert len(degrees) % 2 == 0
+    assert all(a < b < 80 for a, b in zip(degrees[::2], degrees[1::2]))
+    # the cut drops at most 2^-60 of each cell's phi
+    cells = per_cell_logs(GD1N, z, near, near)
+    bound = near.size * 2.0**-60 + 4.0 * np.finfo(float).eps * np.abs(cells).sum(axis=0)
+    assert np.all(np.abs(np.expm1(got - cells.sum(axis=0))) <= bound)
+
+
 NEAR_FAMILIES = {name: desc for name, (desc, _, _) in ORACLE_FAMILIES.items()}
 NEAR_FAMILIES["BSN"] = BSN
 
@@ -563,33 +669,36 @@ def test_grouped_near_field_hit_among_finite_factors():
 
 
 def test_degree_cut_falls_back_to_full_degree(monkeypatch):
-    # phi = 1e-50 (1 + u + ... + u^80) under EXP's tail table: the cut drops
-    # terms of size 1e-50 |u|^n, past 2^-60 min|phi| ~ 1e-50 2^-60, so the
-    # chunk is redone from degree 80.  The group products underflow, so the
-    # result is the per-cell sum
-    phis = np.full(81, 1e-50)
-    monkeypatch.setattr(weierstrass, "phi_coeffs", lambda desc, N: phis)
-    horner, degrees = weierstrass._horner, []
-
-    def spy(coefs, U):
-        degrees.append(coefs.size - 1)
-        return horner(coefs, U)
-
-    monkeypatch.setattr(weierstrass, "_horner", spy)
+    # phi(u) = 1e-50 (1 - 0.999 (u/a)^20 + u^21 + ... + u^80), a = 0.48 the
+    # largest |u| (z = 0.4, node 1), under EXP's tail table: the a-priori
+    # degree (< 20) drops terms past 2^-60 min|phi| = 1e-50 2^-60; the
+    # restart from that measured min (degree > 20) meets |phi(a)| ~ 1e-53
+    # and fails again, so the chunk is redone from degree 80.  The group
+    # products underflow, so the result is the per-cell sum over the nodes
+    # in the band order (by |node|, stable)
     nodes = LatticeSpec(1.0, 2).points()
     nodes = nodes[nodes != 0]
-    z = np.array([0.3 + 0.2j, -0.4 + 0.1j])
+    nodes = nodes[np.argsort(np.abs(nodes), kind="stable")]
+    z = np.array([0.4 + 0.0j, -0.3 + 0.2j])
+    ps = psi_pair(EXPN)
+    Z1 = z[None, :] / nodes[:, None]
+    U = ps.psi1 * Z1 + ps.psi2 * (z * z)[None, :] / (nodes[:, None] ** 2)
+    a = np.abs(U).max()
+    phis = np.full(81, 1e-50)
+    phis[1:20] = 0.0
+    phis[20] = -0.999e-50 / a**20
+    monkeypatch.setattr(weierstrass, "phi_coeffs", lambda desc, N: phis)
+    horner = weierstrass._horner
+    degrees = horner_degrees(monkeypatch)
     got = near_field(EXPN, z, nodes, nodes)
-    assert degrees[0] < 80 and degrees[1:] == [80]
+    assert degrees[0] < 20 < degrees[1] < 80 and degrees[2:] == [80]
 
     def per_cell_sum(top):
-        ps = psi_pair(EXPN)
-        Z1 = z[None, :] / nodes[:, None]
-        U = ps.psi1 * Z1 + ps.psi2 * (z * z)[None, :] / (nodes[:, None] ** 2)
         return np.log(1.0 - Z1).sum(axis=0) + np.log(horner(phis[top::-1], U)).sum(axis=0)
 
     assert np.array_equal(got, per_cell_sum(80))
     assert not np.array_equal(got, per_cell_sum(degrees[0]))
+    assert not np.array_equal(got, per_cell_sum(degrees[1]))
 
 
 def test_degree_cut_nan_point_keeps_its_chunk():
