@@ -438,16 +438,17 @@ def pinned_paths():
 
 PINNED = (0, 31, 32, 62)
 # float.hex of (real, imag) at the PINNED entries of the 63-point grid,
-# recorded with one complex log per group of near factors; the printed
-# imaginary part is a sum of principal arguments, defined mod 2 pi
-PIN_BACKWARD_SHIFT = [("0x1.4eafbb3ff5597p+27", "0x1.6df149c0d3de8p+28"),
-                      ("0x1.3333333333317p-112", "0x1.9999999999974p-4"),
-                      ("0x1.a666666666646p-110", "0x1.333333333331cp-2"),
-                      ("0x1.1b7dc1b2cf491p+86", "0x1.d9ac8b9300bd3p+86")]
-PIN_PRINTED = [("0x1.2dd33c5b8657cp+3", "0x1.236cb17a23510p-1"),
-               ("-0x1.2ba495e15acdbp+0", "0x1.aea4d5008fa9ep+0"),
-               ("-0x1.e14a4d45fc404p-2", "0x1.7ccbf2698d4c7p+0"),
-               ("0x1.8bf389bdb1e1cp+3", "0x1.5b28342b4e368p+1")]
+# recorded with one complex log per group of near factors, in bands of
+# nodes ordered by |node|; the printed imaginary part is a sum of
+# principal arguments, defined mod 2 pi
+PIN_BACKWARD_SHIFT = [("0x1.4eafbb3ff55c7p+27", "0x1.6df149c0d3e15p+28"),
+                      ("-0x1.aeccccccccca7p-113", "0x1.9999999999976p-4"),
+                      ("0x1.333333333331ap-111", "0x1.333333333331ap-2"),
+                      ("0x1.1b7dc1b2cf4b3p+86", "0x1.d9ac8b9300c0fp+86")]
+PIN_PRINTED = [("0x1.2dd33c5b8657dp+3", "0x1.236cb17a2350cp-1"),
+               ("-0x1.2ba495e15acd4p+0", "0x1.aea4d5008fa9ep+0"),
+               ("-0x1.e14a4d45fc3fdp-2", "0x1.7ccbf2698d4c6p+0"),
+               ("0x1.8bf389bdb1e19p+3", "0x1.5b28342b4e368p+1")]
 
 
 def test_direct_paths_bit_identical():
