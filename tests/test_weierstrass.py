@@ -523,6 +523,13 @@ def rounding_scale(desc, z, nodes, dens, N=80):
     return np.finfo(float).eps * (cond + logs).sum(axis=0)
 
 
+def sigma_near_nodes(desc, lat, zmax):
+    """The nonzero nodes of lat that sigma_fn keeps near for max|z| = zmax."""
+    nodes = lat.points()
+    far_radius = zmax * max(1.0, (2.0 * omega_bound(desc)) ** (1.0 / 3.0)) / weierstrass._FAR_RATIO
+    return nodes[(np.abs(nodes) <= far_radius) & (nodes != 0)]
+
+
 # five points of the 2,049-point winding contour of radius 2.5
 CONTOUR_25 = 2.5 * np.exp(2j * np.pi * np.array([0, 100, 256, 700, 1337]) / 2048)
 
@@ -536,9 +543,8 @@ def test_banded_sigma_against_mpmath_product(name):
     lat = LatticeSpec(1.0, 12)
     nodes = lat.points()
     nodes = nodes[nodes != 0]
-    far_radius = 2.5 * max(1.0, (2.0 * omega_bound(desc)) ** (1.0 / 3.0)) / weierstrass._FAR_RATIO
     band = weierstrass._BAND_GROUPS * weierstrass._LOG_GROUP
-    assert np.sum(np.abs(nodes) <= far_radius) > 2 * band
+    assert sigma_near_nodes(desc, lat, 2.5).size > 2 * band
     want = np.array([sigma_product(family, params, z, 12) for z in CONTOUR_25])
     err = np.abs(sigma_fn(desc, CONTOUR_25, lat) / want - 1.0)
     assert np.all(err <= 4.0 * rounding_scale(desc, CONTOUR_25, nodes, nodes))
@@ -588,9 +594,7 @@ def test_failed_cut_restarts_from_measured_min(monkeypatch):
     z = 1.2 * np.exp(2j * np.pi * np.arange(2049) / 2048)
     sigma_fn(GD1N, z, lat)
     assert 80 not in degrees
-    nodes = lat.points()
-    far_radius = 1.2 * max(1.0, (2.0 * omega_bound(GD1N)) ** (1.0 / 3.0)) / weierstrass._FAR_RATIO
-    near = nodes[(np.abs(nodes) <= far_radius) & (nodes != 0)]
+    near = sigma_near_nodes(GD1N, lat, 1.2)
     degrees.clear()
     got = near_field(GD1N, z, near, near)
     # each chunk runs its a-priori degree, then one restart below 80
