@@ -22,16 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bargmann import (HermiteCoeffs, bargmann_forward, bargmann_inverse,
-                       intertwine_residuals)
-from .core import (PhiDescriptor, TruncatedSeries, order_degree_check, phi_coeff)
+# A cold process compiles every module it imports, so each command imports the
+# glfock modules it calls where it is defined; load_config and main need these.
+from .core import (PhiDescriptor, TruncatedSeries, order_degree_check, phi_coeff,
+                   signs_logs)
 from .errors import (ConvergenceError, DivergenceError, NonEntireError,
                      UnverifiedWeightError)
-from .fock import (duality_check, moment_check, registered_weight, reproduce,
-                   verified_weight)
-from .frames import density, frame_sweep
-from .weierstrass import (LatticeSpec, omega, omega_bound, psi_pair,
-                          radius_bounds, sigma_lower_diag, weierstrass_factor)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -134,6 +130,7 @@ def _require_range(desc: PhiDescriptor, kmax: int) -> None:
 
 
 def _resolve_weight(cfg: RunConfig, verify: bool = True):
+    from .fock import registered_weight, verified_weight
     _require_range(cfg.desc, 10)  # the moment gate's n_max
     try:
         wk = registered_weight(cfg.desc)
@@ -190,6 +187,7 @@ def _json_default(o):
 # ---------------------------------------------------------------------------
 
 def cmd_phi_info(cfg: RunConfig, args) -> int:
+    from .weierstrass import psi_pair, radius_bounds
     d = cfg.desc
     coeffs = [phi_coeff(d, k) for k in range(10)]
     dn = d.normalize()
@@ -227,6 +225,7 @@ def cmd_phi_info(cfg: RunConfig, args) -> int:
 
 
 def _suite_moments(cfg: RunConfig) -> list:
+    from .fock import moment_check
     if not cfg.desc.entire:
         raise ConfigError("moments suite rejects non-entire families")
     wk = _resolve_weight(cfg, verify=False)
@@ -241,13 +240,13 @@ def _random_series(desc: PhiDescriptor, rng, deg: int) -> TruncatedSeries:
     Raw N(0,1) monomial coefficients would put all the mass in high modes,
     where 1/phi_k amplifies rounding by k! and drowns genuine residuals.
     """
-    from .core import signs_logs
     _, l = signs_logs(desc, deg)
     a = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
     return TruncatedSeries(a * np.exp(0.5 * l[: deg + 1]))
 
 
 def _suite_duality(cfg: RunConfig) -> list:
+    from .fock import duality_check
     _require_range(cfg.desc, 12)  # the largest degree drawn below
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -263,6 +262,8 @@ def _suite_duality(cfg: RunConfig) -> list:
 def _bargmann_trials(cfg: RunConfig, trials: int, degree: int) -> list:
     """(round-trip, lowering, raising) residuals for `trials` random Hermite
     expansions of the given degree, drawn from the config seed."""
+    from .bargmann import (HermiteCoeffs, bargmann_forward, bargmann_inverse,
+                           intertwine_residuals)
     _require_range(cfg.desc, degree + 1)  # the raising operator reaches degree + 1
     rng = np.random.default_rng(cfg.seed)
     out = []
@@ -286,6 +287,7 @@ def _suite_bargmann(cfg: RunConfig) -> list:
 
 
 def _suite_weierstrass(cfg: RunConfig) -> list:
+    from .weierstrass import omega, omega_bound, psi_pair, weierstrass_factor
     d = cfg.desc.normalize()
     rows = []
     ps = psi_pair(d)
@@ -308,6 +310,7 @@ def _suite_weierstrass(cfg: RunConfig) -> list:
 
 
 def _suite_reproduce(cfg: RunConfig) -> list:
+    from .fock import reproduce
     if not cfg.desc.entire:
         raise ConfigError("reproduce suite rejects non-entire families")
     wk = _resolve_weight(cfg)
@@ -348,6 +351,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
 
 def cmd_frames_sweep(cfg: RunConfig, args) -> int:
+    from .frames import frame_sweep
     if not (0 < args.s_min <= args.s_max < math.inf):
         raise ConfigError("need 0 < s-min <= s-max < inf")
     if args.steps < 0:
@@ -378,6 +382,7 @@ def cmd_frames_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_weierstrass_table(cfg: RunConfig, args) -> int:
+    from .weierstrass import LatticeSpec, sigma_lower_diag
     d = cfg.desc.normalize()
     wk = _resolve_weight(cfg, verify=False)
     if args.grid_n < 1:
@@ -404,6 +409,8 @@ def cmd_weierstrass_table(cfg: RunConfig, args) -> int:
 
 
 def cmd_density(cfg: RunConfig, args) -> int:
+    from .frames import density
+    from .weierstrass import LatticeSpec
     try:
         radii = [float(x) for x in args.radii.split(",") if x.strip()]
     except ValueError:

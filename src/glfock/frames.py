@@ -16,14 +16,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .core import PhiDescriptor, TruncatedSeries, signs_logs
 from .errors import NonEntireError
-from .fock import WeightKernel
 from .weierstrass import LatticeSpec, PerturbedLattice
+if TYPE_CHECKING:  # annotations only, so importing this module loads no fock
+    from .fock import WeightKernel
 
 __all__ = [
     "DensityReport",

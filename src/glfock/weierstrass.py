@@ -27,14 +27,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .core import PhiDescriptor, phi_coeffs, phi_eval, signs_logs
 from .errors import ConvergenceError, DivergenceError, NormalizationError
-from .fock import WeightKernel
 from .special import _horner
+if TYPE_CHECKING:  # annotations only, so importing this module loads no fock
+    from .fock import WeightKernel
 
 __all__ = [
     "PsiPair",

@@ -458,30 +458,50 @@ def _fresh_python(probe, *args):
     return rest
 
 
-def _scipy_after(tmp_path, argv=None, phi=None):
+def _loaded_after(tmp_path, argv=None, phi=None):
     """Run `import glfock.cli` and then main(argv) in a fresh interpreter and
-    return (exit code, the scipy modules left in sys.modules)."""
+    return (exit code, {package: its modules left in sys.modules}) for
+    scipy, numpy.polynomial and glfock."""
     if phi is not None:
         argv = argv + ["--config", write_cfg(tmp_path, {"phi": phi})]
     probe = ("import contextlib, io, json, sys, glfock.cli\n"
              "argv = json.loads(sys.argv[1])\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    rc = 0 if argv is None else glfock.cli.main(argv)\n"
-             "print(json.dumps([glfock.cli.__file__, rc,\n"
-             "                  sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+             "print(json.dumps([glfock.cli.__file__, rc, {\n"
+             "    p: sorted(m for m in sys.modules if m == p or m.startswith(p + '.'))\n"
+             "    for p in ('scipy', 'numpy.polynomial', 'glfock')}]))")
     return tuple(_fresh_python(probe, json.dumps(argv)))
 
 
 def test_cli_import_skips_scipy(tmp_path):
-    assert _scipy_after(tmp_path) == (0, [])
+    # the Gauss-Laguerre and Gauss-Hermite rules import numpy.polynomial
+    # where they are built
+    rc, loaded = _loaded_after(tmp_path)
+    assert (rc, loaded["scipy"], loaded["numpy.polynomial"]) == (0, [], [])
 
 
-def test_cli_import_skips_numpy_polynomial():
-    # the Gauss-Laguerre and Gauss-Hermite rules import it where they are built
-    probe = ("import json, sys, glfock.cli\n"
-             "print(json.dumps([glfock.cli.__file__,\n"
-             "                  sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))]))")
-    assert _fresh_python(probe) == [[]]
+IMPORT_ALONE = {"glfock", "glfock.cli", "glfock.core", "glfock.errors", "glfock.special"}
+COMMAND_MODULES = [
+    (None, set()),
+    *[(["check", "--suite", s], {"fock"}) for s in ("moments", "duality", "reproduce")],
+    (["check", "--suite", "bargmann"], {"bargmann"}),
+    (["bargmann-roundtrip"], {"bargmann"}),
+    (["phi-info"], {"weierstrass"}),
+    (["check", "--suite", "weierstrass"], {"weierstrass"}),
+    (["weierstrass-table"], {"fock", "weierstrass"}),
+    (["density"], {"frames", "weierstrass"}),
+    (["frames-sweep"], {"fock", "frames", "weierstrass"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
+                         ids=[" ".join(a) if a else "import" for a, _ in COMMAND_MODULES])
+def test_cli_command_loads_only_its_modules(tmp_path, argv, modules):
+    # a cold process compiles every module it imports
+    rc, loaded = _loaded_after(tmp_path, argv)
+    assert rc == 0
+    assert set(loaded["glfock"]) == IMPORT_ALONE | {f"glfock.{m}" for m in modules}
 
 
 GD = {n: {"family": "gamma_deriv", "params": {"n": n}} for n in (1, 2, 3)}
@@ -494,7 +514,8 @@ GD = {n: {"family": "gamma_deriv", "params": {"n": n}} for n in (1, 2, 3)}
 ], ids=["exp", "ml21", *[f"gd{n}-{cmd}" for n in (1, 2, 3) for cmd in ("phi-info", "weierstrass")]])
 def test_cli_run_skips_scipy(tmp_path, argv, phi):
     # the gamma-derivative family too: log_gamma_deriv needs numpy alone
-    assert _scipy_after(tmp_path, argv, phi) == (0, [])
+    rc, loaded = _loaded_after(tmp_path, argv, phi)
+    assert (rc, loaded["scipy"]) == (0, [])
 
 
 def test_gamma_deriv_runs_with_scipy_unimportable(tmp_path):

@@ -20,11 +20,29 @@ PERFBENCH = sorted((SRC.parent / "perfbench").rglob("*.py"))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(glfock.__path__))
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", ["", *MODULES], ids=lambda name: name or "glfock")
 def test_all_names_resolve(name):
-    mod = importlib.import_module(f"glfock.{name}")
+    # the package itself re-exports names that load their module on first use
+    mod = importlib.import_module(f"glfock.{name}" if name else "glfock")
     missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
     assert missing == []
+    for n in getattr(mod, "__all__", []):
+        obj = getattr(mod, n)
+        assert getattr(sys.modules[obj.__module__], n) is obj
+    if hasattr(mod, "__all__"):
+        star = {}
+        exec(f"from {mod.__name__} import *", star)
+        assert sorted(star.keys() - {"__builtins__"}) == sorted(mod.__all__)
+        assert set(mod.__all__) <= set(dir(mod))
+    with pytest.raises(AttributeError):
+        getattr(mod, "no_such_name")
+
+
+def test_import_loads_no_submodule():
+    probe = "import sys, glfock; print(sorted(m for m in sys.modules if m.startswith('glfock.')))"
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
 
 
 def _used_names(paths) -> set:
