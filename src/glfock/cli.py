@@ -166,8 +166,11 @@ def _emit(cfg: RunConfig, args, header: list, rows: list, json_obj):
         text = json.dumps(json_obj, indent=2, sort_keys=True, default=_json_default) + "\n"
     path = args.out or cfg.out_path
     if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write output: {e}")
     else:
         sys.stdout.write(text)
 

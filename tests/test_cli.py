@@ -545,3 +545,13 @@ def test_output_file_writing(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, ["phi-info", "--format", "json", "--out", str(p)])
     assert rc == 0 and out == ""
     assert json.loads(p.read_text())["psi2"] == 0.5
+
+
+@pytest.mark.parametrize("via", ["--out", "output.path"])
+def test_unopenable_output_path_exit_2(capsys, tmp_path, via):
+    path = str(tmp_path / "missing" / "out.csv")
+    argv = (["phi-info", "--out", path] if via == "--out" else
+            ["phi-info", "--config", write_cfg(tmp_path, {"output": {"path": path}})])
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
