@@ -64,7 +64,7 @@ _NEAR_CELLS = 8192       # (node, point) cells per chunk of the direct product
 _LOG_GROUP = 8           # consecutive near factors multiplied before one log
 _BAND_GROUPS = 4         # groups per band of near nodes ordered by |node|
 _HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |phi|
-_FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r (K ~ 170 terms)
+_FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r*, r* = _log_e_radius
 _FAR_TOL = 1e-17         # bound on the dropped far-field tail, summed over nodes
 
 
@@ -185,20 +185,30 @@ def omega(desc: PhiDescriptor, z, N: int = 80):
 
 def omega_bound(desc: PhiDescriptor) -> float:
     """Disk bound sup_{|z|<=1} |Omega| <= |c3| + |c4| + |c5| + 2 sum_{n>=3} |phi_n| R^n,
-    R = |psi1| + |psi2|.
+    R = |psi1| + |psi2|: _e_bound at r = 1, since each of its terms over
+    |z|^3 is largest at |z| = 1.  +inf for a radius-1 family, whose tail
+    does not decay at R = 1.
+    """
+    return _e_bound(desc, 1.0)
+
+
+def _e_bound(desc: PhiDescriptor, r: float) -> float:
+    """F(r) = |c3| r^3 + |c4| r^4 + |c5| r^5 + (1 + r) sum_{n>=3} |phi_n| R^n,
+    R = |psi1| r + |psi2| r^2, a bound on sup_{|w|<=r} |E(w) - 1|.
 
     The three explicit terms are the degree-(3,4,5) coefficients contributed
-    by phi_1, phi_2; the tail uses |1 - z| <= 2 and stops at the first term
-    below 1e-16 of the running sum.  Returns +inf when the tail fails to
-    decay within 20000 terms (radius-1 family at R = 1); raises if R
-    strictly exceeds the series radius.  The tail usually ends within tens
-    of terms, so the coefficients are read in doubling prefixes of 64, 128,
-    ... terms; each prefix is bitwise the start of the longer table.
+    by phi_1, phi_2; the tail uses |1 - w| <= 1 + r and stops at the first
+    term below 1e-16 of the running sum.  Returns +inf when the tail fails
+    to decay within 20000 terms (R at the radius of a radius-1 family);
+    raises DivergenceError if R strictly exceeds the series radius.  The
+    tail usually ends within tens of terms, so the coefficients are read in
+    doubling prefixes of 64, 128, ... terms; each prefix is bitwise the
+    start of the longer table.
     """
     d = _normalized(desc)
     p1, p2, _ = _phi123(desc)
     ps = psi_pair(desc)
-    R = abs(ps.psi1) + abs(ps.psi2)
+    R = abs(ps.psi1) * r + abs(ps.psi2) * r**2
     if not d.entire and R > 1.0:
         raise DivergenceError("psi radius exceeds the family's convergence radius")
     c3 = abs(p1 * ps.psi2 - 2.0 * p2 * ps.psi1 * ps.psi2 + p2 * ps.psi1**2)
@@ -214,12 +224,32 @@ def omega_bound(desc: PhiDescriptor) -> float:
             t = math.exp(l[n] + n * logR)
             tail += t
             if t < 1e-16 * (1.0 + tail):
-                return c3 + c4 + c5 + 2.0 * tail
+                return c3 * r**3 + c4 * r**4 + c5 * r**5 + (1.0 + r) * tail
             if n > 64 and t >= prev * 0.999999:
                 return math.inf  # non-decaying tail (radius boundary)
             prev = t
         lo, hi = hi + 1, min(2 * hi, 20000)
     return math.inf
+
+
+@lru_cache(maxsize=64)
+def _log_e_radius(desc: PhiDescriptor) -> float:
+    """r* = the largest r <= 1 with _e_bound(desc, r) <= 1/2, by bisection
+    that keeps the end where the bound holds (0 where none does).  On
+    |w| <= r*, |E - 1| <= 1/2, so |log E| <= log 2 there."""
+
+    def holds(r):
+        try:
+            return _e_bound(desc, r) <= 0.5
+        except DivergenceError:
+            return False
+
+    if holds(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -386,32 +416,32 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     outer band, with its small |u|, starts lower than an inner one.  Where
     after the pass t(n) <= _HORNER_TOL min|phi_n(u)| fails, the chunk
     restarts from the least degree that this measured min allows and is
-    checked again; degree N is the last resort.  So a cut never drops more
-    than 2^-60 of any cell's phi.  The factors of each group are
-    multiplied, and each group product takes one complex log.  A point
-    that hits a node of the band, or where some group product of the band
-    is not a normal double (inf, nan, 0 or subnormal), takes the band's
-    per-cell sum of log(1 - z/node) + log(phi) instead.  When dens is
-    nodes, the nodes with |node| > max|z| / (rho r) are far instead,
-    rho = _FAR_RATIO and r = min(1, (2B)^(-1/3)), B = omega_bound:
-    |E - 1| <= B|w|^3 <= 1/2 on |w| <= r, so |l_k| <= log 2 / r^k (Cauchy)
-    and the far sum of log E(z/node) is sum_{k<=K} l_k S_k z^k,
-    S_k = sum_far node^-k, with a dropped tail of at most
-    n_far log 2 rho^(K+1) / (1 - rho) < _FAR_TOL.  The l_k are built once
+    checked again; degree N is the last resort.  A later chunk of the band
+    starts no lower than the band's last passing restart, so a signed
+    family, whose a-priori min is too high, restarts once per band rather
+    than once per chunk.  So a cut never drops more than 2^-60 of any
+    cell's phi.  The factors of each group are multiplied, and each group
+    product takes one complex log.  A point that hits a node of the band,
+    or where some group product of the band is not a normal double (inf,
+    nan, 0 or subnormal), takes the band's per-cell sum of
+    log(1 - z/node) + log(phi) instead.  When dens is nodes, the nodes
+    with |node| > max|z| / (rho r) are far instead, rho = _FAR_RATIO and
+    r = _log_e_radius, the largest r <= 1 where _e_bound(r), a bound on
+    |E - 1| over |w| <= r, is at most 1/2.  As _e_bound(r) <= B r^3 with
+    B = omega_bound, r is never below the disk radius min(1, (2B)^(-1/3)).
+    So |l_k| <= log 2 / r^k (Cauchy), and the far sum of log E(z/node) is
+    sum_{k<=K} l_k S_k z^k, S_k = sum_far node^-k, with a dropped tail of
+    at most n_far log 2 rho^(K+1) / (1 - rho) < _FAR_TOL.  The l_k are built once
     per (descriptor, K, N) (_log_e_series), and the moments come from a
     running product over the far nodes, one multiply and one sum per k.
-    Every node is near when B is infinite or the psi radius diverges; no
-    node is near when every node is far, and then the series alone remains.
+    Every node is near when r is 0 (no radius meets the bound); no node is
+    near when every node is far, and then the series alone remains.
     """
     d = _normalized(desc)
     zmax = float(np.abs(z).max(initial=0.0))
     far = np.zeros(nodes.size, dtype=bool)
     if dens is nodes and zmax > 0:
-        try:
-            B = omega_bound(d)
-        except DivergenceError:
-            B = math.inf
-        far = np.abs(nodes) > zmax * max(1.0, (2.0 * B) ** (1.0 / 3.0)) / _FAR_RATIO
+        far = np.abs(nodes) * (_FAR_RATIO * _log_e_radius(d)) > zmax
     order = np.argsort(np.abs(nodes[~far]), kind="stable")
     near_nodes, near_dens = nodes[~far][order], dens[~far][order]
     phis = phi_coeffs(d, N)
@@ -426,20 +456,23 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
             # chunks of >= 2 points: numpy sums a lone column pairwise and
             # wider ones row by row, so the bits do not depend on the chunking
             step = max(2, _NEAR_CELLS // bnodes.size)
+            floor = 0  # the degree the band's last restart passed at
             for idx in np.array_split(np.arange(z.size), max(1, z.size // step)):
                 zz = z[idx]
                 Z1 = zz[None, :] / bnodes[:, None]
                 U = ps.psi1 * Z1 + ps.psi2 * (zz * zz)[None, :] / (bdens[:, None] ** 2)
                 loga = np.log(np.abs(U).max(initial=0.0))
                 t = np.append(np.exp(log_phis + degs * loga)[::-1].cumsum()[::-1], 0.0)
-                n = int(np.argmax(t <= _HORNER_TOL / (1.0 + t[0])))
+                n = max(floor, int(np.argmax(t <= _HORNER_TOL / (1.0 + t[0]))))
                 V = _horner(phis[n::-1], U)
                 m = np.abs(V).min(initial=np.inf)
                 # not <=: a nan a (from a nan z) fails every check
                 if not t[n] <= _HORNER_TOL * m:
                     n = int(np.argmax(t <= _HORNER_TOL * m))
                     V = _horner(phis[n::-1], U)
-                    if not t[n] <= _HORNER_TOL * np.abs(V).min(initial=np.inf):
+                    if t[n] <= _HORNER_TOL * np.abs(V).min(initial=np.inf):
+                        floor = n
+                    else:
                         V = _horner(phis[::-1], U)
                 np.subtract(1.0, Z1, out=Z1)
                 P = np.multiply.reduceat(np.multiply(Z1, V, out=U), starts, axis=0)

@@ -73,6 +73,16 @@ def _factor(family: str, params: dict, N: int):
     return lambda w: (1 - w) * phi(psi1 * w + psi2 * w * w)
 
 
+def factor_deviation_on_circle(family: str, params: dict, r: float, n: int,
+                               N: int = 80) -> float:
+    """max |E_N(w) - 1| over the n points w = r e^(2 pi i j / n), j < n, at
+    30 digits, r taken as exact."""
+    with mp.workdps(30):
+        E = _factor(family, params, N)
+        r = mp.mpf(r)
+        return float(max(abs(E(r * mp.expjpi(mp.mpf(2 * j) / n)) - 1) for j in range(n)))
+
+
 def log_factor_taylor(family: str, params: dict, K: int, N: int = 80) -> list:
     """Maclaurin coefficients l_0..l_K of log E_N at 30 digits: mpmath.taylor
     by Cauchy integrals on |w| = 1/4 (every order meets the same points, so

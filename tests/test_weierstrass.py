@@ -15,8 +15,8 @@ from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _log_e_series,
                                 omega, omega_bound, psi_pair, radius_bounds, sigma_fn,
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
-from mp_oracles import (log_abs_pair_product, log_factor_series, log_factor_taylor,
-                        sigma_product)
+from mp_oracles import (factor_deviation_on_circle, log_abs_pair_product,
+                        log_factor_series, log_factor_taylor, sigma_product)
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 ML21N = PhiDescriptor.mittag_leffler(2, 1, normalized=True)
@@ -361,7 +361,7 @@ def test_log_e_series_to_degree_170(name):
     desc, family, params = ORACLE_FAMILIES[name]
     want = np.array(log_factor_series(family, params, 170))
     got = _log_e_series(desc, 170, 80)
-    r = min(1.0, (2.0 * omega_bound(desc)) ** (-1.0 / 3.0))
+    r = weierstrass._log_e_radius(desc)
     assert np.max(np.abs(got - want) * r ** np.arange(171)) / math.log(2.0) <= 1e-15
 
 
@@ -383,9 +383,7 @@ def test_sigma_far_series_only():
     # EXP at z = 0.25i, M = 2: every node is far, so no near chunk runs and
     # the value is the far series alone
     lat = LatticeSpec(1.0, 2)
-    nodes = lat.points()
-    far_radius = 0.25 * (2.0 * omega_bound(EXPN)) ** (1.0 / 3.0) / weierstrass._FAR_RATIO
-    assert np.all(np.abs(nodes[nodes != 0]) > far_radius)
+    assert sigma_near_nodes(EXPN, lat, 0.25).size == 0
     want = sigma_product("exponential", {}, 0.25j, 2)
     assert abs(sigma_fn(EXPN, 0.25j, lat) - want) <= 1e-15 * abs(want)
 
@@ -425,15 +423,20 @@ def test_sigma_split_property(name, M, x, y):
 
 def pinned_paths():
     """The two fully direct products the pins below record: the backward
-    shift (omega_bound is inf, so every node is near) and the printed
-    variant, whose denominators are not its nodes."""
+    shift sigma product through the near field alone (a distinct dens array
+    keeps every node near) and the printed variant, whose denominators are
+    not its nodes; and sigma_fn of the backward shift, which splits."""
     xs = np.linspace(-0.8, 0.8, 7)
     ys = np.linspace(-0.75, 0.85, 9)
     grid = (xs[:, None] + 1j * ys[None, :]).ravel() + 0.05j
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 8), 0.1, seed=42)
-    bs = sigma_fn(BSN, grid, LatticeSpec(1.0, 8))
+    lat = LatticeSpec(1.0, 8)
+    nodes = lat.points()
+    nodes = nodes[nodes != 0]
+    bs_near = grid * np.exp(near_field(BSN, grid, nodes, nodes))
+    bs = sigma_fn(BSN, grid, lat)
     printed = log_g_fn(EXPN, 2.5 * grid, gam, variant="printed")
-    return grid, gam, bs, printed
+    return grid, gam, bs_near, bs, printed
 
 
 PINNED = (0, 31, 32, 62)
@@ -452,20 +455,22 @@ PIN_PRINTED = [("0x1.2dd33c5b8657dp+3", "0x1.236cb17a2350cp-1"),
 
 
 def test_direct_paths_bit_identical():
-    _, _, bs, printed = pinned_paths()
-    for got, pins in ((bs, PIN_BACKWARD_SHIFT), (printed, PIN_PRINTED)):
+    _, _, bs_near, _, printed = pinned_paths()
+    for got, pins in ((bs_near, PIN_BACKWARD_SHIFT), (printed, PIN_PRINTED)):
         for i, (re, im) in zip(PINNED, pins):
             assert (got[i].real, got[i].imag) == (float.fromhex(re), float.fromhex(im))
 
 
 def test_pinned_paths_against_mpmath():
-    """The pinned bits against 30-digit products over the same nodes: the
-    backward shift through sigma_product, the printed variant through its
-    explicit (node, denominator) pairs."""
-    grid, gam, bs, printed = pinned_paths()
+    """The pinned bits and the split backward-shift sigma_fn against
+    30-digit products over the same nodes: the backward shift through
+    sigma_product, the printed variant through its explicit (node,
+    denominator) pairs."""
+    grid, gam, bs_near, bs, printed = pinned_paths()
     nodes, base = gam.nonzero()
     for i in PINNED:
         want = sigma_product("backward_shift", {}, grid[i], 8)
+        assert abs(bs_near[i] - want) <= 5e-14 * abs(want)
         assert abs(bs[i] - want) <= 5e-14 * abs(want)
         z = 2.5 * grid[i]
         want = (log_abs_pair_product("exponential", {}, z, zip(nodes, base))
@@ -526,8 +531,8 @@ def rounding_scale(desc, z, nodes, dens, N=80):
 def sigma_near_nodes(desc, lat, zmax):
     """The nonzero nodes of lat that sigma_fn keeps near for max|z| = zmax."""
     nodes = lat.points()
-    far_radius = zmax * max(1.0, (2.0 * omega_bound(desc)) ** (1.0 / 3.0)) / weierstrass._FAR_RATIO
-    return nodes[(np.abs(nodes) <= far_radius) & (nodes != 0)]
+    far = np.abs(nodes) * (weierstrass._FAR_RATIO * weierstrass._log_e_radius(desc)) > zmax
+    return nodes[~far & (nodes != 0)]
 
 
 # five points of the 2,049-point winding contour of radius 2.5
@@ -536,8 +541,8 @@ CONTOUR_25 = 2.5 * np.exp(2j * np.pi * np.array([0, 100, 256, 700, 1337]) / 2048
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_banded_sigma_against_mpmath_product(name):
-    # M = 12 at |z| = 2.5: the near nodes fill several bands (108 for EXP,
-    # 184 for ML(2,1), 100 for GD(1)); ML(2,1)'s Horner cancels to about
+    # M = 12 at |z| = 2.5: the near nodes fill several bands (68 for EXP,
+    # 100 for ML(2,1), 88 for GD(1)); ML(2,1)'s Horner cancels to about
     # 3e-11 here, which the rounding estimate covers
     desc, family, params = ORACLE_FAMILIES[name]
     lat = LatticeSpec(1.0, 12)
@@ -578,36 +583,52 @@ def test_outer_band_starts_horner_lower(monkeypatch):
     # band first, and the far series last (degree K = 161); EXP's
     # a-priori min|phi| is exact, so no chunk restarts
     degrees = horner_degrees(monkeypatch)
-    sigma_fn(EXPN, 2.5 * np.exp(2j * np.pi * np.arange(16) / 16), LatticeSpec(1.0, 12))
+    lat = LatticeSpec(1.0, 12)
+    sigma_fn(EXPN, 2.5 * np.exp(2j * np.pi * np.arange(16) / 16), lat)
     *near, far = degrees
-    assert far > 80 and len(near) == 4
+    band = weierstrass._BAND_GROUPS * weierstrass._LOG_GROUP
+    assert far > 80 and len(near) == -(-sigma_near_nodes(EXPN, lat, 2.5).size // band)
     assert near[-1] < near[0]
 
 
 def test_failed_cut_restarts_from_measured_min(monkeypatch):
     # GD(1) on the 2,049-point contour of radius 1.2 (M = 12, 20 near
-    # nodes): the a-priori degree fails its post-check in every chunk, and
-    # the restart from the measured min|phi_n(u)| passes, so no chunk runs
-    # at degree 80
+    # nodes, one band of 5 chunks): the a-priori degree fails its
+    # post-check, and the restart from the measured min|phi_n(u)| passes,
+    # so no chunk runs at degree 80
     degrees = horner_degrees(monkeypatch)
     lat = LatticeSpec(1.0, 12)
     z = 1.2 * np.exp(2j * np.pi * np.arange(2049) / 2048)
     sigma_fn(GD1N, z, lat)
     assert 80 not in degrees
     near = sigma_near_nodes(GD1N, lat, 1.2)
+    assert near.size <= weierstrass._BAND_GROUPS * weierstrass._LOG_GROUP
+    chunks = z.size // (weierstrass._NEAR_CELLS // near.size)
     degrees.clear()
     got = near_field(GD1N, z, near, near)
-    # each chunk runs its a-priori degree, then one restart below 80
-    assert len(degrees) % 2 == 0
-    assert all(a < b < 80 for a, b in zip(degrees[::2], degrees[1::2]))
+    # the first chunk runs its a-priori degree, then one restart below 80;
+    # every later chunk starts at that restart's degree and passes at once
+    first, restart, *rest = degrees
+    assert first < restart < 80 and rest == [restart] * (chunks - 1)
     # the cut drops at most 2^-60 of each cell's phi
     cells = per_cell_logs(GD1N, z, near, near)
     bound = near.size * 2.0**-60 + 4.0 * np.finfo(float).eps * np.abs(cells).sum(axis=0)
     assert np.all(np.abs(np.expm1(got - cells.sum(axis=0))) <= bound)
 
 
-NEAR_FAMILIES = {name: desc for name, (desc, _, _) in ORACLE_FAMILIES.items()}
-NEAR_FAMILIES["BSN"] = BSN
+FACTOR_ORACLES = {**ORACLE_FAMILIES, "BSN": (BSN, "backward_shift", {})}
+NEAR_FAMILIES = {name: desc for name, (desc, _, _) in FACTOR_ORACLES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
+def test_log_e_radius_bounds_the_factor(name):
+    # r* is at least the radius where the disk bound B|w|^3 reaches 1/2
+    # (0 for the backward shift, whose B is inf), and |E - 1| <= 1/2 on
+    # |w| = r*, hence on the disk, so |l_k| <= log 2 / r*^k holds
+    desc, family, params = FACTOR_ORACLES[name]
+    r = weierstrass._log_e_radius(desc)
+    assert r >= min(1.0, (2.0 * omega_bound(desc)) ** (-1.0 / 3.0))
+    assert factor_deviation_on_circle(family, params, r, 4096) <= 0.5
 
 
 @settings(max_examples=30, deadline=None)
