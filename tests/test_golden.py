@@ -1,7 +1,8 @@
 """Byte-identity gates for CLI output.
 
-`golden_exp_cli.json` maps each default (exponential) command line, once as
-CSV and once with `--format json`, to the sha256 of its stdout.  The
+`golden_exp_cli.json` maps each default (exponential) command line, and the
+window-1 and M = 0 frame sweeps, once as CSV and once with `--format json`,
+to the sha256 of its stdout.  The
 exponential family integrates with Gauss-Laguerre, so no change to the other
 quadrature paths may move these bytes.
 
