@@ -15,7 +15,7 @@ from glfock.core import PhiDescriptor, TruncatedSeries
 from glfock.fock import verified_weight
 from glfock.frames import (biorthogonality_check, canonical_dual, density,
                            frame_bounds, frame_sweep, interpolate_ls,
-                           kernel_atoms, lattice_size)
+                           kernel_atoms)
 from glfock.weierstrass import LatticeSpec
 
 DESC = PhiDescriptor.exponential(normalized=True)
@@ -28,8 +28,6 @@ def density_demo():
         rep = density(LatticeSpec(lam, int(24 / lam)), [10.0, 20.0])
         print(f"  lambda={lam}: d- = d+ = {rep.d_plus:.6f} "
               f"(1/(2 pi lambda^2) = {1 / (2 * math.pi * lam ** 2):.6f})")
-    s, sinv = lattice_size(np.diag([0.5, 0.4]))
-    print(f"  generator diag(0.5, 0.4): size {s}, adjoint rescale {sinv}")
 
 
 def sweep_demo():
@@ -73,7 +71,7 @@ def dual_demo():
     mm, nn = [a.ravel() for a in np.meshgrid(g, g, indexing="ij")]
     mus = math.sqrt(math.pi / 0.5) * (mm + 1j * nn)
     K = kernel_atoms(DESC, WK, mus, N=40)
-    rep = biorthogonality_check(DESC, WK, K, gam, mus)
+    rep = biorthogonality_check(K, gam, mus)
     print(f"  max |<atom(mu), dual> - delta(mu)| over {rep.n_points} points: "
           f"{rep.max_residual:.3e}")
 

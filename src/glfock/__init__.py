@@ -27,9 +27,8 @@ _EXPORTS = {
                     "radius_bounds", "sigma_fn", "g_fn", "log_g_fn",
                     "sigma_lower_diag", "two_sided_diag", "winding_zero_count"),
     "frames": ("DensityReport", "FrameReport", "density", "frame_bounds",
-               "interpolate_ls", "adjoint_kernel_coeffs", "lattice_size",
-               "frame_sweep", "kernel_atoms", "canonical_dual",
-               "biorthogonality_check"),
+               "interpolate_ls", "adjoint_kernel_coeffs", "frame_sweep",
+               "kernel_atoms", "canonical_dual", "biorthogonality_check"),
     "errors": ("ConvergenceError", "DivergenceError", "NonEntireError",
                "NormalizationError", "UnverifiedWeightError"),
 }

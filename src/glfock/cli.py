@@ -423,9 +423,7 @@ def cmd_density(cfg: RunConfig, args) -> int:
         rep = density(lat, radii, norm=args.norm)
     except ValueError as e:
         raise ConfigError(str(e))
-    denom = (lambda r: 2.0 * math.pi * r * r) if args.norm == "paper" else (lambda r: r * r)
-    rows = [[r, cnt[0], cnt[1], cnt[0] / denom(r), cnt[1] / denom(r)]
-            for r, cnt in zip(rep.r_sequence, rep.counts)]
+    rows = [[r, *cnt, *dens] for r, cnt, dens in zip(rep.r_sequence, rep.counts, rep.densities)]
     _emit(cfg, args, ["r", "n_min", "n_max", "d_minus", "d_plus"], rows,
           {"d_plus": rep.d_plus, "d_minus": rep.d_minus, "norm": rep.norm,
            "radii": list(rep.r_sequence), "counts": [list(c) for c in rep.counts]})

@@ -202,8 +202,8 @@ def _weighted_nodes(wk: WeightKernel, level: int):
     return x[keep], ww[keep]
 
 
-def _radial_integral(wk: WeightKernel, fn, radial: str) -> complex:
-    """int_0^inf fn(x) W(x) dx by the rule `radial` that default_quadrature
+def _radial_integral(wk: WeightKernel, fn) -> complex:
+    """int_0^inf fn(x) W(x) dx by the radial rule that default_quadrature
     picks for wk; fn vectorized, possibly complex-valued.
 
     gauss_laguerre: one fn call on the Laguerre nodes, W = exp(-x) folded
@@ -213,7 +213,7 @@ def _radial_integral(wk: WeightKernel, fn, radial: str) -> complex:
     eps * h * sum |dx/dt W fn|; ConvergenceError when no level up to
     h = 1/128 meets the tolerance.
     """
-    if radial == "gauss_laguerre":
+    if default_quadrature(wk).radial == "gauss_laguerre":
         x, w = _laggauss()
         return complex(np.sum(w * np.asarray(fn(x), dtype=complex)))
 
@@ -240,7 +240,7 @@ def moment(wk: WeightKernel, n: int) -> float:
     if not wk.is_positive:
         warnings.warn(f"weight form {wk.form}{wk.params_dict} is signed on part of "
                       "the axis; treat moment results as signed-measure data")
-    val = _radial_integral(wk, lambda x: x ** float(n) + 0.0j, default_quadrature(wk).radial)
+    val = _radial_integral(wk, lambda x: x ** float(n) + 0.0j)
     return float(val.real)
 
 
@@ -307,8 +307,7 @@ def _polar_integral(wk: WeightKernel, deg: int, integrand) -> complex:
         raise UnverifiedWeightError(
             "weight kernel must pass moment_check (use verified_weight) "
             "before use in planar integrals")
-    scheme = default_quadrature(wk, deg)
-    A = scheme.angular_nodes
+    A = default_quadrature(wk, deg).angular_nodes
     theta = 2.0 * np.pi * np.arange(A) / A
     ephase = np.exp(1j * theta)
 
@@ -316,7 +315,7 @@ def _polar_integral(wk: WeightKernel, deg: int, integrand) -> complex:
         r = np.sqrt(np.asarray(x, dtype=float))
         return np.mean(integrand(r[:, None] * ephase[None, :]), axis=1)
 
-    return _radial_integral(wk, angular_mean, scheme.radial)
+    return _radial_integral(wk, angular_mean)
 
 
 def inner_product_fock(wk: WeightKernel, f: TruncatedSeries, g: TruncatedSeries) -> complex:

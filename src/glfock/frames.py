@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import PhiDescriptor, TruncatedSeries, signs_logs
 from .errors import NonEntireError
-from .weierstrass import LatticeSpec, PerturbedLattice
 if TYPE_CHECKING:  # annotations only, so importing this module loads no fock
     from .fock import WeightKernel
 
@@ -33,7 +32,6 @@ __all__ = [
     "frame_bounds",
     "interpolate_ls",
     "adjoint_kernel_coeffs",
-    "lattice_size",
     "frame_sweep",
     "kernel_atoms",
     "canonical_dual",
@@ -43,6 +41,7 @@ __all__ = [
 
 
 def _as_points(obj) -> np.ndarray:
+    from .weierstrass import LatticeSpec, PerturbedLattice  # here, so frame_sweep loads none
     if isinstance(obj, LatticeSpec):
         return obj.points()
     if isinstance(obj, PerturbedLattice):
@@ -56,11 +55,18 @@ def _as_points(obj) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityReport:
-    d_plus: float
-    d_minus: float
     r_sequence: tuple
     counts: tuple          # per radius: (n_min, n_max)
+    densities: tuple       # per radius: (d_minus, d_plus) = counts / norm area
     norm: str
+
+    @property
+    def d_minus(self) -> float:
+        return self.densities[-1][0]
+
+    @property
+    def d_plus(self) -> float:
+        return self.densities[-1][1]
 
     def __post_init__(self):
         if self.d_minus > self.d_plus + 1e-15:
@@ -72,8 +78,9 @@ def density(points, radii: Sequence[float], norm: str = "paper") -> DensityRepor
 
     For each r the half-open square [x0, x0+r) x [y0, y0+r) slides over a
     24 x 24 grid of origins inside the stored point set; the extreme counts
-    at the largest radius give the densities.  norm="paper" divides by
-    2 pi r^2, norm="lebesgue" by the window area r^2.
+    at each radius, divided by 2 pi r^2 (norm="paper") or by the window area
+    r^2 (norm="lebesgue"), are its densities, and the largest radius gives
+    d_minus and d_plus.
     """
     if norm not in ("paper", "lebesgue"):
         raise ValueError("norm must be 'paper' or 'lebesgue'")
@@ -83,31 +90,24 @@ def density(points, radii: Sequence[float], norm: str = "paper") -> DensityRepor
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     pts = _as_points(points)
-    if pts.size == 0:
-        counts = tuple((0, 0) for _ in radii)
-        return DensityReport(0.0, 0.0, tuple(radii), counts, norm)
     x, y = pts.real, pts.imag
-    xmin, xmax = float(x.min()), float(x.max())
-    ymin, ymax = float(y.min()), float(y.max())
     counts = []
     for r in radii:
-        if r > (xmax - xmin) or r > (ymax - ymin):
+        if pts.size == 0:
+            counts.append((0, 0))
+            continue
+        if r > np.ptp(x) or r > np.ptp(y):
             raise ValueError(
                 f"window side {r} exceeds the stored point extent; enlarge the set")
-        n_min, n_max = None, None
-        for x0 in np.linspace(xmin, xmax - r, 24):
-            inx = (x >= x0) & (x < x0 + r)
-            xs, ys = x[inx], y[inx]
-            for y0 in np.linspace(ymin, ymax - r, 24):
-                c = int(np.count_nonzero((ys >= y0) & (ys < y0 + r)))
-                n_min = c if n_min is None else min(n_min, c)
-                n_max = c if n_max is None else max(n_max, c)
-        counts.append((n_min, n_max))
-    r = radii[-1]
-    denom = 2.0 * math.pi * r * r if norm == "paper" else r * r
-    n_min, n_max = counts[-1]
-    return DensityReport(n_max / denom, n_min / denom, tuple(radii),
-                         tuple(counts), norm)
+        x0 = np.linspace(x.min(), x.max() - r, 24)[:, None]
+        y0 = np.linspace(y.min(), y.max() - r, 24)[:, None]
+        inx = ((x >= x0) & (x < x0 + r)).astype(np.int64)
+        iny = ((y >= y0) & (y < y0 + r)).astype(np.int64)
+        c = inx @ iny.T                 # c[a, b]: points in the window at (x0[a], y0[b])
+        counts.append((int(c.min()), int(c.max())))
+    area = (lambda r: 2.0 * math.pi * r * r) if norm == "paper" else (lambda r: r * r)
+    densities = tuple((lo / area(r), hi / area(r)) for r, (lo, hi) in zip(radii, counts))
+    return DensityReport(tuple(radii), tuple(counts), densities, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +128,28 @@ class FrameReport:
             raise ValueError("frame report with A > B")
 
 
-def _sample_matrix(desc: PhiDescriptor, w: np.ndarray, N: int, window_n: int) -> np.ndarray:
-    """Rows L_j(e_m) = sum_k C(n,k)(-pi conj(w_j))^k (D^k e_m)(w_j); window 0
-    gives the basis values e_m(w_j) = sqrt(phi_m) w_j^m.
-
-    The powers w^0 .. w^N come from one running product, so 0^0 = 1 and
-    0^p = 0 exactly, and conj(w)^k is read off as conj(w^k)."""
-    s, l = signs_logs(desc, N)
-    if np.any(s <= 0):
-        raise ValueError("sampling functionals need positive phi coefficients")
+def _powers(w: np.ndarray, N: int) -> np.ndarray:
+    """Rows w_j^0 .. w_j^N from one running product, so 0^0 = 1 and 0^p = 0
+    exactly; conj(w)^p is read off as conj(w^p)."""
     P = np.empty((w.size, N + 1), dtype=complex)
     P[:, 0] = 1.0
     P[:, 1:] = w[:, None]
-    np.cumprod(P, axis=1, out=P)
+    return np.cumprod(P, axis=1, out=P)
+
+
+def _gaussian_integers(M: int) -> np.ndarray:
+    """The lattice points m + i n, |m|, |n| <= M, m-major."""
+    g = np.arange(-M, M + 1)
+    return (g[:, None] + 1j * g[None, :]).ravel()
+
+
+def _sample_matrix(desc: PhiDescriptor, w: np.ndarray, N: int, window_n: int) -> np.ndarray:
+    """Rows L_j(e_m) = sum_k C(n,k)(-pi conj(w_j))^k (D^k e_m)(w_j); window 0
+    gives the basis values e_m(w_j) = sqrt(phi_m) w_j^m."""
+    s, l = signs_logs(desc, N)
+    if np.any(s <= 0):
+        raise ValueError("sampling functionals need positive phi coefficients")
+    P = _powers(w, N)
     out = np.zeros_like(P)
     for k in range(min(window_n, N) + 1):
         # (D^k e_m)(w) = (phi_{m-k} / sqrt(phi_m)) w^{m-k}, m = k..N
@@ -224,36 +233,6 @@ def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
 
 
 # ---------------------------------------------------------------------------
-# window-n kernel coefficients and lattice sizes
-# ---------------------------------------------------------------------------
-
-def adjoint_kernel_coeffs(desc: PhiDescriptor, n: int, J: int) -> np.ndarray:
-    """Series coefficients a_j = sum_k C(n,k)(-pi)^k phi_j^2 / phi_{j+k}."""
-    if not desc.entire:
-        raise NonEntireError("adjoint kernel needs an entire family")
-    s, l = signs_logs(desc, J + n)
-    out = np.zeros(J + 1)
-    for j in range(J + 1):
-        acc = 0.0
-        for k in range(n + 1):
-            ratio = s[j] * s[j] * s[j + k] * math.exp(2.0 * l[j] - l[j + k])
-            acc += math.comb(n, k) * (-math.pi) ** k * ratio
-        out[j] = acc
-    return out
-
-
-def lattice_size(C) -> tuple[float, float]:
-    """Size |det C| of the lattice C Z^2 and the adjoint rescaling 1/s."""
-    C = np.asarray(C, dtype=float)
-    if C.shape != (2, 2):
-        raise ValueError("C must be a 2x2 real matrix")
-    s = abs(float(np.linalg.det(C)))
-    if s == 0.0:
-        raise ValueError("singular generator matrix")
-    return s, 1.0 / s
-
-
-# ---------------------------------------------------------------------------
 # frame sweep over lattice sizes
 # ---------------------------------------------------------------------------
 
@@ -275,13 +254,12 @@ def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
     if sN[window_n] <= 0:
         raise ValueError("phi_{window_n} must be positive")
     win_norm = math.pi ** window_n * math.exp(lN[window_n])
-    g = np.arange(-M, M + 1)
-    mm, nn = [a.ravel() for a in np.meshgrid(g, g, indexing="ij")]
+    grid = _gaussian_integers(M)
     reports = []
     for s in s_values:
         if s <= 0:
             raise ValueError("lattice size must be positive")
-        w = math.sqrt(math.pi * s) * (mm + 1j * nn)
+        w = math.sqrt(math.pi * s) * grid
         omega = wk.weight(np.abs(w) ** 2) / win_norm
         bad = np.flatnonzero(~np.isfinite(omega))
         if bad.size:
@@ -296,8 +274,23 @@ def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
 
 
 # ---------------------------------------------------------------------------
-# biorthogonality at adjoint lattice points
+# window-n kernel atoms and biorthogonality at adjoint lattice points
 # ---------------------------------------------------------------------------
+
+def adjoint_kernel_coeffs(desc: PhiDescriptor, n: int, J: int) -> np.ndarray:
+    """Series coefficients a_j = sum_k C(n,k)(-pi)^k phi_j^2 / phi_{j+k}."""
+    if not desc.entire:
+        raise NonEntireError("adjoint kernel needs an entire family")
+    s, l = signs_logs(desc, J + n)
+    sj, lj = s[:J + 1], l[:J + 1]
+    out = np.zeros(J + 1)
+    for k in range(n + 1):
+        # math.exp, not np.exp, which is one ulp off on some points: n = 0
+        # then gives phi_coeff's bits
+        ratio = np.fromiter(map(math.exp, (2.0 * lj - l[k:k + J + 1]).tolist()), float, J + 1)
+        out += math.comb(n, k) * (-math.pi) ** k * (sj * sj * s[k:k + J + 1] * ratio)
+    return out
+
 
 def kernel_atoms(desc: PhiDescriptor, wk: WeightKernel, zs, N: int,
                  n: int = 0) -> np.ndarray:
@@ -308,16 +301,7 @@ def kernel_atoms(desc: PhiDescriptor, wk: WeightKernel, zs, N: int,
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     a = adjoint_kernel_coeffs(desc, n, N)
-    p = np.arange(N + 1)
-    az = np.abs(zs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logmag = p[None, :] * np.log(az[:, None])
-    Z = np.exp(logmag) * np.exp(-1j * p[None, :] * np.angle(zs)[:, None])
-    zero = az == 0
-    if zero.any():
-        Z[zero, :] = 0.0
-        Z[zero, 0] = 1.0
-    return np.sqrt(wk.weight(az ** 2))[:, None] * (a[None, :] * Z)
+    return np.sqrt(wk.weight(np.abs(zs) ** 2))[:, None] * (a * np.conj(_powers(zs, N)))
 
 
 def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int,
@@ -331,12 +315,10 @@ def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int,
     w0 = wk.weight(0.0)
     if not (np.isfinite(w0) and w0 > 0):
         raise ValueError("weight must be finite and positive at the origin")
-    g = np.arange(-M, M + 1)
-    mm, nn = [a.ravel() for a in np.meshgrid(g, g, indexing="ij")]
-    zj = math.sqrt(math.pi * s) * (mm + 1j * nn)
+    zj = math.sqrt(math.pi * s) * _gaussian_integers(M)
     Kw = kernel_atoms(desc, wk, zj, N, n)
     S = Kw.T @ Kw.conj()
-    rhs = kernel_atoms(desc, wk, np.array([0.0 + 0.0j]), N, n)[0]
+    rhs = kernel_atoms(desc, wk, 0.0, N, n)[0]
     gam = np.linalg.solve(S, rhs)
     c0 = np.vdot(rhs, gam)
     if c0 == 0:
@@ -351,8 +333,7 @@ class BiorthReport:
     n_points: int
 
 
-def biorthogonality_check(desc: PhiDescriptor, wk: WeightKernel,
-                          kernel_samples: np.ndarray, dual_candidate: np.ndarray,
+def biorthogonality_check(kernel_samples: np.ndarray, dual_candidate: np.ndarray,
                           adjoint_points) -> BiorthReport:
     """max over adjoint points of |<atom(mu), gamma> - delta_{mu,0}|.
 

@@ -37,6 +37,11 @@ def _phis(family: str, params: dict, N: int) -> list:
         c = [1 / (mp.gamma(n + 1) * mp.digamma(n + 1)) for n in range(N + 1)]
     elif family == "backward_shift":
         c = [mp.mpf(1)] * (N + 1)
+    elif family == "dunkl":
+        # the rank-one Dunkl kernel sum x^n / b_n: b_2m = 2^2m m! (kappa + 1/2)_m,
+        # b_2m+1 = 2^(2m+1) m! (kappa + 1/2)_(m+1)
+        kap = mp.mpf(params["kappa"]) + mp.mpf(1) / 2
+        c = [1 / (2 ** n * mp.factorial(n // 2) * mp.rf(kap, (n + 1) // 2)) for n in range(N + 1)]
     else:
         raise ValueError(f"no oracle for {family} {params}")
     return [x / c[0] for x in c]
@@ -210,3 +215,30 @@ def lattice_sample_rows(log_phis, s: float, M: int, windows) -> dict:
                                        for u, v in zip(unit, val)]
                             sizes[j] = size
     return out
+
+
+def adjoint_kernel_terms(family: str, params: dict, n: int, J: int) -> tuple[list, list]:
+    """(a_j, size_j) for j = 0..J at 30 digits, from the family definitions
+    normalized to phi_0 = 1: a_j = sum_k C(n,k) (-pi)^k phi_j^2 / phi_{j+k}
+    over k = 0..n, and size_j the same sum of moduli."""
+    with mp.workdps(30):
+        phis = _phis(family, params, J + n)
+        terms = [[math.comb(n, k) * mp.pi ** k * phis[j] ** 2 / phis[j + k] for k in range(n + 1)]
+                 for j in range(J + 1)]
+        return ([float(mp.fsum((-1) ** k * t for k, t in enumerate(row))) for row in terms],
+                [float(mp.fsum(row)) for row in terms])
+
+
+def exp_kernel_atom_rows(coeffs, zs) -> list:
+    """Rows e^(-|z|^2 / 2) a_p conj(z)^p, p = 0..len(coeffs) - 1: the kernel
+    atoms of the weight e^-x with the given doubles a_p, at 30 digits, each
+    a_p and double z taken as exact.  Every entry is rounded once to
+    complex, so it is 0 where it lies below the double range."""
+    with mp.workdps(30):
+        a = [mp.mpf(float(c)) for c in coeffs]
+        rows = []
+        for z in zs:
+            zc = mp.conj(mp.mpc(z))
+            scale = mp.exp(-abs(zc) ** 2 / 2)
+            rows.append([complex(scale * c * zc ** p) for p, c in enumerate(a)])
+        return rows

@@ -491,7 +491,7 @@ COMMAND_MODULES = [
     (["check", "--suite", "weierstrass"], {"weierstrass"}),
     (["weierstrass-table"], {"fock", "weierstrass"}),
     (["density"], {"frames", "weierstrass"}),
-    (["frames-sweep"], {"fock", "frames", "weierstrass"}),
+    (["frames-sweep"], {"fock", "frames"}),
 ]
 
 

@@ -13,9 +13,9 @@ from glfock.fock import registered_weight, verified_weight
 from glfock.frames import (_sample_matrix, adjoint_kernel_coeffs,
                            biorthogonality_check, canonical_dual, density,
                            frame_bounds, frame_sweep, interpolate_ls,
-                           kernel_atoms, lattice_size)
+                           kernel_atoms)
 from glfock.weierstrass import LatticeSpec, PerturbedLattice
-from mp_oracles import lattice_sample_rows
+from mp_oracles import adjoint_kernel_terms, exp_kernel_atom_rows, lattice_sample_rows
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 WK = verified_weight(PhiDescriptor.exponential())
@@ -270,13 +270,19 @@ def test_adjoint_kernel_coeffs():
         adjoint_kernel_coeffs(PhiDescriptor.backward_shift(normalized=True), 0, 4)
 
 
-def test_lattice_size():
-    s, sinv = lattice_size(np.diag([0.5, 0.4]))
-    assert s == pytest.approx(0.2, abs=1e-16) and sinv == pytest.approx(5.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        lattice_size(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    with pytest.raises(ValueError):
-        lattice_size(np.eye(3))
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("desc, family, params", [
+    (EXPN, "exponential", {}),
+    (PhiDescriptor.mittag_leffler(2, 1, normalized=True), "mittag_leffler",
+     {"rho": 2.0, "mu": 1.0}),
+    (PhiDescriptor.dunkl(0.5, normalized=True), "dunkl", {"kappa": 0.5}),
+], ids=["EXP", "ML(2,1)", "Dunkl(1/2)"])
+def test_adjoint_kernel_coeffs_match_mpmath(desc, family, params, n):
+    # against the family definitions at 30 digits: each a_j within 1e-13 of
+    # the sum of its terms' moduli (at most 5.2e-14 measured)
+    want, size = (np.array(x) for x in adjoint_kernel_terms(family, params, n, 40))
+    got = adjoint_kernel_coeffs(desc, n, 40)
+    assert np.all(np.abs(got - want) <= 1e-13 * size)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +327,7 @@ def test_canonical_dual_biorthogonality():
     gam = canonical_dual(EXPN, WK, 0.5, 8, 40)
     mus = adjoint_nodes(0.5, 1)
     K = kernel_atoms(EXPN, WK, mus, 40)
-    rep = biorthogonality_check(EXPN, WK, K, gam, mus)
+    rep = biorthogonality_check(K, gam, mus)
     assert rep.max_residual <= 1e-6
     assert abs(rep.max_residual - 1.4457190960686686e-07) <= 1e-10
     assert rep.n_points == 9
@@ -333,7 +339,7 @@ def test_canonical_dual_wider_ring():
     gam = canonical_dual(EXPN, WK, 0.5, 8, 40)
     mus = adjoint_nodes(0.5, 2)
     K = kernel_atoms(EXPN, WK, mus, 40)
-    rep = biorthogonality_check(EXPN, WK, K, gam, mus)
+    rep = biorthogonality_check(K, gam, mus)
     assert rep.max_residual <= 1e-3
     assert abs(rep.max_residual - 5.392777653093831e-06) <= 1e-9
 
@@ -342,10 +348,32 @@ def test_biorth_guards():
     gam = np.zeros(5, complex)
     K = np.zeros((3, 4), complex)
     with pytest.raises(ValueError):
-        biorthogonality_check(EXPN, WK, K, gam, np.zeros(3, complex))
+        biorthogonality_check(K, gam, np.zeros(3, complex))
     with pytest.raises(ValueError):
         canonical_dual(EXPN, registered_weight(PhiDescriptor.gamma_deriv(1)),
                        0.5, 4, 10)  # weight is -inf at the origin
+
+
+_RNG = np.random.default_rng(5)
+ATOM_POINTS = np.concatenate([
+    [0.0, 1e-200, 1e-200j, -5.6j, 5.6 * np.exp(0.3j), 3.9 + 3.9j],
+    _RNG.uniform(0.0, 5.6, 24) * np.exp(2j * math.pi * _RNG.uniform(size=24))])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_kernel_atoms_match_mpmath(n):
+    # the library's a_p are taken as exact, so the test judges the powers
+    # and the weight, not the coefficient table.  Entry p at z is within
+    # (|z|^2 / 2 + 2p + 8) eps relative: |z|^2 / 2 from the rounded exponent
+    # of sqrt(e^-|z|^2), about 2 eps per step of the running product (15 eps
+    # at most measured; up to 121 eps with exp/log-built powers).  An entry
+    # below the double range, such as (1e-200)^2, must be exactly 0
+    a = adjoint_kernel_coeffs(EXPN, n, 40)
+    want = np.array(exp_kernel_atom_rows(a, ATOM_POINTS))
+    got = kernel_atoms(EXPN, WK, ATOM_POINTS, 40, n)
+    tol = (np.abs(ATOM_POINTS)[:, None] ** 2 / 2 + 2 * np.arange(41) + 8) * np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= tol * np.abs(want))
+    assert np.count_nonzero(want == 0) > 0
 
 
 def test_kernel_atoms_origin_row():
