@@ -18,7 +18,10 @@ range, while every quantity actually consumed downstream is a ratio.
 Where the linear node and the quadratic denominator coincide, the nodes far
 from every evaluation point collapse into one power series in z, the
 far-field idea of Greengard & Rokhlin (J. Comput. Phys. 73, 1987); only the
-near nodes take the direct product (see _log_product for the tail bound).
+near nodes take the direct product.  The series is that of
+log E = log(1 - z) + z + z^2/2 + log Omega, Omega = phi(psi_1 z + psi_2 z^2)
+e^{-z - z^2/2}: its radius is where a bound on |Omega - 1| reaches 1/2, up
+to 1, where log(1 - z) is singular (see _log_product for the tail bound).
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ _BAND_GROUPS = 4         # groups per band of near nodes ordered by |node|
 _HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |phi|
 _FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r*, r* = _log_e_radius
 _FAR_TOL = 1e-17         # bound on the dropped far-field tail, summed over nodes
+_OMEGA_TAIL = 48         # e^(-w - w^2/2) terms past 2N in _log_e_radius (rest < 2e-32)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,7 @@ def _e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nmax + 1):
             power = np.convolve(power, base)[:deg + 1]
-            if not np.any(power):
+            if not np.count_nonzero(power):
                 break
             comp += phis[n] * power
         out = comp.copy()
@@ -185,30 +189,21 @@ def omega(desc: PhiDescriptor, z, N: int = 80):
 
 def omega_bound(desc: PhiDescriptor) -> float:
     """Disk bound sup_{|z|<=1} |Omega| <= |c3| + |c4| + |c5| + 2 sum_{n>=3} |phi_n| R^n,
-    R = |psi1| + |psi2|: _e_bound at r = 1, since each of its terms over
-    |z|^3 is largest at |z| = 1.  +inf for a radius-1 family, whose tail
-    does not decay at R = 1.
-    """
-    return _e_bound(desc, 1.0)
-
-
-def _e_bound(desc: PhiDescriptor, r: float) -> float:
-    """F(r) = |c3| r^3 + |c4| r^4 + |c5| r^5 + (1 + r) sum_{n>=3} |phi_n| R^n,
-    R = |psi1| r + |psi2| r^2, a bound on sup_{|w|<=r} |E(w) - 1|.
+    R = |psi1| + |psi2|.
 
     The three explicit terms are the degree-(3,4,5) coefficients contributed
-    by phi_1, phi_2; the tail uses |1 - w| <= 1 + r and stops at the first
-    term below 1e-16 of the running sum.  Returns +inf when the tail fails
-    to decay within 20000 terms (R at the radius of a radius-1 family);
-    raises DivergenceError if R strictly exceeds the series radius.  The
-    tail usually ends within tens of terms, so the coefficients are read in
-    doubling prefixes of 64, 128, ... terms; each prefix is bitwise the
-    start of the longer table.
+    by phi_1, phi_2; the tail uses |1 - z| <= 2 and stops at the first term
+    below 1e-16 of the running sum.  Returns +inf when the tail fails to
+    decay within 20000 terms (a radius-1 family, whose tail does not decay
+    at R = 1); raises DivergenceError if R strictly exceeds the series
+    radius.  The tail usually ends within tens of terms, so the
+    coefficients are read in doubling prefixes of 64, 128, ... terms; each
+    prefix is bitwise the start of the longer table.
     """
     d = _normalized(desc)
     p1, p2, _ = _phi123(desc)
     ps = psi_pair(desc)
-    R = abs(ps.psi1) * r + abs(ps.psi2) * r**2
+    R = abs(ps.psi1) + abs(ps.psi2)
     if not d.entire and R > 1.0:
         raise DivergenceError("psi radius exceeds the family's convergence radius")
     c3 = abs(p1 * ps.psi2 - 2.0 * p2 * ps.psi1 * ps.psi2 + p2 * ps.psi1**2)
@@ -224,7 +219,7 @@ def _e_bound(desc: PhiDescriptor, r: float) -> float:
             t = math.exp(l[n] + n * logR)
             tail += t
             if t < 1e-16 * (1.0 + tail):
-                return c3 * r**3 + c4 * r**4 + c5 * r**5 + (1.0 + r) * tail
+                return c3 + c4 + c5 + 2.0 * tail
             if n > 64 and t >= prev * 0.999999:
                 return math.inf  # non-decaying tail (radius boundary)
             prev = t
@@ -233,21 +228,50 @@ def _e_bound(desc: PhiDescriptor, r: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _log_e_radius(desc: PhiDescriptor) -> float:
-    """r* = the largest r <= 1 with _e_bound(desc, r) <= 1/2, by bisection
-    that keeps the end where the bound holds (0 where none does).  On
-    |w| <= r*, |E - 1| <= 1/2, so |log E| <= log 2 there."""
+def _log_e_radius(desc: PhiDescriptor, N: int) -> float:
+    """r* <= 1, a radius where a bound on |Omega_N - 1| over |w| <= r* is at
+    most 1/2: bisection to 2^-24 that keeps the end where the bound holds
+    (0 where none does).  The largest such radius is at most 2^-24 above;
+    the bisection stops there, as each step costs a polynomial evaluation
+    and a closer r* would shift the far test by less than 1e-7 relative.
+
+    E_N(w) = (1 - w) Phi_N(w) with Phi_N(w) = phi_N(psi1 w + psi2 w^2), of
+    degree 2N, and Omega_N(w) = Phi_N(w) e^(-w - w^2/2), so that
+    log E_N = log(1 - w) + w + w^2/2 + log Omega_N (see _log_product).  The
+    coefficients omega_n of Omega_N through degree D = 2N + _OMEGA_TAIL are
+    those of Phi_N (the cumulative sum of _e_series) convolved with the a_m
+    of e^(-w - w^2/2), m a_m = -a_(m-1) - a_(m-2).  The bound is
+    sum_{1<=n<=D} |omega_n| r^n (omega_1 = omega_2 = 0 for N >= 2, up to
+    rounding), plus the tail beyond D, at most
+    sum_j |Phi_j| r^j sum_{m>D-2N} |a_m| r^m as Phi_N has degree 2N (the
+    a_m past D enter as their Cauchy bound e^4 2^-m on |w| = 2), plus a
+    rounding allowance of (D + 2N) eps sum_j |Phi_j| r^j sum_m |a_m| r^m.
+    All three are one polynomial in r with coefficients >= 0, so the bound
+    grows with r.  The cap at 1 is the singularity of log(1 - w) at w = 1.
+    """
+    phi = np.cumsum(_e_series(desc, 2 * N, N))
+    D = 2 * N + _OMEGA_TAIL
+    a = [1.0, -1.0]
+    for m in range(2, D + 1):
+        a.append(-(a[m - 1] + a[m - 2]) / m)
+    a = np.array(a)
+    om = np.abs(np.convolve(phi, a)[:D + 1])
+    om[0] = 0.0
+    weight = np.abs(a) * ((D + 2 * N) * np.finfo(float).eps)
+    weight[_OMEGA_TAIL + 1:] += np.abs(a[_OMEGA_TAIL + 1:])
+    weight[0] += math.exp(4.0) * 0.5**D
+    bound = np.convolve(np.abs(phi), weight)
+    bound[:D + 1] += om
+    degs = np.arange(bound.size, dtype=float)
 
     def holds(r):
-        try:
-            return _e_bound(desc, r) <= 0.5
-        except DivergenceError:
-            return False
+        return bound @ r**degs <= 0.5
 
     if holds(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
+    while hi - lo > 2.0**-24:
+        mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if holds(mid) else (lo, mid)
     return lo
 
@@ -426,22 +450,27 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     nan, 0 or subnormal), takes the band's per-cell sum of
     log(1 - z/node) + log(phi) instead.  When dens is nodes, the nodes
     with |node| > max|z| / (rho r) are far instead, rho = _FAR_RATIO and
-    r = _log_e_radius, the largest r <= 1 where _e_bound(r), a bound on
-    |E - 1| over |w| <= r, is at most 1/2.  As _e_bound(r) <= B r^3 with
-    B = omega_bound, r is never below the disk radius min(1, (2B)^(-1/3)).
-    So |l_k| <= log 2 / r^k (Cauchy), and the far sum of log E(z/node) is
-    sum_{k<=K} l_k S_k z^k, S_k = sum_far node^-k, with a dropped tail of
-    at most n_far log 2 rho^(K+1) / (1 - rho) < _FAR_TOL.  The l_k are built once
-    per (descriptor, K, N) (_log_e_series), and the moments come from a
-    running product over the far nodes, one multiply and one sum per k.
-    Every node is near when r is 0 (no radius meets the bound); no node is
-    near when every node is far, and then the series alone remains.
+    r = _log_e_radius(N) <= 1, a radius where |Omega_N - 1| <= 1/2 for
+    Omega_N(w) = Phi_N(w) e^(-w - w^2/2), Phi_N(w) = phi_N(psi1 w + psi2 w^2).
+    As E_N = (1 - w) Phi_N, log E_N = log(1 - w) + w + w^2/2 + log Omega_N,
+    and |log Omega_N| <= log 2 on |w| <= r.  E_N = 1 + O(w^3) (N >= 2), so
+    l_1 = l_2 = 0, and l_k = -1/k + lambda_k for k >= 3 with
+    |lambda_k| <= log 2 / r^k (Cauchy); as r <= 1, |l_k| <= (1 + log 2) / r^k
+    for every k.  The far sum of log E_N(z/node) is sum_{k<=K} l_k S_k z^k,
+    S_k = sum_far node^-k.  Each far |z/node| is at most rho r, so term k of
+    a node is at most (1 + log 2) rho^k, and the dropped tail is at most
+    n_far (1 + log 2) rho^(K+1) / (1 - rho) < _FAR_TOL, which sets K.  The
+    l_k are built once per (descriptor, K, N) (_log_e_series), and the
+    moments come from a running product over the far nodes, one multiply
+    and one sum per k.  Every node is near when r is 0 (no radius meets the
+    bound); no node is near when every node is far, and then the series
+    alone remains.
     """
     d = _normalized(desc)
     zmax = float(np.abs(z).max(initial=0.0))
     far = np.zeros(nodes.size, dtype=bool)
     if dens is nodes and zmax > 0:
-        far = np.abs(nodes) * (_FAR_RATIO * _log_e_radius(d)) > zmax
+        far = np.abs(nodes) * (_FAR_RATIO * _log_e_radius(d, N)) > zmax
     order = np.argsort(np.abs(nodes[~far]), kind="stable")
     near_nodes, near_dens = nodes[~far][order], dens[~far][order]
     phis = phi_coeffs(d, N)
@@ -487,7 +516,7 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                 out[idx] += logs
     n_far = int(far.sum())
     if n_far:
-        tail = n_far * math.log(2.0) * _FAR_RATIO / (1.0 - _FAR_RATIO)
+        tail = n_far * (1.0 + math.log(2.0)) * _FAR_RATIO / (1.0 - _FAR_RATIO)
         K = int(math.log(_FAR_TOL / tail) / math.log(_FAR_RATIO)) + 1
         # moments of zmax / node (each power <= 1 in modulus), series in z / zmax
         w = zmax / nodes[far]

@@ -78,14 +78,19 @@ def _factor(family: str, params: dict, N: int):
     return lambda w: (1 - w) * phi(psi1 * w + psi2 * w * w)
 
 
-def factor_deviation_on_circle(family: str, params: dict, r: float, n: int,
-                               N: int = 80) -> float:
-    """max |E_N(w) - 1| over the n points w = r e^(2 pi i j / n), j < n, at
-    30 digits, r taken as exact."""
+def omega_deviation_on_circle(family: str, params: dict, r: float, n: int,
+                              N: int = 80) -> float:
+    """max |Phi_N(w) e^(-w - w^2/2) - 1| over the n points w = r e^(2 pi i j / n),
+    j < n, at 30 digits, r taken as exact; Phi_N(w) = phi_N(psi1 w + psi2 w^2)
+    is evaluated directly, not as E_N(w) / (1 - w)."""
     with mp.workdps(30):
-        E = _factor(family, params, N)
+        psi1, psi2, phi = _series(family, params, N)
         r = mp.mpf(r)
-        return float(max(abs(E(r * mp.expjpi(mp.mpf(2 * j) / n)) - 1) for j in range(n)))
+        dev = mp.mpf(0)
+        for j in range(n):
+            w = r * mp.expjpi(mp.mpf(2 * j) / n)
+            dev = max(dev, abs(phi(psi1 * w + psi2 * w * w) * mp.exp(-w - w * w / 2) - 1))
+        return float(dev)
 
 
 def log_factor_taylor(family: str, params: dict, K: int, N: int = 80) -> list:

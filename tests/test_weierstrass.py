@@ -15,8 +15,8 @@ from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _log_e_series,
                                 omega, omega_bound, psi_pair, radius_bounds, sigma_fn,
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
-from mp_oracles import (factor_deviation_on_circle, log_abs_pair_product,
-                        log_factor_series, log_factor_taylor, sigma_product)
+from mp_oracles import (log_abs_pair_product, log_factor_series, log_factor_taylor,
+                        omega_deviation_on_circle, sigma_product)
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 ML21N = PhiDescriptor.mittag_leffler(2, 1, normalized=True)
@@ -357,11 +357,11 @@ def test_log_e_series_against_mpmath_taylor(name, N):
 @pytest.mark.parametrize("name", ["ML(2,1)", "GD(1)"])
 def test_log_e_series_to_degree_170(name):
     # the far series runs to degree K ~ 171 at M = 48; each error is scaled
-    # by the Cauchy bound |l_k| <= log 2 / r^k that the tail bound assumes
+    # by r^k, as term k of a far node is at most |l_k| (rho r)^k
     desc, family, params = ORACLE_FAMILIES[name]
     want = np.array(log_factor_series(family, params, 170))
     got = _log_e_series(desc, 170, 80)
-    r = weierstrass._log_e_radius(desc)
+    r = weierstrass._log_e_radius(desc, 80)
     assert np.max(np.abs(got - want) * r ** np.arange(171)) / math.log(2.0) <= 1e-15
 
 
@@ -409,8 +409,8 @@ def test_sigma_split_against_mpmath_product(name):
 @given(st.sampled_from(sorted(ORACLE_FAMILIES)), st.integers(2, 5),
        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 def test_sigma_split_property(name, M, x, y):
-    # far nodes appear from M = 3 on at |z| = sqrt 2 (EXP, GD(1); M = 4 for
-    # ML(2,1)) and sooner at smaller |z|; the split may add at most 1e-12
+    # far nodes appear from M = 2 on at |z| = sqrt 2 (at |node| > 1.89 for
+    # EXP and ML(2,1), > 2.82 for GD(1)); the split may add at most 1e-12
     # to the error of the all-direct product
     z = complex(x, y)
     lat = LatticeSpec(1.0, M)
@@ -531,28 +531,38 @@ def rounding_scale(desc, z, nodes, dens, N=80):
 def sigma_near_nodes(desc, lat, zmax):
     """The nonzero nodes of lat that sigma_fn keeps near for max|z| = zmax."""
     nodes = lat.points()
-    far = np.abs(nodes) * (weierstrass._FAR_RATIO * weierstrass._log_e_radius(desc)) > zmax
+    far = np.abs(nodes) * (weierstrass._FAR_RATIO * weierstrass._log_e_radius(desc, 80)) > zmax
     return nodes[~far & (nodes != 0)]
 
 
-# five points of the 2,049-point winding contour of radius 2.5
-CONTOUR_25 = 2.5 * np.exp(2j * np.pi * np.array([0, 100, 256, 700, 1337]) / 2048)
+# five points of the 2,049-point winding contour of radius 2.5, and the
+# same angles at radius 3.5
+ANGLES = 2j * np.pi * np.array([0, 100, 256, 700, 1337]) / 2048
+CONTOUR_25, CONTOUR_35 = 2.5 * np.exp(ANGLES), 3.5 * np.exp(ANGLES)
+
+
+@pytest.mark.parametrize("name, count", [("EXP", 36), ("ML(2,1)", 36), ("GD(1)", 68),
+                                         ("BSN", 60)])
+def test_sigma_near_counts_on_winding_contour(name, count):
+    # M = 12 at |z| = 2.5; a radius of 1 keeps |node| <= 2.5 / 0.75 near
+    desc = NEAR_FAMILIES[name]
+    assert sigma_near_nodes(desc, LatticeSpec(1.0, 12), 2.5).size == count
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_banded_sigma_against_mpmath_product(name):
-    # M = 12 at |z| = 2.5: the near nodes fill several bands (68 for EXP,
-    # 100 for ML(2,1), 88 for GD(1)); ML(2,1)'s Horner cancels to about
-    # 3e-11 here, which the rounding estimate covers
+    # M = 12 at |z| = 3.5: the near nodes fill several bands (68 for EXP
+    # and ML(2,1), 144 for GD(1)); ML(2,1)'s Horner cancels here, which
+    # the rounding estimate covers
     desc, family, params = ORACLE_FAMILIES[name]
     lat = LatticeSpec(1.0, 12)
     nodes = lat.points()
     nodes = nodes[nodes != 0]
     band = weierstrass._BAND_GROUPS * weierstrass._LOG_GROUP
-    assert sigma_near_nodes(desc, lat, 2.5).size > 2 * band
-    want = np.array([sigma_product(family, params, z, 12) for z in CONTOUR_25])
-    err = np.abs(sigma_fn(desc, CONTOUR_25, lat) / want - 1.0)
-    assert np.all(err <= 4.0 * rounding_scale(desc, CONTOUR_25, nodes, nodes))
+    assert sigma_near_nodes(desc, lat, 3.5).size > 2 * band
+    want = np.array([sigma_product(family, params, z, 12) for z in CONTOUR_35])
+    err = np.abs(sigma_fn(desc, CONTOUR_35, lat) / want - 1.0)
+    assert np.all(err <= 4.0 * rounding_scale(desc, CONTOUR_35, nodes, nodes))
 
 
 def test_banded_printed_variant_against_mpmath():
@@ -580,7 +590,7 @@ def horner_degrees(monkeypatch):
 
 def test_outer_band_starts_horner_lower(monkeypatch):
     # EXP on 16 contour points at M = 12: one chunk per band, innermost
-    # band first, and the far series last (degree K = 161); EXP's
+    # band first, and the far series last (degree K = 164); EXP's
     # a-priori min|phi| is exact, so no chunk restarts
     degrees = horner_degrees(monkeypatch)
     lat = LatticeSpec(1.0, 12)
@@ -622,13 +632,25 @@ NEAR_FAMILIES = {name: desc for name, (desc, _, _) in FACTOR_ORACLES.items()}
 
 @pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
 def test_log_e_radius_bounds_the_factor(name):
-    # r* is at least the radius where the disk bound B|w|^3 reaches 1/2
-    # (0 for the backward shift, whose B is inf), and |E - 1| <= 1/2 on
-    # |w| = r*, hence on the disk, so |l_k| <= log 2 / r*^k holds
+    # |Phi_80(w) e^(-w - w^2/2) - 1| <= 1/2 on |w| = r*, hence on the disk
+    # (the maximum principle), so |log Omega| <= log 2 there; r* <= 1
     desc, family, params = FACTOR_ORACLES[name]
-    r = weierstrass._log_e_radius(desc)
-    assert r >= min(1.0, (2.0 * omega_bound(desc)) ** (-1.0 / 3.0))
-    assert factor_deviation_on_circle(family, params, r, 4096) <= 0.5
+    r = weierstrass._log_e_radius(desc, 80)
+    assert 0.0 < r <= 1.0
+    assert omega_deviation_on_circle(family, params, r, 4096) <= 0.5
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
+def test_log_e_coefficients_split_off_log_one_minus_w(name):
+    # log E = log(1 - w) + w + w^2/2 + log Omega: l_1 = l_2 = 0 (to the
+    # oracle's 50 digits), and l_k + 1/k = lambda_k obeys the Cauchy bound
+    # log 2 / r*^k that the far-field tail bound takes
+    desc, family, params = FACTOR_ORACLES[name]
+    ell = np.array(log_factor_series(family, params, 170))
+    r = weierstrass._log_e_radius(desc, 80)
+    assert abs(ell[1]) <= 1e-40 and abs(ell[2]) <= 1e-40
+    k = np.arange(3, 171)
+    assert np.all(np.abs(ell[3:] + 1.0 / k) * r**k <= math.log(2.0))
 
 
 @settings(max_examples=30, deadline=None)
