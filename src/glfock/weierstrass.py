@@ -257,6 +257,7 @@ def _log_e_radius(desc: PhiDescriptor, N: int) -> float:
     a = np.array(a)
     om = np.abs(np.convolve(phi, a)[:D + 1])
     om[0] = 0.0
+    # times sum_j |Phi_j| r^j: the allowance, the a_m past D - 2N and those past D
     weight = np.abs(a) * ((D + 2 * N) * np.finfo(float).eps)
     weight[_OMEGA_TAIL + 1:] += np.abs(a[_OMEGA_TAIL + 1:])
     weight[0] += math.exp(4.0) * 0.5**D

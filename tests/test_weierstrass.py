@@ -541,14 +541,6 @@ ANGLES = 2j * np.pi * np.array([0, 100, 256, 700, 1337]) / 2048
 CONTOUR_25, CONTOUR_35 = 2.5 * np.exp(ANGLES), 3.5 * np.exp(ANGLES)
 
 
-@pytest.mark.parametrize("name, count", [("EXP", 36), ("ML(2,1)", 36), ("GD(1)", 68),
-                                         ("BSN", 60)])
-def test_sigma_near_counts_on_winding_contour(name, count):
-    # M = 12 at |z| = 2.5; a radius of 1 keeps |node| <= 2.5 / 0.75 near
-    desc = NEAR_FAMILIES[name]
-    assert sigma_near_nodes(desc, LatticeSpec(1.0, 12), 2.5).size == count
-
-
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_banded_sigma_against_mpmath_product(name):
     # M = 12 at |z| = 3.5: the near nodes fill several bands (68 for EXP
@@ -651,6 +643,15 @@ def test_log_e_coefficients_split_off_log_one_minus_w(name):
     assert abs(ell[1]) <= 1e-40 and abs(ell[2]) <= 1e-40
     k = np.arange(3, 171)
     assert np.all(np.abs(ell[3:] + 1.0 / k) * r**k <= math.log(2.0))
+
+
+@pytest.mark.parametrize("name, count", [("EXP", 36), ("ML(2,1)", 36), ("GD(1)", 68),
+                                         ("BSN", 60)])
+def test_sigma_near_counts_on_winding_contour(name, count):
+    # M = 12 at |z| = 2.5: nodes with |node| <= 2.5 / (0.75 r*) are near,
+    # |node| <= 3.33 where r* = 1 (EXP, ML(2,1))
+    desc = NEAR_FAMILIES[name]
+    assert sigma_near_nodes(desc, LatticeSpec(1.0, 12), 2.5).size == count
 
 
 @settings(max_examples=30, deadline=None)
