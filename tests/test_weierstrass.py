@@ -813,6 +813,34 @@ def test_two_sided_diag():
     assert np.all(rep.ratio <= 1 + 1e-9)
 
 
+def _criterion_07_grid(gam):
+    xs = np.linspace(-2.0, 2.0, 20)
+    grid = (xs[:, None] + 1j * xs[None, :]).ravel() + (0.25 + 0.125j)
+    return grid[gam.dist(grid) > 1e-6]
+
+
+def _perfbench_grid(gam):
+    xs = np.arange(-2.75, 2.76, 0.5)
+    return (xs[:, None] + 1j * xs[None, :]).ravel()
+
+
+@pytest.mark.parametrize("seed, grid_of, want", [
+    # acceptance criterion 07
+    (7, _criterion_07_grid,
+     ("0x1.8000000000000p+0", "0x1.c302dc1b0e37bp-2", "0x1.9815058916a49p-1")),
+    # the two_sided/perturbed op of the perfbench lattice workload, seed 1
+    (1, _perfbench_grid,
+     ("0x1.999999999999ap+0", "0x1.f6cfc80683069p-2", "0x1.5f98a6294feedp-1")),
+])
+def test_two_sided_diag_bits(seed, grid_of, want):
+    # c, c1 and c2 to the last bit, as no golden file covers this function
+    wk = verified_weight(PhiDescriptor.exponential())
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.1, seed=seed)
+    rep = two_sided_diag(EXPN, wk, gam, grid_of(gam), N=80)
+    assert (rep.c.hex(), rep.c1.hex(), rep.c2.hex()) == want
+    assert rep.feasible is True
+
+
 def test_two_sided_single_point_and_node_guard():
     wk = verified_weight(PhiDescriptor.exponential())
     gam = PerturbedLattice(LatticeSpec(1.0, 8))
