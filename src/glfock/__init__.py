@@ -23,9 +23,9 @@ _EXPORTS = {
                  "bargmann_sample", "ladder_raise", "ladder_lower",
                  "intertwine_residuals"),
     "weierstrass": ("PsiPair", "LatticeSpec", "PerturbedLattice", "psi_pair",
-                    "e_series", "weierstrass_factor", "omega", "omega_bound",
-                    "radius_bounds", "sigma_fn", "g_fn", "log_g_fn",
-                    "sigma_lower_diag", "two_sided_diag", "winding_zero_count"),
+                    "weierstrass_factor", "omega", "omega_bound", "radius_bounds",
+                    "sigma_fn", "g_fn", "log_g_fn", "sigma_lower_diag",
+                    "two_sided_diag", "winding_zero_count"),
     "frames": ("DensityReport", "FrameReport", "density", "frame_bounds",
                "interpolate_ls", "adjoint_kernel_coeffs", "frame_sweep",
                "kernel_atoms", "canonical_dual", "biorthogonality_check"),

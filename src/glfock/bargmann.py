@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, multiply_z,
-                   signs_logs)
+from .core import (PhiDescriptor, TruncatedSeries, _CoeffVector, gl_derivative,
+                   multiply_z, signs_logs)
 from .special import hermite_fn_table
 
 __all__ = [
@@ -38,24 +38,10 @@ __all__ = [
 ]
 
 
-class HermiteCoeffs:
+class HermiteCoeffs(_CoeffVector):
     """Finite expansion sum_n c_n h_n in orthonormal Hermite functions."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-D sequence")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HermiteCoeffs is immutable")
-
-    @property
-    def degree_cap(self) -> int:
-        return self.coeffs.size - 1
+    __slots__ = ()
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))

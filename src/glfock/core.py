@@ -251,25 +251,31 @@ def phi_coeffs(desc: PhiDescriptor, kmax: int) -> np.ndarray:
 # truncated series
 # ---------------------------------------------------------------------------
 
-class TruncatedSeries:
-    """Polynomial f(z) = sum_{k<=N} f_k z^k; the container is immutable."""
+class _CoeffVector:
+    """Immutable container of a read-only copy of a nonempty 1-D complex
+    coefficient vector, indexed 0..degree_cap."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+        c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a nonempty 1-D sequence")
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     def __setattr__(self, *a):
-        raise AttributeError("TruncatedSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def degree_cap(self) -> int:
         return self.coeffs.size - 1
+
+
+class TruncatedSeries(_CoeffVector):
+    """Polynomial f(z) = sum_{k<=N} f_k z^k; the container is immutable."""
+
+    __slots__ = ()
 
     def __call__(self, z):
         acc = _horner(self.coeffs[::-1], np.asarray(z, dtype=complex))

@@ -19,9 +19,11 @@ Where the linear node and the quadratic denominator coincide, the nodes far
 from every evaluation point collapse into one power series in z, the
 far-field idea of Greengard & Rokhlin (J. Comput. Phys. 73, 1987); only the
 near nodes take the direct product.  The series is that of
-log E = log(1 - z) + z + z^2/2 + log Omega, Omega = phi(psi_1 z + psi_2 z^2)
-e^{-z - z^2/2}: its radius is where a bound on |Omega - 1| reaches 1/2, up
-to 1, where log(1 - z) is singular (see _log_product for the tail bound).
+log E = log(1 - z) + z + z^2/2 + log R, R = phi(psi_1 z + psi_2 z^2)
+e^{-z - z^2/2}: its radius is where a bound on |R - 1| reaches 1/2, up to 1,
+where log(1 - z) is singular (see _log_product for the tail bound).  R is
+not omega()'s Omega = (E - 1) / z^3; both slice E's Maclaurin coefficients
+from one table per (family, N), _e_table.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "PerturbedLattice",
     "RadiusBounds",
     "psi_pair",
-    "e_series",
     "weierstrass_factor",
     "omega",
     "omega_bound",
@@ -69,7 +70,7 @@ _BAND_GROUPS = 4         # groups per band of near nodes ordered by |node|
 _HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |phi|
 _FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r*, r* = _log_e_radius
 _FAR_TOL = 1e-17         # bound on the dropped far-field tail, summed over nodes
-_OMEGA_TAIL = 48         # e^(-w - w^2/2) terms past 2N in _log_e_radius (rest < 2e-32)
+_OMEGA_TAIL = 48         # e^(-w - w^2/2) terms of R_N past 2N in _log_e_radius (rest < 2e-32)
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +93,16 @@ def _normalized(desc: PhiDescriptor) -> PhiDescriptor:
         "descriptor (normalize())")
 
 
-def _phi123(desc: PhiDescriptor) -> tuple[float, float, float]:
+def _phi12(desc: PhiDescriptor) -> tuple[float, float]:
     d = _normalized(desc)
-    s, l = signs_logs(d, 3)
+    s, l = signs_logs(d, 2)
     v = s * np.exp(l)
-    return float(v[1]), float(v[2]), float(v[3])
+    return float(v[1]), float(v[2])
 
 
 def psi_pair(desc: PhiDescriptor) -> PsiPair:
     """Coefficients making (1 - z) phi(psi1 z + psi2 z^2) vanish to 3rd order."""
-    p1, p2, _ = _phi123(desc)
+    p1, p2 = _phi12(desc)
     try:
         psi1 = 1.0 / p1
         psi2 = (p1 * p1 - p2) / p1**3
@@ -117,29 +118,23 @@ def psi_pair(desc: PhiDescriptor) -> PsiPair:
     return PsiPair(psi1, psi2)
 
 
-def e_series(desc: PhiDescriptor, deg: int) -> np.ndarray:
-    """Maclaurin coefficients of E(z) through degree deg (normalized family)."""
-    return _e_series(desc, deg, deg)
-
-
-def _e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
-    """Maclaurin coefficients through degree deg of E with phi cut after N terms;
-    OverflowError where one is not a double (phi_n is 0 where psi1^n is inf)."""
+@lru_cache(maxsize=64)
+def _e_table(desc: PhiDescriptor, N: int) -> np.ndarray:
+    """Maclaurin coefficients e_0..e_(2N+1) of E_N, phi cut after N terms (E_N
+    has degree 2N + 1); read-only, built once per (desc, N).  OverflowError
+    where one is not a double (phi_n is 0 where psi1^n is inf)."""
     d = _normalized(desc)
     ps = psi_pair(desc)
-    nmax = min(deg, N)
-    phis = phi_coeffs(d, nmax)
-    comp = np.zeros(deg + 1)
+    phis = phi_coeffs(d, N)
+    comp = np.zeros(2 * N + 2)
     comp[0] = phis[0]
-    power = np.zeros(deg + 1)
+    power = np.zeros(2 * N + 2)
     power[0] = 1.0
-    base = np.zeros(deg + 1)
-    base[1] = ps.psi1
-    if deg >= 2:
-        base[2] = ps.psi2
+    base = np.zeros(2 * N + 2)
+    base[1:3] = ps.psi1, ps.psi2
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, nmax + 1):
-            power = np.convolve(power, base)[:deg + 1]
+        for n in range(1, N + 1):
+            power = np.convolve(power, base)[:2 * N + 2]
             if not np.count_nonzero(power):
                 break
             comp += phis[n] * power
@@ -148,6 +143,7 @@ def _e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
     if not np.isfinite(out).all():
         raise OverflowError(f"E series for {desc.family} outside double range "
                             f"(psi1={ps.psi1!r})")
+    out.setflags(write=False)
     return out
 
 
@@ -183,7 +179,7 @@ def omega(desc: PhiDescriptor, z, N: int = 80):
         out[far] = (E - 1.0) / zz**3
         series[far] = cancel
     if np.any(series):
-        out[series] = _horner(e_series(desc, 17)[3:][::-1], zf[series])
+        out[series] = _horner(_e_table(desc, 17)[17:2:-1], zf[series])
     return complex(out[0]) if scalar else out
 
 
@@ -201,7 +197,7 @@ def omega_bound(desc: PhiDescriptor) -> float:
     prefix is bitwise the start of the longer table.
     """
     d = _normalized(desc)
-    p1, p2, _ = _phi123(desc)
+    p1, p2 = _phi12(desc)
     ps = psi_pair(desc)
     R = abs(ps.psi1) + abs(ps.psi2)
     if not d.entire and R > 1.0:
@@ -229,40 +225,40 @@ def omega_bound(desc: PhiDescriptor) -> float:
 
 @lru_cache(maxsize=64)
 def _log_e_radius(desc: PhiDescriptor, N: int) -> float:
-    """r* <= 1, a radius where a bound on |Omega_N - 1| over |w| <= r* is at
+    """r* <= 1, a radius where a bound on |R_N - 1| over |w| <= r* is at
     most 1/2: bisection to 2^-24 that keeps the end where the bound holds
     (0 where none does).  The largest such radius is at most 2^-24 above;
     the bisection stops there, as each step costs a polynomial evaluation
     and a closer r* would shift the far test by less than 1e-7 relative.
 
     E_N(w) = (1 - w) Phi_N(w) with Phi_N(w) = phi_N(psi1 w + psi2 w^2), of
-    degree 2N, and Omega_N(w) = Phi_N(w) e^(-w - w^2/2), so that
-    log E_N = log(1 - w) + w + w^2/2 + log Omega_N (see _log_product).  The
-    coefficients omega_n of Omega_N through degree D = 2N + _OMEGA_TAIL are
-    those of Phi_N (the cumulative sum of _e_series) convolved with the a_m
-    of e^(-w - w^2/2), m a_m = -a_(m-1) - a_(m-2).  The bound is
-    sum_{1<=n<=D} |omega_n| r^n (omega_1 = omega_2 = 0 for N >= 2, up to
-    rounding), plus the tail beyond D, at most
+    degree 2N, and R_N(w) = Phi_N(w) e^(-w - w^2/2), so that
+    log E_N = log(1 - w) + w + w^2/2 + log R_N (see _log_product).  The
+    coefficients q_n of R_N through degree D = 2N + _OMEGA_TAIL are
+    those of Phi_N (the cumulative sum of the E_N table _e_table, less its
+    last entry) convolved with the a_m of e^(-w - w^2/2),
+    m a_m = -a_(m-1) - a_(m-2).  The bound is sum_{1<=n<=D} |q_n| r^n
+    (q_1 = q_2 = 0 for N >= 2, up to rounding), plus the tail beyond D, at most
     sum_j |Phi_j| r^j sum_{m>D-2N} |a_m| r^m as Phi_N has degree 2N (the
     a_m past D enter as their Cauchy bound e^4 2^-m on |w| = 2), plus a
     rounding allowance of (D + 2N) eps sum_j |Phi_j| r^j sum_m |a_m| r^m.
     All three are one polynomial in r with coefficients >= 0, so the bound
     grows with r.  The cap at 1 is the singularity of log(1 - w) at w = 1.
     """
-    phi = np.cumsum(_e_series(desc, 2 * N, N))
+    phi = np.cumsum(_e_table(desc, N)[:-1])
     D = 2 * N + _OMEGA_TAIL
     a = [1.0, -1.0]
     for m in range(2, D + 1):
         a.append(-(a[m - 1] + a[m - 2]) / m)
     a = np.array(a)
-    om = np.abs(np.convolve(phi, a)[:D + 1])
-    om[0] = 0.0
+    q = np.abs(np.convolve(phi, a)[:D + 1])
+    q[0] = 0.0
     # times sum_j |Phi_j| r^j: the allowance, the a_m past D - 2N and those past D
     weight = np.abs(a) * ((D + 2 * N) * np.finfo(float).eps)
     weight[_OMEGA_TAIL + 1:] += np.abs(a[_OMEGA_TAIL + 1:])
     weight[0] += math.exp(4.0) * 0.5**D
     bound = np.convolve(np.abs(phi), weight)
-    bound[:D + 1] += om
+    bound[:D + 1] += q
     degs = np.arange(bound.size, dtype=float)
 
     def holds(r):
@@ -416,7 +412,8 @@ def _log_e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
     """Maclaurin coefficients l_0..l_deg of log E (phi cut after N terms),
     from n l_n = n e_n - sum_{k<n} k l_k e_{n-k} with e_0 = 1; read-only,
     built once per (desc, deg, N)."""
-    e, ell = _e_series(desc, deg, N), np.zeros(deg + 1)
+    tab = _e_table(desc, N)[:deg + 1]
+    e, ell = np.pad(tab, (0, deg + 1 - tab.size)), np.zeros(deg + 1)
     for n in range(1, deg + 1):
         ell[n] = e[n] - np.dot(np.arange(1, n) * ell[1:n], e[n - 1:0:-1]) / n
     ell.setflags(write=False)
@@ -424,7 +421,7 @@ def _log_e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
 
 
 def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
-                 dens: np.ndarray, ps: PsiPair, N: int) -> np.ndarray:
+                 dens: np.ndarray, N: int) -> np.ndarray:
     """sum over nodes of log[(1 - z/node) phi(psi1 z/node + psi2 z^2/den^2)].
 
     Returns complex logs; -inf real part where z hits a node exactly.  The
@@ -451,10 +448,10 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     nan, 0 or subnormal), takes the band's per-cell sum of
     log(1 - z/node) + log(phi) instead.  When dens is nodes, the nodes
     with |node| > max|z| / (rho r) are far instead, rho = _FAR_RATIO and
-    r = _log_e_radius(N) <= 1, a radius where |Omega_N - 1| <= 1/2 for
-    Omega_N(w) = Phi_N(w) e^(-w - w^2/2), Phi_N(w) = phi_N(psi1 w + psi2 w^2).
-    As E_N = (1 - w) Phi_N, log E_N = log(1 - w) + w + w^2/2 + log Omega_N,
-    and |log Omega_N| <= log 2 on |w| <= r.  E_N = 1 + O(w^3) (N >= 2), so
+    r = _log_e_radius(N) <= 1, a radius where |R_N - 1| <= 1/2 for
+    R_N(w) = Phi_N(w) e^(-w - w^2/2), Phi_N(w) = phi_N(psi1 w + psi2 w^2).
+    As E_N = (1 - w) Phi_N, log E_N = log(1 - w) + w + w^2/2 + log R_N,
+    and |log R_N| <= log 2 on |w| <= r.  E_N = 1 + O(w^3) (N >= 2), so
     l_1 = l_2 = 0, and l_k = -1/k + lambda_k for k >= 3 with
     |lambda_k| <= log 2 / r^k (Cauchy); as r <= 1, |l_k| <= (1 + log 2) / r^k
     for every k.  The far sum of log E_N(z/node) is sum_{k<=K} l_k S_k z^k,
@@ -467,7 +464,7 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     bound); no node is near when every node is far, and then the series
     alone remains.
     """
-    d = _normalized(desc)
+    d, ps = _normalized(desc), psi_pair(desc)
     zmax = float(np.abs(z).max(initial=0.0))
     far = np.zeros(nodes.size, dtype=bool)
     if dens is nodes and zmax > 0:
@@ -535,11 +532,9 @@ def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TER
     z = np.asarray(z, dtype=complex)
     scalar = z.shape == ()
     zf = np.atleast_1d(z).astype(complex)
-    ps = psi_pair(desc)
-    mm, nn = lat.index_grid()
-    sel = ~((mm == 0) & (nn == 0))
-    nodes = (lat.lam * (mm + 1j * nn))[sel]
-    logs = _log_product(desc, zf, nodes, nodes, ps, N)
+    nodes = lat.points()
+    nodes = nodes[nodes != 0]
+    logs = _log_product(desc, zf, nodes, nodes, N)
     with np.errstate(over="ignore"):
         val = zf * np.exp(logs)
     val = np.where(logs.real == -np.inf, 0.0, val)  # z on a node
@@ -557,10 +552,9 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
     if variant not in ("printed", "all_gamma"):
         raise ValueError("variant must be 'printed' or 'all_gamma'")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    ps = psi_pair(desc)
     nodes, base = gamma.nonzero()
     dens = base if variant == "printed" else nodes
-    logs = _log_product(desc, z, nodes, dens, ps, N)
+    logs = _log_product(desc, z, nodes, dens, N)
     with np.errstate(divide="ignore"):
         return logs + np.log(z - gamma.z00)
 
@@ -651,12 +645,8 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
         loggam = np.log(np.abs(wk.analytic(grid)))
     low = logV - np.log(d) - loggam
     up = logV - loggam
-    best = None
-    for c in np.linspace(0.0, 4.0, 81):
-        gap = float((up - c * t).max() - (low + c * t).min())
-        if best is None or gap < best[0]:
-            best = (gap, float(c))
-    c = best[1]
+    cs = np.linspace(0.0, 4.0, 81)[:, None]
+    c = float(cs[np.argmin((up - cs * t).max(axis=1) - (low + cs * t).min(axis=1)), 0])
     logc1 = float((low + c * t).min())
     logc2 = float((up - c * t).max())
     c1, c2 = math.exp(logc1), math.exp(logc2)

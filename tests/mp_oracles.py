@@ -107,6 +107,30 @@ def log_factor_taylor(family: str, params: dict, K: int, N: int = 80) -> list:
         return [float(mp.re(c)) for c in coeffs]
 
 
+def factor_series(family: str, params: dict, N: int) -> tuple[list, list]:
+    """Maclaurin coefficients e_0..e_(2N+1) of E_N(w) = (1 - w) sum_{n<=N}
+    phi_n (psi1 w + psi2 w^2)^n at 30 digits, by composing the polynomials,
+    and those of the same sum with |.| on every term, (1 + w) sum_{n<=N}
+    |phi_n| (|psi1| w + |psi2| w^2)^n, the scale of the rounding error of a
+    double evaluation of the same sum."""
+    with mp.workdps(30):
+        phis = _phis(family, params, N)
+        psi1, psi2 = _psi(phis)
+        K = 2 * N + 1
+
+        def compose(phis, psi1, psi2, sign):
+            power = [mp.mpf(1)] + [mp.mpf(0)] * K
+            comp = [phis[0]] + [mp.mpf(0)] * K
+            for n in range(1, N + 1):
+                power = [mp.mpf(0)] + [psi1 * power[k - 1] + (psi2 * power[k - 2] if k > 1 else 0)
+                                       for k in range(1, K + 1)]
+                comp = [c + phis[n] * p for c, p in zip(comp, power)]
+            return [float(comp[0])] + [float(comp[k] + sign * comp[k - 1]) for k in range(1, K + 1)]
+
+        return (compose(phis, psi1, psi2, -1),
+                compose([abs(c) for c in phis], abs(psi1), abs(psi2), 1))
+
+
 def log_factor_series(family: str, params: dict, K: int, N: int = 80) -> list:
     """Maclaurin coefficients l_0..l_K of log E_N at 50 digits, from the
     series alone: e_0..e_K of E_N(w) = (1 - w) phi_N(psi1 w + psi2 w^2) by

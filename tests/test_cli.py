@@ -145,6 +145,38 @@ def test_check_csv_status_column(capsys):
     assert all(line.endswith(",pass") for line in lines[1:])
 
 
+@pytest.mark.parametrize("kappa, residual", [(5, "4.0"), (100, "9.893216058924181e+173")])
+def test_check_weierstrass_dunkl_rounding(capsys, tmp_path, kappa, residual):
+    # |1 - E| = |Omega| on |z| = 1, where |Omega| reaches 7.8e15 (kappa 5)
+    # and 3.6e189 (kappa 100): the gap there is rounding relative to |Omega|,
+    # and the printed residual stays absolute
+    p = write_cfg(tmp_path, {"phi": {"family": "dunkl", "params": {"kappa": kappa}}})
+    rc, out, err = run_cli(capsys, ["check", "--suite", "weierstrass", "--config", p])
+    assert rc == 0, err
+    assert f"E_inequality_grid,{residual},pass" in out.splitlines()
+
+
+@pytest.mark.parametrize("phi", [{}, {"family": "dunkl", "params": {"kappa": 5}}])
+def test_check_weierstrass_fails_on_violation(capsys, tmp_path, monkeypatch, phi):
+    # an omega of half the true size breaks |1 - E| <= |Omega| on |z| = 1
+    from glfock import weierstrass
+    true_omega = weierstrass.omega
+    monkeypatch.setattr(weierstrass, "omega", lambda *a: 0.5 * true_omega(*a))
+    p = write_cfg(tmp_path, {"phi": phi} if phi else {})
+    rc, _, err = run_cli(capsys, ["check", "--suite", "weierstrass", "--config", p])
+    assert rc == 1 and err.startswith("FAILED: E_inequality_grid")
+
+
+def test_weierstrass_table_builds_one_e_table(capsys):
+    # the far radius and the far series of a cold run read one E_80 table
+    from glfock import weierstrass
+    for cached in (weierstrass._e_table, weierstrass._log_e_radius,
+                   weierstrass._log_e_series):
+        cached.cache_clear()
+    rc, _, _ = run_cli(capsys, ["weierstrass-table"])
+    assert rc == 0 and weierstrass._e_table.cache_info().misses == 1
+
+
 ML_MU_003 = {"phi": {"family": "mittag_leffler", "params": {"rho": 1.0, "mu": 0.03}}}
 
 

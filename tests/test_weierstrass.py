@@ -10,13 +10,13 @@ from glfock import weierstrass
 from glfock.core import PhiDescriptor, phi_coeffs, signs_logs
 from glfock.errors import NormalizationError
 from glfock.fock import verified_weight
-from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _log_e_series,
-                                _normalized, _phi123, e_series, g_fn, log_g_fn,
+from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _e_table, _log_e_series,
+                                _normalized, _phi12, g_fn, log_g_fn,
                                 omega, omega_bound, psi_pair, radius_bounds, sigma_fn,
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
-from mp_oracles import (log_abs_pair_product, log_factor_series, log_factor_taylor,
-                        omega_deviation_on_circle, sigma_product)
+from mp_oracles import (factor_series, log_abs_pair_product, log_factor_series,
+                        log_factor_taylor, omega_deviation_on_circle, sigma_product)
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 ML21N = PhiDescriptor.mittag_leffler(2, 1, normalized=True)
@@ -64,24 +64,24 @@ def test_psi_pair_requires_normalization():
     assert ps.psi1 == 1.0
 
 
-def test_e_series_exponential_oracle():
+def test_e_table_exponential_oracle():
     # Maclaurin of (1-z) e^{z+z^2/2}, high-precision oracle
     want = [1.0, 0.0, 0.0, -1.0 / 3.0, -0.25, -0.2, -1.0 / 9.0,
             -0.05952380952380952, -0.027083333333333334]
-    got = e_series(EXPN, 8)
+    got = _e_table(EXPN, 8)[:9]
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
-def test_e_series_degree3_vanishing_all_families():
+def test_e_table_degree3_vanishing_all_families():
     for desc in FAMILIES:
-        c = e_series(desc, 6)
+        c = _e_table(desc, 6)[:7]
         assert abs(c[0] - 1.0) <= 1e-12
         assert abs(c[1]) <= 1e-12
         assert abs(c[2]) <= 1e-12
 
 
-def test_e_series_backward_shift_is_one():
-    c = e_series(BSN, 6)
+def test_e_table_backward_shift_is_one():
+    c = _e_table(BSN, 6)[:7]
     assert np.max(np.abs(c - np.array([1, 0, 0, 0, 0, 0, 0.0]))) <= 1e-15
 
 
@@ -163,7 +163,7 @@ def test_signs_logs_prefix_consistent(desc):
 def _omega_bound_full_table(desc):
     """omega_bound as one loop over the whole 20,001-term table."""
     d = _normalized(desc)
-    p1, p2, _ = _phi123(desc)
+    p1, p2 = _phi12(desc)
     ps = psi_pair(desc)
     R = abs(ps.psi1) + abs(ps.psi2)
     c3 = abs(p1 * ps.psi2 - 2.0 * p2 * ps.psi1 * ps.psi2 + p2 * ps.psi1**2)
@@ -365,18 +365,26 @@ def test_log_e_series_to_degree_170(name):
     assert np.max(np.abs(got - want) * r ** np.arange(171)) / math.log(2.0) <= 1e-15
 
 
-def test_log_e_series_cached_read_only(monkeypatch):
+def _clear_e_caches():
+    for cached in (_e_table, weierstrass._log_e_radius, _log_e_series):
+        cached.cache_clear()
+
+
+def test_log_e_series_cached_read_only():
     got = _log_e_series(ML21N, 161, 80)
-    assert not got.flags.writeable
+    assert not got.flags.writeable and not _e_table(ML21N, 80).flags.writeable
     assert np.array_equal(got, _log_e_series.__wrapped__(ML21N, 161, 80))
-    # a second sigma_fn over the same window and points reads the cached
-    # far-field coefficients: no E series is built again
-    calls, e_series = [], weierstrass._e_series
-    monkeypatch.setattr(weierstrass, "_e_series", lambda *a: calls.append(a) or e_series(*a))
-    lat, z = LatticeSpec(1.0, 12), np.array([2.5 + 0.3j, -1.0 + 2.2j])
-    first = sigma_fn(GD1N, z, lat)
-    calls.clear()
-    assert np.array_equal(sigma_fn(GD1N, z, lat), first) and calls == []
+    # the far radius and every far-series degree K of three windows read
+    # one E_80 table
+    _clear_e_caches()
+    z = np.array([0.3 + 0.2j, 1.5 + 1.1j, -1.9 + 0.3j])
+    weierstrass._log_e_radius(EXPN, 80)
+    values = [sigma_fn(EXPN, z, LatticeSpec(1.0, M)) for M in (2, 12, 24)]
+    assert _e_table.cache_info().misses == 1
+    # a second pass reads the cached far-field coefficients
+    assert all(np.array_equal(sigma_fn(EXPN, z, LatticeSpec(1.0, M)), v)
+               for M, v in zip((2, 12, 24), values))
+    assert _e_table.cache_info().misses == 1
 
 
 def test_sigma_far_series_only():
@@ -512,7 +520,7 @@ def per_cell_logs(desc, z, nodes, dens, N=80):
 
 def near_field(desc, z, nodes, dens):
     # a distinct dens array keeps every node near
-    return weierstrass._log_product(desc, z, nodes, dens.copy(), psi_pair(desc), 80)
+    return weierstrass._log_product(desc, z, nodes, dens.copy(), 80)
 
 
 def rounding_scale(desc, z, nodes, dens, N=80):
@@ -623,9 +631,23 @@ NEAR_FAMILIES = {name: desc for name, (desc, _, _) in FACTOR_ORACLES.items()}
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
+@pytest.mark.parametrize("N", [17, 80])
+def test_e_table_against_mpmath(name, N):
+    # every coefficient of E_N through degree 2N + 1 against 30 digits, within
+    # 1000 eps of the same sum with |.| on every term; the largest measured
+    # ratio is 450 (GD(1), N = 80, degree 161), where the rounding of
+    # log|phi_80| and the 80 roundings of psi2 in psi2^80 meet
+    desc, family, params = FACTOR_ORACLES[name]
+    want, scale = map(np.array, factor_series(family, params, N))
+    got = _e_table(desc, N)
+    assert got.size == want.size == 2 * N + 2
+    assert np.all(np.abs(got - want) <= 1000 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
 def test_log_e_radius_bounds_the_factor(name):
     # |Phi_80(w) e^(-w - w^2/2) - 1| <= 1/2 on |w| = r*, hence on the disk
-    # (the maximum principle), so |log Omega| <= log 2 there; r* <= 1
+    # (the maximum principle), so |log R_80| <= log 2 there; r* <= 1
     desc, family, params = FACTOR_ORACLES[name]
     r = weierstrass._log_e_radius(desc, 80)
     assert 0.0 < r <= 1.0
@@ -634,7 +656,7 @@ def test_log_e_radius_bounds_the_factor(name):
 
 @pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
 def test_log_e_coefficients_split_off_log_one_minus_w(name):
-    # log E = log(1 - w) + w + w^2/2 + log Omega: l_1 = l_2 = 0 (to the
+    # log E = log(1 - w) + w + w^2/2 + log R: l_1 = l_2 = 0 (to the
     # oracle's 50 digits), and l_k + 1/k = lambda_k obeys the Cauchy bound
     # log 2 / r*^k that the far-field tail bound takes
     desc, family, params = FACTOR_ORACLES[name]
