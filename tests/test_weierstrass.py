@@ -820,25 +820,22 @@ def test_sigma_lower_ratio_stable_near_node():
     assert rep.ratio.max() / rep.ratio.min() < 2.0
 
 
+def _criterion_07_grid(gam):
+    xs = np.linspace(-2.0, 2.0, 20)
+    grid = (xs[:, None] + 1j * xs[None, :]).ravel() + (0.25 + 0.125j)
+    return grid[gam.dist(grid) > 1e-6]
+
+
 def test_two_sided_diag():
     wk = verified_weight(PhiDescriptor.exponential())
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.1, seed=7)
-    xs = np.linspace(-2.0, 2.0, 20)
-    grid = (xs[:, None] + 1j * xs[None, :]).ravel() + (0.25 + 0.125j)
-    grid = grid[gam.dist(grid) > 1e-6]
-    rep = two_sided_diag(EXPN, wk, gam, grid, N=80)
+    rep = two_sided_diag(EXPN, wk, gam, _criterion_07_grid(gam), N=80)
     assert rep.feasible
     assert rep.c == pytest.approx(1.5, abs=1e-12)
     assert rep.c1 == pytest.approx(0.44044059672484387, rel=1e-9)
     assert rep.c2 == pytest.approx(0.7970353822559584, rel=1e-9)
     # corridor actually contains the data
     assert np.all(rep.ratio <= 1 + 1e-9)
-
-
-def _criterion_07_grid(gam):
-    xs = np.linspace(-2.0, 2.0, 20)
-    grid = (xs[:, None] + 1j * xs[None, :]).ravel() + (0.25 + 0.125j)
-    return grid[gam.dist(grid) > 1e-6]
 
 
 def _perfbench_grid(gam):
