@@ -110,6 +110,42 @@ def test_moments_match_closed_forms(name):
         assert abs(g - w) <= 1e-13 * abs(w), (name, n, g, w)
 
 
+# The bits of moment(wk, n), n = 0..10.  The radial rules alone set them:
+# a change to the planar (angular) rule must leave every one in place.
+MOMENT_BITS = {
+    EXP: (
+        "0x1.0000000000000p+0", "0x1.0000000000204p+0", "0x1.0000000000208p+1",
+        "0x1.800000000031dp+2", "0x1.800000000033cp+4", "0x1.e000000000420p+6",
+        "0x1.6800000000318p+9", "0x1.3b000000002abp+12", "0x1.3b0000000029cp+15",
+        "0x1.62600000002dfp+18", "0x1.baf8000000386p+21",
+    ),
+    ML21: (
+        "0x1.0000000000000p+0", "0x1.c5bf891b4ef6bp-1", "0x1.0000000000000p+0",
+        "0x1.544fa6d47b390p+0", "0x1.0000000000000p+1", "0x1.a96390899a074p+1",
+        "0x1.8000000000000p+2", "0x1.74371e7866c66p+3", "0x1.8000000000000p+4",
+        "0x1.a2be0247739f2p+5", "0x1.e000000000001p+6",
+    ),
+    PhiDescriptor.stretched_gamma(1.0, 2.0): (
+        "0x1.c5bf891b4ef6ap-1", "0x1.fffffffffffffp-2", "0x1.c5bf891b4ef6ap-2",
+        "0x1.0000000000000p-1", "0x1.544fa6d47b390p-1", "0x1.0000000000000p+0",
+        "0x1.a96390899a074p+0", "0x1.8000000000000p+1", "0x1.74371e7866c66p+2",
+        "0x1.8000000000000p+3", "0x1.a2be0247739f2p+4",
+    ),
+    PhiDescriptor.gamma_deriv(2): (
+        "0x1.fa658c23b1579p+0", "0x1.a5b978b96bec0p-1", "0x1.3f18547938453p+1",
+        "0x1.65700b692b5b8p+3", "0x1.de066473dc394p+5", "0x1.730f2b4dc212ap+8",
+        "0x1.497a5c4da8d34p+11", "0x1.4a6e4da2752cdp+14", "0x1.721d22e526725p+17",
+        "0x1.ca859c847c860p+20", "0x1.378339c8518aep+24",
+    ),
+}
+
+
+@pytest.mark.parametrize("desc", list(MOMENT_BITS), ids=["EXP", "ML(2,1)", "SG(1,2)", "GD(2)"])
+def test_moment_bits(desc):
+    wk = registered_weight(desc)
+    assert tuple(moment(wk, n).hex() for n in range(11)) == MOMENT_BITS[desc]
+
+
 def test_carleman_partial():
     assert carleman_partial(EXP, 1) == 1.0
     assert carleman_partial(BS, 50) == 50.0
