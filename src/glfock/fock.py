@@ -149,7 +149,8 @@ class QuadratureScheme:
     until two successive sums agree within 10 * max(tol, tol * |I|),
     tol = 1e-9.
     Angular integration is the uniform trapezoid rule, exact for
-    trigonometric polynomials of degree < angular_nodes.
+    trigonometric polynomials of degree < angular_nodes (Trefethen &
+    Weideman, SIAM Review 56, 2014, section 2).
     """
 
     radial: str
@@ -158,9 +159,11 @@ class QuadratureScheme:
 
 def default_quadrature(wk: WeightKernel, max_degree: int = 30) -> QuadratureScheme:
     """The one rule for polynomial data up to max_degree against wk: the radial
-    rule follows wk's form, and 2 max_degree + 2 angular nodes."""
+    rule follows wk's form, and max_degree + 1 angular nodes, the fewest that
+    are exact, since a term conj(w)^j w^k of the integrand has frequency
+    j - k with |j - k| <= max_degree."""
     radial = "gauss_laguerre" if wk.form == "exp" else "adaptive_tail"
-    return QuadratureScheme(radial=radial, angular_nodes=2 * max_degree + 2)
+    return QuadratureScheme(radial=radial, angular_nodes=max_degree + 1)
 
 
 @lru_cache(maxsize=1)
@@ -207,20 +210,23 @@ def _radial_integral(wk: WeightKernel, fn) -> complex:
     picks for wk; fn vectorized, possibly complex-valued.
 
     gauss_laguerre: one fn call on the Laguerre nodes, W = exp(-x) folded
-    into the rule.  adaptive_tail: the exp-sinh rule, built from W alone,
-    with one fn call per level on that level's new nodes.  The error of I_h
-    is estimated as |I_h - I_2h|, floored at the rounding level
-    eps * h * sum |dx/dt W fn|; ConvergenceError when no level up to
-    h = 1/128 meets the tolerance.
+    into the rule.  adaptive_tail: the exp-sinh rule, built from W alone.
+    The first error estimate needs levels 0 and 1, so fn is called once on
+    both levels' nodes, then once per later level on its new nodes; each
+    level is summed on its own.  The error of I_h is estimated as
+    |I_h - I_2h|, floored at the rounding level eps * h * sum |dx/dt W fn|;
+    ConvergenceError when no level up to h = 1/128 meets the tolerance.
     """
     if default_quadrature(wk).radial == "gauss_laguerre":
         x, w = _laggauss()
         return complex(np.sum(w * np.asarray(fn(x), dtype=complex)))
 
     total, magnitude = 0.0j, 0.0
+    x0, x1 = _weighted_nodes(wk, 0)[0], _weighted_nodes(wk, 1)[0]
+    first = np.split(np.asarray(fn(np.concatenate((x0, x1))), dtype=complex), [x0.size])
     for level in range(_DE_LEVELS):
         x, ww = _weighted_nodes(wk, level)
-        terms = ww * np.asarray(fn(x), dtype=complex)
+        terms = ww * (first[level] if level < 2 else np.asarray(fn(x), dtype=complex))
         total += np.sum(terms)
         magnitude += float(np.sum(np.abs(terms)))
         h = _DE_H0 / 2 ** level

@@ -1,11 +1,15 @@
 import contextlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from glfock import fock
 from glfock.bargmann import sqrt_phi
 from glfock.core import PhiDescriptor, TruncatedSeries, phi_coeffs
-from glfock.errors import UnverifiedWeightError
+from glfock.errors import ConvergenceError, DivergenceError, UnverifiedWeightError
 from glfock.fock import (WeightKernel, carleman_partial, duality_check,
                          inner_product_fock, inner_product_l2phi, moment,
                          moment_check, registered_weight, reproduce,
@@ -16,6 +20,8 @@ ML21 = PhiDescriptor.mittag_leffler(2, 1)
 GD1 = PhiDescriptor.gamma_deriv(1)
 DK = PhiDescriptor.dunkl(0.5)
 BS = PhiDescriptor.backward_shift()
+SG12 = PhiDescriptor.stretched_gamma(1.0, 2.0)
+GD2 = PhiDescriptor.gamma_deriv(2)
 
 
 def unit_series(desc, rng, deg):
@@ -125,13 +131,13 @@ MOMENT_BITS = {
         "0x1.8000000000000p+2", "0x1.74371e7866c66p+3", "0x1.8000000000000p+4",
         "0x1.a2be0247739f2p+5", "0x1.e000000000001p+6",
     ),
-    PhiDescriptor.stretched_gamma(1.0, 2.0): (
+    SG12: (
         "0x1.c5bf891b4ef6ap-1", "0x1.fffffffffffffp-2", "0x1.c5bf891b4ef6ap-2",
         "0x1.0000000000000p-1", "0x1.544fa6d47b390p-1", "0x1.0000000000000p+0",
         "0x1.a96390899a074p+0", "0x1.8000000000000p+1", "0x1.74371e7866c66p+2",
         "0x1.8000000000000p+3", "0x1.a2be0247739f2p+4",
     ),
-    PhiDescriptor.gamma_deriv(2): (
+    GD2: (
         "0x1.fa658c23b1579p+0", "0x1.a5b978b96bec0p-1", "0x1.3f18547938453p+1",
         "0x1.65700b692b5b8p+3", "0x1.de066473dc394p+5", "0x1.730f2b4dc212ap+8",
         "0x1.497a5c4da8d34p+11", "0x1.4a6e4da2752cdp+14", "0x1.721d22e526725p+17",
@@ -241,6 +247,129 @@ def test_reproduce_random_polys():
             f = unit_series(desc, rng, deg)
             z = complex(*rng.uniform(-1.5 / 1.5, 1.5 / 1.5, 2)) * 1.5
             assert abs(reproduce(desc, wk, f, z) - f(z)) <= 1e-6
+
+
+def test_reproduce_backward_shift_diverges():
+    # the radius-1 kernel cannot reach the radial nodes past |w| = 1/|z|
+    wk = verified_weight(EXP)
+    for deg in (0, 1, 4):
+        with pytest.raises(DivergenceError):
+            reproduce(BS, wk, TruncatedSeries(np.ones(deg + 1)), 0.5)
+
+
+def reference_polar_integral(wk, deg, integrand):
+    """The planar rule kept as the loop reference: 2 deg + 2 angular nodes,
+    and one integrand call per exp-sinh level."""
+    A = 2 * deg + 2
+    theta = 2.0 * np.pi * np.arange(A) / A
+    ephase = np.exp(1j * theta)
+
+    def fn(x):
+        r = np.sqrt(np.asarray(x, dtype=float))
+        return np.asarray(np.mean(integrand(r[:, None] * ephase[None, :]), axis=1), dtype=complex)
+
+    if wk.form == "exp":
+        x, w = fock._laggauss()
+        return complex(np.sum(w * fn(x)))
+    total, magnitude = 0.0j, 0.0
+    for level in range(fock._DE_LEVELS):
+        x, ww = fock._weighted_nodes(wk, level)
+        terms = ww * fn(x)
+        total += np.sum(terms)
+        magnitude += float(np.sum(np.abs(terms)))
+        h = fock._DE_H0 / 2 ** level
+        val = complex(h * total)
+        if level:
+            err = max(abs(val - prev), np.finfo(float).eps * h * magnitude)
+            if err <= 10.0 * max(fock._DE_TOL, fock._DE_TOL * abs(val)):
+                return val
+        prev = val
+    raise ConvergenceError(f"radial quadrature error {err:.2e} exceeds tolerance")
+
+
+# |rule - reference| <= REFERENCE_C * eps * scale, with scale max(1, sum |f_k||z|^k)
+# for reproduce and max(1, ||f|| ||g||) (Cauchy-Schwarz) for the pairing.
+# The largest ratio measured is 1.9 (reproduce, SG(1,2)), pairing 1.7 (ML(2,1)).
+REFERENCE_C = 64
+
+
+@pytest.mark.parametrize("desc", [EXP, ML21, SG12, GD2], ids=["EXP", "ML(2,1)", "SG(1,2)", "GD(2)"])
+def test_planar_rule_against_reference(desc):
+    wk = verified_weight(desc)
+    rng = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    for deg in range(13):
+        phi = np.abs(phi_coeffs(desc, deg))
+        f, g = unit_series(desc, rng, deg), unit_series(desc, rng, deg)
+        z = complex(*rng.uniform(-1.2, 1.2, 2))
+        want = reference_polar_integral(
+            wk, deg, lambda w: fock.phi_eval(desc, z * np.conj(w), deg) * f(w))
+        scale = max(1.0, float(np.sum(np.abs(f.coeffs) * abs(z) ** np.arange(deg + 1))))
+        assert abs(reproduce(desc, wk, f, z) - want) <= REFERENCE_C * eps * scale, deg
+        want = reference_polar_integral(wk, deg, lambda w: np.conj(f(w)) * g(w))
+        scale = max(1.0, float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2 / phi)
+                                       * np.sum(np.abs(g.coeffs) ** 2 / phi))))
+        assert abs(inner_product_fock(wk, f, g) - want) <= REFERENCE_C * eps * scale, deg
+
+
+def test_radial_integral_call_counts():
+    calls = []
+
+    def spy(fn):
+        def counted(x):
+            calls.append(np.size(x))
+            return fn(x)
+        return counted
+
+    # converges at level 1: one call on the nodes of levels 0 and 1 together
+    wk = registered_weight(ML21)
+    sizes = [fock._weighted_nodes(wk, level)[0].size for level in range(fock._DE_LEVELS)]
+    assert abs(fock._radial_integral(wk, spy(lambda x: x * x + 0j)) - 1.0) <= 1e-13
+    assert calls == [sizes[0] + sizes[1]]
+    calls.clear()
+    assert abs(fock._radial_integral(registered_weight(EXP), spy(lambda x: x + 0j)) - 1.0) <= 1e-12
+    assert calls == [80]
+    calls.clear()
+    noise = np.random.default_rng(0)
+    with pytest.raises(ConvergenceError):
+        fock._radial_integral(wk, spy(lambda x: noise.standard_normal(x.shape) + 0j))
+    assert calls == [sizes[0] + sizes[1], sizes[2], sizes[3]]
+
+
+PROPERTY_FAMILIES = {"ML(2,1)": ML21, "SG(1,2)": SG12, "GD(2)": GD2}
+# the exp-sinh stopping rule's tolerance, 10 * 1e-9 relative to max(1, |I|)
+PROPERTY_TOL = 1e-8
+
+
+@lru_cache(maxsize=None)
+def property_weight(name):
+    return verified_weight(PROPERTY_FAMILIES[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PROPERTY_FAMILIES)),
+       st.integers(0, 12).flatmap(lambda d: st.lists(
+           st.complex_numbers(max_magnitude=1.0), min_size=d + 1, max_size=d + 1)),
+       st.floats(-1.2, 1.2), st.floats(-1.2, 1.2))
+def test_reproduce_property(name, a, x, y):
+    desc = PROPERTY_FAMILIES[name]
+    deg, z = len(a) - 1, complex(x, y)
+    f = TruncatedSeries(np.array(a) * np.sqrt(np.abs(phi_coeffs(desc, deg))))
+    want = 0j
+    for c in f.coeffs[::-1].tolist():
+        want = want * z + c
+    scale = max(1.0, float(np.sum(np.abs(f.coeffs) * abs(z) ** np.arange(deg + 1))))
+    assert abs(reproduce(desc, property_weight(name), f, z) - want) <= PROPERTY_TOL * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PROPERTY_FAMILIES)), st.integers(0, 12), st.booleans())
+def test_top_frequency_orthonormality_property(name, d, swap):
+    # e_0 against e_d: frequency d, the highest the degree-d angular rule resolves
+    sq = sqrt_phi(PROPERTY_FAMILIES[name], d)
+    e0, ed = TruncatedSeries([sq[0]]), TruncatedSeries([0.0] * d + [sq[d]])
+    v = inner_product_fock(property_weight(name), *((ed, e0) if swap else (e0, ed)))
+    assert abs(v - (1.0 if d == 0 else 0.0)) <= PROPERTY_TOL
 
 
 def test_duality_examples():
