@@ -223,7 +223,8 @@ def _radial_integral(wk: WeightKernel, fn) -> complex:
 
     total, magnitude = 0.0j, 0.0
     x0, x1 = _weighted_nodes(wk, 0)[0], _weighted_nodes(wk, 1)[0]
-    first = np.split(np.asarray(fn(np.concatenate((x0, x1))), dtype=complex), [x0.size])
+    f01 = np.asarray(fn(np.concatenate((x0, x1))), dtype=complex)
+    first = f01[:x0.size], f01[x0.size:]
     for level in range(_DE_LEVELS):
         x, ww = _weighted_nodes(wk, level)
         terms = ww * (first[level] if level < 2 else np.asarray(fn(x), dtype=complex))
