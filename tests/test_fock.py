@@ -152,6 +152,41 @@ def test_moment_bits(desc):
     assert tuple(moment(wk, n).hex() for n in range(11)) == MOMENT_BITS[desc]
 
 
+# The bits of registered_weight(desc).weight(x) at WEIGHT_XS: the closed
+# forms as written, so a change to how a kernel picks its formula must leave
+# every one in place.
+WEIGHT_XS = (1e-12, 0.3, 1.0, 7.5, 40.0)
+WEIGHT_BITS = {
+    "EXP": (EXP, ("0x1.fffffffffdcd1p-1", "0x1.7b4c869c37c05p-1", "0x1.78b56362cef38p-2",
+                  "0x1.21f9ba40f31d5p-11", "0x1.39792499b1a24p-58")),
+    "ML(2,1)": (ML21, ("0x1.19799812dea11p-39", "0x1.18c27915d7617p-1", "0x1.78b56362cef38p-1",
+                       "0x1.b01f34fa17f65p-78", "0x0.0p+0")),
+    "ML(0.5,0.5)": (PhiDescriptor.mittag_leffler(0.5, 0.5),
+                    ("0x1.dcd630c001062p+28", "0x1.6d32341a7cdf9p-1", "0x1.78b56362cef38p-3",
+                     "0x1.d38230e370731p-8", "0x1.d87e3941281cep-15")),
+    "SG(1,2)": (SG12, ("0x1.0000000000000p+0", "0x1.d3eec9cf11a26p-1", "0x1.78b56362cef38p-2",
+                       "0x1.ccee1660198f4p-82", "0x0.0p+0")),
+    "GD(1)": (GD1, ("-0x1.ba18a998fe13fp+4", "-0x1.c8aa6472a72b8p-1", "0x0.0p+0",
+                    "0x1.2422e185145e5p-10", "0x1.21175a8aa8382p-56")),
+    "GD(2)": (GD2, ("0x1.7dbc960246d7ap+9", "0x1.12e80efc2c544p+0", "0x0.0p+0",
+                    "0x1.265027f956433p-9", "0x1.0a9b0d36438a5p-54")),
+}
+
+
+@pytest.mark.parametrize("name", list(WEIGHT_BITS))
+def test_weight_bits(name):
+    desc, bits = WEIGHT_BITS[name]
+    wk = registered_weight(desc)
+    assert tuple(float(w).hex() for w in wk.weight(np.array(WEIGHT_XS))) == bits
+    assert tuple(float(wk.weight(x)).hex() for x in WEIGHT_XS) == bits
+
+
+def test_gamma_deriv_weight_sign():
+    # ln(x)^n is negative on x < 1 for odd n only
+    assert [registered_weight(PhiDescriptor.gamma_deriv(n)).is_positive
+            for n in range(1, 5)] == [False, True, False, True]
+
+
 def test_carleman_partial():
     assert carleman_partial(EXP, 1) == 1.0
     assert carleman_partial(BS, 50) == 50.0
