@@ -43,9 +43,6 @@ class HermiteCoeffs(_CoeffVector):
 
     __slots__ = ()
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def __call__(self, x):
         tab = hermite_fn_table(self.degree_cap, x)
         out = self.coeffs @ tab

@@ -514,10 +514,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--seed must be a natural number")
             cfg.seed = args.seed
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NonEntireError, DivergenceError, OverflowError) as e:  # phi_k past doubles
+    except (ConfigError, NonEntireError, DivergenceError, OverflowError) as e:  # phi_k past doubles
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as e:

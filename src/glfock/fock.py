@@ -44,75 +44,50 @@ __all__ = [
 ]
 
 
+# family -> closed form of its registered weight
+_WEIGHT_FORMS = {"exponential": "exp", "mittag_leffler": "ml",
+                 "stretched_gamma": "stretched_exp", "gamma_deriv": "log"}
+
+
 @dataclass(frozen=True)
 class WeightKernel:
-    """Radial weight W(x) = K(-x) with a closed-form tag.
+    """Radial weight W(x) = K(-x) of desc's family, in closed form; the
+    family picks the form and desc's params are the form's.
 
     Forms
     -----
-    exp            W(x) = exp(-x)                      pairs with exponential
-    ml             W(x) = rho x^(rho mu - 1) exp(-x^rho)   pairs with mittag_leffler
-    stretched_exp  W(x) = exp(-a x^b)                  pairs with stretched_gamma
-    log            W(x) = exp(-x) ln(x)^n              pairs with gamma_deriv
+    exp            W(x) = exp(-x)                      exponential
+    ml             W(x) = rho x^(rho mu - 1) exp(-x^rho)   mittag_leffler
+    stretched_exp  W(x) = exp(-a x^b)                  stretched_gamma
+    log            W(x) = exp(-x) ln(x)^n              gamma_deriv
                    (signed on x < 1 for odd n: excluded from positivity-
                    dependent operations, used with an explicit warning)
     """
 
     desc: PhiDescriptor
-    form: str
-    params: tuple = ()
     verified: bool = False
 
     @property
-    def params_dict(self) -> dict:
-        return dict(self.params)
+    def form(self) -> str:
+        return _WEIGHT_FORMS[self.desc.family]
 
     @property
     def is_positive(self) -> bool:
-        if self.form == "log" and int(self.params_dict["n"]) % 2 == 1:
-            return False
-        return True
-
-    @property
-    def growth_order(self) -> float:
-        """Order of the analytically continued K(z) as an entire-type symbol."""
-        p = self.params_dict
-        return {"exp": 1.0, "ml": p.get("rho", 1.0),
-                "stretched_exp": p.get("b", 1.0), "log": 1.0}[self.form]
+        return not (self.form == "log" and int(self.desc.params_dict["n"]) % 2 == 1)
 
     def weight(self, x):
         """W(x) on x > 0, vectorized."""
         x = np.asarray(x, dtype=float)
-        p = self.params_dict
-        if self.form == "exp":
+        form, p = self.form, self.desc.params_dict
+        if form == "exp":
             return np.exp(-x)
-        if self.form == "ml":
+        if form == "ml":
             rho, mu = p["rho"], p["mu"]
             return rho * x ** (rho * mu - 1.0) * np.exp(-(x ** rho))
-        if self.form == "stretched_exp":
+        if form == "stretched_exp":
             return np.exp(-p["a"] * x ** p["b"])
-        if self.form == "log":
-            with np.errstate(divide="ignore"):
-                return np.exp(-x) * np.log(x) ** int(p["n"])
-        raise ValueError(f"unknown weight form {self.form!r}")
-
-    def analytic(self, zeta):
-        """K(zeta) continued off the negative axis (used by growth selectors).
-
-        Defined so that analytic(-x) == weight(x) for x > 0; principal powers.
-        """
-        zeta = np.asarray(zeta, dtype=complex)
-        p = self.params_dict
-        if self.form == "exp":
-            return np.exp(zeta)
-        if self.form == "ml":
-            rho, mu = p["rho"], p["mu"]
-            return rho * (-zeta) ** (rho * mu - 1.0) * np.exp(-((-zeta) ** rho))
-        if self.form == "stretched_exp":
-            return np.exp(-p["a"] * (-zeta) ** p["b"])
-        if self.form == "log":
-            return np.exp(zeta) * np.log(-zeta) ** int(p["n"])
-        raise ValueError(f"unknown weight form {self.form!r}")
+        with np.errstate(divide="ignore"):
+            return np.exp(-x) * np.log(x) ** int(p["n"])
 
 
 def registered_weight(desc: PhiDescriptor) -> WeightKernel:
@@ -124,16 +99,9 @@ def registered_weight(desc: PhiDescriptor) -> WeightKernel:
     if desc.normalized and log_phi_coeff(replace(desc, normalized=False), 0) != (1.0, 0.0):
         raise ValueError(f"no registered weight for normalized {desc.family!r} "
                          f"with params {desc.params_dict}: its phi_0 is not 1")
-    p = desc.params_dict
-    if desc.family == "exponential":
-        return WeightKernel(desc, "exp")
-    if desc.family == "mittag_leffler":
-        return WeightKernel(desc, "ml", (("mu", p["mu"]), ("rho", p["rho"])))
-    if desc.family == "stretched_gamma":
-        return WeightKernel(desc, "stretched_exp", (("a", p["a"]), ("b", p["b"])))
-    if desc.family == "gamma_deriv":
-        return WeightKernel(desc, "log", (("n", p["n"]),))
-    raise ValueError(f"no closed-form weight registered for family {desc.family!r}")
+    if desc.family not in _WEIGHT_FORMS:
+        raise ValueError(f"no closed-form weight registered for family {desc.family!r}")
+    return WeightKernel(desc)
 
 
 @dataclass(frozen=True)
@@ -245,7 +213,7 @@ def moment(wk: WeightKernel, n: int) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
     if not wk.is_positive:
-        warnings.warn(f"weight form {wk.form}{wk.params_dict} is signed on part of "
+        warnings.warn(f"weight form {wk.form}{wk.desc.params_dict} is signed on part of "
                       "the axis; treat moment results as signed-measure data")
     val = _radial_integral(wk, lambda x: x ** float(n) + 0.0j)
     return float(val.real)
@@ -276,10 +244,11 @@ def moment_check(desc: PhiDescriptor, wk: WeightKernel, n_max: int,
     return MomentReport(desc, wk.form, tol, rows, not failures, failures)
 
 
-def verified_weight(desc: PhiDescriptor, n_max: int = 10, tol: float = 1e-8) -> WeightKernel:
-    """registered_weight gated by its moment check; raises if the check fails."""
+def verified_weight(desc: PhiDescriptor) -> WeightKernel:
+    """registered_weight gated by its moment check at n <= 10 within 1e-8;
+    raises if the check fails."""
     wk = registered_weight(desc)
-    report = moment_check(desc, wk, n_max, tol)
+    report = moment_check(desc, wk, 10, 1e-8)
     if not report.passed:
         raise UnverifiedWeightError(
             f"weight {wk.form} failed moment check at n={report.failures}")

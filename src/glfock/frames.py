@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .core import PhiDescriptor, TruncatedSeries, signs_logs
-from .errors import NonEntireError
+from .errors import NonEntireError, UnverifiedWeightError
 if TYPE_CHECKING:  # annotations only, so importing this module loads no fock
     from .fock import WeightKernel
 
@@ -41,11 +41,9 @@ __all__ = [
 
 
 def _as_points(obj) -> np.ndarray:
-    from .weierstrass import LatticeSpec, PerturbedLattice  # here, so frame_sweep loads none
+    from .weierstrass import LatticeSpec  # here, so frame_sweep loads none
     if isinstance(obj, LatticeSpec):
         return obj.points()
-    if isinstance(obj, PerturbedLattice):
-        return obj.pts
     return np.atleast_1d(np.asarray(obj, dtype=complex))
 
 
@@ -177,25 +175,17 @@ def _check_weight(wk: WeightKernel):
     if not wk.is_positive:
         raise ValueError("frame diagnostics need a positive weight kernel")
     if not wk.verified:
-        raise ValueError("weight kernel not verified; run verified_weight first")
+        raise UnverifiedWeightError("weight kernel not verified; run verified_weight first")
 
 
-def frame_bounds(desc: PhiDescriptor, wk: WeightKernel, points, N: int,
-                 weights=None) -> FrameReport:
-    """Extreme eigenvalues of S_mn = sum_j w_j W(|z_j|^2) conj(e_m) e_n (z_j).
-
-    weights defaults to 1 per point; pass quadrature weights to mimic the
-    continuous measure (then S approximates pi times the identity).
-    """
+def frame_bounds(desc: PhiDescriptor, wk: WeightKernel, points, N: int) -> FrameReport:
+    """Extreme eigenvalues of S_mn = sum_j W(|z_j|^2) conj(e_m) e_n (z_j)."""
     _check_weight(wk)
     z = _as_points(points)
     if z.size == 0:
         return FrameReport(0.0, 0.0, math.inf, N + 1, 0, 0.0)
-    w = np.ones(z.size) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != z.shape or np.any(w <= 0):
-        raise ValueError("weights must be positive, one per point")
     E = _sample_matrix(desc, z, N, 0)
-    V = np.sqrt(w * wk.weight(np.abs(z) ** 2))[:, None] * E
+    V = np.sqrt(wk.weight(np.abs(z) ** 2))[:, None] * E
     return _eig_report(V, z.size, N)
 
 

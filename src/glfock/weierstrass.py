@@ -542,29 +542,25 @@ def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TER
 
 
 def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
-             N: int = _PHI_PRODUCT_TERMS, variant: str = "printed") -> np.ndarray:
+             N: int = _PHI_PRODUCT_TERMS) -> np.ndarray:
     """Complex log of g(z; Gamma); -inf real part at the nodes.
 
-    variant="printed" uses the mixed quadratic denominator lam_{m,n}^2 (the
-    base lattice) inside phi while the linear factor uses the perturbed node;
-    variant="all_gamma" uses the perturbed node in both slots.
+    The printed form: the linear factor takes the perturbed node z_{m,n},
+    the quadratic denominator inside phi the base-lattice point lam_{m,n}.
+    Node and denominator differ, so _log_product takes every node near.
     """
-    if variant not in ("printed", "all_gamma"):
-        raise ValueError("variant must be 'printed' or 'all_gamma'")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     nodes, base = gamma.nonzero()
-    dens = base if variant == "printed" else nodes
-    logs = _log_product(desc, z, nodes, dens, N)
+    logs = _log_product(desc, z, nodes, base, N)
     with np.errstate(divide="ignore"):
         return logs + np.log(z - gamma.z00)
 
 
-def g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
-         N: int = _PHI_PRODUCT_TERMS, variant: str = "printed"):
+def g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice, N: int = _PHI_PRODUCT_TERMS):
     """Interpolation-type product vanishing exactly on the perturbed nodes."""
     z = np.asarray(z, dtype=complex)
     scalar = z.shape == ()
-    logs = log_g_fn(desc, np.atleast_1d(z), gamma, N, variant)
+    logs = log_g_fn(desc, np.atleast_1d(z), gamma, N)
     with np.errstate(over="ignore"):
         val = np.exp(logs)
     val = np.where(logs.real == -np.inf, 0.0, val)  # z on a node
@@ -616,19 +612,17 @@ class TwoSidedReport:
 
 
 def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattice,
-                   grid, N: int = _PHI_PRODUCT_TERMS,
-                   variant: str = "printed") -> TwoSidedReport:
-    """Fit constants for  c1 gam(z) e^{-c|z|log|z|} d(z) <= W|g| <= c2 gam(z) e^{c|z|log|z|}.
+                   grid, N: int = _PHI_PRODUCT_TERMS) -> TwoSidedReport:
+    """Fit constants for  c1 e^{-c|z|log|z|} d(z) <= W|g| <= c2 e^{c|z|log|z|}.
 
-    gam(z) is 1 when the weight symbol grows no faster than e^z, else
-    |K(z)| itself.  c is chosen on the grid 0, 0.05, ..., 4 to minimize the log-corridor
+    c is chosen on the grid 0, 0.05, ..., 4 to minimize the log-corridor
     between the two envelopes; c1, c2 are then the extreme admissible
     constants.  The columns, one entry per grid point z, are lhs = lower
     envelope, rhs = upper envelope and ratio = W|g| / rhs (so feasibility
     means ratio <= 1 and lhs <= W|g|).
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
-    logs = log_g_fn(desc, grid, gamma, N, variant)
+    logs = log_g_fn(desc, grid, gamma, N)
     if np.any(~np.isfinite(logs.real)):
         raise ValueError("grid touches a node of Gamma")
     w = wk.weight(np.abs(grid) ** 2)
@@ -639,19 +633,15 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
     d = gamma.dist(grid)
     az = np.abs(grid)
     t = az * np.log(np.maximum(az, 1e-300))
-    if wk.growth_order <= 1.0:
-        loggam = np.zeros_like(t)
-    else:
-        loggam = np.log(np.abs(wk.analytic(grid)))
-    low = logV - np.log(d) - loggam
-    up = logV - loggam
+    low = logV - np.log(d)
+    up = logV
     cs = np.linspace(0.0, 4.0, 81)[:, None]
     c = float(cs[np.argmin((up - cs * t).max(axis=1) - (low + cs * t).min(axis=1)), 0])
     logc1 = float((low + c * t).min())
     logc2 = float((up - c * t).max())
     c1, c2 = math.exp(logc1), math.exp(logc2)
-    lower_env = c1 * np.exp(loggam - c * t) * d
-    upper_env = c2 * np.exp(loggam + c * t)
+    lower_env = c1 * np.exp(-c * t) * d
+    upper_env = c2 * np.exp(c * t)
     V = np.exp(logV)
     feasible = (np.isfinite([c1, c2]).all() and c1 > 0
                 and bool(np.all(V >= lower_env * (1 - 1e-9)))

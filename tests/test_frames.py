@@ -8,9 +8,9 @@ import pytest
 from glfock.cli import main
 from glfock.core import (PhiDescriptor, TruncatedSeries, gl_derivative,
                          phi_coeff, phi_coeffs, signs_logs)
-from glfock.errors import NonEntireError
+from glfock.errors import NonEntireError, UnverifiedWeightError
 from glfock.fock import registered_weight, verified_weight
-from glfock.frames import (_sample_matrix, adjoint_kernel_coeffs,
+from glfock.frames import (_eig_report, _sample_matrix, adjoint_kernel_coeffs,
                            biorthogonality_check, canonical_dual, density,
                            frame_bounds, frame_sweep, interpolate_ls,
                            kernel_atoms)
@@ -69,7 +69,7 @@ def test_density_empty_and_perturbed():
     rep = density(np.array([], dtype=complex), [1.0, 2.0])
     assert rep.d_plus == 0.0 and rep.counts == ((0, 0), (0, 0))
     pl = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.05, seed=3)
-    rep = density(pl, [10.0, 20.0])
+    rep = density(pl.pts, [10.0, 20.0])
     # small perturbations move nodes across window edges by at most one ring
     assert abs(rep.d_plus - 1 / (2 * math.pi)) < 0.02
     assert rep.d_minus <= rep.d_plus
@@ -80,13 +80,15 @@ def test_density_empty_and_perturbed():
 # ---------------------------------------------------------------------------
 
 def test_frame_bounds_quadrature_identity():
-    # Gauss-Laguerre x angular grid reproduces the continuous Gram pi * I
+    # Gauss-Laguerre x angular grid reproduces the continuous Gram pi * I:
+    # the frame_bounds rows, each scaled by its quadrature weight
     x, w = np.polynomial.laguerre.laggauss(40)
     nang = 64
     th = 2 * math.pi * np.arange(nang) / nang
     z = np.sqrt(np.repeat(x, nang)) * np.exp(1j * np.tile(th, x.size))
     wt = np.repeat(w * np.exp(x) * math.pi / nang, nang)
-    rep = frame_bounds(EXPN, WK, z, 10, weights=wt)
+    V = np.sqrt(wt * WK.weight(np.abs(z) ** 2))[:, None] * _sample_matrix(EXPN, z, 10, 0)
+    rep = _eig_report(V, z.size, 10)
     assert abs(rep.A - math.pi) <= 1e-8
     assert abs(rep.B - math.pi) <= 1e-8
     assert rep.condition == pytest.approx(1.0, abs=1e-8)
@@ -114,14 +116,13 @@ def test_frame_bounds_empty_and_guards():
     rep = frame_bounds(EXPN, WK, np.array([], dtype=complex), 6)
     assert (rep.A, rep.B, rep.condition) == (0.0, 0.0, math.inf)
     assert rep.n_points == 0 and rep.basis_dim == 7
-    with pytest.raises(ValueError):
+    with pytest.raises(UnverifiedWeightError,
+                       match="^weight kernel not verified; run verified_weight first$"):
         frame_bounds(EXPN, registered_weight(PhiDescriptor.exponential()),
                      np.array([0.5 + 0j]), 4)  # not verified
     with pytest.raises(ValueError):
         frame_bounds(EXPN, registered_weight(PhiDescriptor.gamma_deriv(1)),
                      np.array([0.5 + 0j]), 4)  # not positive
-    with pytest.raises(ValueError):
-        frame_bounds(EXPN, WK, np.array([0.5 + 0j]), 4, weights=np.array([-1.0]))
 
 
 def test_interpolate_single_point_kernel_column():

@@ -309,9 +309,8 @@ def test_g_fn_equals_sigma_unperturbed():
     gam = PerturbedLattice(lat)
     zz = np.array([0.3 + 0.4j, -0.7 + 0.1j, 1.4 - 0.6j])
     sig = sigma_fn(EXPN, zz, lat)
-    for variant in ("printed", "all_gamma"):
-        gv = g_fn(EXPN, zz, gam, variant=variant)
-        assert np.max(np.abs(gv - sig)) <= 1e-12 * np.max(np.abs(sig))
+    gv = g_fn(EXPN, zz, gam)
+    assert np.max(np.abs(gv - sig)) <= 1e-12 * np.max(np.abs(sig))
 
 
 def test_g_fn_vanishes_on_nodes_and_pin():
@@ -326,12 +325,6 @@ def test_log_g_fn_node_is_neg_inf():
     gam = PerturbedLattice(LatticeSpec(1.0, 4))
     lg = log_g_fn(EXPN, np.array([1.0 + 0.0j]), gam)
     assert lg[0].real == -math.inf
-
-
-def test_variant_validation():
-    gam = PerturbedLattice(LatticeSpec(1.0, 4))
-    with pytest.raises(ValueError):
-        g_fn(EXPN, 0.5, gam, variant="other")
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +436,7 @@ def pinned_paths():
     nodes = nodes[nodes != 0]
     bs_near = grid * np.exp(near_field(BSN, grid, nodes, nodes))
     bs = sigma_fn(BSN, grid, lat)
-    printed = log_g_fn(EXPN, 2.5 * grid, gam, variant="printed")
+    printed = log_g_fn(EXPN, 2.5 * grid, gam)
     return grid, gam, bs_near, bs, printed
 
 
@@ -493,8 +486,9 @@ def test_split_products_vanish_on_hit_nodes():
     # numpy's z/z is 1 - 4.6e-17j at the perturbed node (-2, 1)
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 24), 0.1, seed=3)
     zs = np.array([gam.point(1, 0), gam.point(-2, 1), 2.2 + 0.35j])
-    for variant in ("all_gamma", "printed"):
-        lg = log_g_fn(EXPN, zs, gam, variant=variant)
+    nodes, _ = gam.nonzero()
+    # the split product over the perturbed nodes, and log_g_fn's all-near one
+    for lg in (weierstrass._log_product(EXPN, zs, nodes, nodes, 80), log_g_fn(EXPN, zs, gam)):
         assert lg[0].real == -math.inf and lg[1].real == -math.inf
         assert np.isfinite(lg[2])
 
@@ -570,7 +564,7 @@ def test_banded_printed_variant_against_mpmath():
     # lattice near: 20 bands
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.1, seed=42)
     nodes, base = gam.nonzero()
-    got = log_g_fn(EXPN, CONTOUR_25, gam, variant="printed").real
+    got = log_g_fn(EXPN, CONTOUR_25, gam).real
     want = np.array([log_abs_pair_product("exponential", {}, z, zip(nodes, base))
                      + math.log(abs(z - gam.z00)) for z in CONTOUR_25])
     assert np.all(np.abs(got - want) <= 4.0 * rounding_scale(EXPN, CONTOUR_25, nodes, base))
@@ -704,7 +698,7 @@ def test_grouped_near_field_falls_back_past_double_range():
     cells = per_cell_logs(EXPN, z, nodes, nodes)[:, 0]
     groups = np.add.reduceat(cells.real, np.arange(0, nodes.size, weierstrass._LOG_GROUP))
     assert groups.max() > math.log(np.finfo(float).max)
-    lg = log_g_fn(EXPN, z, gam, variant="all_gamma")[0]
+    lg = log_g_fn(EXPN, z, gam)[0]
     assert math.isfinite(lg.real)
     assert lg.real == pytest.approx(cells.sum().real + math.log(abs(z[0] - gam.z00)), rel=1e-15)
     assert lg.real == pytest.approx(6362.92509416025, rel=1e-14)
