@@ -90,7 +90,7 @@ def _set_parameters(paths) -> dict:
     return seen
 
 
-# window-n duals are checked by the frames roadmap item, not yet by a caller
+# ROADMAP item 4(c) checks window-n duals; no caller sets n yet
 UNSET_ALLOWED = {"frames.canonical_dual.n"}
 
 
