@@ -370,6 +370,59 @@ def test_radial_integral_call_counts():
     assert calls == [sizes[0] + sizes[1], sizes[2], sizes[3]]
 
 
+# The bits of reproduce and inner_product_fock (real, imag) at degrees 0, 3
+# and 10 on seeded unit series: the planar rule as it stands, so a change to
+# how the quadrature is assembled must leave every one in place.
+PLANAR_DEGREES = (0, 3, 10)
+PLANAR_BITS = {
+    EXP: (
+        ("0x1.017ed89db8442p-3", "-0x1.0e8cfe9bd45ccp-3",
+         "0x1.110cdf1771fcdp-4", "0x1.908e68a6a011bp-4"),
+        ("0x1.7b83ca4eae246p+1", "-0x1.9fda546063326p+0",
+         "-0x1.de1982de296c4p+2", "0x1.9cefeda20e05bp+0"),
+        ("-0x1.4f1f6afb5c450p+0", "-0x1.26615c9d79006p-1",
+         "0x1.b71ee8392480ep-1", "-0x1.5eb93534bc374p+2"),
+    ),
+    ML21: (
+        ("0x1.017ed89db8440p-3", "-0x1.0e8cfe9bd45ccp-3",
+         "0x1.110cdf1771fcdp-4", "0x1.908e68a6a011cp-4"),
+        ("0x1.6e424b47000c4p+1", "-0x1.df4349146b9a0p+0",
+         "-0x1.de1982de293d6p+2", "0x1.9cefeda20db26p+0"),
+        ("-0x1.4eef6b7c8bbd2p+0", "-0x1.09183cfd497fep-1",
+         "0x1.b71ee839247fap-1", "-0x1.5eb93534bc0d9p+2"),
+    ),
+    SG12: (
+        ("0x1.11866bf3aba16p-3", "-0x1.1f64a01313916p-3",
+         "0x1.110cdf1771fcep-4", "0x1.908e68a6a011ep-4"),
+        ("0x1.930c085e67f3ap+1", "-0x1.3e0fbfc14d61ep+1",
+         "-0x1.de1982de293d6p+2", "0x1.9cefeda20db26p+0"),
+        ("-0x1.6fa01aff8c52ap+0", "-0x1.c5925132d6d1ep-2",
+         "0x1.b71ee83924802p-1", "-0x1.5eb93534bc0dap+2"),
+    ),
+    GD2: (
+        ("0x1.6e29ab8cd00d4p-4", "-0x1.80ba426b445e2p-4",
+         "0x1.110cdf1771fcep-4", "0x1.908e68a6a011dp-4"),
+        ("0x1.48718a65e11f0p+1", "-0x1.86b3f4c10072cp+0",
+         "-0x1.de1982de293d8p+2", "0x1.9cefeda20db2ap+0"),
+        ("-0x1.045ab944bc5dep+0", "-0x1.56d2b9d69c2eep-2",
+         "0x1.b71ee839247ffp-1", "-0x1.5eb93534bc0dcp+2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("desc", list(PLANAR_BITS), ids=["EXP", "ML(2,1)", "SG(1,2)", "GD(2)"])
+def test_planar_bits(desc):
+    wk = verified_weight(desc)
+    got = []
+    for deg in PLANAR_DEGREES:
+        rng = np.random.default_rng(deg)
+        f, g = unit_series(desc, rng, deg), unit_series(desc, rng, deg)
+        z = complex(*rng.uniform(-1.2, 1.2, 2))
+        r, p = reproduce(desc, wk, f, z), inner_product_fock(wk, f, g)
+        got.append((r.real.hex(), r.imag.hex(), p.real.hex(), p.imag.hex()))
+    assert tuple(got) == PLANAR_BITS[desc]
+
+
 PROPERTY_FAMILIES = {"ML(2,1)": ML21, "SG(1,2)": SG12, "GD(2)": GD2}
 # the exp-sinh stopping rule's tolerance, 10 * 1e-9 relative to max(1, |I|)
 PROPERTY_TOL = 1e-8
