@@ -184,22 +184,25 @@ def _raw_signs_logs(desc: PhiDescriptor, ks: np.ndarray):
 
 @lru_cache(maxsize=512)
 def _table(desc: PhiDescriptor) -> list:
-    """[signs, logs] of one descriptor, grown in place by _rows."""
-    return [np.ones(0), np.zeros(0)]
+    """[signs, logs, values] of one descriptor, grown in place by _rows."""
+    return [np.ones(0), np.zeros(0), np.zeros(0)]
 
 
 def _rows(desc: PhiDescriptor, n: int) -> list:
     """The table of desc with at least n rows.  Only the missing rows are
     computed (each row is independent of the others), and a normalized
-    table is derived from the raw rows."""
+    table is derived from the raw rows.  Values phi_k = sign_k exp(log|phi_k|)
+    are computed here, once per row: 0 below the double range, inf above."""
     table = _table(desc)
     have = table[0].size
     if have < n:
         if desc.normalized:
-            s, l = _rows(replace(desc, normalized=False), n)
+            s, l, _ = _rows(replace(desc, normalized=False), n)
             new = s[have:n] * s[0], l[have:n] - l[0]
         else:
             new = _raw_signs_logs(desc, np.arange(have, n))
+        with np.errstate(under="ignore", over="ignore"):
+            new += (new[0] * np.exp(new[1]),)
         for i, rows in enumerate(new):
             table[i] = np.concatenate([table[i], rows])
             table[i].setflags(write=False)
@@ -209,8 +212,7 @@ def _rows(desc: PhiDescriptor, n: int) -> list:
 def signs_logs(desc: PhiDescriptor, kmax: int):
     """Arrays (sign_k, log|phi_k|) for k = 0..kmax, read-only slices of the
     descriptor's one growing table."""
-    n = int(kmax) + 1
-    s, l = _rows(desc, n)
+    s, l, _ = _rows(desc, n := int(kmax) + 1)
     return s[:n], l[:n]
 
 
@@ -236,15 +238,14 @@ def phi_coeff(desc: PhiDescriptor, k: int) -> float:
 
 
 def phi_coeffs(desc: PhiDescriptor, kmax: int) -> np.ndarray:
-    """Dense float vector (phi_0..phi_kmax).  Raises OverflowError where
-    log|phi_k| > 708, phi_coeff's limit; entries below the double range
-    underflow to 0."""
-    s, l = signs_logs(desc, kmax)
-    if np.any(l > 708.0):
-        k = int(np.argmax(l > 708.0))
+    """Dense float vector (phi_0..phi_kmax), a writable copy of the table's
+    value row.  Raises OverflowError where log|phi_k| > 708, phi_coeff's
+    limit; entries below the double range underflow to 0."""
+    _, l, v = _rows(desc, n := int(kmax) + 1)
+    if (over := l[:n] > 708.0).any():
+        k = int(over.argmax())
         raise OverflowError(f"phi_{k} for {desc.family} outside double range (log={l[k]:.1f})")
-    with np.errstate(under="ignore"):
-        return s * np.exp(l)
+    return v[:n].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -134,10 +134,16 @@ def default_quadrature(wk: WeightKernel, max_degree: int = 30) -> QuadratureSche
     return QuadratureScheme(radial=radial, angular_nodes=max_degree + 1)
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=1)
 def _laggauss():
     from numpy.polynomial.laguerre import laggauss
-    return laggauss(80)
+    return _read_only(*laggauss(80))
 
 
 # exp-sinh rule: x = exp(pi/2 sinh t) on _DE_T_MIN <= t <= _DE_T_MAX, step
@@ -149,28 +155,34 @@ _DE_T_MAX = 4.5
 _DE_H0 = 1.0 / 16.0
 _DE_LEVELS = 4
 _DE_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @lru_cache(maxsize=64)
-def _weighted_nodes(wk: WeightKernel, level: int):
-    """Nodes x = exp(pi/2 sinh t) that `level` adds to the exp-sinh rule
-    (every multiple of the step at level 0, the odd multiples after that),
-    kept where dx/dt * W(x) is nonzero, and those products.
+def _exp_sinh_rule(wk: WeightKernel):
+    """wk's exp-sinh rule, read-only: the nodes of levels 0 and 1 together,
+    the size of level 0, and per level the nodes x = exp(pi/2 sinh t) it adds
+    (every multiple of the step at level 0, the odd multiples after that)
+    kept where dx/dt * W(x) is nonzero, with those products.
 
     At the far nodes (x up to 1e30) a power in W can overflow while its
     exponential factor underflows; the resulting inf or nan stands for a
     weight that is 0 in exact arithmetic, so those nodes are dropped too.
     """
-    h = _DE_H0 / 2 ** level
-    k = np.arange(round(_DE_T_MIN / h), round(_DE_T_MAX / h) + 1)
-    if level:
-        k = k[k % 2 == 1]
-    t = k * h
-    x = np.exp(0.5 * np.pi * np.sinh(t))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ww = 0.5 * np.pi * np.cosh(t) * x * wk.weight(x)
-    keep = np.isfinite(ww) & (ww != 0.0)
-    return x[keep], ww[keep]
+    levels = []
+    for level in range(_DE_LEVELS):
+        h = _DE_H0 / 2 ** level
+        k = np.arange(round(_DE_T_MIN / h), round(_DE_T_MAX / h) + 1)
+        if level:
+            k = k[k % 2 == 1]
+        t = k * h
+        x = np.exp(0.5 * np.pi * np.sinh(t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ww = 0.5 * np.pi * np.cosh(t) * x * wk.weight(x)
+        keep = np.isfinite(ww) & (ww != 0.0)
+        levels.append(_read_only(x[keep], ww[keep]))
+    x01, = _read_only(np.concatenate((levels[0][0], levels[1][0])))
+    return x01, levels[0][0].size, tuple(levels)
 
 
 def _radial_integral(wk: WeightKernel, fn) -> complex:
@@ -187,21 +199,20 @@ def _radial_integral(wk: WeightKernel, fn) -> complex:
     """
     if default_quadrature(wk).radial == "gauss_laguerre":
         x, w = _laggauss()
-        return complex(np.sum(w * np.asarray(fn(x), dtype=complex)))
+        return complex((w * np.asarray(fn(x), dtype=complex)).sum())
 
     total, magnitude = 0.0j, 0.0
-    x0, x1 = _weighted_nodes(wk, 0)[0], _weighted_nodes(wk, 1)[0]
-    f01 = np.asarray(fn(np.concatenate((x0, x1))), dtype=complex)
-    first = f01[:x0.size], f01[x0.size:]
-    for level in range(_DE_LEVELS):
-        x, ww = _weighted_nodes(wk, level)
+    x01, n0, levels = _exp_sinh_rule(wk)
+    f01 = np.asarray(fn(x01), dtype=complex)
+    first = f01[:n0], f01[n0:]
+    for level, (x, ww) in enumerate(levels):
         terms = ww * (first[level] if level < 2 else np.asarray(fn(x), dtype=complex))
-        total += np.sum(terms)
-        magnitude += float(np.sum(np.abs(terms)))
+        total += terms.sum()
+        magnitude += float(np.abs(terms).sum())
         h = _DE_H0 / 2 ** level
         val = complex(h * total)
         if level:
-            err = max(abs(val - prev), np.finfo(float).eps * h * magnitude)
+            err = max(abs(val - prev), _EPS * h * magnitude)
             if err <= 10.0 * max(_DE_TOL, _DE_TOL * abs(val)):
                 return val
         prev = val
@@ -284,14 +295,18 @@ def _polar_integral(wk: WeightKernel, deg: int, integrand) -> complex:
             "weight kernel must pass moment_check (use verified_weight) "
             "before use in planar integrals")
     A = default_quadrature(wk, deg).angular_nodes
-    theta = 2.0 * np.pi * np.arange(A) / A
-    ephase = np.exp(1j * theta)
+    ephase = _phases(A)
 
     def angular_mean(x):
-        r = np.sqrt(np.asarray(x, dtype=float))
-        return np.mean(integrand(r[:, None] * ephase[None, :]), axis=1)
+        return integrand(np.sqrt(x)[:, None] * ephase).sum(axis=1) / A
 
     return _radial_integral(wk, angular_mean)
+
+
+@lru_cache(maxsize=64)
+def _phases(A: int) -> np.ndarray:
+    """exp(i theta) at the A trapezoid angles theta = 2 pi j / A, read-only."""
+    return _read_only(np.exp(1j * (2.0 * np.pi * np.arange(A) / A)))[0]
 
 
 def inner_product_fock(wk: WeightKernel, f: TruncatedSeries, g: TruncatedSeries) -> complex:

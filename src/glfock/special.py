@@ -47,7 +47,7 @@ def _horner(coefs, U: np.ndarray) -> np.ndarray:
     """Horner's rule at U over coefs, the highest degree first, in one array:
     glfock's one power-series evaluator, within gamma_2n sum |c_k| |U|^k at
     degree n (Higham, Accuracy and Stability of Numerical Algorithms, 5.1)."""
-    V = np.zeros_like(U)
+    V = np.zeros(U.shape, U.dtype)
     for c in coefs:
         np.multiply(V, U, out=V)
         V += c

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -58,6 +59,55 @@ def test_phi_coeffs_vector_consistent():
         assert v.shape == (13,)
         for k in (0, 3, 12):
             assert abs(v[k] - phi_coeff(desc, k)) <= 1e-15 * abs(v[k])
+
+
+# the six families, with a second parameter set where the growth differs;
+# SG(1e8, 1) passes log|phi_k| = 708 near k = 40
+VALUE_ROW_FAMILIES = [*ALL, PhiDescriptor.mittag_leffler(0.5, 0.5), PhiDescriptor.gamma_deriv(3),
+                      PhiDescriptor.stretched_gamma(1e8, 1.0)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("desc", VALUE_ROW_FAMILIES,
+                         ids=lambda d: "-".join([d.family, *(f"{v:g}" for _, v in d.params)]))
+def test_value_row_bits(desc, normalized):
+    # the table's value row, grown in random orders, is s * exp(l) on the
+    # whole prefix bit for bit
+    desc = replace(desc, normalized=normalized)
+    rng = np.random.default_rng(25)
+    for _ in range(3):
+        core._table.cache_clear()
+        for kmax in rng.integers(0, 201, 6).tolist():
+            core.signs_logs(desc, kmax)
+            s, l, v = core._table(desc)
+            with np.errstate(under="ignore", over="ignore"):
+                assert np.array_equal(_bits(v), _bits(s * np.exp(l)))
+            assert not v.flags.writeable
+
+
+@pytest.mark.parametrize("desc", [PhiDescriptor.stretched_gamma(1e8, 1.0),
+                                  PhiDescriptor.stretched_gamma(1e30, 1.0, normalized=True),
+                                  PhiDescriptor.stretched_gamma(1e-4, 1.0),
+                                  PhiDescriptor.mittag_leffler(0.1, 1.0)])
+def test_phi_coeffs_reads_value_row(desc):
+    # the first k with log|phi_k| > 708 is named; below it the values are s * exp(l)
+    s, l = core.signs_logs(desc, 80)
+    for N in (10, 80):
+        if (l[:N + 1] > 708.0).any():
+            k = int(np.argmax(l > 708.0))
+            with pytest.raises(OverflowError, match=f"phi_{k} for {desc.family} "):
+                phi_coeffs(desc, N)
+        else:
+            with np.errstate(under="ignore"):
+                assert np.array_equal(_bits(phi_coeffs(desc, N)), _bits(s[:N + 1] * np.exp(l[:N + 1])))
+    # the result is a copy: writing into it leaves the table as it was
+    v = phi_coeffs(EXP, 12)
+    v[:] = 7.0
+    assert phi_coeffs(EXP, 12)[4] == 1.0 / 24.0 and core._table(EXP)[2][4] == 1.0 / 24.0
 
 
 def test_normalize_sets_phi0():

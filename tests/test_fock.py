@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glfock import fock
+from glfock import core, fock
 from glfock.bargmann import sqrt_phi
-from glfock.core import PhiDescriptor, TruncatedSeries, phi_coeffs
+from glfock.core import PhiDescriptor, TruncatedSeries, phi_coeffs, signs_logs
 from glfock.errors import ConvergenceError, DivergenceError, UnverifiedWeightError
 from glfock.fock import (carleman_partial, duality_check, inner_product_fock,
                          inner_product_l2phi, moment, moment_check,
@@ -29,7 +29,6 @@ def unit_series(desc, rng, deg):
     Keeps both sides of every pairing O(1); raw monomial draws would let
     1/phi_k amplify rounding by k! and measure conditioning, not algebra.
     """
-    from glfock.core import signs_logs
     _, l = signs_logs(desc, deg)
     a = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
     return TruncatedSeries(a * np.exp(0.5 * l[: deg + 1]))
@@ -307,7 +306,7 @@ def reference_polar_integral(wk, deg, integrand):
         return complex(np.sum(w * fn(x)))
     total, magnitude = 0.0j, 0.0
     for level in range(fock._DE_LEVELS):
-        x, ww = fock._weighted_nodes(wk, level)
+        x, ww = fock._exp_sinh_rule(wk)[2][level]
         terms = ww * fn(x)
         total += np.sum(terms)
         magnitude += float(np.sum(np.abs(terms)))
@@ -357,7 +356,7 @@ def test_radial_integral_call_counts():
 
     # converges at level 1: one call on the nodes of levels 0 and 1 together
     wk = registered_weight(ML21)
-    sizes = [fock._weighted_nodes(wk, level)[0].size for level in range(fock._DE_LEVELS)]
+    sizes = [x.size for x, _ in fock._exp_sinh_rule(wk)[2]]
     assert abs(fock._radial_integral(wk, spy(lambda x: x * x + 0j)) - 1.0) <= 1e-13
     assert calls == [sizes[0] + sizes[1]]
     calls.clear()
@@ -421,6 +420,17 @@ def test_planar_bits(desc):
         r, p = reproduce(desc, wk, f, z), inner_product_fock(wk, f, g)
         got.append((r.real.hex(), r.imag.hex(), p.real.hex(), p.imag.hex()))
     assert tuple(got) == PLANAR_BITS[desc]
+
+
+def test_cached_arrays_read_only():
+    # each cache shares its arrays with every later caller: a write would
+    # corrupt every integral that follows
+    x01, _, levels = fock._exp_sinh_rule(registered_weight(ML21))
+    signs_logs(ML21, 12)
+    for a in (*fock._laggauss(), x01, *(a for level in levels for a in level), fock._phases(7),
+              *core._table(ML21)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
 
 
 PROPERTY_FAMILIES = {"ML(2,1)": ML21, "SG(1,2)": SG12, "GD(2)": GD2}
