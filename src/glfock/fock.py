@@ -181,7 +181,7 @@ def _exp_sinh_rule(wk: WeightKernel):
             ww = 0.5 * np.pi * np.cosh(t) * x * wk.weight(x)
         keep = np.isfinite(ww) & (ww != 0.0)
         levels.append(_read_only(x[keep], ww[keep]))
-    x01, = _read_only(np.concatenate((levels[0][0], levels[1][0])))
+    x01 = _read_only(np.concatenate((levels[0][0], levels[1][0])))[0]
     return x01, levels[0][0].size, tuple(levels)
 
 

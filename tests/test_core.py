@@ -104,7 +104,10 @@ def test_phi_coeffs_reads_value_row(desc):
         else:
             with np.errstate(under="ignore"):
                 assert np.array_equal(_bits(phi_coeffs(desc, N)), _bits(s[:N + 1] * np.exp(l[:N + 1])))
-    # the result is a copy: writing into it leaves the table as it was
+
+
+def test_phi_coeffs_returns_a_copy():
+    # writing into the result leaves the table as it was
     v = phi_coeffs(EXP, 12)
     v[:] = 7.0
     assert phi_coeffs(EXP, 12)[4] == 1.0 / 24.0 and core._table(EXP)[2][4] == 1.0 / 24.0
