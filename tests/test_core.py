@@ -9,7 +9,7 @@ import pytest
 from glfock import cli, core
 from glfock.core import (PhiDescriptor, TruncatedSeries, gl_derivative,
                          log_phi_coeff, multiply_z, order_degree_check,
-                         phi_coeff, phi_coeffs, phi_eval)
+                         phi_coeff, phi_coeffs, phi_eval, signs_logs)
 from glfock.errors import DivergenceError, NonEntireError
 from mp_oracles import power_sum
 
@@ -157,6 +157,19 @@ def test_float_params_must_be_finite_numbers(family, name, bad):
     params[name] = np.float64(FLOAT_PARAMS[family][name])
     assert PhiDescriptor.from_dict({"family": family, "params": params}) == \
         PhiDescriptor.from_dict({"family": family, "params": FLOAT_PARAMS[family]})
+
+
+def test_negative_index_raises():
+    # a negative kmax is no slice end: the result would depend on how far
+    # the table has grown
+    signs_logs(EXP, 20)
+    for fn in (signs_logs, phi_coeffs):
+        for kmax in (-1, -3, -30):
+            with pytest.raises(ValueError, match="kmax must be >= 0"):
+                fn(EXP, kmax)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        log_phi_coeff(EXP, -3)
+    assert [a.size for a in signs_logs(EXP, 0)] == [1, 1]
 
 
 def test_series_container():
