@@ -109,10 +109,8 @@ class QuadratureScheme:
     """Radial x angular product rule for planar integrals in polar form, as
     default_quadrature picks it from the weight.
 
-    radial = "gauss_laguerre": the 80-point Laguerre rule, exact for
-    polynomial-times-exp(-x), i.e. the exponential weight.
-    radial = "adaptive_tail": the exp-sinh double-exponential rule on
-    [0, inf) (Takahasi & Mori 1974) for every other registered weight.  Its
+    radial is always "adaptive_tail": the exp-sinh double-exponential rule
+    on [0, inf) (Takahasi & Mori 1974), built from the weight alone.  Its
     step is halved from 1/16 to at most 1/128, reusing every earlier node,
     until two successive sums agree within 10 * max(tol, tol * |I|),
     tol = 1e-9.
@@ -126,24 +124,17 @@ class QuadratureScheme:
 
 
 def default_quadrature(wk: WeightKernel, max_degree: int = 30) -> QuadratureScheme:
-    """The one rule for polynomial data up to max_degree against wk: the radial
-    rule follows wk's form, and max_degree + 1 angular nodes, the fewest that
-    are exact, since a term conj(w)^j w^k of the integrand has frequency
-    j - k with |j - k| <= max_degree."""
-    radial = "gauss_laguerre" if wk.form == "exp" else "adaptive_tail"
-    return QuadratureScheme(radial=radial, angular_nodes=max_degree + 1)
+    """The one rule for polynomial data up to max_degree against wk: the
+    exp-sinh radial rule for every weight, and max_degree + 1 angular nodes,
+    the fewest that are exact, since a term conj(w)^j w^k of the integrand
+    has frequency j - k with |j - k| <= max_degree."""
+    return QuadratureScheme(radial="adaptive_tail", angular_nodes=max_degree + 1)
 
 
 def _read_only(*arrays):
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-@lru_cache(maxsize=1)
-def _laggauss():
-    from numpy.polynomial.laguerre import laggauss
-    return _read_only(*laggauss(80))
 
 
 # exp-sinh rule: x = exp(pi/2 sinh t) on _DE_T_MIN <= t <= _DE_T_MAX, step
@@ -168,6 +159,13 @@ def _exp_sinh_rule(wk: WeightKernel):
     At the far nodes (x up to 1e30) a power in W can overflow while its
     exponential factor underflows; the resulting inf or nan stands for a
     weight that is 0 in exact arithmetic, so those nodes are dropped too.
+
+    Every level is cut at one left point t_L, so the levels stay nested:
+    the largest t_L such that each node left of it has x < 1 and their
+    |dx/dt * W|, summed over all levels, is at most eps * h * sum |dx/dt * W|
+    over the whole rule, h = 1/128.  The integrands are polynomials in x,
+    bounded on [0, 1] by their coefficient 1-norm, so the cut moves a
+    level's sum by less than eps times the rounding floor of its terms.
     """
     levels = []
     for level in range(_DE_LEVELS):
@@ -180,27 +178,27 @@ def _exp_sinh_rule(wk: WeightKernel):
         with np.errstate(over="ignore", invalid="ignore"):
             ww = 0.5 * np.pi * np.cosh(t) * x * wk.weight(x)
         keep = np.isfinite(ww) & (ww != 0.0)
-        levels.append(_read_only(x[keep], ww[keep]))
+        levels.append((t[keep], x[keep], ww[keep]))
+    t, x, ww = (np.concatenate(a) for a in zip(*levels))
+    order = np.argsort(t)
+    mass = np.cumsum(np.abs(ww[order]))
+    left = (mass <= _EPS * h * mass[-1]) & (x[order] < 1.0)
+    t_left = t[order][np.count_nonzero(left)]
+    levels = tuple(_read_only(x[t >= t_left], ww[t >= t_left]) for t, x, ww in levels)
     x01 = _read_only(np.concatenate((levels[0][0], levels[1][0])))[0]
-    return x01, levels[0][0].size, tuple(levels)
+    return x01, levels[0][0].size, levels
 
 
 def _radial_integral(wk: WeightKernel, fn) -> complex:
-    """int_0^inf fn(x) W(x) dx by the radial rule that default_quadrature
-    picks for wk; fn vectorized, possibly complex-valued.
+    """int_0^inf fn(x) W(x) dx by the exp-sinh rule of wk; fn vectorized,
+    possibly complex-valued.
 
-    gauss_laguerre: one fn call on the Laguerre nodes, W = exp(-x) folded
-    into the rule.  adaptive_tail: the exp-sinh rule, built from W alone.
     The first error estimate needs levels 0 and 1, so fn is called once on
     both levels' nodes, then once per later level on its new nodes; each
     level is summed on its own.  The error of I_h is estimated as
     |I_h - I_2h|, floored at the rounding level eps * h * sum |dx/dt W fn|;
     ConvergenceError when no level up to h = 1/128 meets the tolerance.
     """
-    if default_quadrature(wk).radial == "gauss_laguerre":
-        x, w = _laggauss()
-        return complex((w * np.asarray(fn(x), dtype=complex)).sum())
-
     total, magnitude = 0.0j, 0.0
     x01, n0, levels = _exp_sinh_rule(wk)
     f01 = np.asarray(fn(x01), dtype=complex)

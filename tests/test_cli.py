@@ -507,10 +507,18 @@ def _loaded_after(tmp_path, argv=None, phi=None):
 
 
 def test_cli_import_skips_scipy(tmp_path):
-    # the Gauss-Laguerre and Gauss-Hermite rules import numpy.polynomial
-    # where they are built
+    # the Gauss-Hermite rule imports numpy.polynomial where it is built
     rc, loaded = _loaded_after(tmp_path)
     assert (rc, loaded["scipy"], loaded["numpy.polynomial"]) == (0, [], [])
+
+
+@pytest.mark.parametrize("argv", [["check", "--suite", "moments"], ["frames-sweep"]],
+                         ids=["check --suite moments", "frames-sweep"])
+def test_radial_rule_skips_numpy_polynomial(tmp_path, argv):
+    # every weight, the exponential default too, takes the exp-sinh rule,
+    # which needs no Laguerre nodes
+    rc, loaded = _loaded_after(tmp_path, argv)
+    assert (rc, loaded["numpy.polynomial"]) == (0, [])
 
 
 IMPORT_ALONE = {"glfock", "glfock.cli", "glfock.core", "glfock.errors", "glfock.special"}

@@ -1,4 +1,5 @@
 import contextlib
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -81,6 +82,7 @@ def test_log_weight_is_signed():
 
 # int_0^inf x^n W(x) dx in closed form, independent of phi and of the rule
 MOMENT_ORACLES = {
+    "EXP": (EXP, lambda mp, n: mp.factorial(n)),
     "ML(2,1)": (PhiDescriptor.mittag_leffler(2, 1), lambda mp, n: mp.gamma(1 + mp.mpf(n) / 2)),
     "ML(0.5,1.5)": (PhiDescriptor.mittag_leffler(0.5, 1.5), lambda mp, n: mp.gamma(1.5 + 2 * n)),
     # W ~ x^(rho mu - 1) at 0: the nodes must reach far enough left for x^0.25 and x^0.1
@@ -290,9 +292,27 @@ def test_reproduce_backward_shift_diverges():
             reproduce(BS, wk, TruncatedSeries(np.ones(deg + 1)), 0.5)
 
 
+def reference_exp_sinh_levels(wk):
+    """Per level, the exp-sinh nodes x = exp(pi/2 sinh t) at t = k h that it
+    adds (every k at level 0, odd k after that) with dx/dt * W(x), built here
+    from W alone and untrimmed: only the products that are 0, inf or nan,
+    which stand for a zero weight, are left out."""
+    levels = []
+    for level in range(fock._DE_LEVELS):
+        h = fock._DE_H0 / 2 ** level
+        k = np.arange(round(fock._DE_T_MIN / h), round(fock._DE_T_MAX / h) + 1)
+        t = k[k % 2 == 1] * h if level else k * h
+        x = np.exp(0.5 * np.pi * np.sinh(t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ww = 0.5 * np.pi * np.cosh(t) * x * wk.weight(x)
+        keep = np.isfinite(ww) & (ww != 0.0)
+        levels.append((x[keep], ww[keep]))
+    return levels
+
+
 def reference_polar_integral(wk, deg, integrand):
     """The planar rule kept as the loop reference: 2 deg + 2 angular nodes,
-    and one integrand call per exp-sinh level."""
+    and one integrand call per level of the untrimmed exp-sinh rule."""
     A = 2 * deg + 2
     theta = 2.0 * np.pi * np.arange(A) / A
     ephase = np.exp(1j * theta)
@@ -301,12 +321,8 @@ def reference_polar_integral(wk, deg, integrand):
         r = np.sqrt(np.asarray(x, dtype=float))
         return np.asarray(np.mean(integrand(r[:, None] * ephase[None, :]), axis=1), dtype=complex)
 
-    if wk.form == "exp":
-        x, w = fock._laggauss()
-        return complex(np.sum(w * fn(x)))
     total, magnitude = 0.0j, 0.0
-    for level in range(fock._DE_LEVELS):
-        x, ww = fock._exp_sinh_rule(wk)[2][level]
+    for level, (x, ww) in enumerate(reference_exp_sinh_levels(wk)):
         terms = ww * fn(x)
         total += np.sum(terms)
         magnitude += float(np.sum(np.abs(terms)))
@@ -320,6 +336,14 @@ def reference_polar_integral(wk, deg, integrand):
     raise ConvergenceError(f"radial quadrature error {err:.2e} exceeds tolerance")
 
 
+def horner(f, z):
+    """f(z) by Horner's rule on Python complex numbers."""
+    want = 0j
+    for c in f.coeffs[::-1].tolist():
+        want = want * z + c
+    return want
+
+
 # |rule - reference| <= REFERENCE_C * eps * scale, with scale max(1, sum |f_k||z|^k)
 # for reproduce and max(1, ||f|| ||g||) (Cauchy-Schwarz) for the pairing.
 # The largest ratio measured is 1.9 (reproduce, SG(1,2)), pairing 1.7 (ML(2,1)).
@@ -328,6 +352,7 @@ REFERENCE_C = 64
 
 @pytest.mark.parametrize("desc", [EXP, ML21, SG12, GD2], ids=["EXP", "ML(2,1)", "SG(1,2)", "GD(2)"])
 def test_planar_rule_against_reference(desc):
+    # EXP against its exact values: Horner f(z) and sum conj(f_k) g_k k!
     wk = verified_weight(desc)
     rng = np.random.default_rng(23)
     eps = np.finfo(float).eps
@@ -335,14 +360,49 @@ def test_planar_rule_against_reference(desc):
         phi = np.abs(phi_coeffs(desc, deg))
         f, g = unit_series(desc, rng, deg), unit_series(desc, rng, deg)
         z = complex(*rng.uniform(-1.2, 1.2, 2))
-        want = reference_polar_integral(
-            wk, deg, lambda w: fock.phi_eval(desc, z * np.conj(w), deg) * f(w))
+        if desc == EXP:
+            want = horner(f, z)
+        else:
+            want = reference_polar_integral(
+                wk, deg, lambda w: fock.phi_eval(desc, z * np.conj(w), deg) * f(w))
         scale = max(1.0, float(np.sum(np.abs(f.coeffs) * abs(z) ** np.arange(deg + 1))))
         assert abs(reproduce(desc, wk, f, z) - want) <= REFERENCE_C * eps * scale, deg
-        want = reference_polar_integral(wk, deg, lambda w: np.conj(f(w)) * g(w))
+        if desc == EXP:
+            want = complex(np.sum(np.conj(f.coeffs) * g.coeffs
+                                  * [float(math.factorial(k)) for k in range(deg + 1)]))
+        else:
+            want = reference_polar_integral(wk, deg, lambda w: np.conj(f(w)) * g(w))
         scale = max(1.0, float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2 / phi)
                                        * np.sum(np.abs(g.coeffs) ** 2 / phi))))
         assert abs(inner_product_fock(wk, f, g) - want) <= REFERENCE_C * eps * scale, deg
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_ORACLES))
+def test_exp_sinh_trim(name):
+    # each level of the rule is its untrimmed level less the nodes left of one
+    # cut; every dropped node has x < 1, their |dx/dt W| summed over all levels
+    # is at most eps * h * (the same sum over the whole rule), h = 1/128, and
+    # the cut is the largest that keeps both
+    wk = registered_weight(MOMENT_ORACLES[name][0])
+    eps = np.finfo(float).eps
+    full = reference_exp_sinh_levels(wk)
+    rule = fock._exp_sinh_rule(wk)[2]
+    dropped, kept = [], []
+    for (x, ww), (xr, wr) in zip(full, rule):
+        cut = x.size - xr.size
+        assert np.array_equal(x[cut:], xr) and np.array_equal(ww[cut:], wr)
+        dropped.append((x[:cut], ww[:cut]))
+        kept.append((xr, wr))
+    x_out = np.concatenate([x for x, _ in dropped])
+    m_out = float(np.sum(np.abs(np.concatenate([w for _, w in dropped]))))
+    x_in = np.concatenate([x for x, _ in kept])
+    bound = eps * fock._DE_H0 / 2 ** (fock._DE_LEVELS - 1) * float(
+        np.sum(np.abs(np.concatenate([w for _, w in full]))))
+    assert x_out.size and np.all(x_out < 1.0)
+    assert x_out.max() < x_in.min()  # one cut for every level
+    assert m_out <= bound
+    first = min(kept, key=lambda level: level[0][0])
+    assert first[0][0] >= 1.0 or m_out + abs(first[1][0]) > bound
 
 
 def test_radial_integral_call_counts():

@@ -2,11 +2,10 @@
 
 `golden_exp_cli.json` maps each default (exponential) command line, and the
 window-1 and M = 0 frame sweeps, once as CSV and once with `--format json`,
-to the sha256 of its stdout.  The
-exponential family integrates radially with Gauss-Laguerre, so no change to
-the exp-sinh rule may move these bytes; the angular rule of planar
-integrals is shared by every family, so a change to it moves the
-`check --suite reproduce` bytes here too.
+to the sha256 of its stdout.  Every
+family integrates radially with the same exp-sinh rule and angularly with
+the same trapezoid rule, so a change to either moves the
+`check --suite moments` and `check --suite reproduce` bytes here too.
 
 `golden_family_cli.json` does the same for the non-exponential families in
 `FAMILIES`; its keys are "<family> <command line>", and the command runs with
