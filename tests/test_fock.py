@@ -116,32 +116,32 @@ def test_moments_match_closed_forms(name):
         assert abs(g - w) <= 1e-13 * abs(w), (name, n, g, w)
 
 
-# The bits of moment(wk, n), n = 0..10.  The radial rules alone set them:
+# The bits of moment(wk, n), n = 0..10.  The radial rule alone sets them:
 # a change to the planar (angular) rule must leave every one in place.
 MOMENT_BITS = {
     EXP: (
-        "0x1.0000000000000p+0", "0x1.0000000000204p+0", "0x1.0000000000208p+1",
-        "0x1.800000000031dp+2", "0x1.800000000033cp+4", "0x1.e000000000420p+6",
-        "0x1.6800000000318p+9", "0x1.3b000000002abp+12", "0x1.3b0000000029cp+15",
-        "0x1.62600000002dfp+18", "0x1.baf8000000386p+21",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+1",
+        "0x1.8000000000000p+2", "0x1.8000000000000p+4", "0x1.e000000000000p+6",
+        "0x1.6800000000000p+9", "0x1.3b00000000000p+12", "0x1.3b00000000000p+15",
+        "0x1.6260000000000p+18", "0x1.baf8000000000p+21",
     ),
     ML21: (
-        "0x1.0000000000000p+0", "0x1.c5bf891b4ef6bp-1", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.c5bf891b4ef6ap-1", "0x1.0000000000000p+0",
         "0x1.544fa6d47b390p+0", "0x1.0000000000000p+1", "0x1.a96390899a074p+1",
         "0x1.8000000000000p+2", "0x1.74371e7866c66p+3", "0x1.8000000000000p+4",
-        "0x1.a2be0247739f2p+5", "0x1.e000000000001p+6",
+        "0x1.a2be0247739f2p+5", "0x1.e000000000000p+6",
     ),
     SG12: (
-        "0x1.c5bf891b4ef6ap-1", "0x1.fffffffffffffp-2", "0x1.c5bf891b4ef6ap-2",
+        "0x1.c5bf891b4ef6bp-1", "0x1.0000000000000p-1", "0x1.c5bf891b4ef6ap-2",
         "0x1.0000000000000p-1", "0x1.544fa6d47b390p-1", "0x1.0000000000000p+0",
         "0x1.a96390899a074p+0", "0x1.8000000000000p+1", "0x1.74371e7866c66p+2",
         "0x1.8000000000000p+3", "0x1.a2be0247739f2p+4",
     ),
     GD2: (
-        "0x1.fa658c23b1579p+0", "0x1.a5b978b96bec0p-1", "0x1.3f18547938453p+1",
+        "0x1.fa658c23b1578p+0", "0x1.a5b978b96bebfp-1", "0x1.3f18547938454p+1",
         "0x1.65700b692b5b8p+3", "0x1.de066473dc394p+5", "0x1.730f2b4dc212ap+8",
-        "0x1.497a5c4da8d34p+11", "0x1.4a6e4da2752cdp+14", "0x1.721d22e526725p+17",
-        "0x1.ca859c847c860p+20", "0x1.378339c8518aep+24",
+        "0x1.497a5c4da8d34p+11", "0x1.4a6e4da2752cep+14", "0x1.721d22e526724p+17",
+        "0x1.ca859c847c862p+20", "0x1.378339c8518aep+24",
     ),
 }
 
@@ -435,34 +435,34 @@ def test_radial_integral_call_counts():
 PLANAR_DEGREES = (0, 3, 10)
 PLANAR_BITS = {
     EXP: (
-        ("0x1.017ed89db8442p-3", "-0x1.0e8cfe9bd45ccp-3",
-         "0x1.110cdf1771fcdp-4", "0x1.908e68a6a011bp-4"),
-        ("0x1.7b83ca4eae246p+1", "-0x1.9fda546063326p+0",
-         "-0x1.de1982de296c4p+2", "0x1.9cefeda20e05bp+0"),
-        ("-0x1.4f1f6afb5c450p+0", "-0x1.26615c9d79006p-1",
-         "0x1.b71ee8392480ep-1", "-0x1.5eb93534bc374p+2"),
+        ("0x1.017ed89db8441p-3", "-0x1.0e8cfe9bd45ccp-3",
+         "0x1.110cdf1771fcdp-4", "0x1.908e68a6a011cp-4"),
+        ("0x1.7b83ca4eae158p+1", "-0x1.9fda5460630c7p+0",
+         "-0x1.de1982de293d6p+2", "0x1.9cefeda20db28p+0"),
+        ("-0x1.4f1f6afb5c3e5p+0", "-0x1.26615c9d790fep-1",
+         "0x1.b71ee839247fap-1", "-0x1.5eb93534bc0dbp+2"),
     ),
     ML21: (
-        ("0x1.017ed89db8440p-3", "-0x1.0e8cfe9bd45ccp-3",
-         "0x1.110cdf1771fcdp-4", "0x1.908e68a6a011cp-4"),
+        ("0x1.017ed89db8442p-3", "-0x1.0e8cfe9bd45ccp-3",
+         "0x1.110cdf1771fcep-4", "0x1.908e68a6a011bp-4"),
         ("0x1.6e424b47000c4p+1", "-0x1.df4349146b9a0p+0",
-         "-0x1.de1982de293d6p+2", "0x1.9cefeda20db26p+0"),
-        ("-0x1.4eef6b7c8bbd2p+0", "-0x1.09183cfd497fep-1",
+         "-0x1.de1982de293d5p+2", "0x1.9cefeda20db26p+0"),
+        ("-0x1.4eef6b7c8bbd4p+0", "-0x1.09183cfd497fep-1",
          "0x1.b71ee839247fap-1", "-0x1.5eb93534bc0d9p+2"),
     ),
     SG12: (
         ("0x1.11866bf3aba16p-3", "-0x1.1f64a01313916p-3",
          "0x1.110cdf1771fcep-4", "0x1.908e68a6a011ep-4"),
         ("0x1.930c085e67f3ap+1", "-0x1.3e0fbfc14d61ep+1",
-         "-0x1.de1982de293d6p+2", "0x1.9cefeda20db26p+0"),
+         "-0x1.de1982de293d5p+2", "0x1.9cefeda20db26p+0"),
         ("-0x1.6fa01aff8c52ap+0", "-0x1.c5925132d6d1ep-2",
-         "0x1.b71ee83924802p-1", "-0x1.5eb93534bc0dap+2"),
+         "0x1.b71ee83924802p-1", "-0x1.5eb93534bc0d9p+2"),
     ),
     GD2: (
-        ("0x1.6e29ab8cd00d4p-4", "-0x1.80ba426b445e2p-4",
-         "0x1.110cdf1771fcep-4", "0x1.908e68a6a011dp-4"),
+        ("0x1.6e29ab8cd00d4p-4", "-0x1.80ba426b445e0p-4",
+         "0x1.110cdf1771fcep-4", "0x1.908e68a6a011cp-4"),
         ("0x1.48718a65e11f0p+1", "-0x1.86b3f4c10072cp+0",
-         "-0x1.de1982de293d8p+2", "0x1.9cefeda20db2ap+0"),
+         "-0x1.de1982de293d7p+2", "0x1.9cefeda20db2ap+0"),
         ("-0x1.045ab944bc5dep+0", "-0x1.56d2b9d69c2eep-2",
          "0x1.b71ee839247ffp-1", "-0x1.5eb93534bc0dcp+2"),
     ),
