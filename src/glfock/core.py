@@ -192,8 +192,7 @@ def _rows(desc: PhiDescriptor, n: int) -> list:
     """The table of desc with at least n rows.  Only the missing rows are
     computed (each row is independent of the others), and a normalized
     table is derived from the raw rows.  Values phi_k = sign_k exp(log|phi_k|)
-    are computed here, once per row: 0 below the double range, inf above.
-    n is kmax + 1 of the public callers, so n < 1 is a negative index."""
+    are computed here, once per row: 0 below the double range, inf above."""
     if n < 1:
         raise ValueError("kmax must be >= 0")
     table = _table(desc)

@@ -107,7 +107,7 @@ def registered_weight(desc: PhiDescriptor) -> WeightKernel:
 @dataclass(frozen=True)
 class QuadratureScheme:
     """Radial x angular product rule for planar integrals in polar form, as
-    default_quadrature picks it from the weight.
+    default_quadrature picks it from the data's degree.
 
     radial is always "adaptive_tail": the exp-sinh double-exponential rule
     on [0, inf) (Takahasi & Mori 1974), built from the weight alone.  Its
@@ -163,17 +163,15 @@ def _exp_sinh_rule(wk: WeightKernel):
     Every level is cut at one left point t_L, so the levels stay nested:
     the largest t_L such that each node left of it has x < 1 and their
     |dx/dt * W|, summed over all levels, is at most eps * h * sum |dx/dt * W|
-    over the whole rule, h = 1/128.  The integrands are polynomials in x,
-    bounded on [0, 1] by their coefficient 1-norm, so the cut moves a
-    level's sum by less than eps times the rounding floor of its terms.
+    over the whole rule, h = 1/128, i.e. eps * int |W|.  The integrands g
+    are polynomials in x, bounded on [0, 1] by their coefficient 1-norm
+    |g|_1, so the cut moves a level's sum by at most eps * int |W| * |g|_1.
     """
     levels = []
     for level in range(_DE_LEVELS):
         h = _DE_H0 / 2 ** level
         k = np.arange(round(_DE_T_MIN / h), round(_DE_T_MAX / h) + 1)
-        if level:
-            k = k[k % 2 == 1]
-        t = k * h
+        t = (k[k % 2 == 1] if level else k) * h
         x = np.exp(0.5 * np.pi * np.sinh(t))
         with np.errstate(over="ignore", invalid="ignore"):
             ww = 0.5 * np.pi * np.cosh(t) * x * wk.weight(x)
