@@ -71,6 +71,7 @@ _HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |
 _FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r*, r* = _log_e_radius
 _FAR_TOL = 1e-17         # bound on the dropped far-field tail, summed over nodes
 _OMEGA_TAIL = 48         # e^(-w - w^2/2) terms of R_N past 2N in _log_e_radius (rest < 2e-32)
+_WIND_LEVELS = tuple(128 << k for k in range(10))  # winding contour points, 128 to 2^16
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +165,7 @@ def omega(desc: PhiDescriptor, z, N: int = 80):
     instead; the same branch is the fallback when catastrophic cancellation
     (|E - 1| < 1e-12) is detected farther out.
     """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.shape == ()
-    zf = np.atleast_1d(z)
+    zf = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty_like(zf)
     series = np.abs(zf) < 1e-3
     far = ~series
@@ -180,7 +179,7 @@ def omega(desc: PhiDescriptor, z, N: int = 80):
         series[far] = cancel
     if np.any(series):
         out[series] = _horner(_e_table(desc, 17)[17:2:-1], zf[series])
-    return complex(out[0]) if scalar else out
+    return complex(out[0]) if np.ndim(z) == 0 else out
 
 
 def omega_bound(desc: PhiDescriptor) -> float:
@@ -527,18 +526,23 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     return out
 
 
+def _exp_logs(z, logs, factor=1.0):
+    """factor * exp(logs), 0 where logs is -inf (z on a node); complex for scalar z."""
+    with np.errstate(over="ignore"):
+        val = np.where(logs.real == -np.inf, 0.0, factor * np.exp(logs))
+    return complex(val[0]) if np.ndim(z) == 0 else val
+
+
 def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TERMS):
-    """Truncated sigma-type product z * prod over nonzero lattice points."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.shape == ()
-    zf = np.atleast_1d(z).astype(complex)
+    """Truncated sigma-type product z * prod over nonzero lattice points.
+
+    Only for a zero-free phi (EXP) are its zeros just the nodes: inside |z| = 2.5
+    ML(2,1) has 29 (phi = 0 at 1.3548 +- 1.9915i), GD(2) 45, GD(1) 69; 21 nodes.
+    """
+    zf = np.atleast_1d(np.asarray(z, dtype=complex))
     nodes = lat.points()
     nodes = nodes[nodes != 0]
-    logs = _log_product(desc, zf, nodes, nodes, N)
-    with np.errstate(over="ignore"):
-        val = zf * np.exp(logs)
-    val = np.where(logs.real == -np.inf, 0.0, val)  # z on a node
-    return complex(val[0]) if scalar else val
+    return _exp_logs(z, _log_product(desc, zf, nodes, nodes, N), zf)
 
 
 def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
@@ -558,13 +562,7 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
 
 def g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice, N: int = _PHI_PRODUCT_TERMS):
     """Interpolation-type product vanishing exactly on the perturbed nodes."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.shape == ()
-    logs = log_g_fn(desc, np.atleast_1d(z), gamma, N)
-    with np.errstate(over="ignore"):
-        val = np.exp(logs)
-    val = np.where(logs.real == -np.inf, 0.0, val)  # z on a node
-    return complex(val[0]) if scalar else val
+    return _exp_logs(z, log_g_fn(desc, z, gamma, N))
 
 
 # ---------------------------------------------------------------------------
@@ -655,26 +653,30 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
 # ---------------------------------------------------------------------------
 
 def winding_zero_count(fn: Callable, radius: float) -> int:
-    """Zero count inside |z| = radius via the argument principle.
-
-    fn must be vectorized and zero-free on the contour.  The contour starts
-    at 2048 points and is doubled, at most five times, until no single
-    argument step exceeds pi/2; a non-integer winding after refinement
-    raises ConvergenceError.
+    """Zero count inside |z| = radius by the argument principle on nested
+    contours (Delves & Lyness 1967): 128 points 2 pi j / n, then doublings
+    that call fn once, on the n new midpoints; ValueError where fn is 0 or
+    not finite.  A level passes when every wrapped argument step is below
+    pi/2, and must then land within 1e-2 of an integer.  Its count is taken
+    when every step is below pi/4 and the level before passed with the same
+    count, or at the top level (2^16 points); else ConvergenceError.
+    Aliasing passes: z**10000 on |z| = 1 counts 16 (steps pi/4, pi/8).
     """
-    n = 2048
-    for _ in range(6):
-        th = 2.0 * np.pi * np.arange(n + 1) / n
-        vals = np.asarray(fn(radius * np.exp(1j * th)))
-        if np.any(vals == 0) or np.any(~np.isfinite(vals)):
+    vals, prev = None, None
+    for n in _WIND_LEVELS:
+        j = np.arange(n) if vals is None else np.arange(1, n, 2)
+        new = np.asarray(fn(radius * np.exp(2j * np.pi * j / n)))
+        if np.any(new == 0) or np.any(~np.isfinite(new)):
             raise ValueError("contour touches a zero or overflow of fn")
-        d = np.diff(np.angle(vals))
-        d = (d + np.pi) % (2.0 * np.pi) - np.pi
-        if np.abs(d).max() < 0.5 * np.pi:
+        vals = new if vals is None else np.stack([vals, new], axis=1).ravel()
+        d = (np.diff(np.angle(np.append(vals, vals[0]))) + np.pi) % (2.0 * np.pi) - np.pi
+        step, count = np.abs(d).max(), None
+        if step < 0.5 * np.pi:
             wind = d.sum() / (2.0 * np.pi)
-            k = round(wind)
-            if abs(wind - k) > 1e-2:
+            count = round(wind)
+            if abs(wind - count) > 1e-2:
                 raise ConvergenceError(f"non-integer winding {wind:.6f}")
-            return int(k)
-        n *= 2
+            if n == _WIND_LEVELS[-1] or (step < 0.25 * np.pi and count == prev):
+                return int(count)
+        prev = count
     raise ConvergenceError("contour sampling did not resolve the winding number")

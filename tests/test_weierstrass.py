@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from glfock import weierstrass
 from glfock.core import PhiDescriptor, phi_coeffs, signs_logs
-from glfock.errors import NormalizationError
+from glfock.errors import ConvergenceError, NormalizationError
 from glfock.fock import verified_weight
 from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _e_table, _log_e_series,
                                 _normalized, _phi12, g_fn, log_g_fn,
@@ -874,3 +874,84 @@ def test_winding_zero_count():
     assert n == 5  # origin plus four unit points
     with pytest.raises(ValueError):
         winding_zero_count(lambda z: z - 1.0, 1.0)  # zero on the contour
+
+
+# the winding test matrix: families with and without zeros of phi
+WIND_FAMILIES = {"EXP": EXPN, "ML(2,1)": ML21N, "GD(1)": GD1N,
+                 "GD(2)": PhiDescriptor.gamma_deriv(2, normalized=True), "SG(1,2)": SGN}
+
+
+def plain_winding(fn, radius, n=2**15):
+    """Argument sum of fn over n equispaced points of |z| = radius, in turns,
+    and the largest step: each step is the angle of a ratio of neighbours."""
+    vals = fn(radius * np.exp(2j * np.pi * np.arange(n) / n))
+    steps = np.angle(np.roll(vals, -1) / vals)
+    return steps.sum() / (2.0 * np.pi), np.abs(steps).max()
+
+
+@pytest.mark.parametrize("radius", [1.2, 2.5, 3.5])
+@pytest.mark.parametrize("name", sorted(WIND_FAMILIES))
+def test_winding_count_matches_plain_argument_sum(name, radius):
+    # the plain 2^15-point sum resolves every step to below pi/8; the
+    # nested contour takes 256 to 8,192 points here
+    lat = LatticeSpec(1.0, 12)
+
+    def fn(z):
+        return sigma_fn(WIND_FAMILIES[name], z, lat)
+    wind, step = plain_winding(fn, radius)
+    assert step < np.pi / 8 and abs(wind - round(wind)) < 1e-6
+    assert winding_zero_count(fn, radius) == round(wind)
+
+
+@pytest.mark.parametrize("radius", [1.2, 2.5, 3.5])
+def test_winding_count_is_node_count_for_exp(radius):
+    # EXP's phi has no zeros, so sigma vanishes on the nodes alone
+    k = int(radius) + 1
+    nodes = sum(1 for m in range(-k, k + 1) for n in range(-k, k + 1)
+                if m * m + n * n < radius * radius)
+    lat = LatticeSpec(1.0, 12)
+    assert winding_zero_count(lambda z: sigma_fn(EXPN, z, lat), radius) == nodes
+
+
+def counted(fn):
+    """fn with a log of the points of every call."""
+    calls = []
+
+    def wrapped(z):
+        calls.append(np.array(z))
+        return fn(z)
+    return wrapped, calls
+
+
+def test_winding_contour_evaluates_each_point_once():
+    lat = LatticeSpec(1.0, 12)
+    fn, calls = counted(lambda z: sigma_fn(EXPN, z, lat))
+    assert winding_zero_count(fn, 2.5) == 21
+    assert len(calls) <= 2 and sum(c.size for c in calls) <= 256
+    # ML(2,1) at 3.5 refines to 8,192 points: each is a distinct point of
+    # that level, 2 pi j / 8192
+    fn, calls = counted(lambda z: sigma_fn(ML21N, z, lat))
+    assert winding_zero_count(fn, 3.5) == 261
+    pts = np.concatenate(calls)
+    n = pts.size
+    j = np.angle(pts) / (2.0 * np.pi) * n % n
+    assert n == 8192 and np.all(np.abs(j - np.round(j)) < 1e-6)
+    assert np.unique(np.round(j) % n).size == n
+
+
+def test_winding_acceptance_rule():
+    # z**129 steps by 2 pi / 128 at 128 points, so level 0 alone would
+    # count 1; 256 and 512 points fail, 1,024 passes at 0.252 pi and 2,048
+    # confirms 129
+    assert winding_zero_count(lambda z: z**129, 1.0) == 129
+    # a zero 4e-5 inside |z| = 1, next to the point z = 1 of every level:
+    # each level passes, but the steps at 2^15 and 2^16 points are 0.43 pi
+    # and 0.37 pi, so no level has every step below pi/4, and the top
+    # level's passing count stands
+    fn, calls = counted(lambda z: z - (1.0 - 4e-5))
+    assert winding_zero_count(fn, 1.0) == 1
+    assert sum(c.size for c in calls) == 2**16
+    # the same zero midway between two top-level points: one step near pi
+    a = (1.0 - 1e-6) * np.exp(1j * np.pi / 2**16)
+    with pytest.raises(ConvergenceError):
+        winding_zero_count(lambda z: z - a, 1.0)
