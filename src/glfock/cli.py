@@ -136,6 +136,7 @@ def _resolve_weight(cfg: RunConfig, verify: bool = True):
         wk = registered_weight(cfg.desc)
     except ValueError as e:
         raise ConfigError(str(e))
+    # out of the try: UnverifiedWeightError is a ValueError but exits 1, not 2
     return verified_weight(cfg.desc) if verify else wk
 
 
@@ -144,12 +145,10 @@ def _resolve_weight(cfg: RunConfig, verify: bool = True):
 # ---------------------------------------------------------------------------
 
 def _num(v):
-    if isinstance(v, (np.floating, np.integer, np.complexfloating)):
+    if isinstance(v, (np.floating, np.integer)):
         v = v.item()
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, complex):
-        return f"{v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}j"
     return str(v)
 
 
@@ -176,12 +175,8 @@ def _emit(cfg: RunConfig, args, header: list, rows: list, json_obj):
 
 
 def _json_default(o):
-    if isinstance(o, complex):
-        return [o.real, o.imag]
     if isinstance(o, (np.floating, np.integer, np.bool_)):
         return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o)!r}")
 
 
@@ -364,15 +359,9 @@ def cmd_frames_sweep(cfg: RunConfig, args) -> int:
     if args.window_n < 0 or args.lattice_m < 0:
         raise ConfigError("window-n and lattice-m must be >= 0")
     wk = _resolve_weight(cfg)
-    if args.steps == 0:
-        s_values = []
-    elif args.steps == 1:
-        s_values = [args.s_min]
-    else:
-        s_values = list(np.linspace(args.s_min, args.s_max, args.steps))
     header = ["s", "A", "B", "condition", "basis_dim", "stability", "status"]
     rows = []
-    for s in s_values:
+    for s in np.linspace(args.s_min, args.s_max, args.steps):
         try:
             rep = frame_sweep(cfg.desc, wk, args.window_n, [s],
                               N=cfg.basis_N, M=args.lattice_m)[0]

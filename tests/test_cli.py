@@ -376,6 +376,15 @@ def test_frames_sweep_header_only(capsys):
     rc, out, _ = run_cli(capsys, ["frames-sweep", "--steps", "0"])
     assert rc == 0
     assert out == "s,A,B,condition,basis_dim,stability,status\n"
+    rc, out, _ = run_cli(capsys, ["frames-sweep", "--steps", "0", "--format", "json"])
+    assert rc == 0
+    assert out == '{\n  "reports": [],\n  "s": []\n}\n'
+    rc, out, _ = run_cli(capsys, ["frames-sweep", "--steps", "1",
+                                  "--s-min", "0.7", "--s-max", "0.9"])
+    assert rc == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 1
+    assert rows[0].split(",")[0] == "0.7" and rows[0].endswith(",ok")
     rc, _, _ = run_cli(capsys, ["frames-sweep", "--steps", "-1"])
     assert rc == 2
     rc, _, _ = run_cli(capsys, ["frames-sweep", "--s-min", "0"])

@@ -20,14 +20,14 @@ SRC = Path(glfock.__file__).resolve().parents[1]
 DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
 PERFBENCH = sorted((SRC.parent / "perfbench").rglob("*.py"))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(glfock.__path__))
-# the library's callers: the package __init__ only re-exports, so it is not one
+# the library's callers: the package __init__ holds only __version__, so it is not one
 CALLERS = sorted(p for p in (SRC / "glfock").glob("*.py") if p.name != "__init__.py") \
     + DEMOS + PERFBENCH
 
 
 @pytest.mark.parametrize("name", ["", *MODULES], ids=lambda name: name or "glfock")
 def test_all_names_resolve(name):
-    # the package itself re-exports names that load their module on first use
+    # the package itself has no __all__: each name is imported from its module
     mod = importlib.import_module(f"glfock.{name}" if name else "glfock")
     missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
     assert missing == []
@@ -44,7 +44,8 @@ def test_all_names_resolve(name):
 
 
 def test_import_loads_no_submodule():
-    probe = "import sys, glfock; print(sorted(m for m in sys.modules if m.startswith('glfock.')))"
+    probe = ("import sys, glfock; print(sorted(m for m in sys.modules if m.startswith('glfock.'))"
+             " + [n for n in dir(glfock) if not n.startswith('_')])")
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                        env={**os.environ, "PYTHONPATH": str(SRC)})
     assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr

@@ -537,8 +537,8 @@ def sigma_near_nodes(desc, lat, zmax):
     return nodes[~far & (nodes != 0)]
 
 
-# five points of the 2,049-point winding contour of radius 2.5, and the
-# same angles at radius 3.5
+# five points of the 2,048-point level of the nested winding contour of
+# radius 2.5, and the same angles at radius 3.5
 ANGLES = 2j * np.pi * np.array([0, 100, 256, 700, 1337]) / 2048
 CONTOUR_25, CONTOUR_35 = 2.5 * np.exp(ANGLES), 3.5 * np.exp(ANGLES)
 
