@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -265,6 +266,40 @@ def test_perturbed_dist():
     d = pl.dist(np.array([0.5 + 0.0j, 0.5 + 0.5j]))
     assert d[0] == pytest.approx(0.5, abs=1e-15)       # edge midpoint: lam/2
     assert d[1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+
+# The bits of two seeded lattices: q and z00 as hex, then the sha256 of pts,
+# base, both arrays of nonzero() and dist on a 37 x 29 grid over the window.
+# M = 24 has 2,401 nodes, so its searches cross blocks of 1,024.
+LATTICE_BITS = {
+    (4, 0.1, 42): (
+        "0x1.a95f63f01b997p-1", "-0x1.3e77d1db629dap-5", "-0x1.b57246f0229c1p-5",
+        "381944ae6c729661a6769bd63cac1ad2663076d316c7eccff6b52c02b3c7f47e",
+        "96e6c74ff133dbe6d886a24e988b908936468265a6c7f0ea83f2720a1a5952d2",
+        "908f2bdf779127a7b682544c24d0bcbaaf8bf810f810ed40224dc7b5fe7a1e27",
+        "1e978d3a15264daccba03692f72c327a6edcf04cdce8d1e66cbf9dc7be54a53a",
+        "518963f1d8232e9c967428f29ec4a4be78c7cfe1ac60b7eebb37f429cc17e680",
+    ),
+    (24, 0.3, 7): (
+        "0x1.ba7db6126e931p-2", "-0x1.d3e98402689abp-6", "0x1.4fb6ca97cac0cp-4",
+        "d214a5ef2a24472f9af7460e3cc66743b8e12e3af2304eaff787f591fa5ce0de",
+        "b5f31113a8d816b3a0767648981906f2298a0d14f0d29f7fbe7892a17ff9fc23",
+        "e4a0ca801844f0ab5cfa01c88e93f2278f3ede270fa342574ddcc5cedf488ce3",
+        "8a5771fd5ec8a44362ba7c19231fee61ec1e003c2869143de5444de05da2b6b7",
+        "c8cf0f81ee757791c1f847e85b7ff6660f5fe5cbc0c5ad45f3b89cec370fad99",
+    ),
+}
+
+
+@pytest.mark.parametrize("M, Q, seed", list(LATTICE_BITS), ids=["M4", "M24"])
+def test_lattice_bits(M, Q, seed):
+    pl = PerturbedLattice.perturb(LatticeSpec(1.0, M), Q, seed)
+    xs, ys = np.linspace(-M - 0.5, M + 0.5, 37), np.linspace(-M - 0.5, M + 0.5, 29)
+    grid = (xs[:, None] + 1j * ys[None, :]).ravel()
+    arrays = (pl.pts, pl.base, *pl.nonzero(), pl.dist(grid))
+    got = (pl.q.hex(), pl.z00.real.hex(), pl.z00.imag.hex(),
+           *(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays))
+    assert got == LATTICE_BITS[(M, Q, seed)]
 
 
 # ---------------------------------------------------------------------------
