@@ -67,9 +67,7 @@ def dual_demo():
     print()
     print("canonical dual atom vs kernel atoms on the adjoint lattice (s=0.5)")
     gam = canonical_dual(DESC, WK, s=0.5, M=8, N=40)
-    g = np.arange(-2, 3)
-    mm, nn = [a.ravel() for a in np.meshgrid(g, g, indexing="ij")]
-    mus = math.sqrt(math.pi / 0.5) * (mm + 1j * nn)
+    mus = LatticeSpec(math.sqrt(math.pi / 0.5), 2).points()
     K = kernel_atoms(DESC, WK, mus, N=40)
     rep = biorthogonality_check(K, gam, mus)
     print(f"  max |<atom(mu), dual> - delta(mu)| over {rep.n_points} points: "

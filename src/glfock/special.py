@@ -32,14 +32,10 @@ _LS2PI = 0.91893853320467274178
 _MAXLGM = 2.556348e305
 
 # log_gamma_deriv's exp-sinh rule (Takahasi & Mori 1974): u = k/64 on
-# [-6.5, 4.5], with pi/2 sinh u and log cosh u (from dt/du) per node.  Above
-# x = 256 the grid narrows (g > 1), and outside |u| <= 1 every term is below
-# e^-100 of the largest for n up to 1000, too small to move a sum of
-# doubles, so those x take the 129 nodes of |u| <= 1.  x runs in blocks of
-# about _GD_CELLS (x, node) cells, so that a block stays in cache.
+# [-6.5, 4.5], with pi/2 sinh u and log cosh u (from dt/du) per node.  x runs
+# in blocks of about _GD_CELLS (x, node) cells, so that a block stays in cache.
 _GD_U = np.arange(-416, 289) / 64.0
-_GD_FULL = (0.5 * np.pi * np.sinh(_GD_U), np.log(np.cosh(_GD_U)))
-_GD_NARROW = tuple(a[np.abs(_GD_U) <= 1.0] for a in _GD_FULL)
+_GD_RULE = (0.5 * np.pi * np.sinh(_GD_U), np.log(np.cosh(_GD_U)))
 _GD_CELLS = 8192
 
 
@@ -135,9 +131,9 @@ def log_gamma_deriv(n: int, x):
     library goes below x = 1.
 
     Vectorized in x > 0: both parts have the shape of x.  Each x is one
-    independent row of nodes (all 705, or the 129 of |u| <= 1 above x = 256),
-    so each element equals the scalar call at that element.  A zero sum gives
-    sign 0 and log -inf; inf and nan pass through.
+    independent row of all 705 nodes, so each element equals the scalar call
+    at that element.  A zero sum gives sign 0 and log -inf; inf and nan pass
+    through.
     """
     _check_order(n)
     x = np.asarray(x, dtype=float)
@@ -146,14 +142,12 @@ def log_gamma_deriv(n: int, x):
     flat = x.reshape(-1)
     sign = np.where(np.isnan(flat), math.nan, 1.0)
     log = gammaln(flat)
-    finite, narrow = np.isfinite(flat), flat > 256.0  # narrow: g > 1
-    for rule, rows in ((_GD_FULL, finite & ~narrow), (_GD_NARROW, finite & narrow)):
-        idx = np.flatnonzero(rows)
-        step = _GD_CELLS // rule[0].size
-        for i in range(0, idx.size, step):
-            j = idx[i:i + step]
-            sign[j], lm = _log_mean_log_pow(n, flat[j, None], *rule)
-            log[j] += lm
+    idx = np.flatnonzero(np.isfinite(flat))
+    step = _GD_CELLS // _GD_U.size
+    for i in range(0, idx.size, step):
+        j = idx[i:i + step]
+        sign[j], lm = _log_mean_log_pow(n, flat[j, None], *_GD_RULE)
+        log[j] += lm
     return sign.reshape(x.shape)[()], log.reshape(x.shape)[()]
 
 

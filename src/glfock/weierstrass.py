@@ -311,14 +311,10 @@ class LatticeSpec:
         if self.trunc_M < 1:
             raise ValueError("trunc_M must be >= 1")
 
-    def index_grid(self):
-        g = np.arange(-self.trunc_M, self.trunc_M + 1)
-        mm, nn = np.meshgrid(g, g, indexing="ij")
-        return mm.ravel(), nn.ravel()
-
     def points(self) -> np.ndarray:
-        mm, nn = self.index_grid()
-        return self.lam * (mm + 1j * nn)
+        """The window's nodes, m-major: (m, n) at index (m + M)(2M + 1) + n + M."""
+        g = np.arange(-self.trunc_M, self.trunc_M + 1)
+        return self.lam * (np.repeat(g, g.size) + 1j * np.tile(g, g.size))
 
     def dist(self, z) -> np.ndarray:
         """Distance to the truncated lattice (closed form via rounding)."""
@@ -331,29 +327,23 @@ class LatticeSpec:
 class PerturbedLattice:
     """Finite node family z_{m,n} = lam (m + i n) + offset, |offset| <= Q.
 
+    offsets holds one complex per node in lat.points() order (None: all 0),
+    and pts and base keep that order, so the origin is at index size // 2.
     The separation q (minimal pairwise distance) is computed and verified
     positive at construction.
     """
 
-    def __init__(self, lat: LatticeSpec, offsets: Optional[dict] = None, Q: float = 0.0):
+    def __init__(self, lat: LatticeSpec, offsets: Optional[np.ndarray] = None, Q: float = 0.0):
         if Q < 0:
             raise ValueError("Q must be >= 0")
-        self.lat = lat
-        mm, nn = lat.index_grid()
-        off = np.zeros(mm.size, dtype=complex)
-        if offsets:
-            lut = {(int(m), int(n)): i for i, (m, n) in enumerate(zip(mm, nn))}
-            for key, val in offsets.items():
-                if key not in lut:
-                    raise ValueError(f"offset index {key} outside lattice window")
-                off[lut[key]] = complex(val)
+        self.base = lat.points()
+        off = np.zeros_like(self.base) if offsets is None else np.asarray(offsets, dtype=complex)
+        if off.shape != self.base.shape:
+            raise ValueError(f"offsets must hold one value per node ({self.base.size})")
         if np.any(np.abs(off) > Q):
             raise ValueError("an offset exceeds the stated bound Q")
-        self.Q = float(Q)
-        self.mm, self.nn = mm, nn
-        self.base = lat.lam * (mm + 1j * nn)
         self.pts = self.base + off
-        self.q = self._min_separation()
+        self.q = float(self._nearest(self.pts, skip_self=True).min())
         if not (self.q > 0):
             raise ValueError("perturbed nodes collide: q = 0")
 
@@ -361,45 +351,37 @@ class PerturbedLattice:
     def perturb(cls, lat: LatticeSpec, Q: float, seed: int) -> "PerturbedLattice":
         """Uniform-in-disk offsets of radius < Q, reproducible from seed."""
         rng = np.random.default_rng(seed)
-        mm, nn = lat.index_grid()
-        r = 0.999 * Q * np.sqrt(rng.uniform(size=mm.size))
-        th = rng.uniform(0.0, 2.0 * np.pi, size=mm.size)
-        off = r * np.exp(1j * th)
-        return cls(lat, {(int(m), int(n)): o for m, n, o in zip(mm, nn, off)}, Q)
+        size = (2 * lat.trunc_M + 1) ** 2
+        r = 0.999 * Q * np.sqrt(rng.uniform(size=size))
+        th = rng.uniform(0.0, 2.0 * np.pi, size=size)
+        return cls(lat, r * np.exp(1j * th), Q)
 
-    def _min_separation(self) -> float:
-        p = self.pts
-        best = math.inf
-        step = 2048
-        for i in range(0, p.size, step):
-            blk = p[i:i + step]
-            d = np.abs(blk[:, None] - p[None, :])
-            d[np.arange(blk.size), np.arange(i, i + blk.size)] = math.inf
-            best = min(best, float(d.min()))
-        return best
+    def _nearest(self, z: np.ndarray, skip_self: bool = False) -> np.ndarray:
+        """Distance from each z to its nearest node, 1,024 points at a time;
+        skip_self (z is pts) leaves out each node's distance to itself."""
+        out = np.empty(z.size)
+        for i in range(0, z.size, 1024):
+            d = np.abs(z[i:i + 1024, None] - self.pts[None, :])
+            if skip_self:
+                d[np.arange(d.shape[0]), np.arange(i, i + d.shape[0])] = math.inf
+            out[i:i + 1024] = d.min(axis=1)
+        return out
 
     @property
     def z00(self) -> complex:
-        return complex(self.pts[(self.mm == 0) & (self.nn == 0)][0])
+        return complex(self.pts[self.pts.size // 2])
 
     def nonzero(self):
-        sel = ~((self.mm == 0) & (self.nn == 0))
-        return self.pts[sel], self.base[sel]
+        return np.delete(self.pts, self.pts.size // 2), np.delete(self.base, self.base.size // 2)
 
     def point(self, m: int, n: int) -> complex:
-        sel = (self.mm == m) & (self.nn == n)
-        if not sel.any():
+        M = math.isqrt(self.pts.size) // 2
+        if max(abs(m), abs(n)) > M:
             raise KeyError((m, n))
-        return complex(self.pts[sel][0])
+        return complex(self.pts[(m + M) * (2 * M + 1) + n + M])
 
     def dist(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.full(z.size, math.inf)
-        step = 1024
-        for i in range(0, self.pts.size, step):
-            blk = self.pts[i:i + step]
-            out = np.minimum(out, np.abs(z[:, None] - blk[None, :]).min(axis=1))
-        return out
+        return self._nearest(np.atleast_1d(np.asarray(z, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +523,7 @@ def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TER
     """
     zf = np.atleast_1d(np.asarray(z, dtype=complex))
     nodes = lat.points()
-    nodes = nodes[nodes != 0]
+    nodes = np.delete(nodes, nodes.size // 2)
     return _exp_logs(z, _log_product(desc, zf, nodes, nodes, N), zf)
 
 

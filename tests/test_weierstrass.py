@@ -247,10 +247,17 @@ def test_perturbed_lattice_construction():
     assert pl.point(2, -1) == 2.0 - 1.0j
     with pytest.raises(KeyError):
         pl.point(9, 9)
+    window = range(-4, 5)
+    assert all(pl.point(m, n) == lat.lam * (m + 1j * n) for m in window for n in window)
+    for m, n in ((5, 0), (0, -5), (-5, 4)):
+        with pytest.raises(KeyError):
+            pl.point(m, n)
+    off = np.zeros_like(lat.points())
+    off[40] = 0.3
     with pytest.raises(ValueError):
-        PerturbedLattice(lat, {(0, 0): 0.3 + 0.0j}, Q=0.1)  # offset exceeds Q
+        PerturbedLattice(lat, off, Q=0.1)  # offset exceeds Q
     with pytest.raises(ValueError):
-        PerturbedLattice(lat, {(9, 9): 0.0j}, Q=0.1)  # index outside window
+        PerturbedLattice(lat, off[:-1], Q=0.5)  # one offset short of the window
 
 
 def test_perturbed_lattice_seeded():
