@@ -334,8 +334,8 @@ class PerturbedLattice:
     """
 
     def __init__(self, lat: LatticeSpec, offsets: Optional[np.ndarray] = None, Q: float = 0.0):
-        if Q < 0:
-            raise ValueError("Q must be >= 0")
+        if not 0 <= Q < math.inf:
+            raise ValueError("Q must be a finite number >= 0")
         self.base = lat.points()
         off = np.zeros_like(self.base) if offsets is None else np.asarray(offsets, dtype=complex)
         if off.shape != self.base.shape:

@@ -258,6 +258,9 @@ def test_perturbed_lattice_construction():
         PerturbedLattice(lat, off, Q=0.1)  # offset exceeds Q
     with pytest.raises(ValueError):
         PerturbedLattice(lat, off[:-1], Q=0.5)  # one offset short of the window
+    for Q in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="Q must be"):
+            PerturbedLattice.perturb(lat, Q, seed=1)
 
 
 def test_perturbed_lattice_seeded():
