@@ -2,15 +2,15 @@
 
 The radial weight W must satisfy  integral x^n W(x) dx = n! phi_n / phi_n^2
 style moment identities before any inner product downstream is trusted.
-This script verifies the registered weights, shows a Carleman-type partial
-sum, and then reproduces random truncated series from weighted integrals.
+This script verifies the registered weights and then reproduces random
+truncated series from weighted integrals.
 """
 
 import numpy as np
 
 from glfock.core import PhiDescriptor, TruncatedSeries, signs_logs
-from glfock.fock import (carleman_partial, inner_product_fock, moment_check,
-                         registered_weight, reproduce, verified_weight)
+from glfock.fock import (inner_product_fock, moment_check, registered_weight,
+                         reproduce, verified_weight)
 
 
 def unit_series(desc, rng, deg):
@@ -31,12 +31,6 @@ def main():
         print(f"{desc.family:16s} weight form {wk.form:14s} "
               f"moments n<=8: {'ok' if rep.passed else 'MISMATCH'} "
               f"(worst residual {worst:.2e})")
-
-    print()
-    print("carleman partial sums for the exponential family")
-    desc = PhiDescriptor.exponential()
-    for K in (5, 10, 20, 40):
-        print(f"  K={K:3d}  sum={carleman_partial(desc, K):.6f}")
 
     print()
     print("reproducing property  f(z) = <f, K_z>")

@@ -30,7 +30,6 @@ __all__ = [
     "TruncatedSeries",
     "OrderDegreeReport",
     "phi_coeff",
-    "log_phi_coeff",
     "phi_coeffs",
     "gl_derivative",
     "multiply_z",
@@ -218,22 +217,14 @@ def signs_logs(desc: PhiDescriptor, kmax: int):
     return s[:n], l[:n]
 
 
-def log_phi_coeff(desc: PhiDescriptor, k: int) -> tuple[float, float]:
-    """(sign, log|phi_k|) for a single index."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    s, l = signs_logs(desc, k)
-    return float(s[k]), float(l[k])
-
-
 def phi_coeff(desc: PhiDescriptor, k: int) -> float:
     """phi_k as a double.
 
     Raises OverflowError when |log phi_k| exceeds the representable range
     (for the factorial-type families this happens near k ~ 170/|log10 scale|;
-    use log_phi_coeff beyond that).
+    use signs_logs beyond that).
     """
-    s, l = log_phi_coeff(desc, k)
+    s, l = (float(a[k]) for a in signs_logs(desc, k))
     if abs(l) > 708.0:
         raise OverflowError(f"phi_{k} for {desc.family} outside double range (log={l:.1f})")
     return s * math.exp(l)

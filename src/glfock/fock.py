@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, log_phi_coeff,
-                   multiply_z, phi_eval, signs_logs)
+from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, multiply_z, phi_eval,
+                   signs_logs)
 from .errors import ConvergenceError, UnverifiedWeightError
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "default_quadrature",
     "moment",
     "moment_check",
-    "carleman_partial",
     "inner_product_l2phi",
     "inner_product_fock",
     "reproduce",
@@ -96,9 +95,11 @@ def registered_weight(desc: PhiDescriptor) -> WeightKernel:
     Its moments are 1/phi_n of the unnormalized family, so a normalized
     descriptor is accepted only when the unnormalized phi_0 is exactly 1.
     """
-    if desc.normalized and log_phi_coeff(replace(desc, normalized=False), 0) != (1.0, 0.0):
-        raise ValueError(f"no registered weight for normalized {desc.family!r} "
-                         f"with params {desc.params_dict}: its phi_0 is not 1")
+    if desc.normalized:
+        s, l = signs_logs(replace(desc, normalized=False), 0)
+        if (s[0], l[0]) != (1.0, 0.0):
+            raise ValueError(f"no registered weight for normalized {desc.family!r} "
+                             f"with params {desc.params_dict}: its phi_0 is not 1")
     if desc.family not in _WEIGHT_FORMS:
         raise ValueError(f"no closed-form weight registered for family {desc.family!r}")
     return WeightKernel(desc)
@@ -260,15 +261,6 @@ def verified_weight(desc: PhiDescriptor) -> WeightKernel:
         raise UnverifiedWeightError(
             f"weight {wk.form} failed moment check at n={report.failures}")
     return replace(wk, verified=True)
-
-
-def carleman_partial(desc: PhiDescriptor, N: int) -> float:
-    """Partial sum sum_{n=1}^N |phi_n|^(-1/(2n)) (divergence-trend diagnostic)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _, l = signs_logs(desc, N)
-    n = np.arange(1, N + 1)
-    return float(np.sum(np.exp(-l[1:] / (2.0 * n))))
 
 
 def inner_product_l2phi(desc: PhiDescriptor, f: TruncatedSeries, g: TruncatedSeries) -> complex:

@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import PhiDescriptor, TruncatedSeries, signs_logs
-from .errors import NonEntireError, UnverifiedWeightError
+from .core import PhiDescriptor, TruncatedSeries, phi_coeffs, signs_logs
+from .errors import UnverifiedWeightError
 if TYPE_CHECKING:  # annotations only, so importing this module loads no fock
     from .fock import WeightKernel
 
@@ -31,7 +31,6 @@ __all__ = [
     "density",
     "frame_bounds",
     "interpolate_ls",
-    "adjoint_kernel_coeffs",
     "frame_sweep",
     "kernel_atoms",
     "canonical_dual",
@@ -264,38 +263,18 @@ def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
 
 
 # ---------------------------------------------------------------------------
-# window-n kernel atoms and biorthogonality at adjoint lattice points
+# kernel atoms and biorthogonality at adjoint lattice points
 # ---------------------------------------------------------------------------
 
-def adjoint_kernel_coeffs(desc: PhiDescriptor, n: int, J: int) -> np.ndarray:
-    """Series coefficients a_j = sum_k C(n,k)(-pi)^k phi_j^2 / phi_{j+k}."""
-    if not desc.entire:
-        raise NonEntireError("adjoint kernel needs an entire family")
-    s, l = signs_logs(desc, J + n)
-    sj, lj = s[:J + 1], l[:J + 1]
-    out = np.zeros(J + 1)
-    for k in range(n + 1):
-        # math.exp, not np.exp, which is one ulp off on some points: n = 0
-        # then gives phi_coeff's bits
-        ratio = np.fromiter(map(math.exp, (2.0 * lj - l[k:k + J + 1]).tolist()), float, J + 1)
-        out += math.comb(n, k) * (-math.pi) ** k * (sj * sj * s[k:k + J + 1] * ratio)
-    return out
-
-
-def kernel_atoms(desc: PhiDescriptor, wk: WeightKernel, zs, N: int,
-                 n: int = 0) -> np.ndarray:
-    """Coordinate rows of weighted window-n kernel atoms at the points zs.
-
-    Row p-th entry: sqrt(W(|z|^2)) a_p conj(z)^p with a_p the adjoint kernel
-    coefficients; for n = 0 the atom is the plain reproducing kernel.
-    """
+def kernel_atoms(desc: PhiDescriptor, wk: WeightKernel, zs, N: int) -> np.ndarray:
+    """Coordinate rows of the weighted reproducing kernels at the points zs:
+    row entry p is sqrt(W(|z|^2)) phi_p conj(z)^p."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    a = adjoint_kernel_coeffs(desc, n, N)
+    a = phi_coeffs(desc, N)
     return np.sqrt(wk.weight(np.abs(zs) ** 2))[:, None] * (a * np.conj(_powers(zs, N)))
 
 
-def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int,
-                   N: int, n: int = 0) -> np.ndarray:
+def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int, N: int) -> np.ndarray:
     """Dual atom coordinates from inverting the truncated frame operator.
 
     Solves S gamma = (atom at 0) with S built from the weighted atoms on the
@@ -306,9 +285,9 @@ def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int,
     if not (np.isfinite(w0) and w0 > 0):
         raise ValueError("weight must be finite and positive at the origin")
     zj = math.sqrt(math.pi * s) * _gaussian_integers(M)
-    Kw = kernel_atoms(desc, wk, zj, N, n)
+    Kw = kernel_atoms(desc, wk, zj, N)
     S = Kw.T @ Kw.conj()
-    rhs = kernel_atoms(desc, wk, 0.0, N, n)[0]
+    rhs = kernel_atoms(desc, wk, 0.0, N)[0]
     gam = np.linalg.solve(S, rhs)
     c0 = np.vdot(rhs, gam)
     if c0 == 0:
@@ -318,7 +297,6 @@ def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int,
 
 @dataclass(frozen=True)
 class BiorthReport:
-    rows: tuple            # (mu_re, mu_im, value, expected, abs_err)
     max_residual: float
     n_points: int
 
@@ -340,6 +318,4 @@ def biorthogonality_check(kernel_samples: np.ndarray, dual_candidate: np.ndarray
     vals = K.conj() @ gam
     expected = np.where(mus == 0, 1.0, 0.0)
     errs = np.abs(vals - expected)
-    rows = tuple((float(m.real), float(m.imag), complex(v), float(e), float(r))
-                 for m, v, e, r in zip(mus, vals, expected, errs))
-    return BiorthReport(rows, float(errs.max()), mus.size)
+    return BiorthReport(float(errs.max()), mus.size)

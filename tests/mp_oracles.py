@@ -246,16 +246,23 @@ def lattice_sample_rows(log_phis, s: float, M: int, windows) -> dict:
     return out
 
 
-def adjoint_kernel_terms(family: str, params: dict, n: int, J: int) -> tuple[list, list]:
-    """(a_j, size_j) for j = 0..J at 30 digits, from the family definitions
-    normalized to phi_0 = 1: a_j = sum_k C(n,k) (-pi)^k phi_j^2 / phi_{j+k}
-    over k = 0..n, and size_j the same sum of moduli."""
+def gauss_zak_sum(p: int, x: float, w: float) -> float:
+    """F(x, w) = sum_{j<p} |Z g(x + j/p, w)|^2 at 30 digits, with the Zak
+    transform Z g(x, w) = sqrt(lam) sum_k g(lam (x - k)) e^(2 pi i k w) over
+    k = -30..30, lam = sqrt(p), and the unit-norm Gaussian g(t) =
+    2^(1/4) e^(-pi t^2).  The min and max of F over [0, 1)^2 are the frame
+    bounds of the Gabor system of g with alpha = beta = p^(-1/2) (Zibulski &
+    Zeevi, Appl. Comput. Harmon. Anal. 4, 1997; Groechenig, Foundations of
+    Time-Frequency Analysis, 2001, ch. 8); the mean of F is p."""
     with mp.workdps(30):
-        phis = _phis(family, params, J + n)
-        terms = [[math.comb(n, k) * mp.pi ** k * phis[j] ** 2 / phis[j + k] for k in range(n + 1)]
-                 for j in range(J + 1)]
-        return ([float(mp.fsum((-1) ** k * t for k, t in enumerate(row))) for row in terms],
-                [float(mp.fsum(row)) for row in terms])
+        lam = mp.sqrt(p)
+        g = lambda t: 2 ** mp.mpf(0.25) * mp.exp(-mp.pi * t * t)
+        total = mp.mpf(0)
+        for j in range(p):
+            xj = mp.mpf(x) + mp.mpf(j) / p
+            z = mp.fsum(g(lam * (xj - k)) * mp.expjpi(2 * k * mp.mpf(w)) for k in range(-30, 31))
+            total += lam * abs(z) ** 2
+        return float(total)
 
 
 def exp_kernel_atom_rows(coeffs, zs) -> list:

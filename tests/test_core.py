@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from glfock import cli, core
-from glfock.core import (PhiDescriptor, TruncatedSeries, gl_derivative,
-                         log_phi_coeff, multiply_z, order_degree_check,
-                         phi_coeff, phi_coeffs, phi_eval, signs_logs)
+from glfock.core import (PhiDescriptor, TruncatedSeries, gl_derivative, multiply_z,
+                         order_degree_check, phi_coeff, phi_coeffs, phi_eval, signs_logs)
 from glfock.errors import DivergenceError, NonEntireError
-from mp_oracles import power_sum
+from mp_oracles import _phis, power_sum
 
 EXP = PhiDescriptor.exponential()
 ML21 = PhiDescriptor.mittag_leffler(2, 1)
@@ -34,8 +33,8 @@ def test_phi_coeff_values():
 def test_phi_coeff_overflow_and_log_path():
     with pytest.raises(OverflowError):
         phi_coeff(EXP, 400)
-    s, l = log_phi_coeff(EXP, 400)
-    assert s == 1.0 and l < -2000.0
+    s, l = signs_logs(EXP, 400)
+    assert s[400] == 1.0 and l[400] < -2000.0
 
 
 def test_phi_coeffs_raise_past_double_range():
@@ -51,6 +50,23 @@ def test_phi_coeffs_raise_past_double_range():
     # below the double range the coefficients are 0, not an error
     v = phi_coeffs(EXP, 400)
     assert v[200] == 0.0 and v[170] > 0.0
+
+
+@pytest.mark.parametrize("desc, family, params", [
+    (PhiDescriptor.exponential(normalized=True), "exponential", {}),
+    (PhiDescriptor.mittag_leffler(2, 1, normalized=True), "mittag_leffler",
+     {"rho": 2.0, "mu": 1.0}),
+    (PhiDescriptor.dunkl(0.5, normalized=True), "dunkl", {"kappa": 0.5}),
+    (PhiDescriptor.gamma_deriv(1, normalized=True), "gamma_deriv", {"n": 1}),
+], ids=["EXP", "ML(2,1)", "Dunkl(1/2)", "GD(1)"])
+def test_phi_coeffs_match_mpmath(desc, family, params):
+    # the value row against the family definitions at 30 digits, normalized
+    # to phi_0 = 1: each phi_j, j <= 40, within 1e-13 relative (2.8e-14 at
+    # most measured)
+    with mp.workdps(30):
+        want = np.array([float(c) for c in _phis(family, params, 40)])
+    got = phi_coeffs(desc, 40)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def test_phi_coeffs_vector_consistent():
@@ -163,12 +179,10 @@ def test_negative_index_raises():
     # a negative kmax is no slice end: the result would depend on how far
     # the table has grown
     signs_logs(EXP, 20)
-    for fn in (signs_logs, phi_coeffs):
+    for fn in (signs_logs, phi_coeffs, phi_coeff):
         for kmax in (-1, -3, -30):
             with pytest.raises(ValueError, match="kmax must be >= 0"):
                 fn(EXP, kmax)
-    with pytest.raises(ValueError, match="k must be >= 0"):
-        log_phi_coeff(EXP, -3)
     assert [a.size for a in signs_logs(EXP, 0)] == [1, 1]
 
 
@@ -296,9 +310,7 @@ def test_order_degree_other_families():
 def test_coefficient_ratio_radius_trend():
     # |phi_{k-1}/phi_k|^{1/k} -> 1 for entire families (10% band on [50, 200])
     for desc in ENTIRE:
-        s, l = np.ones(201), None
-        ph_s, ph_l = zip(*(log_phi_coeff(desc, k) for k in range(201)))
-        ph_l = np.asarray(ph_l)
+        _, ph_l = signs_logs(desc, 200)
         k = np.arange(50, 201)
         ratio = np.exp((ph_l[k - 1] - ph_l[k]) / k)
         assert ratio[-1] > 0.9 * ratio[0] or ratio[-1] < 1.1 * ratio[0]

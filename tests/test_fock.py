@@ -11,9 +11,9 @@ from glfock import core, fock
 from glfock.bargmann import sqrt_phi
 from glfock.core import PhiDescriptor, TruncatedSeries, phi_coeffs, signs_logs
 from glfock.errors import ConvergenceError, DivergenceError, UnverifiedWeightError
-from glfock.fock import (carleman_partial, duality_check, inner_product_fock,
-                         inner_product_l2phi, moment, moment_check,
-                         registered_weight, reproduce, verified_weight)
+from glfock.fock import (duality_check, inner_product_fock, inner_product_l2phi,
+                         moment, moment_check, registered_weight, reproduce,
+                         verified_weight)
 
 EXP = PhiDescriptor.exponential()
 ML21 = PhiDescriptor.mittag_leffler(2, 1)
@@ -185,13 +185,6 @@ def test_gamma_deriv_weight_sign():
     # ln(x)^n is negative on x < 1 for odd n only
     assert [registered_weight(PhiDescriptor.gamma_deriv(n)).is_positive
             for n in range(1, 5)] == [False, True, False, True]
-
-
-def test_carleman_partial():
-    assert carleman_partial(EXP, 1) == 1.0
-    assert carleman_partial(BS, 50) == 50.0
-    a, b, c = (carleman_partial(EXP, n) for n in (10, 50, 100))
-    assert a < b < c  # divergence trend
 
 
 def test_inner_product_l2phi_values():

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from glfock.cli import main
-from glfock.core import (PhiDescriptor, TruncatedSeries, gl_derivative,
-                         phi_coeff, phi_coeffs, signs_logs)
-from glfock.errors import NonEntireError, UnverifiedWeightError
+from glfock.core import PhiDescriptor, TruncatedSeries, gl_derivative, phi_coeffs, signs_logs
+from glfock.errors import UnverifiedWeightError
 from glfock.fock import registered_weight, verified_weight
-from glfock.frames import (_eig_report, _sample_matrix, adjoint_kernel_coeffs,
-                           biorthogonality_check, canonical_dual, density,
-                           frame_bounds, frame_sweep, interpolate_ls,
-                           kernel_atoms)
+from glfock.frames import (_eig_report, _sample_matrix, biorthogonality_check,
+                           canonical_dual, density, frame_bounds, frame_sweep,
+                           interpolate_ls, kernel_atoms)
 from glfock.weierstrass import LatticeSpec, PerturbedLattice
-from mp_oracles import adjoint_kernel_terms, exp_kernel_atom_rows, lattice_sample_rows
+from mp_oracles import exp_kernel_atom_rows, gauss_zak_sum, lattice_sample_rows
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 WK = verified_weight(PhiDescriptor.exponential())
@@ -257,35 +255,6 @@ def test_frames_sweep_nonfinite_basis_is_a_value_error(capsys, tmp_path):
     assert [r.split(",")[-1] for r in cap.out.splitlines()[1:]] == ["error:ValueError"] * 3
 
 
-def test_adjoint_kernel_coeffs():
-    a = adjoint_kernel_coeffs(EXPN, 0, 30)
-    want = np.array([phi_coeff(EXPN, j) for j in range(31)])
-    assert np.array_equal(a, want)          # n = 0 reduces to phi itself
-    a = adjoint_kernel_coeffs(EXPN, 1, 4)
-    assert a[0] == 1.0 - math.pi            # phi_0 - pi phi_0^2/phi_1
-    dk = PhiDescriptor.dunkl(0.5, normalized=True)
-    a = adjoint_kernel_coeffs(dk, 1, 3)
-    p2, p3 = phi_coeff(dk, 2), phi_coeff(dk, 3)
-    assert abs(a[2] - (p2 - math.pi * p2 * p2 / p3)) <= 1e-14 * abs(a[2])
-    with pytest.raises(NonEntireError):
-        adjoint_kernel_coeffs(PhiDescriptor.backward_shift(normalized=True), 0, 4)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2])
-@pytest.mark.parametrize("desc, family, params", [
-    (EXPN, "exponential", {}),
-    (PhiDescriptor.mittag_leffler(2, 1, normalized=True), "mittag_leffler",
-     {"rho": 2.0, "mu": 1.0}),
-    (PhiDescriptor.dunkl(0.5, normalized=True), "dunkl", {"kappa": 0.5}),
-], ids=["EXP", "ML(2,1)", "Dunkl(1/2)"])
-def test_adjoint_kernel_coeffs_match_mpmath(desc, family, params, n):
-    # against the family definitions at 30 digits: each a_j within 1e-13 of
-    # the sum of its terms' moduli (at most 5.2e-14 measured)
-    want, size = (np.array(x) for x in adjoint_kernel_terms(family, params, n, 40))
-    got = adjoint_kernel_coeffs(desc, n, 40)
-    assert np.all(np.abs(got - want) <= 1e-13 * size)
-
-
 # ---------------------------------------------------------------------------
 # sweep / dual system
 # ---------------------------------------------------------------------------
@@ -296,6 +265,26 @@ def test_frame_sweep_regression():
     assert reps[0].stability < 0.01
     assert abs(reps[1].A - 6.652526253379062e-06) <= 1e-12
     assert reps[0].A > 1e3 * reps[1].A      # oversampled vs undersampled
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_frame_sweep_inside_zak_bounds(p):
+    # for EXP, window 0 on sqrt(pi s) Z^2 at s = 1/p is the Gaussian Gabor
+    # frame; its bounds are the min and max of the Zak sum F, at (1/(2p), 1/2)
+    # and (0, 0).  A grid that misses both points checks that they are the
+    # extremes, and its mean checks the oracle's normalization
+    grid = [gauss_zak_sum(p, (a + 0.5) / 10, (b + 0.5) / 10)
+            for a in range(10) for b in range(10)]
+    assert abs(np.mean(grid) - p) <= 1e-12
+    A, B = gauss_zak_sum(p, 1 / (2 * p), 0.5), gauss_zak_sum(p, 0.0, 0.0)
+    assert A < min(grid) and B > max(grid)
+    # the truncated bounds close in on them from inside as N and M grow
+    gaps = []
+    for N, M in ((24, 12), (60, 16), (80, 20)):
+        rep = frame_sweep(EXPN, WK, 0, [1 / p], N, M)[0]
+        assert rep.A >= A and rep.B <= B
+        gaps.append((rep.A - A, B - rep.B))
+    assert np.all(np.diff(gaps, axis=0) < 0)
 
 
 def test_frame_sweep_lower_bound_decays_past_critical():
@@ -361,17 +350,16 @@ ATOM_POINTS = np.concatenate([
     _RNG.uniform(0.0, 5.6, 24) * np.exp(2j * math.pi * _RNG.uniform(size=24))])
 
 
-@pytest.mark.parametrize("n", [0, 1])
-def test_kernel_atoms_match_mpmath(n):
+def test_kernel_atoms_match_mpmath():
     # the library's a_p are taken as exact, so the test judges the powers
     # and the weight, not the coefficient table.  Entry p at z is within
     # (|z|^2 / 2 + 2p + 8) eps relative: |z|^2 / 2 from the rounded exponent
     # of sqrt(e^-|z|^2), about 2 eps per step of the running product (15 eps
     # at most measured; up to 121 eps with exp/log-built powers).  An entry
     # below the double range, such as (1e-200)^2, must be exactly 0
-    a = adjoint_kernel_coeffs(EXPN, n, 40)
+    a = phi_coeffs(EXPN, 40)
     want = np.array(exp_kernel_atom_rows(a, ATOM_POINTS))
-    got = kernel_atoms(EXPN, WK, ATOM_POINTS, 40, n)
+    got = kernel_atoms(EXPN, WK, ATOM_POINTS, 40)
     tol = (np.abs(ATOM_POINTS)[:, None] ** 2 / 2 + 2 * np.arange(41) + 8) * np.finfo(float).eps
     assert np.all(np.abs(got - want) <= tol * np.abs(want))
     assert np.count_nonzero(want == 0) > 0
@@ -379,7 +367,7 @@ def test_kernel_atoms_match_mpmath(n):
 
 def test_kernel_atoms_origin_row():
     K = kernel_atoms(EXPN, WK, np.array([0.0 + 0.0j, 1.0 + 0.0j]), 6)
-    a = adjoint_kernel_coeffs(EXPN, 0, 6)
+    a = phi_coeffs(EXPN, 6)
     assert K[0, 0] == pytest.approx(a[0], abs=1e-15)
     assert np.all(K[0, 1:] == 0.0)
     want = math.sqrt(WK.weight(1.0)) * a

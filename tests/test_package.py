@@ -91,8 +91,8 @@ def _set_parameters(paths) -> dict:
     return seen
 
 
-# ROADMAP item 4(c) checks window-n duals; no caller sets n yet
-UNSET_ALLOWED = {"frames.canonical_dual.n"}
+# defaulted parameters allowed to go unset by every caller outside the tests
+UNSET_ALLOWED: set[str] = set()
 
 
 def test_defaulted_parameters_have_a_caller():
