@@ -58,10 +58,15 @@ def test_phi_coeffs_raise_past_double_range():
      {"rho": 2.0, "mu": 1.0}),
     (PhiDescriptor.dunkl(0.5, normalized=True), "dunkl", {"kappa": 0.5}),
     (PhiDescriptor.gamma_deriv(1, normalized=True), "gamma_deriv", {"n": 1}),
-], ids=["EXP", "ML(2,1)", "Dunkl(1/2)", "GD(1)"])
+    (PhiDescriptor.mittag_leffler(1.5, 2, normalized=True), "mittag_leffler",
+     {"rho": 1.5, "mu": 2.0}),
+    (PhiDescriptor.mittag_leffler(0.5, 1, normalized=True), "mittag_leffler",
+     {"rho": 0.5, "mu": 1.0}),
+    (PhiDescriptor.dunkl(2.0, normalized=True), "dunkl", {"kappa": 2.0}),
+], ids=["EXP", "ML(2,1)", "Dunkl(1/2)", "GD(1)", "ML(1.5,2)", "ML(1/2,1)", "Dunkl(2)"])
 def test_phi_coeffs_match_mpmath(desc, family, params):
     # the value row against the family definitions at 30 digits, normalized
-    # to phi_0 = 1: each phi_j, j <= 40, within 1e-13 relative (2.8e-14 at
+    # to phi_0 = 1: each phi_j, j <= 40, within 1e-13 relative (4.1e-14 at
     # most measured)
     with mp.workdps(30):
         want = np.array([float(c) for c in _phis(family, params, 40)])

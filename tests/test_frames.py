@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from glfock.frames import (_eig_report, _sample_matrix, biorthogonality_check,
                            canonical_dual, density, frame_bounds, frame_sweep,
                            interpolate_ls, kernel_atoms)
 from glfock.weierstrass import LatticeSpec, PerturbedLattice
-from mp_oracles import exp_kernel_atom_rows, gauss_zak_sum, lattice_sample_rows
+from mp_oracles import _phis, exp_kernel_atom_rows, gauss_zak_sum, lattice_sample_rows
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 WK = verified_weight(PhiDescriptor.exponential())
@@ -267,7 +268,7 @@ def test_frame_sweep_regression():
     assert reps[0].A > 1e3 * reps[1].A      # oversampled vs undersampled
 
 
-@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_frame_sweep_inside_zak_bounds(p):
     # for EXP, window 0 on sqrt(pi s) Z^2 at s = 1/p is the Gaussian Gabor
     # frame; its bounds are the min and max of the Zak sum F, at (1/(2p), 1/2)
@@ -361,6 +362,28 @@ def test_kernel_atoms_match_mpmath():
     want = np.array(exp_kernel_atom_rows(a, ATOM_POINTS))
     got = kernel_atoms(EXPN, WK, ATOM_POINTS, 40)
     tol = (np.abs(ATOM_POINTS)[:, None] ** 2 / 2 + 2 * np.arange(41) + 8) * np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= tol * np.abs(want))
+    assert np.count_nonzero(want == 0) > 0
+
+
+@pytest.mark.parametrize("rho, mu", [(2.0, 1.0), (1.5, 2.0)])
+def test_kernel_atoms_read_phi_table(rho, mu):
+    # for Mittag-Leffler families the entries are sqrt(W(|z|^2)) phi_p conj(z)^p
+    # with phi_p from the family definition at 30 digits and the library's
+    # weight taken as exact: within 1e-13 + (2p + 8) eps relative, the
+    # table's error plus the running product's (1.4e-14 at most measured).
+    # The points stay in |z| <= 2.5, where the weight is far above the
+    # double range; (1e-200)^p and W(1e-400) must still give exact zeros
+    desc = PhiDescriptor.mittag_leffler(rho, mu)
+    wk = verified_weight(desc)
+    zs = ATOM_POINTS * (2.5 / 5.6)
+    sw = np.sqrt(wk.weight(np.abs(zs) ** 2))
+    with mp.workdps(30):
+        phis = _phis("mittag_leffler", {"rho": rho, "mu": mu}, 40)
+        want = np.array([[complex(mp.mpf(float(w)) * c * mp.conj(mp.mpc(z)) ** p)
+                          for p, c in enumerate(phis)] for z, w in zip(zs, sw)])
+    got = kernel_atoms(desc, wk, zs, 40)
+    tol = 1e-13 + (2 * np.arange(41) + 8) * np.finfo(float).eps
     assert np.all(np.abs(got - want) <= tol * np.abs(want))
     assert np.count_nonzero(want == 0) > 0
 
