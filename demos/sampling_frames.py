@@ -25,7 +25,7 @@ WK = verified_weight(PhiDescriptor.exponential())
 def density_demo():
     print("counting densities of lambda Z^2 (normalized by 2 pi r^2)")
     for lam in (0.5, 1.0, 2.0):
-        rep = density(LatticeSpec(lam, int(24 / lam)), [10.0, 20.0])
+        rep = density(LatticeSpec(lam, int(24 / lam)).points(), [10.0, 20.0])
         print(f"  lambda={lam}: d- = d+ = {rep.d_plus:.6f} "
               f"(1/(2 pi lambda^2) = {1 / (2 * math.pi * lam ** 2):.6f})")
 

@@ -411,7 +411,7 @@ def cmd_density(cfg: RunConfig, args) -> int:
         raise ConfigError("--radii must be a comma-separated list of numbers")
     try:
         lat = LatticeSpec(args.lam, args.trunc_m if args.trunc_m else cfg.lattice_M)
-        rep = density(lat, radii, norm=args.norm)
+        rep = density(lat.points(), radii, norm=args.norm)
     except ValueError as e:
         raise ConfigError(str(e))
     rows = [[r, *cnt, *dens] for r, cnt, dens in zip(rep.r_sequence, rep.counts, rep.densities)]

@@ -229,9 +229,6 @@ def moment(wk: WeightKernel, n: int) -> float:
 
 @dataclass
 class MomentReport:
-    desc: PhiDescriptor
-    form: str
-    tol: float
     rows: list          # dicts: n, moment, target, residual
     passed: bool
     failures: list      # offending n
@@ -249,7 +246,7 @@ def moment_check(desc: PhiDescriptor, wk: WeightKernel, n_max: int,
         rows.append({"n": n, "moment": m, "target": target, "residual": residual})
         if not (residual <= tol):
             failures.append(n)
-    return MomentReport(desc, wk.form, tol, rows, not failures, failures)
+    return MomentReport(rows, not failures, failures)
 
 
 def verified_weight(desc: PhiDescriptor) -> WeightKernel:

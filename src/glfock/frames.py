@@ -39,13 +39,6 @@ __all__ = [
 ]
 
 
-def _as_points(obj) -> np.ndarray:
-    from .weierstrass import LatticeSpec  # here, so frame_sweep loads none
-    if isinstance(obj, LatticeSpec):
-        return obj.points()
-    return np.atleast_1d(np.asarray(obj, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # densities
 # ---------------------------------------------------------------------------
@@ -86,7 +79,7 @@ def density(points, radii: Sequence[float], norm: str = "paper") -> DensityRepor
         raise ValueError("radii must be finite and positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    pts = _as_points(points)
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
     x, y = pts.real, pts.imag
     counts = []
     for r in radii:
@@ -134,10 +127,29 @@ def _powers(w: np.ndarray, N: int) -> np.ndarray:
     return np.cumprod(P, axis=1, out=P)
 
 
-def _gaussian_integers(M: int) -> np.ndarray:
-    """The lattice points m + i n, |m|, |n| <= M, m-major."""
+def _fock_lattice(s: float, M: int) -> np.ndarray:
+    """The Fock-side lattice nodes sqrt(pi s)(m + i n), |m|, |n| <= M, m-major."""
+    if not 0 < s < math.inf:
+        raise ValueError("lattice size must be finite and positive")
+    if M < 0:
+        raise ValueError("lattice half-width M must be >= 0")
     g = np.arange(-M, M + 1)
-    return (g[:, None] + 1j * g[None, :]).ravel()
+    return math.sqrt(math.pi * s) * (g[:, None] + 1j * g[None, :]).ravel()
+
+
+def _sqrt_weight(wk: WeightKernel, w: np.ndarray, norm: float = 1.0) -> np.ndarray:
+    """sqrt(W(|w|^2) / norm) at the nodes w, for a positive, verified weight;
+    ValueError naming the first node where W / norm is not finite."""
+    if not wk.is_positive:
+        raise ValueError("frame diagnostics need a positive weight kernel")
+    if not wk.verified:
+        raise UnverifiedWeightError("weight kernel not verified; run verified_weight first")
+    omega = wk.weight(np.abs(w) ** 2) / norm
+    bad = np.flatnonzero(~np.isfinite(omega))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"weight {omega[j]} at the node w = {w[j]}")
+    return np.sqrt(omega)
 
 
 def _sample_matrix(desc: PhiDescriptor, w: np.ndarray, N: int, window_n: int) -> np.ndarray:
@@ -170,22 +182,23 @@ def _eig_report(V: np.ndarray, n_points: int, N: int) -> FrameReport:
     return FrameReport(A, B, condition, N + 1, n_points, stability)
 
 
-def _check_weight(wk: WeightKernel):
-    if not wk.is_positive:
-        raise ValueError("frame diagnostics need a positive weight kernel")
-    if not wk.verified:
-        raise UnverifiedWeightError("weight kernel not verified; run verified_weight first")
+def _frame_report(desc: PhiDescriptor, wk: WeightKernel, w: np.ndarray, N: int,
+                  window_n: int = 0, norm: float = 1.0) -> FrameReport:
+    """Frame bounds of the window-n rows at the nodes w, row j weighted by
+    W(|w_j|^2) / norm.  ValueError where the weighted basis matrix is not
+    finite, as when the top power w^N leaves the double range."""
+    sw = _sqrt_weight(wk, w, norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = sw[:, None] * _sample_matrix(desc, w, N, window_n)
+    if not np.isfinite(V).all():
+        raise ValueError(f"weighted basis matrix not finite at N = {N}")
+    return _eig_report(V, w.size, N)
 
 
 def frame_bounds(desc: PhiDescriptor, wk: WeightKernel, points, N: int) -> FrameReport:
-    """Extreme eigenvalues of S_mn = sum_j W(|z_j|^2) conj(e_m) e_n (z_j)."""
-    _check_weight(wk)
-    z = _as_points(points)
-    if z.size == 0:
-        return FrameReport(0.0, 0.0, math.inf, N + 1, 0, 0.0)
-    E = _sample_matrix(desc, z, N, 0)
-    V = np.sqrt(wk.weight(np.abs(z) ** 2))[:, None] * E
-    return _eig_report(V, z.size, N)
+    """Extreme eigenvalues of S_mn = sum_j W(|z_j|^2) conj(e_m) e_n (z_j)
+    over the node array points (an empty one gives A = B = 0)."""
+    return _frame_report(desc, wk, np.atleast_1d(np.asarray(points, dtype=complex)), N)
 
 
 def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
@@ -196,16 +209,14 @@ def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
     mu = 1e-12 * trace-scale, so under-determined systems return the
     minimum-norm interpolant (single point -> kernel column).
     """
-    _check_weight(wk)
-    z = _as_points(points)
+    z = np.atleast_1d(np.asarray(points, dtype=complex))
+    sw = _sqrt_weight(wk, z)
     a = np.atleast_1d(np.asarray(values, dtype=complex))
     if z.size == 0:
         raise ValueError("need at least one point")
     if a.shape != z.shape:
         raise ValueError("values must match points")
-    E = _sample_matrix(desc, z, N, 0)
-    sw = np.sqrt(wk.weight(np.abs(z) ** 2))
-    V = sw[:, None] * E
+    V = sw[:, None] * _sample_matrix(desc, z, N, 0)
     b = sw * a
     # ridge solve via the SVD-backed augmented system; plain normal equations
     # square the condition number and pollute the null directions
@@ -227,39 +238,27 @@ def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
 
 def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
                 s_values: Sequence[float], N: int, M: int) -> list[FrameReport]:
-    """Frame bounds of window-n Gabor samples mapped to Fock-side sampling.
+    """Frame bounds of the window-n sampling functionals on Fock lattices.
 
-    For lattice size s the Fock-side nodes are sqrt(pi s)(m + i n),
-    |m|, |n| <= M; each carries the squared transform weight
-    W(|w|^2) / (pi^n phi_n).  Returns one FrameReport per s: the empirical
-    break of A(s) under N-refinement locates the critical size (classic
-    calibration: s = 1).  ValueError where the weighted basis matrix is not
+    For lattice size s the nodes are sqrt(pi s)(m + i n), |m|, |n| <= M;
+    each carries the squared transform weight W(|w|^2) / (pi^n phi_n), and
+    node w samples sum_k C(n,k)(-pi conj(w))^k (D^k f)(w).  Returns one
+    FrameReport per s: the empirical break of A(s) under N-refinement
+    locates the critical size (classic calibration: s = 1).  Window 0 is
+    the Gaussian Gabor frame for EXP.  For n >= 1 the functional is not
+    the Hermite-window Gabor frame, and B grows like N^2: for EXP, window 1
+    at s = 1/2, B is 3.6e3, 2.3e4 and 4.1e4 at (N, M) = (24, 12), (60, 16)
+    and (80, 20).  ValueError where the weighted basis matrix is not
     finite, as when the top power w^N leaves the double range.
     """
-    _check_weight(wk)
     if window_n < 0:
         raise ValueError("window_n must be a natural number")
     sN, lN = signs_logs(desc, window_n)
     if sN[window_n] <= 0:
         raise ValueError("phi_{window_n} must be positive")
     win_norm = math.pi ** window_n * math.exp(lN[window_n])
-    grid = _gaussian_integers(M)
-    reports = []
-    for s in s_values:
-        if s <= 0:
-            raise ValueError("lattice size must be positive")
-        w = math.sqrt(math.pi * s) * grid
-        omega = wk.weight(np.abs(w) ** 2) / win_norm
-        bad = np.flatnonzero(~np.isfinite(omega))
-        if bad.size:
-            j = bad[0]
-            raise ValueError(f"weight {omega[j]} at the node w = {w[j]}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            V = np.sqrt(omega)[:, None] * _sample_matrix(desc, w, N, window_n)
-        if not np.isfinite(V).all():
-            raise ValueError(f"weighted basis matrix not finite at s = {s}")
-        reports.append(_eig_report(V, w.size, N))
-    return reports
+    return [_frame_report(desc, wk, _fock_lattice(s, M), N, window_n, win_norm)
+            for s in s_values]
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +269,7 @@ def kernel_atoms(desc: PhiDescriptor, wk: WeightKernel, zs, N: int) -> np.ndarra
     """Coordinate rows of the weighted reproducing kernels at the points zs:
     row entry p is sqrt(W(|z|^2)) phi_p conj(z)^p."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    a = phi_coeffs(desc, N)
-    return np.sqrt(wk.weight(np.abs(zs) ** 2))[:, None] * (a * np.conj(_powers(zs, N)))
+    return _sqrt_weight(wk, zs)[:, None] * (phi_coeffs(desc, N) * np.conj(_powers(zs, N)))
 
 
 def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int, N: int) -> np.ndarray:
@@ -281,11 +279,9 @@ def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int, N: i
     Fock lattice of size s, then scales gamma so its pairing with the atom
     at the origin is exactly 1.
     """
-    w0 = wk.weight(0.0)
-    if not (np.isfinite(w0) and w0 > 0):
-        raise ValueError("weight must be finite and positive at the origin")
-    zj = math.sqrt(math.pi * s) * _gaussian_integers(M)
-    Kw = kernel_atoms(desc, wk, zj, N)
+    if not wk.weight(0.0) > 0:
+        raise ValueError("weight must be positive at the origin")
+    Kw = kernel_atoms(desc, wk, _fock_lattice(s, M), N)
     S = Kw.T @ Kw.conj()
     rhs = kernel_atoms(desc, wk, 0.0, N)[0]
     gam = np.linalg.solve(S, rhs)

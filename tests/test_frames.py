@@ -32,36 +32,36 @@ def adjoint_nodes(s, half):
 
 def test_density_square_lattice():
     # every half-open window of integer side r catches exactly r^2 nodes
-    rep = density(LatticeSpec(1.0, 12), [10.0, 20.0])
+    rep = density(LatticeSpec(1.0, 12).points(), [10.0, 20.0])
     assert rep.counts == ((100, 100), (400, 400))
     assert rep.d_plus == rep.d_minus == pytest.approx(1 / (2 * math.pi), abs=1e-15)
     assert rep.norm == "paper"
 
 
 def test_density_scaling():
-    assert density(LatticeSpec(2.0, 6), [10.0, 20.0]).d_plus == \
+    assert density(LatticeSpec(2.0, 6).points(), [10.0, 20.0]).d_plus == \
         pytest.approx(1 / (8 * math.pi), abs=1e-15)
-    assert density(LatticeSpec(0.5, 24), [10.0, 20.0]).d_plus == \
+    assert density(LatticeSpec(0.5, 24).points(), [10.0, 20.0]).d_plus == \
         pytest.approx(2 / math.pi, abs=1e-14)
 
 
 def test_density_lebesgue_norm():
-    rep = density(LatticeSpec(1.0, 12), [10.0, 20.0], norm="lebesgue")
+    rep = density(LatticeSpec(1.0, 12).points(), [10.0, 20.0], norm="lebesgue")
     assert rep.d_plus == 1.0 and rep.d_minus == 1.0
 
 
 def test_density_validation():
-    lat = LatticeSpec(1.0, 12)
+    pts = LatticeSpec(1.0, 12).points()
     with pytest.raises(ValueError):
-        density(lat, [20.0, 10.0])              # not increasing
+        density(pts, [20.0, 10.0])              # not increasing
     with pytest.raises(ValueError):
-        density(lat, [])
+        density(pts, [])
     with pytest.raises(ValueError):
-        density(lat, [-1.0, 2.0])
+        density(pts, [-1.0, 2.0])
     with pytest.raises(ValueError):
-        density(lat, [30.0])                    # window larger than the set
+        density(pts, [30.0])                    # window larger than the set
     with pytest.raises(ValueError):
-        density(lat, [10.0], norm="euclid")
+        density(pts, [10.0], norm="euclid")
 
 
 def test_density_empty_and_perturbed():
@@ -94,7 +94,7 @@ def test_frame_bounds_quadrature_identity():
 
 
 def test_frame_bounds_lattice_regression():
-    rep = frame_bounds(EXPN, WK, LatticeSpec(1.2, 10), 8)
+    rep = frame_bounds(EXPN, WK, LatticeSpec(1.2, 10).points(), 8)
     assert rep.n_points == 441 and rep.basis_dim == 9
     assert abs(rep.A - 2.0526042317627047) <= 1e-9
     assert abs(rep.B - 2.3479780551704983) <= 1e-9
@@ -295,23 +295,43 @@ def test_frame_sweep_lower_bound_decays_past_critical():
     assert a14 < 1e-2 * a8
 
 
+# lattice sizes s and half-widths M that no lattice has: a ValueError, not
+# an all-nan result, a LinAlgError or an empty report
+BAD_LATTICES = [(math.nan, 4), (math.inf, 4), (0.0, 4), (-1.0, 4), (1.0, -1)]
+
+
 def test_frame_sweep_guards():
     assert frame_sweep(EXPN, WK, 0, [], 6, 4) == []
-    with pytest.raises(ValueError):
-        frame_sweep(EXPN, WK, 0, [0.0], 6, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, M in BAD_LATTICES:
+            with pytest.raises(ValueError, match="^lattice "):
+                frame_sweep(EXPN, WK, 0, [s], 6, M)
     with pytest.raises(ValueError):
         frame_sweep(EXPN, WK, -1, [1.0], 6, 4)
 
 
-def test_frame_sweep_refuses_infinite_weight():
-    # GD(2)'s weight e^-x (ln x)^2 is infinite at x = 0, the node w = 0: a
-    # ValueError naming the node, not nan rows and a RuntimeWarning
-    gd2 = PhiDescriptor.gamma_deriv(2)
-    wk = verified_weight(gd2)
+GD2 = PhiDescriptor.gamma_deriv(2)
+INFINITE_AT_ORIGIN = {
+    "frame_bounds": lambda wk: frame_bounds(GD2, wk, np.array([0.5, 0.0]), 12),
+    "interpolate_ls": lambda wk: interpolate_ls(GD2, wk, np.array([0.5, 0.0]),
+                                                np.ones(2), 12),
+    "frame_sweep": lambda wk: frame_sweep(GD2, wk, 0, [0.5], 12, 10),
+    "kernel_atoms": lambda wk: kernel_atoms(GD2, wk, np.array([0.5, 0.0]), 12),
+    "canonical_dual": lambda wk: canonical_dual(GD2, wk, 0.5, 4, 12),
+}
+
+
+@pytest.mark.parametrize("sampler", INFINITE_AT_ORIGIN)
+def test_frame_sweep_refuses_infinite_weight(sampler):
+    # GD(2)'s weight e^-x (ln x)^2 is infinite at x = 0, the node w = 0:
+    # every sampler raises a ValueError naming the node, not nan rows, a
+    # RuntimeWarning, a LAPACK message or a LinAlgError
+    wk = verified_weight(GD2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"weight inf at the node w = 0j"):
-            frame_sweep(gd2, wk, 0, [0.5], 12, 10)
+        with pytest.raises(ValueError, match=r"^weight inf at the node w = 0j$"):
+            INFINITE_AT_ORIGIN[sampler](wk)
 
 
 def test_canonical_dual_biorthogonality():
@@ -343,6 +363,11 @@ def test_biorth_guards():
     with pytest.raises(ValueError):
         canonical_dual(EXPN, registered_weight(PhiDescriptor.gamma_deriv(1)),
                        0.5, 4, 10)  # weight is -inf at the origin
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, M in BAD_LATTICES:
+            with pytest.raises(ValueError, match="^lattice "):
+                canonical_dual(EXPN, WK, s, M, 6)
 
 
 _RNG = np.random.default_rng(5)

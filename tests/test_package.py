@@ -51,6 +51,16 @@ def test_import_loads_no_submodule():
     assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
 
 
+def test_frames_import_loads_no_fock_or_weierstrass():
+    # frame-sweep's cold import scope: frames takes node arrays and reads
+    # the weight kernel it is given, so it needs neither module
+    probe = "import sys, glfock.frames; print(sorted(sys.modules.keys() & " \
+            "{'glfock.fock', 'glfock.weierstrass'}))"
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
+
+
 def _used_names(paths) -> set:
     """Identifiers read as a name or an attribute anywhere in the files; a
     def or class line and a string in __all__ are not reads."""
