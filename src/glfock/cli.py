@@ -188,9 +188,8 @@ def cmd_phi_info(cfg: RunConfig, args) -> int:
     from .weierstrass import psi_pair, radius_bounds
     d = cfg.desc
     coeffs = [phi_coeff(d, k) for k in range(10)]
-    dn = d.normalize()
-    ps = psi_pair(dn)
-    rb = radius_bounds(dn, N=max(100, 2 * cfg.series_N))
+    ps = psi_pair(d)
+    rb = radius_bounds(d, N=max(100, 2 * cfg.series_N))
     info = {
         "family": d.family,
         "params": d.params_dict,
@@ -286,22 +285,21 @@ def _suite_bargmann(cfg: RunConfig) -> list:
 
 def _suite_weierstrass(cfg: RunConfig) -> list:
     from .weierstrass import omega, omega_bound, psi_pair, weierstrass_factor
-    d = cfg.desc.normalize()
     rows = []
-    ps = psi_pair(d)
+    ps = psi_pair(cfg.desc)
     rows.append({"check": "psi_finite", "residual": 0.0,
                  "pass": math.isfinite(ps.psi1) and math.isfinite(ps.psi2)})
     xs = np.linspace(-1.0, 1.0, 21)
     zz = (xs[:, None] + 1j * xs[None, :]).ravel()
     zz = zz[np.abs(zz) <= 1.0]
-    E = weierstrass_factor(d, zz, cfg.series_N)
-    Om = omega(d, zz, cfg.series_N)
+    E = weierstrass_factor(cfg.desc, zz, cfg.series_N)
+    Om = omega(cfg.desc, zz, cfg.series_N)
     # |1 - E| = |z|^3 |Omega| <= |Omega|, equality on |z| = 1: both sides
     # round relative to |Omega|, so the slack is too
     gap = np.abs(1.0 - E) - np.abs(Om)
     rows.append({"check": "E_inequality_grid", "residual": max(float(gap.max()), 0.0),
                  "pass": bool(np.all(gap <= 1e-10 * np.maximum(1.0, np.abs(Om))))})
-    bound = omega_bound(d)
+    bound = omega_bound(cfg.desc)
     sup = float(np.max(np.abs(Om)))
     ok = (sup <= bound * (1 + 1e-12)) if math.isfinite(bound) else True
     rows.append({"check": "omega_bound", "residual": max(sup - bound, 0.0) if math.isfinite(bound) else 0.0,
@@ -377,7 +375,6 @@ def cmd_frames_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_weierstrass_table(cfg: RunConfig, args) -> int:
     from .weierstrass import LatticeSpec, sigma_lower_diag
-    d = cfg.desc.normalize()
     wk = _resolve_weight(cfg, verify=False)
     if args.grid_n < 1:
         raise ConfigError("grid-n must be >= 1")
@@ -393,7 +390,7 @@ def cmd_weierstrass_table(cfg: RunConfig, args) -> int:
     grid = (xs[:, None] + 1j * xs[None, :]).ravel()
     if np.any(lat.dist(grid) < 1e-9):
         raise ConfigError("grid touches a lattice node; change --grid-n or --extent")
-    rep = sigma_lower_diag(d, wk, lat, grid, N=cfg.series_N)
+    rep = sigma_lower_diag(cfg.desc, wk, lat, grid, N=cfg.series_N)
     header = ["z_re", "z_im", "lhs", "rhs", "ratio"]
     rows = np.column_stack([rep.z.real, rep.z.imag, rep.lhs, rep.rhs, rep.ratio]).tolist()
     _emit(cfg, args, header, rows,

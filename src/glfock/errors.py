@@ -15,7 +15,3 @@ class NonEntireError(ValueError):
 
 class UnverifiedWeightError(ValueError):
     """Weight kernel used in an integral before passing its moment check."""
-
-
-class NormalizationError(ValueError):
-    """Operation requires a normalized (phi_0 = 1) coefficient family."""

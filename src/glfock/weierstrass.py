@@ -1,6 +1,7 @@
 """Lattice products generalizing the Weierstrass sigma function.
 
-For a normalized family (phi_0 = 1) the pair
+Every factor is the normalized family's (phi_0 = 1), whichever descriptor
+is passed; for it the pair
 
     psi_1 = 1/phi_1,        psi_2 = (phi_1^2 - phi_2) / phi_1^3
 
@@ -23,7 +24,8 @@ log E = log(1 - z) + z + z^2/2 + log R, R = phi(psi_1 z + psi_2 z^2)
 e^{-z - z^2/2}: its radius is where a bound on |R - 1| reaches 1/2, up to 1,
 where log(1 - z) is singular (see _log_product for the tail bound).  R is
 not omega()'s Omega = (E - 1) / z^3; both slice E's Maclaurin coefficients
-from one table per (family, N), _e_table.
+from one table per (family, N), _e_table, and so does omega_bound, whose
+head is |e_3| + |e_4| + |e_5| of E_2.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .core import PhiDescriptor, phi_coeffs, phi_eval, signs_logs
-from .errors import ConvergenceError, DivergenceError, NormalizationError
+from .errors import ConvergenceError, DivergenceError
 from .special import _horner
 if TYPE_CHECKING:  # annotations only, so importing this module loads no fock
     from .fock import WeightKernel
@@ -84,26 +86,13 @@ class PsiPair:
     psi2: float
 
 
-def _normalized(desc: PhiDescriptor) -> PhiDescriptor:
-    """Accept descriptors that are normalized or already have phi_0 = 1."""
-    s, l = signs_logs(desc, 0)
-    if desc.normalized or (s[0] == 1.0 and l[0] == 0.0):
-        return desc.normalize()
-    raise NormalizationError(
-        f"{desc.family}{desc.params_dict} has phi_0 != 1; pass the normalized "
-        "descriptor (normalize())")
-
-
-def _phi12(desc: PhiDescriptor) -> tuple[float, float]:
-    d = _normalized(desc)
+def _factor(desc: PhiDescriptor) -> tuple[PhiDescriptor, PsiPair]:
+    """The normalized descriptor d (phi_0 = 1), whichever form desc is, and
+    the psi pair making (1 - z) phi_d(psi1 z + psi2 z^2) vanish to 3rd order."""
+    d = desc.normalize()
     s, l = signs_logs(d, 2)
     v = s * np.exp(l)
-    return float(v[1]), float(v[2])
-
-
-def psi_pair(desc: PhiDescriptor) -> PsiPair:
-    """Coefficients making (1 - z) phi(psi1 z + psi2 z^2) vanish to 3rd order."""
-    p1, p2 = _phi12(desc)
+    p1, p2 = float(v[1]), float(v[2])
     try:
         psi1 = 1.0 / p1
         psi2 = (p1 * p1 - p2) / p1**3
@@ -116,16 +105,21 @@ def psi_pair(desc: PhiDescriptor) -> PsiPair:
     scale = 1.0 + abs(psi1) + abs(psi2)
     if max(abs(c1), abs(c2)) > 1e-10 * scale:
         raise ArithmeticError("psi pair failed its third-order cancellation check")
-    return PsiPair(psi1, psi2)
+    return d, PsiPair(psi1, psi2)
+
+
+def psi_pair(desc: PhiDescriptor) -> PsiPair:
+    """Coefficients making (1 - z) phi(psi1 z + psi2 z^2) vanish to 3rd order,
+    phi the normalized family's."""
+    return _factor(desc)[1]
 
 
 @lru_cache(maxsize=64)
-def _e_table(desc: PhiDescriptor, N: int) -> np.ndarray:
+def _e_table(d: PhiDescriptor, N: int) -> np.ndarray:
     """Maclaurin coefficients e_0..e_(2N+1) of E_N, phi cut after N terms (E_N
-    has degree 2N + 1); read-only, built once per (desc, N).  OverflowError
-    where one is not a double (phi_n is 0 where psi1^n is inf)."""
-    d = _normalized(desc)
-    ps = psi_pair(desc)
+    has degree 2N + 1); read-only, built once per (d, N), d normalized.
+    OverflowError where one is not a double (phi_n is 0 where psi1^n is inf)."""
+    ps = _factor(d)[1]
     phis = phi_coeffs(d, N)
     comp = np.zeros(2 * N + 2)
     comp[0] = phis[0]
@@ -142,7 +136,7 @@ def _e_table(desc: PhiDescriptor, N: int) -> np.ndarray:
         out = comp.copy()
         out[1:] -= comp[:-1]
     if not np.isfinite(out).all():
-        raise OverflowError(f"E series for {desc.family} outside double range "
+        raise OverflowError(f"E series for {d.family} outside double range "
                             f"(psi1={ps.psi1!r})")
     out.setflags(write=False)
     return out
@@ -150,8 +144,7 @@ def _e_table(desc: PhiDescriptor, N: int) -> np.ndarray:
 
 def weierstrass_factor(desc: PhiDescriptor, z, N: int = 80):
     """E(z) = (1 - z) phi(psi1 z + psi2 z^2), truncating phi at N terms."""
-    d = _normalized(desc)
-    ps = psi_pair(desc)
+    d, ps = _factor(desc)
     z = np.asarray(z, dtype=complex)
     u = ps.psi1 * z + ps.psi2 * z * z
     return (1.0 - z) * phi_eval(d, u, N)
@@ -165,29 +158,30 @@ def omega(desc: PhiDescriptor, z, N: int = 80):
     instead; the same branch is the fallback when catastrophic cancellation
     (|E - 1| < 1e-12) is detected farther out.
     """
+    d = _factor(desc)[0]
     zf = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty_like(zf)
     series = np.abs(zf) < 1e-3
     far = ~series
     if np.any(far):
         zz = zf[far]
-        E = weierstrass_factor(desc, zz, N)
+        E = weierstrass_factor(d, zz, N)
         cancel = np.abs(E - 1.0) < 1e-12
         if np.any(cancel & (np.abs(E - 1.0) > 0)):
             warnings.warn("omega: |E - 1| < 1e-12 away from 0; using series branch")
         out[far] = (E - 1.0) / zz**3
         series[far] = cancel
     if np.any(series):
-        out[series] = _horner(_e_table(desc, 17)[17:2:-1], zf[series])
+        out[series] = _horner(_e_table(d, 17)[17:2:-1], zf[series])
     return complex(out[0]) if np.ndim(z) == 0 else out
 
 
 def omega_bound(desc: PhiDescriptor) -> float:
-    """Disk bound sup_{|z|<=1} |Omega| <= |c3| + |c4| + |c5| + 2 sum_{n>=3} |phi_n| R^n,
+    """Disk bound sup_{|z|<=1} |Omega| <= |e3| + |e4| + |e5| + 2 sum_{n>=3} |phi_n| R^n,
     R = |psi1| + |psi2|.
 
-    The three explicit terms are the degree-(3,4,5) coefficients contributed
-    by phi_1, phi_2; the tail uses |1 - z| <= 2 and stops at the first term
+    The head is E_2's degree-(3,4,5) coefficients (_e_table(d, 2)), the
+    part contributed by phi_1, phi_2; the tail uses |1 - z| <= 2 and stops at the first term
     below 1e-16 of the running sum.  Returns +inf when the tail fails to
     decay within 20000 terms (a radius-1 family, whose tail does not decay
     at R = 1); raises DivergenceError if R strictly exceeds the series
@@ -195,15 +189,11 @@ def omega_bound(desc: PhiDescriptor) -> float:
     coefficients are read in doubling prefixes of 64, 128, ... terms; each
     prefix is bitwise the start of the longer table.
     """
-    d = _normalized(desc)
-    p1, p2 = _phi12(desc)
-    ps = psi_pair(desc)
+    d, ps = _factor(desc)
     R = abs(ps.psi1) + abs(ps.psi2)
     if not d.entire and R > 1.0:
         raise DivergenceError("psi radius exceeds the family's convergence radius")
-    c3 = abs(p1 * ps.psi2 - 2.0 * p2 * ps.psi1 * ps.psi2 + p2 * ps.psi1**2)
-    c4 = abs(p2 * ps.psi2**2 - 2.0 * p2 * ps.psi1 * ps.psi2)
-    c5 = abs(p2 * ps.psi2**2)
+    head = float(np.abs(_e_table(d, 2)[3:]).sum())
     logR = math.log(R) if R > 0 else -math.inf
     tail = 0.0
     prev = math.inf
@@ -214,7 +204,7 @@ def omega_bound(desc: PhiDescriptor) -> float:
             t = math.exp(l[n] + n * logR)
             tail += t
             if t < 1e-16 * (1.0 + tail):
-                return c3 + c4 + c5 + 2.0 * tail
+                return head + 2.0 * tail
             if n > 64 and t >= prev * 0.999999:
                 return math.inf  # non-decaying tail (radius boundary)
             prev = t
@@ -223,7 +213,7 @@ def omega_bound(desc: PhiDescriptor) -> float:
 
 
 @lru_cache(maxsize=64)
-def _log_e_radius(desc: PhiDescriptor, N: int) -> float:
+def _log_e_radius(d: PhiDescriptor, N: int) -> float:
     """r* <= 1, a radius where a bound on |R_N - 1| over |w| <= r* is at
     most 1/2: bisection to 2^-24 that keeps the end where the bound holds
     (0 where none does).  The largest such radius is at most 2^-24 above;
@@ -244,7 +234,7 @@ def _log_e_radius(desc: PhiDescriptor, N: int) -> float:
     All three are one polynomial in r with coefficients >= 0, so the bound
     grows with r.  The cap at 1 is the singularity of log(1 - w) at w = 1.
     """
-    phi = np.cumsum(_e_table(desc, N)[:-1])
+    phi = np.cumsum(_e_table(d, N)[:-1])
     D = 2 * N + _OMEGA_TAIL
     a = [1.0, -1.0]
     for m in range(2, D + 1):
@@ -283,8 +273,7 @@ def radius_bounds(desc: PhiDescriptor, N: int = 200) -> RadiusBounds:
     """Zero-free radius lower bound and series-radius estimate with trend flag."""
     if N < 16:
         raise ValueError("N too small")
-    ps = psi_pair(desc)
-    d = _normalized(desc)
+    d, ps = _factor(desc)
     _, l = signs_logs(d, N)
     ns = np.arange(N // 2, N + 1)
     u = np.exp(l[ns] / ns)
@@ -389,11 +378,11 @@ class PerturbedLattice:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _log_e_series(desc: PhiDescriptor, deg: int, N: int) -> np.ndarray:
+def _log_e_series(d: PhiDescriptor, deg: int, N: int) -> np.ndarray:
     """Maclaurin coefficients l_0..l_deg of log E (phi cut after N terms),
     from n l_n = n e_n - sum_{k<n} k l_k e_{n-k} with e_0 = 1; read-only,
-    built once per (desc, deg, N)."""
-    tab = _e_table(desc, N)[:deg + 1]
+    built once per (d, deg, N), d normalized."""
+    tab = _e_table(d, N)[:deg + 1]
     e, ell = np.pad(tab, (0, deg + 1 - tab.size)), np.zeros(deg + 1)
     for n in range(1, deg + 1):
         ell[n] = e[n] - np.dot(np.arange(1, n) * ell[1:n], e[n - 1:0:-1]) / n
@@ -445,7 +434,7 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     bound); no node is near when every node is far, and then the series
     alone remains.
     """
-    d, ps = _normalized(desc), psi_pair(desc)
+    d, ps = _factor(desc)
     zmax = float(np.abs(z).max(initial=0.0))
     far = np.zeros(nodes.size, dtype=bool)
     if dens is nodes and zmax > 0:

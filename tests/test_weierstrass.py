@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from glfock import weierstrass
 from glfock.core import PhiDescriptor, phi_coeffs, signs_logs
-from glfock.errors import ConvergenceError, NormalizationError
+from glfock.errors import ConvergenceError
 from glfock.fock import verified_weight
 from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _e_table, _log_e_series,
-                                _normalized, _phi12, g_fn, log_g_fn,
+                                g_fn, log_g_fn,
                                 omega, omega_bound, psi_pair, radius_bounds, sigma_fn,
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
@@ -57,12 +57,23 @@ def test_psi_pair_values():
     assert abs(ps.psi2 - 0.19018592584879454) <= 1e-14
 
 
-def test_psi_pair_requires_normalization():
-    with pytest.raises(NormalizationError):
-        psi_pair(PhiDescriptor.gamma_deriv(1))  # phi_0 = -1/gamma != 1
-    # exponential already has phi_0 = 1, so the raw descriptor is accepted
-    ps = psi_pair(PhiDescriptor.exponential())
-    assert ps.psi1 == 1.0
+@pytest.mark.parametrize("raw", [PhiDescriptor.gamma_deriv(1), PhiDescriptor.exponential()],
+                         ids=["GD1", "EXP"])
+def test_raw_descriptor_takes_the_normalized_factor(raw):
+    # GD(1) has phi_0 = -1/gamma != 1, EXP has phi_0 = 1: either way the
+    # factor is the normalized family's, bit for bit
+    def bits(x):  # the repr of a float round-trips, -0.0 included
+        return x.tobytes() if isinstance(x, np.ndarray) else repr(x)
+
+    norm = raw.normalize()
+    z = np.array([0.3 + 0.2j, -0.5j, 1e-4 + 2e-4j])
+    _e_table.cache_clear()
+    assert bits(omega(raw, z)) == bits(omega(norm, z))
+    # the series branch (|z| < 1e-3) reads one table for both forms
+    assert _e_table.cache_info().misses == 1
+    for fn in (psi_pair, omega_bound, radius_bounds, lambda d: weierstrass_factor(d, z),
+               lambda d: sigma_fn(d, z, LatticeSpec(1.0, 4))):
+        assert bits(fn(raw)) == bits(fn(norm))
 
 
 def test_e_table_exponential_oracle():
@@ -163,8 +174,8 @@ def test_signs_logs_prefix_consistent(desc):
 
 def _omega_bound_full_table(desc):
     """omega_bound as one loop over the whole 20,001-term table."""
-    d = _normalized(desc)
-    p1, p2 = _phi12(desc)
+    d = desc.normalize()
+    p1, p2 = phi_coeffs(d, 2)[1:]
     ps = psi_pair(desc)
     R = abs(ps.psi1) + abs(ps.psi2)
     c3 = abs(p1 * ps.psi2 - 2.0 * p2 * ps.psi1 * ps.psi2 + p2 * ps.psi1**2)
@@ -549,7 +560,7 @@ def per_cell_logs(desc, z, nodes, dens, N=80):
     Z1 = z[None, :] / nodes[:, None]
     U = ps.psi1 * Z1 + ps.psi2 * (z * z)[None, :] / dens[:, None] ** 2
     V = np.zeros_like(U)
-    for c in phi_coeffs(_normalized(desc), N)[::-1]:
+    for c in phi_coeffs(desc.normalize(), N)[::-1]:
         V = V * U + c
     with np.errstate(divide="ignore"):
         lg = np.log(1.0 - Z1)
@@ -568,7 +579,7 @@ def rounding_scale(desc, z, nodes, dens, N=80):
     |phi_N(u)| is the cell's Horner condition number and F its factor."""
     ps = psi_pair(desc)
     U = ps.psi1 * z[None, :] / nodes[:, None] + ps.psi2 * (z * z)[None, :] / dens[:, None] ** 2
-    c = phi_coeffs(_normalized(desc), N)
+    c = phi_coeffs(desc.normalize(), N)
     size = sum(abs(ck) * np.abs(U) ** k for k, ck in enumerate(c))
     cond = size / np.abs(sum(ck * U ** k for k, ck in enumerate(c)))
     logs = np.abs(per_cell_logs(desc, z, nodes, dens, N))
