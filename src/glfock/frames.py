@@ -182,16 +182,23 @@ def _eig_report(V: np.ndarray, n_points: int, N: int) -> FrameReport:
     return FrameReport(A, B, condition, N + 1, n_points, stability)
 
 
-def _frame_report(desc: PhiDescriptor, wk: WeightKernel, w: np.ndarray, N: int,
-                  window_n: int = 0, norm: float = 1.0) -> FrameReport:
-    """Frame bounds of the window-n rows at the nodes w, row j weighted by
-    W(|w_j|^2) / norm.  ValueError where the weighted basis matrix is not
-    finite, as when the top power w^N leaves the double range."""
-    sw = _sqrt_weight(wk, w, norm)
+def _weighted_rows(desc: PhiDescriptor, sw: np.ndarray, w: np.ndarray, N: int,
+                   window_n: int = 0) -> np.ndarray:
+    """The window-n rows at the nodes w, row j times sw_j.  ValueError where
+    that matrix is not finite, as when the top power w^N leaves the double
+    range."""
     with np.errstate(over="ignore", invalid="ignore"):
         V = sw[:, None] * _sample_matrix(desc, w, N, window_n)
     if not np.isfinite(V).all():
         raise ValueError(f"weighted basis matrix not finite at N = {N}")
+    return V
+
+
+def _frame_report(desc: PhiDescriptor, wk: WeightKernel, w: np.ndarray, N: int,
+                  window_n: int = 0, norm: float = 1.0) -> FrameReport:
+    """Frame bounds of the window-n rows at the nodes w, row j weighted by
+    W(|w_j|^2) / norm (see _weighted_rows)."""
+    V = _weighted_rows(desc, _sqrt_weight(wk, w, norm), w, N, window_n)
     return _eig_report(V, w.size, N)
 
 
@@ -216,7 +223,7 @@ def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
         raise ValueError("need at least one point")
     if a.shape != z.shape:
         raise ValueError("values must match points")
-    V = sw[:, None] * _sample_matrix(desc, z, N, 0)
+    V = _weighted_rows(desc, sw, z, N)
     b = sw * a
     # ridge solve via the SVD-backed augmented system; plain normal equations
     # square the condition number and pollute the null directions

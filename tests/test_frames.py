@@ -240,18 +240,22 @@ def test_frames_sweep_top_power_overflow_is_an_error_row(capsys, tmp_path):
     assert status.startswith("error:") and A == B == "nan"
 
 
-def test_frames_sweep_nonfinite_basis_is_a_value_error(capsys, tmp_path):
-    # frame_sweep checks the weighted basis matrix itself: the error does
-    # not hinge on eigvalsh meeting a nan, and no RuntimeWarning escapes
+def test_frames_sweep_nonfinite_basis_is_a_value_error(capfd, tmp_path):
+    # frame_sweep and interpolate_ls check the weighted basis matrix itself:
+    # the error does not hinge on eigvalsh or the least-squares solver
+    # meeting a nan, and no RuntimeWarning or LAPACK message escapes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):
             frame_sweep(PhiDescriptor.exponential(), WK, 0, [1.5], N=250, M=10)
+        with pytest.raises(ValueError, match="not finite at N = 250"):
+            interpolate_ls(EXPN, WK, [0.5, 20], [1, 1], 250)
+    assert capfd.readouterr().err == ""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"truncation": {"basis_N": 250}}))
     rc = main(["frames-sweep", "--config", str(cfg), "--s-min", "0.9", "--s-max", "1.5",
                "--steps", "3"])
-    cap = capsys.readouterr()
+    cap = capfd.readouterr()
     assert rc == 0 and cap.err == ""
     assert [r.split(",")[-1] for r in cap.out.splitlines()[1:]] == ["error:ValueError"] * 3
 
