@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConvergenceError", "DivergenceError", "NonEntireError", "UnverifiedWeightError"]
+
 
 class ConvergenceError(RuntimeError):
     """A series or quadrature failed to reach the requested tolerance."""
