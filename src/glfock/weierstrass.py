@@ -552,17 +552,21 @@ class SigmaLowerReport:
 
 def sigma_lower_diag(desc: PhiDescriptor, wk: WeightKernel, lat: LatticeSpec,
                      grid, N: int = _PHI_PRODUCT_TERMS) -> SigmaLowerReport:
-    """Per-point ratio W(|z|^2)|sigma(z)| / dist(z, Lambda) over a grid.
+    """Per-point ratio |W(|z|^2) sigma(z)| / dist(z, Lambda) over a grid.
 
     Positivity of the minimum is the numerical shadow of the lower bound
-    |K(-|z|^2) sigma(z)| >= c * dist(z, Lambda) near the lattice.
+    |K(-|z|^2) sigma(z)| >= c * dist(z, Lambda) near the lattice.  A signed
+    weight (GD(1), GD(3)) enters as |W|, with a warning.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
     sig = sigma_fn(desc, grid, lat, N)
     d = lat.dist(grid)
     if np.any(d == 0):
         raise ValueError("grid touches a lattice point; ratio undefined there")
-    lhs = wk.weight(np.abs(grid) ** 2) * np.abs(sig)
+    w = wk.weight(np.abs(grid) ** 2)
+    if np.any(w < 0):
+        warnings.warn("signed weight in sigma_lower_diag; using |W|")
+    lhs = np.abs(w) * np.abs(sig)
     ratio = lhs / d
     mn = float(ratio.min())
     return SigmaLowerReport(grid, lhs, d, ratio, mn, mn > 0.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from glfock import weierstrass
 from glfock.core import PhiDescriptor, phi_coeffs, signs_logs
 from glfock.errors import ConvergenceError
-from glfock.fock import verified_weight
+from glfock.fock import registered_weight, verified_weight
 from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _e_table, _log_e_series,
                                 g_fn, log_g_fn,
                                 omega, omega_bound, psi_pair, radius_bounds, sigma_fn,
@@ -851,6 +851,21 @@ def test_sigma_lower_diag():
     assert all(a.shape == grid.shape for a in (rep.lhs, rep.rhs, rep.ratio))
     with pytest.raises(ValueError):
         sigma_lower_diag(EXPN, wk, lat, np.array([1.0 + 0.0j]))
+
+
+def test_sigma_lower_diag_takes_abs_of_a_signed_weight():
+    # the GD(1) weight changes sign inside |z| = 2: the ratio bounds
+    # |W sigma| / dist, so it stays positive, with a warning
+    wk = registered_weight(PhiDescriptor.gamma_deriv(1))
+    lat = LatticeSpec(1.0, 12)
+    xs = np.linspace(-1.875, 1.875, 16)
+    grid = (xs[:, None] + 1j * xs[None, :]).ravel()
+    w = wk.weight(np.abs(grid) ** 2)
+    assert (w < 0).any() and (w > 0).any()
+    with pytest.warns(UserWarning, match="signed weight in sigma_lower_diag"):
+        rep = sigma_lower_diag(GD1N, wk, lat, grid, N=80)
+    assert np.all(rep.ratio > 0) and rep.feasible
+    assert np.array_equal(rep.lhs, np.abs(w) * np.abs(sigma_fn(GD1N, grid, lat)))
 
 
 def test_sigma_lower_single_cell_center():
