@@ -180,12 +180,12 @@ def omega_bound(desc: PhiDescriptor) -> float:
     """Disk bound sup_{|z|<=1} |Omega| <= |e3| + |e4| + |e5| + 2 sum_{n>=3} |phi_n| R^n,
     R = |psi1| + |psi2|.
 
-    The head is E_2's degree-(3,4,5) coefficients (_e_table(d, 2)), the
-    part contributed by phi_1, phi_2; the tail uses |1 - z| <= 2 and stops at the first term
-    below 1e-16 of the running sum.  Returns +inf when the tail fails to
-    decay within 20000 terms (a radius-1 family, whose tail does not decay
-    at R = 1); raises DivergenceError if R strictly exceeds the series
-    radius.  The tail usually ends within tens of terms, so the
+    The head is |e3| + |e4| + |e5| of E_2 (_e_table(d, 2)), the part that
+    phi_1, phi_2 contribute; the tail uses |1 - z| <= 2 and stops at the
+    first term below 1e-16 of the running sum.  Returns +inf when the tail
+    fails to decay within 20000 terms (a radius-1 family, whose tail does
+    not decay at R = 1); raises DivergenceError if R strictly exceeds the
+    series radius.  The tail usually ends within tens of terms, so the
     coefficients are read in doubling prefixes of 64, 128, ... terms; each
     prefix is bitwise the start of the longer table.
     """
