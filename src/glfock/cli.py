@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -490,25 +491,33 @@ _COMMANDS = {
 }
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning for the CLI: one 'warning: <message>' line on
+    stderr, without the library's source path, line number or source text."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be a natural number")
-            cfg.seed = args.seed
-        return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, NonEntireError, DivergenceError, OverflowError) as e:  # phi_k past doubles
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConvergenceError as e:
-        print(f"non-convergence: {e}", file=sys.stderr)
-        return EXIT_NONCONV
-    except UnverifiedWeightError as e:
-        print(f"unverified weight: {e}", file=sys.stderr)
-        return EXIT_FAIL
+    with warnings.catch_warnings():  # restores the caller's showwarning
+        warnings.showwarning = _warning_line
+        try:
+            cfg = load_config(args.config)
+            if args.seed is not None:
+                if args.seed < 0:
+                    raise ConfigError("--seed must be a natural number")
+                cfg.seed = args.seed
+            return _COMMANDS[args.command](cfg, args)
+        except (ConfigError, NonEntireError, DivergenceError, OverflowError) as e:  # phi_k past doubles
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        except ConvergenceError as e:
+            print(f"non-convergence: {e}", file=sys.stderr)
+            return EXIT_NONCONV
+        except UnverifiedWeightError as e:
+            print(f"unverified weight: {e}", file=sys.stderr)
+            return EXIT_FAIL
 
 
 if __name__ == "__main__":

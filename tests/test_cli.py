@@ -372,6 +372,20 @@ def test_weierstrass_table(capsys, tmp_path):
     assert rc == 2 and "lattice node" in err
 
 
+@pytest.mark.parametrize("n, argv, message", [
+    (1, ["weierstrass-table"], "signed weight in sigma_lower_diag; using |W|"),
+    (3, ["check", "--suite", "moments"], "weight form log{'n': 3} is signed on part of the "
+                                         "axis; treat moment results as signed-measure data"),
+], ids=["GD(1) weierstrass-table", "GD(3) check --suite moments"])
+def test_warning_is_one_stderr_line(capsys, tmp_path, n, argv, message):
+    # no source path, line number or source text; stdout keeps its golden bytes
+    golden = json.loads((Path(__file__).parent / "golden_family_cli.json").read_text())
+    p = write_cfg(tmp_path, {"phi": {"family": "gamma_deriv", "params": {"n": n}}})
+    rc, out, err = run_cli(capsys, argv + ["--config", p])
+    assert rc == 0 and err == f"warning: {message}\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == golden[f"GD({n}) {' '.join(argv)}"]
+
+
 def test_frames_sweep_header_only(capsys):
     rc, out, _ = run_cli(capsys, ["frames-sweep", "--steps", "0"])
     assert rc == 0
