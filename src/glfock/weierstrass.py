@@ -8,18 +8,22 @@ is passed; for it the pair
 makes the elementary factor E(z) = (1 - z) phi(psi_1 z + psi_2 z^2) equal to
 1 + O(z^3), the family analogue of the genus-2 Weierstrass factor (classical
 case: psi = (1, 1/2), E(z) = (1-z) e^{z + z^2/2}).  Products of such factors
-over a square lattice, or over a perturbed lattice Gamma, give entire
-functions vanishing exactly on the node set; their growth against the weight
-kernel is what the two-sided diagnostics measure.
+over the whole square lattice lam (Z + iZ), or over a perturbed window of
+it Gamma and the unperturbed lattice outside, give entire functions
+vanishing exactly on the node set; their growth against the weight kernel
+is what the two-sided diagnostics measure.
 
-All lattice products are accumulated as complex logarithms: the truncated
-products reach magnitudes ~ e^{800} at the window corners, far outside double
-range, while every quantity actually consumed downstream is a ratio.
+All lattice products are accumulated as complex logarithms: they reach
+magnitudes ~ e^{800} at |z| ~ 22, far outside double range, while every
+quantity actually consumed downstream is a ratio.
 
-Where the linear node and the quadratic denominator coincide, the nodes far
-from every evaluation point collapse into one power series in z, the
-far-field idea of Greengard & Rokhlin (J. Comput. Phys. 73, 1987); only the
-near nodes take the direct product.  The series is that of
+The nodes far from every evaluation point, the infinite rest of the lattice
+where node and quadratic denominator coincide, collapse into one power
+series in z, the far-field idea of Greengard & Rokhlin (J. Comput. Phys. 73,
+1987); only the near nodes take the direct product.  Its coefficients are
+l_k T_k, with T_k = sum nu^-k over the far Gaussian integers, one cached
+table per near set (_lattice_tail), so the window size LatticeSpec.trunc_M
+no longer enters sigma.  The series is that of
 log E = log(1 - z) + z + z^2/2 + log R, R = phi(psi_1 z + psi_2 z^2)
 e^{-z - z^2/2}: its radius is where a bound on |R - 1| reaches 1/2, up to 1,
 where log(1 - z) is singular (see _log_product for the tail bound).  R is
@@ -71,7 +75,14 @@ _LOG_GROUP = 8           # consecutive near factors multiplied before one log
 _BAND_GROUPS = 4         # groups per band of near nodes ordered by |node|
 _HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |phi|
 _FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r*, r* = _log_e_radius
-_FAR_TOL = 1e-17         # bound on the dropped far-field tail, summed over nodes
+_FAR_TOL = 1e-17         # bound on the dropped far-field series tail, summed over nodes
+_TAIL_TOL = 1e-18        # per-k bound on the series term of the nodes a lattice sum drops
+_SUM_CELLS = 1 << 16     # terms per chunk of a direct lattice sum (1 MB of complex)
+_SUM_NODES = 1 << 25     # most nodes of the direct lattice sums of one far-field table
+# G_k less the sum of nu^-k over the nonzero nu with max(|m|, |n|) <= 2, k = 4, 8:
+# G_4 = Gamma(1/4)^8 / (960 pi^2) and G_8 = 3 G_4^2 / 7 are the lattice sums
+# of Z + iZ (DLMF 23.9), here rounded from 60 digits
+_G_OUTSIDE_RING2 = (0.05331200215389754, -3.556713481048155e-05)
 _OMEGA_TAIL = 48         # e^(-w - w^2/2) terms of R_N past 2N in _log_e_radius (rest < 2e-32)
 _WIND_LEVELS = tuple(128 << k for k in range(10))  # winding contour points, 128 to 2^16
 
@@ -306,10 +317,10 @@ class LatticeSpec:
         return self.lam * (np.repeat(g, g.size) + 1j * np.tile(g, g.size))
 
     def dist(self, z) -> np.ndarray:
-        """Distance to the truncated lattice (closed form via rounding)."""
+        """Distance to the infinite lattice lam (Z + iZ), where sigma
+        vanishes (closed form via rounding)."""
         z = np.asarray(z, dtype=complex)
-        m = np.clip(np.round(z.real / self.lam), -self.trunc_M, self.trunc_M)
-        n = np.clip(np.round(z.imag / self.lam), -self.trunc_M, self.trunc_M)
+        m, n = np.round(z.real / self.lam), np.round(z.imag / self.lam)
         return np.abs(z - self.lam * (m + 1j * n))
 
 
@@ -325,6 +336,7 @@ class PerturbedLattice:
     def __init__(self, lat: LatticeSpec, offsets: Optional[np.ndarray] = None, Q: float = 0.0):
         if not 0 <= Q < math.inf:
             raise ValueError("Q must be a finite number >= 0")
+        self.lat = lat
         self.base = lat.points()
         off = np.zeros_like(self.base) if offsets is None else np.asarray(offsets, dtype=complex)
         if off.shape != self.base.shape:
@@ -390,17 +402,128 @@ def _log_e_series(d: PhiDescriptor, deg: int, N: int) -> np.ndarray:
     return ell
 
 
-def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
-                 dens: np.ndarray, N: int) -> np.ndarray:
-    """sum over nodes of log[(1 - z/node) phi(psi1 z/node + psi2 z^2/den^2)].
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """floor(sqrt(x)) of int64 entries 0 <= x < 2^52, exactly."""
+    r = np.sqrt(x).astype(np.int64)
+    r -= r * r > x
+    return r + ((r + 1) * (r + 1) <= x)
+
+
+def _octant(lo2: int, hi2: int, M: int, cells: int):
+    """The Gaussian integers nu = m + i n with M < m, 0 <= n <= m and
+    lo2 < m^2 + n^2 <= hi2, in chunks of whole rows m of at most about
+    cells nodes.  Each chunk comes with the weight of its nodes in a sum
+    over a set symmetric under nu -> i nu and nu -> conj(nu): 4 on the axis
+    n = 0 and the diagonal n = m, 8 between them."""
+    m = np.arange(M + 1, math.isqrt(hi2) + 1, dtype=np.int64)
+    top = np.minimum(_isqrt(hi2 - m * m), m)
+    low = lo2 - m * m
+    bot = np.where(low >= 0, _isqrt(np.maximum(low, 0)) + 1, 0)
+    count = np.maximum(top - bot + 1, 0)
+    ends = np.cumsum(count)
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1:].sum(), cells), "right"))
+    for i, j in zip(cuts, np.append(cuts[1:], m.size)):
+        c = count[i:j]
+        mm = np.repeat(m[i:j], c)
+        nn = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - bot[i:j], c)
+        yield mm + 1j * nn, np.where((nn == 0) | (nn == mm), 4.0, 8.0)
+
+
+@lru_cache(maxsize=64)
+def _lattice_tail(M: int, R2: int) -> np.ndarray:
+    """tau_k = R^k T_k for k = 4, 8, ..., K, where T_k = sum nu^-k over the
+    far set F, the Gaussian integers outside E = {max(|m|, |n|) <= M} u
+    {m^2 + n^2 <= R2}, and R = max(sqrt(R2 + 1), M + 1) <= |nu| on F;
+    read-only, built once per (M, R2).  E is i-symmetric, so T_k = 0 unless
+    4 | k, and conjugation symmetric, so T_k is real.
+
+    _log_product takes R2 = floor((max|z| / (lam rho r*))^2), so
+    s = rho sqrt(R2 + 1) > max|z| / (lam r*) and the series term k of a far
+    node is at most (1 + log 2) (s / |nu|)^k, with s / |nu| <= x = s / R
+    <= rho (see _log_product).  Counting the Gaussian integers in an
+    annulus by the area of their unit cells, and summing by parts,
+    sum_{|nu| >= R} |nu|^-k <= A_k(R) = 2 pi R^(2-k) / (k - 2)
+    (1 + c (2k - 1)(k - 2) / ((k - 1) R)), c = sqrt(2) / 2.
+      - K is the least multiple of 4 whose dropped tail, at most
+        (1 + log 2) s^(K+4) A_(K+4)(R) / (1 - x^4), is below _FAR_TOL.
+      - T_4 and T_8 are the literal G_k less the sums over the rings
+        max(|m|, |n|) <= 2 (_G_OUTSIDE_RING2), plus the ring nodes outside
+        E, less the nodes of E beyond the rings, in one math.fsum, so their
+        rounding is that of the terms (about eps |nu|^-k each) and not that
+        of G_4 ~ 3.15, which (|z| / lam)^4 would multiply.
+      - T_k for k >= 12 are direct sums over the nodes of F with
+        |nu| <= R_k, where (1 + log 2) s^k A_k(R_k) < _TAIL_TOL, over one
+        octant (_octant) in chunks of whole rows; a chunk takes the running
+        products of (R / nu)^4 up to the last k whose R_k reaches it.  Most
+        nodes lie beyond R_16 and take T_12 alone.
+        ConvergenceError where they would take more than _SUM_NODES nodes
+        (max|z| / (lam r*) above about 75).
+    """
+    c = math.sqrt(0.5)
+    R, s = max(math.sqrt(R2 + 1), M + 1.0), _FAR_RATIO * math.sqrt(R2 + 1)
+
+    def bend(k, r):  # A_k(r) r^(k-2) (k - 2) / (2 pi)
+        return 1.0 + c * (2 * k - 1) * (k - 2) / ((k - 1) * r)
+
+    def log_term(k, r):  # log of (1 + log 2) s^k A_k(r) / bend(k, r)
+        return (math.log(2.0 * math.pi * (1.0 + math.log(2.0)) / (k - 2))
+                + k * math.log(s) + (2 - k) * math.log(r))
+
+    K = 4
+    while log_term(K + 4, R) + math.log(bend(K + 4, R)) >= math.log(_FAR_TOL * (1.0 - (s / R)**4)):
+        K += 4
+    # R_k^2 as integers, non-increasing in k, for k = 12, ..., K
+    ks = range(12, K + 1, 4)
+    hi2 = []
+    for k in ks:
+        Rk = math.exp((log_term(k, 1.0) - math.log(_TAIL_TOL)) / (k - 2))
+        Rk = max(Rk * bend(k, Rk) ** (1.0 / (k - 2)), R)
+        hi2.append(int(Rk * Rk) + 1)
+    hi2 = np.maximum.accumulate(hi2[::-1])[::-1]
+    if math.pi / 8 * hi2[:1].sum() > _SUM_NODES:
+        raise ConvergenceError(f"the lattice far field at max|z| / (lam r*) = {s / _FAR_RATIO:.4g} "
+                               f"needs direct sums over {math.pi / 8 * hi2[0]:.3g} nodes")
+    tau = np.zeros(K // 4)
+    # T_4, T_8: the quadrant m >= 1, n >= 0 within max(m, n) <= L holds E and the rings
+    L = max(M, math.isqrt(R2), 2)
+    g = np.arange(L + 1, dtype=np.int64)
+    mm, nn = np.repeat(g[1:], L + 1), np.tile(g, L)
+    excl = (mm * mm + nn * nn <= R2) | (np.maximum(mm, nn) <= M)
+    sign = (np.maximum(mm, nn) <= 2).astype(float) - excl
+    w = 1.0 / ((mm + 1j * nn) ** 2) ** 2
+    for j, (G, p) in enumerate(zip(_G_OUTSIDE_RING2, (w, w * w))):
+        if j < tau.size:
+            tau[j] = math.fsum([G, *(4.0 * sign * p.real)[sign != 0].tolist()]) * R ** (4 * j + 4)
+    # T_k, k >= 12: the nodes within R_16, which take several powers, then
+    # those only R_12 reaches, in chunks of larger rows
+    edges = [R2, *hi2[1:2].tolist(), *hi2[:1].tolist()]
+    for lo2, top2, rows in zip(edges, edges[1:], (len(ks) + 2, 3)):
+        for nu, weight in _octant(lo2, top2, M, _SUM_CELLS // rows):
+            r2 = nu.real**2 + nu.imag**2
+            J = int(np.count_nonzero(hi2 >= r2.min()))
+            w = R / nu
+            w *= w
+            w *= w
+            # rows w^3 .. w^(J+2), the terms of T_12 .. T_(8+4J), each summed
+            # over the nodes within its R_k
+            P = np.cumprod(np.broadcast_to(w, (J + 2, w.size)), axis=0)[2:]
+            tau[2:J + 2] += np.where(r2 <= hi2[:J, None], P.real, 0.0) @ weight
+    tau.setflags(write=False)
+    return tau
+
+
+def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
+               dens: np.ndarray, N: int) -> np.ndarray:
+    """sum over nodes of log[(1 - z/node) phi(psi1 z/node + psi2 z^2/den^2)],
+    every node taken directly.
 
     Returns complex logs; -inf real part where z hits a node exactly.  The
     imaginary part is a sum of principal arguments, so it is defined only
     mod 2 pi (exp of the result is the product itself).
 
-    Near nodes take phi(u) by Horner directly.  They are ordered by |node|
-    (stable) and cut into bands of _BAND_GROUPS groups of _LOG_GROUP nodes;
-    one loop runs over (band, point chunk) with at most about _NEAR_CELLS
+    phi(u) is taken by Horner.  The nodes are ordered by |node| (stable)
+    and cut into bands of _BAND_GROUPS groups of _LOG_GROUP nodes; one loop
+    runs over (band, point chunk) with at most about _NEAR_CELLS
     (node, point) cells per chunk.  A chunk with a = max|u| has the tail
     t(n) = sum_{n<m<=N} |phi_m| a^m (from the signs_logs table), and Horner
     starts at the least degree n with t(n) <= _HORNER_TOL / (1 + t(0)), the
@@ -416,39 +539,19 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     product takes one complex log.  A point that hits a node of the band,
     or where some group product of the band is not a normal double (inf,
     nan, 0 or subnormal), takes the band's per-cell sum of
-    log(1 - z/node) + log(phi) instead.  When dens is nodes, the nodes
-    with |node| > max|z| / (rho r) are far instead, rho = _FAR_RATIO and
-    r = _log_e_radius(N) <= 1, a radius where |R_N - 1| <= 1/2 for
-    R_N(w) = Phi_N(w) e^(-w - w^2/2), Phi_N(w) = phi_N(psi1 w + psi2 w^2).
-    As E_N = (1 - w) Phi_N, log E_N = log(1 - w) + w + w^2/2 + log R_N,
-    and |log R_N| <= log 2 on |w| <= r.  E_N = 1 + O(w^3) (N >= 2), so
-    l_1 = l_2 = 0, and l_k = -1/k + lambda_k for k >= 3 with
-    |lambda_k| <= log 2 / r^k (Cauchy); as r <= 1, |l_k| <= (1 + log 2) / r^k
-    for every k.  The far sum of log E_N(z/node) is sum_{k<=K} l_k S_k z^k,
-    S_k = sum_far node^-k.  Each far |z/node| is at most rho r, so term k of
-    a node is at most (1 + log 2) rho^k, and the dropped tail is at most
-    n_far (1 + log 2) rho^(K+1) / (1 - rho) < _FAR_TOL, which sets K.  The
-    l_k are built once per (descriptor, K, N) (_log_e_series), and the
-    moments come from a running product over the far nodes, one multiply
-    and one sum per k.  Every node is near when r is 0 (no radius meets the
-    bound); no node is near when every node is far, and then the series
-    alone remains.
+    log(1 - z/node) + log(phi) instead.
     """
     d, ps = _factor(desc)
-    zmax = float(np.abs(z).max(initial=0.0))
-    far = np.zeros(nodes.size, dtype=bool)
-    if dens is nodes and zmax > 0:
-        far = np.abs(nodes) * (_FAR_RATIO * _log_e_radius(d, N)) > zmax
-    order = np.argsort(np.abs(nodes[~far]), kind="stable")
-    near_nodes, near_dens = nodes[~far][order], dens[~far][order]
+    order = np.argsort(np.abs(nodes), kind="stable")
+    nodes, dens = nodes[order], dens[order]
     phis = phi_coeffs(d, N)
     log_phis, degs = signs_logs(d, N)[1][1:], np.arange(1, N + 1)
     out = np.zeros(z.size, dtype=complex)
     lo, hi = np.finfo(float).tiny, np.finfo(float).max
     band = _BAND_GROUPS * _LOG_GROUP
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        for b in range(0, near_nodes.size, band):
-            bnodes, bdens = near_nodes[b:b + band], near_dens[b:b + band]
+        for b in range(0, nodes.size, band):
+            bnodes, bdens = nodes[b:b + band], dens[b:b + band]
             starts = np.arange(0, bnodes.size, _LOG_GROUP)
             # chunks of >= 2 points: numpy sums a lone column pairwise and
             # wider ones row by row, so the bits do not depend on the chunking
@@ -482,19 +585,51 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                     lg[hit] = -np.inf
                     logs[bad] = (lg.sum(axis=0) + np.log(V).sum(axis=0))[bad]
                 out[idx] += logs
-    n_far = int(far.sum())
-    if n_far:
-        tail = n_far * (1.0 + math.log(2.0)) * _FAR_RATIO / (1.0 - _FAR_RATIO)
-        K = int(math.log(_FAR_TOL / tail) / math.log(_FAR_RATIO)) + 1
-        # moments of zmax / node (each power <= 1 in modulus), series in z / zmax
-        w = zmax / nodes[far]
-        S, p = np.empty(K, dtype=complex), w.copy()
-        for k in range(K):
-            S[k] = p.sum()
-            p *= w
-        coef = _log_e_series(d, K, N)[1:] * S
-        out += _horner(np.append(coef[::-1], 0.0), z / zmax)
     return out
+
+
+def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
+                 nodes: np.ndarray, dens: np.ndarray, N: int) -> np.ndarray:
+    """sum of log E_N over the whole lattice lam (Z + iZ) less its origin:
+    the window max(|m|, |n|) <= M at the given nodes and denominators (the
+    factor of node (m, n) is (1 - z/node) phi(psi1 z/node + psi2 z^2/den^2),
+    see _near_logs), and every node outside it at lam (m + i n).
+
+    The nodes outside the window with |node| <= max|z| / (rho r) are near
+    too, and taken directly, rho = _FAR_RATIO and r = _log_e_radius(N) <= 1,
+    a radius where |R_N - 1| <= 1/2 for R_N(w) = Phi_N(w) e^(-w - w^2/2),
+    Phi_N(w) = phi_N(psi1 w + psi2 w^2).  As E_N = (1 - w) Phi_N,
+    log E_N = log(1 - w) + w + w^2/2 + log R_N, and |log R_N| <= log 2 on
+    |w| <= r.  E_N = 1 + O(w^3) (N >= 2), so l_1 = l_2 = 0, and
+    l_k = -1/k + lambda_k for k >= 3 with |lambda_k| <= log 2 / r^k
+    (Cauchy); as r <= 1, |l_k| <= (1 + log 2) / r^k for every k.  Every
+    other node nu is far: the far field, the infinite rest of the lattice,
+    is sum_{k<=K} l_k (z / lam)^k T_k with T_k = sum_far nu^-k, which the
+    cached table _lattice_tail builds once per excluded set (window and
+    disk) with K and its tail bound.  A call adds one K/4-term Horner in
+    (z / (lam R))^4 to its near product, whatever the window.
+    ConvergenceError where r is 0 (no radius meets the bound), or where the
+    table's direct sums would be too long (max|z| / (lam r) above about 75).
+    A nan or infinite z is left out of max|z| and gives nan.
+    """
+    d = desc.normalize()
+    r = _log_e_radius(d, N)
+    if r == 0.0:
+        raise ConvergenceError(f"no radius where log E_N of {d.family} converges: "
+                               "the lattice far field cannot be summed")
+    a = np.abs(z)
+    zmax = float(a[np.isfinite(a)].max(initial=0.0))
+    R2 = int((zmax / (lam * _FAR_RATIO * r)) ** 2)
+    tau = _lattice_tail(M, R2)
+    g = np.arange(-math.isqrt(R2), math.isqrt(R2) + 1)
+    mm, nn = np.repeat(g, g.size), np.tile(g, g.size)
+    disk = (mm * mm + nn * nn <= R2) & (np.maximum(abs(mm), abs(nn)) > M)
+    extra = lam * (mm[disk] + 1j * nn[disk])
+    out = _near_logs(d, z, np.concatenate([nodes, extra]), np.concatenate([dens, extra]), N)
+    coef = _log_e_series(d, 4 * tau.size, N)[4::4] * tau
+    with np.errstate(invalid="ignore"):  # an infinite z
+        t = (z / (lam * max(math.sqrt(R2 + 1), M + 1.0))) ** 4
+        return out + _horner(np.append(coef[::-1], 0.0), t)
 
 
 def _exp_logs(z, logs, factor=1.0):
@@ -505,15 +640,16 @@ def _exp_logs(z, logs, factor=1.0):
 
 
 def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TERMS):
-    """Truncated sigma-type product z * prod over nonzero lattice points.
+    """sigma(z) = z prod E_N(z / nu) over every nonzero nu of the infinite
+    lattice lat.lam (Z + iZ): the near nodes directly, the rest as the far
+    series of _log_product.  lat.trunc_M does not enter.
 
     Only for a zero-free phi (EXP) are its zeros just the nodes: inside |z| = 2.5
     ML(2,1) has 29 (phi = 0 at 1.3548 +- 1.9915i), GD(2) 45, GD(1) 69; 21 nodes.
     """
     zf = np.atleast_1d(np.asarray(z, dtype=complex))
-    nodes = lat.points()
-    nodes = np.delete(nodes, nodes.size // 2)
-    return _exp_logs(z, _log_product(desc, zf, nodes, nodes, N), zf)
+    none = np.zeros(0, dtype=complex)
+    return _exp_logs(z, _log_product(desc, zf, lat.lam, 0, none, none, N), zf)
 
 
 def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
@@ -522,11 +658,12 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
 
     The printed form: the linear factor takes the perturbed node z_{m,n},
     the quadratic denominator inside phi the base-lattice point lam_{m,n}.
-    Node and denominator differ, so _log_product takes every node near.
+    Node and denominator differ, so _log_product takes every node of the
+    window directly; outside it the lattice is unperturbed and infinite.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     nodes, base = gamma.nonzero()
-    logs = _log_product(desc, z, nodes, base, N)
+    logs = _log_product(desc, z, gamma.lat.lam, gamma.lat.trunc_M, nodes, base, N)
     with np.errstate(divide="ignore"):
         return logs + np.log(z - gamma.z00)
 

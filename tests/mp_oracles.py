@@ -179,6 +179,96 @@ def sigma_product(family: str, params: dict, z: complex, M: int, N: int = 80) ->
         return complex(prod)
 
 
+def sigma_square(z: complex) -> complex:
+    """Weierstrass sigma of the lattice Z + iZ from Jacobi theta functions.
+
+    sigma(z) = (1/pi) e^{pi z^2 / 2} theta1(pi z, q) / theta1'(0, q) with
+    q = e^{-pi} (DLMF 23.6.9; for the square lattice eta1 = pi/2).
+    """
+    with mp.workdps(30):
+        q = mp.exp(-mp.pi)
+        w = mp.mpc(z.real, z.imag)
+        val = (mp.exp(mp.pi * w * w / 2) * mp.jtheta(1, mp.pi * w, q)
+               / (mp.pi * mp.jtheta(1, 0, q, 1)))
+        return complex(val)
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_g(K: int, dps: int) -> tuple:
+    """G_k = sum of nu^-k over the nonzero Gaussian integers, k = 4, 8, ...,
+    K, at dps digits: G_4 = Gamma(1/4)^8 / (960 pi^2) (DLMF 23.5(iii)),
+    then c_2 = 3 G_4, c_3 = 0, c_n = 3 / ((2n + 1)(n - 3))
+    sum_{m=2}^{n-2} c_m c_{n-m} and G_2n = c_n / (2n - 1) (DLMF 23.9)."""
+    with mp.workdps(dps):
+        c = {2: 3 * mp.gamma(mp.mpf(1) / 4) ** 8 / (960 * mp.pi ** 2), 3: mp.mpf(0)}
+        for n in range(4, K // 2 + 1):
+            c[n] = mp.mpf(3) / ((2 * n + 1) * (n - 3)) * mp.fsum(c[m] * c[n - m]
+                                                                 for m in range(2, n - 1))
+        return tuple(c[k // 2] / (k - 1) for k in range(4, K + 1, 4))
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_tail_sums(M: int, R2: int, K: int, dps: int) -> tuple:
+    """T_k = G_k - sum of nu^-k over the nonzero nu of E = {max(|m|, |n|)
+    <= M} u {m^2 + n^2 <= R2}, k = 4, 8, ..., K, at dps digits: the sums
+    over the Gaussian integers outside E.  E is i-symmetric, so its sum is
+    4 times the one over m >= 1, n >= 0."""
+    L = max(M, math.isqrt(R2))
+    with mp.workdps(dps):
+        inner = [mp.mpf(0)] * (K // 4)
+        for m in range(1, L + 1):
+            for n in range(L + 1):
+                if max(m, n) <= M or m * m + n * n <= R2:
+                    w = 1 / mp.mpc(m, n) ** 4
+                    p = w
+                    for j in range(K // 4):
+                        inner[j] += 4 * mp.re(p)
+                        p *= w
+        return tuple(g - s for g, s in zip(lattice_g(K, dps), inner))
+
+
+@functools.lru_cache(maxsize=None)
+def _log_factor_coeffs(family: str, params: tuple, K: int, N: int) -> tuple:
+    return tuple(log_factor_series(family, dict(params), K, N))
+
+
+def far_log_tail(family: str, params: dict, z: complex, M: int, N: int = 80) -> complex:
+    """log prod E_N(z / nu) over the nu of Z + iZ outside the window
+    max(|m|, |n|) <= M, at 50 digits: sum_k l_k z^k T_k over k = 4, 8, ...,
+    with l_k from log_factor_series and T_k from lattice_tail_sums.  The
+    square ring max(|m|, |n|) = j holds 8 j nodes of modulus >= j, so
+    |T_k| <= B_k = 8 (M + 1)^(1-k) (1 + (M + 1) / (k - 2)); the sum stops
+    after the last k up to 320 with |l_k| |z|^k B_k >= 1e-32, and the
+    bound at k = 320 must be below 1e-40."""
+    cap = 320
+    ell = _log_factor_coeffs(family, tuple(sorted(params.items())), cap, N)
+    R = M + 1
+    logz = math.log(abs(z))
+
+    def bound(k):
+        return (math.log(abs(ell[k]) or 1e-300) + k * logz
+                + math.log(8 * (1 + R / (k - 2))) + (1 - k) * math.log(R))
+
+    if bound(cap) >= math.log(1e-40):
+        raise ValueError("far tail does not converge by k = 320")
+    K = max([k for k in range(4, cap + 1, 4) if bound(k) >= math.log(1e-32)], default=4)
+    K = -(-K // 32) * 32  # fewer distinct tables to cache
+    T = lattice_tail_sums(M, 0, K, 40 + 20 * math.ceil(K * math.log10(R) / 20))
+    with mp.workdps(50):
+        w = mp.mpc(z.real, z.imag)
+        return complex(mp.fsum(mp.mpf(ell[k]) * w ** k * T[k // 4 - 1]
+                               for k in range(4, K + 1, 4)))
+
+
+def sigma_lattice(family: str, params: dict, z: complex, M: int, N: int = 80) -> complex:
+    """sigma over the whole lattice Z + iZ: the 30-digit window product
+    (sigma_product over |m|, |n| <= M) times exp of the 50-digit far tail
+    (far_log_tail) over the rest."""
+    with mp.workdps(30):
+        return complex(mp.mpc(sigma_product(family, params, z, M, N))
+                       * mp.exp(mp.mpc(far_log_tail(family, params, z, M, N))))
+
+
 def log_abs_pair_product(family: str, params: dict, z: complex, pairs, N: int = 80) -> float:
     """log |prod (1 - z/node) phi_N(psi1 z/node + psi2 z^2/den^2)| over the
     (node, den) pairs, at 30 digits: the lattice product whose quadratic

@@ -16,8 +16,10 @@ from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _e_table, _log_e_
                                 omega, omega_bound, psi_pair, radius_bounds, sigma_fn,
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
-from mp_oracles import (factor_series, log_abs_pair_product, log_factor_series,
-                        log_factor_taylor, omega_deviation_on_circle, sigma_product)
+from mp_oracles import (factor_series, far_log_tail, lattice_g, lattice_tail_sums,
+                        log_abs_pair_product, log_factor_series, log_factor_taylor,
+                        omega_deviation_on_circle, sigma_lattice, sigma_product,
+                        sigma_square)
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 ML21N = PhiDescriptor.mittag_leffler(2, 1, normalized=True)
@@ -250,6 +252,12 @@ def test_lattice_spec_basics():
         LatticeSpec(1.0, 0)
 
 
+def test_lattice_dist_is_to_the_infinite_lattice():
+    # sigma vanishes on every node, so dist does not clip to the window
+    assert LatticeSpec(1.0, 2).dist(3.4 + 0j) == pytest.approx(0.4, abs=1e-15)
+    assert LatticeSpec(0.5, 1).dist(-2.1 + 3.05j) == pytest.approx(math.hypot(0.1, 0.05), abs=1e-15)
+
+
 def test_perturbed_lattice_construction():
     lat = LatticeSpec(1.0, 4)
     pl = PerturbedLattice(lat)
@@ -335,15 +343,39 @@ def test_sigma_vanishes_on_lattice():
 
 
 def test_sigma_matches_classic_product():
-    """Independent oracle: plain complex-arithmetic sigma product, M = 8."""
-    got = sigma_fn(EXPN, 0.3 + 0.4j, LatticeSpec(1.0, 8))
-    want = 0.3020705482675923 + 0.424128256795947j
-    assert abs(got - want) <= 1e-12
+    """Independent oracle: the classical Weierstrass sigma of Z + iZ in its
+    theta form, on a grid over |z| <= 2 away from the nodes."""
+    zs = disk_grid(17, 2.0) + (0.03 + 0.05j)
+    zs = zs[(np.abs(zs) <= 2.0) & (LatticeSpec(1.0, 1).dist(zs) >= 0.05)]
+    want = np.array([sigma_square(z) for z in zs])
+    got = sigma_fn(EXPN, zs, LatticeSpec(1.0, 8))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+def test_sigma_quasi_periodic(x, y):
+    # DLMF 23.2 on Z + iZ (eta_1 = pi / 2): sigma(z + 1) = -e^{pi (z + 1/2)}
+    # sigma(z) and sigma(z + i) = -e^{-i pi (z + i/2)} sigma(z); every value
+    # is sigma_fn's, none a window product's.  Each is within about 7e-14 of
+    # theta for |z| <= 2.5 (the near-field Horner rounding), so a ratio of
+    # two within 2e-13
+    z = complex(x, y)
+    lat = LatticeSpec(1.0, 4)
+    assume(abs(z) <= 1.5 and lat.dist(z) >= 0.05)
+    s = sigma_fn(EXPN, z, lat)
+    for step, mult in ((1.0, -np.exp(np.pi * (z + 0.5))), (1j, -np.exp(-1j * np.pi * (z + 0.5j)))):
+        assert abs(sigma_fn(EXPN, z + step, lat) / (mult * s) - 1.0) <= 2e-13
 
 
 def test_sigma_ring_diagnostic():
-    v = sigma_fn(EXPN, 0.3 + 0.4j, LatticeSpec(1.0, 12))
-    assert abs(v - (0.30207158259277594 + 0.4241484099570185j)) <= 1e-12
+    # the product runs over the whole lattice, so the window size does not
+    # enter, to the bit
+    zs = np.array([0.3 + 0.4j, 1.5 + 1.1j, -1.9 + 0.3j, 2.4 - 0.35j])
+    for desc in (EXPN, GD1N):
+        base = sigma_fn(desc, zs, LatticeSpec(1.0, 3))
+        for M in (12, 48):
+            assert sigma_fn(desc, zs, LatticeSpec(1.0, M)).tobytes() == base.tobytes()
 
 
 def test_sigma_scale_family_reads_one_phi_or_raises():
@@ -375,6 +407,12 @@ def test_g_fn_vanishes_on_nodes_and_pin():
     assert g_fn(EXPN, gam.point(2, 3), gam) == 0.0
     got = g_fn(EXPN, 0.5, gam, N=60)
     assert abs(got - (0.4512124620999843 + 0.061652103095375665j)) <= 1e-9
+    # the window's (node, denominator) pairs at 30 digits, and the rest of
+    # the lattice through its 50-digit tail
+    nodes, base = gam.nonzero()
+    want = (log_abs_pair_product("exponential", {}, 0.5, zip(nodes, base), N=60)
+            + math.log(abs(0.5 - gam.z00)) + far_log_tail("exponential", {}, 0.5, 8, N=60).real)
+    assert abs(math.log(abs(got)) - want) <= 1e-14
 
 
 def test_log_g_fn_node_is_neg_inf():
@@ -437,24 +475,75 @@ def test_log_e_series_cached_read_only():
 
 
 def test_sigma_far_series_only():
-    # EXP at z = 0.25i, M = 2: every node is far, so no near chunk runs and
-    # the value is the far series alone
+    # EXP at z = 0.25i: every node is far, so no near chunk runs and the
+    # value is z times the far series alone
     lat = LatticeSpec(1.0, 2)
     assert sigma_near_nodes(EXPN, lat, 0.25).size == 0
-    want = sigma_product("exponential", {}, 0.25j, 2)
+    want = sigma_square(0.25j)
     assert abs(sigma_fn(EXPN, 0.25j, lat) - want) <= 1e-15 * abs(want)
+
+
+def test_sigma_raises_without_a_far_radius(monkeypatch):
+    # r* = 0: no disk where the log E series converges, so the infinite
+    # far field cannot be summed
+    monkeypatch.setattr(weierstrass, "_log_e_radius", lambda d, N: 0.0)
+    with pytest.raises(ConvergenceError):
+        sigma_fn(EXPN, 0.5 + 0.5j, LatticeSpec(1.0, 4))
+    with pytest.raises(ConvergenceError):
+        log_g_fn(EXPN, 0.5 + 0.5j, PerturbedLattice(LatticeSpec(1.0, 4)))
+
+
+def test_sigma_far_table_size_is_capped():
+    # max|z| / (lam r*) = 134: the direct sums of the far-field table would
+    # take about 1e8 nodes
+    with pytest.raises(ConvergenceError, match="direct sums"):
+        sigma_fn(EXPN, 100.5 + 0j, LatticeSpec(1.0, 3))
+
+
+def test_ring2_constants_from_the_recurrence():
+    # G_4 from Gamma(1/4), G_8 = c_4 / 7 from the DLMF 23.9 recurrence, less
+    # the nonzero nodes of the rings max(|m|, |n|) <= 2, at 60 digits
+    import mpmath as mp
+    with mp.workdps(60):
+        for (G, lit), k in zip(zip(lattice_g(8, 60), weierstrass._G_OUTSIDE_RING2), (4, 8)):
+            ring = mp.fsum(mp.mpc(m, n) ** -k for m in range(-2, 3) for n in range(-2, 3) if m or n)
+            want = float(mp.re(G - ring))
+            assert abs(lit - want) <= math.ulp(want), k
+
+
+@pytest.mark.parametrize("M, R2", [(0, 11), (12, 26)], ids=["disk", "window"])
+def test_lattice_tail_against_mpmath(M, R2):
+    # the disk of the EXP winding contour at |z| = 2.5, and the M = 12
+    # window of the two-sided grids (max|z| = 3.89): tau_k = R^k T_k
+    # against 50-digit sums, weighted by x^k = (s / R)^k, which the series
+    # term k multiplies.  Their error is the rounding of the T_4, T_8
+    # subtraction, about eps (s / 3)^k for the nearest excluded nodes past
+    # the rings, plus the direct sums' dropped tail, below 1e-18
+    import mpmath as mp
+    tau = weierstrass._lattice_tail(M, R2)
+    assert not tau.flags.writeable
+    K = 4 * tau.size
+    R, s = max(math.sqrt(R2 + 1), M + 1), weierstrass._FAR_RATIO * math.sqrt(R2 + 1)
+    dps = 50 + math.ceil(K * math.log10(R))
+    with mp.workdps(dps):
+        want = np.array([float(t * mp.mpf(R) ** k)
+                         for t, k in zip(lattice_tail_sums(M, R2, K, dps), range(4, K + 1, 4))])
+    k = np.arange(4, K + 1, 4)
+    tol = 16 * np.finfo(float).eps * np.maximum(1.0, s / 3) ** k + 1e-18
+    assert np.all(np.abs(tau - want) * (s / R) ** k <= tol)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_sigma_split_against_mpmath_product(name):
-    """M = 24 splits (far nodes exist for |z| <= 2.5).  The printed variant
-    on the unperturbed lattice is the all-direct product; for ML(2,1) at
-    |z| = 2.5 its Horner step cancels to about 2e-11, and the split shares
-    that near-field error, so the split may add at most 1e-12 to it."""
+    """Against the 30-digit window product times the 50-digit tail outside
+    it (M = 24).  The printed variant on the unperturbed lattice takes the
+    whole window directly; for ML(2,1) at |z| = 2.5 its Horner step cancels
+    to about 2e-11, and sigma_fn shares that near-field error, so it may
+    add at most 1e-12 to it."""
     desc, family, params = ORACLE_FAMILIES[name]
     lat = LatticeSpec(1.0, 24)
     zs = np.array([1.3 - 0.4j, -1.5 + 2.0j])
-    want = np.array([sigma_product(family, params, z, 24) for z in zs])
+    want = np.array([sigma_lattice(family, params, z, 24) for z in zs])
     err = np.abs(sigma_fn(desc, zs, lat) - want) / np.abs(want)
     direct_err = np.abs(g_fn(desc, zs, PerturbedLattice(lat)) - want) / np.abs(want)
     assert np.all(err <= 1e-12 + direct_err)
@@ -466,23 +555,24 @@ def test_sigma_split_against_mpmath_product(name):
 @given(st.sampled_from(sorted(ORACLE_FAMILIES)), st.integers(2, 5),
        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 def test_sigma_split_property(name, M, x, y):
-    # far nodes appear from M = 2 on at |z| = sqrt 2 (at |node| > 1.89 for
-    # EXP and ML(2,1), > 2.82 for GD(1)); the split may add at most 1e-12
-    # to the error of the all-direct product
+    # far nodes appear at |z| = sqrt 2 from |node| > 1.89 for EXP and
+    # ML(2,1), > 2.82 for GD(1); against the 30-digit window product times
+    # the 50-digit tail outside it, the split may add at most 1e-12 to the
+    # error of the window-direct product
     z = complex(x, y)
     lat = LatticeSpec(1.0, M)
     assume(abs(z) >= 0.05 and lat.dist(z) >= 1e-3)
     desc, family, params = ORACLE_FAMILIES[name]
-    want = sigma_product(family, params, z, M)
+    want = sigma_lattice(family, params, z, M)
     direct = g_fn(desc, z, PerturbedLattice(lat))
     assert abs(sigma_fn(desc, z, lat) - want) <= 1e-12 * abs(want) + abs(direct - want)
 
 
 def pinned_paths():
-    """The two fully direct products the pins below record: the backward
-    shift sigma product through the near field alone (a distinct dens array
-    keeps every node near) and the printed variant, whose denominators are
-    not its nodes; and sigma_fn of the backward shift, which splits."""
+    """The two products the pins below record: the backward shift product
+    over the M = 8 window through the near field alone, and the printed
+    variant, whose window denominators are not its nodes; and sigma_fn of
+    the backward shift, which splits."""
     xs = np.linspace(-0.8, 0.8, 7)
     ys = np.linspace(-0.75, 0.85, 9)
     grid = (xs[:, None] + 1j * ys[None, :]).ravel() + 0.05j
@@ -499,8 +589,9 @@ def pinned_paths():
 PINNED = (0, 31, 32, 62)
 # float.hex of (real, imag) at the PINNED entries of the 63-point grid,
 # recorded with one complex log per group of near factors, in bands of
-# nodes ordered by |node|; the printed imaginary part is a sum of
-# principal arguments, defined mod 2 pi
+# nodes ordered by |node|, the printed variant with the far field of the
+# infinite lattice; the printed imaginary part is a sum of principal
+# arguments, defined mod 2 pi
 PIN_BACKWARD_SHIFT = [("0x1.4eafbb3ff55c7p+27", "0x1.6df149c0d3e15p+28"),
                       ("-0x1.aeccccccccca7p-113", "0x1.9999999999976p-4"),
                       ("0x1.333333333331ap-111", "0x1.333333333331ap-2"),
@@ -520,18 +611,20 @@ def test_direct_paths_bit_identical():
 
 def test_pinned_paths_against_mpmath():
     """The pinned bits and the split backward-shift sigma_fn against
-    30-digit products over the same nodes: the backward shift through
-    sigma_product, the printed variant through its explicit (node,
-    denominator) pairs."""
+    30-digit products over the same window nodes, times the 50-digit tail
+    outside it where the product is the infinite one: the backward shift
+    through sigma_product (its tail is below 1e-19 here), the printed
+    variant through its explicit (node, denominator) pairs."""
     grid, gam, bs_near, bs, printed = pinned_paths()
     nodes, base = gam.nonzero()
     for i in PINNED:
         want = sigma_product("backward_shift", {}, grid[i], 8)
         assert abs(bs_near[i] - want) <= 5e-14 * abs(want)
+        want = sigma_lattice("backward_shift", {}, grid[i], 8)
         assert abs(bs[i] - want) <= 5e-14 * abs(want)
         z = 2.5 * grid[i]
         want = (log_abs_pair_product("exponential", {}, z, zip(nodes, base))
-                + math.log(abs(z - gam.z00)))
+                + math.log(abs(z - gam.z00)) + far_log_tail("exponential", {}, z, 8).real)
         assert abs(printed[i].real - want) <= 5e-14
 
 
@@ -543,8 +636,9 @@ def test_split_products_vanish_on_hit_nodes():
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 24), 0.1, seed=3)
     zs = np.array([gam.point(1, 0), gam.point(-2, 1), 2.2 + 0.35j])
     nodes, _ = gam.nonzero()
-    # the split product over the perturbed nodes, and log_g_fn's all-near one
-    for lg in (weierstrass._log_product(EXPN, zs, nodes, nodes, 80), log_g_fn(EXPN, zs, gam)):
+    # the product with the perturbed nodes as their own denominators, and log_g_fn's
+    for lg in (weierstrass._log_product(EXPN, zs, 1.0, 24, nodes, nodes, 80),
+               log_g_fn(EXPN, zs, gam)):
         assert lg[0].real == -math.inf and lg[1].real == -math.inf
         assert np.isfinite(lg[2])
 
@@ -569,8 +663,7 @@ def per_cell_logs(desc, z, nodes, dens, N=80):
 
 
 def near_field(desc, z, nodes, dens):
-    # a distinct dens array keeps every node near
-    return weierstrass._log_product(desc, z, nodes, dens.copy(), 80)
+    return weierstrass._near_logs(desc, z, nodes, dens, 80)
 
 
 def rounding_scale(desc, z, nodes, dens, N=80):
@@ -587,10 +680,13 @@ def rounding_scale(desc, z, nodes, dens, N=80):
 
 
 def sigma_near_nodes(desc, lat, zmax):
-    """The nonzero nodes of lat that sigma_fn keeps near for max|z| = zmax."""
-    nodes = lat.points()
-    far = np.abs(nodes) * (weierstrass._FAR_RATIO * weierstrass._log_e_radius(desc, 80)) > zmax
-    return nodes[~far & (nodes != 0)]
+    """The nonzero nodes lam (m + i n) that sigma_fn takes directly for
+    max|z| = zmax, m-major: those with |node| rho r* <= zmax."""
+    R = zmax / (lat.lam * weierstrass._FAR_RATIO * weierstrass._log_e_radius(desc, 80))
+    g = np.arange(-int(R), int(R) + 1)
+    m, n = np.repeat(g, g.size), np.tile(g, g.size)
+    keep = (m * m + n * n <= int(R * R)) & ((m != 0) | (n != 0))
+    return lat.lam * (m[keep] + 1j * n[keep])
 
 
 # five points of the 2,048-point level of the nested winding contour of
@@ -601,28 +697,30 @@ CONTOUR_25, CONTOUR_35 = 2.5 * np.exp(ANGLES), 3.5 * np.exp(ANGLES)
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_banded_sigma_against_mpmath_product(name):
-    # M = 12 at |z| = 3.5: the near nodes fill several bands (68 for EXP
-    # and ML(2,1), 144 for GD(1)); ML(2,1)'s Horner cancels here, which
-    # the rounding estimate covers
+    # |z| = 3.5: the near nodes fill several bands (68 for EXP and ML(2,1),
+    # 144 for GD(1)); ML(2,1)'s Horner cancels here, which the rounding
+    # estimate over the M = 12 window covers; the oracle is the window
+    # product times the tail outside it
     desc, family, params = ORACLE_FAMILIES[name]
     lat = LatticeSpec(1.0, 12)
     nodes = lat.points()
     nodes = nodes[nodes != 0]
     band = weierstrass._BAND_GROUPS * weierstrass._LOG_GROUP
     assert sigma_near_nodes(desc, lat, 3.5).size > 2 * band
-    want = np.array([sigma_product(family, params, z, 12) for z in CONTOUR_35])
+    want = np.array([sigma_lattice(family, params, z, 12) for z in CONTOUR_35])
     err = np.abs(sigma_fn(desc, CONTOUR_35, lat) / want - 1.0)
     assert np.all(err <= 4.0 * rounding_scale(desc, CONTOUR_35, nodes, nodes))
 
 
 def test_banded_printed_variant_against_mpmath():
-    # the printed variant keeps all 624 nodes of the perturbed M = 12
-    # lattice near: 20 bands
+    # the printed variant takes all 624 nodes of the perturbed M = 12
+    # window directly: 20 bands; the rest of the lattice is its tail
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.1, seed=42)
     nodes, base = gam.nonzero()
     got = log_g_fn(EXPN, CONTOUR_25, gam).real
     want = np.array([log_abs_pair_product("exponential", {}, z, zip(nodes, base))
-                     + math.log(abs(z - gam.z00)) for z in CONTOUR_25])
+                     + math.log(abs(z - gam.z00)) + far_log_tail("exponential", {}, z, 12).real
+                     for z in CONTOUR_25])
     assert np.all(np.abs(got - want) <= 4.0 * rounding_scale(EXPN, CONTOUR_25, nodes, base))
 
 
@@ -639,15 +737,17 @@ def horner_degrees(monkeypatch):
 
 
 def test_outer_band_starts_horner_lower(monkeypatch):
-    # EXP on 16 contour points at M = 12: one chunk per band, innermost
-    # band first, and the far series last (degree K = 164); EXP's
-    # a-priori min|phi| is exact, so no chunk restarts
+    # EXP on 16 contour points of |z| = 2.5: one chunk per band, innermost
+    # band first, and the far series last, in (z / (lam R))^4 of degree
+    # K / 4 (37, R^2 = 12); EXP's a-priori min|phi| is exact, so no chunk
+    # restarts
     degrees = horner_degrees(monkeypatch)
     lat = LatticeSpec(1.0, 12)
     sigma_fn(EXPN, 2.5 * np.exp(2j * np.pi * np.arange(16) / 16), lat)
     *near, far = degrees
     band = weierstrass._BAND_GROUPS * weierstrass._LOG_GROUP
-    assert far > 80 and len(near) == -(-sigma_near_nodes(EXPN, lat, 2.5).size // band)
+    assert far == weierstrass._lattice_tail(0, 11).size == 37
+    assert len(near) == -(-sigma_near_nodes(EXPN, lat, 2.5).size // band)
     assert near[-1] < near[0]
 
 
@@ -747,14 +847,14 @@ def test_grouped_near_field_matches_per_cell(name, M, pts):
 
 def test_grouped_near_field_falls_back_past_double_range():
     # single EXP factors reach about 1e115 at z = 40 + 0.3j, so a group of
-    # _LOG_GROUP of them leaves double range
+    # _LOG_GROUP of them leaves double range; the M = 4 window's product
     gam = PerturbedLattice(LatticeSpec(1.0, 4))
     nodes, _ = gam.nonzero()
     z = np.array([40 + 0.3j])
     cells = per_cell_logs(EXPN, z, nodes, nodes)[:, 0]
     groups = np.add.reduceat(cells.real, np.arange(0, nodes.size, weierstrass._LOG_GROUP))
     assert groups.max() > math.log(np.finfo(float).max)
-    lg = log_g_fn(EXPN, z, gam)[0]
+    lg = near_field(EXPN, z, nodes, nodes)[0] + math.log(abs(z[0] - gam.z00))
     assert math.isfinite(lg.real)
     assert lg.real == pytest.approx(cells.sum().real + math.log(abs(z[0] - gam.z00)), rel=1e-15)
     assert lg.real == pytest.approx(6362.92509416025, rel=1e-14)
