@@ -406,7 +406,7 @@ def test_g_fn_vanishes_on_nodes_and_pin():
     assert g_fn(EXPN, gam.z00, gam) == 0.0
     assert g_fn(EXPN, gam.point(2, 3), gam) == 0.0
     got = g_fn(EXPN, 0.5, gam, N=60)
-    assert abs(got - (0.4512124620999843 + 0.061652103095375665j)) <= 1e-9
+    assert abs(got - (0.45117993655917377 + 0.06164765891848814j)) <= 1e-9
     # the window's (node, denominator) pairs at 30 digits, and the rest of
     # the lattice through its 50-digit tail
     nodes, base = gam.nonzero()
@@ -596,10 +596,10 @@ PIN_BACKWARD_SHIFT = [("0x1.4eafbb3ff55c7p+27", "0x1.6df149c0d3e15p+28"),
                       ("-0x1.aeccccccccca7p-113", "0x1.9999999999976p-4"),
                       ("0x1.333333333331ap-111", "0x1.333333333331ap-2"),
                       ("0x1.1b7dc1b2cf4b3p+86", "0x1.d9ac8b9300c0fp+86")]
-PIN_PRINTED = [("0x1.2dd33c5b8657dp+3", "0x1.236cb17a2350cp-1"),
-               ("-0x1.2ba495e15acd4p+0", "0x1.aea4d5008fa9ep+0"),
-               ("-0x1.e14a4d45fc3fdp-2", "0x1.7ccbf2698d4c6p+0"),
-               ("0x1.8bf389bdb1e19p+3", "0x1.5b28342b4e368p+1")]
+PIN_PRINTED = [("0x1.2f99fbd86f6bdp+3", "0x1.1babd372d4e10p-1"),
+               ("-0x1.2ba4e1782924fp+0", "0x1.aea4d5008fa9ep+0"),
+               ("-0x1.e1a9f81c6f93ap-2", "0x1.7ccbf2698d4c6p+0"),
+               ("0x1.8ee667cbfa791p+3", "0x1.5dfb6b81cf70cp+1")]
 
 
 def test_direct_paths_bit_identical():
@@ -946,7 +946,7 @@ def test_sigma_lower_diag():
     grid = (xs[:, None] + 1j * (xs[None, :] - 0.23)).ravel()
     rep = sigma_lower_diag(EXPN, wk, lat, grid, N=80)
     assert rep.feasible and rep.min_ratio > 0
-    assert abs(rep.min_ratio - 0.7647794358643668) <= 1e-6
+    assert abs(rep.min_ratio - 0.7648359684789846) <= 1e-6
     assert np.array_equal(rep.z, grid)
     assert all(a.shape == grid.shape for a in (rep.lhs, rep.rhs, rep.ratio))
     with pytest.raises(ValueError):
@@ -996,9 +996,9 @@ def test_two_sided_diag():
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.1, seed=7)
     rep = two_sided_diag(EXPN, wk, gam, _criterion_07_grid(gam), N=80)
     assert rep.feasible
-    assert rep.c == pytest.approx(1.5, abs=1e-12)
-    assert rep.c1 == pytest.approx(0.44044059672484387, rel=1e-9)
-    assert rep.c2 == pytest.approx(0.7970353822559584, rel=1e-9)
+    assert rep.c == pytest.approx(1.55, abs=1e-12)
+    assert rep.c1 == pytest.approx(0.43303600418833993, rel=1e-9)
+    assert rep.c2 == pytest.approx(0.794560920132469, rel=1e-9)
     # corridor actually contains the data
     assert np.all(rep.ratio <= 1 + 1e-9)
 
@@ -1011,10 +1011,10 @@ def _perfbench_grid(gam):
 @pytest.mark.parametrize("seed, grid_of, want", [
     # acceptance criterion 07
     (7, _criterion_07_grid,
-     ("0x1.8000000000000p+0", "0x1.c302dc1b0e37bp-2", "0x1.9815058916a49p-1")),
+     ("0x1.8cccccccccccdp+0", "0x1.bb6dca4feaf21p-2", "0x1.96d0b05d4c184p-1")),
     # the two_sided/perturbed op of the perfbench lattice workload, seed 1
     (1, _perfbench_grid,
-     ("0x1.999999999999ap+0", "0x1.f6cfc80683069p-2", "0x1.5f98a6294feedp-1")),
+     ("0x1.999999999999ap+0", "0x1.f6d0daa0e8a71p-2", "0x1.5f99662e32fffp-1")),
 ])
 def test_two_sided_diag_bits(seed, grid_of, want):
     # c, c1 and c2 to the last bit, as no golden file covers this function
