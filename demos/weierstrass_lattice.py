@@ -49,7 +49,7 @@ def sigma_demo():
     print()
     desc = PhiDescriptor.exponential(normalized=True)
     lat = LatticeSpec(1.0, 12)
-    print("sigma on the unit square lattice (truncation window M=12)")
+    print("sigma on the whole unit square lattice (trunc_M does not enter)")
     for z in (0.5, 0.3 + 0.4j, 0.5 + 0.5j):
         print(f"  sigma({z}) = {sigma_fn(desc, z, lat):.10f}")
     print("  sigma(1+0j) =", sigma_fn(desc, 1.0 + 0.0j, lat), "(lattice node)")

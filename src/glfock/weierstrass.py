@@ -77,7 +77,7 @@ _HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |
 _FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r*, r* = _log_e_radius
 _FAR_TOL = 1e-17         # bound on the dropped far-field series tail, summed over nodes
 _TAIL_TOL = 1e-18        # per-k bound on the series term of the nodes a lattice sum drops
-_SUM_CELLS = 1 << 16     # terms per chunk of a direct lattice sum (1 MB of complex)
+_SUM_CELLS = 1 << 14     # terms per chunk of a direct lattice sum (256 kB of complex)
 _SUM_NODES = 1 << 25     # most nodes of the direct lattice sums of one far-field table
 # G_k less the sum of nu^-k over the nonzero nu with max(|m|, |n|) <= 2, k = 4, 8:
 # G_4 = Gamma(1/4)^8 / (960 pi^2) and G_8 = 3 G_4^2 / 7 are the lattice sums
@@ -300,7 +300,9 @@ def radius_bounds(desc: PhiDescriptor, N: int = 200) -> RadiusBounds:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Square lattice lam * (m + i n), |m|, |n| <= trunc_M."""
+    """Square lattice lam * (m + i n).  points() lists the window
+    |m|, |n| <= trunc_M, the one a PerturbedLattice perturbs; sigma_fn and
+    dist take the whole lattice."""
 
     lam: float
     trunc_M: int = 16
@@ -376,7 +378,7 @@ class PerturbedLattice:
         return np.delete(self.pts, self.pts.size // 2), np.delete(self.base, self.base.size // 2)
 
     def point(self, m: int, n: int) -> complex:
-        M = math.isqrt(self.pts.size) // 2
+        M = self.lat.trunc_M
         if max(abs(m), abs(n)) > M:
             raise KeyError((m, n))
         return complex(self.pts[(m + M) * (2 * M + 1) + n + M])
@@ -402,23 +404,18 @@ def _log_e_series(d: PhiDescriptor, deg: int, N: int) -> np.ndarray:
     return ell
 
 
-def _isqrt(x: np.ndarray) -> np.ndarray:
-    """floor(sqrt(x)) of int64 entries 0 <= x < 2^52, exactly."""
-    r = np.sqrt(x).astype(np.int64)
-    r -= r * r > x
-    return r + ((r + 1) * (r + 1) <= x)
-
-
 def _octant(lo2: int, hi2: int, M: int, cells: int):
     """The Gaussian integers nu = m + i n with M < m, 0 <= n <= m and
     lo2 < m^2 + n^2 <= hi2, in chunks of whole rows m of at most about
     cells nodes.  Each chunk comes with the weight of its nodes in a sum
     over a set symmetric under nu -> i nu and nu -> conj(nu): 4 on the axis
     n = 0 and the diagonal n = m, 8 between them."""
+    # floor(sqrt(x)) of an int64 x < 2^50 by truncating the rounded square
+    # root: where x + 1 is a square k^2, sqrt(x) < k - 1/(2k) rounds below k
     m = np.arange(M + 1, math.isqrt(hi2) + 1, dtype=np.int64)
-    top = np.minimum(_isqrt(hi2 - m * m), m)
+    top = np.minimum(np.sqrt(hi2 - m * m).astype(np.int64), m)
     low = lo2 - m * m
-    bot = np.where(low >= 0, _isqrt(np.maximum(low, 0)) + 1, 0)
+    bot = np.where(low >= 0, np.sqrt(np.maximum(low, 0)).astype(np.int64) + 1, 0)
     count = np.maximum(top - bot + 1, 0)
     ends = np.cumsum(count)
     cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1:].sum(), cells), "right"))
@@ -457,7 +454,7 @@ def _lattice_tail(M: int, R2: int) -> np.ndarray:
         products of (R / nu)^4 up to the last k whose R_k reaches it.  Most
         nodes lie beyond R_16 and take T_12 alone.
         ConvergenceError where they would take more than _SUM_NODES nodes
-        (max|z| / (lam r*) above about 75).
+        (max|z| / (lam r*) above about 63).
     """
     c = math.sqrt(0.5)
     R, s = max(math.sqrt(R2 + 1), M + 1.0), _FAR_RATIO * math.sqrt(R2 + 1)
@@ -481,7 +478,7 @@ def _lattice_tail(M: int, R2: int) -> np.ndarray:
         hi2.append(int(Rk * Rk) + 1)
     hi2 = np.maximum.accumulate(hi2[::-1])[::-1]
     if math.pi / 8 * hi2[:1].sum() > _SUM_NODES:
-        raise ConvergenceError(f"the lattice far field at max|z| / (lam r*) = {s / _FAR_RATIO:.4g} "
+        raise ConvergenceError(f"the lattice far field at max|z| / (lam r*) ~ {s:.4g} "
                                f"needs direct sums over {math.pi / 8 * hi2[0]:.3g} nodes")
     tau = np.zeros(K // 4)
     # T_4, T_8: the quadrant m >= 1, n >= 0 within max(m, n) <= L holds E and the rings
@@ -609,7 +606,7 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     disk) with K and its tail bound.  A call adds one K/4-term Horner in
     (z / (lam R))^4 to its near product, whatever the window.
     ConvergenceError where r is 0 (no radius meets the bound), or where the
-    table's direct sums would be too long (max|z| / (lam r) above about 75).
+    table's direct sums would be too long (max|z| / (lam r) above about 63).
     A nan or infinite z is left out of max|z| and gives nan.
     """
     d = desc.normalize()
@@ -645,7 +642,8 @@ def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TER
     series of _log_product.  lat.trunc_M does not enter.
 
     Only for a zero-free phi (EXP) are its zeros just the nodes: inside |z| = 2.5
-    ML(2,1) has 29 (phi = 0 at 1.3548 +- 1.9915i), GD(2) 45, GD(1) 69; 21 nodes.
+    ML(2,1) has 29 (phi = 0 at 1.3548 +- 1.9915i), GD(2) 45, GD(1) 69; 21 nodes
+    (winding_zero_count, the same as for the M = 12 window product).
     """
     zf = np.atleast_1d(np.asarray(z, dtype=complex))
     none = np.zeros(0, dtype=complex)

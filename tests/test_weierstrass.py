@@ -494,8 +494,8 @@ def test_sigma_raises_without_a_far_radius(monkeypatch):
 
 
 def test_sigma_far_table_size_is_capped():
-    # max|z| / (lam r*) = 134: the direct sums of the far-field table would
-    # take about 1e8 nodes
+    # max|z| / (lam r*) = 100.5 (above about 63): the direct sums of the
+    # far-field table would take about 1e8 nodes
     with pytest.raises(ConvergenceError, match="direct sums"):
         sigma_fn(EXPN, 100.5 + 0j, LatticeSpec(1.0, 3))
 
