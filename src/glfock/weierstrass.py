@@ -418,8 +418,9 @@ def _octant(lo2: int, hi2: int, M: int, cells: int):
     bot = np.where(low >= 0, np.sqrt(np.maximum(low, 0)).astype(np.int64) + 1, 0)
     count = np.maximum(top - bot + 1, 0)
     ends = np.cumsum(count)
-    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1:].sum(), cells), "right"))
-    for i, j in zip(cuts, np.append(cuts[1:], m.size)):
+    # np.unique would import a numpy submodule (about 15 ms in a cold process)
+    cuts = sorted(set(np.searchsorted(ends, np.arange(0, ends[-1:].sum(), cells), "right").tolist()))
+    for i, j in zip(cuts, cuts[1:] + [m.size]):
         c = count[i:j]
         mm = np.repeat(m[i:j], c)
         nn = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - bot[i:j], c)
