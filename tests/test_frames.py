@@ -10,7 +10,7 @@ from glfock.cli import main
 from glfock.core import PhiDescriptor, TruncatedSeries, gl_derivative, phi_coeffs, signs_logs
 from glfock.errors import UnverifiedWeightError
 from glfock.fock import registered_weight, verified_weight
-from glfock.frames import (_eig_report, _sample_matrix, biorthogonality_check,
+from glfock.frames import (_eig_report, _fock_lattice, _sample_matrix, biorthogonality_check,
                            canonical_dual, density, frame_bounds, frame_sweep,
                            interpolate_ls, kernel_atoms)
 from glfock.weierstrass import LatticeSpec, PerturbedLattice
@@ -270,6 +270,39 @@ def test_frame_sweep_regression():
     assert reps[0].stability < 0.01
     assert abs(reps[1].A - 6.652526253379062e-06) <= 1e-12
     assert reps[0].A > 1e3 * reps[1].A      # oversampled vs undersampled
+
+
+ROW_PATH_FAMILIES = {"EXP": PhiDescriptor.exponential(),
+                     "ML(2,1)": PhiDescriptor.mittag_leffler(2.0, 1.0),
+                     "SG(1,2)": PhiDescriptor.stretched_gamma(1.0, 2.0)}
+ROW_PATH_SIZES = {0: (12, 10), 1: (24, 16), 2: (16, 12)}  # window -> (N, M)
+
+
+@pytest.mark.parametrize("window_n", sorted(ROW_PATH_SIZES))
+@pytest.mark.parametrize("family", sorted(ROW_PATH_FAMILIES))
+def test_frame_sweep_matches_the_row_path(family, window_n):
+    # the sweep's bounds against the Gram of the weighted rows at the same
+    # nodes: frame_bounds for window 0, _sample_matrix rows for windows 1, 2
+    desc = ROW_PATH_FAMILIES[family]
+    wk = verified_weight(desc)
+    N, M = ROW_PATH_SIZES[window_n]
+    s_values = [0.3, 0.5, 1.0, 1.5]
+    _, l = signs_logs(desc, window_n)
+    norm = math.pi ** window_n * math.exp(l[window_n])
+    reps = frame_sweep(desc, wk, window_n, s_values, N, M)
+    for s, rep in zip(s_values, reps):
+        w = _fock_lattice(s, M)
+        if window_n == 0:
+            ref = frame_bounds(desc, wk, w, N)
+            A, B = ref.A / norm, ref.B / norm
+        else:
+            V = (np.sqrt(wk.weight(np.abs(w) ** 2) / norm)[:, None]
+                 * _sample_matrix(desc, w, N, window_n))
+            ev = np.linalg.eigvalsh(V.conj().T @ V)
+            A, B = max(ev[0], 0.0), ev[-1]
+        tol = 16 * np.finfo(float).eps * B * (N + 1)
+        assert rep.n_points == w.size and rep.basis_dim == N + 1
+        assert abs(rep.A - A) <= tol and abs(rep.B - B) <= tol
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
