@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -127,19 +128,24 @@ def _powers(w: np.ndarray, N: int) -> np.ndarray:
     return np.cumprod(P, axis=1, out=P)
 
 
-def _fock_lattice(s: float, M: int) -> np.ndarray:
-    """The Fock-side lattice nodes sqrt(pi s)(m + i n), |m|, |n| <= M, m-major."""
+def _lattice_scale(s: float, M: int) -> float:
+    """sqrt(pi s), the spacing of the Fock lattice of size s, half-width M."""
     if not 0 < s < math.inf:
         raise ValueError("lattice size must be finite and positive")
     if M < 0:
         raise ValueError("lattice half-width M must be >= 0")
+    return math.sqrt(math.pi * s)
+
+
+def _fock_lattice(s: float, M: int) -> np.ndarray:
+    """The Fock-side lattice nodes sqrt(pi s)(m + i n), |m|, |n| <= M, m-major."""
     g = np.arange(-M, M + 1)
-    return math.sqrt(math.pi * s) * (g[:, None] + 1j * g[None, :]).ravel()
+    return _lattice_scale(s, M) * (g[:, None] + 1j * g[None, :]).ravel()
 
 
-def _sqrt_weight(wk: WeightKernel, w: np.ndarray, norm: float = 1.0) -> np.ndarray:
-    """sqrt(W(|w|^2) / norm) at the nodes w, for a positive, verified weight;
-    ValueError naming the first node where W / norm is not finite."""
+def _weight(wk: WeightKernel, w: np.ndarray, norm: float = 1.0) -> np.ndarray:
+    """W(|w|^2) / norm at the nodes w, for a positive, verified weight;
+    ValueError naming the first node where it is not finite."""
     if not wk.is_positive:
         raise ValueError("frame diagnostics need a positive weight kernel")
     if not wk.verified:
@@ -149,7 +155,7 @@ def _sqrt_weight(wk: WeightKernel, w: np.ndarray, norm: float = 1.0) -> np.ndarr
     if bad.size:
         j = bad[0]
         raise ValueError(f"weight {omega[j]} at the node w = {w[j]}")
-    return np.sqrt(omega)
+    return omega
 
 
 def _sample_matrix(desc: PhiDescriptor, w: np.ndarray, N: int, window_n: int) -> np.ndarray:
@@ -169,43 +175,43 @@ def _sample_matrix(desc: PhiDescriptor, w: np.ndarray, N: int, window_n: int) ->
     return out
 
 
-def _eig_report(V: np.ndarray, n_points: int, N: int) -> FrameReport:
-    S = V.conj().T @ V
+def _not_finite(N: int) -> ValueError:
+    return ValueError(f"weighted basis matrix not finite at N = {N}")
+
+
+def _eig_reports(S: np.ndarray, n_points: int, N: int) -> list[FrameReport]:
+    """One report per Gram in the stack S: its extreme eigenvalues, and their
+    relative change from its leading N x N block."""
     ev = np.linalg.eigvalsh(S)
-    A, B = max(float(ev[0]), 0.0), max(float(ev[-1]), 0.0)
-    Ssub = S[:N, :N]
-    evs = np.linalg.eigvalsh(Ssub)
-    As, Bs = max(float(evs[0]), 0.0), max(float(evs[-1]), 0.0)
-    tiny = 1e-300
-    stability = max(abs(A - As) / max(A, tiny), abs(B - Bs) / max(B, tiny))
-    condition = B / A if A > 0 else math.inf
-    return FrameReport(A, B, condition, N + 1, n_points, stability)
+    evs = np.linalg.eigvalsh(S[:, :N, :N])
+    reports = []
+    for e, es in zip(ev, evs):
+        A, B = max(float(e[0]), 0.0), max(float(e[-1]), 0.0)
+        As, Bs = max(float(es[0]), 0.0), max(float(es[-1]), 0.0)
+        tiny = 1e-300
+        stability = max(abs(A - As) / max(A, tiny), abs(B - Bs) / max(B, tiny))
+        condition = B / A if A > 0 else math.inf
+        reports.append(FrameReport(A, B, condition, N + 1, n_points, stability))
+    return reports
 
 
-def _weighted_rows(desc: PhiDescriptor, sw: np.ndarray, w: np.ndarray, N: int,
-                   window_n: int = 0) -> np.ndarray:
-    """The window-n rows at the nodes w, row j times sw_j.  ValueError where
+def _weighted_rows(desc: PhiDescriptor, sw: np.ndarray, w: np.ndarray, N: int) -> np.ndarray:
+    """The window-0 rows at the nodes w, row j times sw_j.  ValueError where
     that matrix is not finite, as when the top power w^N leaves the double
     range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        V = sw[:, None] * _sample_matrix(desc, w, N, window_n)
+        V = sw[:, None] * _sample_matrix(desc, w, N, 0)
     if not np.isfinite(V).all():
-        raise ValueError(f"weighted basis matrix not finite at N = {N}")
+        raise _not_finite(N)
     return V
-
-
-def _frame_report(desc: PhiDescriptor, wk: WeightKernel, w: np.ndarray, N: int,
-                  window_n: int = 0, norm: float = 1.0) -> FrameReport:
-    """Frame bounds of the window-n rows at the nodes w, row j weighted by
-    W(|w_j|^2) / norm (see _weighted_rows)."""
-    V = _weighted_rows(desc, _sqrt_weight(wk, w, norm), w, N, window_n)
-    return _eig_report(V, w.size, N)
 
 
 def frame_bounds(desc: PhiDescriptor, wk: WeightKernel, points, N: int) -> FrameReport:
     """Extreme eigenvalues of S_mn = sum_j W(|z_j|^2) conj(e_m) e_n (z_j)
     over the node array points (an empty one gives A = B = 0)."""
-    return _frame_report(desc, wk, np.atleast_1d(np.asarray(points, dtype=complex)), N)
+    w = np.atleast_1d(np.asarray(points, dtype=complex))
+    V = _weighted_rows(desc, np.sqrt(_weight(wk, w)), w, N)
+    return _eig_reports((V.conj().T @ V)[None], w.size, N)[0]
 
 
 def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
@@ -217,7 +223,7 @@ def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
     minimum-norm interpolant (single point -> kernel column).
     """
     z = np.atleast_1d(np.asarray(points, dtype=complex))
-    sw = _sqrt_weight(wk, z)
+    sw = np.sqrt(_weight(wk, z))
     a = np.atleast_1d(np.asarray(values, dtype=complex))
     if z.size == 0:
         raise ValueError("need at least one point")
@@ -243,6 +249,39 @@ def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
 # frame sweep over lattice sizes
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _radius_blocks(desc: PhiDescriptor, N: int, window_n: int,
+                   M: int) -> tuple[np.ndarray, np.ndarray]:
+    """One node g of each radius class |g|^2 = r of the unit lattice
+    g = m + i n, |m|, |n| <= M, in increasing r, and the blocks
+    H_r = sum_{|g|^2 = r} G_g^H G_g of its window-n rows G_g (_sample_matrix
+    at g); read-only, built once per (desc, N, window_n, M).  The rows have
+    real coefficients in g and conj(g), and each class is closed under
+    conjugation, so H_r is real symmetric.  ValueError where G or H is not
+    finite, as when |g|^N leaves the double range."""
+    g = np.arange(-M, M + 1)
+    r2 = (g[:, None] ** 2 + g[None, :] ** 2).ravel()
+    order = np.argsort(r2, kind="stable")
+    counts = np.bincount(r2)
+    counts = counts[counts > 0]
+    starts = np.cumsum(counts) - counts
+    lattice = (g[:, None] + 1j * g[None, :]).ravel()[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _sample_matrix(desc, lattice, N, window_n)
+    if not np.isfinite(G).all():
+        raise _not_finite(N)
+    H = np.empty((counts.size, N + 1, N + 1))
+    for i, (a, c) in enumerate(zip(starts, counts)):
+        Gr = G[a:a + c]
+        H[i] = (Gr.conj().T @ Gr).real
+    if not np.isfinite(H).all():
+        raise _not_finite(N)
+    nodes = lattice[starts]
+    nodes.setflags(write=False)
+    H.setflags(write=False)
+    return nodes, H
+
+
 def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
                 s_values: Sequence[float], N: int, M: int) -> list[FrameReport]:
     """Frame bounds of the window-n sampling functionals on Fock lattices.
@@ -255,17 +294,38 @@ def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
     the Gaussian Gabor frame for EXP.  For n >= 1 the functional is not
     the Hermite-window Gabor frame, and B grows like N^2: for EXP, window 1
     at s = 1/2, B is 3.6e3, 2.3e4 and 4.1e4 at (N, M) = (24, 12), (60, 16)
-    and (80, 20).  ValueError where the weighted basis matrix is not
-    finite, as when the top power w^N leaves the double range.
+    and (80, 20).
+
+    The rows at w = sqrt(pi s) g are the unit-lattice rows G_g times
+    (pi s)^(m/2) in column m, and the weight is radial, so the Gram is
+    D [sum_r W(pi s r) / (pi^n phi_n) H_r] D with D = diag((pi s)^(m/2))
+    and the per-radius blocks H_r of _radius_blocks, built once per
+    (desc, N, window_n, M) and cached: each s costs one weighted sum over
+    the radii and the eigenvalues.  The weight gate reads one node per
+    radius.  ValueError where the unit-lattice rows, their blocks or a
+    Gram is not finite: the rows leave the double range once |g|^N does
+    (N >= 269 at M = 10).
     """
     if window_n < 0:
         raise ValueError("window_n must be a natural number")
     sN, lN = signs_logs(desc, window_n)
     if sN[window_n] <= 0:
         raise ValueError("phi_{window_n} must be positive")
+    scale = np.array([_lattice_scale(s, M) for s in s_values])
+    if scale.size == 0:
+        return []
+    nodes, H = _radius_blocks(desc, N, window_n, M)
     win_norm = math.pi ** window_n * math.exp(lN[window_n])
-    return [_frame_report(desc, wk, _fock_lattice(s, M), N, window_n, win_norm)
-            for s in s_values]
+    omega = _weight(wk, (scale[:, None] * nodes).ravel(), win_norm).reshape(scale.size, -1)
+    Hf = H.reshape(nodes.size, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = scale[:, None] ** np.arange(N + 1)
+        # one product per s, so a report does not depend on the other sizes
+        S = np.array([o @ Hf for o in omega]).reshape(-1, N + 1, N + 1)
+        S *= d[:, :, None] * d[:, None, :]
+    if not np.isfinite(S).all():
+        raise _not_finite(N)
+    return _eig_reports(S, (2 * M + 1) ** 2, N)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +336,7 @@ def kernel_atoms(desc: PhiDescriptor, wk: WeightKernel, zs, N: int) -> np.ndarra
     """Coordinate rows of the weighted reproducing kernels at the points zs:
     row entry p is sqrt(W(|z|^2)) phi_p conj(z)^p."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    return _sqrt_weight(wk, zs)[:, None] * (phi_coeffs(desc, N) * np.conj(_powers(zs, N)))
+    return np.sqrt(_weight(wk, zs))[:, None] * (phi_coeffs(desc, N) * np.conj(_powers(zs, N)))
 
 
 def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int, N: int) -> np.ndarray:

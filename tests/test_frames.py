@@ -6,11 +6,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from glfock import frames
 from glfock.cli import main
 from glfock.core import PhiDescriptor, TruncatedSeries, gl_derivative, phi_coeffs, signs_logs
 from glfock.errors import UnverifiedWeightError
 from glfock.fock import registered_weight, verified_weight
-from glfock.frames import (_eig_report, _fock_lattice, _sample_matrix, biorthogonality_check,
+from glfock.frames import (_eig_reports, _fock_lattice, _sample_matrix, biorthogonality_check,
                            canonical_dual, density, frame_bounds, frame_sweep,
                            interpolate_ls, kernel_atoms)
 from glfock.weierstrass import LatticeSpec, PerturbedLattice
@@ -87,7 +88,7 @@ def test_frame_bounds_quadrature_identity():
     z = np.sqrt(np.repeat(x, nang)) * np.exp(1j * np.tile(th, x.size))
     wt = np.repeat(w * np.exp(x) * math.pi / nang, nang)
     V = np.sqrt(wt * WK.weight(np.abs(z) ** 2))[:, None] * _sample_matrix(EXPN, z, 10, 0)
-    rep = _eig_report(V, z.size, 10)
+    rep = _eig_reports((V.conj().T @ V)[None], z.size, 10)[0]
     assert abs(rep.A - math.pi) <= 1e-8
     assert abs(rep.B - math.pi) <= 1e-8
     assert rep.condition == pytest.approx(1.0, abs=1e-8)
@@ -227,10 +228,11 @@ def test_sample_matrix_matches_mpmath(lattice_rows, N, window_n):
 
 
 def test_frames_sweep_top_power_overflow_is_an_error_row(capsys, tmp_path):
-    # at degree 250, w^250 overflows on nodes where the weight is still
-    # positive: the row reports an error, not a number
+    # the sweep's rows are built on the unit lattice, and at degree 300 the
+    # top power |g|^300 of its corner nodes overflows (from N = 269 at
+    # M = 10): the row reports an error, not a number
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"truncation": {"basis_N": 250}}))
+    cfg.write_text(json.dumps({"truncation": {"basis_N": 300}}))
     with np.errstate(all="ignore"):
         rc = main(["frames-sweep", "--config", str(cfg), "--s-min", "1.5",
                    "--steps", "1"])
@@ -243,16 +245,18 @@ def test_frames_sweep_top_power_overflow_is_an_error_row(capsys, tmp_path):
 def test_frames_sweep_nonfinite_basis_is_a_value_error(capfd, tmp_path):
     # frame_sweep and interpolate_ls check the weighted basis matrix itself:
     # the error does not hinge on eigvalsh or the least-squares solver
-    # meeting a nan, and no RuntimeWarning or LAPACK message escapes
+    # meeting a nan, and no RuntimeWarning or LAPACK message escapes.  The
+    # sweep builds its rows on the unit lattice, so its guard trips at
+    # |g|^N (N >= 269 at M = 10), not at (sqrt(pi s)|g|)^N
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="not finite"):
-            frame_sweep(PhiDescriptor.exponential(), WK, 0, [1.5], N=250, M=10)
+        with pytest.raises(ValueError, match="not finite at N = 300"):
+            frame_sweep(PhiDescriptor.exponential(), WK, 0, [1.5], N=300, M=10)
         with pytest.raises(ValueError, match="not finite at N = 250"):
             interpolate_ls(EXPN, WK, [0.5, 20], [1, 1], 250)
     assert capfd.readouterr().err == ""
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"truncation": {"basis_N": 250}}))
+    cfg.write_text(json.dumps({"truncation": {"basis_N": 300}}))
     rc = main(["frames-sweep", "--config", str(cfg), "--s-min", "0.9", "--s-max", "1.5",
                "--steps", "3"])
     cap = capfd.readouterr()
@@ -303,6 +307,28 @@ def test_frame_sweep_matches_the_row_path(family, window_n):
         tol = 16 * np.finfo(float).eps * B * (N + 1)
         assert rep.n_points == w.size and rep.basis_dim == N + 1
         assert abs(rep.A - A) <= tol and abs(rep.B - B) <= tol
+
+
+def test_frame_sweep_radius_blocks_are_cached_and_read_only():
+    # a cold call (blocks built) and a cached call give identical reports, the
+    # per-s CLI loop reads one cached build, and no caller can write to it
+    frames._radius_blocks.cache_clear()
+    cold = frame_sweep(EXPN, WK, 1, [0.4, 1.1], 10, 5)
+    assert frames._radius_blocks.cache_info().misses == 1
+    assert [frame_sweep(EXPN, WK, 1, [s], 10, 5)[0] for s in (0.4, 1.1)] == cold
+    assert frames._radius_blocks.cache_info().hits == 2
+    nodes, H = frames._radius_blocks(EXPN, 10, 1, 5)
+    r = np.abs(nodes) ** 2
+    assert np.all(np.diff(r) > 0.5) and nodes.size == 20  # the 20 sums m^2 + n^2, |m|, |n| <= 5
+    assert H.shape == (20, 11, 11)
+    # real symmetric: each entry is a Gram entry, so Cauchy-Schwarz scales it
+    size = np.sqrt(np.einsum("rii->ri", H))
+    size = size[:, :, None] * size[:, None, :]
+    assert np.all(np.abs(H - H.transpose(0, 2, 1)) <= 8 * np.finfo(float).eps * size)
+    for a in (nodes, H):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
