@@ -184,11 +184,11 @@ def _eig_reports(S: np.ndarray, n_points: int, N: int) -> list[FrameReport]:
     relative change from its leading N x N block."""
     ev = np.linalg.eigvalsh(S)
     evs = np.linalg.eigvalsh(S[:, :N, :N])
+    tiny = 1e-300
     reports = []
     for e, es in zip(ev, evs):
         A, B = max(float(e[0]), 0.0), max(float(e[-1]), 0.0)
         As, Bs = max(float(es[0]), 0.0), max(float(es[-1]), 0.0)
-        tiny = 1e-300
         stability = max(abs(A - As) / max(A, tiny), abs(B - Bs) / max(B, tiny))
         condition = B / A if A > 0 else math.inf
         reports.append(FrameReport(A, B, condition, N + 1, n_points, stability))
