@@ -9,6 +9,12 @@ as extreme eigenvalues of the (N+1)x(N+1) Gram of the weighted evaluation
 matrix.  Reports carry the relative change from N-1 to N so the finite
 truncation can be judged: frame bounds that keep drifting as N grows are an
 artifact of the cut, a collapsing lower bound signals genuine undersampling.
+
+frame_bounds and interpolate_ls form the Gram from the weighted rows at their
+nodes; frame_sweep weights per-radius blocks of the unit-lattice Gram, built
+once and cached (_radius_blocks).  Each raises ValueError("weighted basis
+matrix not finite at N = ...") where its rows, blocks or Gram leave the
+double range.
 """
 
 from __future__ import annotations
@@ -249,7 +255,7 @@ def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
 # frame sweep over lattice sizes
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)  # about 10 MB per entry at N = 80, M = 20
 def _radius_blocks(desc: PhiDescriptor, N: int, window_n: int,
                    M: int) -> tuple[np.ndarray, np.ndarray]:
     """One node g of each radius class |g|^2 = r of the unit lattice
