@@ -315,8 +315,9 @@ def test_frame_sweep_radius_blocks_are_cached_and_read_only():
     frames._radius_blocks.cache_clear()
     cold = frame_sweep(EXPN, WK, 1, [0.4, 1.1], 10, 5)
     assert frames._radius_blocks.cache_info().misses == 1
+    assert frame_sweep(EXPN, WK, 1, [0.4, 1.1], 10, 5) == cold
     assert [frame_sweep(EXPN, WK, 1, [s], 10, 5)[0] for s in (0.4, 1.1)] == cold
-    assert frames._radius_blocks.cache_info().hits == 2
+    assert frames._radius_blocks.cache_info()[:2] == (3, 1)  # hits, misses
     nodes, H = frames._radius_blocks(EXPN, 10, 1, 5)
     r = np.abs(nodes) ** 2
     assert np.all(np.diff(r) > 0.5) and nodes.size == 20  # the 20 sums m^2 + n^2, |m|, |n| <= 5
