@@ -88,21 +88,6 @@ class WeightKernel:
         with np.errstate(divide="ignore"):
             return np.exp(-x) * np.log(x) ** int(p["n"])
 
-    def log_weight(self, x):
-        """log |W(x)| on x > 0, vectorized, from the same closed forms: finite
-        where W(x) itself under- or overflows."""
-        x = np.asarray(x, dtype=float)
-        form, p = self.form, self.desc.params_dict
-        if form == "exp":
-            return -x
-        if form == "ml":
-            rho, mu = p["rho"], p["mu"]
-            return math.log(rho) + (rho * mu - 1.0) * np.log(x) - x ** rho
-        if form == "stretched_exp":
-            return -p["a"] * x ** p["b"]
-        with np.errstate(divide="ignore"):
-            return int(p["n"]) * np.log(np.abs(np.log(x))) - x
-
 
 def registered_weight(desc: PhiDescriptor) -> WeightKernel:
     """The closed-form weight registered for desc's family (unverified).

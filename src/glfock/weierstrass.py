@@ -692,28 +692,17 @@ def sigma_lower_diag(desc: PhiDescriptor, wk: WeightKernel, lat: LatticeSpec,
 
     Positivity of the minimum is the numerical shadow of the lower bound
     |K(-|z|^2) sigma(z)| >= c * dist(z, Lambda) near the lattice.  A signed
-    weight (GD(1), GD(3)) enters as |W|, with a warning.  Where
-    |W| |sigma| is not finite (sigma overflows, W may underflow), it is
-    exp(log|W| + Re log sigma), from the weight's log form and the logs of
-    sigma_fn's product at those points.
+    weight (GD(1), GD(3)) enters as |W|, with a warning.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
-    with np.errstate(invalid="ignore"):
-        sig = sigma_fn(desc, grid, lat, N)
+    sig = sigma_fn(desc, grid, lat, N)
     d = lat.dist(grid)
     if np.any(d == 0):
         raise ValueError("grid touches a lattice point; ratio undefined there")
-    x = np.abs(grid) ** 2
-    w = wk.weight(x)
+    w = wk.weight(np.abs(grid) ** 2)
     if np.any(w < 0):
         warnings.warn("signed weight in sigma_lower_diag; using |W|")
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = np.abs(w) * np.abs(sig)
-        out = np.flatnonzero(~np.isfinite(lhs))
-        if out.size:
-            z, none = grid[out], np.zeros(0, dtype=complex)
-            logs = _log_product(desc, z, lat.lam, 0, none, none, N).real
-            lhs[out] = np.exp(wk.log_weight(x[out]) + np.log(np.abs(z)) + logs)
+    lhs = np.abs(w) * np.abs(sig)
     ratio = lhs / d
     mn = float(ratio.min())
     return SigmaLowerReport(grid, lhs, d, ratio, mn, mn > 0.0)

@@ -181,21 +181,6 @@ def test_weight_bits(name):
     assert tuple(float(wk.weight(x)).hex() for x in WEIGHT_XS) == bits
 
 
-@pytest.mark.parametrize("name", list(WEIGHT_BITS))
-def test_log_weight_matches_weight(name):
-    # log|W| from the closed forms agrees with the log of |W| wherever W is a
-    # nonzero normal double, and stays finite where W underflows
-    desc, _ = WEIGHT_BITS[name]
-    wk = registered_weight(desc)
-    x = np.array([1e-12, 0.3, 0.7, 2.0, 7.5, 40.0, 120.0, 600.0, 5e3])
-    w = np.abs(wk.weight(x))
-    normal = w >= np.finfo(float).tiny
-    got = wk.log_weight(x)
-    err = np.abs(got[normal] - np.log(w[normal]))
-    assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(got[normal])))
-    assert np.all(np.isfinite(got)) and np.all(got[~normal] < math.log(np.finfo(float).tiny))
-
-
 def test_gamma_deriv_weight_sign():
     # ln(x)^n is negative on x < 1 for odd n only
     assert [registered_weight(PhiDescriptor.gamma_deriv(n)).is_positive

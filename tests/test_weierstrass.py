@@ -1,6 +1,5 @@
 import hashlib
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glfock import weierstrass
-from glfock.cli import main
 from glfock.core import PhiDescriptor, phi_coeffs, signs_logs
 from glfock.errors import ConvergenceError
 from glfock.fock import registered_weight, verified_weight
@@ -953,25 +951,6 @@ def test_sigma_lower_diag():
     assert all(a.shape == grid.shape for a in (rep.lhs, rep.rhs, rep.ratio))
     with pytest.raises(ValueError):
         sigma_lower_diag(EXPN, wk, lat, np.array([1.0 + 0.0j]))
-
-
-def test_sigma_lower_diag_where_sigma_overflows(capfd):
-    # near |z| = 14 the product sigma leaves the double range and W(|z|^2)
-    # nearly underflows, while |W| |sigma| is in range: lhs is
-    # exp(log|W| + Re log sigma) there, the plain product elsewhere, and
-    # neither path warns or prints nan
-    wk = verified_weight(PhiDescriptor.exponential())
-    z = np.array([13.95625 - 1.26875j, 11.41875 + 6.34375j, 1.3 + 0.45j])
-    none = np.zeros(0, dtype=complex)
-    log_sigma = weierstrass._log_product(EXPN, z, 1.0, 0, none, none, 80).real + np.log(np.abs(z))
-    assert np.all(log_sigma[:2] > math.log(np.finfo(float).max)) and log_sigma[2] < 10
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = sigma_lower_diag(EXPN, wk, LatticeSpec(1.0, 12), z, N=80)
-        assert main(["weierstrass-table", "--extent", "20.3", "--grid-n", "16"]) == 0
-    assert np.all(np.abs(np.log(rep.lhs) - (log_sigma - np.abs(z) ** 2)) <= 1e-13 * log_sigma)
-    out = capfd.readouterr()
-    assert out.err == "" and "nan" not in out.out and len(out.out.splitlines()) == 257
 
 
 def test_sigma_lower_diag_takes_abs_of_a_signed_weight():
