@@ -35,6 +35,10 @@ def _phis(family: str, params: dict, N: int) -> list:
         c = [1 / mp.gamma(params["mu"] + mp.mpf(n) / params["rho"]) for n in range(N + 1)]
     elif family == "gamma_deriv" and params["n"] == 1:
         c = [1 / (mp.gamma(n + 1) * mp.digamma(n + 1)) for n in range(N + 1)]
+    elif family == "gamma_deriv" and params["n"] == 2:
+        # Gamma'' = Gamma (psi^2 + psi')
+        c = [1 / (mp.gamma(n + 1) * (mp.digamma(n + 1) ** 2 + mp.polygamma(1, n + 1)))
+             for n in range(N + 1)]
     elif family == "backward_shift":
         c = [mp.mpf(1)] * (N + 1)
     elif family == "dunkl":

@@ -712,6 +712,33 @@ def test_banded_sigma_against_mpmath_product(name):
     assert np.all(err <= 4.0 * rounding_scale(desc, CONTOUR_35, nodes, nodes))
 
 
+GD2N = PhiDescriptor.gamma_deriv(2, normalized=True)
+G_ORACLES = {**ORACLE_FAMILIES, "GD(2)": (GD2N, "gamma_deriv", {"n": 2})}
+
+
+@pytest.mark.parametrize("Q", [0.1, 0.45])
+@pytest.mark.parametrize("name", list(G_ORACLES))
+def test_log_g_fn_against_pair_oracle(name, Q):
+    # Re log g on an M = 8 window against the 30-digit product over its
+    # (node, denominator) pairs, the 50-digit tail of the lattice outside it
+    # and log|z - z00|.  Each point is taken in one call with max|z| = 3.81,
+    # where the window's outer nodes lie past the near disk, and alone,
+    # where nearly all of them do; the half-integer points are at least
+    # 0.707 - Q from every node
+    desc, family, params = G_ORACLES[name]
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 8), Q, seed=5)
+    nodes, base = gam.nonzero()
+    zs = np.array([0.5 + 0.5j, -2.5 + 1.5j, 3.5 + 1.5j])
+    want = np.array([log_abs_pair_product(family, params, z, zip(nodes, base))
+                     + far_log_tail(family, params, z, 8).real + math.log(abs(z - gam.z00))
+                     for z in zs])
+    tol = 4.0 * rounding_scale(desc, zs, nodes, base)
+    together = log_g_fn(desc, zs, gam).real
+    alone = np.array([log_g_fn(desc, z, gam)[0].real for z in zs])
+    assert np.all(np.abs(together - want) <= tol)
+    assert np.all(np.abs(alone - want) <= tol)
+
+
 def test_banded_printed_variant_against_mpmath():
     # the printed variant takes all 624 nodes of the perturbed M = 12
     # window directly: 20 bands; the rest of the lattice is its tail
