@@ -30,6 +30,13 @@ where log(1 - z) is singular (see _log_product for the tail bound).  R is
 not omega()'s Omega = (E - 1) / z^3; both slice E's Maclaurin coefficients
 from one table per (family, N), _e_table, and so does omega_bound, whose
 head is |e_3| + |e_4| + |e_5| of E_2.
+
+A perturbed window's node nu has its own quadratic denominator, the base
+point beta, and so the factor E(z / nu; tau) with tau = (nu / beta)^2 - 1.
+Its far nodes collapse into a series too, in z and tau: the coefficients
+of log E(w; tau) come from one table per (family, N) (_window_series),
+with a polydisk in (w, tau) where the same bound on |R - 1| holds, and
+the moments sum nu^-k tau^m over the far nodes are formed on every call.
 """
 
 from __future__ import annotations
@@ -76,6 +83,8 @@ _BAND_GROUPS = 4         # groups per band of near nodes ordered by |node|
 _HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |phi|
 _FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r*, r* = _log_e_radius
 _FAR_TOL = 1e-17         # bound on the dropped far-field series tail, summed over nodes
+_TAU_RADIUS = 0.25       # T: far window nodes have |tau| <= rho T, tau = (node / base)^2 - 1
+_WIN_K, _WIN_M = 256, 24  # top degrees in w and tau of the window's far series table
 _TAIL_TOL = 1e-18        # per-k bound on the series term of the nodes a lattice sum drops
 _SUM_CELLS = 1 << 14     # terms per chunk of a direct lattice sum (256 kB of complex)
 _SUM_NODES = 1 << 25     # most nodes of the direct lattice sums of one far-field table
@@ -247,10 +256,7 @@ def _log_e_radius(d: PhiDescriptor, N: int) -> float:
     """
     phi = np.cumsum(_e_table(d, N)[:-1])
     D = 2 * N + _OMEGA_TAIL
-    a = [1.0, -1.0]
-    for m in range(2, D + 1):
-        a.append(-(a[m - 1] + a[m - 2]) / m)
-    a = np.array(a)
+    a = _exp_quadratic(D)
     q = np.abs(np.convolve(phi, a)[:D + 1])
     q[0] = 0.0
     # times sum_j |Phi_j| r^j: the allowance, the a_m past D - 2N and those past D
@@ -259,6 +265,22 @@ def _log_e_radius(d: PhiDescriptor, N: int) -> float:
     weight[0] += math.exp(4.0) * 0.5**D
     bound = np.convolve(np.abs(phi), weight)
     bound[:D + 1] += q
+    return _radius_where(bound)
+
+
+def _exp_quadratic(D: int) -> np.ndarray:
+    """The Maclaurin coefficients a_0..a_D of e^(-w - w^2/2),
+    m a_m = -a_(m-1) - a_(m-2)."""
+    a = [1.0, -1.0]
+    for m in range(2, D + 1):
+        a.append(-(a[m - 1] + a[m - 2]) / m)
+    return np.array(a)
+
+
+def _radius_where(bound: np.ndarray) -> float:
+    """The largest r <= 1 where the polynomial bound (coefficients >= 0,
+    lowest degree first) is at most 1/2, by bisection to 2^-24 that keeps
+    the end where it holds (0 where it holds nowhere)."""
     degs = np.arange(bound.size, dtype=float)
 
     def holds(r):
@@ -404,6 +426,97 @@ def _log_e_series(d: PhiDescriptor, deg: int, N: int) -> np.ndarray:
     return ell
 
 
+@lru_cache(maxsize=64)
+def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray]]:
+    """(r, ell) for the far nodes of a perturbed window; read-only, built
+    once per (d, N), d normalized.
+
+    A window node nu with base point beta has the factor
+    E_N(w; tau) = (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), w = z / nu,
+    tau = (nu / beta)^2 - 1.  ell[k, m], k <= _WIN_K, m <= _WIN_M, are the
+    double Maclaurin coefficients of log E_N(w; tau), ell[k, 0] = l_k: the
+    recurrence of _log_e_series with e_n(tau) for e_n, as polynomials in
+    tau cut at degree _WIN_M, so that each degree is one tau-convolution.
+    E_N(w; tau) = sum_m h_m(w) (tau w^2)^m with h_m = psi2^m phi_N^(m)(p) / m!,
+    p = psi1 w + psi2 w^2, so ell[k, m] = 0 for k < 2m.
+
+    r is a radius where a bound on |R_N - 1| over the polydisk |w| <= r,
+    |tau| <= T = _TAU_RADIUS is at most 1/2 (0 where none is, or where a
+    coefficient is not a double; then ell is None).  Here
+    R_N(w; tau) = Phi_N(w; tau) e^(-w - (1/2 + c tau) w^2), c = phi_1 psi2
+    and Phi_N = E_N / (1 - w), so that
+    log E_N = log(1 - w) + w + (1/2 + c tau) w^2 + log R_N (see
+    _log_product).  The bound is _log_e_radius's with tau added: the
+    coefficients of a(w; tau) = e^(-w - (1/2 + c tau) w^2) are
+    a_{j,m} = (-c)^m / m! a_(j-2m), those q_{j,m} of R_N through w-degree
+    D = 2N + _OMEGA_TAIL are Phi_N * a, and the bound is
+    sum |q_{j,m}| r^j T^m, plus sum_j P_j r^j sum_{j>D-2N} A_j r^j for the
+    degrees past D, P_j = sum_m |Phi_{j,m}| T^m and A_j = sum_m |a_{j,m}| T^m
+    (the A_j past D enter as their Cauchy bound e^(4 + 4|c|T) 2^-j on
+    |w| = 2), plus a rounding allowance of (2D + 2N) eps sum_j P_j r^j
+    sum_j A_j r^j.  At T = 0 it is _log_e_radius's bound, so r <= r* up to
+    rounding; EXP, ML(2,1), SG(1,2) and the backward shift keep r = r* at
+    N = 80, GD(2) and GD(1) drop from 0.909 and 0.669 to 0.812 and 0.597.
+    """
+    ps = _factor(d)[1]
+    phis = phi_coeffs(d, N)
+    T, D, M2 = _TAU_RADIUS, 2 * N + _OMEGA_TAIL, N + _OMEGA_TAIL // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rows p^i of the powers of p, then h_m = psi2^m sum_i C(i + m, m) phi_(i+m) p^i
+        P = np.zeros((N + 1, 2 * N + 1))
+        P[0, 0] = 1.0
+        for i in range(1, N + 1):
+            P[i, 1:] = ps.psi1 * P[i - 1, :-1]
+            P[i, 2:] += ps.psi2 * P[i - 1, :-2]
+        H = np.zeros((N + 1, N + 1))
+        binom = np.ones(N + 1)
+        for m in range(N + 1):
+            if m:
+                binom = binom * (np.arange(N + 1) + m) / m
+            H[m, :N + 1 - m] = binom[:N + 1 - m] * phis[m:] * ps.psi2**m
+        h = H @ P
+        phi = np.zeros((2 * N + 1, N + 1))  # Phi_{j,m}
+        for m in range(N + 1):
+            phi[2 * m:, m] = h[m, :2 * N + 1 - 2 * m]
+        if not np.isfinite(phi).all():
+            return 0.0, None
+        c = float(phis[1]) * ps.psi2
+        f = np.cumprod(np.append(1.0, -c / np.arange(1.0, M2 + 1)))  # (-c)^m / m!
+        a = _exp_quadratic(D)
+        lag = np.subtract.outer(np.arange(D + 1), np.arange(2 * N + 1))
+        aphi = np.where(lag >= 0, a[np.maximum(lag, 0)], 0.0) @ phi  # a_(.,0) * Phi
+        q = np.zeros((D + 1, M2 + 1))
+        for m in range(M2 + 1):  # q_{j,m} = 0 for j < 2m
+            cols = min(N + 1, M2 + 1 - m)
+            q[2 * m:, m:m + cols] += f[m] * aphi[:D + 1 - 2 * m, :cols]
+        q = np.abs(q)
+        q[0, 0] = 0.0
+        powT = T ** np.arange(M2 + 1.0)
+        g = np.zeros(D + 1)
+        g[::2] = np.abs(f) * powT
+        A = np.convolve(np.abs(a), g)[:D + 1]
+        weight = A * ((2 * D + 2 * N) * np.finfo(float).eps)
+        weight[_OMEGA_TAIL + 1:] += A[_OMEGA_TAIL + 1:]
+        weight[0] += math.exp(4.0 + 4.0 * abs(c) * T) * 0.5**D
+        bound = np.convolve(np.abs(phi) @ powT[:N + 1], weight)
+        bound[:D + 1] += q @ powT
+    r = _radius_where(bound)
+    cols = min(N, _WIN_M) + 1
+    e = np.zeros((max(_WIN_K + 1, 2 * N + 2), _WIN_M + 1))  # of E_N = (1 - w) Phi_N
+    e[:2 * N + 1, :cols] = phi[:, :cols]
+    e[1:2 * N + 2, :cols] -= phi[:, :cols]
+    e = e[:_WIN_K + 1]
+    ell = np.zeros_like(e)
+    k = np.arange(1.0, _WIN_K + 1)[:, None]
+    anti = np.add.outer(np.arange(_WIN_M + 1), np.arange(_WIN_M + 1)).ravel()
+    for n in range(1, _WIN_K + 1):
+        # sum_{k<n} k l_k(tau) e_(n-k)(tau): entry (i, j) of G is the tau^(i+j) term
+        G = (k[:n - 1] * ell[1:n]).T @ e[n - 1:0:-1]
+        ell[n] = e[n] - np.bincount(anti, G.ravel())[:_WIN_M + 1] / n
+    ell.setflags(write=False)
+    return r, ell
+
+
 def _octant(lo2: int, hi2: int, M: int, cells: int):
     """The Gaussian integers nu = m + i n with M < m, 0 <= n <= m and
     lo2 < m^2 + n^2 <= hi2, in chunks of whole rows m of at most about
@@ -513,7 +626,9 @@ def _lattice_tail(M: int, R2: int) -> np.ndarray:
 def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                dens: np.ndarray, N: int) -> np.ndarray:
     """sum over nodes of log[(1 - z/node) phi(psi1 z/node + psi2 z^2/den^2)],
-    every node taken directly.
+    every node taken directly: _log_product passes the near nodes, those
+    of the window that its series does not take and the lattice nodes
+    outside the window within max|z| / (rho r*).
 
     Returns complex logs; -inf real part where z hits a node exactly.  The
     imaginary part is a sum of principal arguments, so it is defined only
@@ -586,6 +701,70 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     return out
 
 
+def _powers(w: np.ndarray, K: int) -> np.ndarray:
+    """Rows w^0..w^K, by doubling: row k takes about 2 log2(k) roundings."""
+    P = np.empty((K + 1, w.size), dtype=w.dtype)
+    P[0] = 1.0
+    h, wh = 1, w
+    while h <= K:
+        np.multiply(P[:min(h, K + 1 - h)], wh, out=P[h:min(2 * h, K + 1)])
+        h, wh = 2 * h, wh * wh
+    return P
+
+
+def _least(ok: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The least n in [lo, hi] with ok(n), ok false then true, by bisection
+    (hi where ok holds nowhere)."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid + 1, hi)
+    return lo
+
+
+def _window_far(d: PhiDescriptor, z: np.ndarray, zmax: float, nodes: np.ndarray,
+                dens: np.ndarray, N: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(far, logs): the window nodes that the series of _window_series
+    takes, and the sum of log E_N over them at z (None where it takes
+    none).  See _log_product for which nodes are far and the bound."""
+    far = np.zeros(nodes.size, dtype=bool)
+    r, ell = _window_series(d, N) if nodes.size else (0.0, None)
+    if r == 0.0:
+        return far, None
+    x = zmax / (r * np.abs(nodes))
+    tau = (nodes - dens) * (nodes + dens) / (dens * dens)
+    y = np.abs(tau) / _TAU_RADIUS
+    idx = np.flatnonzero((x <= _FAR_RATIO) & (y <= _FAR_RATIO))
+    x, y = x[idx], y[idx]
+    log2 = math.log(2.0)
+    a = ((1.0 + log2) + log2 * y / (1.0 - y)) / (1.0 - x)
+    xy = x * x * y
+    b = log2 / ((1.0 - x) * (1.0 - xy))
+    # the nodes whose tails at the table's top degrees sum past _FAR_TOL,
+    # largest first, stay near
+    cap = a * x**(_WIN_K + 1) + b * xy**(_WIN_M + 1)
+    order = np.argsort(cap, kind="stable")
+    keep = np.sort(order[np.cumsum(cap[order]) <= _FAR_TOL])
+    if not keep.size:
+        return far, None
+    far[idx[keep]] = True
+    x, xy, a, b = x[keep], xy[keep], a[keep], b[keep]
+
+    def tail(K, m):
+        return a @ x**(K + 1) + b @ xy**(m + 1) <= _FAR_TOL
+
+    K = _least(lambda K: tail(K, _WIN_M), 2, _WIN_K)
+    m = _least(lambda m: tail(K, m), 1, _WIN_M)
+    nu, tau = nodes[far], tau[far]
+    R = float(np.abs(nu).min())
+    mu = np.zeros((K + 1, m + 1), dtype=complex)  # R^k mu_{k,m}
+    step = max(1, _SUM_CELLS // (K + 1))
+    for i in range(0, nu.size, step):
+        mu += _powers(R / nu[i:i + step], K) @ _powers(tau[i:i + step], m).T
+    coef = (ell[:K + 1, :m + 1] * mu).sum(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite z
+        return far, _horner(coef[::-1], z / R)
+
+
 def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
                  nodes: np.ndarray, dens: np.ndarray, N: int) -> np.ndarray:
     """sum of log E_N over the whole lattice lam (Z + iZ) less its origin:
@@ -606,6 +785,30 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     cached table _lattice_tail builds once per excluded set (window and
     disk) with K and its tail bound.  A call adds one K/4-term Horner in
     (z / (lam R))^4 to its near product, whatever the window.
+
+    A window node nu with denominator beta has the factor E_N(w; tau) =
+    (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), w = z / nu,
+    tau = (nu / beta)^2 - 1 (0 where the two coincide), and the far ones
+    collapse into a series too (_window_far): sum_{k<=K, m<=m'} l_{k,m} z^k
+    mu_{k,m}, mu_{k,m} = sum_far nu^-k tau^m, with the coefficients l_{k,m}
+    of log E_N(w; tau) from the cached table _window_series, which also
+    holds the radius s <= r of a polydisk |w| <= s, |tau| <= T =
+    _TAU_RADIUS where |log R_N(w; tau)| <= log 2, R_N(w; tau) =
+    E_N(w; tau) / (1 - w) e^(-w - (1/2 + c tau) w^2), c = phi_1 psi2.  So
+    l_{2,1} = c exactly, l_{k,0} = l_k with |l_k| <= (1 + log 2) / s^k as
+    above, every other l_{k,m} obeys |l_{k,m}| <= log 2 / (s^k T^m)
+    (Cauchy), and l_{k,m} = 0 for k < 2m.
+    A window node is far where x = max|z| / (s |nu|) <= rho and
+    y = |tau| / T <= rho; there the series terms it drops past K in w or
+    past m' in tau sum to at most
+        ((1 + log 2) + log 2 y / (1 - y)) x^(K+1) / (1 - x)
+        + log 2 (x^2 y)^(m'+1) / ((1 - x)(1 - x^2 y)),
+    and K >= 2, m' >= 1 are the least degrees whose bound, summed over
+    the far nodes, is at most _FAR_TOL.  Nodes whose bounds at the table's
+    top degrees _WIN_K and _WIN_M would sum past _FAR_TOL stay near,
+    largest first, and so does every node of the window where s = 0.  A
+    far node is never hit (|w| < 1).  The moments are formed in chunks of
+    nodes of at most _SUM_CELLS powers, on every call.
     ConvergenceError where r is 0 (no radius meets the bound), or where the
     table's direct sums would be too long (max|z| / (lam r) above about 63).
     A nan or infinite z is left out of max|z| and gives nan.
@@ -623,7 +826,11 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     mm, nn = np.repeat(g, g.size), np.tile(g, g.size)
     disk = (mm * mm + nn * nn <= R2) & (np.maximum(abs(mm), abs(nn)) > M)
     extra = lam * (mm[disk] + 1j * nn[disk])
-    out = _near_logs(d, z, np.concatenate([nodes, extra]), np.concatenate([dens, extra]), N)
+    far, logs = _window_far(d, z, zmax, nodes, dens, N)
+    out = _near_logs(d, z, np.concatenate([nodes[~far], extra]),
+                     np.concatenate([dens[~far], extra]), N)
+    if logs is not None:
+        out += logs
     coef = _log_e_series(d, 4 * tau.size, N)[4::4] * tau
     with np.errstate(invalid="ignore"):  # an infinite z
         t = (z / (lam * max(math.sqrt(R2 + 1), M + 1.0))) ** 4
@@ -657,8 +864,12 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
 
     The printed form: the linear factor takes the perturbed node z_{m,n},
     the quadratic denominator inside phi the base-lattice point lam_{m,n}.
-    Node and denominator differ, so _log_product takes every node of the
-    window directly; outside it the lattice is unperturbed and infinite.
+    Outside the window the lattice is unperturbed and infinite.
+    _log_product takes directly the window nodes within max|z| / (rho s) of
+    the origin (s = r* for EXP, ML(2,1), SG(1,2) and the backward shift,
+    smaller for GD(2) and GD(1)) or with |(z_{m,n} / lam_{m,n})^2 - 1| above
+    rho T, and the rest of the window through one series in z whose
+    moments are formed on every call (see _log_product).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     nodes, base = gamma.nonzero()

@@ -17,8 +17,8 @@ from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _e_table, _log_e_
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
 from mp_oracles import (factor_series, far_log_tail, lattice_g, lattice_tail_sums,
-                        log_abs_pair_product, log_factor_series, log_factor_taylor,
-                        omega_deviation_on_circle, sigma_lattice, sigma_product,
+                        log_abs_pair_product, log_factor_series, log_factor_tau,
+                        log_factor_taylor, omega_deviation_on_circle, sigma_lattice, sigma_product,
                         sigma_square)
 
 EXPN = PhiDescriptor.exponential(normalized=True)
@@ -740,8 +740,9 @@ def test_log_g_fn_against_pair_oracle(name, Q):
 
 
 def test_banded_printed_variant_against_mpmath():
-    # the printed variant takes all 624 nodes of the perturbed M = 12
-    # window directly: 20 bands; the rest of the lattice is its tail
+    # the printed variant on the perturbed M = 12 window: at |z| = 2.5 the
+    # 36 nodes within 3.33 are taken directly, the other 588 through the
+    # window's series; the rest of the lattice is its tail
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.1, seed=42)
     nodes, base = gam.nonzero()
     got = log_g_fn(EXPN, CONTOUR_25, gam).real
@@ -960,6 +961,151 @@ def test_degree_cut_nan_point_keeps_its_chunk():
     want = per_cell_logs(GD1N, z[[0, 2]], nodes, nodes).sum(axis=0)
     assert np.isnan(got[1])
     assert np.all(np.abs(np.expm1(got[[0, 2]] - want)) <= 1e-13)
+
+
+# ---------------------------------------------------------------------------
+# far series of a perturbed window
+# ---------------------------------------------------------------------------
+
+WINDOW_ORACLES = {**FACTOR_ORACLES, "GD(2)": G_ORACLES["GD(2)"]}
+T_WIN = weierstrass._TAU_RADIUS
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_ORACLES))
+def test_window_series_polydisk_bounds_the_factor(name):
+    # |R_80(w; tau) - 1| <= 1/2 on |w| = s at four points of |tau| = T, so
+    # |log R_80| <= log 2 where the Cauchy bound of the window series is
+    # taken; s <= 1 and, as tau = 0 is sigma's factor, s <= r* up to the
+    # bisection step
+    desc, family, params = WINDOW_ORACLES[name]
+    s = weierstrass._window_series(desc, 80)[0]
+    assert 0.0 < s <= weierstrass._log_e_radius(desc, 80) + 2.0**-24
+    for tau in T_WIN * np.exp(0.5j * np.pi * np.arange(4)):
+        assert omega_deviation_on_circle(family, params, s, 256, tau=tau) <= 0.5
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_ORACLES))
+def test_window_series_table_against_mpmath(name):
+    # sum ell[k, m] w^k tau^m against 30-digit log E_80(w; tau) inside the
+    # far region, where the table's dropped tail is below 1e-20, within
+    # 8 eps of the sum with |.| on every term; ell[k, m] = 0 for k < 2m
+    desc, family, params = WINDOW_ORACLES[name]
+    s, ell = weierstrass._window_series(desc, 80)
+    assert not ell.flags.writeable and ell.shape == (weierstrass._WIN_K + 1, weierstrass._WIN_M + 1)
+    k, m = np.arange(ell.shape[0])[:, None], np.arange(ell.shape[1])[None, :]
+    assert np.all(ell[k < 2 * m] == 0.0)
+    for w, tau in ((0.5 * s * np.exp(0.7j), 0.1 * np.exp(2.1j)), (0.4 * s * np.exp(-2j), 0.1j),
+                   (0.5 * s, -0.1)):
+        terms = ell * w**k * tau**m
+        want = log_factor_tau(family, params, w, tau)
+        assert abs(terms.sum() - want) <= 8 * np.finfo(float).eps * (np.abs(terms).sum() + 1.0)
+    if name == "EXP":
+        # log[(1 - w) e^(w + (1 + tau) w^2 / 2)]: the one tau-term is w^2 tau / 2
+        assert ell[2, 1] == 0.5
+        rest = np.abs(ell[:, 1:]) * T_WIN ** m[:, 1:]
+        rest[2, 0] = 0.0
+        assert rest.max() <= 1e-15
+
+
+def perfbench_window():
+    # the two_sided/perturbed op of the perfbench lattice workload
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.1, seed=1)
+    return gam, _perfbench_grid(gam)
+
+
+def test_window_far_split():
+    # a window node is far where |z / nu| <= rho s over the grid and
+    # |tau| <= rho T; on the perfbench op (max|z| = 3.89, EXP, s = 1) that
+    # is the 536 nodes beyond |nu| = 5.19, and no tail pushes one back
+    gam, grid = perfbench_window()
+    nodes, base = gam.nonzero()
+    zmax = float(np.abs(grid).max())
+    far, logs = weierstrass._window_far(EXPN, grid, zmax, nodes, base, 80)
+    tau = (nodes / base) ** 2 - 1
+    rho = weierstrass._FAR_RATIO
+    assert np.array_equal(far, (np.abs(nodes) >= zmax / rho) & (np.abs(tau) <= rho * T_WIN))
+    assert far.sum() == 536
+    # the series against the direct product over the same far nodes
+    direct = near_field(EXPN, grid, nodes[far], base[far])
+    tol = 4.0 * rounding_scale(EXPN, grid, nodes[far], base[far])
+    assert np.all(np.abs(logs - direct) <= tol)
+
+
+@pytest.mark.parametrize("desc", FAMILIES, ids=lambda d: d.family)
+def test_window_series_matches_direct_far_nodes(desc):
+    # every family, an M = 8 window with Q = 0.3: the series against the
+    # direct product over the nodes it takes, both points sets at once
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 8), 0.3, seed=11)
+    nodes, base = gam.nonzero()
+    z = np.array([0.5 + 0.5j, -1.5 + 0.5j, 2.5 - 1.5j])
+    far, logs = weierstrass._window_far(desc, z, float(np.abs(z).max()), nodes, base, 80)
+    assert far.sum() > 100
+    direct = near_field(desc, z, nodes[far], base[far])
+    assert np.all(np.abs(logs - direct) <= 4.0 * rounding_scale(desc, z, nodes[far], base[far]))
+
+
+def test_window_moments_in_chunks(monkeypatch):
+    # no power table of the moments or of the points exceeds _SUM_CELLS
+    shapes, powers = [], weierstrass._powers
+
+    def spy(w, K):
+        shapes.append((K + 1, w.size))
+        return powers(w, K)
+
+    monkeypatch.setattr(weierstrass, "_powers", spy)
+    gam, grid = perfbench_window()
+    log_g_fn(EXPN, grid, gam)
+    assert len(shapes) > 2
+    assert max(a * b for a, b in shapes) <= weierstrass._SUM_CELLS
+
+
+@pytest.fixture
+def window_table_caps(monkeypatch):
+    """Set the window table's top degrees; the table is rebuilt under them
+    and again after the test."""
+    table = weierstrass._window_series
+
+    def set_caps(K, m):
+        monkeypatch.setattr(weierstrass, "_WIN_K", K)
+        monkeypatch.setattr(weierstrass, "_WIN_M", m)
+        table.cache_clear()
+
+    yield set_caps
+    table.cache_clear()
+
+
+def test_window_caps_keep_nodes_near(window_table_caps, monkeypatch):
+    # a table cut at degrees 60 in w and 6 in tau cannot take the nearest
+    # far nodes within _FAR_TOL: they stay near, largest tails first, and the
+    # product does not move beyond rounding; with s = 0 the whole window is
+    # near
+    gam, grid = perfbench_window()
+    nodes, base = gam.nonzero()
+    zmax = float(np.abs(grid).max())
+    full = log_g_fn(EXPN, grid, gam).real
+    n_full = weierstrass._window_far(EXPN, grid, zmax, nodes, base, 80)[0].sum()
+    window_table_caps(60, 6)
+    far = weierstrass._window_far(EXPN, grid, zmax, nodes, base, 80)[0]
+    assert 0 < far.sum() < n_full
+    tol = 4.0 * rounding_scale(EXPN, grid, nodes, base)
+    assert np.all(np.abs(log_g_fn(EXPN, grid, gam).real - full) <= tol)
+    monkeypatch.setattr(weierstrass, "_window_series", lambda d, N: (0.0, None))
+    assert not weierstrass._window_far(EXPN, grid, zmax, nodes, base, 80)[0].any()
+    assert np.all(np.abs(log_g_fn(EXPN, grid, gam).real - full) <= tol)
+
+
+def test_window_series_cached_read_only():
+    weierstrass._window_series.cache_clear()
+    z = np.array([0.5 + 0.5j, 2.5 - 1.5j])
+    values = [log_g_fn(ML21N, z, PerturbedLattice.perturb(LatticeSpec(1.0, M), 0.2, seed=3))
+              for M in (6, 10)]
+    assert weierstrass._window_series.cache_info().misses == 1
+    assert all(np.array_equal(log_g_fn(ML21N, z, PerturbedLattice.perturb(
+        LatticeSpec(1.0, M), 0.2, seed=3)), v) for M, v in zip((6, 10), values))
+    assert weierstrass._window_series.cache_info().misses == 1
+    # sigma takes no window nodes and builds no window table
+    sigma_fn(GD1N, z, LatticeSpec(1.0, 6))
+    assert weierstrass._window_series.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
