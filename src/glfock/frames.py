@@ -185,6 +185,13 @@ def _not_finite(N: int) -> ValueError:
     return ValueError(f"weighted basis matrix not finite at N = {N}")
 
 
+def _check_degree(N: int) -> None:
+    """ValueError unless N >= 1: a report compares the Gram with its
+    leading N x N block."""
+    if N < 1:
+        raise ValueError(f"frame bounds need a basis degree N >= 1, got N = {N}")
+
+
 def _eig_reports(S: np.ndarray, n_points: int, N: int) -> list[FrameReport]:
     """One report per Gram in the stack S: its extreme eigenvalues, and their
     relative change from its leading N x N block."""
@@ -214,7 +221,8 @@ def _weighted_rows(desc: PhiDescriptor, sw: np.ndarray, w: np.ndarray, N: int) -
 
 def frame_bounds(desc: PhiDescriptor, wk: WeightKernel, points, N: int) -> FrameReport:
     """Extreme eigenvalues of S_mn = sum_j W(|z_j|^2) conj(e_m) e_n (z_j)
-    over the node array points (an empty one gives A = B = 0)."""
+    over the node array points (an empty one gives A = B = 0); N >= 1."""
+    _check_degree(N)
     w = np.atleast_1d(np.asarray(points, dtype=complex))
     V = _weighted_rows(desc, np.sqrt(_weight(wk, w)), w, N)
     return _eig_reports((V.conj().T @ V)[None], w.size, N)[0]
@@ -310,8 +318,9 @@ def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
     the radii and the eigenvalues.  The weight gate reads one node per
     radius.  ValueError where the unit-lattice rows, their blocks or a
     Gram is not finite: the rows leave the double range once |g|^N does
-    (N >= 269 at M = 10).
+    (N >= 269 at M = 10), and unless N >= 1.
     """
+    _check_degree(N)
     if window_n < 0:
         raise ValueError("window_n must be a natural number")
     sN, lN = signs_logs(desc, window_n)

@@ -375,6 +375,20 @@ def test_frame_sweep_guards():
         frame_sweep(EXPN, WK, -1, [1.0], 6, 4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda N: frame_bounds(EXPN, WK, np.array([0.5 + 0.5j, -0.5j]), N),
+    lambda N: frame_sweep(EXPN, WK, 0, [0.5, 1.0], N, 4),
+], ids=["frame_bounds", "frame_sweep"])
+def test_frame_reports_refuse_degree_0(call):
+    # a report compares the Gram with its leading N x N block, which is
+    # empty at N = 0; N = 1 is the least degree with one
+    with pytest.raises(ValueError, match="N >= 1, got N = 0$"):
+        call(0)
+    reps = call(1)
+    for rep in reps if isinstance(reps, list) else [reps]:
+        assert rep.basis_dim == 2 and 0.0 <= rep.A <= rep.B
+
+
 GD2 = PhiDescriptor.gamma_deriv(2)
 INFINITE_AT_ORIGIN = {
     "frame_bounds": lambda wk: frame_bounds(GD2, wk, np.array([0.5, 0.0]), 12),
