@@ -428,7 +428,7 @@ def _log_e_series(d: PhiDescriptor, deg: int, N: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray]]:
-    """(r, ell) for the far nodes of a perturbed window; read-only, built
+    """(s, ell) for the far nodes of a perturbed window; read-only, built
     once per (d, N), d normalized.
 
     A window node nu with base point beta has the factor
@@ -440,7 +440,7 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
     E_N(w; tau) = sum_m h_m(w) (tau w^2)^m with h_m = psi2^m phi_N^(m)(p) / m!,
     p = psi1 w + psi2 w^2, so ell[k, m] = 0 for k < 2m.
 
-    r is a radius where a bound on |R_N - 1| over the polydisk |w| <= r,
+    s is a radius where a bound on |R_N - 1| over the polydisk |w| <= s,
     |tau| <= T = _TAU_RADIUS is at most 1/2 (0 where none is, or where a
     coefficient is not a double; then ell is None).  Here
     R_N(w; tau) = Phi_N(w; tau) e^(-w - (1/2 + c tau) w^2), c = phi_1 psi2
@@ -450,13 +450,14 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
     coefficients of a(w; tau) = e^(-w - (1/2 + c tau) w^2) are
     a_{j,m} = (-c)^m / m! a_(j-2m), those q_{j,m} of R_N through w-degree
     D = 2N + _OMEGA_TAIL are Phi_N * a, and the bound is
-    sum |q_{j,m}| r^j T^m, plus sum_j P_j r^j sum_{j>D-2N} A_j r^j for the
+    sum |q_{j,m}| s^j T^m, plus sum_j P_j s^j sum_{j>D-2N} A_j s^j for the
     degrees past D, P_j = sum_m |Phi_{j,m}| T^m and A_j = sum_m |a_{j,m}| T^m
     (the A_j past D enter as their Cauchy bound e^(4 + 4|c|T) 2^-j on
-    |w| = 2), plus a rounding allowance of (2D + 2N) eps sum_j P_j r^j
-    sum_j A_j r^j.  At T = 0 it is _log_e_radius's bound, so r <= r* up to
-    rounding; EXP, ML(2,1), SG(1,2) and the backward shift keep r = r* at
-    N = 80, GD(2) and GD(1) drop from 0.909 and 0.669 to 0.812 and 0.597.
+    |w| = 2), plus a rounding allowance of (2D + 2N) eps sum_j P_j s^j
+    sum_j A_j s^j.  At T = 0 it is _log_e_radius's bound, so s <= r* up to
+    rounding; EXP, ML(2,1), SG(1,2), Dunkl and the backward shift keep
+    s = r* at N = 80, GD(2) and GD(1) drop from 0.909 and 0.669 to 0.812
+    and 0.597.
     """
     ps = _factor(d)[1]
     phis = phi_coeffs(d, N)
@@ -500,7 +501,9 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
         weight[0] += math.exp(4.0 + 4.0 * abs(c) * T) * 0.5**D
         bound = np.convolve(np.abs(phi) @ powT[:N + 1], weight)
         bound[:D + 1] += q @ powT
-    r = _radius_where(bound)
+    s = _radius_where(bound)
+    if s == 0.0:
+        return 0.0, None
     cols = min(N, _WIN_M) + 1
     e = np.zeros((max(_WIN_K + 1, 2 * N + 2), _WIN_M + 1))  # of E_N = (1 - w) Phi_N
     e[:2 * N + 1, :cols] = phi[:, :cols]
@@ -514,7 +517,7 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
         G = (k[:n - 1] * ell[1:n]).T @ e[n - 1:0:-1]
         ell[n] = e[n] - np.bincount(anti, G.ravel())[:_WIN_M + 1] / n
     ell.setflags(write=False)
-    return r, ell
+    return s, ell
 
 
 def _octant(lo2: int, hi2: int, M: int, cells: int):
@@ -727,10 +730,10 @@ def _window_far(d: PhiDescriptor, z: np.ndarray, zmax: float, nodes: np.ndarray,
     takes, and the sum of log E_N over them at z (None where it takes
     none).  See _log_product for which nodes are far and the bound."""
     far = np.zeros(nodes.size, dtype=bool)
-    r, ell = _window_series(d, N) if nodes.size else (0.0, None)
-    if r == 0.0:
+    s, ell = _window_series(d, N) if nodes.size else (0.0, None)
+    if s == 0.0:
         return far, None
-    x = zmax / (r * np.abs(nodes))
+    x = zmax / (s * np.abs(nodes))
     tau = (nodes - dens) * (nodes + dens) / (dens * dens)
     y = np.abs(tau) / _TAU_RADIUS
     idx = np.flatnonzero((x <= _FAR_RATIO) & (y <= _FAR_RATIO))
@@ -749,11 +752,11 @@ def _window_far(d: PhiDescriptor, z: np.ndarray, zmax: float, nodes: np.ndarray,
     far[idx[keep]] = True
     x, xy, a, b = x[keep], xy[keep], a[keep], b[keep]
 
-    def tail(K, m):
+    def fits(K, m):
         return a @ x**(K + 1) + b @ xy**(m + 1) <= _FAR_TOL
 
-    K = _least(lambda K: tail(K, _WIN_M), 2, _WIN_K)
-    m = _least(lambda m: tail(K, m), 1, _WIN_M)
+    K = _least(lambda K: fits(K, _WIN_M), 2, _WIN_K)
+    m = _least(lambda m: fits(K, m), 1, _WIN_M)
     nu, tau = nodes[far], tau[far]
     R = float(np.abs(nu).min())
     mu = np.zeros((K + 1, m + 1), dtype=complex)  # R^k mu_{k,m}
@@ -866,8 +869,8 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
     the quadratic denominator inside phi the base-lattice point lam_{m,n}.
     Outside the window the lattice is unperturbed and infinite.
     _log_product takes directly the window nodes within max|z| / (rho s) of
-    the origin (s = r* for EXP, ML(2,1), SG(1,2) and the backward shift,
-    smaller for GD(2) and GD(1)) or with |(z_{m,n} / lam_{m,n})^2 - 1| above
+    the origin (s = r* for EXP, ML(2,1), SG(1,2), Dunkl and the backward
+    shift at N = 80, smaller for GD(2) and GD(1)) or with |(z_{m,n} / lam_{m,n})^2 - 1| above
     rho T, and the rest of the window through one series in z whose
     moments are formed on every call (see _log_product).
     """
