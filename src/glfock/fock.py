@@ -23,9 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, multiply_z, phi_eval,
+from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, multiply_z, phi_coeffs,
                    signs_logs)
-from .errors import ConvergenceError, UnverifiedWeightError
+from .errors import ConvergenceError, DivergenceError, UnverifiedWeightError
+from .special import _horner
 
 __all__ = [
     "WeightKernel",
@@ -107,29 +108,23 @@ def registered_weight(desc: PhiDescriptor) -> WeightKernel:
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Radial x angular product rule for planar integrals in polar form, as
-    default_quadrature picks it from the data's degree.
+    """The radial rule for planar integrals in polar form, as
+    default_quadrature picks it.
 
     radial is always "adaptive_tail": the exp-sinh double-exponential rule
     on [0, inf) (Takahasi & Mori 1974), built from the weight alone.  Its
     step is halved from 1/16 to at most 1/128, reusing every earlier node,
     until two successive sums agree within 10 * max(tol, tol * |I|),
-    tol = 1e-9.
-    Angular integration is the uniform trapezoid rule, exact for
-    trigonometric polynomials of degree < angular_nodes (Trefethen &
-    Weideman, SIAM Review 56, 2014, section 2).
+    tol = 1e-9.  No angular rule is needed: the ring means of the planar
+    integrands are polynomials in x = |w|^2 with known coefficients.
     """
 
     radial: str
-    angular_nodes: int
 
 
-def default_quadrature(wk: WeightKernel, max_degree: int = 30) -> QuadratureScheme:
-    """The one rule for polynomial data up to max_degree against wk: the
-    exp-sinh radial rule for every weight, and max_degree + 1 angular nodes,
-    the fewest that are exact, since a term conj(w)^j w^k of the integrand
-    has frequency j - k with |j - k| <= max_degree."""
-    return QuadratureScheme(radial="adaptive_tail", angular_nodes=max_degree + 1)
+def default_quadrature(wk: WeightKernel) -> QuadratureScheme:
+    """The one rule against wk: the exp-sinh radial rule for every weight."""
+    return QuadratureScheme(radial="adaptive_tail")
 
 
 def _read_only(*arrays):
@@ -269,50 +264,49 @@ def inner_product_l2phi(desc: PhiDescriptor, f: TruncatedSeries, g: TruncatedSer
                           * s[k] * np.exp(-l[k])))
 
 
-def _polar_integral(wk: WeightKernel, deg: int, integrand) -> complex:
-    """(1/pi) int integrand(w) W(|w|^2) dA(w) for a verified weight: the
-    angular trapezoid mean of integrand on each radial node's ring of w,
-    then _radial_integral, both by default_quadrature(wk, deg), whose
-    angular rule resolves degree deg in w and conj(w); integrand maps an
-    array of w to values of its shape."""
+def _require_verified(wk: WeightKernel) -> None:
     if not wk.verified:
         raise UnverifiedWeightError(
             "weight kernel must pass moment_check (use verified_weight) "
             "before use in planar integrals")
-    A = default_quadrature(wk, deg).angular_nodes
-    ephase = _phases(A)
-
-    def angular_mean(x):
-        return integrand(np.sqrt(x)[:, None] * ephase).sum(axis=1) / A
-
-    return _radial_integral(wk, angular_mean)
 
 
-@lru_cache(maxsize=64)
-def _phases(A: int) -> np.ndarray:
-    """exp(i theta) at the A trapezoid angles theta = 2 pi j / A, read-only."""
-    return _read_only(np.exp(1j * (2.0 * np.pi * np.arange(A) / A)))[0]
+def _polar_integral(wk: WeightKernel, c: np.ndarray) -> complex:
+    """(1/pi) int F(w) W(|w|^2) dA(w) for an integrand F whose mean over
+    each ring |w|^2 = x is sum c_k x^k: _radial_integral of that polynomial,
+    summed by Horner's rule at the rule's nodes.  A term conj(w)^j w^k of F
+    has ring mean 0 unless j = k, so the mean is exact, with no angular rule.
+    """
+    return _radial_integral(wk, lambda x: _horner(c[::-1], x + 0j))
 
 
 def inner_product_fock(wk: WeightKernel, f: TruncatedSeries, g: TruncatedSeries) -> complex:
-    """Planar pairing (1/pi) int conj(f) g W(|z|^2) dA by polar quadrature."""
+    """Planar pairing (1/pi) int conj(f) g W(|z|^2) dA in polar form: the
+    ring mean of conj(f) g is sum conj(f_k) g_k x^k over the degrees f and g
+    share."""
     if not wk.is_positive:
         warnings.warn("signed weight: planar pairing is signed-measure data")
-    return _polar_integral(wk, max(f.degree_cap, g.degree_cap),
-                           lambda w: np.conj(f(w)) * g(w))
+    _require_verified(wk)
+    m = min(f.degree_cap, g.degree_cap) + 1
+    return _polar_integral(wk, np.conj(f.coeffs[:m]) * g.coeffs[:m])
 
 
 def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: complex) -> complex:
-    """Evaluate (1/pi) int conj(k(z, w)) f(w) W(|w|^2) dA(w).
+    """Evaluate (1/pi) int conj(k_z(w)) f(w) W(|w|^2) dA(w), conj(k_z(w)) =
+    phi(z conj(w)) truncated at f's degree cap, which is exact because higher
+    kernel modes integrate to zero against a polynomial.  The ring mean is
+    sum phi_k z^k f_k x^k, so with a verified weight this returns f(z) up to
+    radial quadrature error.
 
-    With a verified weight this returns f(z) up to radial quadrature error;
-    the kernel is truncated at f's degree cap, which is exact because higher
-    kernel modes integrate to zero against a polynomial.
+    For the radius-1 family, DivergenceError where |z|^2 x >= 1 at a node x
+    of the rule's first integrand call: the kernel series diverges there.
     """
-    NK = f.degree_cap
     z = complex(z)
-    return _polar_integral(wk, NK,
-                           lambda w: phi_eval(desc, z * np.conj(w), NK) * f(w))
+    _require_verified(wk)
+    if not desc.entire and abs(z) ** 2 * _exp_sinh_rule(wk)[0].max() >= 1.0:
+        raise DivergenceError("evaluation point outside radius of convergence (=1)")
+    zk = np.cumprod(np.r_[1.0 + 0j, np.full(f.degree_cap, z)])
+    return _polar_integral(wk, phi_coeffs(desc, f.degree_cap) * zk * f.coeffs)
 
 
 def duality_check(desc: PhiDescriptor, f: TruncatedSeries, g: TruncatedSeries) -> float:

@@ -283,6 +283,9 @@ def test_reproduce_backward_shift_diverges():
     for deg in (0, 1, 4):
         with pytest.raises(DivergenceError):
             reproduce(BS, wk, TruncatedSeries(np.ones(deg + 1)), 0.5)
+        # |z|^2 x stays below 1 at every node: the series converges, ~ f(0)
+        for z in (0.0, 1e-25):
+            assert abs(reproduce(BS, wk, TruncatedSeries(np.ones(deg + 1)), z) - 1.0) <= 1e-12
 
 
 def reference_exp_sinh_levels(wk):
@@ -351,7 +354,7 @@ def test_planar_rule_against_reference(desc):
                 want = want * z + c
         else:
             want = reference_polar_integral(
-                wk, deg, lambda w: fock.phi_eval(desc, z * np.conj(w), deg) * f(w))
+                wk, deg, lambda w: core.phi_eval(desc, z * np.conj(w), deg) * f(w))
         scale = max(1.0, float(np.sum(np.abs(f.coeffs) * abs(z) ** np.arange(deg + 1))))
         assert abs(reproduce(desc, wk, f, z) - want) <= REFERENCE_C * eps * scale, deg
         if desc == EXP:
@@ -469,7 +472,7 @@ def test_cached_arrays_read_only():
     # corrupt every integral that follows
     x01, _, levels = fock._exp_sinh_rule(registered_weight(ML21))
     signs_logs(ML21, 12)
-    for a in (x01, *(a for level in levels for a in level), fock._phases(7), *core._table(ML21)):
+    for a in (x01, *(a for level in levels for a in level), *core._table(ML21)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
 
