@@ -218,16 +218,17 @@ def signs_logs(desc: PhiDescriptor, kmax: int):
 
 
 def phi_coeff(desc: PhiDescriptor, k: int) -> float:
-    """phi_k as a double.
+    """phi_k as a double, read from the table's value row as phi_coeffs
+    reads it.
 
     Raises OverflowError when |log phi_k| exceeds the representable range
     (for the factorial-type families this happens near k ~ 170/|log10 scale|;
     use signs_logs beyond that).
     """
-    s, l = (float(a[k]) for a in signs_logs(desc, k))
-    if abs(l) > 708.0:
-        raise OverflowError(f"phi_{k} for {desc.family} outside double range (log={l:.1f})")
-    return s * math.exp(l)
+    _, l, v = _rows(desc, int(k) + 1)
+    if abs(l[k]) > 708.0:
+        raise OverflowError(f"phi_{k} for {desc.family} outside double range (log={l[k]:.1f})")
+    return float(v[k])
 
 
 def phi_coeffs(desc: PhiDescriptor, kmax: int) -> np.ndarray:

@@ -82,6 +82,16 @@ def test_phi_coeffs_vector_consistent():
             assert abs(v[k] - phi_coeff(desc, k)) <= 1e-15 * abs(v[k])
 
 
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("desc", [*ALL, PhiDescriptor.gamma_deriv(3)],
+                         ids=["EXP", "ML(2,1)", "SG(1,2)", "GD(1)", "Dunkl(1/2)", "BS", "GD(3)"])
+def test_phi_coeff_reads_value_row(desc, normalized):
+    # one value per coefficient: phi_coeff and phi_coeffs agree bit for bit
+    desc = replace(desc, normalized=normalized)
+    v = phi_coeffs(desc, 40)
+    assert np.array_equal(_bits([phi_coeff(desc, k) for k in range(41)]), _bits(v))
+
+
 # the six families, with a second parameter set where the growth differs;
 # SG(1e8, 1) passes log|phi_k| = 708 near k = 40
 VALUE_ROW_FAMILIES = [*ALL, PhiDescriptor.mittag_leffler(0.5, 0.5), PhiDescriptor.gamma_deriv(3),
