@@ -942,17 +942,20 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
     between the two envelopes; c1, c2 are then the extreme admissible
     constants.  The columns, one entry per grid point z, are lhs = lower
     envelope, rhs = upper envelope and ratio = W|g| / rhs (so feasibility
-    means ratio <= 1 and lhs <= W|g|).
+    means ratio <= 1 and lhs <= W|g|).  ValueError at a grid point that is a
+    node of Gamma or where W is 0 (an underflow, or a zero of a signed weight).
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
     logs = log_g_fn(desc, grid, gamma, N)
     if np.any(~np.isfinite(logs.real)):
         raise ValueError("grid touches a node of Gamma")
     w = wk.weight(np.abs(grid) ** 2)
-    if np.any(w <= 0):
+    if np.any(w == 0):
+        raise ValueError(f"weight is 0 at grid point {grid[np.argmax(w == 0)]}: "
+                         "no envelope fits log W there")
+    if np.any(w < 0):
         warnings.warn("signed weight in two_sided_diag; using |W|")
-        w = np.abs(w)
-    logV = np.log(w) + logs.real
+    logV = np.log(np.abs(w)) + logs.real
     d = gamma.dist(grid)
     az = np.abs(grid)
     t = az * np.log(np.maximum(az, 1e-300))

@@ -1205,6 +1205,9 @@ def test_two_sided_single_point_and_node_guard():
     assert rep.feasible and rep.c1 > 0 and np.isfinite(rep.c2)
     with pytest.raises(ValueError):
         two_sided_diag(EXPN, wk, gam, np.array([1.0 + 0.0j]))
+    # W underflows to 0 at |z| = 28.25: no log envelope, so no report
+    with pytest.raises(ValueError, match=r"weight is 0 at grid point \(28\.25\+0\.25j\)"):
+        two_sided_diag(EXPN, wk, gam, np.array([0.5 + 0.5j, 28.25 + 0.25j]))
 
 
 # ---------------------------------------------------------------------------
