@@ -305,8 +305,9 @@ def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: comp
     _require_verified(wk)
     if not desc.entire and abs(z) ** 2 * _exp_sinh_rule(wk)[0].max() >= 1.0:
         raise DivergenceError("evaluation point outside radius of convergence (=1)")
-    zk = np.cumprod(np.r_[1.0 + 0j, np.full(f.degree_cap, z)])
-    return _polar_integral(wk, phi_coeffs(desc, f.degree_cap) * zk * f.coeffs)
+    zk = np.full(f.degree_cap + 1, z)
+    zk[0] = 1.0
+    return _polar_integral(wk, phi_coeffs(desc, f.degree_cap) * zk.cumprod() * f.coeffs)
 
 
 def duality_check(desc: PhiDescriptor, f: TruncatedSeries, g: TruncatedSeries) -> float:
