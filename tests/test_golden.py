@@ -3,9 +3,10 @@
 `golden_exp_cli.json` maps each default (exponential) command line, and the
 window-1 and M = 0 frame sweeps, once as CSV and once with `--format json`,
 to the sha256 of its stdout.  Every
-family integrates radially with the same exp-sinh rule and angularly with
-the same trapezoid rule, so a change to either moves the
-`check --suite moments` and `check --suite reproduce` bytes here too.
+family integrates radially with the same exp-sinh rule (the planar
+integrals take their ring means in closed form, with no angular rule), so
+a change to it moves the `check --suite moments` and
+`check --suite reproduce` bytes here too.
 
 `golden_family_cli.json` does the same for the non-exponential families in
 `FAMILIES`; its keys are "<family> <command line>", and the command runs with
