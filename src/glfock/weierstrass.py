@@ -825,6 +825,9 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     zmax = float(a[np.isfinite(a)].max(initial=0.0))
     R2 = int((zmax / (lam * _FAR_RATIO * r)) ** 2)
     tau = _lattice_tail(M, R2)
+    if 4 * tau.size > _WIN_K:
+        raise ConvergenceError(f"the lattice far field needs degree {4 * tau.size} of the "
+                               f"log E series, past the table's {_WIN_K}")
     g = np.arange(-math.isqrt(R2), math.isqrt(R2) + 1)
     mm, nn = np.repeat(g, g.size), np.tile(g, g.size)
     disk = (mm * mm + nn * nn <= R2) & (np.maximum(abs(mm), abs(nn)) > M)

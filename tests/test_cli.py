@@ -177,6 +177,44 @@ def test_weierstrass_table_builds_one_e_table(capsys):
     assert rc == 0 and weierstrass._e_table.cache_info().misses == 1
 
 
+def test_weierstrass_table_past_doubles_is_a_config_error(capsys, tmp_path):
+    # SG(1e-4, 1) at N = 80: psi1 = 1e4, so a coefficient of the far-field
+    # table is not a double; that is a config error, not a non-convergence
+    p = write_cfg(tmp_path, {"phi": {"family": "stretched_gamma", "params": {"a": 1e-4, "b": 1.0}}})
+    rc, out, err = run_cli(capsys, ["weierstrass-table", "--config", p])
+    assert (rc, out) == (2, "")
+    assert err.startswith("config error:") and "outside double range" in err
+
+
+# lhs of the default weierstrass-table (N = 80, M = 12, 16 x 16 grid of
+# extent 2) at the two rows per family that the choice of far radius moves
+# most, as printed with the radius of the unperturbed factor alone
+# (r* = 0.669, 0.909 and 0.770 for GD(1), GD(2) and GD(3), 1 for ML(2,1))
+FAR_RADIUS_ROWS = {
+    "GD(1)": ({"family": "gamma_deriv", "params": {"n": 1}},
+              {(-1.875, 1.625): 11536956003.912437, (-1.625, 1.625): 440615484.47009605}),
+    "GD(2)": ({"family": "gamma_deriv", "params": {"n": 2}},
+              {(1.875, 1.875): 5835940.39137748, (1.875, -1.625): 698377.9056144478}),
+    "GD(3)": ({"family": "gamma_deriv", "params": {"n": 3}},
+              {(-1.875, -1.375): 10939143.934312122, (-1.875, -1.625): 482963805.2623112}),
+    "ML(2,1)": ({"family": "mittag_leffler", "params": {"rho": 2.0, "mu": 1.0}},
+                {(1.375, 1.375): 4.397314778875099e-06, (-1.375, -1.375): 4.397314778875101e-06}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_RADIUS_ROWS))
+def test_weierstrass_table_far_radius_moves_lhs_by_rounding(capsys, tmp_path, name):
+    # the near set is a choice: another far radius takes other nodes
+    # directly, and sigma moves by rounding only
+    phi, want = FAR_RADIUS_ROWS[name]
+    p = write_cfg(tmp_path, {"phi": phi})
+    rc, out, _ = run_cli(capsys, ["weierstrass-table", "--format", "json", "--config", p])
+    assert rc == 0
+    rows = {(r["z_re"], r["z_im"]): r["lhs"] for r in json.loads(out)["rows"]}
+    for z, lhs in want.items():
+        assert abs(rows[z] - lhs) <= 4e-15 * lhs, z
+
+
 ML_MU_003 = {"phi": {"family": "mittag_leffler", "params": {"rho": 1.0, "mu": 0.03}}}
 
 

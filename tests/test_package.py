@@ -82,6 +82,42 @@ def test_public_names_have_a_caller():
     assert orphans == []
 
 
+def _private_definitions(tree):
+    """(name, node) for each private name the module binds at top level by
+    def, class or assignment; a dunder name is not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def test_private_names_have_a_library_caller():
+    # the library holds no code that only the tests call: every private
+    # top-level name of glfock is read by library code outside its own
+    # definition, as a name, an attribute or an imported alias
+    trees = {p: ast.parse(p.read_text()) for p in sorted((SRC / "glfock").glob("*.py"))}
+    reads = {p: [(n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                  else n.name, id(n)) for n in ast.walk(tree)
+                 if isinstance(n, (ast.Name, ast.Attribute, ast.alias))]
+             for p, tree in trees.items()}
+    defined, orphans = 0, []
+    for path, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            defined += 1
+            own = {id(n) for n in ast.walk(node)}
+            if not any(r == name and (p != path or i not in own)
+                       for p, rs in reads.items() for r, i in rs):
+                orphans.append(f"{path.stem}.{name}")
+    assert defined > 50 and orphans == []
+
+
 def _set_parameters(paths) -> dict:
     """Callee name -> (largest positional count, keywords named) over every
     call in the files; a *args call passes every position, a **kwargs call

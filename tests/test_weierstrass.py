@@ -500,6 +500,14 @@ def test_sigma_far_table_size_is_capped():
         sigma_fn(EXPN, 100.5 + 0j, LatticeSpec(1.0, 3))
 
 
+def test_sigma_refuses_a_tail_past_the_table(window_table_caps):
+    # sigma's far series at |z| = 2.5 runs to degree 148; a coefficient
+    # table cut at degree 128 cannot hold it
+    window_table_caps(128, weierstrass._WIN_M)
+    with pytest.raises(ConvergenceError, match="degree 148"):
+        sigma_fn(EXPN, 2.5 + 0j, LatticeSpec(1.0, 12))
+
+
 def test_ring2_constants_from_the_recurrence():
     # G_4 from Gamma(1/4), G_8 = c_4 / 7 from the DLMF 23.9 recurrence, less
     # the nonzero nodes of the rings max(|m|, |n|) <= 2, at 60 digits
