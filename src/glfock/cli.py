@@ -391,7 +391,10 @@ def cmd_weierstrass_table(cfg: RunConfig, args) -> int:
     grid = (xs[:, None] + 1j * xs[None, :]).ravel()
     if np.any(lat.dist(grid) < 1e-9):
         raise ConfigError("grid touches a lattice node; change --grid-n or --extent")
-    rep = sigma_lower_diag(cfg.desc, wk, lat, grid, N=cfg.series_N)
+    try:
+        rep = sigma_lower_diag(cfg.desc, wk, lat, grid, N=cfg.series_N)
+    except ValueError as e:  # W is 0 at a grid point
+        raise ConfigError(str(e))
     header = ["z_re", "z_im", "lhs", "rhs", "ratio"]
     rows = np.column_stack([rep.z.real, rep.z.imag, rep.lhs, rep.rhs, rep.ratio]).tolist()
     _emit(cfg, args, header, rows,

@@ -909,17 +909,21 @@ def sigma_lower_diag(desc: PhiDescriptor, wk: WeightKernel, lat: LatticeSpec,
 
     Positivity of the minimum is the numerical shadow of the lower bound
     |K(-|z|^2) sigma(z)| >= c * dist(z, Lambda) near the lattice.  A signed
-    weight (GD(1), GD(3)) enters as |W|, with a warning.
+    weight (GD(1), GD(3)) enters as |W|, with a warning.  ValueError, before
+    sigma is formed, at a grid point that is a lattice point or where W is 0
+    (an underflow, or a zero of a signed weight).
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
-    sig = sigma_fn(desc, grid, lat, N)
     d = lat.dist(grid)
     if np.any(d == 0):
         raise ValueError("grid touches a lattice point; ratio undefined there")
     w = wk.weight(np.abs(grid) ** 2)
+    if np.any(w == 0):
+        raise ValueError(f"weight is 0 at grid point {grid[np.argmax(w == 0)]}: "
+                         "the ratio bounds nothing there")
     if np.any(w < 0):
         warnings.warn("signed weight in sigma_lower_diag; using |W|")
-    lhs = np.abs(w) * np.abs(sig)
+    lhs = np.abs(w) * np.abs(sigma_fn(desc, grid, lat, N))
     ratio = lhs / d
     mn = float(ratio.min())
     return SigmaLowerReport(grid, lhs, d, ratio, mn, mn > 0.0)

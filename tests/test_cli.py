@@ -186,6 +186,13 @@ def test_weierstrass_table_past_doubles_is_a_config_error(capsys, tmp_path):
     assert err.startswith("config error:") and "outside double range" in err
 
 
+def test_weierstrass_table_zero_weight_is_a_config_error(capsys):
+    # the EXP weight e^-|z|^2 underflows to 0 at the corners of extent 28
+    rc, out, err = run_cli(capsys, ["weierstrass-table", "--extent", "28"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("config error: weight is 0 at grid point")
+
+
 # lhs of the default weierstrass-table (N = 80, M = 12, 16 x 16 grid of
 # extent 2) at the two rows per family that the choice of far radius moves
 # most, as printed with the radius of the unperturbed factor alone

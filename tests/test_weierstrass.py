@@ -1149,6 +1149,15 @@ def test_sigma_lower_diag_takes_abs_of_a_signed_weight():
     assert np.array_equal(rep.lhs, np.abs(w) * np.abs(sigma_fn(GD1N, grid, lat)))
 
 
+def test_sigma_lower_diag_refuses_a_zero_weight(monkeypatch):
+    # the GD(1) weight vanishes on |z| = 1, so the ratio there bounds
+    # nothing: ValueError naming the point, before sigma is formed
+    wk = registered_weight(PhiDescriptor.gamma_deriv(1))
+    monkeypatch.setattr(weierstrass, "sigma_fn", None)
+    with pytest.raises(ValueError, match=r"weight is 0 at grid point \(0\.6\+0\.8j\)"):
+        sigma_lower_diag(GD1N, wk, LatticeSpec(1.0, 8), np.array([0.5 + 0.5j, 0.6 + 0.8j]))
+
+
 def test_sigma_lower_single_cell_center():
     wk = verified_weight(PhiDescriptor.exponential())
     rep = sigma_lower_diag(EXPN, wk, LatticeSpec(1.0, 10), np.array([0.5 + 0.5j]))
