@@ -17,26 +17,23 @@ All lattice products are accumulated as complex logarithms: they reach
 magnitudes ~ e^{800} at |z| ~ 22, far outside double range, while every
 quantity actually consumed downstream is a ratio.
 
-The nodes far from every evaluation point, the infinite rest of the lattice
-where node and quadratic denominator coincide, collapse into one power
-series in z, the far-field idea of Greengard & Rokhlin (J. Comput. Phys. 73,
-1987); only the near nodes take the direct product.  Its coefficients are
-l_k T_k, with T_k = sum nu^-k over the far Gaussian integers, one cached
-table per near set (_lattice_tail), so the window size LatticeSpec.trunc_M
-no longer enters sigma.  The series is that of
-log E = log(1 - z) + z + z^2/2 + log R, R = phi(psi_1 z + psi_2 z^2)
-e^{-z - z^2/2}: its radius is where a bound on |R - 1| reaches 1/2, up to 1,
-where log(1 - z) is singular (see _log_product for the tail bound).  R is
-not omega()'s Omega = (E - 1) / z^3; both slice E's Maclaurin coefficients
-from one table per (family, N), _e_table, and so does omega_bound, whose
-head is |e_3| + |e_4| + |e_5| of E_2.
-
-A perturbed window's node nu has its own quadratic denominator, the base
-point beta, and so the factor E(z / nu; tau) with tau = (nu / beta)^2 - 1.
-Its far nodes collapse into a series too, in z and tau: the coefficients
-of log E(w; tau) come from one table per (family, N) (_window_series),
-with a polydisk in (w, tau) where the same bound on |R - 1| holds, and
-the moments sum nu^-k tau^m over the far nodes are formed on every call.
+The nodes far from every evaluation point collapse into power series, the
+far-field idea of Greengard & Rokhlin (J. Comput. Phys. 73, 1987); only the
+near nodes take the direct product.  A node nu with quadratic denominator
+beta has the factor E(z / nu; tau), tau = (nu / beta)^2 - 1, so tau = 0
+outside a perturbed window.  One cached table per (family, N),
+_window_series, serves every far node: the coefficients l_{k,m} of
+log E(w; tau) = log(1 - w) + w + (1/2 + c tau) w^2 + log R, and the radius
+s of a polydisk in (w, tau) where a bound on |R - 1| is at most 1/2 (see
+_log_product for the tail bound).  The infinite rest of the lattice, where
+tau = 0, is sum l_{k,0} T_k z^k with T_k = sum nu^-k over the far Gaussian
+integers, one cached table per near set (_lattice_tail), so the window
+size LatticeSpec.trunc_M does not enter sigma.  A perturbed window's far
+nodes add sum l_{k,m} z^k mu_{k,m}, whose moments mu_{k,m} = sum nu^-k
+tau^m are formed on every call.  R is not omega()'s Omega = (E - 1) / z^3,
+which slices E's Maclaurin coefficients from its own table per (family, N),
+_e_table, and so does omega_bound, whose head is |e_3| + |e_4| + |e_5| of
+E_2.
 """
 
 from __future__ import annotations
@@ -81,7 +78,7 @@ _NEAR_CELLS = 8192       # (node, point) cells per chunk of the direct product
 _LOG_GROUP = 8           # consecutive near factors multiplied before one log
 _BAND_GROUPS = 4         # groups per band of near nodes ordered by |node|
 _HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |phi|
-_FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r*, r* = _log_e_radius
+_FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho s, s = _window_series radius
 _FAR_TOL = 1e-17         # bound on the dropped far-field series tail, summed over nodes
 _TAU_RADIUS = 0.25       # T: far window nodes have |tau| <= rho T, tau = (node / base)^2 - 1
 _WIN_K, _WIN_M = 256, 24  # top degrees in w and tau of the window's far series table
@@ -92,7 +89,7 @@ _SUM_NODES = 1 << 25     # most nodes of the direct lattice sums of one far-fiel
 # G_4 = Gamma(1/4)^8 / (960 pi^2) and G_8 = 3 G_4^2 / 7 are the lattice sums
 # of Z + iZ (DLMF 23.9), here rounded from 60 digits
 _G_OUTSIDE_RING2 = (0.05331200215389754, -3.556713481048155e-05)
-_OMEGA_TAIL = 48         # e^(-w - w^2/2) terms of R_N past 2N in _log_e_radius (rest < 2e-32)
+_OMEGA_TAIL = 48         # e^(-w - w^2/2) terms of R_N past 2N in _window_series (rest < 2e-32)
 _WIND_LEVELS = tuple(128 << k for k in range(10))  # winding contour points, 128 to 2^16
 
 
@@ -232,69 +229,6 @@ def omega_bound(desc: PhiDescriptor) -> float:
     return math.inf
 
 
-@lru_cache(maxsize=64)
-def _log_e_radius(d: PhiDescriptor, N: int) -> float:
-    """r* <= 1, a radius where a bound on |R_N - 1| over |w| <= r* is at
-    most 1/2: bisection to 2^-24 that keeps the end where the bound holds
-    (0 where none does).  The largest such radius is at most 2^-24 above;
-    the bisection stops there, as each step costs a polynomial evaluation
-    and a closer r* would shift the far test by less than 1e-7 relative.
-
-    E_N(w) = (1 - w) Phi_N(w) with Phi_N(w) = phi_N(psi1 w + psi2 w^2), of
-    degree 2N, and R_N(w) = Phi_N(w) e^(-w - w^2/2), so that
-    log E_N = log(1 - w) + w + w^2/2 + log R_N (see _log_product).  The
-    coefficients q_n of R_N through degree D = 2N + _OMEGA_TAIL are
-    those of Phi_N (the cumulative sum of the E_N table _e_table, less its
-    last entry) convolved with the a_m of e^(-w - w^2/2),
-    m a_m = -a_(m-1) - a_(m-2).  The bound is sum_{1<=n<=D} |q_n| r^n
-    (q_1 = q_2 = 0 for N >= 2, up to rounding), plus the tail beyond D, at most
-    sum_j |Phi_j| r^j sum_{m>D-2N} |a_m| r^m as Phi_N has degree 2N (the
-    a_m past D enter as their Cauchy bound e^4 2^-m on |w| = 2), plus a
-    rounding allowance of (D + 2N) eps sum_j |Phi_j| r^j sum_m |a_m| r^m.
-    All three are one polynomial in r with coefficients >= 0, so the bound
-    grows with r.  The cap at 1 is the singularity of log(1 - w) at w = 1.
-    """
-    phi = np.cumsum(_e_table(d, N)[:-1])
-    D = 2 * N + _OMEGA_TAIL
-    a = _exp_quadratic(D)
-    q = np.abs(np.convolve(phi, a)[:D + 1])
-    q[0] = 0.0
-    # times sum_j |Phi_j| r^j: the allowance, the a_m past D - 2N and those past D
-    weight = np.abs(a) * ((D + 2 * N) * np.finfo(float).eps)
-    weight[_OMEGA_TAIL + 1:] += np.abs(a[_OMEGA_TAIL + 1:])
-    weight[0] += math.exp(4.0) * 0.5**D
-    bound = np.convolve(np.abs(phi), weight)
-    bound[:D + 1] += q
-    return _radius_where(bound)
-
-
-def _exp_quadratic(D: int) -> np.ndarray:
-    """The Maclaurin coefficients a_0..a_D of e^(-w - w^2/2),
-    m a_m = -a_(m-1) - a_(m-2)."""
-    a = [1.0, -1.0]
-    for m in range(2, D + 1):
-        a.append(-(a[m - 1] + a[m - 2]) / m)
-    return np.array(a)
-
-
-def _radius_where(bound: np.ndarray) -> float:
-    """The largest r <= 1 where the polynomial bound (coefficients >= 0,
-    lowest degree first) is at most 1/2, by bisection to 2^-24 that keeps
-    the end where it holds (0 where it holds nowhere)."""
-    degs = np.arange(bound.size, dtype=float)
-
-    def holds(r):
-        return bound @ r**degs <= 0.5
-
-    if holds(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > 2.0**-24:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
-    return lo
-
-
 @dataclass(frozen=True)
 class RadiusBounds:
     r_lower: float          # |psi1| + |psi2|
@@ -414,50 +348,39 @@ class PerturbedLattice:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _log_e_series(d: PhiDescriptor, deg: int, N: int) -> np.ndarray:
-    """Maclaurin coefficients l_0..l_deg of log E (phi cut after N terms),
-    from n l_n = n e_n - sum_{k<n} k l_k e_{n-k} with e_0 = 1; read-only,
-    built once per (d, deg, N), d normalized."""
-    tab = _e_table(d, N)[:deg + 1]
-    e, ell = np.pad(tab, (0, deg + 1 - tab.size)), np.zeros(deg + 1)
-    for n in range(1, deg + 1):
-        ell[n] = e[n] - np.dot(np.arange(1, n) * ell[1:n], e[n - 1:0:-1]) / n
-    ell.setflags(write=False)
-    return ell
-
-
-@lru_cache(maxsize=64)
 def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray]]:
-    """(s, ell) for the far nodes of a perturbed window; read-only, built
-    once per (d, N), d normalized.
+    """(s, ell), the far-field table of every lattice product; read-only,
+    built once per (d, N), d normalized.
 
-    A window node nu with base point beta has the factor
+    A node nu with quadratic denominator beta has the factor
     E_N(w; tau) = (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), w = z / nu,
-    tau = (nu / beta)^2 - 1.  ell[k, m], k <= _WIN_K, m <= _WIN_M, are the
-    double Maclaurin coefficients of log E_N(w; tau), ell[k, 0] = l_k: the
-    recurrence of _log_e_series with e_n(tau) for e_n, as polynomials in
-    tau cut at degree _WIN_M, so that each degree is one tau-convolution.
-    E_N(w; tau) = sum_m h_m(w) (tau w^2)^m with h_m = psi2^m phi_N^(m)(p) / m!,
-    p = psi1 w + psi2 w^2, so ell[k, m] = 0 for k < 2m.
+    tau = (nu / beta)^2 - 1; tau = 0 where the two coincide.
+    ell[k, m], k <= _WIN_K, m <= _WIN_M, are the double Maclaurin
+    coefficients of log E_N(w; tau), ell[k, 0] = l_k those of log E_N(w),
+    from n l_n = n e_n - sum_{k<n} k l_k e_(n-k) with e_0 = 1 and the e_n(tau)
+    of E_N as polynomials in tau cut at degree _WIN_M, so that each degree
+    is one tau-convolution.  E_N(w; tau) = sum_m h_m(w) (tau w^2)^m with
+    h_m = psi2^m phi_N^(m)(p) / m!, p = psi1 w + psi2 w^2, so ell[k, m] = 0
+    for k < 2m.  OverflowError where a coefficient is not a double.
 
-    s is a radius where a bound on |R_N - 1| over the polydisk |w| <= s,
-    |tau| <= T = _TAU_RADIUS is at most 1/2 (0 where none is, or where a
-    coefficient is not a double; then ell is None).  Here
-    R_N(w; tau) = Phi_N(w; tau) e^(-w - (1/2 + c tau) w^2), c = phi_1 psi2
-    and Phi_N = E_N / (1 - w), so that
+    s <= 1 is a radius where a bound on |R_N - 1| over the polydisk
+    |w| <= s, |tau| <= T = _TAU_RADIUS is at most 1/2 (0 where none is;
+    then ell is None): bisection to 2^-24 that keeps the end where the
+    bound holds.  Here R_N(w; tau) = Phi_N(w; tau) e^(-w - (1/2 + c tau) w^2),
+    c = phi_1 psi2 and Phi_N = E_N / (1 - w), of w-degree 2N, so that
     log E_N = log(1 - w) + w + (1/2 + c tau) w^2 + log R_N (see
-    _log_product).  The bound is _log_e_radius's with tau added: the
-    coefficients of a(w; tau) = e^(-w - (1/2 + c tau) w^2) are
-    a_{j,m} = (-c)^m / m! a_(j-2m), those q_{j,m} of R_N through w-degree
+    _log_product).  The coefficients of a(w; tau) = e^(-w - (1/2 + c tau) w^2)
+    are a_{j,m} = (-c)^m / m! a_(j-2m), with j a_j = -a_(j-1) - a_(j-2) those
+    of e^(-w - w^2/2); those q_{j,m} of R_N through w-degree
     D = 2N + _OMEGA_TAIL are Phi_N * a, and the bound is
     sum |q_{j,m}| s^j T^m, plus sum_j P_j s^j sum_{j>D-2N} A_j s^j for the
     degrees past D, P_j = sum_m |Phi_{j,m}| T^m and A_j = sum_m |a_{j,m}| T^m
     (the A_j past D enter as their Cauchy bound e^(4 + 4|c|T) 2^-j on
     |w| = 2), plus a rounding allowance of (2D + 2N) eps sum_j P_j s^j
-    sum_j A_j s^j.  At T = 0 it is _log_e_radius's bound, so s <= r* up to
-    rounding; EXP, ML(2,1), SG(1,2), Dunkl and the backward shift keep
-    s = r* at N = 80, GD(2) and GD(1) drop from 0.909 and 0.669 to 0.812
-    and 0.597.
+    sum_j A_j s^j.  It is one polynomial in s with coefficients >= 0, so it
+    grows with s; the cap at 1 is the singularity of log(1 - w) at w = 1.
+    At N = 80, s = 1 for EXP, ML(2,1), SG(1,2) and Dunkl(1/2), 0.771 for the
+    backward shift, 0.812 for GD(2), 0.688 for GD(3) and 0.597 for GD(1).
     """
     ps = _factor(d)[1]
     phis = phi_coeffs(d, N)
@@ -480,10 +403,14 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
         for m in range(N + 1):
             phi[2 * m:, m] = h[m, :2 * N + 1 - 2 * m]
         if not np.isfinite(phi).all():
-            return 0.0, None
+            raise OverflowError(f"E series for {d.family} outside double range "
+                                f"(psi1={ps.psi1!r})")
         c = float(phis[1]) * ps.psi2
         f = np.cumprod(np.append(1.0, -c / np.arange(1.0, M2 + 1)))  # (-c)^m / m!
-        a = _exp_quadratic(D)
+        a = [1.0, -1.0]  # a_(.,0)
+        for j in range(2, D + 1):
+            a.append(-(a[j - 1] + a[j - 2]) / j)
+        a = np.array(a)
         lag = np.subtract.outer(np.arange(D + 1), np.arange(2 * N + 1))
         aphi = np.where(lag >= 0, a[np.maximum(lag, 0)], 0.0) @ phi  # a_(.,0) * Phi
         q = np.zeros((D + 1, M2 + 1))
@@ -501,7 +428,11 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
         weight[0] += math.exp(4.0 + 4.0 * abs(c) * T) * 0.5**D
         bound = np.convolve(np.abs(phi) @ powT[:N + 1], weight)
         bound[:D + 1] += q @ powT
-    s = _radius_where(bound)
+    degs = np.arange(bound.size, dtype=float)
+    s, hi = (1.0, 1.0) if bound @ np.ones(bound.size) <= 0.5 else (0.0, 1.0)
+    while hi - s > 2.0**-24:
+        mid = 0.5 * (s + hi)
+        s, hi = (mid, hi) if bound @ mid**degs <= 0.5 else (s, mid)
     if s == 0.0:
         return 0.0, None
     cols = min(N, _WIN_M) + 1
@@ -551,40 +482,40 @@ def _lattice_tail(M: int, R2: int) -> np.ndarray:
     read-only, built once per (M, R2).  E is i-symmetric, so T_k = 0 unless
     4 | k, and conjugation symmetric, so T_k is real.
 
-    _log_product takes R2 = floor((max|z| / (lam rho r*))^2), so
-    s = rho sqrt(R2 + 1) > max|z| / (lam r*) and the series term k of a far
-    node is at most (1 + log 2) (s / |nu|)^k, with s / |nu| <= x = s / R
-    <= rho (see _log_product).  Counting the Gaussian integers in an
+    _log_product takes R2 = floor((max|z| / (lam rho s))^2), s the radius of
+    _window_series, so t = rho sqrt(R2 + 1) > max|z| / (lam s) and the
+    series term k of a far node is at most (1 + log 2) (t / |nu|)^k, with
+    t / |nu| <= x = t / R <= rho (see _log_product).  Counting the Gaussian integers in an
     annulus by the area of their unit cells, and summing by parts,
     sum_{|nu| >= R} |nu|^-k <= A_k(R) = 2 pi R^(2-k) / (k - 2)
     (1 + c (2k - 1)(k - 2) / ((k - 1) R)), c = sqrt(2) / 2.
       - K is the least multiple of 4 whose dropped tail, at most
-        (1 + log 2) s^(K+4) A_(K+4)(R) / (1 - x^4), is below _FAR_TOL.
+        (1 + log 2) t^(K+4) A_(K+4)(R) / (1 - x^4), is below _FAR_TOL.
       - T_4 and T_8 are the literal G_k less the sums over the rings
         max(|m|, |n|) <= 2 (_G_OUTSIDE_RING2), plus the ring nodes outside
         E, less the nodes of E beyond the rings, in one math.fsum, so their
         rounding is that of the terms (about eps |nu|^-k each) and not that
         of G_4 ~ 3.15, which (|z| / lam)^4 would multiply.
       - T_k for k >= 12 are direct sums over the nodes of F with
-        |nu| <= R_k, where (1 + log 2) s^k A_k(R_k) < _TAIL_TOL, over one
+        |nu| <= R_k, where (1 + log 2) t^k A_k(R_k) < _TAIL_TOL, over one
         octant (_octant) in chunks of whole rows; a chunk takes the running
         products of (R / nu)^4 up to the last k whose R_k reaches it.  Most
         nodes lie beyond R_16 and take T_12 alone.
         ConvergenceError where they would take more than _SUM_NODES nodes
-        (max|z| / (lam r*) above about 63).
+        (max|z| / (lam s) above about 63).
     """
     c = math.sqrt(0.5)
-    R, s = max(math.sqrt(R2 + 1), M + 1.0), _FAR_RATIO * math.sqrt(R2 + 1)
+    R, t = max(math.sqrt(R2 + 1), M + 1.0), _FAR_RATIO * math.sqrt(R2 + 1)
 
     def bend(k, r):  # A_k(r) r^(k-2) (k - 2) / (2 pi)
         return 1.0 + c * (2 * k - 1) * (k - 2) / ((k - 1) * r)
 
-    def log_term(k, r):  # log of (1 + log 2) s^k A_k(r) / bend(k, r)
+    def log_term(k, r):  # log of (1 + log 2) t^k A_k(r) / bend(k, r)
         return (math.log(2.0 * math.pi * (1.0 + math.log(2.0)) / (k - 2))
-                + k * math.log(s) + (2 - k) * math.log(r))
+                + k * math.log(t) + (2 - k) * math.log(r))
 
     K = 4
-    while log_term(K + 4, R) + math.log(bend(K + 4, R)) >= math.log(_FAR_TOL * (1.0 - (s / R)**4)):
+    while log_term(K + 4, R) + math.log(bend(K + 4, R)) >= math.log(_FAR_TOL * (1.0 - (t / R)**4)):
         K += 4
     # R_k^2 as integers, non-increasing in k, for k = 12, ..., K
     ks = range(12, K + 1, 4)
@@ -595,7 +526,7 @@ def _lattice_tail(M: int, R2: int) -> np.ndarray:
         hi2.append(int(Rk * Rk) + 1)
     hi2 = np.maximum.accumulate(hi2[::-1])[::-1]
     if math.pi / 8 * hi2[:1].sum() > _SUM_NODES:
-        raise ConvergenceError(f"the lattice far field at max|z| / (lam r*) ~ {s:.4g} "
+        raise ConvergenceError(f"the lattice far field at max|z| / (lam s) ~ {t:.4g} "
                                f"needs direct sums over {math.pi / 8 * hi2[0]:.3g} nodes")
     tau = np.zeros(K // 4)
     # T_4, T_8: the quadrant m >= 1, n >= 0 within max(m, n) <= L holds E and the rings
@@ -631,7 +562,7 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     """sum over nodes of log[(1 - z/node) phi(psi1 z/node + psi2 z^2/den^2)],
     every node taken directly: _log_product passes the near nodes, those
     of the window that its series does not take and the lattice nodes
-    outside the window within max|z| / (rho r*).
+    outside the window within max|z| / (rho s).
 
     Returns complex logs; -inf real part where z hits a node exactly.  The
     imaginary part is a sum of principal arguments, so it is defined only
@@ -730,9 +661,7 @@ def _window_far(d: PhiDescriptor, z: np.ndarray, zmax: float, nodes: np.ndarray,
     takes, and the sum of log E_N over them at z (None where it takes
     none).  See _log_product for which nodes are far and the bound."""
     far = np.zeros(nodes.size, dtype=bool)
-    s, ell = _window_series(d, N) if nodes.size else (0.0, None)
-    if s == 0.0:
-        return far, None
+    s, ell = _window_series(d, N)
     x = zmax / (s * np.abs(nodes))
     tau = (nodes - dens) * (nodes + dens) / (dens * dens)
     y = np.abs(tau) / _TAU_RADIUS
@@ -775,32 +704,31 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     factor of node (m, n) is (1 - z/node) phi(psi1 z/node + psi2 z^2/den^2),
     see _near_logs), and every node outside it at lam (m + i n).
 
-    The nodes outside the window with |node| <= max|z| / (rho r) are near
-    too, and taken directly, rho = _FAR_RATIO and r = _log_e_radius(N) <= 1,
-    a radius where |R_N - 1| <= 1/2 for R_N(w) = Phi_N(w) e^(-w - w^2/2),
-    Phi_N(w) = phi_N(psi1 w + psi2 w^2).  As E_N = (1 - w) Phi_N,
-    log E_N = log(1 - w) + w + w^2/2 + log R_N, and |log R_N| <= log 2 on
-    |w| <= r.  E_N = 1 + O(w^3) (N >= 2), so l_1 = l_2 = 0, and
-    l_k = -1/k + lambda_k for k >= 3 with |lambda_k| <= log 2 / r^k
-    (Cauchy); as r <= 1, |l_k| <= (1 + log 2) / r^k for every k.  Every
-    other node nu is far: the far field, the infinite rest of the lattice,
-    is sum_{k<=K} l_k (z / lam)^k T_k with T_k = sum_far nu^-k, which the
+    One cached table, _window_series, serves every far node.  A node nu
+    with denominator beta has the factor E_N(w; tau) =
+    (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), w = z / nu,
+    tau = (nu / beta)^2 - 1 (0 where the two coincide, so outside the
+    window).  The table holds the coefficients l_{k,m} of log E_N(w; tau)
+    and the radius s <= 1 of a polydisk |w| <= s, |tau| <= T = _TAU_RADIUS
+    where |log R_N(w; tau)| <= log 2, R_N(w; tau) =
+    E_N(w; tau) / (1 - w) e^(-w - (1/2 + c tau) w^2), c = phi_1 psi2, so
+    that log E_N = log(1 - w) + w + (1/2 + c tau) w^2 + log R_N.
+    E_N = 1 + O(w^3) (N >= 2), so l_{1,0} = l_{2,0} = 0, l_{2,1} = c exactly,
+    and l_{k,0} = -1/k + lambda_k for k >= 3 with |lambda_k| <= log 2 / s^k
+    (Cauchy); as s <= 1, |l_{k,0}| <= (1 + log 2) / s^k for every k.  Every
+    other l_{k,m} obeys |l_{k,m}| <= log 2 / (s^k T^m), and l_{k,m} = 0 for
+    k < 2m.
+
+    The nodes outside the window with |node| <= max|z| / (rho s) are near
+    too, and taken directly, rho = _FAR_RATIO.  Every other node nu there
+    is far: the far field, the infinite rest of the lattice, is
+    sum_{k<=K} l_{k,0} (z / lam)^k T_k with T_k = sum_far nu^-k, which the
     cached table _lattice_tail builds once per excluded set (window and
     disk) with K and its tail bound.  A call adds one K/4-term Horner in
     (z / (lam R))^4 to its near product, whatever the window.
 
-    A window node nu with denominator beta has the factor E_N(w; tau) =
-    (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), w = z / nu,
-    tau = (nu / beta)^2 - 1 (0 where the two coincide), and the far ones
-    collapse into a series too (_window_far): sum_{k<=K, m<=m'} l_{k,m} z^k
-    mu_{k,m}, mu_{k,m} = sum_far nu^-k tau^m, with the coefficients l_{k,m}
-    of log E_N(w; tau) from the cached table _window_series, which also
-    holds the radius s <= r of a polydisk |w| <= s, |tau| <= T =
-    _TAU_RADIUS where |log R_N(w; tau)| <= log 2, R_N(w; tau) =
-    E_N(w; tau) / (1 - w) e^(-w - (1/2 + c tau) w^2), c = phi_1 psi2.  So
-    l_{2,1} = c exactly, l_{k,0} = l_k with |l_k| <= (1 + log 2) / s^k as
-    above, every other l_{k,m} obeys |l_{k,m}| <= log 2 / (s^k T^m)
-    (Cauchy), and l_{k,m} = 0 for k < 2m.
+    The far nodes of the window collapse into a series too (_window_far):
+    sum_{k<=K, m<=m'} l_{k,m} z^k mu_{k,m}, mu_{k,m} = sum_far nu^-k tau^m.
     A window node is far where x = max|z| / (s |nu|) <= rho and
     y = |tau| / T <= rho; there the series terms it drops past K in w or
     past m' in tau sum to at most
@@ -809,21 +737,21 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     and K >= 2, m' >= 1 are the least degrees whose bound, summed over
     the far nodes, is at most _FAR_TOL.  Nodes whose bounds at the table's
     top degrees _WIN_K and _WIN_M would sum past _FAR_TOL stay near,
-    largest first, and so does every node of the window where s = 0.  A
-    far node is never hit (|w| < 1).  The moments are formed in chunks of
-    nodes of at most _SUM_CELLS powers, on every call.
-    ConvergenceError where r is 0 (no radius meets the bound), or where the
-    table's direct sums would be too long (max|z| / (lam r) above about 63).
+    largest first.  A far node is never hit (|w| < 1).  The moments are
+    formed in chunks of nodes of at most _SUM_CELLS powers, on every call.
+    ConvergenceError where s is 0 (no radius meets the bound), where the
+    lattice far field needs a degree past _WIN_K, or where its table's
+    direct sums would be too long (max|z| / (lam s) above about 63).
     A nan or infinite z is left out of max|z| and gives nan.
     """
     d = desc.normalize()
-    r = _log_e_radius(d, N)
-    if r == 0.0:
+    s, ell = _window_series(d, N)
+    if s == 0.0:
         raise ConvergenceError(f"no radius where log E_N of {d.family} converges: "
                                "the lattice far field cannot be summed")
     a = np.abs(z)
     zmax = float(a[np.isfinite(a)].max(initial=0.0))
-    R2 = int((zmax / (lam * _FAR_RATIO * r)) ** 2)
+    R2 = int((zmax / (lam * _FAR_RATIO * s)) ** 2)
     tau = _lattice_tail(M, R2)
     if 4 * tau.size > _WIN_K:
         raise ConvergenceError(f"the lattice far field needs degree {4 * tau.size} of the "
@@ -837,7 +765,7 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
                      np.concatenate([dens[~far], extra]), N)
     if logs is not None:
         out += logs
-    coef = _log_e_series(d, 4 * tau.size, N)[4::4] * tau
+    coef = ell[4:4 * tau.size + 1:4, 0] * tau
     with np.errstate(invalid="ignore"):  # an infinite z
         t = (z / (lam * max(math.sqrt(R2 + 1), M + 1.0))) ** 4
         return out + _horner(np.append(coef[::-1], 0.0), t)
@@ -872,10 +800,10 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
     the quadratic denominator inside phi the base-lattice point lam_{m,n}.
     Outside the window the lattice is unperturbed and infinite.
     _log_product takes directly the window nodes within max|z| / (rho s) of
-    the origin (s = r* for EXP, ML(2,1), SG(1,2), Dunkl and the backward
-    shift at N = 80, smaller for GD(2) and GD(1)) or with |(z_{m,n} / lam_{m,n})^2 - 1| above
-    rho T, and the rest of the window through one series in z whose
-    moments are formed on every call (see _log_product).
+    the origin (s the radius of _window_series, the far-field table sigma
+    reads too) or with |(z_{m,n} / lam_{m,n})^2 - 1| above rho T, and the
+    rest of the window through one series in z whose moments are formed
+    on every call (see _log_product).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     nodes, base = gamma.nonzero()

@@ -167,14 +167,15 @@ def test_check_weierstrass_fails_on_violation(capsys, tmp_path, monkeypatch, phi
     assert rc == 1 and err.startswith("FAILED: E_inequality_grid")
 
 
-def test_weierstrass_table_builds_one_e_table(capsys):
-    # the far radius and the far series of a cold run read one E_80 table
+def test_weierstrass_table_builds_one_window_table(capsys):
+    # the far radius and the far series of a cold run read one window
+    # table, and no E table
     from glfock import weierstrass
-    for cached in (weierstrass._e_table, weierstrass._log_e_radius,
-                   weierstrass._log_e_series):
+    for cached in (weierstrass._e_table, weierstrass._window_series):
         cached.cache_clear()
     rc, _, _ = run_cli(capsys, ["weierstrass-table"])
-    assert rc == 0 and weierstrass._e_table.cache_info().misses == 1
+    assert rc == 0 and weierstrass._window_series.cache_info().misses == 1
+    assert weierstrass._e_table.cache_info().misses == 0
 
 
 def test_weierstrass_table_past_doubles_is_a_config_error(capsys, tmp_path):
@@ -195,8 +196,8 @@ def test_weierstrass_table_zero_weight_is_a_config_error(capsys):
 
 # lhs of the default weierstrass-table (N = 80, M = 12, 16 x 16 grid of
 # extent 2) at the two rows per family that the choice of far radius moves
-# most, as printed with the radius of the unperturbed factor alone
-# (r* = 0.669, 0.909 and 0.770 for GD(1), GD(2) and GD(3), 1 for ML(2,1))
+# most, as printed when sigma's far radius bounded the unperturbed factor
+# alone (0.669, 0.909 and 0.770 for GD(1), GD(2) and GD(3), 1 for ML(2,1))
 FAR_RADIUS_ROWS = {
     "GD(1)": ({"family": "gamma_deriv", "params": {"n": 1}},
               {(-1.875, 1.625): 11536956003.912437, (-1.625, 1.625): 440615484.47009605}),

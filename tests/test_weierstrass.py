@@ -11,7 +11,7 @@ from glfock import weierstrass
 from glfock.core import PhiDescriptor, phi_coeffs, signs_logs
 from glfock.errors import ConvergenceError
 from glfock.fock import registered_weight, verified_weight
-from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _e_table, _log_e_series,
+from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _e_table, _window_series,
                                 g_fn, log_g_fn,
                                 omega, omega_bound, psi_pair, radius_bounds, sigma_fn,
                                 sigma_lower_diag, two_sided_diag,
@@ -425,53 +425,49 @@ def test_log_g_fn_node_is_neg_inf():
 # near/far split of the lattice products
 # ---------------------------------------------------------------------------
 
-def test_log_e_series_exponential_closed_form():
-    # log[(1 - z) e^{z + z^2/2}] = -sum_{k>=3} z^k / k
-    ell = _log_e_series(EXPN, 70, 80)
+def test_log_e_coefficients_exponential_closed_form():
+    # log[(1 - z) e^{z + z^2/2}] = -sum_{k>=3} z^k / k, the tau = 0 column
+    ell = _window_series(EXPN, 80)[1][:71, 0]
     want = np.array([0.0, 0.0, 0.0] + [-1.0 / k for k in range(3, 71)])
     assert np.max(np.abs(ell - want)) <= 1e-16
 
 
 @pytest.mark.parametrize("name, N", [("ML(2,1)", 80), ("GD(1)", 6)])
-def test_log_e_series_against_mpmath_taylor(name, N):
+def test_log_e_coefficients_against_mpmath_taylor(name, N):
     # N = 6 < degree 16: the coefficients are those of the cut factor E_N
     desc, family, params = ORACLE_FAMILIES[name]
     want = np.array(log_factor_taylor(family, params, 16, N))
-    got = _log_e_series(desc, 16, N)
+    got = _window_series(desc, N)[1][:17, 0]
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["ML(2,1)", "GD(1)"])
-def test_log_e_series_to_degree_170(name):
+def test_log_e_coefficients_to_degree_170(name):
     # the far series runs to degree K ~ 171 at M = 48; each error is scaled
-    # by r^k, as term k of a far node is at most |l_k| (rho r)^k
+    # by s^k, as term k of a far node is at most |l_k| (rho s)^k
     desc, family, params = ORACLE_FAMILIES[name]
     want = np.array(log_factor_series(family, params, 170))
-    got = _log_e_series(desc, 170, 80)
-    r = weierstrass._log_e_radius(desc, 80)
-    assert np.max(np.abs(got - want) * r ** np.arange(171)) / math.log(2.0) <= 1e-15
+    s, ell = _window_series(desc, 80)
+    got = ell[:171, 0]
+    assert np.max(np.abs(got - want) * s ** np.arange(171)) / math.log(2.0) <= 1e-15
 
 
-def _clear_e_caches():
-    for cached in (_e_table, weierstrass._log_e_radius, _log_e_series):
-        cached.cache_clear()
-
-
-def test_log_e_series_cached_read_only():
-    got = _log_e_series(ML21N, 161, 80)
-    assert not got.flags.writeable and not _e_table(ML21N, 80).flags.writeable
-    assert np.array_equal(got, _log_e_series.__wrapped__(ML21N, 161, 80))
+def test_sigma_reads_one_cached_table():
+    s, ell = _window_series(ML21N, 80)
+    assert not ell.flags.writeable and not _e_table(ML21N, 80).flags.writeable
+    assert np.array_equal(ell, _window_series.__wrapped__(ML21N, 80)[1])
     # the far radius and every far-series degree K of three windows read
-    # one E_80 table
-    _clear_e_caches()
+    # one window table, and no E table
+    _window_series.cache_clear()
+    _e_table.cache_clear()
     z = np.array([0.3 + 0.2j, 1.5 + 1.1j, -1.9 + 0.3j])
-    weierstrass._log_e_radius(EXPN, 80)
     values = [sigma_fn(EXPN, z, LatticeSpec(1.0, M)) for M in (2, 12, 24)]
-    assert _e_table.cache_info().misses == 1
+    assert _window_series.cache_info().misses == 1
     # a second pass reads the cached far-field coefficients
     assert all(np.array_equal(sigma_fn(EXPN, z, LatticeSpec(1.0, M)), v)
                for M, v in zip((2, 12, 24), values))
-    assert _e_table.cache_info().misses == 1
+    assert _window_series.cache_info().misses == 1
+    assert _e_table.cache_info().misses == 0
 
 
 def test_sigma_far_series_only():
@@ -484,9 +480,9 @@ def test_sigma_far_series_only():
 
 
 def test_sigma_raises_without_a_far_radius(monkeypatch):
-    # r* = 0: no disk where the log E series converges, so the infinite
+    # s = 0: no disk where the log E series converges, so the infinite
     # far field cannot be summed
-    monkeypatch.setattr(weierstrass, "_log_e_radius", lambda d, N: 0.0)
+    monkeypatch.setattr(weierstrass, "_window_series", lambda d, N: (0.0, None))
     with pytest.raises(ConvergenceError):
         sigma_fn(EXPN, 0.5 + 0.5j, LatticeSpec(1.0, 4))
     with pytest.raises(ConvergenceError):
@@ -494,7 +490,7 @@ def test_sigma_raises_without_a_far_radius(monkeypatch):
 
 
 def test_sigma_far_table_size_is_capped():
-    # max|z| / (lam r*) = 100.5 (above about 63): the direct sums of the
+    # max|z| / (lam s) = 100.5 (above about 63): the direct sums of the
     # far-field table would take about 1e8 nodes
     with pytest.raises(ConvergenceError, match="direct sums"):
         sigma_fn(EXPN, 100.5 + 0j, LatticeSpec(1.0, 3))
@@ -689,8 +685,8 @@ def rounding_scale(desc, z, nodes, dens, N=80):
 
 def sigma_near_nodes(desc, lat, zmax):
     """The nonzero nodes lam (m + i n) that sigma_fn takes directly for
-    max|z| = zmax, m-major: those with |node| rho r* <= zmax."""
-    R = zmax / (lat.lam * weierstrass._FAR_RATIO * weierstrass._log_e_radius(desc, 80))
+    max|z| = zmax, m-major: those with |node| rho s <= zmax."""
+    R = zmax / (lat.lam * weierstrass._FAR_RATIO * _window_series(desc, 80)[0])
     g = np.arange(-int(R), int(R) + 1)
     m, n = np.repeat(g, g.size), np.tile(g, g.size)
     keep = (m * m + n * n <= int(R * R)) & ((m != 0) | (n != 0))
@@ -706,7 +702,7 @@ CONTOUR_25, CONTOUR_35 = 2.5 * np.exp(ANGLES), 3.5 * np.exp(ANGLES)
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_banded_sigma_against_mpmath_product(name):
     # |z| = 3.5: the near nodes fill several bands (68 for EXP and ML(2,1),
-    # 144 for GD(1)); ML(2,1)'s Horner cancels here, which the rounding
+    # 192 for GD(1)); ML(2,1)'s Horner cancels here, which the rounding
     # estimate over the M = 12 window covers; the oracle is the window
     # product times the tail outside it
     desc, family, params = ORACLE_FAMILIES[name]
@@ -831,33 +827,33 @@ def test_e_table_against_mpmath(name, N):
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
-def test_log_e_radius_bounds_the_factor(name):
-    # |Phi_80(w) e^(-w - w^2/2) - 1| <= 1/2 on |w| = r*, hence on the disk
-    # (the maximum principle), so |log R_80| <= log 2 there; r* <= 1
+def test_window_radius_bounds_the_unperturbed_factor(name):
+    # |Phi_80(w) e^(-w - w^2/2) - 1| <= 1/2 on |w| = s, hence on the disk
+    # (the maximum principle), so |log R_80| <= log 2 there; s <= 1
     desc, family, params = FACTOR_ORACLES[name]
-    r = weierstrass._log_e_radius(desc, 80)
-    assert 0.0 < r <= 1.0
-    assert omega_deviation_on_circle(family, params, r, 4096) <= 0.5
+    s = _window_series(desc, 80)[0]
+    assert 0.0 < s <= 1.0
+    assert omega_deviation_on_circle(family, params, s, 4096) <= 0.5
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
 def test_log_e_coefficients_split_off_log_one_minus_w(name):
     # log E = log(1 - w) + w + w^2/2 + log R: l_1 = l_2 = 0 (to the
     # oracle's 50 digits), and l_k + 1/k = lambda_k obeys the Cauchy bound
-    # log 2 / r*^k that the far-field tail bound takes
+    # log 2 / s^k that the far-field tail bound takes
     desc, family, params = FACTOR_ORACLES[name]
     ell = np.array(log_factor_series(family, params, 170))
-    r = weierstrass._log_e_radius(desc, 80)
+    s = _window_series(desc, 80)[0]
     assert abs(ell[1]) <= 1e-40 and abs(ell[2]) <= 1e-40
     k = np.arange(3, 171)
-    assert np.all(np.abs(ell[3:] + 1.0 / k) * r**k <= math.log(2.0))
+    assert np.all(np.abs(ell[3:] + 1.0 / k) * s**k <= math.log(2.0))
 
 
-@pytest.mark.parametrize("name, count", [("EXP", 36), ("ML(2,1)", 36), ("GD(1)", 68),
+@pytest.mark.parametrize("name, count", [("EXP", 36), ("ML(2,1)", 36), ("GD(1)", 96),
                                          ("BSN", 60)])
 def test_sigma_near_counts_on_winding_contour(name, count):
-    # M = 12 at |z| = 2.5: nodes with |node| <= 2.5 / (0.75 r*) are near,
-    # |node| <= 3.33 where r* = 1 (EXP, ML(2,1))
+    # M = 12 at |z| = 2.5: nodes with |node| <= 2.5 / (0.75 s) are near,
+    # |node| <= 3.33 where s = 1 (EXP, ML(2,1))
     desc = NEAR_FAMILIES[name]
     assert sigma_near_nodes(desc, LatticeSpec(1.0, 12), 2.5).size == count
 
@@ -983,11 +979,10 @@ T_WIN = weierstrass._TAU_RADIUS
 def test_window_series_polydisk_bounds_the_factor(name):
     # |R_80(w; tau) - 1| <= 1/2 on |w| = s at four points of |tau| = T, so
     # |log R_80| <= log 2 where the Cauchy bound of the window series is
-    # taken; s <= 1 and, as tau = 0 is sigma's factor, s <= r* up to the
-    # bisection step
+    # taken; s <= 1
     desc, family, params = WINDOW_ORACLES[name]
     s = weierstrass._window_series(desc, 80)[0]
-    assert 0.0 < s <= weierstrass._log_e_radius(desc, 80) + 2.0**-24
+    assert 0.0 < s <= 1.0
     for tau in T_WIN * np.exp(0.5j * np.pi * np.arange(4)):
         assert omega_deviation_on_circle(family, params, s, 256, tau=tau) <= 0.5
 
@@ -1085,8 +1080,8 @@ def window_table_caps(monkeypatch):
 def test_window_caps_keep_nodes_near(window_table_caps, monkeypatch):
     # a table cut at degrees 60 in w and 6 in tau cannot take the nearest
     # far nodes within _FAR_TOL: they stay near, largest tails first, and the
-    # product does not move beyond rounding; with s = 0 the whole window is
-    # near
+    # product does not move beyond rounding; with s = 0 sigma and g alike
+    # refuse, as the infinite far field cannot be summed
     gam, grid = perfbench_window()
     nodes, base = gam.nonzero()
     zmax = float(np.abs(grid).max())
@@ -1098,8 +1093,10 @@ def test_window_caps_keep_nodes_near(window_table_caps, monkeypatch):
     tol = 4.0 * rounding_scale(EXPN, grid, nodes, base)
     assert np.all(np.abs(log_g_fn(EXPN, grid, gam).real - full) <= tol)
     monkeypatch.setattr(weierstrass, "_window_series", lambda d, N: (0.0, None))
-    assert not weierstrass._window_far(EXPN, grid, zmax, nodes, base, 80)[0].any()
-    assert np.all(np.abs(log_g_fn(EXPN, grid, gam).real - full) <= tol)
+    with pytest.raises(ConvergenceError):
+        log_g_fn(EXPN, grid, gam)
+    with pytest.raises(ConvergenceError):
+        sigma_fn(EXPN, grid, gam.lat)
 
 
 def test_window_series_cached_read_only():
@@ -1111,8 +1108,8 @@ def test_window_series_cached_read_only():
     assert all(np.array_equal(log_g_fn(ML21N, z, PerturbedLattice.perturb(
         LatticeSpec(1.0, M), 0.2, seed=3)), v) for M, v in zip((6, 10), values))
     assert weierstrass._window_series.cache_info().misses == 1
-    # sigma takes no window nodes and builds no window table
-    sigma_fn(GD1N, z, LatticeSpec(1.0, 6))
+    # sigma reads the same table
+    sigma_fn(ML21N, z, LatticeSpec(1.0, 6))
     assert weierstrass._window_series.cache_info().misses == 1
 
 
