@@ -356,8 +356,8 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
     E_N(w; tau) = (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), w = z / nu,
     tau = (nu / beta)^2 - 1; tau = 0 where the two coincide.
     ell[k, m], k <= _WIN_K, m <= _WIN_M, are the double Maclaurin
-    coefficients of log E_N(w; tau), ell[k, 0] = l_k those of log E_N(w),
-    from n l_n = n e_n - sum_{k<n} k l_k e_(n-k) with e_0 = 1 and the e_n(tau)
+    coefficients of log E_N(w; tau), and ell[k, 0] = l_k those of
+    log E_N(w), from n l_n = n e_n - sum_{k<n} k l_k e_(n-k) with e_0 = 1 and the e_n(tau)
     of E_N as polynomials in tau cut at degree _WIN_M, so that each degree
     is one tau-convolution.  E_N(w; tau) = sum_m h_m(w) (tau w^2)^m with
     h_m = psi2^m phi_N^(m)(p) / m!, p = psi1 w + psi2 w^2, so ell[k, m] = 0
@@ -366,7 +366,8 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
     s <= 1 is a radius where a bound on |R_N - 1| over the polydisk
     |w| <= s, |tau| <= T = _TAU_RADIUS is at most 1/2 (0 where none is;
     then ell is None): bisection to 2^-24 that keeps the end where the
-    bound holds.  Here R_N(w; tau) = Phi_N(w; tau) e^(-w - (1/2 + c tau) w^2),
+    bound holds, as a closer s would move the far test by less than 1e-7
+    relative.  Here R_N(w; tau) = Phi_N(w; tau) e^(-w - (1/2 + c tau) w^2),
     c = phi_1 psi2 and Phi_N = E_N / (1 - w), of w-degree 2N, so that
     log E_N = log(1 - w) + w + (1/2 + c tau) w^2 + log R_N (see
     _log_product).  The coefficients of a(w; tau) = e^(-w - (1/2 + c tau) w^2)
@@ -661,6 +662,8 @@ def _window_far(d: PhiDescriptor, z: np.ndarray, zmax: float, nodes: np.ndarray,
     takes, and the sum of log E_N over them at z (None where it takes
     none).  See _log_product for which nodes are far and the bound."""
     far = np.zeros(nodes.size, dtype=bool)
+    if not nodes.size:  # sigma's lattice has no window nodes
+        return far, None
     s, ell = _window_series(d, N)
     x = zmax / (s * np.abs(nodes))
     tau = (nodes - dens) * (nodes + dens) / (dens * dens)
