@@ -23,14 +23,14 @@ near nodes take the direct product.  A node nu with quadratic denominator
 beta has the factor E(z / nu; tau), tau = (nu / beta)^2 - 1, so tau = 0
 outside a perturbed window.  One cached table per (family, N),
 _window_series, serves every far node: the coefficients l_{k,m} of
-log E(w; tau) = log(1 - w) + w + (1/2 + c tau) w^2 + log R, and the radius
-s of a polydisk in (w, tau) where a bound on |R - 1| is at most 1/2 (see
-_log_product for the tail bound).  The infinite rest of the lattice, where
-tau = 0, is sum l_{k,0} T_k z^k with T_k = sum nu^-k over the far Gaussian
-integers, one cached table per near set (_lattice_tail), so the window
-size LatticeSpec.trunc_M does not enter sigma.  A perturbed window's far
-nodes add sum l_{k,m} z^k mu_{k,m}, whose moments mu_{k,m} = sum nu^-k
-tau^m are formed on every call.  R is not omega()'s Omega = (E - 1) / z^3,
+log E(w; tau) = log(1 - w) + w + (1/2 + c tau) w^2 + log R, and the radii
+where one bound on |R - 1| is at most 1/2, r on the disk tau = 0 and s on
+a polydisk in (w, tau) (see _log_product for the tail bound).  The
+infinite rest of the lattice, where tau = 0, is sum l_{k,0} T_k z^k with
+T_k = sum nu^-k over the far Gaussian integers, one cached table per near
+set (_lattice_tail), so the window size LatticeSpec.trunc_M does not
+enter sigma.  A perturbed window's far nodes add sum l_{k,m} z^k mu_{k,m},
+whose moments mu_{k,m} = sum nu^-k tau^m are formed on every call.  R is not omega()'s Omega = (E - 1) / z^3,
 which slices E's Maclaurin coefficients from its own table per (family, N),
 _e_table, and so does omega_bound, whose head is |e_3| + |e_4| + |e_5| of
 E_2.
@@ -78,7 +78,7 @@ _NEAR_CELLS = 8192       # (node, point) cells per chunk of the direct product
 _LOG_GROUP = 8           # consecutive near factors multiplied before one log
 _BAND_GROUPS = 4         # groups per band of near nodes ordered by |node|
 _HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |phi|
-_FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho s, s = _window_series radius
+_FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r (rho s in a window), radii of _window_series
 _FAR_TOL = 1e-17         # bound on the dropped far-field series tail, summed over nodes
 _TAU_RADIUS = 0.25       # T: far window nodes have |tau| <= rho T, tau = (node / base)^2 - 1
 _WIN_K, _WIN_M = 256, 24  # top degrees in w and tau of the window's far series table
@@ -348,8 +348,8 @@ class PerturbedLattice:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray]]:
-    """(s, ell), the far-field table of every lattice product; read-only,
+def _window_series(d: PhiDescriptor, N: int) -> tuple[float, float, Optional[np.ndarray]]:
+    """(r, s, ell), the far-field table of every lattice product; read-only,
     built once per (d, N), d normalized.
 
     A node nu with quadratic denominator beta has the factor
@@ -361,13 +361,15 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
     of E_N as polynomials in tau cut at degree _WIN_M, so that each degree
     is one tau-convolution.  E_N(w; tau) = sum_m h_m(w) (tau w^2)^m with
     h_m = psi2^m phi_N^(m)(p) / m!, p = psi1 w + psi2 w^2, so ell[k, m] = 0
-    for k < 2m.  OverflowError where a coefficient is not a double.
+    for k < 2m.  OverflowError where a coefficient of E_N(w) is not a
+    double; where only one of a higher tau-degree is not, s = 0.
 
-    s <= 1 is a radius where a bound on |R_N - 1| over the polydisk
-    |w| <= s, |tau| <= T = _TAU_RADIUS is at most 1/2 (0 where none is;
-    then ell is None): bisection to 2^-24 that keeps the end where the
-    bound holds, as a closer s would move the far test by less than 1e-7
-    relative.  Here R_N(w; tau) = Phi_N(w; tau) e^(-w - (1/2 + c tau) w^2),
+    r and s <= 1 are radii where a bound on |R_N - 1| over |w| <= r,
+    tau = 0, and over the polydisk |w| <= s, |tau| <= T = _TAU_RADIUS, is
+    at most 1/2 (0 where none is; where r is, ell is None, and where s is,
+    only its column 0 holds coefficients): bisection to 2^-24 that keeps the end where
+    the bound holds, as a closer radius would move the far test by less
+    than 1e-7 relative.  Here R_N(w; tau) = Phi_N(w; tau) e^(-w - (1/2 + c tau) w^2),
     c = phi_1 psi2 and Phi_N = E_N / (1 - w), of w-degree 2N, so that
     log E_N = log(1 - w) + w + (1/2 + c tau) w^2 + log R_N (see
     _log_product).  The coefficients of a(w; tau) = e^(-w - (1/2 + c tau) w^2)
@@ -378,14 +380,16 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
     degrees past D, P_j = sum_m |Phi_{j,m}| T^m and A_j = sum_m |a_{j,m}| T^m
     (the A_j past D enter as their Cauchy bound e^(4 + 4|c|T) 2^-j on
     |w| = 2), plus a rounding allowance of (2D + 2N) eps sum_j P_j s^j
-    sum_j A_j s^j.  It is one polynomial in s with coefficients >= 0, so it
-    grows with s; the cap at 1 is the singularity of log(1 - w) at w = 1.
-    At N = 80, s = 1 for EXP, ML(2,1), SG(1,2) and Dunkl(1/2), 0.771 for the
-    backward shift, 0.812 for GD(2), 0.688 for GD(3) and 0.597 for GD(1).
+    sum_j A_j s^j; r's is the same bound at T = 0, so s <= r.  It is one
+    polynomial in s with coefficients >= 0, so it grows with s; the cap at
+    1 is the singularity of log(1 - w) at w = 1.  At N = 80, r = s = 1 for
+    EXP, ML(2,1), SG(1,2) and Dunkl(1/2), r = s = 0.771 for the backward
+    shift; (r, s) = (0.909, 0.812) for GD(2), (0.770, 0.688) for GD(3) and
+    (0.669, 0.597) for GD(1).
     """
     ps = _factor(d)[1]
     phis = phi_coeffs(d, N)
-    T, D, M2 = _TAU_RADIUS, 2 * N + _OMEGA_TAIL, N + _OMEGA_TAIL // 2
+    D, M2 = 2 * N + _OMEGA_TAIL, N + _OMEGA_TAIL // 2
     with np.errstate(over="ignore", invalid="ignore"):
         # rows p^i of the powers of p, then h_m = psi2^m sum_i C(i + m, m) phi_(i+m) p^i
         P = np.zeros((N + 1, 2 * N + 1))
@@ -398,12 +402,12 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
         for m in range(N + 1):
             if m:
                 binom = binom * (np.arange(N + 1) + m) / m
-            H[m, :N + 1 - m] = binom[:N + 1 - m] * phis[m:] * ps.psi2**m
+            H[m, :N + 1 - m] = binom[:N + 1 - m] * phis[m:] * np.float64(ps.psi2)**m
         h = H @ P
         phi = np.zeros((2 * N + 1, N + 1))  # Phi_{j,m}
         for m in range(N + 1):
             phi[2 * m:, m] = h[m, :2 * N + 1 - 2 * m]
-        if not np.isfinite(phi).all():
+        if not np.isfinite(phi[:, 0]).all():
             raise OverflowError(f"E series for {d.family} outside double range "
                                 f"(psi1={ps.psi1!r})")
         c = float(phis[1]) * ps.psi2
@@ -420,23 +424,32 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
             q[2 * m:, m:m + cols] += f[m] * aphi[:D + 1 - 2 * m, :cols]
         q = np.abs(q)
         q[0, 0] = 0.0
-        powT = T ** np.arange(M2 + 1.0)
-        g = np.zeros(D + 1)
-        g[::2] = np.abs(f) * powT
-        A = np.convolve(np.abs(a), g)[:D + 1]
-        weight = A * ((2 * D + 2 * N) * np.finfo(float).eps)
-        weight[_OMEGA_TAIL + 1:] += A[_OMEGA_TAIL + 1:]
-        weight[0] += math.exp(4.0 + 4.0 * abs(c) * T) * 0.5**D
-        bound = np.convolve(np.abs(phi) @ powT[:N + 1], weight)
-        bound[:D + 1] += q @ powT
-    degs = np.arange(bound.size, dtype=float)
-    s, hi = (1.0, 1.0) if bound @ np.ones(bound.size) <= 0.5 else (0.0, 1.0)
-    while hi - s > 2.0**-24:
-        mid = 0.5 * (s + hi)
-        s, hi = (mid, hi) if bound @ mid**degs <= 0.5 else (s, mid)
-    if s == 0.0:
-        return 0.0, None
-    cols = min(N, _WIN_M) + 1
+
+        def radius(T):
+            # at T = 0 only column 0 of Phi enters, as 0 times a column
+            # that is not a double would be nan
+            top = M2 if T else 0
+            powT = T ** np.arange(top + 1.0)
+            g = np.zeros(D + 1)
+            g[:2 * top + 1:2] = np.abs(f[:top + 1]) * powT
+            A = np.convolve(np.abs(a), g)[:D + 1]
+            weight = A * ((2 * D + 2 * N) * np.finfo(float).eps)
+            weight[_OMEGA_TAIL + 1:] += A[_OMEGA_TAIL + 1:]
+            weight[0] += math.exp(4.0 + 4.0 * abs(c) * T) * 0.5**D
+            bound = np.convolve(np.abs(phi[:, :top + 1]) @ powT[:N + 1], weight)
+            bound[:D + 1] += q[:, :top + 1] @ powT
+            degs = np.arange(bound.size, dtype=float)
+            lo, hi = (1.0, 1.0) if bound @ np.ones(bound.size) <= 0.5 else (0.0, 1.0)
+            while hi - lo > 2.0**-24:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if bound @ mid**degs <= 0.5 else (lo, mid)
+            return lo
+
+        r = radius(0.0)
+        s = radius(_TAU_RADIUS) if r and np.isfinite(phi).all() else 0.0
+    if r == 0.0:
+        return 0.0, 0.0, None
+    cols = min(N, _WIN_M) + 1 if s else 1
     e = np.zeros((max(_WIN_K + 1, 2 * N + 2), _WIN_M + 1))  # of E_N = (1 - w) Phi_N
     e[:2 * N + 1, :cols] = phi[:, :cols]
     e[1:2 * N + 2, :cols] -= phi[:, :cols]
@@ -444,12 +457,13 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray
     ell = np.zeros_like(e)
     k = np.arange(1.0, _WIN_K + 1)[:, None]
     anti = np.add.outer(np.arange(_WIN_M + 1), np.arange(_WIN_M + 1)).ravel()
-    for n in range(1, _WIN_K + 1):
-        # sum_{k<n} k l_k(tau) e_(n-k)(tau): entry (i, j) of G is the tau^(i+j) term
-        G = (k[:n - 1] * ell[1:n]).T @ e[n - 1:0:-1]
-        ell[n] = e[n] - np.bincount(anti, G.ravel())[:_WIN_M + 1] / n
+    with np.errstate(over="ignore", invalid="ignore"):  # |l_k| ~ r^-k where r is small
+        for n in range(1, _WIN_K + 1):
+            # sum_{k<n} k l_k(tau) e_(n-k)(tau): entry (i, j) of G is the tau^(i+j) term
+            G = (k[:n - 1] * ell[1:n]).T @ e[n - 1:0:-1]
+            ell[n] = e[n] - np.bincount(anti, G.ravel())[:_WIN_M + 1] / n
     ell.setflags(write=False)
-    return s, ell
+    return r, s, ell
 
 
 def _octant(lo2: int, hi2: int, M: int, cells: int):
@@ -483,8 +497,8 @@ def _lattice_tail(M: int, R2: int) -> np.ndarray:
     read-only, built once per (M, R2).  E is i-symmetric, so T_k = 0 unless
     4 | k, and conjugation symmetric, so T_k is real.
 
-    _log_product takes R2 = floor((max|z| / (lam rho s))^2), s the radius of
-    _window_series, so t = rho sqrt(R2 + 1) > max|z| / (lam s) and the
+    _log_product takes R2 = floor((max|z| / (lam rho r))^2), r the tau = 0
+    radius of _window_series, so t = rho sqrt(R2 + 1) > max|z| / (lam r) and the
     series term k of a far node is at most (1 + log 2) (t / |nu|)^k, with
     t / |nu| <= x = t / R <= rho (see _log_product).  Counting the Gaussian integers in an
     annulus by the area of their unit cells, and summing by parts,
@@ -503,7 +517,7 @@ def _lattice_tail(M: int, R2: int) -> np.ndarray:
         products of (R / nu)^4 up to the last k whose R_k reaches it.  Most
         nodes lie beyond R_16 and take T_12 alone.
         ConvergenceError where they would take more than _SUM_NODES nodes
-        (max|z| / (lam s) above about 63).
+        (max|z| / (lam r) above about 63).
     """
     c = math.sqrt(0.5)
     R, t = max(math.sqrt(R2 + 1), M + 1.0), _FAR_RATIO * math.sqrt(R2 + 1)
@@ -527,7 +541,7 @@ def _lattice_tail(M: int, R2: int) -> np.ndarray:
         hi2.append(int(Rk * Rk) + 1)
     hi2 = np.maximum.accumulate(hi2[::-1])[::-1]
     if math.pi / 8 * hi2[:1].sum() > _SUM_NODES:
-        raise ConvergenceError(f"the lattice far field at max|z| / (lam s) ~ {t:.4g} "
+        raise ConvergenceError(f"the lattice far field at max|z| / (lam r) ~ {t:.4g} "
                                f"needs direct sums over {math.pi / 8 * hi2[0]:.3g} nodes")
     tau = np.zeros(K // 4)
     # T_4, T_8: the quadrant m >= 1, n >= 0 within max(m, n) <= L holds E and the rings
@@ -563,7 +577,7 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     """sum over nodes of log[(1 - z/node) phi(psi1 z/node + psi2 z^2/den^2)],
     every node taken directly: _log_product passes the near nodes, those
     of the window that its series does not take and the lattice nodes
-    outside the window within max|z| / (rho s).
+    outside the window within max|z| / (rho r).
 
     Returns complex logs; -inf real part where z hits a node exactly.  The
     imaginary part is a sum of principal arguments, so it is defined only
@@ -662,9 +676,9 @@ def _window_far(d: PhiDescriptor, z: np.ndarray, zmax: float, nodes: np.ndarray,
     takes, and the sum of log E_N over them at z (None where it takes
     none).  See _log_product for which nodes are far and the bound."""
     far = np.zeros(nodes.size, dtype=bool)
-    if not nodes.size:  # sigma's lattice has no window nodes
+    _, s, ell = _window_series(d, N)
+    if not (nodes.size and s):  # sigma has no window; s = 0 keeps it near
         return far, None
-    s, ell = _window_series(d, N)
     x = zmax / (s * np.abs(nodes))
     tau = (nodes - dens) * (nodes + dens) / (dens * dens)
     y = np.abs(tau) / _TAU_RADIUS
@@ -711,18 +725,19 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     with denominator beta has the factor E_N(w; tau) =
     (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), w = z / nu,
     tau = (nu / beta)^2 - 1 (0 where the two coincide, so outside the
-    window).  The table holds the coefficients l_{k,m} of log E_N(w; tau)
-    and the radius s <= 1 of a polydisk |w| <= s, |tau| <= T = _TAU_RADIUS
-    where |log R_N(w; tau)| <= log 2, R_N(w; tau) =
+    window).  The table holds the coefficients l_{k,m} of log E_N(w; tau),
+    the radius r <= 1 of a disk |w| <= r, tau = 0, and the radius s <= r of
+    a polydisk |w| <= s, |tau| <= T = _TAU_RADIUS, where
+    |log R_N(w; tau)| <= log 2, R_N(w; tau) =
     E_N(w; tau) / (1 - w) e^(-w - (1/2 + c tau) w^2), c = phi_1 psi2, so
     that log E_N = log(1 - w) + w + (1/2 + c tau) w^2 + log R_N.
     E_N = 1 + O(w^3) (N >= 2), so l_{1,0} = l_{2,0} = 0, l_{2,1} = c exactly,
-    and l_{k,0} = -1/k + lambda_k for k >= 3 with |lambda_k| <= log 2 / s^k
-    (Cauchy); as s <= 1, |l_{k,0}| <= (1 + log 2) / s^k for every k.  Every
+    and l_{k,0} = -1/k + lambda_k for k >= 3 with |lambda_k| <= log 2 / r^k
+    (Cauchy); as r <= 1, |l_{k,0}| <= (1 + log 2) / r^k for every k.  Every
     other l_{k,m} obeys |l_{k,m}| <= log 2 / (s^k T^m), and l_{k,m} = 0 for
     k < 2m.
 
-    The nodes outside the window with |node| <= max|z| / (rho s) are near
+    The nodes outside the window with |node| <= max|z| / (rho r) are near
     too, and taken directly, rho = _FAR_RATIO.  Every other node nu there
     is far: the far field, the infinite rest of the lattice, is
     sum_{k<=K} l_{k,0} (z / lam)^k T_k with T_k = sum_far nu^-k, which the
@@ -740,21 +755,22 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     and K >= 2, m' >= 1 are the least degrees whose bound, summed over
     the far nodes, is at most _FAR_TOL.  Nodes whose bounds at the table's
     top degrees _WIN_K and _WIN_M would sum past _FAR_TOL stay near,
-    largest first.  A far node is never hit (|w| < 1).  The moments are
-    formed in chunks of nodes of at most _SUM_CELLS powers, on every call.
-    ConvergenceError where s is 0 (no radius meets the bound), where the
+    largest first, and so does every node of the window where s = 0.  A
+    far node is never hit (|w| < 1).  The moments are formed in chunks of
+    nodes of at most _SUM_CELLS powers, on every call.
+    ConvergenceError where r is 0 (no radius meets the bound), where the
     lattice far field needs a degree past _WIN_K, or where its table's
-    direct sums would be too long (max|z| / (lam s) above about 63).
+    direct sums would be too long (max|z| / (lam r) above about 63).
     A nan or infinite z is left out of max|z| and gives nan.
     """
     d = desc.normalize()
-    s, ell = _window_series(d, N)
-    if s == 0.0:
+    r, _, ell = _window_series(d, N)
+    if r == 0.0:
         raise ConvergenceError(f"no radius where log E_N of {d.family} converges: "
                                "the lattice far field cannot be summed")
     a = np.abs(z)
     zmax = float(a[np.isfinite(a)].max(initial=0.0))
-    R2 = int((zmax / (lam * _FAR_RATIO * s)) ** 2)
+    R2 = int((zmax / (lam * _FAR_RATIO * r)) ** 2)
     tau = _lattice_tail(M, R2)
     if 4 * tau.size > _WIN_K:
         raise ConvergenceError(f"the lattice far field needs degree {4 * tau.size} of the "
@@ -803,10 +819,10 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
     the quadratic denominator inside phi the base-lattice point lam_{m,n}.
     Outside the window the lattice is unperturbed and infinite.
     _log_product takes directly the window nodes within max|z| / (rho s) of
-    the origin (s the radius of _window_series, the far-field table sigma
-    reads too) or with |(z_{m,n} / lam_{m,n})^2 - 1| above rho T, and the
-    rest of the window through one series in z whose moments are formed
-    on every call (see _log_product).
+    the origin (s the polydisk radius of _window_series, the far-field
+    table sigma reads too) or with |(z_{m,n} / lam_{m,n})^2 - 1| above
+    rho T, and the rest of the window through one series in z whose
+    moments are formed on every call (see _log_product).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     nodes, base = gamma.nonzero()

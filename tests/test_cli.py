@@ -195,10 +195,10 @@ def test_weierstrass_table_zero_weight_is_a_config_error(capsys):
 
 
 # lhs of the default weierstrass-table (N = 80, M = 12, 16 x 16 grid of
-# extent 2) at the two rows per family that the choice of far radius moves
-# most, as printed when sigma's far radius bounded the unperturbed factor
-# alone (0.669, 0.909 and 0.770 for GD(1), GD(2) and GD(3), 1 for ML(2,1))
-FAR_RADIUS_ROWS = {
+# extent 2) at two rows per family, as printed when sigma's far series read
+# a table of log E_N of its own; the GD rows move most where sigma's near
+# disk shrinks, the ML(2,1) rows where the far coefficients change
+FAR_TABLE_ROWS = {
     "GD(1)": ({"family": "gamma_deriv", "params": {"n": 1}},
               {(-1.875, 1.625): 11536956003.912437, (-1.625, 1.625): 440615484.47009605}),
     "GD(2)": ({"family": "gamma_deriv", "params": {"n": 2}},
@@ -210,11 +210,11 @@ FAR_RADIUS_ROWS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FAR_RADIUS_ROWS))
-def test_weierstrass_table_far_radius_moves_lhs_by_rounding(capsys, tmp_path, name):
-    # the near set is a choice: another far radius takes other nodes
-    # directly, and sigma moves by rounding only
-    phi, want = FAR_RADIUS_ROWS[name]
+@pytest.mark.parametrize("name", sorted(FAR_TABLE_ROWS))
+def test_weierstrass_table_far_table_moves_lhs_by_rounding(capsys, tmp_path, name):
+    # the far coefficients are those of another table, and sigma moves by
+    # rounding only
+    phi, want = FAR_TABLE_ROWS[name]
     p = write_cfg(tmp_path, {"phi": phi})
     rc, out, _ = run_cli(capsys, ["weierstrass-table", "--format", "json", "--config", p])
     assert rc == 0

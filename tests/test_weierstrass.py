@@ -427,7 +427,7 @@ def test_log_g_fn_node_is_neg_inf():
 
 def test_log_e_coefficients_exponential_closed_form():
     # log[(1 - z) e^{z + z^2/2}] = -sum_{k>=3} z^k / k, the tau = 0 column
-    ell = _window_series(EXPN, 80)[1][:71, 0]
+    ell = _window_series(EXPN, 80)[2][:71, 0]
     want = np.array([0.0, 0.0, 0.0] + [-1.0 / k for k in range(3, 71)])
     assert np.max(np.abs(ell - want)) <= 1e-16
 
@@ -437,25 +437,25 @@ def test_log_e_coefficients_against_mpmath_taylor(name, N):
     # N = 6 < degree 16: the coefficients are those of the cut factor E_N
     desc, family, params = ORACLE_FAMILIES[name]
     want = np.array(log_factor_taylor(family, params, 16, N))
-    got = _window_series(desc, N)[1][:17, 0]
+    got = _window_series(desc, N)[2][:17, 0]
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["ML(2,1)", "GD(1)"])
 def test_log_e_coefficients_to_degree_170(name):
     # the far series runs to degree K ~ 171 at M = 48; each error is scaled
-    # by s^k, as term k of a far node is at most |l_k| (rho s)^k
+    # by r^k, as term k of a far node is at most |l_k| (rho r)^k
     desc, family, params = ORACLE_FAMILIES[name]
     want = np.array(log_factor_series(family, params, 170))
-    s, ell = _window_series(desc, 80)
+    r, _, ell = _window_series(desc, 80)
     got = ell[:171, 0]
-    assert np.max(np.abs(got - want) * s ** np.arange(171)) / math.log(2.0) <= 1e-15
+    assert np.max(np.abs(got - want) * r ** np.arange(171)) / math.log(2.0) <= 1e-15
 
 
 def test_sigma_reads_one_cached_table():
-    s, ell = _window_series(ML21N, 80)
+    ell = _window_series(ML21N, 80)[2]
     assert not ell.flags.writeable and not _e_table(ML21N, 80).flags.writeable
-    assert np.array_equal(ell, _window_series.__wrapped__(ML21N, 80)[1])
+    assert np.array_equal(ell, _window_series.__wrapped__(ML21N, 80)[2])
     # the far radius and every far-series degree K of three windows read
     # one window table, and no E table
     _window_series.cache_clear()
@@ -480,17 +480,54 @@ def test_sigma_far_series_only():
 
 
 def test_sigma_raises_without_a_far_radius(monkeypatch):
-    # s = 0: no disk where the log E series converges, so the infinite
+    # r = 0: no disk where the log E series converges, so the infinite
     # far field cannot be summed
-    monkeypatch.setattr(weierstrass, "_window_series", lambda d, N: (0.0, None))
+    monkeypatch.setattr(weierstrass, "_window_series", lambda d, N: (0.0, 0.0, None))
     with pytest.raises(ConvergenceError):
         sigma_fn(EXPN, 0.5 + 0.5j, LatticeSpec(1.0, 4))
     with pytest.raises(ConvergenceError):
         log_g_fn(EXPN, 0.5 + 0.5j, PerturbedLattice(LatticeSpec(1.0, 4)))
 
 
+# sigma and log g at three points, lattice Z + iZ with M = 4 (g's window
+# perturbed by up to 0.1, seed 1), as computed when sigma's disk radius came
+# from a table of E_N alone.  SG(1000, 1/2) at N = 160: a window coefficient
+# of tau-degree m >= 1 is past double range, those of E_N are not.
+# Dunkl(100) at N = 6: the disk bound holds at r = 0.0215, the polydisk
+# bound nowhere.  Either way sigma and g are formed, the window all near.
+TABLE_EDGE_Z = np.array([0.3 + 0.2j, 0.7 - 0.4j, -0.5 + 0.45j])
+TABLE_EDGES = {
+    "SG(1000, 1/2)": (PhiDescriptor.stretched_gamma(1000, 0.5), 160, TABLE_EDGE_Z,
+                      [0.3041670830833778 + 0.199167834074249j,
+                       0.9036561941227825 - 0.3126082203560226j,
+                       -0.5768018694022085 + 0.49590909839193753j],
+                      [-0.994531171949771 + 0.8042032108108732j,
+                       -0.016356584942029018 - 0.3327102746592114j,
+                       -0.10679100199308553 + 2.3975480374658678j]),
+    "Dunkl(100)": (PhiDescriptor.dunkl(100), 6, np.array([0.05 + 0.03j, -0.08 + 0.02j]),
+                   [130485241987.42674 + 79361684161.635j,
+                    -1.3808114257276275e+30 - 5.036476307909032e+29j],
+                   [1797.9536953720972 + 2.8650128357659037j,
+                    9153.009537638205 - 23.83443789229555j,
+                    6354.1684146126045 - 42.33051583302334j]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_EDGES))
+def test_sigma_and_g_where_the_polydisk_fails(name):
+    desc, N, zs, sigma, logg = TABLE_EDGES[name]
+    r, s, _ = _window_series(desc.normalize(), N)
+    assert r > 0.0 and s == 0.0
+    lat = LatticeSpec(1.0, 4)
+    got = sigma_fn(desc, zs, lat, N)
+    assert np.all(np.abs(got - sigma) <= 1e-13 * np.abs(sigma))
+    gam = PerturbedLattice.perturb(lat, 0.1, seed=1)
+    got = log_g_fn(desc, TABLE_EDGE_Z, gam, N)
+    assert np.all(np.abs(got - logg) <= 1e-13 * np.abs(logg))
+
+
 def test_sigma_far_table_size_is_capped():
-    # max|z| / (lam s) = 100.5 (above about 63): the direct sums of the
+    # max|z| / (lam r) = 100.5 (above about 63): the direct sums of the
     # far-field table would take about 1e8 nodes
     with pytest.raises(ConvergenceError, match="direct sums"):
         sigma_fn(EXPN, 100.5 + 0j, LatticeSpec(1.0, 3))
@@ -685,7 +722,7 @@ def rounding_scale(desc, z, nodes, dens, N=80):
 
 def sigma_near_nodes(desc, lat, zmax):
     """The nonzero nodes lam (m + i n) that sigma_fn takes directly for
-    max|z| = zmax, m-major: those with |node| rho s <= zmax."""
+    max|z| = zmax, m-major: those with |node| rho r <= zmax."""
     R = zmax / (lat.lam * weierstrass._FAR_RATIO * _window_series(desc, 80)[0])
     g = np.arange(-int(R), int(R) + 1)
     m, n = np.repeat(g, g.size), np.tile(g, g.size)
@@ -702,7 +739,7 @@ CONTOUR_25, CONTOUR_35 = 2.5 * np.exp(ANGLES), 3.5 * np.exp(ANGLES)
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_banded_sigma_against_mpmath_product(name):
     # |z| = 3.5: the near nodes fill several bands (68 for EXP and ML(2,1),
-    # 192 for GD(1)); ML(2,1)'s Horner cancels here, which the rounding
+    # 144 for GD(1)); ML(2,1)'s Horner cancels here, which the rounding
     # estimate over the M = 12 window covers; the oracle is the window
     # product times the tail outside it
     desc, family, params = ORACLE_FAMILIES[name]
@@ -828,32 +865,32 @@ def test_e_table_against_mpmath(name, N):
 
 @pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
 def test_window_radius_bounds_the_unperturbed_factor(name):
-    # |Phi_80(w) e^(-w - w^2/2) - 1| <= 1/2 on |w| = s, hence on the disk
-    # (the maximum principle), so |log R_80| <= log 2 there; s <= 1
+    # |Phi_80(w) e^(-w - w^2/2) - 1| <= 1/2 on |w| = r, hence on the disk
+    # (the maximum principle), so |log R_80| <= log 2 there; r <= 1
     desc, family, params = FACTOR_ORACLES[name]
-    s = _window_series(desc, 80)[0]
-    assert 0.0 < s <= 1.0
-    assert omega_deviation_on_circle(family, params, s, 4096) <= 0.5
+    r = _window_series(desc, 80)[0]
+    assert 0.0 < r <= 1.0
+    assert omega_deviation_on_circle(family, params, r, 4096) <= 0.5
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
 def test_log_e_coefficients_split_off_log_one_minus_w(name):
     # log E = log(1 - w) + w + w^2/2 + log R: l_1 = l_2 = 0 (to the
     # oracle's 50 digits), and l_k + 1/k = lambda_k obeys the Cauchy bound
-    # log 2 / s^k that the far-field tail bound takes
+    # log 2 / r^k that the far-field tail bound takes
     desc, family, params = FACTOR_ORACLES[name]
     ell = np.array(log_factor_series(family, params, 170))
-    s = _window_series(desc, 80)[0]
+    r = _window_series(desc, 80)[0]
     assert abs(ell[1]) <= 1e-40 and abs(ell[2]) <= 1e-40
     k = np.arange(3, 171)
-    assert np.all(np.abs(ell[3:] + 1.0 / k) * s**k <= math.log(2.0))
+    assert np.all(np.abs(ell[3:] + 1.0 / k) * r**k <= math.log(2.0))
 
 
-@pytest.mark.parametrize("name, count", [("EXP", 36), ("ML(2,1)", 36), ("GD(1)", 96),
+@pytest.mark.parametrize("name, count", [("EXP", 36), ("ML(2,1)", 36), ("GD(1)", 68),
                                          ("BSN", 60)])
 def test_sigma_near_counts_on_winding_contour(name, count):
-    # M = 12 at |z| = 2.5: nodes with |node| <= 2.5 / (0.75 s) are near,
-    # |node| <= 3.33 where s = 1 (EXP, ML(2,1))
+    # M = 12 at |z| = 2.5: nodes with |node| <= 2.5 / (0.75 r) are near,
+    # |node| <= 3.33 where r = 1 (EXP, ML(2,1))
     desc = NEAR_FAMILIES[name]
     assert sigma_near_nodes(desc, LatticeSpec(1.0, 12), 2.5).size == count
 
@@ -979,10 +1016,10 @@ T_WIN = weierstrass._TAU_RADIUS
 def test_window_series_polydisk_bounds_the_factor(name):
     # |R_80(w; tau) - 1| <= 1/2 on |w| = s at four points of |tau| = T, so
     # |log R_80| <= log 2 where the Cauchy bound of the window series is
-    # taken; s <= 1
+    # taken; s <= 1 and, as tau = 0 is sigma's factor, s <= r
     desc, family, params = WINDOW_ORACLES[name]
-    s = weierstrass._window_series(desc, 80)[0]
-    assert 0.0 < s <= 1.0
+    r, s, _ = weierstrass._window_series(desc, 80)
+    assert 0.0 < s <= r <= 1.0
     for tau in T_WIN * np.exp(0.5j * np.pi * np.arange(4)):
         assert omega_deviation_on_circle(family, params, s, 256, tau=tau) <= 0.5
 
@@ -993,7 +1030,7 @@ def test_window_series_table_against_mpmath(name):
     # far region, where the table's dropped tail is below 1e-20, within
     # 8 eps of the sum with |.| on every term; ell[k, m] = 0 for k < 2m
     desc, family, params = WINDOW_ORACLES[name]
-    s, ell = weierstrass._window_series(desc, 80)
+    _, s, ell = weierstrass._window_series(desc, 80)
     assert not ell.flags.writeable and ell.shape == (weierstrass._WIN_K + 1, weierstrass._WIN_M + 1)
     k, m = np.arange(ell.shape[0])[:, None], np.arange(ell.shape[1])[None, :]
     assert np.all(ell[k < 2 * m] == 0.0)
@@ -1077,11 +1114,10 @@ def window_table_caps(monkeypatch):
     table.cache_clear()
 
 
-def test_window_caps_keep_nodes_near(window_table_caps, monkeypatch):
+def test_window_caps_keep_nodes_near(window_table_caps):
     # a table cut at degrees 60 in w and 6 in tau cannot take the nearest
     # far nodes within _FAR_TOL: they stay near, largest tails first, and the
-    # product does not move beyond rounding; with s = 0 sigma and g alike
-    # refuse, as the infinite far field cannot be summed
+    # product does not move beyond rounding
     gam, grid = perfbench_window()
     nodes, base = gam.nonzero()
     zmax = float(np.abs(grid).max())
@@ -1092,11 +1128,22 @@ def test_window_caps_keep_nodes_near(window_table_caps, monkeypatch):
     assert 0 < far.sum() < n_full
     tol = 4.0 * rounding_scale(EXPN, grid, nodes, base)
     assert np.all(np.abs(log_g_fn(EXPN, grid, gam).real - full) <= tol)
-    monkeypatch.setattr(weierstrass, "_window_series", lambda d, N: (0.0, None))
-    with pytest.raises(ConvergenceError):
-        log_g_fn(EXPN, grid, gam)
-    with pytest.raises(ConvergenceError):
-        sigma_fn(EXPN, grid, gam.lat)
+
+
+def test_window_without_a_polydisk_is_near(monkeypatch):
+    # s = 0: no polydisk where the window series converges, so the whole
+    # window is near and g does not move beyond rounding; sigma reads the
+    # disk radius r alone and does not move at all
+    gam, grid = perfbench_window()
+    nodes, base = gam.nonzero()
+    zmax = float(np.abs(grid).max())
+    full, sigma = log_g_fn(EXPN, grid, gam).real, sigma_fn(EXPN, grid, gam.lat)
+    r, _, ell = weierstrass._window_series(EXPN, 80)
+    monkeypatch.setattr(weierstrass, "_window_series", lambda d, N: (r, 0.0, ell))
+    assert not weierstrass._window_far(EXPN, grid, zmax, nodes, base, 80)[0].any()
+    tol = 4.0 * rounding_scale(EXPN, grid, nodes, base)
+    assert np.all(np.abs(log_g_fn(EXPN, grid, gam).real - full) <= tol)
+    assert np.array_equal(sigma_fn(EXPN, grid, gam.lat), sigma)
 
 
 def test_window_series_cached_read_only():
