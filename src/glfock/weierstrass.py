@@ -30,10 +30,18 @@ infinite rest of the lattice, where tau = 0, is sum l_{k,0} T_k z^k with
 T_k = sum nu^-k over the far Gaussian integers, one cached table per near
 set (_lattice_tail), so the window size LatticeSpec.trunc_M does not
 enter sigma.  A perturbed window's far nodes add sum l_{k,m} z^k mu_{k,m},
-whose moments mu_{k,m} = sum nu^-k tau^m are formed on every call.  R is not omega()'s Omega = (E - 1) / z^3,
-which slices E's Maclaurin coefficients from its own table per (family, N),
-_e_table, and so does omega_bound, whose head is |e_3| + |e_4| + |e_5| of
-E_2.
+whose moments mu_{k,m} = sum nu^-k tau^m are formed on every call.  R is
+not omega()'s Omega = (E - 1) / z^3, which slices E's Maclaurin
+coefficients from its own table per (family, N), _e_table, and so does
+omega_bound, whose head is |e_3| + |e_4| + |e_5| of E_2.
+
+EXP (phi = e^u, psi = (1, 1/2)) has the exact log factor
+log E(w; tau) = log(1 - w) + w + (1 + tau) w^2 / 2, in both layers: its
+near field adds u for log phi(u), with no Horner, and its far table is
+that closed form, l_{k,0} = -1/k for k >= 3 and l_{2,1} = 1/2, with
+r = s = 1.  So N does not enter EXP's sigma and g, as trunc_M does not
+enter sigma.  Every other family takes phi by Horner and its table by the
+recurrence.
 """
 
 from __future__ import annotations
@@ -386,7 +394,18 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, float, Optional[np.
     EXP, ML(2,1), SG(1,2) and Dunkl(1/2), r = s = 0.771 for the backward
     shift; (r, s) = (0.909, 0.812) for GD(2), (0.770, 0.688) for GD(3) and
     (0.669, 0.597) for GD(1).
+
+    EXP skips all of this: its factor (1 - w) e^(w + (1 + tau) w^2 / 2) is
+    E itself for every N, so ell is the closed form l_{k,0} = -1/k for
+    k >= 3, l_{2,1} = 1/2 and 0 elsewhere, with r = s = 1 (the recurrence
+    gives the same table within 6e-17, and the bound r = s = 1.0 too).
     """
+    if d.family == "exponential":
+        ell = np.zeros((_WIN_K + 1, _WIN_M + 1))
+        ell[3:, 0] = -1.0 / np.arange(3, _WIN_K + 1)
+        ell[2, 1] = 0.5
+        ell.setflags(write=False)
+        return 1.0, 1.0, ell
     ps = _factor(d)[1]
     phis = phi_coeffs(d, N)
     D, M2 = 2 * N + _OMEGA_TAIL, N + _OMEGA_TAIL // 2
@@ -583,31 +602,39 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     imaginary part is a sum of principal arguments, so it is defined only
     mod 2 pi (exp of the result is the product itself).
 
-    phi(u) is taken by Horner.  The nodes are ordered by |node| (stable)
-    and cut into bands of _BAND_GROUPS groups of _LOG_GROUP nodes; one loop
-    runs over (band, point chunk) with at most about _NEAR_CELLS
-    (node, point) cells per chunk.  A chunk with a = max|u| has the tail
-    t(n) = sum_{n<m<=N} |phi_m| a^m (from the signs_logs table), and Horner
-    starts at the least degree n with t(n) <= _HORNER_TOL / (1 + t(0)), the
-    reciprocal of the largest |phi(u)| standing in for the smallest; an
-    outer band, with its small |u|, starts lower than an inner one.  Where
-    after the pass t(n) <= _HORNER_TOL min|phi_n(u)| fails, the chunk
-    restarts from the least degree that this measured min allows and is
-    checked again; degree N is the last resort.  A later chunk of the band
-    starts no lower than the band's last passing restart, so a signed
-    family, whose a-priori min is too high, restarts once per band rather
-    than once per chunk.  So a cut never drops more than 2^-60 of any
-    cell's phi.  The factors of each group are multiplied, and each group
-    product takes one complex log.  A point that hits a node of the band,
-    or where some group product of the band is not a normal double (inf,
-    nan, 0 or subnormal), takes the band's per-cell sum of
-    log(1 - z/node) + log(phi) instead.
+    The nodes are ordered by |node| (stable) and cut into bands of
+    _BAND_GROUPS groups of _LOG_GROUP nodes; one loop runs over
+    (band, point chunk) with at most about _NEAR_CELLS (node, point) cells
+    per chunk.  For EXP, log phi(u) = u: the group products hold the
+    factors 1 - z/node alone and the chunk's sum of u is added to their
+    logs, with no Horner pass and no tail table, and N does not enter.
+
+    Every other family takes phi(u) by Horner.  A chunk with a = max|u| has
+    the tail t(n) = sum_{n<m<=N} |phi_m| a^m (from the signs_logs table),
+    and Horner starts at the least degree n with
+    t(n) <= _HORNER_TOL / (1 + t(0)), the reciprocal of the largest |phi(u)|
+    standing in for the smallest; an outer band, with its small |u|, starts
+    lower than an inner one.  Where after the pass
+    t(n) <= _HORNER_TOL min|phi_n(u)| fails, the chunk restarts from the
+    least degree that this measured min allows and is checked again;
+    degree N is the last resort.  A later chunk of the band starts no lower
+    than the band's last passing restart, so a signed family, whose
+    a-priori min is too high, restarts once per band rather than once per
+    chunk.  So a cut never drops more than 2^-60 of any cell's phi.
+
+    The factors of each group are multiplied, and each group product takes
+    one complex log.  A point that hits a node of the band, or where some
+    group product of the band is not a normal double (inf, nan, 0 or
+    subnormal), takes the band's per-cell sum of log(1 - z/node) + log(phi)
+    instead (for EXP, the sum of log(1 - z/node), then the sum of u).
     """
     d, ps = _factor(desc)
     order = np.argsort(np.abs(nodes), kind="stable")
     nodes, dens = nodes[order], dens[order]
-    phis = phi_coeffs(d, N)
-    log_phis, degs = signs_logs(d, N)[1][1:], np.arange(1, N + 1)
+    exp = d.family == "exponential"
+    if not exp:
+        phis = phi_coeffs(d, N)
+        log_phis, degs = signs_logs(d, N)[1][1:], np.arange(1, N + 1)
     out = np.zeros(z.size, dtype=complex)
     lo, hi = np.finfo(float).tiny, np.finfo(float).max
     band = _BAND_GROUPS * _LOG_GROUP
@@ -623,21 +650,25 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                 zz = z[idx]
                 Z1 = zz[None, :] / bnodes[:, None]
                 U = ps.psi1 * Z1 + ps.psi2 * (zz * zz)[None, :] / (bdens[:, None] ** 2)
-                loga = np.log(np.abs(U).max(initial=0.0))
-                t = np.append(np.exp(log_phis + degs * loga)[::-1].cumsum()[::-1], 0.0)
-                n = max(floor, int(np.argmax(t <= _HORNER_TOL / (1.0 + t[0]))))
-                V = _horner(phis[n::-1], U)
-                m = np.abs(V).min(initial=np.inf)
-                # not <=: a nan a (from a nan z) fails every check
-                if not t[n] <= _HORNER_TOL * m:
-                    n = int(np.argmax(t <= _HORNER_TOL * m))
+                if exp:  # log phi(u) = u: the products hold 1 - z/node alone
+                    log_phi = U.sum(axis=0)
+                else:
+                    loga = np.log(np.abs(U).max(initial=0.0))
+                    t = np.append(np.exp(log_phis + degs * loga)[::-1].cumsum()[::-1], 0.0)
+                    n = max(floor, int(np.argmax(t <= _HORNER_TOL / (1.0 + t[0]))))
                     V = _horner(phis[n::-1], U)
-                    if t[n] <= _HORNER_TOL * np.abs(V).min(initial=np.inf):
-                        floor = n
-                    else:
-                        V = _horner(phis[::-1], U)
+                    m = np.abs(V).min(initial=np.inf)
+                    # not <=: a nan a (from a nan z) fails every check
+                    if not t[n] <= _HORNER_TOL * m:
+                        n = int(np.argmax(t <= _HORNER_TOL * m))
+                        V = _horner(phis[n::-1], U)
+                        if t[n] <= _HORNER_TOL * np.abs(V).min(initial=np.inf):
+                            floor = n
+                        else:
+                            V = _horner(phis[::-1], U)
                 np.subtract(1.0, Z1, out=Z1)
-                P = np.multiply.reduceat(np.multiply(Z1, V, out=U), starts, axis=0)
+                F = Z1 if exp else np.multiply(Z1, V, out=U)
+                P = np.multiply.reduceat(F, starts, axis=0)
                 logs = np.log(P).sum(axis=0)
                 mag = np.abs(P)
                 hit = zz[None, :] == bnodes[:, None]  # z/z may miss 1 by an ulp
@@ -645,7 +676,10 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                 if bad.any():  # per-cell logs over the chunk, as before grouping
                     lg = np.log(Z1)
                     lg[hit] = -np.inf
-                    logs[bad] = (lg.sum(axis=0) + np.log(V).sum(axis=0))[bad]
+                    cells = lg.sum(axis=0)
+                    logs[bad] = (cells if exp else cells + np.log(V).sum(axis=0))[bad]
+                if exp:
+                    logs += log_phi
                 out[idx] += logs
     return out
 
@@ -791,16 +825,28 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
 
 
 def _exp_logs(z, logs, factor=1.0):
-    """factor * exp(logs), 0 where logs is -inf (z on a node); complex for scalar z."""
-    with np.errstate(over="ignore"):
-        val = np.where(logs.real == -np.inf, 0.0, factor * np.exp(logs))
+    """factor * exp(logs), 0 where logs is -inf (z on a node); complex for scalar z.
+    Where that product is not finite but logs is, exp(logs + log(factor)):
+    an overflow multiplied out would leave inf - inf = nan in a part."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        val = factor * np.exp(logs)
+        redo = np.isfinite(logs) & ~np.isfinite(val)
+        if redo.any():
+            val[redo] = np.exp(logs + np.log(factor))[redo]
+        val = np.where(logs.real == -np.inf, 0.0, val)
     return complex(val[0]) if np.ndim(z) == 0 else val
 
 
 def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TERMS):
     """sigma(z) = z prod E_N(z / nu) over every nonzero nu of the infinite
     lattice lat.lam (Z + iZ): the near nodes directly, the rest as the far
-    series of _log_product.  lat.trunc_M does not enter.
+    series of _log_product.  lat.trunc_M does not enter.  Past double
+    range a part is +-inf, signed as cos and sin of arg sigma, never nan.
+
+    For EXP every factor is the exact (1 - w) e^(w + w^2/2), so sigma is the
+    classical Weierstrass sigma of the lattice and N does not enter: within
+    4.4e-12 of theta in log|sigma| up to |z| / lam = 12 (six angles), most
+    of it the rounding of _lattice_tail's T_8.
 
     Only for a zero-free phi (EXP) are its zeros just the nodes: inside |z| = 2.5
     ML(2,1) has 29 (phi = 0 at 1.3548 +- 1.9915i), GD(2) 45, GD(1) 69; 21 nodes
@@ -822,7 +868,9 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
     the origin (s the polydisk radius of _window_series, the far-field
     table sigma reads too) or with |(z_{m,n} / lam_{m,n})^2 - 1| above
     rho T, and the rest of the window through one series in z whose
-    moments are formed on every call (see _log_product).
+    moments are formed on every call (see _log_product).  For EXP, whose
+    log factor is exact (log(1 - w) + w + (1 + tau) w^2 / 2), N does not
+    enter.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     nodes, base = gamma.nonzero()

@@ -197,16 +197,18 @@ def sigma_product(family: str, params: dict, z: complex, M: int, N: int = 80) ->
         return complex(prod)
 
 
-def sigma_square(z: complex) -> complex:
-    """Weierstrass sigma of the lattice Z + iZ from Jacobi theta functions.
+def sigma_square(z: complex, lam: float = 1.0, dps: int = 30) -> complex:
+    """Weierstrass sigma of the lattice lam (Z + iZ) from Jacobi theta
+    functions, at dps digits.
 
     sigma(z) = (1/pi) e^{pi z^2 / 2} theta1(pi z, q) / theta1'(0, q) with
-    q = e^{-pi} (DLMF 23.6.9; for the square lattice eta1 = pi/2).
+    q = e^{-pi} (DLMF 23.6.9; for the square lattice eta1 = pi/2) on Z + iZ,
+    and lam sigma(z / lam) on lam (Z + iZ) (homogeneity, DLMF 23.10(iv)).
     """
-    with mp.workdps(30):
+    with mp.workdps(dps):
         q = mp.exp(-mp.pi)
-        w = mp.mpc(z.real, z.imag)
-        val = (mp.exp(mp.pi * w * w / 2) * mp.jtheta(1, mp.pi * w, q)
+        w = mp.mpc(z.real, z.imag) / mp.mpf(lam)
+        val = (lam * mp.exp(mp.pi * w * w / 2) * mp.jtheta(1, mp.pi * w, q)
                / (mp.pi * mp.jtheta(1, 0, q, 1)))
         return complex(val)
 

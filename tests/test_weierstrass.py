@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,9 @@ from mp_oracles import (factor_series, far_log_tail, lattice_g, lattice_tail_sum
                         sigma_square)
 
 EXPN = PhiDescriptor.exponential(normalized=True)
+# normalized ML(1, 1) has EXP's phi_k = 1/k!, but its factors take the
+# Horner near field and the recurrence table that no closed form replaces
+ML11N = PhiDescriptor.mittag_leffler(1, 1, normalized=True)
 ML21N = PhiDescriptor.mittag_leffler(2, 1, normalized=True)
 SGN = PhiDescriptor.stretched_gamma(1.0, 2.0, normalized=True)
 GD1N = PhiDescriptor.gamma_deriv(1, normalized=True)
@@ -368,6 +372,93 @@ def test_sigma_quasi_periodic(x, y):
         assert abs(sigma_fn(EXPN, z + step, lat) / (mult * s) - 1.0) <= 2e-13
 
 
+def theta_rounding(z, lam):
+    """A rounding bound on |log|sigma_fn| - log|sigma|| for EXP on the
+    lattice lam (Z + iZ), at the points z of one call, r = 1:
+      - 4 eps per near node and per unit of its |u| = |w + w^2 / 2|,
+        w = z / nu (the log of its group product, and the sum of
+        log phi(u) = u), over the near disk |nu| <= max|z| / rho;
+      - 4 eps |z| / dist(z) for the nearest factor 1 - w;
+      - 4 eps x^k / k |nu|^-k, x = |z| / lam, for k = 4 and 8 and every
+        node where the far table's T_k = G_k less the excluded set differs
+        from G_k less the rings max(|m|, |n|) <= 2: each such term is
+        rounded to a few eps |nu|^-k, and l_k (z / lam)^k multiplies it.
+    The near terms grow like x^2, the far ones like x^8."""
+    z = np.atleast_1d(z)
+    R2 = int((np.abs(z).max() / (lam * weierstrass._FAR_RATIO)) ** 2)
+    g = np.arange(-math.isqrt(R2) - 3, math.isqrt(R2) + 4)
+    nu = (np.repeat(g, g.size) + 1j * np.tile(g, g.size)).astype(complex)
+    disk = nu.real**2 + nu.imag**2 <= R2
+    ring = np.maximum(abs(nu.real), abs(nu.imag)) <= 2
+    w = z[None, :] / (lam * nu[disk & (nu != 0), None])
+    near = (1.0 + np.abs(w + w * w / 2)).sum(axis=0)
+    a = np.abs(nu[disk != ring])
+    x = np.abs(z) / lam
+    far = sum(x**k / k * (a ** -k).sum() for k in (4, 8))
+    eps = np.finfo(float).eps
+    return 4 * eps * (near + np.abs(z) / LatticeSpec(lam).dist(z) + far)
+
+
+# worst of six angles per radius (no point within 0.08 lam of a node), at
+# lam = 1 and lam = sqrt(pi)
+THETA_ANGLES = np.exp(2j * np.pi * (np.arange(6) + 0.37) / 6)
+THETA_RADII = [(1.0, r) for r in (4, 5, 6, 8, 12)] + \
+    [(math.sqrt(math.pi), r) for r in (4, 6, 8, 12, 16, 20)]
+
+
+@pytest.mark.parametrize("lam, radius", THETA_RADII)
+def test_exp_sigma_against_theta(lam, radius):
+    # EXP's factor is (1 - w) e^(w + w^2/2) exactly, so sigma_fn is the
+    # classical sigma of lam (Z + iZ); log|sigma| against 40-digit theta,
+    # within the rounding of the sums that form it
+    z = radius * THETA_ANGLES
+    want = np.log(np.abs([sigma_square(complex(p), lam, 40) for p in z]))
+    got = np.log(np.abs(sigma_fn(EXPN, z, LatticeSpec(lam, 12))))
+    assert np.all(np.abs(got - want) <= theta_rounding(z, lam))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(1.0, 12.0), (math.sqrt(math.pi), 20.0)]),
+       st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi))
+def test_exp_sigma_against_theta_property(reach, t, theta):
+    # any point of the disk |z| <= 12 at lam = 1, or |z| <= 20 at
+    # lam = sqrt(pi), at least 0.05 lam from a node
+    lam, top = reach
+    z = complex(top * t * math.cos(theta), top * t * math.sin(theta))
+    lat = LatticeSpec(lam, 4)
+    assume(lat.dist(z) >= 0.05 * lam)
+    want = math.log(abs(sigma_square(z, lam, 40)))
+    got = math.log(abs(sigma_fn(EXPN, z, lat)))
+    assert abs(got - want) <= theta_rounding(z, lam)[0]
+
+
+def test_exp_sigma_and_g_past_double_range():
+    # log sigma at 27.3 + 0.4i is about 1,170, log g of Dunkl(100) at N = 6
+    # about 1,798: exp of either overflows, and the value takes the signs
+    # of cos and sin of its argument, with no nan part and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = 27.3 + 0.4j
+        lat = LatticeSpec(1.0, 4)
+        logs = weierstrass._log_product(EXPN, np.array([z]), 1.0, 0, np.zeros(0, complex),
+                                        np.zeros(0, complex), 80)[0] + np.log(z)
+        zero, got = sigma_fn(EXPN, np.array([0.0, z]), lat)
+        assert logs.real > 1000 and zero == 0.0
+        assert (got.real, got.imag) == (math.copysign(math.inf, math.cos(logs.imag)),
+                                        math.copysign(math.inf, math.sin(logs.imag)))
+        gam = PerturbedLattice.perturb(lat, 0.1, seed=1)
+        desc, N = TABLE_EDGES["Dunkl(100)"][:2]
+        logg = log_g_fn(desc, 0.3 + 0.2j, gam, N)[0]
+        got = g_fn(desc, 0.3 + 0.2j, gam, N)
+        assert logg.real > 1000 and (got.real, got.imag) == (-math.inf, math.inf)
+        assert math.cos(logg.imag) < 0 < math.sin(logg.imag)
+        # a finite value keeps its bits: factor times exp(logs)
+        logs = np.array([1.5 - 0.25j, 800.0 + 1.0j])
+        factor = np.array([0.5 + 2.0j, 3.0 - 1.0j])
+        got = weierstrass._exp_logs(logs, logs, factor)
+        assert got[0] == factor[0] * np.exp(logs[0]) and np.isinf(got[1].real)
+
+
 def test_sigma_ring_diagnostic():
     # the product runs over the whole lattice, so the window size does not
     # enter, to the bit
@@ -380,11 +471,12 @@ def test_sigma_ring_diagnostic():
 
 def test_sigma_scale_family_reads_one_phi_or_raises():
     # normalized SG(a, 1) has phi_k u^k = (a u)^k / k! with u ~ 1/a, so sigma
-    # does not depend on a; where phi_k leaves the double range (a = 1e30
-    # from k = 11) the product raises instead of reading a clamped phi
+    # does not depend on a and is ML(1, 1)'s; where phi_k leaves the double
+    # range (a = 1e30 from k = 11) the product raises instead of reading a
+    # clamped phi
     lat, z = LatticeSpec(1.0, 12), -1.9 + 0.3j
     assert sigma_fn(PhiDescriptor.stretched_gamma(1.0, 1.0, normalized=True), z, lat) \
-        == sigma_fn(EXPN, z, lat)
+        == sigma_fn(ML11N, z, lat)
     for a in (1e30, 1e100):
         with pytest.raises(OverflowError):
             sigma_fn(PhiDescriptor.stretched_gamma(a, 1.0, normalized=True), z, lat)
@@ -430,6 +522,29 @@ def test_log_e_coefficients_exponential_closed_form():
     ell = _window_series(EXPN, 80)[2][:71, 0]
     want = np.array([0.0, 0.0, 0.0] + [-1.0 / k for k in range(3, 71)])
     assert np.max(np.abs(ell - want)) <= 1e-16
+
+
+def test_exp_closed_form_table_against_the_recurrence():
+    # ML(1, 1) has EXP's phi_k = 1/k! and builds its table and radii by
+    # the recurrence and the bound polynomial: the same table to 1e-16
+    # absolute, and the same r and s, as EXP's closed form
+    r, s, ell = _window_series(EXPN, 80)
+    r1, s1, ell1 = _window_series(ML11N, 80)
+    assert (r, s) == (r1, s1) == (1.0, 1.0)
+    assert not ell.flags.writeable and ell.shape == ell1.shape
+    assert np.max(np.abs(ell - ell1)) <= 1e-16
+
+
+def test_exp_log_g_against_the_horner_path():
+    # log g of EXP (closed form) and of ML(1, 1) (Horner near field and the
+    # recurrence's window series) on a perturbed M = 12 window, |z| <= 2.5,
+    # every point at least 0.05 from a node; the imaginary parts are sums
+    # of principal arguments, so the two may differ by a multiple of 2 pi
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.1, seed=5)
+    z = disk_grid(15, 2.5) + (0.01 + 0.02j)
+    z = z[(np.abs(z) <= 2.5) & (gam.dist(z) >= 0.05)]
+    got, want = log_g_fn(EXPN, z, gam), log_g_fn(ML11N, z, gam)
+    assert np.all(np.abs(np.expm1(got - want)) <= 1e-12)
 
 
 @pytest.mark.parametrize("name, N", [("ML(2,1)", 80), ("GD(1)", 6)])
@@ -806,17 +921,17 @@ def horner_degrees(monkeypatch):
 
 
 def test_outer_band_starts_horner_lower(monkeypatch):
-    # EXP on 16 contour points of |z| = 2.5: one chunk per band, innermost
-    # band first, and the far series last, in (z / (lam R))^4 of degree
-    # K / 4 (37, R^2 = 12); EXP's a-priori min|phi| is exact, so no chunk
-    # restarts
+    # ML(1, 1) on 16 contour points of |z| = 2.5: one chunk per band,
+    # innermost band first, and the far series last, in (z / (lam R))^4 of
+    # degree K / 4 (37, R^2 = 12); the a-priori min|phi| of phi = e^u is
+    # exact, so no chunk restarts
     degrees = horner_degrees(monkeypatch)
     lat = LatticeSpec(1.0, 12)
-    sigma_fn(EXPN, 2.5 * np.exp(2j * np.pi * np.arange(16) / 16), lat)
+    sigma_fn(ML11N, 2.5 * np.exp(2j * np.pi * np.arange(16) / 16), lat)
     *near, far = degrees
     band = weierstrass._BAND_GROUPS * weierstrass._LOG_GROUP
     assert far == weierstrass._lattice_tail(0, 11).size == 37
-    assert len(near) == -(-sigma_near_nodes(EXPN, lat, 2.5).size // band)
+    assert len(near) == -(-sigma_near_nodes(ML11N, lat, 2.5).size // band)
     assert near[-1] < near[0]
 
 
@@ -915,15 +1030,16 @@ def test_grouped_near_field_matches_per_cell(name, M, pts):
 
 
 def test_grouped_near_field_falls_back_past_double_range():
-    # single EXP factors reach about 1e115 at z = 40 + 0.3j, so a group of
-    # _LOG_GROUP of them leaves double range; the M = 4 window's product
+    # single ML(1, 1) factors (phi = e^u cut at degree 80) reach about
+    # 1e115 at z = 40 + 0.3j, so a group of _LOG_GROUP of them leaves double
+    # range; the M = 4 window's product
     gam = PerturbedLattice(LatticeSpec(1.0, 4))
     nodes, _ = gam.nonzero()
     z = np.array([40 + 0.3j])
-    cells = per_cell_logs(EXPN, z, nodes, nodes)[:, 0]
+    cells = per_cell_logs(ML11N, z, nodes, nodes)[:, 0]
     groups = np.add.reduceat(cells.real, np.arange(0, nodes.size, weierstrass._LOG_GROUP))
     assert groups.max() > math.log(np.finfo(float).max)
-    lg = near_field(EXPN, z, nodes, nodes)[0] + math.log(abs(z[0] - gam.z00))
+    lg = near_field(ML11N, z, nodes, nodes)[0] + math.log(abs(z[0] - gam.z00))
     assert math.isfinite(lg.real)
     assert lg.real == pytest.approx(cells.sum().real + math.log(abs(z[0] - gam.z00)), rel=1e-15)
     assert lg.real == pytest.approx(6362.92509416025, rel=1e-14)
@@ -936,7 +1052,7 @@ def test_grouped_near_field_falls_back_on_underflow(monkeypatch):
     nodes = LatticeSpec(1.0, 2).points()
     nodes = nodes[nodes != 0]
     z = np.array([0.3 + 0.2j, -0.4 + 0.1j])
-    got = near_field(EXPN, z, nodes, nodes)
+    got = near_field(ML11N, z, nodes, nodes)
     want = np.log(1.0 - z[None, :] / nodes[:, None]).sum(axis=0) + nodes.size * math.log(1e-50)
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
@@ -958,11 +1074,30 @@ def test_grouped_near_field_hit_among_finite_factors():
         assert np.isfinite(got[1])
 
 
+def test_exp_near_field_hits_and_falls_back():
+    # EXP's group products hold 1 - z/node alone: a point on a node takes
+    # -inf, and one 1e-310 off node 1, where 1 - z/node is subnormal, the
+    # per-cell sum of log(1 - z/node); either adds the sum of u over the
+    # nodes, as does the point that takes the group products
+    nodes = LatticeSpec(1.0, 2).points()
+    nodes = nodes[nodes != 0]
+    z = np.array([-1.0 + 2.0j, 1.0 + 1e-310j, 0.3 + 0.2j])
+    got = near_field(EXPN, z, nodes, nodes)
+    Z1 = z[None, :] / nodes[:, None]
+    U = Z1 + (z * z)[None, :] / (2.0 * nodes[:, None] ** 2)
+    with np.errstate(divide="ignore"):
+        want = np.log(1.0 - Z1).sum(axis=0) + U.sum(axis=0)
+    assert got[0].real == -math.inf and math.isfinite(got[0].imag)
+    assert np.all(np.isfinite(got[1:]))
+    assert np.all(np.abs(got[1:] - want[1:]) <= 1e-14 * np.abs(want[1:]))
+
+
 def test_degree_cut_falls_back_to_full_degree(monkeypatch):
     # phi(u) = 1e-50 (1 - 0.999 (u/a)^20 + u^21 + ... + u^80), a = 0.48 the
-    # largest |u| (z = 0.4, node 1), under EXP's tail table: the a-priori
-    # degree (< 20) drops terms past 2^-60 min|phi| = 1e-50 2^-60; the
-    # restart from that measured min (degree > 20) meets |phi(a)| ~ 1e-53
+    # largest |u| (z = 0.4, node 1), under ML(1, 1)'s tail table (EXP's
+    # phi_k = 1/k!, through the Horner path): the a-priori degree (< 20)
+    # drops terms past 2^-60 min|phi| = 1e-50 2^-60; the restart from
+    # that measured min (degree > 20) meets |phi(a)| ~ 1e-53
     # and fails again, so the chunk is redone from degree 80.  The group
     # products underflow, so the result is the per-cell sum over the nodes
     # in the band order (by |node|, stable)
@@ -970,7 +1105,7 @@ def test_degree_cut_falls_back_to_full_degree(monkeypatch):
     nodes = nodes[nodes != 0]
     nodes = nodes[np.argsort(np.abs(nodes), kind="stable")]
     z = np.array([0.4 + 0.0j, -0.3 + 0.2j])
-    ps = psi_pair(EXPN)
+    ps = psi_pair(ML11N)
     Z1 = z[None, :] / nodes[:, None]
     U = ps.psi1 * Z1 + ps.psi2 * (z * z)[None, :] / (nodes[:, None] ** 2)
     a = np.abs(U).max()
@@ -980,7 +1115,7 @@ def test_degree_cut_falls_back_to_full_degree(monkeypatch):
     monkeypatch.setattr(weierstrass, "phi_coeffs", lambda desc, N: phis)
     horner = weierstrass._horner
     degrees = horner_degrees(monkeypatch)
-    got = near_field(EXPN, z, nodes, nodes)
+    got = near_field(ML11N, z, nodes, nodes)
     assert degrees[0] < 20 < degrees[1] < 80 and degrees[2:] == [80]
 
     def per_cell_sum(top):
