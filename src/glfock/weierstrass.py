@@ -631,8 +631,8 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     d, ps = _factor(desc)
     order = np.argsort(np.abs(nodes), kind="stable")
     nodes, dens = nodes[order], dens[order]
-    exp = d.family == "exponential"
-    if not exp:
+    exact = d.family == "exponential"  # log phi(u) = u
+    if not exact:
         phis = phi_coeffs(d, N)
         log_phis, degs = signs_logs(d, N)[1][1:], np.arange(1, N + 1)
     out = np.zeros(z.size, dtype=complex)
@@ -650,7 +650,7 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                 zz = z[idx]
                 Z1 = zz[None, :] / bnodes[:, None]
                 U = ps.psi1 * Z1 + ps.psi2 * (zz * zz)[None, :] / (bdens[:, None] ** 2)
-                if exp:  # log phi(u) = u: the products hold 1 - z/node alone
+                if exact:  # the group products hold 1 - z/node alone
                     log_phi = U.sum(axis=0)
                 else:
                     loga = np.log(np.abs(U).max(initial=0.0))
@@ -667,7 +667,7 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                         else:
                             V = _horner(phis[::-1], U)
                 np.subtract(1.0, Z1, out=Z1)
-                F = Z1 if exp else np.multiply(Z1, V, out=U)
+                F = Z1 if exact else np.multiply(Z1, V, out=U)
                 P = np.multiply.reduceat(F, starts, axis=0)
                 logs = np.log(P).sum(axis=0)
                 mag = np.abs(P)
@@ -677,8 +677,8 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                     lg = np.log(Z1)
                     lg[hit] = -np.inf
                     cells = lg.sum(axis=0)
-                    logs[bad] = (cells if exp else cells + np.log(V).sum(axis=0))[bad]
-                if exp:
+                    logs[bad] = (cells if exact else cells + np.log(V).sum(axis=0))[bad]
+                if exact:
                     logs += log_phi
                 out[idx] += logs
     return out
