@@ -845,7 +845,7 @@ def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TER
 
     For EXP every factor is the exact (1 - w) e^(w + w^2/2), so sigma is the
     classical Weierstrass sigma of the lattice and N does not enter: within
-    4.4e-12 of theta in log|sigma| up to |z| / lam = 12 (six angles), most
+    4.3e-12 of theta in log|sigma| up to |z| / lam = 12 (six angles), most
     of it the rounding of _lattice_tail's T_8.
 
     Only for a zero-free phi (EXP) are its zeros just the nodes: inside |z| = 2.5
