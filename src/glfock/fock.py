@@ -256,12 +256,19 @@ def verified_weight(desc: PhiDescriptor) -> WeightKernel:
 
 
 def inner_product_l2phi(desc: PhiDescriptor, f: TruncatedSeries, g: TruncatedSeries) -> complex:
-    """Coefficient-side pairing sum conj(f_k) g_k / phi_k (conjugate-first)."""
+    """Coefficient-side pairing sum conj(f_k) g_k / phi_k (conjugate-first).
+    Where 1/|phi_k| leaves the double range, each part p of the term is
+    exp(log|p| - log|phi_k|): a zero product adds 0, a finite one stays finite."""
     m = min(f.degree_cap, g.degree_cap)
     s, l = signs_logs(desc, m)
-    k = np.arange(m + 1)
-    return complex(np.sum(np.conj(f.coeffs[:m + 1]) * g.coeffs[:m + 1]
-                          * s[k] * np.exp(-l[k])))
+    c = np.conj(f.coeffs[:m + 1]) * g.coeffs[:m + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = c * s * (inv := np.exp(-l))
+    if (out := np.isinf(inv)).any():
+        p = c[out].view(float) * np.repeat(s[out], 2)
+        with np.errstate(divide="ignore", over="ignore"):
+            terms[out] = np.copysign(np.exp(np.log(np.abs(p)) - np.repeat(l[out], 2)), p).view(complex)
+    return complex(np.sum(terms))
 
 
 def _require_verified(wk: WeightKernel) -> None:

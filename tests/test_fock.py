@@ -22,6 +22,7 @@ DK = PhiDescriptor.dunkl(0.5)
 BS = PhiDescriptor.backward_shift()
 SG12 = PhiDescriptor.stretched_gamma(1.0, 2.0)
 GD2 = PhiDescriptor.gamma_deriv(2)
+ML_HALF = PhiDescriptor.mittag_leffler(0.5, 0.5)
 
 
 def unit_series(desc, rng, deg):
@@ -86,7 +87,7 @@ MOMENT_ORACLES = {
     "ML(2,1)": (PhiDescriptor.mittag_leffler(2, 1), lambda mp, n: mp.gamma(1 + mp.mpf(n) / 2)),
     "ML(0.5,1.5)": (PhiDescriptor.mittag_leffler(0.5, 1.5), lambda mp, n: mp.gamma(1.5 + 2 * n)),
     # W ~ x^(rho mu - 1) at 0: the nodes must reach far enough left for x^0.25 and x^0.1
-    "ML(0.5,0.5)": (PhiDescriptor.mittag_leffler(0.5, 0.5),
+    "ML(0.5,0.5)": (ML_HALF,
                     lambda mp, n: mp.gamma(mp.mpf("0.5") + 2 * n)),
     "ML(1,0.1)": (PhiDescriptor.mittag_leffler(1, 0.1),
                   lambda mp, n: mp.gamma(mp.mpf("0.1") + n)),
@@ -196,6 +197,34 @@ def test_inner_product_l2phi_values():
     z1 = TruncatedSeries([0, 1.0])
     # 1/phi_1 = 2 for kappa = 1/2 (Pochhammer oracle)
     assert abs(inner_product_l2phi(DK, z1, z1) - 2.0) <= 1e-14
+
+
+def test_inner_product_l2phi_past_double_range():
+    # ML(1/2,1/2) at degree 100: 1/phi_k overflows for k >= 86, where |f_k|^2
+    # is subnormal (k <= 88) or 0; against the same double terms in mpmath
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(100)
+    f, g = unit_series(ML_HALF, rng, 100), unit_series(ML_HALF, rng, 100)
+    s, l = signs_logs(ML_HALF, 100)
+    assert (-l[86:] > np.log(np.finfo(float).max)).all() and -l[85] < 709.0
+    eps = np.finfo(float).eps
+    for a, b in ((f, f), (f, g), (g, f)):
+        got = inner_product_l2phi(ML_HALF, a, b)
+        c = np.conj(a.coeffs) * b.coeffs
+        with mp.workdps(40):
+            terms = [mp.mpc(ck.real, ck.imag) * sk * mp.exp(-mp.mpf(lk))
+                     for ck, sk, lk in zip(c.tolist(), s.tolist(), l.tolist())]
+            want = complex(mp.fsum(terms))
+            # exp(log|p| - log|phi_k|) rounds its argument: eps per unit of each log
+            bound = float(mp.fsum(2 * eps * abs(t) * (2 + abs(lk) + abs(mp.log(abs(t))))
+                                  for t, lk in zip(terms, l.tolist()) if t != 0))
+        assert np.isfinite(got.real) and np.isfinite(got.imag)
+        assert abs(got - want) <= bound
+    # a zero product adds 0 where 1/phi_k overflows: the pairing of e_0 with
+    # a full series is its degree-0 term, to the bit
+    e0 = TruncatedSeries(np.r_[1.0, np.zeros(100)])
+    assert inner_product_l2phi(ML_HALF, e0, g) == inner_product_l2phi(
+        ML_HALF, TruncatedSeries([1.0]), TruncatedSeries(g.coeffs[:1]))
 
 
 def test_inner_product_positivity():
@@ -365,6 +394,56 @@ def test_planar_rule_against_reference(desc):
         scale = max(1.0, float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2 / phi)
                                        * np.sum(np.abs(g.coeffs) ** 2 / phi))))
         assert abs(inner_product_fock(wk, f, g) - want) <= REFERENCE_C * eps * scale, deg
+
+
+# The range grid: each family at RANGE_DEGREES, with unit-scale series.
+# reproduce is checked against Horner f(z) and inner_product_fock against
+# inner_product_l2phi.  The outcome of each is "ok" within REFERENCE_C eps of
+# its scale, "off" for a finite value outside that bound, or the class of the
+# error raised; RANGE_OUTCOMES lists the cases that are not ("ok", "ok").  At
+# the high degrees |f_k|^2 x^k peaks far out: no level of the rule meets the
+# tolerance, or (ML(1/2,1/2), degree 200) two levels agree on a value 4e-6 off.
+RANGE_FAMILIES = {"EXP": EXP, "ML(2,1)": ML21, "ML(1/2,1/2)": ML_HALF, "SG(1,2)": SG12, "GD(2)": GD2}
+RANGE_DEGREES = (0, 12, 40, 60, 100, 120, 160, 200)
+RANGE_OUTCOMES = {
+    ("EXP", 200): ("ok", "ConvergenceError"),
+    ("ML(1/2,1/2)", 100): ("ok", "ConvergenceError"),
+    ("ML(1/2,1/2)", 120): ("ok", "ConvergenceError"),
+    ("ML(1/2,1/2)", 160): ("ok", "ConvergenceError"),
+    ("ML(1/2,1/2)", 200): ("ok", "off"),
+    ("GD(2)", 200): ("ok", "ConvergenceError"),
+}
+
+
+@pytest.mark.parametrize("deg", RANGE_DEGREES)
+@pytest.mark.parametrize("name", list(RANGE_FAMILIES))
+def test_planar_range(name, deg):
+    desc = RANGE_FAMILIES[name]
+    wk = verified_weight(desc)
+    rng = np.random.default_rng(deg)
+    f, g = unit_series(desc, rng, deg), unit_series(desc, rng, deg)
+    z = complex(*rng.uniform(-1.2, 1.2, 2))
+    eps = np.finfo(float).eps
+    want = 0j
+    for c in f.coeffs[::-1].tolist():
+        want = want * z + c
+    cases = (
+        (lambda: reproduce(desc, wk, f, z), want,
+         max(1.0, float(np.sum(np.abs(f.coeffs) * abs(z) ** np.arange(deg + 1))))),
+        (lambda: inner_product_fock(wk, f, g), inner_product_l2phi(desc, f, g),
+         max(1.0, math.sqrt(inner_product_l2phi(desc, f, f).real
+                            * inner_product_l2phi(desc, g, g).real))),
+    )
+    outcomes = []
+    for run, exact, scale in cases:
+        try:
+            got = run()
+        except (ConvergenceError, DivergenceError, OverflowError) as err:
+            outcomes.append(type(err).__name__)
+            continue
+        assert np.isfinite(got.real) and np.isfinite(got.imag)
+        outcomes.append("ok" if abs(got - exact) <= REFERENCE_C * eps * scale else "off")
+    assert tuple(outcomes) == RANGE_OUTCOMES.get((name, deg), ("ok", "ok")), outcomes
 
 
 @pytest.mark.parametrize("name", sorted(MOMENT_ORACLES))
