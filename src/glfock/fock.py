@@ -26,7 +26,6 @@ import numpy as np
 from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, multiply_z, phi_coeffs,
                    signs_logs)
 from .errors import ConvergenceError, DivergenceError, UnverifiedWeightError
-from .special import _horner
 
 __all__ = [
     "WeightKernel",
@@ -147,10 +146,10 @@ _EPS = float(np.finfo(float).eps)
 
 @lru_cache(maxsize=64)
 def _exp_sinh_rule(wk: WeightKernel):
-    """wk's exp-sinh rule, read-only: the nodes of levels 0 and 1 together,
-    the size of level 0, and per level the nodes x = exp(pi/2 sinh t) it adds
-    (every multiple of the step at level 0, the odd multiples after that)
-    kept where dx/dt * W(x) is nonzero, with those products.
+    """wk's exp-sinh rule, read-only, and its moment table (see _moments).
+    Per level, the rule holds the nodes x = exp(pi/2 sinh t) it adds (every
+    multiple of the step at level 0, the odd multiples after that) kept
+    where dx/dt * W(x) is nonzero, with those products.
 
     At the far nodes (x up to 1e30) a power in W can overflow while its
     exponential factor underflows; the resulting inf or nan stands for a
@@ -178,36 +177,51 @@ def _exp_sinh_rule(wk: WeightKernel):
     mass = np.cumsum(np.abs(ww[order]))
     left = (mass <= _EPS * h * mass[-1]) & (x[order] < 1.0)
     t_left = t[order][np.count_nonzero(left)]
-    levels = tuple(_read_only(x[t >= t_left], ww[t >= t_left]) for t, x, ww in levels)
-    x01 = _read_only(np.concatenate((levels[0][0], levels[1][0])))[0]
-    return x01, levels[0][0].size, levels
+    rule = tuple(_read_only(x[t >= t_left], ww[t >= t_left]) for t, x, ww in levels)
+    return rule, [np.zeros((_DE_LEVELS, 0)), np.zeros((_DE_LEVELS, 0)), np.zeros(0, int)]
 
 
-def _radial_integral(wk: WeightKernel, fn) -> complex:
-    """int_0^inf fn(x) W(x) dx by the exp-sinh rule of wk; fn vectorized,
-    possibly complex-valued.
+def _moments(wk: WeightKernel, n: int) -> list:
+    """wk's moment table [M, A, e] with at least n degrees k, read-only:
+    M[L, k] = h_L * (sum of dx/dt W(x) x^k over the nodes of levels <= L)
+    and A[L, k] the same sum of |terms|, both times 2^-e_k, each degree summed
+    as moment() summed it alone.  A term whose x^k is not a double is
+    exp(log|dx/dt W(x)| + k log x); e_k = 0 unless the largest term times the
+    node count passes 2^1023."""
+    rule, table = _exp_sinh_rule(wk)
+    if (have := table[2].size) < n:
+        k, sums, mags = np.arange(have, n), [], []
+        with np.errstate(over="ignore", divide="ignore"):
+            logs = [np.log(np.abs(ww)) + k[:, None] * np.log(x) for x, ww in rule]
+            top = np.max([lt.max(axis=1) for lt in logs], axis=0) / math.log(2)
+            e = np.maximum(np.ceil(top + math.log2(sum(x.size for x, _ in rule))) - 1023, 0)
+            e = e.astype(int)[:, None]
+            for (x, ww), lt in zip(rule, logs):
+                t = ww * np.array([x ** float(j) for j in k])
+                t = np.where(np.isfinite(t), np.ldexp(t, -e), np.copysign(np.exp(lt - e * math.log(2)), ww))
+                sums.append(t.astype(complex).sum(axis=1).real)
+                mags.append(np.abs(t).sum(axis=1))
+        h = _DE_H0 / 2.0 ** np.arange(_DE_LEVELS)[:, None]
+        new = h * np.cumsum(sums, axis=0), np.cumsum(mags, axis=0), e[:, 0]
+        table[:] = _read_only(*(np.concatenate(a, axis=-1) for a in zip(table, new)))
+    return table
 
-    The first error estimate needs levels 0 and 1, so fn is called once on
-    both levels' nodes, then once per later level on its new nodes; each
-    level is summed on its own.  The error of I_h is estimated as
-    |I_h - I_2h|, floored at the rounding level eps * h * sum |dx/dt W fn|;
-    ConvergenceError when no level up to h = 1/128 meets the tolerance.
-    """
-    total, magnitude = 0.0j, 0.0
-    x01, n0, levels = _exp_sinh_rule(wk)
-    f01 = np.asarray(fn(x01), dtype=complex)
-    first = f01[:n0], f01[n0:]
-    for level, (x, ww) in enumerate(levels):
-        terms = ww * (first[level] if level < 2 else np.asarray(fn(x), dtype=complex))
-        total += terms.sum()
-        magnitude += float(np.abs(terms).sum())
-        h = _DE_H0 / 2 ** level
-        val = complex(h * total)
-        if level:
-            err = max(abs(val - prev), _EPS * h * magnitude)
-            if err <= 10.0 * max(_DE_TOL, _DE_TOL * abs(val)):
-                return val
-        prev = val
+
+def _radial_integral(wk: WeightKernel, c: np.ndarray) -> complex:
+    """int_0^inf (sum_k c_k x^k) W(x) dx by the exp-sinh rule of wk: level L
+    sums I_L = sum_k c_k M[L, k] (numpy's sums, not BLAS's), with error
+    max(|I_L - I_{L-1}|, eps * h_L * sum_k |c_k| A[L, k]); ConvergenceError
+    when no level up to h = 1/128 meets the tolerance with a finite value."""
+    c = np.asarray(c, dtype=complex)
+    M, A, e = _moments(wk, c.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.ldexp(c.view(float), np.repeat(e[:c.size], 2)).view(complex)
+        vals, floors = (M[:, :c.size] * c).sum(axis=1), (A[:, :c.size] * np.abs(c)).sum(axis=1)
+    for level in range(1, _DE_LEVELS):
+        val = complex(vals[level])
+        err = max(abs(val - vals[level - 1]), _EPS * _DE_H0 / 2 ** level * floors[level])
+        if err <= 10.0 * max(_DE_TOL, _DE_TOL * abs(val)) < math.inf:
+            return val
     raise ConvergenceError(f"radial quadrature error {err:.2e} exceeds tolerance")
 
 
@@ -218,8 +232,7 @@ def moment(wk: WeightKernel, n: int) -> float:
     if not wk.is_positive:
         warnings.warn(f"weight form {wk.form}{wk.desc.params_dict} is signed on part of "
                       "the axis; treat moment results as signed-measure data")
-    val = _radial_integral(wk, lambda x: x ** float(n) + 0.0j)
-    return float(val.real)
+    return float(_radial_integral(wk, np.arange(n + 1) == n).real)
 
 
 @dataclass
@@ -233,6 +246,7 @@ def moment_check(desc: PhiDescriptor, wk: WeightKernel, n_max: int,
                  tol: float) -> MomentReport:
     """Verify moment(wk, n) * phi_n = 1 for n <= n_max within tol."""
     s, l = signs_logs(desc, n_max)
+    _moments(wk, n_max + 1)
     rows, failures = [], []
     for n in range(n_max + 1):
         m = moment(wk, n)
@@ -256,18 +270,15 @@ def verified_weight(desc: PhiDescriptor) -> WeightKernel:
 
 
 def inner_product_l2phi(desc: PhiDescriptor, f: TruncatedSeries, g: TruncatedSeries) -> complex:
-    """Coefficient-side pairing sum conj(f_k) g_k / phi_k (conjugate-first).
-    Where 1/|phi_k| leaves the double range, each part p of the term is
-    exp(log|p| - log|phi_k|): a zero product adds 0, a finite one stays finite."""
+    """Coefficient-side pairing sum conj(f_k) g_k / phi_k (conjugate-first);
+    where 1/phi_k overflows, each part p of a term is exp(log|p| - log|phi_k|)."""
     m = min(f.degree_cap, g.degree_cap)
     s, l = signs_logs(desc, m)
     c = np.conj(f.coeffs[:m + 1]) * g.coeffs[:m + 1]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         terms = c * s * (inv := np.exp(-l))
-    if (out := np.isinf(inv)).any():
-        p = c[out].view(float) * np.repeat(s[out], 2)
-        with np.errstate(divide="ignore", over="ignore"):
-            terms[out] = np.copysign(np.exp(np.log(np.abs(p)) - np.repeat(l[out], 2)), p).view(complex)
+        p = c[(out := np.isinf(inv))].view(float) * np.repeat(s[out], 2)
+        terms[out] = np.copysign(np.exp(np.log(np.abs(p)) - np.repeat(l[out], 2)), p).view(complex)
     return complex(np.sum(terms))
 
 
@@ -278,24 +289,16 @@ def _require_verified(wk: WeightKernel) -> None:
             "before use in planar integrals")
 
 
-def _polar_integral(wk: WeightKernel, c: np.ndarray) -> complex:
-    """(1/pi) int F(w) W(|w|^2) dA(w) for an integrand F whose mean over
-    each ring |w|^2 = x is sum c_k x^k: _radial_integral of that polynomial,
-    summed by Horner's rule at the rule's nodes.  A term conj(w)^j w^k of F
-    has ring mean 0 unless j = k, so the mean is exact, with no angular rule.
-    """
-    return _radial_integral(wk, lambda x: _horner(c[::-1], x + 0j))
-
-
 def inner_product_fock(wk: WeightKernel, f: TruncatedSeries, g: TruncatedSeries) -> complex:
     """Planar pairing (1/pi) int conj(f) g W(|z|^2) dA in polar form: the
     ring mean of conj(f) g is sum conj(f_k) g_k x^k over the degrees f and g
-    share."""
+    share: a term conj(w)^j w^k has ring mean 0 unless j = k, so the mean
+    is exact, with no angular rule."""
     if not wk.is_positive:
         warnings.warn("signed weight: planar pairing is signed-measure data")
     _require_verified(wk)
     m = min(f.degree_cap, g.degree_cap) + 1
-    return _polar_integral(wk, np.conj(f.coeffs[:m]) * g.coeffs[:m])
+    return _radial_integral(wk, np.conj(f.coeffs[:m]) * g.coeffs[:m])
 
 
 def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: complex) -> complex:
@@ -310,11 +313,11 @@ def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: comp
     """
     z = complex(z)
     _require_verified(wk)
-    if not desc.entire and abs(z) ** 2 * _exp_sinh_rule(wk)[0].max() >= 1.0:
+    if not desc.entire and abs(z) ** 2 * max(x[-1] for x, _ in _exp_sinh_rule(wk)[0][:2]) >= 1.0:
         raise DivergenceError("evaluation point outside radius of convergence (=1)")
     zk = np.full(f.degree_cap + 1, z)
     zk[0] = 1.0
-    return _polar_integral(wk, phi_coeffs(desc, f.degree_cap) * zk.cumprod() * f.coeffs)
+    return _radial_integral(wk, phi_coeffs(desc, f.degree_cap) * zk.cumprod() * f.coeffs)
 
 
 def duality_check(desc: PhiDescriptor, f: TruncatedSeries, g: TruncatedSeries) -> float:

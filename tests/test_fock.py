@@ -1,5 +1,6 @@
 import contextlib
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -402,7 +403,7 @@ def test_planar_rule_against_reference(desc):
 # its scale, "off" for a finite value outside that bound, or the class of the
 # error raised; RANGE_OUTCOMES lists the cases that are not ("ok", "ok").  At
 # the high degrees |f_k|^2 x^k peaks far out: no level of the rule meets the
-# tolerance, or (ML(1/2,1/2), degree 200) two levels agree on a value 4e-6 off.
+# tolerance.
 RANGE_FAMILIES = {"EXP": EXP, "ML(2,1)": ML21, "ML(1/2,1/2)": ML_HALF, "SG(1,2)": SG12, "GD(2)": GD2}
 RANGE_DEGREES = (0, 12, 40, 60, 100, 120, 160, 200)
 RANGE_OUTCOMES = {
@@ -410,7 +411,7 @@ RANGE_OUTCOMES = {
     ("ML(1/2,1/2)", 100): ("ok", "ConvergenceError"),
     ("ML(1/2,1/2)", 120): ("ok", "ConvergenceError"),
     ("ML(1/2,1/2)", 160): ("ok", "ConvergenceError"),
-    ("ML(1/2,1/2)", 200): ("ok", "off"),
+    ("ML(1/2,1/2)", 200): ("ok", "ConvergenceError"),
     ("GD(2)", 200): ("ok", "ConvergenceError"),
 }
 
@@ -453,7 +454,7 @@ def test_exp_sinh_trim(name):
     # is at most eps * h * (the same sum over the whole rule), h = 1/128, and
     # the cut is the largest that keeps both
     wk = registered_weight(MOMENT_ORACLES[name][0])
-    full, rule = reference_exp_sinh_levels(wk), fock._exp_sinh_rule(wk)[2]
+    full, rule = reference_exp_sinh_levels(wk), fock._exp_sinh_rule(wk)[0]
     cuts = [x.size - xr.size for (x, _), (xr, _) in zip(full, rule)]
     for (x, ww), (xr, wr), cut in zip(full, rule, cuts):
         assert np.array_equal(x[cut:], xr) and np.array_equal(ww[cut:], wr)
@@ -467,30 +468,57 @@ def test_exp_sinh_trim(name):
     assert x_in >= 1.0 or m_out + abs(w_in) > bound
 
 
-def test_radial_integral_call_counts():
-    calls = []
-
-    def spy(fn):
-        def counted(x):
-            calls.append(np.size(x))
-            return fn(x)
-        return counted
-
-    # converges at level 1: one call on the nodes of levels 0 and 1 together
+def test_radial_integral_levels(monkeypatch):
+    # x^2 against ML(2,1) converges at level 1: its value is that level's
+    # table entry, and levels 2 and 3 are not read
     wk = registered_weight(ML21)
-    sizes = [x.size for x, _ in fock._exp_sinh_rule(wk)[2]]
-    assert abs(fock._radial_integral(wk, spy(lambda x: x * x + 0j)) - 1.0) <= 1e-13
-    assert calls == [sizes[0] + sizes[1]]
-    calls.clear()
-    # EXP takes the same rule, on its 195 trimmed nodes, and int x e^-x dx = 1
-    # comes out exact
-    assert fock._radial_integral(registered_weight(EXP), spy(lambda x: x + 0j)) == 1.0
-    assert calls == [195]
-    calls.clear()
-    noise = np.random.default_rng(0)
-    with pytest.raises(ConvergenceError):
-        fock._radial_integral(wk, spy(lambda x: noise.standard_normal(x.shape) + 0j))
-    assert calls == [sizes[0] + sizes[1], sizes[2], sizes[3]]
+    M, A, e = fock._moments(wk, 3)
+    unread = M.copy()
+    unread[2:] = np.nan
+    with monkeypatch.context() as m:
+        m.setattr(fock, "_moments", lambda wk, n: (unread, A, e))
+        val = fock._radial_integral(wk, np.array([0.0, 0.0, 1.0]))
+    assert val == M[1, 2] and abs(val - 1.0) <= 1e-13
+    # EXP takes the same rule, and int x e^-x dx = 1 comes out exact
+    assert fock._radial_integral(registered_weight(EXP), np.array([0.0, 1.0])) == 1.0
+    # the stopping rule fails at every level: a finite error estimate, no nan
+    with pytest.raises(ConvergenceError, match=r"error \d\.\d\de[-+]\d+ exceeds"):
+        moment(registered_weight(EXP), 150)
+
+
+def test_exp_moments_to_the_factorial_range():
+    # n! is a double up to n = 170, while x^n overflows at the far nodes
+    # (x ~ 745) from n = 108.  Each node's rounding is amplified n times in
+    # x^n e^-x, so the bound is n eps (measured: at most 9 eps up to n = 140).
+    # Past n = 140 the stopping rule fails at some n, and never returns
+    # nan or inf, as at n = 170, where a level's sum over the nodes overflows.
+    wk = registered_weight(EXP)
+    eps = np.finfo(float).eps
+    for n in range(100, 171):
+        want = float(math.factorial(n))
+        if n <= 140:
+            got = moment(wk, n)
+        else:
+            try:
+                got = moment(wk, n)
+            except ConvergenceError:
+                continue
+            assert n != 170
+        assert abs(got - want) <= n * eps * want, n
+
+
+def test_moment_table_grows_to_the_same_bits():
+    # degrees 0..119 in one step or in two give the same table; ML(1/2,3/4)
+    # has x^k overflow at the far nodes from k = 55 and a scaled row
+    # (e_k > 0) from k = 85, where Gamma(3/4 + 2k) leaves the double range
+    one = registered_weight(PhiDescriptor.mittag_leffler(0.5, 0.75))
+    two = replace(one, verified=True)
+    fock._moments(two, 50)
+    for a, b in zip(fock._moments(one, 120), fock._moments(two, 120)):
+        assert a.shape[-1] == b.shape[-1] == 120 and np.array_equal(a, b)
+    M, A, e = fock._moments(one, 120)
+    assert (e[:85] == 0).all() and (e[85:] > 0).all()
+    assert np.isfinite(M).all() and np.isfinite(A).all()
 
 
 # The bits of reproduce and inner_product_fock (real, imag) at degrees 0, 3
@@ -549,9 +577,10 @@ def test_planar_bits(desc):
 def test_cached_arrays_read_only():
     # each cache shares its arrays with every later caller: a write would
     # corrupt every integral that follows
-    x01, _, levels = fock._exp_sinh_rule(registered_weight(ML21))
+    levels = fock._exp_sinh_rule(registered_weight(ML21))[0]
     signs_logs(ML21, 12)
-    for a in (x01, *(a for level in levels for a in level), *core._table(ML21)):
+    for a in (*(a for level in levels for a in level), *fock._moments(registered_weight(ML21), 12),
+              *core._table(ML21)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
 
