@@ -528,35 +528,35 @@ PLANAR_DEGREES = (0, 3, 10)
 PLANAR_BITS = {
     EXP: (
         ("0x1.017ed89db8441p-3", "-0x1.0e8cfe9bd45ccp-3",
-         "0x1.110cdf1771fcdp-4", "0x1.908e68a6a011cp-4"),
+         "0x1.110cdf1771fcdp-4", "0x1.908e68a6a011bp-4"),
         ("0x1.7b83ca4eae158p+1", "-0x1.9fda5460630c6p+0",
-         "-0x1.de1982de293d6p+2", "0x1.9cefeda20db28p+0"),
-        ("-0x1.4f1f6afb5c3e4p+0", "-0x1.26615c9d790fap-1",
-         "0x1.b71ee83924806p-1", "-0x1.5eb93534bc0dep+2"),
+         "-0x1.de1982de293d6p+2", "0x1.9cefeda20db29p+0"),
+        ("-0x1.4f1f6afb5c3e5p+0", "-0x1.26615c9d790fbp-1",
+         "0x1.b71ee83924803p-1", "-0x1.5eb93534bc0dfp+2"),
     ),
     ML21: (
-        ("0x1.017ed89db8442p-3", "-0x1.0e8cfe9bd45ccp-3",
-         "0x1.110cdf1771fcep-4", "0x1.908e68a6a011bp-4"),
+        ("0x1.017ed89db8441p-3", "-0x1.0e8cfe9bd45ccp-3",
+         "0x1.110cdf1771fcdp-4", "0x1.908e68a6a011bp-4"),
         ("0x1.6e424b47000c4p+1", "-0x1.df4349146b99ep+0",
-         "-0x1.de1982de293d6p+2", "0x1.9cefeda20db26p+0"),
-        ("-0x1.4eef6b7c8bbd1p+0", "-0x1.09183cfd497f8p-1",
-         "0x1.b71ee83924802p-1", "-0x1.5eb93534bc0dcp+2"),
+         "-0x1.de1982de293d4p+2", "0x1.9cefeda20db25p+0"),
+        ("-0x1.4eef6b7c8bbd0p+0", "-0x1.09183cfd497f6p-1",
+         "0x1.b71ee83924803p-1", "-0x1.5eb93534bc0dcp+2"),
     ),
     SG12: (
-        ("0x1.11866bf3aba16p-3", "-0x1.1f64a01313916p-3",
+        ("0x1.11866bf3aba16p-3", "-0x1.1f64a01313917p-3",
          "0x1.110cdf1771fcep-4", "0x1.908e68a6a011ep-4"),
-        ("0x1.930c085e67f38p+1", "-0x1.3e0fbfc14d61ep+1",
-         "-0x1.de1982de293d4p+2", "0x1.9cefeda20db26p+0"),
-        ("-0x1.6fa01aff8c527p+0", "-0x1.c5925132d6d11p-2",
-         "0x1.b71ee8392480bp-1", "-0x1.5eb93534bc0dep+2"),
+        ("0x1.930c085e67f38p+1", "-0x1.3e0fbfc14d61fp+1",
+         "-0x1.de1982de293d5p+2", "0x1.9cefeda20db27p+0"),
+        ("-0x1.6fa01aff8c528p+0", "-0x1.c5925132d6d11p-2",
+         "0x1.b71ee8392480ap-1", "-0x1.5eb93534bc0dcp+2"),
     ),
     GD2: (
-        ("0x1.6e29ab8cd00d4p-4", "-0x1.80ba426b445e0p-4",
-         "0x1.110cdf1771fcep-4", "0x1.908e68a6a011cp-4"),
-        ("0x1.48718a65e11efp+1", "-0x1.86b3f4c10072cp+0",
-         "-0x1.de1982de293d7p+2", "0x1.9cefeda20db29p+0"),
-        ("-0x1.045ab944bc5dcp+0", "-0x1.56d2b9d69c2e8p-2",
-         "0x1.b71ee8392480cp-1", "-0x1.5eb93534bc0e0p+2"),
+        ("0x1.6e29ab8cd00d4p-4", "-0x1.80ba426b445e1p-4",
+         "0x1.110cdf1771fcdp-4", "0x1.908e68a6a011cp-4"),
+        ("0x1.48718a65e11efp+1", "-0x1.86b3f4c10072bp+0",
+         "-0x1.de1982de293d6p+2", "0x1.9cefeda20db29p+0"),
+        ("-0x1.045ab944bc5ddp+0", "-0x1.56d2b9d69c2e7p-2",
+         "0x1.b71ee8392480fp-1", "-0x1.5eb93534bc0e0p+2"),
     ),
 }
 
