@@ -193,9 +193,8 @@ def _moments(wk: WeightKernel, n: int) -> list:
         k, sums, mags = np.arange(have, n), [], []
         with np.errstate(over="ignore", divide="ignore"):
             logs = [np.log(np.abs(ww)) + k[:, None] * np.log(x) for x, ww in rule]
-            top = np.max([lt.max(axis=1) for lt in logs], axis=0) / math.log(2)
-            e = np.maximum(np.ceil(top + math.log2(sum(x.size for x, _ in rule))) - 1023, 0)
-            e = e.astype(int)[:, None]
+            top = np.max([lt.max(axis=1) for lt in logs], axis=0) + math.log(sum(x.size for x, _ in rule))
+            e = np.maximum(np.ceil(top / math.log(2)) - 1023, 0).astype(int)[:, None]
             for (x, ww), lt in zip(rule, logs):
                 t = ww * np.array([x ** float(j) for j in k])
                 t = np.where(np.isfinite(t), np.ldexp(t, -e), np.copysign(np.exp(lt - e * math.log(2)), ww))
@@ -215,7 +214,8 @@ def _radial_integral(wk: WeightKernel, c: np.ndarray) -> complex:
     c = np.asarray(c, dtype=complex)
     M, A, e = _moments(wk, c.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.ldexp(c.view(float), np.repeat(e[:c.size], 2)).view(complex)
+        if e[:c.size].any():
+            c = np.ldexp(c.view(float), np.repeat(e[:c.size], 2)).view(complex)
         vals, floors = (M[:, :c.size] * c).sum(axis=1), (A[:, :c.size] * np.abs(c)).sum(axis=1)
     for level in range(1, _DE_LEVELS):
         val = complex(vals[level])
@@ -305,11 +305,11 @@ def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: comp
     """Evaluate (1/pi) int conj(k_z(w)) f(w) W(|w|^2) dA(w), conj(k_z(w)) =
     phi(z conj(w)) truncated at f's degree cap, which is exact because higher
     kernel modes integrate to zero against a polynomial.  The ring mean is
-    sum phi_k z^k f_k x^k, so with a verified weight this returns f(z) up to
-    radial quadrature error.
+    sum phi_k z^k f_k x^k, integrated against the rule's moment table, so
+    with a verified weight this returns f(z) up to radial quadrature error.
 
-    For the radius-1 family, DivergenceError where |z|^2 x >= 1 at a node x
-    of the rule's first integrand call: the kernel series diverges there.
+    For the radius-1 family, DivergenceError where |z|^2 x >= 1 at a node of
+    the rule's first two levels: the kernel series diverges there.
     """
     z = complex(z)
     _require_verified(wk)
