@@ -145,11 +145,12 @@ _EPS = float(np.finfo(float).eps)
 
 
 @lru_cache(maxsize=64)
-def _exp_sinh_rule(wk: WeightKernel):
-    """wk's exp-sinh rule, read-only, and its moment table (see _moments).
+def _exp_sinh_rule(desc: PhiDescriptor):
+    """The exp-sinh rule of desc's weight, read-only, and its moment table
+    (see _moments), one per weight whether or not a kernel is verified.
     Per level, the rule holds the nodes x = exp(pi/2 sinh t) it adds (every
-    multiple of the step at level 0, the odd multiples after that) kept
-    where dx/dt * W(x) is nonzero, with those products.
+    multiple of the step at level 0, the odd multiples after that) kept where
+    dx/dt * W(x) is nonzero, with those products.
 
     At the far nodes (x up to 1e30) a power in W can overflow while its
     exponential factor underflows; the resulting inf or nan stands for a
@@ -162,46 +163,43 @@ def _exp_sinh_rule(wk: WeightKernel):
     are polynomials in x, bounded on [0, 1] by their coefficient 1-norm
     |g|_1, so the cut moves a level's sum by at most eps * int |W| * |g|_1.
     """
-    levels = []
-    for level in range(_DE_LEVELS):
-        h = _DE_H0 / 2 ** level
-        k = np.arange(round(_DE_T_MIN / h), round(_DE_T_MAX / h) + 1)
-        t = (k[k % 2 == 1] if level else k) * h
-        x = np.exp(0.5 * np.pi * np.sinh(t))
-        with np.errstate(over="ignore", invalid="ignore"):
-            ww = 0.5 * np.pi * np.cosh(t) * x * wk.weight(x)
-        keep = np.isfinite(ww) & (ww != 0.0)
-        levels.append((t[keep], x[keep], ww[keep]))
-    t, x, ww = (np.concatenate(a) for a in zip(*levels))
-    order = np.argsort(t)
-    mass = np.cumsum(np.abs(ww[order]))
-    left = (mass <= _EPS * h * mass[-1]) & (x[order] < 1.0)
-    t_left = t[order][np.count_nonzero(left)]
-    rule = tuple(_read_only(x[t >= t_left], ww[t >= t_left]) for t, x, ww in levels)
+    h = _DE_H0 / 2 ** (_DE_LEVELS - 1)
+    k = np.arange(round(_DE_T_MIN / h), round(_DE_T_MAX / h) + 1)
+    x = np.exp(0.5 * np.pi * np.sinh(k * h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ww = 0.5 * np.pi * np.cosh(k * h) * x * WeightKernel(desc).weight(x)
+    keep = np.isfinite(ww) & (ww != 0.0)
+    mass = np.cumsum(np.where(keep, np.abs(ww), 0.0))
+    keep[:np.count_nonzero((mass <= _EPS * h * mass[-1]) & (x < 1.0))] = False
+    level = _DE_LEVELS - 1 - np.log2(np.gcd(k, 2 ** (_DE_LEVELS - 1))).astype(int)
+    rule = tuple(_read_only(x[m], ww[m]) for m in (keep & (level == L) for L in range(_DE_LEVELS)))
     return rule, [np.zeros((_DE_LEVELS, 0)), np.zeros((_DE_LEVELS, 0)), np.zeros(0, int)]
 
 
 def _moments(wk: WeightKernel, n: int) -> list:
     """wk's moment table [M, A, e] with at least n degrees k, read-only:
-    M[L, k] = h_L * (sum of dx/dt W(x) x^k over the nodes of levels <= L)
-    and A[L, k] the same sum of |terms|, both times 2^-e_k, each degree summed
-    as moment() summed it alone.  A term whose x^k is not a double is
-    exp(log|dx/dt W(x)| + k log x); e_k = 0 unless the largest term times the
-    node count passes 2^1023."""
-    rule, table = _exp_sinh_rule(wk)
+    M[L, k] = h_L * (sum of dx/dt W(x) x^k over the nodes of levels <= L) and
+    A[L, k] the same sum of |terms|, both times 2^-e_k, each degree summed as
+    moment() summed it alone.  e_k = 0 unless the sum of |terms| overflows;
+    then e_k is what the node count times the largest term has above 2^1023,
+    and a term that is not a double is exp(log|dx/dt W(x)| + k log x)."""
+    rule, table = _exp_sinh_rule(wk.desc)
     if (have := table[2].size) < n:
-        k, sums, mags = np.arange(have, n), [], []
-        with np.errstate(over="ignore", divide="ignore"):
-            logs = [np.log(np.abs(ww)) + k[:, None] * np.log(x) for x, ww in rule]
-            top = np.max([lt.max(axis=1) for lt in logs], axis=0) + math.log(sum(x.size for x, _ in rule))
-            e = np.maximum(np.ceil(top / math.log(2)) - 1023, 0).astype(int)[:, None]
-            for (x, ww), lt in zip(rule, logs):
-                t = ww * np.array([x ** float(j) for j in k])
+        k = np.arange(have, n)[:, None]
+        x, ww = (np.concatenate(a) for a in zip(*rule))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = ww * np.array([x ** float(j) for j in k[:, 0]])
+            e = np.zeros((k.size, 1), int)
+            if not (ok := np.isfinite(np.abs(t).sum(axis=1))[:, None]).all():
+                lt = np.log(np.abs(ww)) + k * np.log(x)
+                top = lt.max(axis=1, keepdims=True) + math.log(x.size)
+                e = np.where(ok, 0, np.maximum(np.ceil(top / math.log(2)) - 1023, 0)).astype(int)
                 t = np.where(np.isfinite(t), np.ldexp(t, -e), np.copysign(np.exp(lt - e * math.log(2)), ww))
-                sums.append(t.astype(complex).sum(axis=1).real)
-                mags.append(np.abs(t).sum(axis=1))
+        ends = np.cumsum([a.size for a, _ in rule])
+        t = [t[:, end - a.size:end] for (a, _), end in zip(rule, ends)]  # one block per level
         h = _DE_H0 / 2.0 ** np.arange(_DE_LEVELS)[:, None]
-        new = h * np.cumsum(sums, axis=0), np.cumsum(mags, axis=0), e[:, 0]
+        new = (h * np.cumsum([a.astype(complex).sum(axis=1).real for a in t], axis=0),
+               np.cumsum([np.abs(a).sum(axis=1) for a in t], axis=0), e[:, 0])
         table[:] = _read_only(*(np.concatenate(a, axis=-1) for a in zip(table, new)))
     return table
 
@@ -313,7 +311,7 @@ def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: comp
     """
     z = complex(z)
     _require_verified(wk)
-    if not desc.entire and abs(z) ** 2 * max(x[-1] for x, _ in _exp_sinh_rule(wk)[0][:2]) >= 1.0:
+    if not desc.entire and abs(z) ** 2 * max(x[-1] for x, _ in _exp_sinh_rule(wk.desc)[0][:2]) >= 1.0:
         raise DivergenceError("evaluation point outside radius of convergence (=1)")
     zk = np.full(f.degree_cap + 1, z)
     zk[0] = 1.0

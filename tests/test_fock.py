@@ -454,7 +454,7 @@ def test_exp_sinh_trim(name):
     # is at most eps * h * (the same sum over the whole rule), h = 1/128, and
     # the cut is the largest that keeps both
     wk = registered_weight(MOMENT_ORACLES[name][0])
-    full, rule = reference_exp_sinh_levels(wk), fock._exp_sinh_rule(wk)[0]
+    full, rule = reference_exp_sinh_levels(wk), fock._exp_sinh_rule(wk.desc)[0]
     cuts = [x.size - xr.size for (x, _), (xr, _) in zip(full, rule)]
     for (x, ww), (xr, wr), cut in zip(full, rule, cuts):
         assert np.array_equal(x[cut:], xr) and np.array_equal(ww[cut:], wr)
@@ -511,14 +511,19 @@ def test_moment_table_grows_to_the_same_bits():
     # degrees 0..119 in one step or in two give the same table; ML(1/2,3/4)
     # has x^k overflow at the far nodes from k = 55 and a scaled row
     # (e_k > 0) from k = 85, where Gamma(3/4 + 2k) leaves the double range
-    one = registered_weight(PhiDescriptor.mittag_leffler(0.5, 0.75))
-    two = replace(one, verified=True)
-    fock._moments(two, 50)
-    for a, b in zip(fock._moments(one, 120), fock._moments(two, 120)):
+    wk = registered_weight(PhiDescriptor.mittag_leffler(0.5, 0.75))
+    fock._exp_sinh_rule.cache_clear()
+    fock._moments(wk, 50)
+    two = [a.copy() for a in fock._moments(wk, 120)]
+    fock._exp_sinh_rule.cache_clear()
+    one = fock._moments(wk, 120)
+    for a, b in zip(one, two):
         assert a.shape[-1] == b.shape[-1] == 120 and np.array_equal(a, b)
-    M, A, e = fock._moments(one, 120)
+    M, A, e = one
     assert (e[:85] == 0).all() and (e[85:] > 0).all()
     assert np.isfinite(M).all() and np.isfinite(A).all()
+    # a verified kernel reads its weight's one table
+    assert fock._moments(replace(wk, verified=True), 120) is one
 
 
 # The bits of reproduce and inner_product_fock (real, imag) at degrees 0, 3
@@ -577,7 +582,7 @@ def test_planar_bits(desc):
 def test_cached_arrays_read_only():
     # each cache shares its arrays with every later caller: a write would
     # corrupt every integral that follows
-    levels = fock._exp_sinh_rule(registered_weight(ML21))[0]
+    levels = fock._exp_sinh_rule(ML21)[0]
     signs_logs(ML21, 12)
     for a in (*(a for level in levels for a in level), *fock._moments(registered_weight(ML21), 12),
               *core._table(ML21)):
