@@ -216,10 +216,9 @@ def _radial_integral(wk: WeightKernel, c: np.ndarray) -> complex:
             c = np.ldexp(c.view(float), np.repeat(e[:c.size], 2)).view(complex)
         vals, floors = (M[:, :c.size] * c).sum(axis=1), (A[:, :c.size] * np.abs(c)).sum(axis=1)
     for level in range(1, _DE_LEVELS):
-        val = complex(vals[level])
-        err = max(abs(val - vals[level - 1]), _EPS * _DE_H0 / 2 ** level * floors[level])
-        if err <= 10.0 * max(_DE_TOL, _DE_TOL * abs(val)) < math.inf:
-            return val
+        err = max(abs(vals[level] - vals[level - 1]), _EPS * _DE_H0 / 2 ** level * floors[level])
+        if err <= 10.0 * max(_DE_TOL, _DE_TOL * abs(vals[level])) < math.inf:
+            return complex(vals[level])
     raise ConvergenceError(f"radial quadrature error {err:.2e} exceeds tolerance")
 
 

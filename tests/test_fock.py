@@ -484,6 +484,9 @@ def test_radial_integral_levels(monkeypatch):
     # the stopping rule fails at every level: a finite error estimate, no nan
     with pytest.raises(ConvergenceError, match=r"error \d\.\d\de[-+]\d+ exceeds"):
         moment(registered_weight(EXP), 150)
+    # finite parts whose modulus overflows are no value either
+    with pytest.raises(ConvergenceError):
+        fock._radial_integral(registered_weight(EXP), np.array([1.3e308 + 1.3e308j]))
 
 
 def test_exp_moments_to_the_factorial_range():
