@@ -493,8 +493,9 @@ def test_exp_moments_to_the_factorial_range():
     # n! is a double up to n = 170, while x^n overflows at the far nodes
     # (x ~ 745) from n = 108.  Each node's rounding is amplified n times in
     # x^n e^-x, so the bound is n eps (measured: at most 9 eps up to n = 140).
-    # Past n = 140 the stopping rule fails at some n, and never returns
-    # nan or inf, as at n = 170, where a level's sum over the nodes overflows.
+    # Past n = 140 the stopping rule fails at some n, and it never returns
+    # nan or inf: at n = 170 the sum of |terms| behind the rounding floor
+    # overflows, and the rule raises.
     wk = registered_weight(EXP)
     eps = np.finfo(float).eps
     for n in range(100, 171):
