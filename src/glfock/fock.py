@@ -179,10 +179,11 @@ def _exp_sinh_rule(desc: PhiDescriptor):
 def _moments(wk: WeightKernel, n: int) -> list:
     """wk's moment table [M, A, e] with at least n degrees k, read-only:
     M[L, k] = h_L * (sum of dx/dt W(x) x^k over the nodes of levels <= L) and
-    A[L, k] the same sum of |terms|, both times 2^-e_k, each degree summed as
-    moment() summed it alone.  e_k = 0 unless the sum of |terms| overflows;
-    then e_k is what the node count times the largest term has above 2^1023,
-    and a term that is not a double is exp(log|dx/dt W(x)| + k log x)."""
+    A[L, k] the same sum of |terms|, both times 2^-e_k; each degree is summed
+    alone, so its bits do not depend on how the table grew.  e_k = 0 unless
+    the sum of |terms| overflows; then e_k is what the node count times the
+    largest term has above 2^1023, and a term that is not a double is
+    exp(log|dx/dt W(x)| + k log x)."""
     rule, table = _exp_sinh_rule(wk.desc)
     if (have := table[2].size) < n:
         k = np.arange(have, n)[:, None]
