@@ -80,12 +80,12 @@ __all__ = [
 
 # The lattice factors use phi cut after 80 terms.  For ML(2,1) at |z| ~ 2.65
 # that cut differs from phi by about 2e-4 relative.  80 is the top degree;
-# a near chunk may start Horner lower, within _HORNER_TOL.
+# a near chunk starts Horner lower where its dropped tail is within _HORNER_TOL.
 _PHI_PRODUCT_TERMS = 80
 _NEAR_CELLS = 8192       # (node, point) cells per chunk of the direct product
 _LOG_GROUP = 8           # consecutive near factors multiplied before one log
 _BAND_GROUPS = 4         # groups per band of near nodes ordered by |node|
-_HORNER_TOL = 2.0**-60   # dropped Horner tail of a chunk, relative to its min |phi|
+_HORNER_TOL = 2.0**-60   # dropped Horner tail of a near cell, absolute (phi_0 = 1)
 _FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r (rho s in a window), radii of _window_series
 _FAR_TOL = 1e-17         # bound on the dropped far-field series tail, summed over nodes
 _TAU_RADIUS = 0.25       # T: far window nodes have |tau| <= rho T, tau = (node / base)^2 - 1
@@ -609,18 +609,16 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
     factors 1 - z/node alone and the chunk's sum of u is added to their
     logs, with no Horner pass and no tail table, and N does not enter.
 
-    Every other family takes phi(u) by Horner.  A chunk with a = max|u| has
-    the tail t(n) = sum_{n<m<=N} |phi_m| a^m (from the signs_logs table),
-    and Horner starts at the least degree n with
-    t(n) <= _HORNER_TOL / (1 + t(0)), the reciprocal of the largest |phi(u)|
-    standing in for the smallest; an outer band, with its small |u|, starts
-    lower than an inner one.  Where after the pass
-    t(n) <= _HORNER_TOL min|phi_n(u)| fails, the chunk restarts from the
-    least degree that this measured min allows and is checked again;
-    degree N is the last resort.  A later chunk of the band starts no lower
-    than the band's last passing restart, so a signed family, whose
-    a-priori min is too high, restarts once per band rather than once per
-    chunk.  So a cut never drops more than 2^-60 of any cell's phi.
+    Every other family takes phi(u) by one Horner pass per chunk.  A chunk
+    with a = max|u| over its non-nan cells has the tail
+    t(n) = sum_{n<m<=N} |phi_m| a^m (from the signs_logs table), and Horner
+    starts at the least degree n with t(n) <= _HORNER_TOL / (1 + t(0)); an
+    outer band, with its small |u|, starts lower than an inner one.  So
+    every cell drops a tail of at most 2^-60, absolute.  The pass's own
+    rounding bound, gamma_2n sum |phi_k| |u|^k (see _horner), exceeds 2^-52
+    at n >= 1, as the sum holds phi_0 = 1 (_factor normalizes): the cut
+    adds at most 2^-8 of the error the pass may make anyway, also where
+    |phi(u)| is small.
 
     The factors of each group are multiplied, and each group product takes
     one complex log.  A point that hits a node of the band, or where some
@@ -645,7 +643,6 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
             # chunks of >= 2 points: numpy sums a lone column pairwise and
             # wider ones row by row, so the bits do not depend on the chunking
             step = max(2, _NEAR_CELLS // bnodes.size)
-            floor = 0  # the degree the band's last restart passed at
             for idx in np.array_split(np.arange(z.size), max(1, z.size // step)):
                 zz = z[idx]
                 Z1 = zz[None, :] / bnodes[:, None]
@@ -653,19 +650,11 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
                 if exact:  # the group products hold 1 - z/node alone
                     log_phi = U.sum(axis=0)
                 else:
-                    loga = np.log(np.abs(U).max(initial=0.0))
+                    # fmax: a nan point (from a nan z) leaves its chunk's cut alone
+                    loga = np.log(np.fmax.reduce(np.abs(U), axis=None, initial=0.0))
                     t = np.append(np.exp(log_phis + degs * loga)[::-1].cumsum()[::-1], 0.0)
-                    n = max(floor, int(np.argmax(t <= _HORNER_TOL / (1.0 + t[0]))))
+                    n = int(np.argmax(t <= _HORNER_TOL / (1.0 + t[0])))
                     V = _horner(phis[n::-1], U)
-                    m = np.abs(V).min(initial=np.inf)
-                    # not <=: a nan a (from a nan z) fails every check
-                    if not t[n] <= _HORNER_TOL * m:
-                        n = int(np.argmax(t <= _HORNER_TOL * m))
-                        V = _horner(phis[n::-1], U)
-                        if t[n] <= _HORNER_TOL * np.abs(V).min(initial=np.inf):
-                            floor = n
-                        else:
-                            V = _horner(phis[::-1], U)
                 np.subtract(1.0, Z1, out=Z1)
                 F = Z1 if exact else np.multiply(Z1, V, out=U)
                 P = np.multiply.reduceat(F, starts, axis=0)

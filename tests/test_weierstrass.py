@@ -923,10 +923,9 @@ def horner_degrees(monkeypatch):
 
 
 def test_outer_band_starts_horner_lower(monkeypatch):
-    # ML(1, 1) on 16 contour points of |z| = 2.5: one chunk per band,
-    # innermost band first, and the far series last, in (z / (lam R))^4 of
-    # degree K / 4 (37, R^2 = 12); the a-priori min|phi| of phi = e^u is
-    # exact, so no chunk restarts
+    # ML(1, 1) on 16 contour points of |z| = 2.5: one chunk per band, each
+    # one Horner pass, innermost band first, and the far series last, in
+    # (z / (lam R))^4 of degree K / 4 (37, R^2 = 12)
     degrees = horner_degrees(monkeypatch)
     lat = LatticeSpec(1.0, 12)
     sigma_fn(ML11N, 2.5 * np.exp(2j * np.pi * np.arange(16) / 16), lat)
@@ -937,11 +936,10 @@ def test_outer_band_starts_horner_lower(monkeypatch):
     assert near[-1] < near[0]
 
 
-def test_failed_cut_restarts_from_measured_min(monkeypatch):
+def test_near_field_one_horner_pass_per_chunk(monkeypatch):
     # GD(1) on the 2,049-point contour of radius 1.2 (M = 12, 20 near
-    # nodes, one band of 5 chunks): the a-priori degree fails its
-    # post-check, and the restart from the measured min|phi_n(u)| passes,
-    # so no chunk runs at degree 80
+    # nodes, one band of 5 chunks): each chunk runs Horner once, from its
+    # a-priori degree, and none at degree 80
     degrees = horner_degrees(monkeypatch)
     lat = LatticeSpec(1.0, 12)
     z = 1.2 * np.exp(2j * np.pi * np.arange(2049) / 2048)
@@ -952,14 +950,37 @@ def test_failed_cut_restarts_from_measured_min(monkeypatch):
     chunks = z.size // (weierstrass._NEAR_CELLS // near.size)
     degrees.clear()
     got = near_field(GD1N, z, near, near)
-    # the first chunk runs its a-priori degree, then one restart below 80;
-    # every later chunk starts at that restart's degree and passes at once
-    first, restart, *rest = degrees
-    assert first < restart < 80 and rest == [restart] * (chunks - 1)
-    # the cut drops at most 2^-60 of each cell's phi
+    assert len(degrees) == chunks and max(degrees) < 80
+    # within 2^-60 per cell and 4 eps per unit of each cell's |log|
     cells = per_cell_logs(GD1N, z, near, near)
     bound = near.size * 2.0**-60 + 4.0 * np.finfo(float).eps * np.abs(cells).sum(axis=0)
     assert np.all(np.abs(np.expm1(got - cells.sum(axis=0))) <= bound)
+
+
+@pytest.mark.parametrize("desc, zero, degree", [
+    (ML21N, 1.3548101281120508 + 1.9914668428339137j, 80), (GD1N, 0.6266637657919768, 16)])
+def test_near_field_cut_where_phi_is_small(monkeypatch, desc, zero, degree):
+    # node 1 and points whose u lies 1e-4 to 1e-12 off a zero of phi_80:
+    # the cut's tail, at most 2^-60 absolute, and the pass's rounding,
+    # within 4 eps sum |phi_k| |u|^k here, bound each cell's phi error.
+    # At |u| = 2.42 ML(2,1) needs every degree; GD(1) cuts at 16
+    ps = psi_pair(desc)
+    u = zero + np.array([1e-4, 1e-6j, -1e-8, 1e-10j, 1e-12])
+    # the root of psi2 z^2 + psi1 z = u nearer 0
+    root = np.sqrt(ps.psi1**2 + 4.0 * ps.psi2 * u.astype(complex))
+    z = (np.sign(ps.psi1) * root - ps.psi1) / (2.0 * ps.psi2)
+    nodes = np.array([1.0 + 0j])
+    U = ps.psi1 * z + ps.psi2 * z * z
+    assert np.all(np.abs(U - u) <= 1e-14)
+    c = phi_coeffs(desc.normalize(), 80)
+    size = sum(abs(ck) * np.abs(U) ** k for k, ck in enumerate(c))
+    phi80 = np.abs(sum(ck * U**k for k, ck in enumerate(c)))
+    degrees = horner_degrees(monkeypatch)
+    got = near_field(desc, z, nodes, nodes)
+    assert degrees == [degree]
+    want = per_cell_logs(desc, z, nodes, nodes).sum(axis=0)
+    bound = (2.0**-60 + 4.0 * np.finfo(float).eps * size) / phi80
+    assert np.all(np.abs(np.expm1(got - want)) <= bound)
 
 
 FACTOR_ORACLES = {**ORACLE_FAMILIES, "BSN": (BSN, "backward_shift", {})}
@@ -1092,40 +1113,6 @@ def test_exp_near_field_hits_and_falls_back():
     assert got[0].real == -math.inf and math.isfinite(got[0].imag)
     assert np.all(np.isfinite(got[1:]))
     assert np.all(np.abs(got[1:] - want[1:]) <= 1e-14 * np.abs(want[1:]))
-
-
-def test_degree_cut_falls_back_to_full_degree(monkeypatch):
-    # phi(u) = 1e-50 (1 - 0.999 (u/a)^20 + u^21 + ... + u^80), a = 0.48 the
-    # largest |u| (z = 0.4, node 1), under ML(1, 1)'s tail table (EXP's
-    # phi_k = 1/k!, through the Horner path): the a-priori degree (< 20)
-    # drops terms past 2^-60 min|phi| = 1e-50 2^-60; the restart from
-    # that measured min (degree > 20) meets |phi(a)| ~ 1e-53
-    # and fails again, so the chunk is redone from degree 80.  The group
-    # products underflow, so the result is the per-cell sum over the nodes
-    # in the band order (by |node|, stable)
-    nodes = LatticeSpec(1.0, 2).points()
-    nodes = nodes[nodes != 0]
-    nodes = nodes[np.argsort(np.abs(nodes), kind="stable")]
-    z = np.array([0.4 + 0.0j, -0.3 + 0.2j])
-    ps = psi_pair(ML11N)
-    Z1 = z[None, :] / nodes[:, None]
-    U = ps.psi1 * Z1 + ps.psi2 * (z * z)[None, :] / (nodes[:, None] ** 2)
-    a = np.abs(U).max()
-    phis = np.full(81, 1e-50)
-    phis[1:20] = 0.0
-    phis[20] = -0.999e-50 / a**20
-    monkeypatch.setattr(weierstrass, "phi_coeffs", lambda desc, N: phis)
-    horner = weierstrass._horner
-    degrees = horner_degrees(monkeypatch)
-    got = near_field(ML11N, z, nodes, nodes)
-    assert degrees[0] < 20 < degrees[1] < 80 and degrees[2:] == [80]
-
-    def per_cell_sum(top):
-        return np.log(1.0 - Z1).sum(axis=0) + np.log(horner(phis[top::-1], U)).sum(axis=0)
-
-    assert np.array_equal(got, per_cell_sum(80))
-    assert not np.array_equal(got, per_cell_sum(degrees[0]))
-    assert not np.array_equal(got, per_cell_sum(degrees[1]))
 
 
 def test_degree_cut_nan_point_keeps_its_chunk():
