@@ -47,6 +47,7 @@ recurrence.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -274,8 +275,9 @@ class LatticeSpec:
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
             raise ValueError("lam must be a finite number > 0")
-        if self.trunc_M < 1:
-            raise ValueError("trunc_M must be >= 1")
+        M = self.trunc_M
+        if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
+            raise ValueError(f"trunc_M must be an integer >= 1, got {M!r}")
 
     def points(self) -> np.ndarray:
         """The window's nodes, m-major: (m, n) at index (m + M)(2M + 1) + n + M."""

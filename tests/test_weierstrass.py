@@ -252,8 +252,11 @@ def test_lattice_spec_basics():
     for lam in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             LatticeSpec(lam, 3)
-    with pytest.raises(ValueError):
-        LatticeSpec(1.0, 0)
+    # a fractional window would put nodes at half-integers (-2.5 - 2.5i, ...)
+    for M in (0, -2, 2.5, 3.0, True):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            LatticeSpec(1.0, M)
+    assert LatticeSpec(1.0, np.int64(1)).points().size == 9
 
 
 def test_lattice_dist_is_to_the_infinite_lattice():
