@@ -26,6 +26,7 @@ import numpy as np
 from .core import (PhiDescriptor, TruncatedSeries, gl_derivative, multiply_z, phi_coeffs,
                    signs_logs)
 from .errors import ConvergenceError, DivergenceError, UnverifiedWeightError
+from .special import _check_order
 
 __all__ = [
     "WeightKernel",
@@ -225,8 +226,7 @@ def _radial_integral(wk: WeightKernel, c: np.ndarray) -> complex:
 
 def moment(wk: WeightKernel, n: int) -> float:
     """n-th radial moment int_0^inf x^n W(x) dx."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_order(n)
     if not wk.is_positive:
         warnings.warn(f"weight form {wk.form}{wk.desc.params_dict} is signed on part of "
                       "the axis; treat moment results as signed-measure data")

@@ -43,6 +43,15 @@ def test_moment_exponential():
     assert abs(moment(wk, 0) - 1.0) <= 1e-12
 
 
+def test_moment_order_must_be_an_integer():
+    # np.arange(3.5) == 2.5 holds nowhere, so a fractional n would read 0.0
+    wk = registered_weight(EXP)
+    for n in (2.5, True, -1):
+        with pytest.raises(ValueError, match="integer n >= 0"):
+            moment(wk, n)
+    assert abs(moment(wk, np.int64(3)) - 6.0) <= 1e-10
+
+
 def test_moment_stretched_exp():
     wk = registered_weight(PhiDescriptor.stretched_gamma(1.0, 2.0))
     # int x^2 e^{-x^2} dx = sqrt(pi)/4
