@@ -970,7 +970,7 @@ def test_near_field_cut_where_phi_is_small(monkeypatch, desc, zero, degree):
     ps = psi_pair(desc)
     u = zero + np.array([1e-4, 1e-6j, -1e-8, 1e-10j, 1e-12])
     # the root of psi2 z^2 + psi1 z = u nearer 0
-    root = np.sqrt(ps.psi1**2 + 4.0 * ps.psi2 * u.astype(complex))
+    root = np.sqrt(ps.psi1**2 + 4.0 * ps.psi2 * u)
     z = (np.sign(ps.psi1) * root - ps.psi1) / (2.0 * ps.psi2)
     nodes = np.array([1.0 + 0j])
     U = ps.psi1 * z + ps.psi2 * z * z
