@@ -298,7 +298,11 @@ class PerturbedLattice:
     offsets holds one complex per node in lat.points() order (None: all 0),
     and pts and base keep that order, so the origin is at index size // 2.
     The separation q (minimal pairwise distance) is computed and verified
-    positive at construction.
+    positive at construction.  Every node lies within qhat = max|offset|
+    of its base, so a node within u of z has its base within u + qhat of
+    z: q and dist read only those cells of the window (see _nearest), in
+    time and memory linear in the points.  dist is to this finite family
+    alone; g also vanishes on the lattice outside the window (log_g_fn).
     """
 
     def __init__(self, lat: LatticeSpec, offsets: Optional[np.ndarray] = None, Q: float = 0.0):
@@ -309,9 +313,12 @@ class PerturbedLattice:
         off = np.zeros_like(self.base) if offsets is None else np.asarray(offsets, dtype=complex)
         if off.shape != self.base.shape:
             raise ValueError(f"offsets must hold one value per node ({self.base.size})")
+        if not np.isfinite(off).all():
+            raise ValueError("offsets must be finite")
         if np.any(np.abs(off) > Q):
             raise ValueError("an offset exceeds the stated bound Q")
         self.pts = self.base + off
+        self._qhat = float(np.abs(self.pts - self.base).max())
         self.q = float(self._nearest(self.pts, skip_self=True).min())
         if not (self.q > 0):
             raise ValueError("perturbed nodes collide: q = 0")
@@ -326,14 +333,42 @@ class PerturbedLattice:
         return cls(lat, r * np.exp(1j * th), Q)
 
     def _nearest(self, z: np.ndarray, skip_self: bool = False) -> np.ndarray:
-        """Distance from each z to its nearest node, 1,024 points at a time;
-        skip_self (z is pts) leaves out each node's distance to itself."""
-        out = np.empty(z.size)
-        for i in range(0, z.size, 1024):
-            d = np.abs(z[i:i + 1024, None] - self.pts[None, :])
-            if skip_self:
-                d[np.arange(d.shape[0]), np.arange(i, i + d.shape[0])] = math.inf
-            out[i:i + 1024] = d.min(axis=1)
+        """Distance from each z to its nearest node; skip_self (z is pts)
+        leaves out each node's distance to itself.
+
+        A cell search (Bentley, Stanat & Williams, Inf. Process. Lett. 6,
+        1977) whose cells are the window indices.  Every node lies within
+        qhat of its base, so the nearest node is within u = |z - b| + qhat
+        of z, b the window base nearest z (for skip_self, u + lam reaches a
+        node of a neighbour of b, which is not z), and only nodes whose
+        base lies within rho = u + qhat of z can be nearer: in column m,
+        rows |lam n - Im z| <= h, h^2 = rho^2 - (lam m - Re z)^2.  All those
+        cells are taken in one pass, rho padded by 1e-9 of the scale
+        against rounding (a cell more only costs time; where a bound is not
+        a double the whole column or window is taken).  Each value is the
+        min of the same |z - node| terms the all-pairs pass takes, so it is
+        bitwise the same; a z that is not finite gets nan or inf, as there.
+        """
+        M, lam = self.lat.trunc_M, self.lat.lam
+        out = np.abs(z - self.pts[0])  # nan or inf where z is not finite
+        f = np.flatnonzero(np.isfinite(z))
+        zf = z[f]
+        x, y = zf.real, zf.imag
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = lam * (np.fmin(np.fmax(np.rint(x / lam), -M), M)
+                       + 1j * np.fmin(np.fmax(np.rint(y / lam), -M), M))
+            rho = np.abs(zf - b) + (2 * self._qhat + (lam if skip_self else 0.0))
+            rho += 1e-9 * (rho + np.abs(x) + np.abs(y) + lam * (M + 1))
+            col, i = _runs(np.ceil((x - rho) / lam), np.floor((x + rho) / lam), M)
+            dx = np.abs(x[col] - lam * i)
+            h = np.sqrt(np.maximum((rho[col] - dx) * (rho[col] + dx), 0.0))
+            cell, j = _runs(np.ceil((y[col] - h) / lam), np.floor((y[col] + h) / lam), M)
+        owner = col[cell]
+        k = ((i[cell] + M) * (2 * M + 1) + j + M).astype(np.intp)
+        d = np.abs(zf[owner] - self.pts[k])
+        if skip_self:
+            d[k == f[owner]] = math.inf
+        out[f] = np.minimum.reduceat(d, np.searchsorted(owner, np.arange(f.size)))
         return out
 
     @property
@@ -351,6 +386,15 @@ class PerturbedLattice:
 
     def dist(self, z) -> np.ndarray:
         return self._nearest(np.atleast_1d(np.asarray(z, dtype=complex)))
+
+
+def _runs(lo: np.ndarray, hi: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The integer runs from lo[t] to hi[t], clipped to [-M, M] (a nan end
+    to the window's edge), flattened in order of t: owner t and value."""
+    lo, hi = np.fmax(lo, -M), np.fmin(hi, M)
+    n = np.maximum(hi - lo + 1, 0).astype(np.intp)
+    t = np.repeat(np.arange(n.size), n)
+    return t, lo[t] + (np.arange(t.size) - np.repeat(np.cumsum(n) - n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -935,8 +979,10 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
     between the two envelopes; c1, c2 are then the extreme admissible
     constants.  The columns, one entry per grid point z, are lhs = lower
     envelope, rhs = upper envelope and ratio = W|g| / rhs (so feasibility
-    means ratio <= 1 and lhs <= W|g|).  ValueError at a grid point that is a
-    node of Gamma or where W is 0 (an underflow, or a zero of a signed weight).
+    means ratio <= 1 and lhs <= W|g|).  d(z) is the distance to the zeros of
+    g: the nodes of Gamma and the lattice outside its window.  ValueError at
+    a grid point that is a zero of g or where W is 0 (an underflow, or a
+    zero of a signed weight).
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
     logs = log_g_fn(desc, grid, gamma, N)
@@ -949,7 +995,14 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
     if np.any(w < 0):
         warnings.warn("signed weight in two_sided_diag; using |W|")
     logV = np.log(np.abs(w)) + logs.real
-    d = gamma.dist(grid)
+    # g vanishes on Gamma and on lam (Z + iZ) outside the window: the nearest
+    # such node has |m| > M and n = rint(Im z / lam), or the same with m, n swapped
+    M, lam = gamma.lat.trunc_M, gamma.lat.lam
+    m, n = np.rint(grid.real / lam), np.rint(grid.imag / lam)
+    m_out = np.copysign(np.maximum(np.abs(m), M + 1), grid.real)
+    n_out = np.copysign(np.maximum(np.abs(n), M + 1), grid.imag)
+    d = np.minimum.reduce([gamma.dist(grid), np.abs(grid - lam * (m_out + 1j * n)),
+                           np.abs(grid - lam * (m + 1j * n_out))])
     az = np.abs(grid)
     t = az * np.log(np.maximum(az, 1e-300))
     low = logV - np.log(d)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -284,6 +285,10 @@ def test_perturbed_lattice_construction():
         PerturbedLattice(lat, off, Q=0.1)  # offset exceeds Q
     with pytest.raises(ValueError):
         PerturbedLattice(lat, off[:-1], Q=0.5)  # one offset short of the window
+    for bad in (math.nan, complex(0.0, math.inf)):
+        off[40] = bad  # |nan| > Q is False: refused by name, not as a collision
+        with pytest.raises(ValueError, match="offsets must be finite"):
+            PerturbedLattice(lat, off, Q=0.5)
     for Q in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="Q must be"):
             PerturbedLattice.perturb(lat, Q, seed=1)
@@ -302,6 +307,50 @@ def test_perturbed_dist():
     d = pl.dist(np.array([0.5 + 0.0j, 0.5 + 0.5j]))
     assert d[0] == pytest.approx(0.5, abs=1e-15)       # edge midpoint: lam/2
     assert d[1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+
+def all_pairs_nearest(pts, z, skip_self=False):
+    """The oracle: min over every node of |z - node|, self left out."""
+    d = np.abs(z[:, None] - pts[None, :])
+    if skip_self:
+        np.fill_diagonal(d, math.inf)
+    return d.min(axis=1)
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 12, 20])
+@pytest.mark.parametrize("ratio", [0.0, 0.1, 0.49, 0.7, 1.5, 4.0])
+def test_nearest_equals_all_pairs(M, ratio):
+    # q and dist are the all-pairs minima to the bit: points inside the
+    # window, at its edge, far outside (along an edge and off a corner),
+    # on nodes and bases, not finite, and past the double range of z / lam
+    rng = np.random.default_rng(M * 100 + int(10 * ratio))
+    for lam in (0.37, 1.0, 2.5):
+        pl = PerturbedLattice.perturb(LatticeSpec(lam, M), ratio * lam, seed=M)
+        assert pl.q.hex() == float(all_pairs_nearest(pl.pts, pl.pts, True).min()).hex()
+        E, n = lam * M, 60
+        unit = np.exp(2j * np.pi * rng.uniform(size=n))
+        z = np.concatenate([
+            rng.uniform(-E, E, n) + 1j * rng.uniform(-E, E, n),
+            rng.uniform(-E - lam, E + lam, n) + 1j * rng.uniform(-E - lam, E + lam, n),
+            (E + lam * rng.uniform(0, 50, n)) * rng.choice([-1, 1, 1j, -1j], n)
+            + rng.uniform(-E, E, n) * rng.choice([1, 1j], n),
+            (E + 1000 * lam) * unit, (E + 1000 * lam) * np.sign(unit.real + 1j * unit.imag),
+            pl.pts, pl.base,
+            [complex(math.nan, 0.0), complex(0.0, math.nan), complex(-math.inf, 1.0),
+             complex(math.inf, math.nan), 1e300 + 1e300j, complex(-1.7e308, 3.0)]])
+        got, want = pl.dist(z), all_pairs_nearest(pl.pts, z)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_perturb_memory_is_linear_in_the_window():
+    # the all-pairs pass held a 6,561 x 1,024 block, 205 MB traced at M = 40
+    tracemalloc.start()
+    try:
+        PerturbedLattice.perturb(LatticeSpec(1.0, 40), 0.1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # The bits of two seeded lattices: q and z00 as hex, then the sha256 of pts,
@@ -1119,9 +1168,10 @@ def test_exp_near_field_hits_and_falls_back():
 
 
 def test_degree_cut_nan_point_keeps_its_chunk():
-    # a nan point makes the chunk's max|u| nan: the chunk must run at full
-    # degree, so the other points keep their values (GD(1): for EXP the
-    # symmetric window sums log phi(u) = u to 0, so degree 0 would pass)
+    # a nan point stays nan and leaves its chunk's other points their
+    # per-cell values: the chunk's degree is cut from max|u| over the
+    # cells that are not nan (GD(1): for EXP the symmetric window sums
+    # log phi(u) = u to 0, so any degree would pass)
     nodes = LatticeSpec(1.0, 3).points()
     nodes = nodes[nodes != 0]
     z = np.array([0.3 + 0.2j, complex(math.nan, 0.0), -1.4 + 1.1j])
@@ -1384,6 +1434,21 @@ def test_two_sided_diag_bits(seed, grid_of, want):
     rep = two_sided_diag(EXPN, wk, gam, grid_of(gam), N=80)
     assert (rep.c.hex(), rep.c1.hex(), rep.c2.hex()) == want
     assert rep.feasible is True
+
+
+def test_two_sided_distance_reaches_the_lattice_outside_the_window():
+    # g vanishes on lam (Z + iZ) outside the window too, so d(z) is the
+    # distance to the nearest zero of g, not only to a node of Gamma
+    wk = verified_weight(PhiDescriptor.exponential())
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 2), 0.1, seed=1)
+    assert log_g_fn(EXPN, 3.0 + 0.0j, gam).real[0] == -math.inf
+    grid = np.array([0.5 + 0.5j, 2.9 + 0.1j, 2.97 + 0.02j, -0.1 + 3.05j, 3.1 - 2.9j])
+    rep = two_sided_diag(EXPN, wk, gam, grid, N=80)
+    t = np.abs(grid) * np.log(np.abs(grid))
+    d = rep.lhs / (rep.c1 * np.exp(-rep.c * t))
+    want = [gam.dist(grid[0])[0], math.hypot(0.1, 0.1), math.hypot(0.03, 0.02),
+            math.hypot(0.1, 0.05), math.hypot(0.1, 0.1)]
+    assert np.allclose(d, want, rtol=1e-12, atol=0)
 
 
 def test_two_sided_single_point_and_node_guard():
