@@ -298,11 +298,10 @@ class PerturbedLattice:
     offsets holds one complex per node in lat.points() order (None: all 0),
     and pts and base keep that order, so the origin is at index size // 2.
     The separation q (minimal pairwise distance) is computed and verified
-    positive at construction.  Every node lies within qhat = max|offset|
-    of its base, so a node within u of z has its base within u + qhat of
-    z: q and dist read only those cells of the window (see _nearest), in
-    time and memory linear in the points.  dist is to this finite family
-    alone; g also vanishes on the lattice outside the window (log_g_fn).
+    positive at construction.  q and dist read only the window cells whose
+    base lies within u + qhat of z, u a bound on the distance to the
+    nearest node and qhat = max|offset| (see _nearest): time and memory
+    linear in the points.
     """
 
     def __init__(self, lat: LatticeSpec, offsets: Optional[np.ndarray] = None, Q: float = 0.0):
@@ -336,18 +335,17 @@ class PerturbedLattice:
         """Distance from each z to its nearest node; skip_self (z is pts)
         leaves out each node's distance to itself.
 
-        A cell search (Bentley, Stanat & Williams, Inf. Process. Lett. 6,
-        1977) whose cells are the window indices.  Every node lies within
-        qhat of its base, so the nearest node is within u = |z - b| + qhat
-        of z, b the window base nearest z (for skip_self, u + lam reaches a
-        node of a neighbour of b, which is not z), and only nodes whose
-        base lies within rho = u + qhat of z can be nearer: in column m,
-        rows |lam n - Im z| <= h, h^2 = rho^2 - (lam m - Re z)^2.  All those
-        cells are taken in one pass, rho padded by 1e-9 of the scale
-        against rounding (a cell more only costs time; where a bound is not
-        a double the whole column or window is taken).  Each value is the
-        min of the same |z - node| terms the all-pairs pass takes, so it is
-        bitwise the same; a z that is not finite gets nan or inf, as there.
+        A cell search over the window indices (Bentley, Stanat & Williams,
+        Inf. Process. Lett. 6, 1977).  With b the window base nearest z, a
+        node lies within u = |z - b| + qhat of z (u + lam for skip_self: a
+        neighbour of b is not z's own base), and a node that near has its
+        base within rho = u + qhat.  One pass takes, in each column m, the
+        rows |lam n - Im z| <= h, h^2 = rho^2 - (lam m - Re z)^2, with rho
+        padded by 1e-9 of the scale against rounding (a cell more only
+        costs time; a bound that is not a double takes the whole column or
+        window).  Each value is the min of the same |z - node| terms as the
+        all-pairs pass, so bitwise the same; a z that is not finite gets
+        nan or inf, as there.
         """
         M, lam = self.lat.trunc_M, self.lat.lam
         out = np.abs(z - self.pts[0])  # nan or inf where z is not finite
@@ -385,6 +383,8 @@ class PerturbedLattice:
         return complex(self.pts[(m + M) * (2 * M + 1) + n + M])
 
     def dist(self, z) -> np.ndarray:
+        """Distance to the nearest node of this finite family; g also
+        vanishes on the lattice outside the window (see two_sided_diag)."""
         return self._nearest(np.atleast_1d(np.asarray(z, dtype=complex)))
 
 
@@ -987,7 +987,7 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
     logs = log_g_fn(desc, grid, gamma, N)
     if np.any(~np.isfinite(logs.real)):
-        raise ValueError("grid touches a node of Gamma")
+        raise ValueError("grid touches a zero of g")
     w = wk.weight(np.abs(grid) ** 2)
     if np.any(w == 0):
         raise ValueError(f"weight is 0 at grid point {grid[np.argmax(w == 0)]}: "

@@ -334,7 +334,7 @@ def test_nearest_equals_all_pairs(M, ratio):
             rng.uniform(-E - lam, E + lam, n) + 1j * rng.uniform(-E - lam, E + lam, n),
             (E + lam * rng.uniform(0, 50, n)) * rng.choice([-1, 1, 1j, -1j], n)
             + rng.uniform(-E, E, n) * rng.choice([1, 1j], n),
-            (E + 1000 * lam) * unit, (E + 1000 * lam) * np.sign(unit.real + 1j * unit.imag),
+            (E + 1000 * lam) * unit, (E + 1000 * lam) * (np.sign(unit.real) + 1j * np.sign(unit.imag)),
             pl.pts, pl.base,
             [complex(math.nan, 0.0), complex(0.0, math.nan), complex(-math.inf, 1.0),
              complex(math.inf, math.nan), 1e300 + 1e300j, complex(-1.7e308, 3.0)]])
@@ -355,7 +355,7 @@ def test_perturb_memory_is_linear_in_the_window():
 
 # The bits of two seeded lattices: q and z00 as hex, then the sha256 of pts,
 # base, both arrays of nonzero() and dist on a 37 x 29 grid over the window.
-# M = 24 has 2,401 nodes, so its searches cross blocks of 1,024.
+# Both grids reach lam / 2 past the window's edge.
 LATTICE_BITS = {
     (4, 0.1, 42): (
         "0x1.a95f63f01b997p-1", "-0x1.3e77d1db629dap-5", "-0x1.b57246f0229c1p-5",
@@ -1171,7 +1171,7 @@ def test_degree_cut_nan_point_keeps_its_chunk():
     # a nan point stays nan and leaves its chunk's other points their
     # per-cell values: the chunk's degree is cut from max|u| over the
     # cells that are not nan (GD(1): for EXP the symmetric window sums
-    # log phi(u) = u to 0, so any degree would pass)
+    # log phi(u) = u to 0, so degree 0 would pass)
     nodes = LatticeSpec(1.0, 3).points()
     nodes = nodes[nodes != 0]
     z = np.array([0.3 + 0.2j, complex(math.nan, 0.0), -1.4 + 1.1j])
