@@ -31,8 +31,9 @@ T_k = sum nu^-k over the far Gaussian integers, one cached table per near
 set (_lattice_tail), so the window size LatticeSpec.trunc_M does not
 enter sigma.  A perturbed window's far nodes add sum l_{k,m} z^k mu_{k,m},
 whose moments mu_{k,m} = sum nu^-k tau^m are formed on every call.  R is
-not omega()'s Omega = (E - 1) / z^3, which slices E's Maclaurin
-coefficients from its own table per (family, N), _e_table, and so does
+not omega()'s Omega = (E - 1) / z^3, which slices E_N's Maclaurin
+coefficients from _e_table, cached per (family, N): (1 - w) times the
+tau = 0 column of the far field's coefficient table (_phi_table).  So does
 omega_bound, whose head is |e_3| + |e_4| + |e_5| of E_2.
 
 EXP (phi = e^u, psi = (1, 1/2)) has the exact log factor
@@ -140,27 +141,39 @@ def psi_pair(desc: PhiDescriptor) -> PsiPair:
     return _factor(desc)[1]
 
 
+def _phi_table(ps: PsiPair, phis: np.ndarray) -> np.ndarray:
+    """Phi_{j,m}, the coefficients of w^j tau^m in Phi_N = E_N / (1 - w),
+    N = phis.size - 1 (see _window_series); inf or nan past the double range."""
+    N = phis.size - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rows p^i of the powers of p, then h_m = psi2^m sum_i C(i + m, m) phi_(i+m) p^i
+        P = np.zeros((N + 1, 2 * N + 1))
+        P[0, 0] = 1.0
+        for i in range(1, N + 1):
+            P[i, 1:] = ps.psi1 * P[i - 1, :-1]
+            P[i, 2:] += ps.psi2 * P[i - 1, :-2]
+        H = np.zeros((N + 1, N + 1))
+        binom = np.ones(N + 1)
+        for m in range(N + 1):
+            if m:
+                binom = binom * (np.arange(N + 1) + m) / m
+            H[m, :N + 1 - m] = binom[:N + 1 - m] * phis[m:] * np.float64(ps.psi2)**m
+        h = H @ P
+    phi = np.zeros((2 * N + 1, N + 1))
+    for m in range(N + 1):
+        phi[2 * m:, m] = h[m, :2 * N + 1 - 2 * m]
+    return phi
+
+
 @lru_cache(maxsize=64)
 def _e_table(d: PhiDescriptor, N: int) -> np.ndarray:
-    """Maclaurin coefficients e_0..e_(2N+1) of E_N, phi cut after N terms (E_N
-    has degree 2N + 1); read-only, built once per (d, N), d normalized.
+    """Maclaurin coefficients e_0..e_(2N+1) of E_N(w) = (1 - w) Phi_N(w; 0),
+    phi cut after N terms; read-only, built once per (d, N), d normalized.
     OverflowError where one is not a double (phi_n is 0 where psi1^n is inf)."""
     ps = _factor(d)[1]
-    phis = phi_coeffs(d, N)
-    comp = np.zeros(2 * N + 2)
-    comp[0] = phis[0]
-    power = np.zeros(2 * N + 2)
-    power[0] = 1.0
-    base = np.zeros(2 * N + 2)
-    base[1:3] = ps.psi1, ps.psi2
+    phi = _phi_table(ps, phi_coeffs(d, N))[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, N + 1):
-            power = np.convolve(power, base)[:2 * N + 2]
-            if not np.count_nonzero(power):
-                break
-            comp += phis[n] * power
-        out = comp.copy()
-        out[1:] -= comp[:-1]
+        out = np.append(phi, 0.0) - np.append(0.0, phi)
     if not np.isfinite(out).all():
         raise OverflowError(f"E series for {d.family} outside double range "
                             f"(psi1={ps.psi1!r})")
@@ -415,8 +428,9 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, float, Optional[np.
     of E_N as polynomials in tau cut at degree _WIN_M, so that each degree
     is one tau-convolution.  E_N(w; tau) = sum_m h_m(w) (tau w^2)^m with
     h_m = psi2^m phi_N^(m)(p) / m!, p = psi1 w + psi2 w^2, so ell[k, m] = 0
-    for k < 2m.  OverflowError where a coefficient of E_N(w) is not a
-    double; where only one of a higher tau-degree is not, s = 0.
+    for k < 2m; _phi_table builds E_N / (1 - w) from the h_m.  OverflowError
+    where a coefficient of E_N(w) is not a double; where only one of a
+    higher tau-degree is not, s = 0.
 
     r and s <= 1 are radii where a bound on |R_N - 1| over |w| <= r,
     tau = 0, and over the polydisk |w| <= s, |tau| <= T = _TAU_RADIUS, is
@@ -455,23 +469,8 @@ def _window_series(d: PhiDescriptor, N: int) -> tuple[float, float, Optional[np.
     ps = _factor(d)[1]
     phis = phi_coeffs(d, N)
     D, M2 = 2 * N + _OMEGA_TAIL, N + _OMEGA_TAIL // 2
+    phi = _phi_table(ps, phis)
     with np.errstate(over="ignore", invalid="ignore"):
-        # rows p^i of the powers of p, then h_m = psi2^m sum_i C(i + m, m) phi_(i+m) p^i
-        P = np.zeros((N + 1, 2 * N + 1))
-        P[0, 0] = 1.0
-        for i in range(1, N + 1):
-            P[i, 1:] = ps.psi1 * P[i - 1, :-1]
-            P[i, 2:] += ps.psi2 * P[i - 1, :-2]
-        H = np.zeros((N + 1, N + 1))
-        binom = np.ones(N + 1)
-        for m in range(N + 1):
-            if m:
-                binom = binom * (np.arange(N + 1) + m) / m
-            H[m, :N + 1 - m] = binom[:N + 1 - m] * phis[m:] * np.float64(ps.psi2)**m
-        h = H @ P
-        phi = np.zeros((2 * N + 1, N + 1))  # Phi_{j,m}
-        for m in range(N + 1):
-            phi[2 * m:, m] = h[m, :2 * N + 1 - 2 * m]
         if not np.isfinite(phi[:, 0]).all():
             raise OverflowError(f"E series for {d.family} outside double range "
                                 f"(psi1={ps.psi1!r})")

@@ -125,6 +125,15 @@ def log_factor_taylor(family: str, params: dict, K: int, N: int = 80) -> list:
         return [float(mp.re(c)) for c in coeffs]
 
 
+def riemann_liouville(f, t: float, order: float) -> float:
+    """The Riemann-Liouville derivative (D^order f)(t) from 0 at 30 digits,
+    mpmath.differint: (d/dt)^m int_0^t (t - s)^(m - order - 1) f(s) ds
+    / Gamma(m - order), m = ceil(order) + 1.  f maps an mpf s in [0, t] to
+    an mpf; t and order are taken as exact."""
+    with mp.workdps(30):
+        return float(mp.differint(f, mp.mpf(t), mp.mpf(order)))
+
+
 def factor_series(family: str, params: dict, N: int) -> tuple[list, list]:
     """Maclaurin coefficients e_0..e_(2N+1) of E_N(w) = (1 - w) sum_{n<=N}
     phi_n (psi1 w + psi2 w^2)^n at 30 digits, by composing the polynomials,

@@ -278,6 +278,23 @@ def test_check_non_entire_rejected(capsys, tmp_path):
         assert "config error" in err
 
 
+def test_bargmann_roundtrip_non_entire_rejected(capsys, tmp_path):
+    p = write_cfg(tmp_path, {"phi": {"family": "backward_shift", "params": {}}})
+    rc, out, err = run_cli(capsys, ["bargmann-roundtrip", "--config", p])
+    assert (rc, out) == (2, "")
+    assert err == "config error: bargmann-roundtrip rejects non-entire families\n"
+
+
+@pytest.mark.parametrize("obj, where", [
+    ([1, 2], "config root"),
+    ({"truncation": 5}, "field 'truncation'"),
+], ids=["root", "truncation"])
+def test_config_object_not_an_object(capsys, tmp_path, obj, where):
+    rc, out, err = run_cli(capsys, ["phi-info", "--config", write_cfg(tmp_path, obj)])
+    assert (rc, out) == (2, "")
+    assert err == f"config error: {where}: expected an object\n"
+
+
 def test_bad_config_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import replace
@@ -10,7 +11,7 @@ from glfock import cli, core
 from glfock.core import (PhiDescriptor, TruncatedSeries, gl_derivative, multiply_z,
                          order_degree_check, phi_coeff, phi_coeffs, phi_eval, signs_logs)
 from glfock.errors import DivergenceError, NonEntireError
-from mp_oracles import _phis, power_sum
+from mp_oracles import _phis, power_sum, riemann_liouville
 
 EXP = PhiDescriptor.exponential()
 ML21 = PhiDescriptor.mittag_leffler(2, 1)
@@ -243,6 +244,133 @@ def test_phi_is_eigenfunction():
         out = gl_derivative(desc, f)
         want = phi_coeffs(desc, N - 1)
         assert np.allclose(out.coeffs, want, rtol=1e-14, atol=1e-300)
+
+
+# gl_derivative against derivatives defined outside the coefficient table.
+# Each tolerance is a rounding bound in units of u = 2^-53, times a majorant
+# M, the sum of the moduli of the terms:
+#   - a complex Horner pass of degree n is within 4n u of its majorant (one
+#     complex multiply and one add per step);
+#   - each ratio phi_(k-1)/phi_k = exp(l_(k-1) - l_k) is within ratio_rounding
+#     of itself (relative).
+U = 2.0**-53
+
+
+def ratio_rounding(G):
+    """Relative rounding bound of gl_derivative's ratios, G[k] the sum of
+    |v| + 1 over the lgamma values v that l_k adds: each v is within
+    2u (|v| + 1) (special.gammaln, cephes lgam), their sum adds 2u G[k], and
+    l_(k-1) - l_k, its exp and the product with f_k add 3u, where
+    |l_(k-1) - l_k| <= G[k-1] + G[k]."""
+    return (5 * max(G[k - 1] + G[k] for k in range(1, len(G))) + 3) * U
+
+
+def dunkl_lgammas(kappa, k):
+    """The lgamma arguments of the Dunkl l_k (core._raw_signs_logs)."""
+    m = (k + 1) // 2
+    return [0.5 + m, 0.5, k + 1.0, kappa + 0.5 + m, kappa + 0.5]
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.3, 2.0])
+def test_gl_derivative_is_the_dunkl_operator(kappa):
+    # Dunkl, Trans. Amer. Math. Soc. 311 (1989): D is
+    # T f(x) = f'(x) + kappa (f(x) - f(-x)) / x, with f' from numpy.  Four
+    # Horner passes of degree <= n = 11 (Df, f', f(x), f(-x)), the last two
+    # scaled by kappa / |x|, each within 4n u of at most M = sum |f_k|
+    # (k + 2 kappa) |x|^(k-1); 4u more for f', the difference, the quotient
+    # and the sum
+    desc = PhiDescriptor.dunkl(kappa)
+    G = [sum(abs(math.lgamma(v)) + 1 for v in dunkl_lgammas(kappa, k)) for k in range(12)]
+    P = np.polynomial.polynomial
+    rng = np.random.default_rng(15)
+    worst = 0.0
+    for _ in range(20):
+        c = rng.standard_normal(rng.integers(2, 13))
+        c = c + 1j * rng.standard_normal(c.size)
+        x = rng.uniform(-1.5, 1.5, 8) + 1j * rng.uniform(-1.5, 1.5, 8)
+        f = TruncatedSeries(c)
+        got = gl_derivative(desc, f)(x)
+        want = P.polyval(x, P.polyder(c)) + kappa * (P.polyval(x, c) - P.polyval(-x, c)) / x
+        k = np.arange(c.size)
+        M = (np.abs(c)[:, None] * (k + 2 * kappa)[:, None]
+             * np.abs(x)[None, :] ** (k - 1.0)[:, None]).sum(axis=0)
+        n = c.size - 1
+        tol = (12 * n + 4) * U + ratio_rounding(G[:n + 1])
+        worst = max(worst, float(np.max(np.abs(got - want) / (tol * M))))
+    assert worst <= 1.0
+
+
+def test_gl_derivative_is_the_backward_shift():
+    # phi_k = 1, so each ratio is exp(0) = 1 exactly and D is
+    # (f(z) - f(0)) / z: two Horner passes (Df, f(z) / z), each within 4n u
+    # of M = sum_k |f_k| |z|^(k-1), and 4u for the difference and quotient
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        c = rng.standard_normal(rng.integers(2, 13))
+        c = c + 1j * rng.standard_normal(c.size)
+        z = np.sqrt(rng.uniform(0.0, 1.0, 8)) * np.exp(2j * np.pi * rng.uniform(size=8))
+        f = TruncatedSeries(c)
+        got = gl_derivative(BS, f)(z)
+        want = (f(z) - c[0]) / z
+        k = np.arange(c.size)
+        M = (np.abs(c)[:, None] * np.abs(z)[None, :] ** (k - 1.0)[:, None]).sum(axis=0)
+        assert np.all(np.abs(got - want) <= (8 * (c.size - 1) + 4) * U * M)
+
+
+# a degree-6 real f and the points t of the Riemann-Liouville checks
+RL_COEFFS = tuple(np.random.default_rng(17).standard_normal(7).tolist())
+RL_POINTS = (0.4, 0.9)
+
+
+@functools.lru_cache(maxsize=None)
+def ml_rl_oracle(rho, t):
+    """D^(1/rho) (T (f - f(0)))(t) at 30 digits for f of RL_COEFFS, with
+    (T f)(t) = f(t^(1/rho)), the mu = 1 map."""
+    c = [mp.mpf(a) for a in RL_COEFFS]
+    return riemann_liouville(lambda s: sum(c[k] * s ** (mp.mpf(k) / rho) for k in range(1, len(c))),
+                             t, 1.0 / rho)
+
+
+def ml_rl_error(desc, rho, t):
+    """(|T(Df)(t) - oracle|, its tolerance), Df = gl_derivative(desc, f):
+    one Horner pass of degree n - 1 in z = t^(1/rho), within 4n u of
+    M = sum |(Df)_k| z^k; z's rounding (u) moves z^k by k u <= n u; 4u for
+    the last roundings; the oracle, at 30 digits, taken as exact."""
+    f = TruncatedSeries(RL_COEFFS)
+    Df = gl_derivative(desc, f)
+    z = t ** (1.0 / rho)
+    got = Df(z).real
+    M = float(np.sum(np.abs(Df.coeffs) * z ** np.arange(Df.coeffs.size)))
+    n = f.degree_cap
+    p = desc.params_dict
+    G = [abs(math.lgamma(p["mu"] + k / p["rho"])) + 1 for k in range(n + 1)]
+    return abs(got - ml_rl_oracle(rho, t)), ((5 * n + 4) * U + ratio_rounding(G)) * M
+
+
+@pytest.mark.parametrize("rho", [2.0, 0.5])
+def test_gl_derivative_is_a_riemann_liouville_derivative(rho):
+    # Kiryakova, Generalized Fractional Calculus and Applications (1994):
+    # for ML(rho, mu), phi_k = 1 / Gamma(mu + k / rho), and
+    # (T f)(t) = t^(mu - 1) f(t^(1/rho)), T(Df) = D^(1/rho)_RL T(f - f(0));
+    # here mu = 1
+    for t in RL_POINTS:
+        err, tol = ml_rl_error(PhiDescriptor.mittag_leffler(rho, 1.0), rho, t)
+        assert err <= tol
+
+
+def test_riemann_liouville_check_refuses_another_mu():
+    # control: ML(2, 1.2)'s D is not D^(1/2)_RL under the mu = 1 map, and the
+    # check sees it by far more than its tolerance
+    for t in RL_POINTS:
+        err, tol = ml_rl_error(PhiDescriptor.mittag_leffler(2.0, 1.2), 2.0, t)
+        assert err > 1e6 * tol
+
+
+def test_small_truncations_refused():
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        phi_eval(EXP, 0.5, -1)
+    with pytest.raises(ValueError, match="K too small for a stable fit"):
+        order_degree_check(EXP, K=15)
 
 
 def test_multiply_z():

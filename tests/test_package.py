@@ -82,9 +82,16 @@ def test_public_names_have_a_caller():
     assert orphans == []
 
 
-def _private_definitions(tree):
-    """(name, node) for each private name the module binds at top level by
-    def, class or assignment; a dunder name is not private."""
+def _reads(node) -> set:
+    """Identifiers the node reads as a name, an attribute or an imported alias."""
+    return {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+            else n.name for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def _definitions(tree):
+    """(name, node) for each name the module binds at top level by def,
+    class or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -94,8 +101,59 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                yield name, node
+            yield name, node
+
+
+def _private_definitions(tree):
+    """(name, node) for each private name of _definitions; a dunder name is
+    not private."""
+    for name, node in _definitions(tree):
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+            yield name, node
+
+
+# public names no command reaches yet, each with what calls it (a demo, perfbench
+# or a test) and the ROADMAP item that plans its CLI row or its removal
+NOT_REACHED_FROM_CLI = {
+    # bargmann
+    "bargmann_sample",        # demos/bargmann_roundtrip.py; item 9 plans its row
+    # fock
+    "QuadratureScheme",       # default_quadrature's return type; item 23's fock group
+    "default_quadrature",     # wrapped by perfbench's tracer (tracing.py); item 23
+    "inner_product_fock",     # demos/weight_moments.py and test_fock; item 9 plans its row
+    # frames
+    "frame_bounds",           # demos/sampling_frames.py and test_frames; item 4
+    "interpolate_ls",         # demos/sampling_frames.py; item 5 replaces it
+    "kernel_atoms",           # demos/sampling_frames.py and test_frames; item 4
+    "canonical_dual",         # perfbench's canonical_dual op; item 4's row (d)
+    "biorthogonality_check",  # demos/sampling_frames.py and test_frames; item 4's row (d)
+    "BiorthReport",           # biorthogonality_check's return type
+    # weierstrass
+    "PerturbedLattice",       # perfbench's two_sided op; items 14 and 17
+    "g_fn",                   # demos/weierstrass_lattice.py; item 2's lattice suite
+    "log_g_fn",               # perfbench's tracer (log_g_fn.ns_per_pair); item 2
+    "two_sided_diag",         # perfbench's two_sided op; item 2's criterion 07 row
+    "winding_zero_count",     # perfbench's winding op; item 2's criterion 06 row
+}
+
+
+def test_public_names_reached_from_the_cli():
+    # ROADMAP item 23: every public name is reached from glfock.cli, following
+    # the names cli.py reads through the top-level definitions of every
+    # module (merged by identifier), or is on the list above; a name that
+    # a command comes to reach must leave the list
+    defs = {}
+    for path in sorted((SRC / "glfock").glob("*.py")):
+        for name, node in _definitions(ast.parse(path.read_text())):
+            defs.setdefault(name, []).append(node)
+    reached, todo = set(), _reads(ast.parse((SRC / "glfock" / "cli.py").read_text()))
+    while todo:
+        reached |= todo
+        todo = set().union(*(_reads(node) for n in todo for node in defs.get(n, []))) - reached
+    public = {n for name in MODULES
+              for n in getattr(importlib.import_module(f"glfock.{name}"), "__all__", [])}
+    assert sorted(public - reached - NOT_REACHED_FROM_CLI) == []
+    assert sorted(NOT_REACHED_FROM_CLI - (public - reached)) == []
 
 
 def test_private_names_have_a_library_caller():

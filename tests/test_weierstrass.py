@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from glfock import weierstrass
@@ -239,6 +239,11 @@ def test_radius_bounds():
     for desc in (EXPN, ML21N, SGN, GD1N, DKN):
         rb = radius_bounds(desc)
         assert rb.r_lower < rb.r_upper
+
+
+def test_radius_bounds_refuses_a_short_window():
+    with pytest.raises(ValueError, match="^N too small$"):
+        radius_bounds(EXPN, N=15)
 
 
 # ---------------------------------------------------------------------------
@@ -1451,6 +1456,18 @@ def test_two_sided_distance_reaches_the_lattice_outside_the_window():
     assert np.allclose(d, want, rtol=1e-12, atol=0)
 
 
+def test_two_sided_diag_takes_abs_of_a_signed_weight():
+    # the GD(1) weight changes sign inside |z| = 2, as in sigma_lower_diag
+    wk = registered_weight(PhiDescriptor.gamma_deriv(1))
+    gam = PerturbedLattice(LatticeSpec(1.0, 4))
+    xs = np.linspace(-1.875, 1.875, 16)
+    grid = (xs[:, None] + 1j * xs[None, :]).ravel()
+    assert (wk.weight(np.abs(grid) ** 2) < 0).any()
+    with pytest.warns(UserWarning, match=r"^signed weight in two_sided_diag; using \|W\|$"):
+        rep = two_sided_diag(GD1N, wk, gam, grid, N=80)
+    assert np.all(np.isfinite(rep.lhs)) and np.all(rep.lhs > 0)
+
+
 def test_two_sided_single_point_and_node_guard():
     wk = verified_weight(PhiDescriptor.exponential())
     gam = PerturbedLattice(LatticeSpec(1.0, 8))
@@ -1511,6 +1528,23 @@ def test_winding_count_is_node_count_for_exp(radius):
                 if m * m + n * n < radius * radius)
     lat = LatticeSpec(1.0, 12)
     assert winding_zero_count(lambda z: sigma_fn(EXPN, z, lat), radius) == nodes
+
+
+LATTICE_RADII = sorted({math.hypot(m, n) for m in range(5) for n in range(5)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.6, 3.4))
+@example(2.5)  # 21 nodes, the count perfbench's winding op checks
+def test_winding_count_is_node_count_property(r):
+    # EXP only: its phi has no zeros, so sigma vanishes on the nodes alone
+    # (the other families' sigma also vanishes at zeros of phi); the
+    # contour keeps 0.05 from every node, and trunc_M = 2 does not enter
+    # sigma
+    assume(min(abs(r - rn) for rn in LATTICE_RADII) >= 0.05)
+    nodes = sum(1 for m in range(-3, 4) for n in range(-3, 4) if m * m + n * n < r * r)
+    lat = LatticeSpec(1.0, 2)
+    assert winding_zero_count(lambda z: sigma_fn(EXPN, z, lat), r) == nodes
 
 
 def counted(fn):
