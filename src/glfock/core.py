@@ -101,8 +101,11 @@ class PhiDescriptor:
     def dunkl(cls, kappa: float, normalized: bool = False) -> "PhiDescriptor":
         """Rank-one Dunkl kernel coefficients,
         phi_{2m}   = (1/2)_m     / ((2m)!   (kappa+1/2)_m),
-        phi_{2m+1} = (1/2)_{m+1} / ((2m+1)! (kappa+1/2)_{m+1})."""
+        phi_{2m+1} = (1/2)_{m+1} / ((2m+1)! (kappa+1/2)_{m+1}), kappa <= 1e3:
+        log (kappa+1/2)_m is a difference of gammaln values, which cancels."""
         _require_positive("dunkl", kappa=kappa)
+        if kappa > 1e3:
+            raise ValueError(f"dunkl requires kappa <= 1e3, got {kappa!r}")
         return cls("dunkl", (("kappa", float(kappa)),), normalized, rho=None, sigma=None)
 
     @classmethod

@@ -10,24 +10,22 @@ matrix.  Reports carry the relative change from N-1 to N so the finite
 truncation can be judged: frame bounds that keep drifting as N grows are an
 artifact of the cut, a collapsing lower bound signals genuine undersampling.
 
-frame_bounds and interpolate_ls form the Gram from the weighted rows at their
-nodes; frame_sweep weights per-radius blocks of the unit-lattice Gram, built
-once and cached (_radius_blocks).  Each raises ValueError("weighted basis
-matrix not finite at N = ...") where its rows, blocks or Gram leave the
-double range.
+frame_bounds forms the Gram from the weighted rows at its nodes; frame_sweep
+weights per-radius blocks of the unit-lattice Gram, built once and cached
+(_radius_blocks).  Each raises ValueError("weighted basis matrix not finite
+at N = ...") where its rows, blocks or Gram leave the double range.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import PhiDescriptor, TruncatedSeries, phi_coeffs, signs_logs
+from .core import PhiDescriptor, phi_coeffs, signs_logs
 from .errors import UnverifiedWeightError
 if TYPE_CHECKING:  # annotations only, so importing this module loads no fock
     from .fock import WeightKernel
@@ -37,12 +35,9 @@ __all__ = [
     "FrameReport",
     "density",
     "frame_bounds",
-    "interpolate_ls",
     "frame_sweep",
     "kernel_atoms",
     "canonical_dual",
-    "biorthogonality_check",
-    "BiorthReport",
 ]
 
 
@@ -87,6 +82,8 @@ def density(points, radii: Sequence[float], norm: str = "paper") -> DensityRepor
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    if not np.isfinite(pts).all():
+        raise ValueError(f"point {pts[~np.isfinite(pts)][0]} is not finite")
     x, y = pts.real, pts.imag
     counts = []
     for r in radii:
@@ -208,55 +205,17 @@ def _eig_reports(S: np.ndarray, n_points: int, N: int) -> list[FrameReport]:
     return reports
 
 
-def _weighted_rows(desc: PhiDescriptor, sw: np.ndarray, w: np.ndarray, N: int) -> np.ndarray:
-    """The window-0 rows at the nodes w, row j times sw_j.  ValueError where
-    that matrix is not finite, as when the top power w^N leaves the double
-    range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        V = sw[:, None] * _sample_matrix(desc, w, N, 0)
-    if not np.isfinite(V).all():
-        raise _not_finite(N)
-    return V
-
-
 def frame_bounds(desc: PhiDescriptor, wk: WeightKernel, points, N: int) -> FrameReport:
     """Extreme eigenvalues of S_mn = sum_j W(|z_j|^2) conj(e_m) e_n (z_j)
     over the node array points (an empty one gives A = B = 0); N >= 1."""
     _check_degree(N)
     w = np.atleast_1d(np.asarray(points, dtype=complex))
-    V = _weighted_rows(desc, np.sqrt(_weight(wk, w)), w, N)
+    sw = np.sqrt(_weight(wk, w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = sw[:, None] * _sample_matrix(desc, w, N, 0)
+    if not np.isfinite(V).all():
+        raise _not_finite(N)
     return _eig_reports((V.conj().T @ V)[None], w.size, N)[0]
-
-
-def interpolate_ls(desc: PhiDescriptor, wk: WeightKernel, points, values,
-                   N: int) -> TruncatedSeries:
-    """Weighted least-squares fit of a degree-N series to point values.
-
-    Minimizes sum_j W(|z_j|^2)|f(z_j) - a_j|^2 + mu ||f||^2 with
-    mu = 1e-12 * trace-scale, so under-determined systems return the
-    minimum-norm interpolant (single point -> kernel column).
-    """
-    z = np.atleast_1d(np.asarray(points, dtype=complex))
-    sw = np.sqrt(_weight(wk, z))
-    a = np.atleast_1d(np.asarray(values, dtype=complex))
-    if z.size == 0:
-        raise ValueError("need at least one point")
-    if a.shape != z.shape:
-        raise ValueError("values must match points")
-    V = _weighted_rows(desc, sw, z, N)
-    b = sw * a
-    # ridge solve via the SVD-backed augmented system; plain normal equations
-    # square the condition number and pollute the null directions
-    mu = 1e-12 * max(float(np.sum(np.abs(V) ** 2)) / (N + 1), 1e-300)
-    A_aug = np.vstack([V, math.sqrt(mu) * np.eye(N + 1)])
-    b_aug = np.concatenate([b, np.zeros(N + 1, complex)])
-    c = np.linalg.lstsq(A_aug, b_aug, rcond=None)[0]
-    resid = float(np.linalg.norm(V @ c - b))
-    scale = float(np.linalg.norm(b))
-    if z.size <= N + 1 and resid > 1e-6 * max(scale, 1.0):
-        warnings.warn(f"rank-deficient interpolation; achieved residual {resid:.3e}")
-    s, l = signs_logs(desc, N)
-    return TruncatedSeries(c * np.exp(0.5 * l[: N + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +303,7 @@ def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
 
 
 # ---------------------------------------------------------------------------
-# kernel atoms and biorthogonality at adjoint lattice points
+# kernel atoms and the canonical dual
 # ---------------------------------------------------------------------------
 
 def kernel_atoms(desc: PhiDescriptor, wk: WeightKernel, zs, N: int) -> np.ndarray:
@@ -358,8 +317,8 @@ def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int, N: i
     """Dual atom coordinates from inverting the truncated frame operator.
 
     Solves S gamma = (atom at 0) with S built from the weighted atoms on the
-    Fock lattice of size s, then scales gamma so its pairing with the atom
-    at the origin is exactly 1.
+    Fock lattice of size s, then scales gamma so its pairing K.conj() @ gamma
+    with the kernel_atoms row K at the origin is exactly 1.
     """
     if not wk.weight(0.0) > 0:
         raise ValueError("weight must be positive at the origin")
@@ -371,29 +330,3 @@ def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int, N: i
     if c0 == 0:
         raise ValueError("degenerate dual: zero pairing at the origin")
     return gam / c0
-
-
-@dataclass(frozen=True)
-class BiorthReport:
-    max_residual: float
-    n_points: int
-
-
-def biorthogonality_check(kernel_samples: np.ndarray, dual_candidate: np.ndarray,
-                          adjoint_points) -> BiorthReport:
-    """max over adjoint points of |<atom(mu), gamma> - delta_{mu,0}|.
-
-    kernel_samples holds one atom coordinate row per adjoint point (build
-    with kernel_atoms); dual_candidate is the coordinate vector gamma.  The
-    pairing is conjugate-in-the-first-slot; expected value 1 at mu = 0 and 0
-    elsewhere.
-    """
-    mus = np.atleast_1d(np.asarray(adjoint_points, dtype=complex))
-    K = np.asarray(kernel_samples, dtype=complex)
-    gam = np.asarray(dual_candidate, dtype=complex)
-    if K.shape != (mus.size, gam.size):
-        raise ValueError("kernel_samples must be (n_points, len(gamma))")
-    vals = K.conj() @ gam
-    expected = np.where(mus == 0, 1.0, 0.0)
-    errs = np.abs(vals - expected)
-    return BiorthReport(float(errs.max()), mus.size)

@@ -922,6 +922,22 @@ def g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice, N: int = _PHI_PRODUCT_
 # diagnostics
 # ---------------------------------------------------------------------------
 
+def _grid_gate(wk: WeightKernel, grid, own: Callable, name: str, why: str):
+    """Grid refusals of the diagnostic `name`, in order: a point that is not
+    finite; own(grid), its own check and value; a point where W is 0 (why).
+    Returns (grid, own's value, |W|), with a warning where W is signed."""
+    grid = np.atleast_1d(np.asarray(grid, dtype=complex))
+    if not np.isfinite(grid).all():
+        raise ValueError(f"grid point {grid[~np.isfinite(grid)][0]} is not finite")
+    value = own(grid)
+    w = wk.weight(np.abs(grid) ** 2)
+    if np.any(w == 0):
+        raise ValueError(f"weight is 0 at grid point {grid[np.argmax(w == 0)]}: {why}")
+    if np.any(w < 0):
+        warnings.warn(f"signed weight in {name}; using |W|")
+    return grid, value, np.abs(w)
+
+
 @dataclass
 class SigmaLowerReport:
     z: np.ndarray
@@ -939,20 +955,16 @@ def sigma_lower_diag(desc: PhiDescriptor, wk: WeightKernel, lat: LatticeSpec,
     Positivity of the minimum is the numerical shadow of the lower bound
     |K(-|z|^2) sigma(z)| >= c * dist(z, Lambda) near the lattice.  A signed
     weight (GD(1), GD(3)) enters as |W|, with a warning.  ValueError, before
-    sigma is formed, at a grid point that is a lattice point or where W is 0
-    (an underflow, or a zero of a signed weight).
+    sigma is formed, at a grid point that is not finite, is a lattice point
+    or where W is 0 (an underflow, or a zero of a signed weight).
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=complex))
-    d = lat.dist(grid)
-    if np.any(d == 0):
-        raise ValueError("grid touches a lattice point; ratio undefined there")
-    w = wk.weight(np.abs(grid) ** 2)
-    if np.any(w == 0):
-        raise ValueError(f"weight is 0 at grid point {grid[np.argmax(w == 0)]}: "
-                         "the ratio bounds nothing there")
-    if np.any(w < 0):
-        warnings.warn("signed weight in sigma_lower_diag; using |W|")
-    lhs = np.abs(w) * np.abs(sigma_fn(desc, grid, lat, N))
+    def dist(grid):
+        d = lat.dist(grid)
+        if np.any(d == 0):
+            raise ValueError("grid touches a lattice point; ratio undefined there")
+        return d
+    grid, d, w = _grid_gate(wk, grid, dist, "sigma_lower_diag", "the ratio bounds nothing there")
+    lhs = w * np.abs(sigma_fn(desc, grid, lat, N))
     ratio = lhs / d
     mn = float(ratio.min())
     return SigmaLowerReport(grid, lhs, d, ratio, mn, mn > 0.0)
@@ -980,20 +992,16 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
     envelope, rhs = upper envelope and ratio = W|g| / rhs (so feasibility
     means ratio <= 1 and lhs <= W|g|).  d(z) is the distance to the zeros of
     g: the nodes of Gamma and the lattice outside its window.  ValueError at
-    a grid point that is a zero of g or where W is 0 (an underflow, or a
-    zero of a signed weight).
+    a grid point that is not finite, is a zero of g or where W is 0 (an
+    underflow, or a zero of a signed weight).
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=complex))
-    logs = log_g_fn(desc, grid, gamma, N)
-    if np.any(~np.isfinite(logs.real)):
-        raise ValueError("grid touches a zero of g")
-    w = wk.weight(np.abs(grid) ** 2)
-    if np.any(w == 0):
-        raise ValueError(f"weight is 0 at grid point {grid[np.argmax(w == 0)]}: "
-                         "no envelope fits log W there")
-    if np.any(w < 0):
-        warnings.warn("signed weight in two_sided_diag; using |W|")
-    logV = np.log(np.abs(w)) + logs.real
+    def log_g(grid):
+        logs = log_g_fn(desc, grid, gamma, N)
+        if np.any(~np.isfinite(logs.real)):
+            raise ValueError("grid touches a zero of g")
+        return logs
+    grid, logs, w = _grid_gate(wk, grid, log_g, "two_sided_diag", "no envelope fits log W there")
+    logV = np.log(w) + logs.real
     # g vanishes on Gamma and on lam (Z + iZ) outside the window: the nearest
     # such node has |m| > M and n = rint(Im z / lam), or the same with m, n swapped
     M, lam = gamma.lat.trunc_M, gamma.lat.lam

@@ -335,6 +335,8 @@ OUT_OF_RANGE = [
     (["check", "--suite", "moments"], {"phi": {"family": "gamma_deriv", "params": {"n": 200}}}),
     (["phi-info"], {"phi": {"family": "mittag_leffler", "params": {"rho": True, "mu": True}}}),
     (["phi-info"], {"phi": {"family": "dunkl", "params": {"kappa": "0.5"}}}),
+    # kappa past 1e3: log phi_k cancels, and at 1e306 it is nan
+    (["phi-info"], {"phi": {"family": "dunkl", "params": {"kappa": 1e306}}}),
     (["phi-info"], {"phi": {"family": "stretched_gamma", "params": {"a": math.nan, "b": 2.0}}}),
     (["phi-info"], {"phi": {"family": "mittag_leffler", "params": {"rho": 2.0, "mu": math.inf}}}),
     (["check", "--suite", "reproduce"], {"quadrature": {"angular_nodes": 64.5}}),

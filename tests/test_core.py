@@ -1,7 +1,9 @@
 import functools
 import json
 import math
+import re
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -265,10 +267,41 @@ def ratio_rounding(G):
     return (5 * max(G[k - 1] + G[k] for k in range(1, len(G))) + 3) * U
 
 
+def lgamma_share(t, exact):
+    """G's share of v = lgamma(t), t the double argument and exact the
+    argument it stands for: |v| + 1, plus t |psi(t)| where t != exact.  The
+    roundings of t's terms and of their sum put t within 2u t of exact,
+    which moves v by 2u t |psi(t)| at most."""
+    moved = 0.0 if Fraction(t) == exact else t * abs(float(mp.digamma(t)))
+    return abs(math.lgamma(t)) + 1 + moved
+
+
 def dunkl_lgammas(kappa, k):
     """The lgamma arguments of the Dunkl l_k (core._raw_signs_logs)."""
     m = (k + 1) // 2
     return [0.5 + m, 0.5, k + 1.0, kappa + 0.5 + m, kappa + 0.5]
+
+
+@pytest.mark.parametrize("kappa", [0.5, 100.0, 1e3])
+def test_dunkl_logs_match_mpmath(kappa):
+    # l_k sums five gammaln values v (dunkl_lgammas), each within
+    # 2u (|v| + 1), and its four sums and differences round within u of
+    # partial sums below G[k] = sum (|v| + 1): |l_k - log phi_k| <= 6u G[k],
+    # the 40-digit oracle taken as exact
+    _, logs = signs_logs(PhiDescriptor.dunkl(kappa), 160)
+    with mp.workdps(40):
+        want = np.array([float(mp.log(c)) for c in _phis("dunkl", {"kappa": kappa}, 160)])
+    G = np.array([sum(abs(math.lgamma(v)) + 1 for v in dunkl_lgammas(kappa, k))
+                  for k in range(161)])
+    assert np.all(np.abs(logs - want) <= 6 * U * G)
+
+
+@pytest.mark.parametrize("kappa", [1001.0, 1e306])
+def test_dunkl_refuses_a_large_kappa(kappa):
+    # past 1e3 the cancellation in gammaln(kappa + 1/2 + m) - gammaln(kappa + 1/2)
+    # grows: log phi_k is 3.3e-7 off at kappa = 1e8 and nan at 1e306
+    with pytest.raises(ValueError, match=f"^dunkl requires kappa <= 1e3, got {re.escape(repr(kappa))}$"):
+        PhiDescriptor.dunkl(kappa)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.3, 2.0])
@@ -342,12 +375,13 @@ def ml_rl_error(desc, rho, t):
     got = Df(z).real
     M = float(np.sum(np.abs(Df.coeffs) * z ** np.arange(Df.coeffs.size)))
     n = f.degree_cap
-    p = desc.params_dict
-    G = [abs(math.lgamma(p["mu"] + k / p["rho"])) + 1 for k in range(n + 1)]
+    mu, rho = desc.params_dict["mu"], desc.params_dict["rho"]
+    G = [lgamma_share(mu + k / rho, Fraction(mu) + Fraction(k) / Fraction(rho))
+         for k in range(n + 1)]
     return abs(got - ml_rl_oracle(rho, t)), ((5 * n + 4) * U + ratio_rounding(G)) * M
 
 
-@pytest.mark.parametrize("rho", [2.0, 0.5])
+@pytest.mark.parametrize("rho", [2.0, 1.5, 0.5])
 def test_gl_derivative_is_a_riemann_liouville_derivative(rho):
     # Kiryakova, Generalized Fractional Calculus and Applications (1994):
     # for ML(rho, mu), phi_k = 1 / Gamma(mu + k / rho), and
@@ -356,6 +390,32 @@ def test_gl_derivative_is_a_riemann_liouville_derivative(rho):
     for t in RL_POINTS:
         err, tol = ml_rl_error(PhiDescriptor.mittag_leffler(rho, 1.0), rho, t)
         assert err <= tol
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.7, 1.5), (2.0, 3.0)])
+def test_gl_derivative_of_stretched_gamma_is_a_scaled_mittag_leffler(a, b):
+    # phi_k = b a^((k+1)/b) / Gamma((k+1)/b) is b a^((k+1)/b) times ML(b, 1/b)'s
+    # phi_k, so D of SG(a, b) is a^(-1/b) times D of ML(b, 1/b), coefficient
+    # by coefficient.  SG's l_k adds log b, t log a (within 3u |t log a|, so
+    # counted twice) and -lgamma(t), t = (k+1)/b; ML's l_k is -lgamma(t) at
+    # 1/b + k/b.  Each side is within ratio_rounding of the exact value, and
+    # a^(-1/b) and the product with it add (3 + |log a| / b) u
+    sg = PhiDescriptor.stretched_gamma(a, b)
+    ml = PhiDescriptor.mittag_leffler(b, 1.0 / b)
+    t = [Fraction(k + 1) / Fraction(b) for k in range(13)]
+    G_ml = [lgamma_share(1.0 / b + k / b, t[k]) for k in range(13)]
+    G_sg = [abs(math.log(b)) + 1 + 2 * (abs((k + 1) / b * math.log(a)) + 1)
+            + lgamma_share((k + 1) / b, t[k]) for k in range(13)]
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        c = rng.standard_normal(rng.integers(2, 13))
+        f = TruncatedSeries(c + 1j * rng.standard_normal(c.size))
+        got = gl_derivative(sg, f).coeffs
+        want = a ** (-1.0 / b) * gl_derivative(ml, f).coeffs
+        n = c.size - 1
+        tol = ratio_rounding(G_sg[:n + 1]) + ratio_rounding(G_ml[:n + 1]) \
+            + (3 + abs(math.log(a)) / b) * U
+        assert np.all(np.abs(got - want) <= tol * np.abs(want))
 
 
 def test_riemann_liouville_check_refuses_another_mu():

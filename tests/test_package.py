@@ -123,11 +123,8 @@ NOT_REACHED_FROM_CLI = {
     "inner_product_fock",     # demos/weight_moments.py and test_fock; item 9 plans its row
     # frames
     "frame_bounds",           # demos/sampling_frames.py and test_frames; item 4
-    "interpolate_ls",         # demos/sampling_frames.py; item 5 replaces it
     "kernel_atoms",           # demos/sampling_frames.py and test_frames; item 4
     "canonical_dual",         # perfbench's canonical_dual op; item 4's row (d)
-    "biorthogonality_check",  # demos/sampling_frames.py and test_frames; item 4's row (d)
-    "BiorthReport",           # biorthogonality_check's return type
     # weierstrass
     "PerturbedLattice",       # perfbench's two_sided op; items 14 and 17
     "g_fn",                   # demos/weierstrass_lattice.py; item 2's lattice suite
@@ -154,6 +151,22 @@ def test_public_names_reached_from_the_cli():
               for n in getattr(importlib.import_module(f"glfock.{name}"), "__all__", [])}
     assert sorted(public - reached - NOT_REACHED_FROM_CLI) == []
     assert sorted(NOT_REACHED_FROM_CLI - (public - reached)) == []
+
+
+def test_unreached_names_have_a_caller_outside_the_tests():
+    # each name on the list is read by a demo or perfbench (as a name, an
+    # attribute or a "module.name" key of perfbench's tracer), or is the
+    # annotated return type of a function on the list, so the list holds no
+    # name that only the tests call
+    keys = {n.value.split(".")[1] for path in PERFBENCH for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and n.value.count(".") == 1 and n.value.split(".")[0] in MODULES}
+    returns = {ast.unparse(node.returns).strip("'\"")
+               for path in sorted((SRC / "glfock").glob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name in NOT_REACHED_FROM_CLI
+               and node.returns is not None}
+    assert sorted(NOT_REACHED_FROM_CLI - _used_names(DEMOS + PERFBENCH) - keys - returns) == []
 
 
 def test_private_names_have_a_library_caller():

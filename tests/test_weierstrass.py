@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -1478,6 +1479,31 @@ def test_two_sided_single_point_and_node_guard():
     # W underflows to 0 at |z| = 28.25: no log envelope, so no report
     with pytest.raises(ValueError, match=r"weight is 0 at grid point \(28\.25\+0\.25j\)"):
         two_sided_diag(EXPN, wk, gam, np.array([0.5 + 0.5j, 28.25 + 0.25j]))
+
+
+NONFINITE_POINTS = [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(math.nan, 0.3)]
+
+
+@pytest.mark.parametrize("bad", NONFINITE_POINTS, ids=str)
+def test_sigma_lower_diag_refuses_a_nonfinite_point(bad, monkeypatch):
+    # a nan point makes min_ratio nan and an inf one makes W 0: each is
+    # refused by name before any other check, before a lattice point
+    # earlier in the grid and before sigma is formed
+    wk = verified_weight(PhiDescriptor.exponential())
+    monkeypatch.setattr(weierstrass, "sigma_fn", None)
+    with pytest.raises(ValueError, match=f"^grid point {re.escape(str(bad))} is not finite$"):
+        sigma_lower_diag(EXPN, wk, LatticeSpec(1.0, 8), np.array([1.0 + 0.0j, 0.5 + 0.5j, bad]))
+
+
+@pytest.mark.parametrize("bad", NONFINITE_POINTS, ids=str)
+def test_two_sided_diag_refuses_a_nonfinite_point(bad, monkeypatch):
+    # a non-finite point makes log g non-finite too, which is not a zero of
+    # g: each is refused by name before any other check and before g is formed
+    wk = verified_weight(PhiDescriptor.exponential())
+    monkeypatch.setattr(weierstrass, "log_g_fn", None)
+    gam = PerturbedLattice(LatticeSpec(1.0, 8))
+    with pytest.raises(ValueError, match=f"^grid point {re.escape(str(bad))} is not finite$"):
+        two_sided_diag(EXPN, wk, gam, np.array([1.0 + 0.0j, 0.5 + 0.5j, bad]))
 
 
 # ---------------------------------------------------------------------------
