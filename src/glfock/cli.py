@@ -125,7 +125,11 @@ def _is_int(v) -> bool:
 
 def _require_range(desc: PhiDescriptor, kmax: int) -> None:
     """phi_0..phi_kmax, the coefficients a command uses, must be doubles:
-    phi_coeff raises OverflowError, a config error, where one is not."""
+    phi_coeff raises OverflowError, a config error, where one is not.  It
+    refuses underflow too: the commands divide by phi_n (the Fock inner
+    product sum conj(f_n) g_n / phi_n, the moment gate's target 1/phi_n),
+    which is past the largest double where phi_n is below the normal range
+    (ML(0.02, 1) from n = 4)."""
     for k in range(kmax + 1):
         phi_coeff(desc, k)
 
@@ -382,7 +386,7 @@ def cmd_weierstrass_table(cfg: RunConfig, args) -> int:
     if not 0 < args.extent < math.inf:
         raise ConfigError("extent must be a finite number > 0")
     try:
-        lat = LatticeSpec(args.lam, cfg.lattice_M)
+        lat = LatticeSpec(args.lam)
     except ValueError as e:
         raise ConfigError(str(e))
     n = args.grid_n

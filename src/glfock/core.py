@@ -224,9 +224,10 @@ def phi_coeff(desc: PhiDescriptor, k: int) -> float:
     """phi_k as a double, read from the table's value row as phi_coeffs
     reads it.
 
-    Raises OverflowError when |log phi_k| exceeds the representable range
-    (for the factorial-type families this happens near k ~ 170/|log10 scale|;
-    use signs_logs beyond that).
+    Raises OverflowError where |log phi_k| > 708, in either direction:
+    phi_k above the largest double, or below the normal range, where it
+    would read 0 or subnormal (EXP's phi_171 = 8.06e-310; use signs_logs
+    beyond that).
     """
     _, l, v = _rows(desc, int(k) + 1)
     if abs(l[k]) > 708.0:
@@ -236,8 +237,10 @@ def phi_coeff(desc: PhiDescriptor, k: int) -> float:
 
 def phi_coeffs(desc: PhiDescriptor, kmax: int) -> np.ndarray:
     """Dense float vector (phi_0..phi_kmax), a writable copy of the table's
-    value row.  Raises OverflowError where log|phi_k| > 708, phi_coeff's
-    limit; entries below the double range underflow to 0."""
+    value row.  Raises OverflowError only where log|phi_k| > 708 (phi_k
+    above the largest double); an entry below the double range underflows,
+    to a subnormal (EXP's phi_171 = 8.06e-310) or to 0 (ML(0.02, 1)'s
+    phi_4..phi_10), where phi_coeff raises."""
     _, l, v = _rows(desc, n := int(kmax) + 1)
     if (over := l[:n] > 708.0).any():
         k = int(over.argmax())

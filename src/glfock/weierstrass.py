@@ -19,30 +19,27 @@ quantity actually consumed downstream is a ratio.
 
 The nodes far from every evaluation point collapse into power series, the
 far-field idea of Greengard & Rokhlin (J. Comput. Phys. 73, 1987); only the
-near nodes take the direct product.  A node nu with quadratic denominator
-beta has the factor E(z / nu; tau), tau = (nu / beta)^2 - 1, so tau = 0
-outside a perturbed window.  One cached table per (family, N),
-_window_series, serves every far node: the coefficients l_{k,m} of
-log E(w; tau) = log(1 - w) + w + (1/2 + c tau) w^2 + log R, and the radii
-where one bound on |R - 1| is at most 1/2, r on the disk tau = 0 and s on
-a polydisk in (w, tau) (see _log_product for the tail bound).  The
-infinite rest of the lattice, where tau = 0, is sum l_{k,0} T_k z^k with
+near nodes take the direct product.  One cached table per (family, N),
+_window_series, serves every far node: the coefficients l_k of
+log E(w) = log(1 - w) + w + w^2/2 + log R, and the radius r of a disk
+where one bound on |R - 1| is at most 1/2 (see _log_product for the tail
+bound).  The infinite rest of the lattice is sum l_k T_k z^k with
 T_k = sum nu^-k over the far Gaussian integers, one cached table per near
 set (_lattice_tail), so the window size LatticeSpec.trunc_M does not
-enter sigma.  A perturbed window's far nodes add sum l_{k,m} z^k mu_{k,m},
-whose moments mu_{k,m} = sum nu^-k tau^m are formed on every call.  R is
-not omega()'s Omega = (E - 1) / z^3, which slices E_N's Maclaurin
-coefficients from _e_table, cached per (family, N): (1 - w) times the
-tau = 0 column of the far field's coefficient table (_phi_table).  So does
-omega_bound, whose head is |e_3| + |e_4| + |e_5| of E_2.
+enter sigma.  R is not omega()'s Omega = (E - 1) / z^3, which slices E_N's
+Maclaurin coefficients from _e_table, cached per (family, N): (1 - w)
+times the far field's Phi_N (_phi_table).  So does omega_bound, whose head
+is |e_3| + |e_4| + |e_5| of E_2.
 
-EXP (phi = e^u, psi = (1, 1/2)) has the exact log factor
-log E(w; tau) = log(1 - w) + w + (1 + tau) w^2 / 2, in both layers: its
-near field adds u for log phi(u), with no Horner, and its far table is
-that closed form, l_{k,0} = -1/k for k >= 3 and l_{2,1} = 1/2, with
-r = s = 1.  So N does not enter EXP's sigma and g, as trunc_M does not
-enter sigma.  Every other family takes phi by Horner and its table by the
-recurrence.
+A window node nu with quadratic denominator beta has the factor
+E(z / nu; tau), tau = (nu / beta)^2 - 1.  EXP (phi = e^u, psi = (1, 1/2))
+has the exact log factor log E(w; tau) = log(1 - w) + w + (1 + tau) w^2 / 2,
+in both layers: its near field adds u for log phi(u), with no Horner, its
+table is that closed form, l_k = -1/k for k >= 3, with r = 1, and the far
+nodes of its window add sum l_k z^k sum nu^-k + (z^2 / 2) sum tau nu^-2.
+So N does not enter EXP's sigma and g, as trunc_M does not enter sigma.
+Every other family takes phi by Horner, its table by the recurrence, and
+its whole window directly.
 """
 
 from __future__ import annotations
@@ -88,10 +85,9 @@ _NEAR_CELLS = 8192       # (node, point) cells per chunk of the direct product
 _LOG_GROUP = 8           # consecutive near factors multiplied before one log
 _BAND_GROUPS = 4         # groups per band of near nodes ordered by |node|
 _HORNER_TOL = 2.0**-60   # dropped Horner tail of a near cell, absolute (phi_0 = 1)
-_FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r (rho s in a window), radii of _window_series
+_FAR_RATIO = 0.75        # rho: far nodes have |z / node| <= rho r, r the radius of _window_series
 _FAR_TOL = 1e-17         # bound on the dropped far-field series tail, summed over nodes
-_TAU_RADIUS = 0.25       # T: far window nodes have |tau| <= rho T, tau = (node / base)^2 - 1
-_WIN_K, _WIN_M = 256, 24  # top degrees in w and tau of the window's far series table
+_WIN_K = 256             # top degree of the far series table
 _TAIL_TOL = 1e-18        # per-k bound on the series term of the nodes a lattice sum drops
 _SUM_CELLS = 1 << 14     # terms per chunk of a direct lattice sum (256 kB of complex)
 _SUM_NODES = 1 << 25     # most nodes of the direct lattice sums of one far-field table
@@ -141,42 +137,32 @@ def psi_pair(desc: PhiDescriptor) -> PsiPair:
     return _factor(desc)[1]
 
 
-def _phi_table(ps: PsiPair, phis: np.ndarray) -> np.ndarray:
-    """Phi_{j,m}, the coefficients of w^j tau^m in Phi_N = E_N / (1 - w),
-    N = phis.size - 1 (see _window_series); inf or nan past the double range."""
-    N = phis.size - 1
+def _phi_table(d: PhiDescriptor, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, e): the Maclaurin coefficients of Phi_N(w) = sum_{i<=N} phi_i p^i,
+    p = psi1 w + psi2 w^2, and those e_0..e_(2N+1) of E_N = (1 - w) Phi_N,
+    d normalized.  OverflowError where one is not a double (phi_n is 0
+    where psi1^n is inf)."""
+    ps = _factor(d)[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        # rows p^i of the powers of p, then h_m = psi2^m sum_i C(i + m, m) phi_(i+m) p^i
-        P = np.zeros((N + 1, 2 * N + 1))
+        P = np.zeros((N + 1, 2 * N + 1))  # rows p^i
         P[0, 0] = 1.0
         for i in range(1, N + 1):
             P[i, 1:] = ps.psi1 * P[i - 1, :-1]
             P[i, 2:] += ps.psi2 * P[i - 1, :-2]
-        H = np.zeros((N + 1, N + 1))
-        binom = np.ones(N + 1)
-        for m in range(N + 1):
-            if m:
-                binom = binom * (np.arange(N + 1) + m) / m
-            H[m, :N + 1 - m] = binom[:N + 1 - m] * phis[m:] * np.float64(ps.psi2)**m
-        h = H @ P
-    phi = np.zeros((2 * N + 1, N + 1))
-    for m in range(N + 1):
-        phi[2 * m:, m] = h[m, :2 * N + 1 - 2 * m]
-    return phi
+        phi = phi_coeffs(d, N) @ P
+        e = np.append(phi, 0.0) - np.append(0.0, phi)
+    if not np.isfinite(e).all():
+        raise OverflowError(f"E series for {d.family} outside double range "
+                            f"(psi1={ps.psi1!r})")
+    return phi, e
 
 
 @lru_cache(maxsize=64)
 def _e_table(d: PhiDescriptor, N: int) -> np.ndarray:
-    """Maclaurin coefficients e_0..e_(2N+1) of E_N(w) = (1 - w) Phi_N(w; 0),
+    """Maclaurin coefficients e_0..e_(2N+1) of E_N(w) = (1 - w) Phi_N(w),
     phi cut after N terms; read-only, built once per (d, N), d normalized.
-    OverflowError where one is not a double (phi_n is 0 where psi1^n is inf)."""
-    ps = _factor(d)[1]
-    phi = _phi_table(ps, phi_coeffs(d, N))[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.append(phi, 0.0) - np.append(0.0, phi)
-    if not np.isfinite(out).all():
-        raise OverflowError(f"E series for {d.family} outside double range "
-                            f"(psi1={ps.psi1!r})")
+    OverflowError where one is not a double."""
+    out = _phi_table(d, N)[1]
     out.setflags(write=False)
     return out
 
@@ -415,119 +401,68 @@ def _runs(lo: np.ndarray, hi: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _window_series(d: PhiDescriptor, N: int) -> tuple[float, float, Optional[np.ndarray]]:
-    """(r, s, ell), the far-field table of every lattice product; read-only,
+def _window_series(d: PhiDescriptor, N: int) -> tuple[float, Optional[np.ndarray]]:
+    """(r, ell), the far-field table of every lattice product; read-only,
     built once per (d, N), d normalized.
 
-    A node nu with quadratic denominator beta has the factor
-    E_N(w; tau) = (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), w = z / nu,
-    tau = (nu / beta)^2 - 1; tau = 0 where the two coincide.
-    ell[k, m], k <= _WIN_K, m <= _WIN_M, are the double Maclaurin
-    coefficients of log E_N(w; tau), and ell[k, 0] = l_k those of
-    log E_N(w), from n l_n = n e_n - sum_{k<n} k l_k e_(n-k) with e_0 = 1 and the e_n(tau)
-    of E_N as polynomials in tau cut at degree _WIN_M, so that each degree
-    is one tau-convolution.  E_N(w; tau) = sum_m h_m(w) (tau w^2)^m with
-    h_m = psi2^m phi_N^(m)(p) / m!, p = psi1 w + psi2 w^2, so ell[k, m] = 0
-    for k < 2m; _phi_table builds E_N / (1 - w) from the h_m.  OverflowError
-    where a coefficient of E_N(w) is not a double; where only one of a
-    higher tau-degree is not, s = 0.
+    ell[k], k <= _WIN_K, are the Maclaurin coefficients l_k of log E_N(w),
+    from n l_n = n e_n - sum_{k<n} k l_k e_(n-k), e_0 = 1, with the e_n of
+    _phi_table.  OverflowError where one of those is not a double.
 
-    r and s <= 1 are radii where a bound on |R_N - 1| over |w| <= r,
-    tau = 0, and over the polydisk |w| <= s, |tau| <= T = _TAU_RADIUS, is
-    at most 1/2 (0 where none is; where r is, ell is None, and where s is,
-    only its column 0 holds coefficients): bisection to 2^-24 that keeps the end where
-    the bound holds, as a closer radius would move the far test by less
-    than 1e-7 relative.  Here R_N(w; tau) = Phi_N(w; tau) e^(-w - (1/2 + c tau) w^2),
-    c = phi_1 psi2 and Phi_N = E_N / (1 - w), of w-degree 2N, so that
-    log E_N = log(1 - w) + w + (1/2 + c tau) w^2 + log R_N (see
-    _log_product).  The coefficients of a(w; tau) = e^(-w - (1/2 + c tau) w^2)
-    are a_{j,m} = (-c)^m / m! a_(j-2m), with j a_j = -a_(j-1) - a_(j-2) those
-    of e^(-w - w^2/2); those q_{j,m} of R_N through w-degree
-    D = 2N + _OMEGA_TAIL are Phi_N * a, and the bound is
-    sum |q_{j,m}| s^j T^m, plus sum_j P_j s^j sum_{j>D-2N} A_j s^j for the
-    degrees past D, P_j = sum_m |Phi_{j,m}| T^m and A_j = sum_m |a_{j,m}| T^m
-    (the A_j past D enter as their Cauchy bound e^(4 + 4|c|T) 2^-j on
-    |w| = 2), plus a rounding allowance of (2D + 2N) eps sum_j P_j s^j
-    sum_j A_j s^j; r's is the same bound at T = 0, so s <= r.  It is one
-    polynomial in s with coefficients >= 0, so it grows with s; the cap at
-    1 is the singularity of log(1 - w) at w = 1.  At N = 80, r = s = 1 for
-    EXP, ML(2,1), SG(1,2) and Dunkl(1/2), r = s = 0.771 for the backward
-    shift; (r, s) = (0.909, 0.812) for GD(2), (0.770, 0.688) for GD(3) and
-    (0.669, 0.597) for GD(1).
+    r <= 1 is a radius where a bound on |R_N - 1| over |w| <= r is at most
+    1/2 (0 where none is, and then ell is None): bisection to 2^-24 that
+    keeps the end where the bound holds, as a closer radius would move the
+    far test by less than 1e-7 relative.  Here R_N = Phi_N e^(-w - w^2/2),
+    Phi_N = E_N / (1 - w) of degree 2N, so that
+    log E_N = log(1 - w) + w + w^2/2 + log R_N (see _log_product).  With
+    j a_j = -a_(j-1) - a_(j-2) the coefficients of e^(-w - w^2/2), those
+    q_j of R_N through degree D = 2N + _OMEGA_TAIL are Phi_N * a, and the
+    bound is sum_{j>=1} |q_j| r^j, plus sum_j |Phi_j| r^j sum_{j>D-2N} |a_j| r^j
+    for the degrees past D (the a_j past D enter as their Cauchy bound
+    e^4 2^-j on |w| = 2), plus a rounding allowance of (2D + 2N) eps
+    sum_j |Phi_j| r^j sum_j |a_j| r^j.  It is one polynomial in r with
+    coefficients >= 0, so it grows with r; the cap at 1 is the singularity
+    of log(1 - w) at w = 1.  At N = 80, r = 1 for EXP, ML(2,1), SG(1,2)
+    and Dunkl(1/2), 0.909 for GD(2), 0.771 for the backward shift, 0.770
+    for GD(3) and 0.669 for GD(1).
 
-    EXP skips all of this: its factor (1 - w) e^(w + (1 + tau) w^2 / 2) is
-    E itself for every N, so ell is the closed form l_{k,0} = -1/k for
-    k >= 3, l_{2,1} = 1/2 and 0 elsewhere, with r = s = 1 (the recurrence
-    gives the same table within 6e-17, and the bound r = s = 1.0 too).
+    EXP skips all of this: its factor (1 - w) e^(w + w^2 / 2) is E itself
+    for every N, so ell is the closed form l_k = -1/k for k >= 3 and 0
+    below, with r = 1 (the recurrence gives the same table within 6e-17,
+    and the bound r = 1.0 too).
     """
     if d.family == "exponential":
-        ell = np.zeros((_WIN_K + 1, _WIN_M + 1))
-        ell[3:, 0] = -1.0 / np.arange(3, _WIN_K + 1)
-        ell[2, 1] = 0.5
+        ell = np.zeros(_WIN_K + 1)
+        ell[3:] = -1.0 / np.arange(3, _WIN_K + 1)
         ell.setflags(write=False)
-        return 1.0, 1.0, ell
-    ps = _factor(d)[1]
-    phis = phi_coeffs(d, N)
-    D, M2 = 2 * N + _OMEGA_TAIL, N + _OMEGA_TAIL // 2
-    phi = _phi_table(ps, phis)
+        return 1.0, ell
+    phi, e = _phi_table(d, N)
+    D = 2 * N + _OMEGA_TAIL
+    a = [1.0, -1.0]
+    for j in range(2, D + 1):
+        a.append(-(a[j - 1] + a[j - 2]) / j)
+    a = np.array(a)
+    weight = np.abs(a) * ((2 * D + 2 * N) * np.finfo(float).eps)
+    weight[_OMEGA_TAIL + 1:] += np.abs(a[_OMEGA_TAIL + 1:])
+    weight[0] += math.exp(4.0) * 0.5**D
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(phi[:, 0]).all():
-            raise OverflowError(f"E series for {d.family} outside double range "
-                                f"(psi1={ps.psi1!r})")
-        c = float(phis[1]) * ps.psi2
-        f = np.cumprod(np.append(1.0, -c / np.arange(1.0, M2 + 1)))  # (-c)^m / m!
-        a = [1.0, -1.0]  # a_(.,0)
-        for j in range(2, D + 1):
-            a.append(-(a[j - 1] + a[j - 2]) / j)
-        a = np.array(a)
-        lag = np.subtract.outer(np.arange(D + 1), np.arange(2 * N + 1))
-        aphi = np.where(lag >= 0, a[np.maximum(lag, 0)], 0.0) @ phi  # a_(.,0) * Phi
-        q = np.zeros((D + 1, M2 + 1))
-        for m in range(M2 + 1):  # q_{j,m} = 0 for j < 2m
-            cols = min(N + 1, M2 + 1 - m)
-            q[2 * m:, m:m + cols] += f[m] * aphi[:D + 1 - 2 * m, :cols]
-        q = np.abs(q)
-        q[0, 0] = 0.0
-
-        def radius(T):
-            # at T = 0 only column 0 of Phi enters, as 0 times a column
-            # that is not a double would be nan
-            top = M2 if T else 0
-            powT = T ** np.arange(top + 1.0)
-            g = np.zeros(D + 1)
-            g[:2 * top + 1:2] = np.abs(f[:top + 1]) * powT
-            A = np.convolve(np.abs(a), g)[:D + 1]
-            weight = A * ((2 * D + 2 * N) * np.finfo(float).eps)
-            weight[_OMEGA_TAIL + 1:] += A[_OMEGA_TAIL + 1:]
-            weight[0] += math.exp(4.0 + 4.0 * abs(c) * T) * 0.5**D
-            bound = np.convolve(np.abs(phi[:, :top + 1]) @ powT[:N + 1], weight)
-            bound[:D + 1] += q[:, :top + 1] @ powT
-            degs = np.arange(bound.size, dtype=float)
-            lo, hi = (1.0, 1.0) if bound @ np.ones(bound.size) <= 0.5 else (0.0, 1.0)
-            while hi - lo > 2.0**-24:
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if bound @ mid**degs <= 0.5 else (lo, mid)
-            return lo
-
-        r = radius(0.0)
-        s = radius(_TAU_RADIUS) if r and np.isfinite(phi).all() else 0.0
-    if r == 0.0:
-        return 0.0, 0.0, None
-    cols = min(N, _WIN_M) + 1 if s else 1
-    e = np.zeros((max(_WIN_K + 1, 2 * N + 2), _WIN_M + 1))  # of E_N = (1 - w) Phi_N
-    e[:2 * N + 1, :cols] = phi[:, :cols]
-    e[1:2 * N + 2, :cols] -= phi[:, :cols]
-    e = e[:_WIN_K + 1]
+        bound = np.convolve(np.abs(phi), weight)
+        bound[1:D + 1] += np.abs(np.convolve(a, phi)[1:D + 1])
+    degs = np.arange(bound.size, dtype=float)
+    lo, hi = (1.0, 1.0) if bound @ np.ones(bound.size) <= 0.5 else (0.0, 1.0)
+    while hi - lo > 2.0**-24:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if bound @ mid**degs <= 0.5 else (lo, mid)
+    if lo == 0.0:
+        return 0.0, None
+    e = np.append(e, np.zeros(_WIN_K))[:_WIN_K + 1]
     ell = np.zeros_like(e)
-    k = np.arange(1.0, _WIN_K + 1)[:, None]
-    anti = np.add.outer(np.arange(_WIN_M + 1), np.arange(_WIN_M + 1)).ravel()
+    k = np.arange(1.0, _WIN_K + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # |l_k| ~ r^-k where r is small
         for n in range(1, _WIN_K + 1):
-            # sum_{k<n} k l_k(tau) e_(n-k)(tau): entry (i, j) of G is the tau^(i+j) term
-            G = (k[:n - 1] * ell[1:n]).T @ e[n - 1:0:-1]
-            ell[n] = e[n] - np.bincount(anti, G.ravel())[:_WIN_M + 1] / n
+            ell[n] = e[n] - (k[:n - 1] * ell[1:n]) @ e[n - 1:0:-1] / n
     ell.setflags(write=False)
-    return r, s, ell
+    return lo, ell
 
 
 def _octant(lo2: int, hi2: int, M: int, cells: int):
@@ -741,43 +676,35 @@ def _least(ok: Callable[[int], bool], lo: int, hi: int) -> int:
 def _window_far(d: PhiDescriptor, z: np.ndarray, zmax: float, nodes: np.ndarray,
                 dens: np.ndarray, N: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(far, logs): the window nodes that the series of _window_series
-    takes, and the sum of log E_N over them at z (None where it takes
-    none).  See _log_product for which nodes are far and the bound."""
+    takes, and the sum of log E over them at z (None where it takes none).
+    Only EXP's window has far nodes.  See _log_product for which nodes are
+    far and the bound."""
     far = np.zeros(nodes.size, dtype=bool)
-    _, s, ell = _window_series(d, N)
-    if not (nodes.size and s):  # sigma has no window; s = 0 keeps it near
+    if d.family != "exponential":
         return far, None
-    x = zmax / (s * np.abs(nodes))
-    tau = (nodes - dens) * (nodes + dens) / (dens * dens)
-    y = np.abs(tau) / _TAU_RADIUS
-    idx = np.flatnonzero((x <= _FAR_RATIO) & (y <= _FAR_RATIO))
-    x, y = x[idx], y[idx]
-    log2 = math.log(2.0)
-    a = ((1.0 + log2) + log2 * y / (1.0 - y)) / (1.0 - x)
-    xy = x * x * y
-    b = log2 / ((1.0 - x) * (1.0 - xy))
-    # the nodes whose tails at the table's top degrees sum past _FAR_TOL,
+    ell = _window_series(d, N)[1]
+    x = zmax / np.abs(nodes)
+    idx = np.flatnonzero(x <= _FAR_RATIO)
+    x = x[idx]
+    # the nodes whose tails at the table's top degree sum past _FAR_TOL,
     # largest first, stay near
-    cap = a * x**(_WIN_K + 1) + b * xy**(_WIN_M + 1)
+    cap = x**(_WIN_K + 1) / (1.0 - x)
     order = np.argsort(cap, kind="stable")
     keep = np.sort(order[np.cumsum(cap[order]) <= _FAR_TOL])
     if not keep.size:
         return far, None
     far[idx[keep]] = True
-    x, xy, a, b = x[keep], xy[keep], a[keep], b[keep]
-
-    def fits(K, m):
-        return a @ x**(K + 1) + b @ xy**(m + 1) <= _FAR_TOL
-
-    K = _least(lambda K: fits(K, _WIN_M), 2, _WIN_K)
-    m = _least(lambda m: fits(K, m), 1, _WIN_M)
-    nu, tau = nodes[far], tau[far]
+    x = x[keep]
+    K = _least(lambda K: x**(K + 1) @ (1.0 / (1.0 - x)) <= _FAR_TOL, 2, _WIN_K)
+    nu, beta = nodes[far], dens[far]
+    tau = (nu - beta) * (nu + beta) / (beta * beta)
     R = float(np.abs(nu).min())
-    mu = np.zeros((K + 1, m + 1), dtype=complex)  # R^k mu_{k,m}
+    mu = np.zeros((K + 1, 2), dtype=complex)  # R^k sum nu^-k, and R^k sum nu^-k tau
     step = max(1, _SUM_CELLS // (K + 1))
     for i in range(0, nu.size, step):
-        mu += _powers(R / nu[i:i + step], K) @ _powers(tau[i:i + step], m).T
-    coef = (ell[:K + 1, :m + 1] * mu).sum(axis=1)
+        mu += _powers(R / nu[i:i + step], K) @ _powers(tau[i:i + step], 1).T
+    coef = ell[:K + 1] * mu[:, 0]
+    coef[2] += 0.5 * mu[2, 1]
     with np.errstate(invalid="ignore", over="ignore"):  # an infinite z
         return far, _horner(coef[::-1], z / R)
 
@@ -789,50 +716,43 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     factor of node (m, n) is (1 - z/node) phi(psi1 z/node + psi2 z^2/den^2),
     see _near_logs), and every node outside it at lam (m + i n).
 
-    One cached table, _window_series, serves every far node.  A node nu
-    with denominator beta has the factor E_N(w; tau) =
-    (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), w = z / nu,
-    tau = (nu / beta)^2 - 1 (0 where the two coincide, so outside the
-    window).  The table holds the coefficients l_{k,m} of log E_N(w; tau),
-    the radius r <= 1 of a disk |w| <= r, tau = 0, and the radius s <= r of
-    a polydisk |w| <= s, |tau| <= T = _TAU_RADIUS, where
-    |log R_N(w; tau)| <= log 2, R_N(w; tau) =
-    E_N(w; tau) / (1 - w) e^(-w - (1/2 + c tau) w^2), c = phi_1 psi2, so
-    that log E_N = log(1 - w) + w + (1/2 + c tau) w^2 + log R_N.
-    E_N = 1 + O(w^3) (N >= 2), so l_{1,0} = l_{2,0} = 0, l_{2,1} = c exactly,
-    and l_{k,0} = -1/k + lambda_k for k >= 3 with |lambda_k| <= log 2 / r^k
-    (Cauchy); as r <= 1, |l_{k,0}| <= (1 + log 2) / r^k for every k.  Every
-    other l_{k,m} obeys |l_{k,m}| <= log 2 / (s^k T^m), and l_{k,m} = 0 for
-    k < 2m.
+    One cached table, _window_series, serves every far node: the
+    Maclaurin coefficients l_k of log E_N(w), w = z / nu, and a radius
+    r <= 1 where |log R_N(w)| <= log 2 on |w| <= r,
+    R_N = E_N / (1 - w) e^(-w - w^2/2), so that
+    log E_N = log(1 - w) + w + w^2/2 + log R_N.  E_N = 1 + O(w^3)
+    (N >= 2), so l_1 = l_2 = 0, and l_k = -1/k + lambda_k for k >= 3 with
+    |lambda_k| <= log 2 / r^k (Cauchy); as r <= 1, |l_k| <= (1 + log 2) / r^k
+    for every k.
 
     The nodes outside the window with |node| <= max|z| / (rho r) are near
     too, and taken directly, rho = _FAR_RATIO.  Every other node nu there
     is far: the far field, the infinite rest of the lattice, is
-    sum_{k<=K} l_{k,0} (z / lam)^k T_k with T_k = sum_far nu^-k, which the
+    sum_{k<=K} l_k (z / lam)^k T_k with T_k = sum_far nu^-k, which the
     cached table _lattice_tail builds once per excluded set (window and
     disk) with K and its tail bound.  A call adds one K/4-term Horner in
     (z / (lam R))^4 to its near product, whatever the window.
 
-    The far nodes of the window collapse into a series too (_window_far):
-    sum_{k<=K, m<=m'} l_{k,m} z^k mu_{k,m}, mu_{k,m} = sum_far nu^-k tau^m.
-    A window node is far where x = max|z| / (s |nu|) <= rho and
-    y = |tau| / T <= rho; there the series terms it drops past K in w or
-    past m' in tau sum to at most
-        ((1 + log 2) + log 2 y / (1 - y)) x^(K+1) / (1 - x)
-        + log 2 (x^2 y)^(m'+1) / ((1 - x)(1 - x^2 y)),
-    and K >= 2, m' >= 1 are the least degrees whose bound, summed over
+    A window node nu with denominator beta has the factor
+    (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), tau = (nu / beta)^2 - 1.
+    Only EXP's splits, log E(w) + tau w^2 / 2 exactly, so only EXP's
+    window has far nodes (_window_far): they collapse into
+    sum_{k<=K} l_k z^k sum_far nu^-k + (z^2 / 2) sum_far tau nu^-2, with
+    r = 1.  A window node is far where x = max|z| / |nu| <= rho; there the
+    series terms it drops past K sum to at most x^(K+1) / (1 - x), as
+    |l_k| = 1/k, and K >= 2 is the least degree whose bound, summed over
     the far nodes, is at most _FAR_TOL.  Nodes whose bounds at the table's
-    top degrees _WIN_K and _WIN_M would sum past _FAR_TOL stay near,
-    largest first, and so does every node of the window where s = 0.  A
+    top degree _WIN_K would sum past _FAR_TOL stay near, largest first.  A
     far node is never hit (|w| < 1).  The moments are formed in chunks of
-    nodes of at most _SUM_CELLS powers, on every call.
+    nodes of at most _SUM_CELLS powers, on every call.  Every other family
+    takes its whole window directly.
     ConvergenceError where r is 0 (no radius meets the bound), where the
     lattice far field needs a degree past _WIN_K, or where its table's
     direct sums would be too long (max|z| / (lam r) above about 63).
     A nan or infinite z is left out of max|z| and gives nan.
     """
     d = desc.normalize()
-    r, _, ell = _window_series(d, N)
+    r, ell = _window_series(d, N)
     if r == 0.0:
         raise ConvergenceError(f"no radius where log E_N of {d.family} converges: "
                                "the lattice far field cannot be summed")
@@ -852,7 +772,7 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
                      np.concatenate([dens[~far], extra]), N)
     if logs is not None:
         out += logs
-    coef = ell[4:4 * tau.size + 1:4, 0] * tau
+    coef = ell[4:4 * tau.size + 1:4] * tau
     with np.errstate(invalid="ignore"):  # an infinite z
         t = (z / (lam * max(math.sqrt(R2 + 1), M + 1.0))) ** 4
         return out + _horner(np.append(coef[::-1], 0.0), t)
@@ -897,14 +817,12 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
 
     The printed form: the linear factor takes the perturbed node z_{m,n},
     the quadratic denominator inside phi the base-lattice point lam_{m,n}.
-    Outside the window the lattice is unperturbed and infinite.
-    _log_product takes directly the window nodes within max|z| / (rho s) of
-    the origin (s the polydisk radius of _window_series, the far-field
-    table sigma reads too) or with |(z_{m,n} / lam_{m,n})^2 - 1| above
-    rho T, and the rest of the window through one series in z whose
-    moments are formed on every call (see _log_product).  For EXP, whose
-    log factor is exact (log(1 - w) + w + (1 + tau) w^2 / 2), N does not
-    enter.
+    Outside the window the lattice is unperturbed and infinite.  For EXP,
+    whose log factor is exact (log(1 - w) + w + (1 + tau) w^2 / 2,
+    tau = (z_{m,n} / lam_{m,n})^2 - 1), _log_product takes directly the
+    window nodes within max|z| / rho of the origin and the rest through
+    one series in z whose moments are formed on every call, and N does not
+    enter.  Every other family takes its whole window directly.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     nodes, base = gamma.nonzero()

@@ -39,6 +39,9 @@ def _phis(family: str, params: dict, N: int) -> list:
         # Gamma'' = Gamma (psi^2 + psi')
         c = [1 / (mp.gamma(n + 1) * (mp.digamma(n + 1) ** 2 + mp.polygamma(1, n + 1)))
              for n in range(N + 1)]
+    elif family == "stretched_gamma":
+        a, b = mp.mpf(params["a"]), mp.mpf(params["b"])
+        c = [a ** (mp.mpf(n + 1) / b) / mp.gamma(mp.mpf(n + 1) / b) for n in range(N + 1)]
     elif family == "backward_shift":
         c = [mp.mpf(1)] * (N + 1)
     elif family == "dunkl":
@@ -83,32 +86,27 @@ def _factor(family: str, params: dict, N: int):
 
 
 def omega_deviation_on_circle(family: str, params: dict, r: float, n: int,
-                              N: int = 80, tau: complex = 0.0) -> float:
-    """max |Phi_N(w; tau) e^(-w - (1/2 + phi_1 psi2 tau) w^2) - 1| over the n
-    points w = r e^(2 pi i j / n), j < n, at 30 digits, r and tau taken as
-    exact; Phi_N(w; tau) = phi_N(psi1 w + psi2 (1 + tau) w^2) is evaluated
-    directly, not as E_N(w; tau) / (1 - w).  tau = 0 is the factor of a node
-    that is its own quadratic denominator."""
+                              N: int = 80) -> float:
+    """max |Phi_N(w) e^(-w - w^2/2) - 1| over the n points
+    w = r e^(2 pi i j / n), j < n, at 30 digits, r taken as exact;
+    Phi_N(w) = phi_N(psi1 w + psi2 w^2) is evaluated directly, not as
+    E_N(w) / (1 - w)."""
     with mp.workdps(30):
         psi1, psi2, phi = _series(family, params, N)
-        c = _phis(family, params, 1)[1] * psi2
-        r, tau = mp.mpf(r), mp.mpc(tau)
+        r = mp.mpf(r)
         dev = mp.mpf(0)
         for j in range(n):
             w = r * mp.expjpi(mp.mpf(2 * j) / n)
-            dev = max(dev, abs(phi(psi1 * w + psi2 * (1 + tau) * w * w)
-                               * mp.exp(-w - (mp.mpf(1) / 2 + c * tau) * w * w) - 1))
+            dev = max(dev, abs(phi(psi1 * w + psi2 * w * w) * mp.exp(-w - w * w / 2) - 1))
         return float(dev)
 
 
-def log_factor_tau(family: str, params: dict, w: complex, tau: complex, N: int = 80) -> complex:
-    """log E_N(w; tau) = log[(1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2)] at
-    30 digits, the principal branch: the factor of a window node nu with
-    quadratic denominator beta at w = z / nu, tau = (nu / beta)^2 - 1."""
+def log_factor(family: str, params: dict, w: complex, N: int = 80) -> complex:
+    """log E_N(w) = log[(1 - w) phi_N(psi1 w + psi2 w^2)] at 30 digits, the
+    principal branch."""
     with mp.workdps(30):
-        psi1, psi2, phi = _series(family, params, N)
-        w, tau = mp.mpc(w), mp.mpc(tau)
-        return complex(mp.log((1 - w) * phi(psi1 * w + psi2 * (1 + tau) * w * w)))
+        w = mp.mpc(w)
+        return complex(mp.log(_factor(family, params, N)(w)))
 
 
 def log_factor_taylor(family: str, params: dict, K: int, N: int = 80) -> list:

@@ -20,7 +20,7 @@ from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _e_table, _window
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
 from mp_oracles import (factor_series, far_log_tail, lattice_g, lattice_tail_sums,
-                        log_abs_pair_product, log_factor_series, log_factor_tau,
+                        log_abs_pair_product, log_factor, log_factor_series,
                         log_factor_taylor, omega_deviation_on_circle, sigma_lattice, sigma_product,
                         sigma_square)
 
@@ -576,19 +576,19 @@ def test_log_g_fn_node_is_neg_inf():
 # ---------------------------------------------------------------------------
 
 def test_log_e_coefficients_exponential_closed_form():
-    # log[(1 - z) e^{z + z^2/2}] = -sum_{k>=3} z^k / k, the tau = 0 column
-    ell = _window_series(EXPN, 80)[2][:71, 0]
+    # log[(1 - z) e^{z + z^2/2}] = -sum_{k>=3} z^k / k
+    ell = _window_series(EXPN, 80)[1][:71]
     want = np.array([0.0, 0.0, 0.0] + [-1.0 / k for k in range(3, 71)])
     assert np.max(np.abs(ell - want)) <= 1e-16
 
 
 def test_exp_closed_form_table_against_the_recurrence():
-    # ML(1, 1) has EXP's phi_k = 1/k! and builds its table and radii by
+    # ML(1, 1) has EXP's phi_k = 1/k! and builds its table and radius by
     # the recurrence and the bound polynomial: the same table to 1e-16
-    # absolute, and the same r and s, as EXP's closed form
-    r, s, ell = _window_series(EXPN, 80)
-    r1, s1, ell1 = _window_series(ML11N, 80)
-    assert (r, s) == (r1, s1) == (1.0, 1.0)
+    # absolute, and the same r, as EXP's closed form
+    r, ell = _window_series(EXPN, 80)
+    r1, ell1 = _window_series(ML11N, 80)
+    assert r == r1 == 1.0
     assert not ell.flags.writeable and ell.shape == ell1.shape
     assert np.max(np.abs(ell - ell1)) <= 1e-16
 
@@ -610,7 +610,7 @@ def test_log_e_coefficients_against_mpmath_taylor(name, N):
     # N = 6 < degree 16: the coefficients are those of the cut factor E_N
     desc, family, params = ORACLE_FAMILIES[name]
     want = np.array(log_factor_taylor(family, params, 16, N))
-    got = _window_series(desc, N)[2][:17, 0]
+    got = _window_series(desc, N)[1][:17]
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
 
 
@@ -620,15 +620,15 @@ def test_log_e_coefficients_to_degree_170(name):
     # by r^k, as term k of a far node is at most |l_k| (rho r)^k
     desc, family, params = ORACLE_FAMILIES[name]
     want = np.array(log_factor_series(family, params, 170))
-    r, _, ell = _window_series(desc, 80)
-    got = ell[:171, 0]
+    r, ell = _window_series(desc, 80)
+    got = ell[:171]
     assert np.max(np.abs(got - want) * r ** np.arange(171)) / math.log(2.0) <= 1e-15
 
 
 def test_sigma_reads_one_cached_table():
-    ell = _window_series(ML21N, 80)[2]
+    ell = _window_series(ML21N, 80)[1]
     assert not ell.flags.writeable and not _e_table(ML21N, 80).flags.writeable
-    assert np.array_equal(ell, _window_series.__wrapped__(ML21N, 80)[2])
+    assert np.array_equal(ell, _window_series.__wrapped__(ML21N, 80)[1])
     # the far radius and every far-series degree K of three windows read
     # one window table, and no E table
     _window_series.cache_clear()
@@ -655,7 +655,7 @@ def test_sigma_far_series_only():
 def test_sigma_raises_without_a_far_radius(monkeypatch):
     # r = 0: no disk where the log E series converges, so the infinite
     # far field cannot be summed
-    monkeypatch.setattr(weierstrass, "_window_series", lambda d, N: (0.0, 0.0, None))
+    monkeypatch.setattr(weierstrass, "_window_series", lambda d, N: (0.0, None))
     with pytest.raises(ConvergenceError):
         sigma_fn(EXPN, 0.5 + 0.5j, LatticeSpec(1.0, 4))
     with pytest.raises(ConvergenceError):
@@ -664,10 +664,10 @@ def test_sigma_raises_without_a_far_radius(monkeypatch):
 
 # sigma and log g at three points, lattice Z + iZ with M = 4 (g's window
 # perturbed by up to 0.1, seed 1), as computed when sigma's disk radius came
-# from a table of E_N alone.  SG(1000, 1/2) at N = 160: a window coefficient
-# of tau-degree m >= 1 is past double range, those of E_N are not.
-# Dunkl(100) at N = 6: the disk bound holds at r = 0.0215, the polydisk
-# bound nowhere.  Either way sigma and g are formed, the window all near.
+# from a table of E_N alone.  SG(1000, 1/2) at N = 160: phi(psi1 w + psi2
+# (1 + tau) w^2) has coefficients past double range at tau-degree m >= 1,
+# those of E_N are not.  Dunkl(100) at N = 6: the disk bound holds at
+# r = 0.0215 only.  Either way sigma and g are formed, the window all near.
 TABLE_EDGE_Z = np.array([0.3 + 0.2j, 0.7 - 0.4j, -0.5 + 0.45j])
 TABLE_EDGES = {
     "SG(1000, 1/2)": (PhiDescriptor.stretched_gamma(1000, 0.5), 160, TABLE_EDGE_Z,
@@ -687,10 +687,9 @@ TABLE_EDGES = {
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_EDGES))
-def test_sigma_and_g_where_the_polydisk_fails(name):
+def test_sigma_and_g_at_table_edges(name):
     desc, N, zs, sigma, logg = TABLE_EDGES[name]
-    r, s, _ = _window_series(desc.normalize(), N)
-    assert r > 0.0 and s == 0.0
+    assert _window_series(desc.normalize(), N)[0] > 0.0
     lat = LatticeSpec(1.0, 4)
     got = sigma_fn(desc, zs, lat, N)
     assert np.all(np.abs(got - sigma) <= 1e-13 * np.abs(sigma))
@@ -709,7 +708,7 @@ def test_sigma_far_table_size_is_capped():
 def test_sigma_refuses_a_tail_past_the_table(window_table_caps):
     # sigma's far series at |z| = 2.5 runs to degree 148; a coefficient
     # table cut at degree 128 cannot hold it
-    window_table_caps(128, weierstrass._WIN_M)
+    window_table_caps(128)
     with pytest.raises(ConvergenceError, match="degree 148"):
         sigma_fn(EXPN, 2.5 + 0j, LatticeSpec(1.0, 12))
 
@@ -1043,6 +1042,7 @@ def test_near_field_cut_where_phi_is_small(monkeypatch, desc, zero, degree):
 
 FACTOR_ORACLES = {**ORACLE_FAMILIES, "BSN": (BSN, "backward_shift", {})}
 NEAR_FAMILIES = {name: desc for name, (desc, _, _) in FACTOR_ORACLES.items()}
+WINDOW_ORACLES = {**FACTOR_ORACLES, "GD(2)": G_ORACLES["GD(2)"]}
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
@@ -1059,11 +1059,11 @@ def test_e_table_against_mpmath(name, N):
     assert np.all(np.abs(got - want) <= 1000 * np.finfo(float).eps * scale)
 
 
-@pytest.mark.parametrize("name", sorted(NEAR_FAMILIES))
+@pytest.mark.parametrize("name", sorted(WINDOW_ORACLES))
 def test_window_radius_bounds_the_unperturbed_factor(name):
     # |Phi_80(w) e^(-w - w^2/2) - 1| <= 1/2 on |w| = r, hence on the disk
     # (the maximum principle), so |log R_80| <= log 2 there; r <= 1
-    desc, family, params = FACTOR_ORACLES[name]
+    desc, family, params = WINDOW_ORACLES[name]
     r = _window_series(desc, 80)[0]
     assert 0.0 < r <= 1.0
     assert omega_deviation_on_circle(family, params, r, 4096) <= 0.5
@@ -1191,43 +1191,19 @@ def test_degree_cut_nan_point_keeps_its_chunk():
 # far series of a perturbed window
 # ---------------------------------------------------------------------------
 
-WINDOW_ORACLES = {**FACTOR_ORACLES, "GD(2)": G_ORACLES["GD(2)"]}
-T_WIN = weierstrass._TAU_RADIUS
-
-
-@pytest.mark.parametrize("name", sorted(WINDOW_ORACLES))
-def test_window_series_polydisk_bounds_the_factor(name):
-    # |R_80(w; tau) - 1| <= 1/2 on |w| = s at four points of |tau| = T, so
-    # |log R_80| <= log 2 where the Cauchy bound of the window series is
-    # taken; s <= 1 and, as tau = 0 is sigma's factor, s <= r
-    desc, family, params = WINDOW_ORACLES[name]
-    r, s, _ = weierstrass._window_series(desc, 80)
-    assert 0.0 < s <= r <= 1.0
-    for tau in T_WIN * np.exp(0.5j * np.pi * np.arange(4)):
-        assert omega_deviation_on_circle(family, params, s, 256, tau=tau) <= 0.5
-
-
 @pytest.mark.parametrize("name", sorted(WINDOW_ORACLES))
 def test_window_series_table_against_mpmath(name):
-    # sum ell[k, m] w^k tau^m against 30-digit log E_80(w; tau) inside the
-    # far region, where the table's dropped tail is below 1e-20, within
-    # 8 eps of the sum with |.| on every term; ell[k, m] = 0 for k < 2m
+    # sum l_k w^k against 30-digit log E_80(w) at |w| <= r / 2, where the
+    # table's dropped tail is below 1e-70, within 8 eps of the sum with |.|
+    # on every term
     desc, family, params = WINDOW_ORACLES[name]
-    _, s, ell = weierstrass._window_series(desc, 80)
-    assert not ell.flags.writeable and ell.shape == (weierstrass._WIN_K + 1, weierstrass._WIN_M + 1)
-    k, m = np.arange(ell.shape[0])[:, None], np.arange(ell.shape[1])[None, :]
-    assert np.all(ell[k < 2 * m] == 0.0)
-    for w, tau in ((0.5 * s * np.exp(0.7j), 0.1 * np.exp(2.1j)), (0.4 * s * np.exp(-2j), 0.1j),
-                   (0.5 * s, -0.1)):
-        terms = ell * w**k * tau**m
-        want = log_factor_tau(family, params, w, tau)
+    r, ell = weierstrass._window_series(desc, 80)
+    assert not ell.flags.writeable and ell.shape == (weierstrass._WIN_K + 1,)
+    k = np.arange(ell.size)
+    for w in (0.5 * r * np.exp(0.7j), 0.4 * r * np.exp(-2j), 0.5 * r):
+        terms = ell * w**k
+        want = log_factor(family, params, w)
         assert abs(terms.sum() - want) <= 8 * np.finfo(float).eps * (np.abs(terms).sum() + 1.0)
-    if name == "EXP":
-        # log[(1 - w) e^(w + (1 + tau) w^2 / 2)]: the one tau-term is w^2 tau / 2
-        assert ell[2, 1] == 0.5
-        rest = np.abs(ell[:, 1:]) * T_WIN ** m[:, 1:]
-        rest[2, 0] = 0.0
-        assert rest.max() <= 1e-15
 
 
 def perfbench_window():
@@ -1237,16 +1213,14 @@ def perfbench_window():
 
 
 def test_window_far_split():
-    # a window node is far where |z / nu| <= rho s over the grid and
-    # |tau| <= rho T; on the perfbench op (max|z| = 3.89, EXP, s = 1) that
-    # is the 536 nodes beyond |nu| = 5.19, and no tail pushes one back
+    # a window node is far where |z / nu| <= rho over the grid; on the
+    # perfbench op (max|z| = 3.89, EXP) that is the 536 nodes beyond
+    # |nu| = 5.19, and no tail pushes one back
     gam, grid = perfbench_window()
     nodes, base = gam.nonzero()
     zmax = float(np.abs(grid).max())
     far, logs = weierstrass._window_far(EXPN, grid, zmax, nodes, base, 80)
-    tau = (nodes / base) ** 2 - 1
-    rho = weierstrass._FAR_RATIO
-    assert np.array_equal(far, (np.abs(nodes) >= zmax / rho) & (np.abs(tau) <= rho * T_WIN))
+    assert np.array_equal(far, np.abs(nodes) >= zmax / weierstrass._FAR_RATIO)
     assert far.sum() == 536
     # the series against the direct product over the same far nodes
     direct = near_field(EXPN, grid, nodes[far], base[far])
@@ -1254,17 +1228,61 @@ def test_window_far_split():
     assert np.all(np.abs(logs - direct) <= tol)
 
 
-@pytest.mark.parametrize("desc", FAMILIES, ids=lambda d: d.family)
-def test_window_series_matches_direct_far_nodes(desc):
-    # every family, an M = 8 window with Q = 0.3: the series against the
-    # direct product over the nodes it takes, both points sets at once
+def test_window_series_matches_direct_far_nodes():
+    # an M = 8 window with Q = 0.3: the series against the direct product
+    # over the nodes it takes, both points sets at once
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 8), 0.3, seed=11)
     nodes, base = gam.nonzero()
     z = np.array([0.5 + 0.5j, -1.5 + 0.5j, 2.5 - 1.5j])
-    far, logs = weierstrass._window_far(desc, z, float(np.abs(z).max()), nodes, base, 80)
+    far, logs = weierstrass._window_far(EXPN, z, float(np.abs(z).max()), nodes, base, 80)
     assert far.sum() > 100
-    direct = near_field(desc, z, nodes[far], base[far])
-    assert np.all(np.abs(logs - direct) <= 4.0 * rounding_scale(desc, z, nodes[far], base[far]))
+    direct = near_field(EXPN, z, nodes[far], base[far])
+    assert np.all(np.abs(logs - direct) <= 4.0 * rounding_scale(EXPN, z, nodes[far], base[far]))
+
+
+def test_exp_window_takes_far_nodes_of_any_tau():
+    # EXP's factor takes tau = (nu / beta)^2 - 1 exactly, as tau w^2 / 2, so
+    # a far node may have any tau: on an M = 12 window with Q = 0.45 and
+    # max|z| = 1.5, some far nodes have |tau| > 0.1875.  log g against the
+    # 30-digit product over the window's (node, denominator) pairs, the
+    # 50-digit tail outside it and log|z - z00|
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), 0.45, seed=2)
+    nodes, base = gam.nonzero()
+    zs = np.array([0.5 + 0.5j, -1.2 + 0.9j, 0.3 - 1.4j])
+    far, _ = weierstrass._window_far(EXPN, zs, float(np.abs(zs).max()), nodes, base, 80)
+    tau = (nodes / base) ** 2 - 1
+    assert np.any(far & (np.abs(tau) > 0.1875))
+    want = np.array([log_abs_pair_product("exponential", {}, z, zip(nodes, base))
+                     + math.log(abs(z - gam.z00)) + far_log_tail("exponential", {}, z, 12).real
+                     for z in zs])
+    assert np.all(np.abs(log_g_fn(EXPN, zs, gam).real - want) <= 5e-14)
+
+
+WINDOW_NEAR_ORACLES = {
+    "ML(2,1)": (ML21N, "mittag_leffler", {"rho": 2.0, "mu": 1.0}),
+    "SG(1,2)": (SGN, "stretched_gamma", {"a": 1.0, "b": 2.0}),
+    "GD(1)": (GD1N, "gamma_deriv", {"n": 1}),
+    "Dunkl(1/2)": (DKN, "dunkl", {"kappa": 0.5}),
+    "BSN": (BSN, "backward_shift", {}),
+}
+
+
+@pytest.mark.parametrize("name", list(WINDOW_NEAR_ORACLES))
+def test_window_of_other_families_is_near(name):
+    # only EXP's window has a far series: every other family takes its
+    # whole M = 8 window (Q = 0.3) directly.  log g against the 30-digit
+    # pair product, the 50-digit tail and log|z - z00|
+    desc, family, params = WINDOW_NEAR_ORACLES[name]
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 8), 0.3, seed=11)
+    nodes, base = gam.nonzero()
+    zs = np.array([0.5 + 0.5j, -1.5 + 0.5j, 2.5 - 1.5j])
+    far, logs = weierstrass._window_far(desc, zs, float(np.abs(zs).max()), nodes, base, 80)
+    assert not far.any() and logs is None
+    want = np.array([log_abs_pair_product(family, params, z, zip(nodes, base))
+                     + far_log_tail(family, params, z, 8).real + math.log(abs(z - gam.z00))
+                     for z in zs])
+    tol = 4.0 * rounding_scale(desc, zs, nodes, base)
+    assert np.all(np.abs(log_g_fn(desc, zs, gam).real - want) <= tol)
 
 
 def test_window_moments_in_chunks(monkeypatch):
@@ -1284,13 +1302,12 @@ def test_window_moments_in_chunks(monkeypatch):
 
 @pytest.fixture
 def window_table_caps(monkeypatch):
-    """Set the window table's top degrees; the table is rebuilt under them
+    """Set the far series table's top degree; the table is rebuilt under it
     and again after the test."""
     table = weierstrass._window_series
 
-    def set_caps(K, m):
+    def set_caps(K):
         monkeypatch.setattr(weierstrass, "_WIN_K", K)
-        monkeypatch.setattr(weierstrass, "_WIN_M", m)
         table.cache_clear()
 
     yield set_caps
@@ -1298,32 +1315,30 @@ def window_table_caps(monkeypatch):
 
 
 def test_window_caps_keep_nodes_near(window_table_caps):
-    # a table cut at degrees 60 in w and 6 in tau cannot take the nearest
-    # far nodes within _FAR_TOL: they stay near, largest tails first, and the
-    # product does not move beyond rounding
+    # a table cut at degree 60 cannot take the nearest far nodes within
+    # _FAR_TOL: they stay near, largest tails first, and the product does
+    # not move beyond rounding
     gam, grid = perfbench_window()
     nodes, base = gam.nonzero()
     zmax = float(np.abs(grid).max())
     full = log_g_fn(EXPN, grid, gam).real
     n_full = weierstrass._window_far(EXPN, grid, zmax, nodes, base, 80)[0].sum()
-    window_table_caps(60, 6)
+    window_table_caps(60)
     far = weierstrass._window_far(EXPN, grid, zmax, nodes, base, 80)[0]
     assert 0 < far.sum() < n_full
     tol = 4.0 * rounding_scale(EXPN, grid, nodes, base)
     assert np.all(np.abs(log_g_fn(EXPN, grid, gam).real - full) <= tol)
 
 
-def test_window_without_a_polydisk_is_near(monkeypatch):
-    # s = 0: no polydisk where the window series converges, so the whole
-    # window is near and g does not move beyond rounding; sigma reads the
-    # disk radius r alone and does not move at all
+def test_window_series_against_the_window_all_near(monkeypatch):
+    # EXP's window taken whole by the near field, as every other family's
+    # is: g does not move beyond rounding, and sigma, which has no window,
+    # does not move at all
     gam, grid = perfbench_window()
     nodes, base = gam.nonzero()
-    zmax = float(np.abs(grid).max())
     full, sigma = log_g_fn(EXPN, grid, gam).real, sigma_fn(EXPN, grid, gam.lat)
-    r, _, ell = weierstrass._window_series(EXPN, 80)
-    monkeypatch.setattr(weierstrass, "_window_series", lambda d, N: (r, 0.0, ell))
-    assert not weierstrass._window_far(EXPN, grid, zmax, nodes, base, 80)[0].any()
+    monkeypatch.setattr(weierstrass, "_window_far",
+                        lambda d, z, zmax, nodes, dens, N: (np.zeros(nodes.size, bool), None))
     tol = 4.0 * rounding_scale(EXPN, grid, nodes, base)
     assert np.all(np.abs(log_g_fn(EXPN, grid, gam).real - full) <= tol)
     assert np.array_equal(sigma_fn(EXPN, grid, gam.lat), sigma)
