@@ -664,10 +664,9 @@ def test_sigma_raises_without_a_far_radius(monkeypatch):
 
 # sigma and log g at three points, lattice Z + iZ with M = 4 (g's window
 # perturbed by up to 0.1, seed 1), as computed when sigma's disk radius came
-# from a table of E_N alone.  SG(1000, 1/2) at N = 160: phi(psi1 w + psi2
-# (1 + tau) w^2) has coefficients past double range at tau-degree m >= 1,
-# those of E_N are not.  Dunkl(100) at N = 6: the disk bound holds at
-# r = 0.0215 only.  Either way sigma and g are formed, the window all near.
+# from a table of E_N alone: SG(1000, 1/2) at N = 160, and Dunkl(100) at
+# N = 6, whose disk bound holds only at r = 0.0215.  Both windows are all
+# near.
 TABLE_EDGE_Z = np.array([0.3 + 0.2j, 0.7 - 0.4j, -0.5 + 0.45j])
 TABLE_EDGES = {
     "SG(1000, 1/2)": (PhiDescriptor.stretched_gamma(1000, 0.5), 160, TABLE_EDGE_Z,
@@ -1329,20 +1328,6 @@ def test_window_caps_keep_nodes_near(window_table_caps):
     assert 0 < far.sum() < n_full
     tol = 4.0 * rounding_scale(EXPN, grid, nodes, base)
     assert np.all(np.abs(log_g_fn(EXPN, grid, gam).real - full) <= tol)
-
-
-def test_window_series_against_the_window_all_near(monkeypatch):
-    # EXP's window taken whole by the near field, as every other family's
-    # is: g does not move beyond rounding, and sigma, which has no window,
-    # does not move at all
-    gam, grid = perfbench_window()
-    nodes, base = gam.nonzero()
-    full, sigma = log_g_fn(EXPN, grid, gam).real, sigma_fn(EXPN, grid, gam.lat)
-    monkeypatch.setattr(weierstrass, "_window_far",
-                        lambda d, z, zmax, nodes, dens, N: (np.zeros(nodes.size, bool), None))
-    tol = 4.0 * rounding_scale(EXPN, grid, nodes, base)
-    assert np.all(np.abs(log_g_fn(EXPN, grid, gam).real - full) <= tol)
-    assert np.array_equal(sigma_fn(EXPN, grid, gam.lat), sigma)
 
 
 def test_window_series_cached_read_only():
