@@ -132,6 +132,19 @@ def riemann_liouville(f, t: float, order: float) -> float:
         return float(mp.differint(f, mp.mpf(t), mp.mpf(order)))
 
 
+def _compose(phis: list, psi1, psi2, N: int) -> list:
+    """Maclaurin coefficients 0..2N + 1 of sum_{n<=N} phis[n] (psi1 w + psi2 w^2)^n
+    (the last one 0), by composing the polynomials at the working precision."""
+    K = 2 * N + 1
+    power = [mp.mpf(1)] + [mp.mpf(0)] * K
+    comp = [phis[0]] + [mp.mpf(0)] * K
+    for n in range(1, N + 1):
+        power = [mp.mpf(0)] + [psi1 * power[k - 1] + (psi2 * power[k - 2] if k > 1 else 0)
+                               for k in range(1, K + 1)]
+        comp = [c + phis[n] * p for c, p in zip(comp, power)]
+    return comp
+
+
 def factor_series(family: str, params: dict, N: int) -> tuple[list, list]:
     """Maclaurin coefficients e_0..e_(2N+1) of E_N(w) = (1 - w) sum_{n<=N}
     phi_n (psi1 w + psi2 w^2)^n at 30 digits, by composing the polynomials,
@@ -141,19 +154,24 @@ def factor_series(family: str, params: dict, N: int) -> tuple[list, list]:
     with mp.workdps(30):
         phis = _phis(family, params, N)
         psi1, psi2 = _psi(phis)
-        K = 2 * N + 1
 
-        def compose(phis, psi1, psi2, sign):
-            power = [mp.mpf(1)] + [mp.mpf(0)] * K
-            comp = [phis[0]] + [mp.mpf(0)] * K
-            for n in range(1, N + 1):
-                power = [mp.mpf(0)] + [psi1 * power[k - 1] + (psi2 * power[k - 2] if k > 1 else 0)
-                                       for k in range(1, K + 1)]
-                comp = [c + phis[n] * p for c, p in zip(comp, power)]
-            return [float(comp[0])] + [float(comp[k] + sign * comp[k - 1]) for k in range(1, K + 1)]
+        def times(comp, sign):  # (1 + sign w) comp
+            return [float(comp[0])] + [float(comp[k] + sign * comp[k - 1])
+                                       for k in range(1, len(comp))]
 
-        return (compose(phis, psi1, psi2, -1),
-                compose([abs(c) for c in phis], abs(psi1), abs(psi2), 1))
+        return (times(_compose(phis, psi1, psi2, N), -1),
+                times(_compose([abs(c) for c in phis], abs(psi1), abs(psi2), N), 1))
+
+
+def phi_column_series(family: str, params: dict, N: int) -> tuple[list, list]:
+    """Maclaurin coefficients 0..2N of Phi_N(w) = sum_{n<=N} phi_n
+    (psi1 w + psi2 w^2)^n at 30 digits, and those of the same sum with |.|
+    on every term, sum_{n<=N} |phi_n| (|psi1| w + |psi2| w^2)^n."""
+    with mp.workdps(30):
+        phis = _phis(family, params, N)
+        psi1, psi2 = _psi(phis)
+        return ([float(c) for c in _compose(phis, psi1, psi2, N)[:-1]],
+                [float(c) for c in _compose([abs(c) for c in phis], abs(psi1), abs(psi2), N)[:-1]])
 
 
 def log_factor_series(family: str, params: dict, K: int, N: int = 80) -> list:

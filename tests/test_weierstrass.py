@@ -21,8 +21,8 @@ from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _e_table, _window
                                 weierstrass_factor, winding_zero_count)
 from mp_oracles import (factor_series, far_log_tail, lattice_g, lattice_tail_sums,
                         log_abs_pair_product, log_factor, log_factor_series,
-                        log_factor_taylor, omega_deviation_on_circle, sigma_lattice, sigma_product,
-                        sigma_square)
+                        log_factor_taylor, omega_deviation_on_circle, phi_column_series,
+                        sigma_lattice, sigma_product, sigma_square)
 
 EXPN = PhiDescriptor.exponential(normalized=True)
 # normalized ML(1, 1) has EXP's phi_k = 1/k!, but its factors take the
@@ -1060,6 +1060,22 @@ def test_e_table_against_mpmath(name, N):
 
 
 @pytest.mark.parametrize("name", sorted(WINDOW_ORACLES))
+@pytest.mark.parametrize("N", [17, 80])
+def test_phi_table_against_mpmath(name, N):
+    # the column Phi_N = sum_{i<=N} phi_i p^i, p = psi1 w + psi2 w^2, that
+    # r's bound reads: every coefficient through degree 2N against 30
+    # digits, within 1000 eps of the same sum with |.| on every term (the
+    # largest measured ratio is 450, GD(1) at N = 80, as for E_N), and E_N
+    # is (1 - w) Phi_N
+    desc, family, params = WINDOW_ORACLES[name]
+    want, scale = map(np.array, phi_column_series(family, params, N))
+    phi, e = weierstrass._phi_table(desc, N)
+    assert phi.size == want.size == 2 * N + 1
+    assert np.all(np.abs(phi - want) <= 1000 * np.finfo(float).eps * scale)
+    assert np.array_equal(e, np.append(phi, 0.0) - np.append(0.0, phi))
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_ORACLES))
 def test_window_radius_bounds_the_unperturbed_factor(name):
     # |Phi_80(w) e^(-w - w^2/2) - 1| <= 1/2 on |w| = r, hence on the disk
     # (the maximum principle), so |log R_80| <= log 2 there; r <= 1
@@ -1256,6 +1272,24 @@ def test_exp_window_takes_far_nodes_of_any_tau():
                      + math.log(abs(z - gam.z00)) + far_log_tail("exponential", {}, z, 12).real
                      for z in zs])
     assert np.all(np.abs(log_g_fn(EXPN, zs, gam).real - want) <= 5e-14)
+
+
+@pytest.mark.parametrize("Q", [0.1, 0.3, 0.45])
+def test_exp_window_far_series_takes_tau_exactly(Q):
+    # the far series of an M = 12 window, max|z| = 1.5, against the
+    # 30-digit product over the (node, denominator) pairs it takes: its
+    # tau term (z^2 / 2) sum tau nu^-2 is 0.008 to 0.18 here, and the
+    # series keeps the rest within _FAR_TOL plus rounding (at most 1.4 eps
+    # measured, as every |log| is below 1)
+    gam = PerturbedLattice.perturb(LatticeSpec(1.0, 12), Q, seed=2)
+    nodes, base = gam.nonzero()
+    zs = np.array([0.5 + 0.5j, -1.2 + 0.9j, 0.3 - 1.4j])
+    far, logs = weierstrass._window_far(EXPN, zs, float(np.abs(zs).max()), nodes, base, 80)
+    assert far.sum() > 600
+    want = np.array([log_abs_pair_product("exponential", {}, z, zip(nodes[far], base[far]))
+                     for z in zs])
+    tol = weierstrass._FAR_TOL + 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(logs))
+    assert np.all(np.abs(logs.real - want) <= tol)
 
 
 WINDOW_NEAR_ORACLES = {
