@@ -20,16 +20,17 @@ quantity actually consumed downstream is a ratio.
 The nodes far from every evaluation point collapse into power series, the
 far-field idea of Greengard & Rokhlin (J. Comput. Phys. 73, 1987); only the
 near nodes take the direct product.  One cached table per (family, N),
-_window_series, serves every far node: the coefficients l_k of
-log E(w) = log(1 - w) + w + w^2/2 + log R, and the radius r of a disk
+_window_series, serves every far node: the coefficients l_k, k <= _WIN_K,
+of log E(w) = log(1 - w) + w + w^2/2 + log R, and the radius r of a disk
 where one bound on |R - 1| is at most 1/2 (see _log_product for the tail
-bound).  The infinite rest of the lattice is sum l_k T_k z^k with
-T_k = sum nu^-k over the far Gaussian integers, one cached table per near
-set (_lattice_tail), so the window size LatticeSpec.trunc_M does not
-enter sigma.  R is not omega()'s Omega = (E - 1) / z^3, which slices E_N's
-Maclaurin coefficients from _e_table, cached per (family, N): (1 - w)
-times the far field's Phi_N (_phi_table).  So does omega_bound, whose head
-is |e_3| + |e_4| + |e_5| of E_2.
+bound, and why no series reads past _WIN_K).  The infinite rest of the
+lattice is sum l_k T_k z^k with T_k = sum nu^-k over the far Gaussian
+integers, one cached table per near set (_lattice_tail), so the window
+size LatticeSpec.trunc_M does not enter sigma.  R is not omega()'s
+Omega = (E - 1) / z^3, which slices E_N's Maclaurin coefficients from
+_e_table, cached per (family, N): (1 - w) times the far field's Phi_N
+(_phi_table).  So does omega_bound, whose head is |e_3| + |e_4| + |e_5|
+of E_2.
 
 A window node nu with quadratic denominator beta has the factor
 E(z / nu; tau), tau = (nu / beta)^2 - 1.  EXP (phi = e^u, psi = (1, 1/2))
@@ -676,35 +677,25 @@ def _least(ok: Callable[[int], bool], lo: int, hi: int) -> int:
 def _window_far(d: PhiDescriptor, z: np.ndarray, zmax: float, nodes: np.ndarray,
                 dens: np.ndarray, N: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(far, logs): the window nodes that the series of _window_series
-    takes, and the sum of log E over them at z (None where it takes none).
-    Only EXP's window has far nodes.  See _log_product for which nodes are
-    far and the bound."""
-    far = np.zeros(nodes.size, dtype=bool)
+    takes, every node with max|z| / |nu| <= rho, and the sum of log E over
+    them at z (None where it takes none).  Only EXP's window has far nodes.
+    See _log_product for the degree K and the bound."""
     if d.family != "exponential":
-        return far, None
-    ell = _window_series(d, N)[1]
+        return np.zeros(nodes.size, dtype=bool), None
     x = zmax / np.abs(nodes)
-    idx = np.flatnonzero(x <= _FAR_RATIO)
-    x = x[idx]
-    # the nodes whose tails at the table's top degree sum past _FAR_TOL,
-    # largest first, stay near
-    cap = x**(_WIN_K + 1) / (1.0 - x)
-    order = np.argsort(cap, kind="stable")
-    keep = np.sort(order[np.cumsum(cap[order]) <= _FAR_TOL])
-    if not keep.size:
+    far = x <= _FAR_RATIO
+    if not far.any():
         return far, None
-    far[idx[keep]] = True
-    x = x[keep]
+    x = x[far]
     K = _least(lambda K: x**(K + 1) @ (1.0 / (1.0 - x)) <= _FAR_TOL, 2, _WIN_K)
     nu, beta = nodes[far], dens[far]
-    tau = (nu - beta) * (nu + beta) / (beta * beta)
     R = float(np.abs(nu).min())
-    mu = np.zeros((K + 1, 2), dtype=complex)  # R^k sum nu^-k, and R^k sum nu^-k tau
+    w = R / nu
     step = max(1, _SUM_CELLS // (K + 1))
-    for i in range(0, nu.size, step):
-        mu += _powers(R / nu[i:i + step], K) @ _powers(tau[i:i + step], 1).T
-    coef = ell[:K + 1] * mu[:, 0]
-    coef[2] += 0.5 * mu[2, 1]
+    mu = sum(_powers(w[i:i + step], K).sum(axis=1) for i in range(0, nu.size, step))
+    coef = _window_series(d, N)[1][:K + 1] * mu
+    tau = (nu - beta) * (nu + beta) / (beta * beta)
+    coef[2] += 0.5 * (tau @ (w * w))
     with np.errstate(invalid="ignore", over="ignore"):  # an infinite z
         return far, _horner(coef[::-1], z / R)
 
@@ -730,8 +721,10 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     is far: the far field, the infinite rest of the lattice, is
     sum_{k<=K} l_k (z / lam)^k T_k with T_k = sum_far nu^-k, which the
     cached table _lattice_tail builds once per excluded set (window and
-    disk) with K and its tail bound.  A call adds one K/4-term Horner in
-    (z / (lam R))^4 to its near product, whatever the window.
+    disk) with K and its tail bound; wherever it builds, K <= 160, within
+    the l_k table (test_lattice_tail_degree_within_the_table).  A call adds
+    one K/4-term Horner in (z / (lam R))^4 to its near product, whatever
+    the window.
 
     A window node nu with denominator beta has the factor
     (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), tau = (nu / beta)^2 - 1.
@@ -741,14 +734,15 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     r = 1.  A window node is far where x = max|z| / |nu| <= rho; there the
     series terms it drops past K sum to at most x^(K+1) / (1 - x), as
     |l_k| = 1/k, and K >= 2 is the least degree whose bound, summed over
-    the far nodes, is at most _FAR_TOL.  Nodes whose bounds at the table's
-    top degree _WIN_K would sum past _FAR_TOL stay near, largest first.  A
-    far node is never hit (|w| < 1).  The moments are formed in chunks of
-    nodes of at most _SUM_CELLS powers, on every call.  Every other family
-    takes its whole window directly.
-    ConvergenceError where r is 0 (no radius meets the bound), where the
-    lattice far field needs a degree past _WIN_K, or where its table's
-    direct sums would be too long (max|z| / (lam r) above about 63).
+    the far nodes, is at most _FAR_TOL.  At K = _WIN_K that bound is below
+    _FAR_TOL for up to 1e12 far nodes (test_window_far_tail_within_the_table),
+    so K lies within the table.  A far node is never hit (|w| < 1).  On
+    every call, the moments R^k sum_far nu^-k are the row sums of power
+    tables of at most _SUM_CELLS cells, and the tau term is one sum.  Every
+    other family takes its whole window directly.
+    ConvergenceError where r is 0 (no radius meets the bound), or where
+    the lattice far field's direct sums would be too long
+    (max|z| / (lam r) above about 63).
     A nan or infinite z is left out of max|z| and gives nan.
     """
     d = desc.normalize()
@@ -760,9 +754,6 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     zmax = float(a[np.isfinite(a)].max(initial=0.0))
     R2 = int((zmax / (lam * _FAR_RATIO * r)) ** 2)
     tau = _lattice_tail(M, R2)
-    if 4 * tau.size > _WIN_K:
-        raise ConvergenceError(f"the lattice far field needs degree {4 * tau.size} of the "
-                               f"log E series, past the table's {_WIN_K}")
     g = np.arange(-math.isqrt(R2), math.isqrt(R2) + 1)
     mm, nn = np.repeat(g, g.size), np.tile(g, g.size)
     disk = (mm * mm + nn * nn <= R2) & (np.maximum(abs(mm), abs(nn)) > M)
