@@ -114,7 +114,6 @@ class FrameReport:
     B: float
     condition: float
     basis_dim: int
-    n_points: int
     stability: float
 
     def __post_init__(self):
@@ -189,7 +188,7 @@ def _check_degree(N: int) -> None:
         raise ValueError(f"frame bounds need a basis degree N >= 1, got N = {N}")
 
 
-def _eig_reports(S: np.ndarray, n_points: int, N: int) -> list[FrameReport]:
+def _eig_reports(S: np.ndarray, N: int) -> list[FrameReport]:
     """One report per Gram in the stack S: its extreme eigenvalues, and their
     relative change from its leading N x N block."""
     ev = np.linalg.eigvalsh(S)
@@ -201,7 +200,7 @@ def _eig_reports(S: np.ndarray, n_points: int, N: int) -> list[FrameReport]:
         As, Bs = max(float(es[0]), 0.0), max(float(es[-1]), 0.0)
         stability = max(abs(A - As) / max(A, tiny), abs(B - Bs) / max(B, tiny))
         condition = B / A if A > 0 else math.inf
-        reports.append(FrameReport(A, B, condition, N + 1, n_points, stability))
+        reports.append(FrameReport(A, B, condition, N + 1, stability))
     return reports
 
 
@@ -215,7 +214,7 @@ def frame_bounds(desc: PhiDescriptor, wk: WeightKernel, points, N: int) -> Frame
         V = sw[:, None] * _sample_matrix(desc, w, N, 0)
     if not np.isfinite(V).all():
         raise _not_finite(N)
-    return _eig_reports((V.conj().T @ V)[None], w.size, N)[0]
+    return _eig_reports((V.conj().T @ V)[None], N)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
         S *= d[:, :, None] * d[:, None, :]
     if not np.isfinite(S).all():
         raise _not_finite(N)
-    return _eig_reports(S, (2 * M + 1) ** 2, N)
+    return _eig_reports(S, N)
 
 
 # ---------------------------------------------------------------------------

@@ -100,15 +100,16 @@ def test_frame_bounds_quadrature_identity():
     z = np.sqrt(np.repeat(x, nang)) * np.exp(1j * np.tile(th, x.size))
     wt = np.repeat(w * np.exp(x) * math.pi / nang, nang)
     V = np.sqrt(wt * WK.weight(np.abs(z) ** 2))[:, None] * _sample_matrix(EXPN, z, 10, 0)
-    rep = _eig_reports((V.conj().T @ V)[None], z.size, 10)[0]
+    rep = _eig_reports((V.conj().T @ V)[None], 10)[0]
     assert abs(rep.A - math.pi) <= 1e-8
     assert abs(rep.B - math.pi) <= 1e-8
     assert rep.condition == pytest.approx(1.0, abs=1e-8)
 
 
 def test_frame_bounds_lattice_regression():
-    rep = frame_bounds(EXPN, WK, LatticeSpec(1.2, 10).points(), 8)
-    assert rep.n_points == 441 and rep.basis_dim == 9
+    pts = LatticeSpec(1.2, 10).points()
+    rep = frame_bounds(EXPN, WK, pts, 8)
+    assert pts.size == 441 and rep.basis_dim == 9
     assert abs(rep.A - 2.0526042317627047) <= 1e-9
     assert abs(rep.B - 2.3479780551704983) <= 1e-9
     assert rep.stability < 0.05
@@ -127,7 +128,7 @@ def test_frame_bounds_monotone_in_points():
 def test_frame_bounds_empty_and_guards():
     rep = frame_bounds(EXPN, WK, np.array([], dtype=complex), 6)
     assert (rep.A, rep.B, rep.condition) == (0.0, 0.0, math.inf)
-    assert rep.n_points == 0 and rep.basis_dim == 7
+    assert rep.basis_dim == 7
     with pytest.raises(UnverifiedWeightError,
                        match="^weight kernel not verified; run verified_weight first$"):
         frame_bounds(EXPN, registered_weight(PhiDescriptor.exponential()),
@@ -281,7 +282,7 @@ def test_frame_sweep_matches_the_row_path(family, window_n):
             ev = np.linalg.eigvalsh(V.conj().T @ V)
             A, B = max(ev[0], 0.0), ev[-1]
         tol = 16 * np.finfo(float).eps * B * (N + 1)
-        assert rep.n_points == w.size and rep.basis_dim == N + 1
+        assert w.size == (2 * M + 1) ** 2 and rep.basis_dim == N + 1
         assert abs(rep.A - A) <= tol and abs(rep.B - B) <= tol
 
 
