@@ -1262,7 +1262,7 @@ def perfbench_window():
 def test_window_far_split():
     # a window node is far where |z / nu| <= rho over the grid; on the
     # perfbench op (max|z| = 3.89, EXP) that is the 536 nodes beyond
-    # |nu| = 5.19, and no tail pushes one back
+    # |nu| = 5.19
     gam, grid = perfbench_window()
     nodes, base = gam.nonzero()
     zmax = float(np.abs(grid).max())
