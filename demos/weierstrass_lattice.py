@@ -12,7 +12,7 @@ import numpy as np
 
 from glfock.core import PhiDescriptor
 from glfock.fock import verified_weight
-from glfock.weierstrass import (LatticeSpec, PerturbedLattice, g_fn, omega,
+from glfock.weierstrass import (LatticeSpec, PerturbedLattice, log_g_fn, omega,
                                 omega_bound, psi_pair, radius_bounds, sigma_fn,
                                 two_sided_diag, weierstrass_factor,
                                 winding_zero_count)
@@ -63,9 +63,10 @@ def perturbed_demo():
     lat = LatticeSpec(1.0, 10)
     gam = PerturbedLattice.perturb(lat, Q=0.1, seed=42)
     print(f"perturbed lattice: Q=0.1, separation ratio q={gam.q:.4f}")
+    # g = exp(log g); its log is -inf at a node, where exp gives 0
     for z in (0.5, 1.3 + 0.7j):
-        print(f"  g({z}) = {g_fn(desc, z, gam, N=60):.8f}")
-    print("  g at a perturbed node:", g_fn(desc, gam.point(1, 1), gam))
+        print(f"  g({z}) = {complex(np.exp(log_g_fn(desc, z, gam, N=60)[0])):.8f}")
+    print("  g at a perturbed node:", complex(np.exp(log_g_fn(desc, gam.point(1, 1), gam)[0])))
 
     wk = verified_weight(PhiDescriptor.exponential())
     xs = np.linspace(-1.5, 1.5, 10) + 0.17

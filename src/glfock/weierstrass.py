@@ -25,12 +25,12 @@ of log E(w) = log(1 - w) + w + w^2/2 + log R, and the radius r of a disk
 where one bound on |R - 1| is at most 1/2 (see _log_product for the tail
 bound, and why no series reads past _WIN_K).  The infinite rest of the
 lattice is sum l_k T_k z^k with T_k = sum nu^-k over the far Gaussian
-integers, one cached table per near set (_lattice_tail), so the window
-size LatticeSpec.trunc_M does not enter sigma.  R is not omega()'s
-Omega = (E - 1) / z^3, which slices E_N's Maclaurin coefficients from
-_e_table, cached per (family, N): (1 - w) times the far field's Phi_N
-(_phi_table).  So does omega_bound, whose head is |e_3| + |e_4| + |e_5|
-of E_2.
+integers.  _lattice_tail decides, once per (window, disk), the excluded
+set E, the near nodes outside the window and the far radius, and caches
+them with the T_k table, so the window size LatticeSpec.trunc_M does not
+enter sigma.  R is not omega()'s Omega = (E - 1) / z^3, which slices E_N's
+Maclaurin coefficients from _phi_table: (1 - w) times the far field's
+Phi_N.  So does omega_bound, whose head is |e_3| + |e_4| + |e_5| of E_2.
 
 A window node nu with quadratic denominator beta has the factor
 E(z / nu; tau), tau = (nu / beta)^2 - 1.  EXP (phi = e^u, psi = (1, 1/2))
@@ -71,7 +71,6 @@ __all__ = [
     "omega_bound",
     "radius_bounds",
     "sigma_fn",
-    "g_fn",
     "log_g_fn",
     "sigma_lower_diag",
     "two_sided_diag",
@@ -158,16 +157,6 @@ def _phi_table(d: PhiDescriptor, N: int) -> tuple[np.ndarray, np.ndarray]:
     return phi, e
 
 
-@lru_cache(maxsize=64)
-def _e_table(d: PhiDescriptor, N: int) -> np.ndarray:
-    """Maclaurin coefficients e_0..e_(2N+1) of E_N(w) = (1 - w) Phi_N(w),
-    phi cut after N terms; read-only, built once per (d, N), d normalized.
-    OverflowError where one is not a double."""
-    out = _phi_table(d, N)[1]
-    out.setflags(write=False)
-    return out
-
-
 def weierstrass_factor(desc: PhiDescriptor, z, N: int = 80):
     """E(z) = (1 - z) phi(psi1 z + psi2 z^2), truncating phi at N terms."""
     d, ps = _factor(desc)
@@ -180,9 +169,10 @@ def omega(desc: PhiDescriptor, z, N: int = 80):
     """Third-order remainder Omega(z) = (E(z) - 1) / z^3.
 
     Near the origin (|z| < 1e-3) the direct quotient loses all significance,
-    so the degree-14 Maclaurin branch of E - 1 shifted by three slots is used
-    instead; the same branch is the fallback when catastrophic cancellation
-    (|E - 1| < 1e-12) is detected farther out.
+    so the degree-14 Maclaurin branch of E - 1 shifted by three slots (E_17's
+    e_3..e_17, from _phi_table) is used instead; the same branch is the
+    fallback when catastrophic cancellation (|E - 1| < 1e-12) is detected
+    farther out.
     """
     d = _factor(desc)[0]
     zf = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -198,7 +188,7 @@ def omega(desc: PhiDescriptor, z, N: int = 80):
         out[far] = (E - 1.0) / zz**3
         series[far] = cancel
     if np.any(series):
-        out[series] = _horner(_e_table(d, 17)[17:2:-1], zf[series])
+        out[series] = _horner(_phi_table(d, 17)[1][17:2:-1], zf[series])
     return complex(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -206,7 +196,7 @@ def omega_bound(desc: PhiDescriptor) -> float:
     """Disk bound sup_{|z|<=1} |Omega| <= |e3| + |e4| + |e5| + 2 sum_{n>=3} |phi_n| R^n,
     R = |psi1| + |psi2|.
 
-    The head is |e3| + |e4| + |e5| of E_2 (_e_table(d, 2)), the part that
+    The head is |e3| + |e4| + |e5| of E_2 (_phi_table(d, 2)), the part that
     phi_1, phi_2 contribute; the tail uses |1 - z| <= 2 and stops at the
     first term below 1e-16 of the running sum.  Returns +inf when the tail
     fails to decay within 20000 terms (a radius-1 family, whose tail does
@@ -219,7 +209,7 @@ def omega_bound(desc: PhiDescriptor) -> float:
     R = abs(ps.psi1) + abs(ps.psi2)
     if not d.entire and R > 1.0:
         raise DivergenceError("psi radius exceeds the family's convergence radius")
-    head = float(np.abs(_e_table(d, 2)[3:]).sum())
+    head = float(np.abs(_phi_table(d, 2)[1][3:]).sum())
     logR = math.log(R) if R > 0 else -math.inf
     tail = 0.0
     prev = math.inf
@@ -490,12 +480,15 @@ def _octant(lo2: int, hi2: int, M: int, cells: int):
 
 
 @lru_cache(maxsize=64)
-def _lattice_tail(M: int, R2: int) -> np.ndarray:
-    """tau_k = R^k T_k for k = 4, 8, ..., K, where T_k = sum nu^-k over the
-    far set F, the Gaussian integers outside E = {max(|m|, |n|) <= M} u
-    {m^2 + n^2 <= R2}, and R = max(sqrt(R2 + 1), M + 1) <= |nu| on F;
-    read-only, built once per (M, R2).  E is i-symmetric, so T_k = 0 unless
-    4 | k, and conjugation symmetric, so T_k is real.
+def _lattice_tail(M: int, R2: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(R, tau, near) for sigma's excluded set E = {max(|m|, |n|) <= M} u
+    {m^2 + n^2 <= R2} of Gaussian integers, the one place that decides E;
+    read-only, built once per (M, R2).  near: the nodes of E outside the
+    window, m-major, which _log_product takes directly (times lam).
+    R = max(sqrt(R2 + 1), M + 1) <= |nu| on the far set F, the Gaussian
+    integers outside E; tau_k = R^k T_k for k = 4, 8, ..., K, where
+    T_k = sum nu^-k over F.  E is i-symmetric, so T_k = 0 unless 4 | k, and
+    conjugation symmetric, so T_k is real.
 
     _log_product takes R2 = floor((max|z| / (lam rho r))^2), r the tau = 0
     radius of _window_series, so t = rho sqrt(R2 + 1) > max|z| / (lam r) and the
@@ -506,11 +499,14 @@ def _lattice_tail(M: int, R2: int) -> np.ndarray:
     (1 + c (2k - 1)(k - 2) / ((k - 1) R)), c = sqrt(2) / 2.
       - K is the least multiple of 4 whose dropped tail, at most
         (1 + log 2) t^(K+4) A_(K+4)(R) / (1 - x^4), is below _FAR_TOL.
-      - T_4 and T_8 are the literal G_k less the sums over the rings
-        max(|m|, |n|) <= 2 (_G_OUTSIDE_RING2), plus the ring nodes outside
-        E, less the nodes of E beyond the rings, in one math.fsum, so their
-        rounding is that of the terms (about eps |nu|^-k each) and not that
-        of G_4 ~ 3.15, which (|z| / lam)^4 would multiply.
+      - One m-major grid max(|m|, |n|) <= L holds E and the rings
+        max(|m|, |n|) <= 2.  T_4 and T_8 are the literal G_k less the sums
+        over the rings (_G_OUTSIDE_RING2), plus the ring nodes outside E,
+        less the nodes of E beyond the rings, in one math.fsum over the
+        grid's quadrant m >= 1, n >= 0 with weight 4 (a node's rotations
+        share nu^4), so their rounding is that of the terms (about
+        eps |nu|^-k each) and not that of G_4 ~ 3.15, which (|z| / lam)^4
+        would multiply.
       - T_k for k >= 12 are direct sums over the nodes of F with
         |nu| <= R_k, where (1 + log 2) t^k A_k(R_k) < _TAIL_TOL, over one
         octant (_octant) in chunks of whole rows; a chunk takes the running
@@ -543,14 +539,16 @@ def _lattice_tail(M: int, R2: int) -> np.ndarray:
     if math.pi / 8 * hi2[:1].sum() > _SUM_NODES:
         raise ConvergenceError(f"the lattice far field at max|z| / (lam r) ~ {t:.4g} "
                                f"needs direct sums over {math.pi / 8 * hi2[0]:.3g} nodes")
-    tau = np.zeros(K // 4)
-    # T_4, T_8: the quadrant m >= 1, n >= 0 within max(m, n) <= L holds E and the rings
     L = max(M, math.isqrt(R2), 2)
-    g = np.arange(L + 1, dtype=np.int64)
-    mm, nn = np.repeat(g[1:], L + 1), np.tile(g, L)
-    excl = (mm * mm + nn * nn <= R2) | (np.maximum(mm, nn) <= M)
-    sign = (np.maximum(mm, nn) <= 2).astype(float) - excl
-    w = 1.0 / ((mm + 1j * nn) ** 2) ** 2
+    mm, nn = np.ogrid[-L:L + 1, -L:L + 1]  # rows m, columns n
+    box, nu = np.maximum(abs(mm), abs(nn)), mm + 1j * nn
+    excl = (mm * mm + nn * nn <= R2) | (box <= M)
+    near = nu[excl & (box > M)]
+    near.setflags(write=False)
+    # T_4, T_8 over the quadrant m >= 1, n >= 0
+    sign = ((box <= 2).astype(float) - excl)[L + 1:, L:].ravel()
+    w = 1.0 / (nu[L + 1:, L:].ravel() ** 2) ** 2
+    tau = np.zeros(K // 4)
     for j, (G, p) in enumerate(zip(_G_OUTSIDE_RING2, (w, w * w))):
         if j < tau.size:
             tau[j] = math.fsum([G, *(4.0 * sign * p.real)[sign != 0].tolist()]) * R ** (4 * j + 4)
@@ -569,7 +567,7 @@ def _lattice_tail(M: int, R2: int) -> np.ndarray:
             P = np.cumprod(np.broadcast_to(w, (J + 2, w.size)), axis=0)[2:]
             tau[2:J + 2] += np.where(r2 <= hi2[:J, None], P.real, 0.0) @ weight
     tau.setflags(write=False)
-    return tau
+    return R, tau, near
 
 
 def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
@@ -717,14 +715,14 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     for every k.
 
     The nodes outside the window with |node| <= max|z| / (rho r) are near
-    too, and taken directly, rho = _FAR_RATIO.  Every other node nu there
-    is far: the far field, the infinite rest of the lattice, is
-    sum_{k<=K} l_k (z / lam)^k T_k with T_k = sum_far nu^-k, which the
-    cached table _lattice_tail builds once per excluded set (window and
-    disk) with K and its tail bound; wherever it builds, K <= 160, within
-    the l_k table (test_lattice_tail_degree_within_the_table).  A call adds
-    one K/4-term Horner in (z / (lam R))^4 to its near product, whatever
-    the window.
+    too, rho = _FAR_RATIO: _lattice_tail lists them and sets the far radius
+    R, so it alone decides the excluded set (window and disk).  Every other
+    node nu is far: the far field, the infinite rest of the lattice, is
+    sum_{k<=K} l_k (z / lam)^k T_k with T_k = sum_far nu^-k, cached with
+    them once per excluded set with K and its tail bound; wherever it
+    builds, K <= 160, within the l_k table
+    (test_lattice_tail_degree_within_the_table).  A call adds one K/4-term
+    Horner in (z / (lam R))^4 to its near product, whatever the window.
 
     A window node nu with denominator beta has the factor
     (1 - w) phi_N(psi1 w + psi2 (1 + tau) w^2), tau = (nu / beta)^2 - 1.
@@ -753,11 +751,8 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
     a = np.abs(z)
     zmax = float(a[np.isfinite(a)].max(initial=0.0))
     R2 = int((zmax / (lam * _FAR_RATIO * r)) ** 2)
-    tau = _lattice_tail(M, R2)
-    g = np.arange(-math.isqrt(R2), math.isqrt(R2) + 1)
-    mm, nn = np.repeat(g, g.size), np.tile(g, g.size)
-    disk = (mm * mm + nn * nn <= R2) & (np.maximum(abs(mm), abs(nn)) > M)
-    extra = lam * (mm[disk] + 1j * nn[disk])
+    R, tau, near = _lattice_tail(M, R2)
+    extra = lam * near
     far, logs = _window_far(d, z, zmax, nodes, dens, N)
     out = _near_logs(d, z, np.concatenate([nodes[~far], extra]),
                      np.concatenate([dens[~far], extra]), N)
@@ -765,21 +760,8 @@ def _log_product(desc: PhiDescriptor, z: np.ndarray, lam: float, M: int,
         out += logs
     coef = ell[4:4 * tau.size + 1:4] * tau
     with np.errstate(invalid="ignore"):  # an infinite z
-        t = (z / (lam * max(math.sqrt(R2 + 1), M + 1.0))) ** 4
+        t = (z / (lam * R)) ** 4
         return out + _horner(np.append(coef[::-1], 0.0), t)
-
-
-def _exp_logs(z, logs, factor=1.0):
-    """factor * exp(logs), 0 where logs is -inf (z on a node); complex for scalar z.
-    Where that product is not finite but logs is, exp(logs + log(factor)):
-    an overflow multiplied out would leave inf - inf = nan in a part."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val = factor * np.exp(logs)
-        redo = np.isfinite(logs) & ~np.isfinite(val)
-        if redo.any():
-            val[redo] = np.exp(logs + np.log(factor))[redo]
-        val = np.where(logs.real == -np.inf, 0.0, val)
-    return complex(val[0]) if np.ndim(z) == 0 else val
 
 
 def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TERMS):
@@ -799,7 +781,14 @@ def sigma_fn(desc: PhiDescriptor, z, lat: LatticeSpec, N: int = _PHI_PRODUCT_TER
     """
     zf = np.atleast_1d(np.asarray(z, dtype=complex))
     none = np.zeros(0, dtype=complex)
-    return _exp_logs(z, _log_product(desc, zf, lat.lam, 0, none, none, N), zf)
+    logs = _log_product(desc, zf, lat.lam, 0, none, none, N)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        val = zf * np.exp(logs)
+        redo = np.isfinite(logs) & ~np.isfinite(val)  # overflow: a part may be inf - inf = nan
+        if redo.any():
+            val[redo] = np.exp(logs + np.log(zf))[redo]
+        val = np.where(logs.real == -np.inf, 0.0, val)  # z on a node
+    return complex(val[0]) if np.ndim(z) == 0 else val
 
 
 def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
@@ -820,11 +809,6 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
     logs = _log_product(desc, z, gamma.lat.lam, gamma.lat.trunc_M, nodes, base, N)
     with np.errstate(divide="ignore"):
         return logs + np.log(z - gamma.z00)
-
-
-def g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice, N: int = _PHI_PRODUCT_TERMS):
-    """Interpolation-type product vanishing exactly on the perturbed nodes."""
-    return _exp_logs(z, log_g_fn(desc, z, gamma, N))
 
 
 # ---------------------------------------------------------------------------

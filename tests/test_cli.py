@@ -167,15 +167,27 @@ def test_check_weierstrass_fails_on_violation(capsys, tmp_path, monkeypatch, phi
     assert rc == 1 and err.startswith("FAILED: E_inequality_grid")
 
 
-def test_weierstrass_table_builds_one_window_table(capsys):
+def test_weierstrass_table_builds_one_window_table(capsys, monkeypatch, tmp_path):
     # the far radius and the far series of a cold run read one window
-    # table, and no E table
+    # table; EXP's closed form builds no Phi/E table, ML(2, 1)'s one, for
+    # the window table
     from glfock import weierstrass
-    for cached in (weierstrass._e_table, weierstrass._window_series):
-        cached.cache_clear()
-    rc, _, _ = run_cli(capsys, ["weierstrass-table"])
-    assert rc == 0 and weierstrass._window_series.cache_info().misses == 1
-    assert weierstrass._e_table.cache_info().misses == 0
+    callers, build = [], weierstrass._phi_table
+
+    def spy(d, N):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return build(d, N)
+
+    monkeypatch.setattr(weierstrass, "_phi_table", spy)
+    ml = write_cfg(tmp_path, {"phi": {"family": "mittag_leffler",
+                                      "params": {"rho": 2.0, "mu": 1.0}}})
+    for args, want in ((["weierstrass-table"], []),
+                       (["weierstrass-table", "--config", ml], ["_window_series"])):
+        weierstrass._window_series.cache_clear()
+        callers.clear()
+        rc, _, _ = run_cli(capsys, args)
+        assert rc == 0 and weierstrass._window_series.cache_info().misses == 1
+        assert callers == want
 
 
 def test_weierstrass_table_past_doubles_is_a_config_error(capsys, tmp_path):

@@ -127,8 +127,7 @@ NOT_REACHED_FROM_CLI = {
     "canonical_dual",         # perfbench's canonical_dual op; item 4's row (d)
     # weierstrass
     "PerturbedLattice",       # perfbench's two_sided op; items 14 and 17
-    "g_fn",                   # demos/weierstrass_lattice.py; item 2's lattice suite
-    "log_g_fn",               # perfbench's tracer (log_g_fn.ns_per_pair); item 2
+    "log_g_fn",               # demos/weierstrass_lattice.py, perfbench's tracer; item 2
     "two_sided_diag",         # perfbench's two_sided op; item 2's criterion 07 row
     "winding_zero_count",     # perfbench's winding op; item 2's criterion 06 row
 }
@@ -234,8 +233,8 @@ def test_defaulted_parameters_have_a_caller():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # each demo as a cold process: exit 0, output, and nothing on stderr (no
-    # warning, no traceback); weierstrass_lattice is the one caller of g_fn
-    # and two_sided_diag at N = 60
+    # warning, no traceback); weierstrass_lattice is the one caller of
+    # exp(log_g_fn) and two_sided_diag at N = 60
     r = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
                        text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300)
     assert (r.returncode, r.stderr) == (0, "")

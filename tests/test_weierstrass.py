@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -14,8 +15,8 @@ from glfock import weierstrass
 from glfock.core import PhiDescriptor, phi_coeffs, signs_logs
 from glfock.errors import ConvergenceError
 from glfock.fock import registered_weight, verified_weight
-from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _e_table, _window_series,
-                                g_fn, log_g_fn,
+from glfock.weierstrass import (LatticeSpec, PerturbedLattice, _phi_table, _window_series,
+                                log_g_fn,
                                 omega, omega_bound, psi_pair, radius_bounds, sigma_fn,
                                 sigma_lower_diag, two_sided_diag,
                                 weierstrass_factor, winding_zero_count)
@@ -75,10 +76,7 @@ def test_raw_descriptor_takes_the_normalized_factor(raw):
 
     norm = raw.normalize()
     z = np.array([0.3 + 0.2j, -0.5j, 1e-4 + 2e-4j])
-    _e_table.cache_clear()
     assert bits(omega(raw, z)) == bits(omega(norm, z))
-    # the series branch (|z| < 1e-3) reads one table for both forms
-    assert _e_table.cache_info().misses == 1
     for fn in (psi_pair, omega_bound, radius_bounds, lambda d: weierstrass_factor(d, z),
                lambda d: sigma_fn(d, z, LatticeSpec(1.0, 4))):
         assert bits(fn(raw)) == bits(fn(norm))
@@ -88,20 +86,20 @@ def test_e_table_exponential_oracle():
     # Maclaurin of (1-z) e^{z+z^2/2}, high-precision oracle
     want = [1.0, 0.0, 0.0, -1.0 / 3.0, -0.25, -0.2, -1.0 / 9.0,
             -0.05952380952380952, -0.027083333333333334]
-    got = _e_table(EXPN, 8)[:9]
+    got = _phi_table(EXPN, 8)[1][:9]
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_e_table_degree3_vanishing_all_families():
     for desc in FAMILIES:
-        c = _e_table(desc, 6)[:7]
+        c = _phi_table(desc, 6)[1][:7]
         assert abs(c[0] - 1.0) <= 1e-12
         assert abs(c[1]) <= 1e-12
         assert abs(c[2]) <= 1e-12
 
 
 def test_e_table_backward_shift_is_one():
-    c = _e_table(BSN, 6)[:7]
+    c = _phi_table(BSN, 6)[1][:7]
     assert np.max(np.abs(c - np.array([1, 0, 0, 0, 0, 0, 0.0]))) <= 1e-15
 
 
@@ -490,31 +488,24 @@ def test_exp_sigma_against_theta_property(reach, t, theta):
     assert abs(got - want) <= theta_rounding(z, lam)[0]
 
 
-def test_exp_sigma_and_g_past_double_range():
-    # log sigma at 27.3 + 0.4i is about 1,170, log g of Dunkl(100) at N = 6
-    # about 1,798: exp of either overflows, and the value takes the signs
-    # of cos and sin of its argument, with no nan part and no warning
+def test_exp_sigma_past_double_range():
+    # log sigma at 27.3 + 0.4i is about 1,170: exp of it overflows, and the
+    # value takes the signs of cos and sin of its argument, with no nan part
+    # and no warning; a finite value keeps its bits, z exp(log sigma / z),
+    # and the origin and a node (i) give 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = 27.3 + 0.4j
-        lat = LatticeSpec(1.0, 4)
-        logs = weierstrass._log_product(EXPN, np.array([z]), 1.0, 0, np.zeros(0, complex),
-                                        np.zeros(0, complex), 80)[0] + np.log(z)
-        zero, got = sigma_fn(EXPN, np.array([0.0, z]), lat)
-        assert logs.real > 1000 and zero == 0.0
-        assert (got.real, got.imag) == (math.copysign(math.inf, math.cos(logs.imag)),
-                                        math.copysign(math.inf, math.sin(logs.imag)))
-        gam = PerturbedLattice.perturb(lat, 0.1, seed=1)
-        desc, N = TABLE_EDGES["Dunkl(100)"][:2]
-        logg = log_g_fn(desc, 0.3 + 0.2j, gam, N)[0]
-        got = g_fn(desc, 0.3 + 0.2j, gam, N)
-        assert logg.real > 1000 and (got.real, got.imag) == (-math.inf, math.inf)
-        assert math.cos(logg.imag) < 0 < math.sin(logg.imag)
-        # a finite value keeps its bits: factor times exp(logs)
-        logs = np.array([1.5 - 0.25j, 800.0 + 1.0j])
-        factor = np.array([0.5 + 2.0j, 3.0 - 1.0j])
-        got = weierstrass._exp_logs(logs, logs, factor)
-        assert got[0] == factor[0] * np.exp(logs[0]) and np.isinf(got[1].real)
+        z = np.array([0.0, 1j, 0.3 + 0.2j, 27.3 + 0.4j])
+        none = np.zeros(0, complex)
+        logs = weierstrass._log_product(EXPN, z, 1.0, 0, none, none, 80)
+        got = sigma_fn(EXPN, z, LatticeSpec(1.0, 4))
+        assert logs[1].real == -math.inf and (got[0], got[1]) == (0.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert got[2] == (z * np.exp(logs))[2]
+        arg = (logs[3] + np.log(z[3])).imag
+        assert logs[3].real > 1000
+        assert (got[3].real, got[3].imag) == (math.copysign(math.inf, math.cos(arg)),
+                                              math.copysign(math.inf, math.sin(arg)))
 
 
 def test_sigma_ring_diagnostic():
@@ -542,27 +533,32 @@ def test_sigma_scale_family_reads_one_phi_or_raises():
         weierstrass_factor(PhiDescriptor.stretched_gamma(1e30, 1.0, normalized=True), 2j)
 
 
-def test_g_fn_equals_sigma_unperturbed():
+def test_log_g_equals_log_sigma_unperturbed():
+    # Im log g is a sum of principal arguments, defined only mod 2 pi
     lat = LatticeSpec(1.0, 6)
     gam = PerturbedLattice(lat)
     zz = np.array([0.3 + 0.4j, -0.7 + 0.1j, 1.4 - 0.6j])
     sig = sigma_fn(EXPN, zz, lat)
-    gv = g_fn(EXPN, zz, gam)
-    assert np.max(np.abs(gv - sig)) <= 1e-12 * np.max(np.abs(sig))
+    lg = log_g_fn(EXPN, zz, gam)
+    tol = 1e-12 * np.max(np.abs(sig)) / np.abs(sig)
+    assert np.all(np.abs(lg.real - np.log(np.abs(sig))) <= tol)
+    assert np.all(np.abs(np.angle(np.exp(1j * (lg.imag - np.angle(sig))))) <= tol)
 
 
-def test_g_fn_vanishes_on_nodes_and_pin():
+def test_log_g_vanishes_on_nodes_and_pin():
     gam = PerturbedLattice.perturb(LatticeSpec(1.0, 8), 0.1, seed=42)
-    assert g_fn(EXPN, gam.z00, gam) == 0.0
-    assert g_fn(EXPN, gam.point(2, 3), gam) == 0.0
-    got = g_fn(EXPN, 0.5, gam, N=60)
-    assert abs(got - (0.45117993655917377 + 0.06164765891848814j)) <= 1e-9
+    assert log_g_fn(EXPN, gam.z00, gam)[0].real == -math.inf
+    assert log_g_fn(EXPN, gam.point(2, 3), gam)[0].real == -math.inf
+    got = log_g_fn(EXPN, 0.5, gam, N=60)[0]
+    pin = np.log(0.45117993655917377 + 0.06164765891848814j)
+    assert abs(got.real - pin.real) <= 1e-9 / abs(np.exp(pin))
+    assert abs(np.angle(np.exp(1j * (got.imag - pin.imag)))) <= 1e-9 / abs(np.exp(pin))
     # the window's (node, denominator) pairs at 30 digits, and the rest of
     # the lattice through its 50-digit tail
     nodes, base = gam.nonzero()
     want = (log_abs_pair_product("exponential", {}, 0.5, zip(nodes, base), N=60)
             + math.log(abs(0.5 - gam.z00)) + far_log_tail("exponential", {}, 0.5, 8, N=60).real)
-    assert abs(math.log(abs(got)) - want) <= 1e-14
+    assert abs(got.real - want) <= 1e-14
 
 
 def test_log_g_fn_node_is_neg_inf():
@@ -625,22 +621,36 @@ def test_log_e_coefficients_to_degree_170(name):
     assert np.max(np.abs(got - want) * r ** np.arange(171)) / math.log(2.0) <= 1e-15
 
 
-def test_sigma_reads_one_cached_table():
+def phi_table_callers(monkeypatch):
+    """The name of the function behind each _phi_table build from now on."""
+    callers, build = [], weierstrass._phi_table
+
+    def spy(d, N):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return build(d, N)
+
+    monkeypatch.setattr(weierstrass, "_phi_table", spy)
+    return callers
+
+
+def test_sigma_reads_one_cached_table(monkeypatch):
     ell = _window_series(ML21N, 80)[1]
-    assert not ell.flags.writeable and not _e_table(ML21N, 80).flags.writeable
+    assert not ell.flags.writeable
     assert np.array_equal(ell, _window_series.__wrapped__(ML21N, 80)[1])
     # the far radius and every far-series degree K of three windows read
-    # one window table, and no E table
+    # one window table per family; EXP's closed form builds no Phi/E
+    # table, ML(2, 1)'s recurrence one
     _window_series.cache_clear()
-    _e_table.cache_clear()
+    callers = phi_table_callers(monkeypatch)
     z = np.array([0.3 + 0.2j, 1.5 + 1.1j, -1.9 + 0.3j])
-    values = [sigma_fn(EXPN, z, LatticeSpec(1.0, M)) for M in (2, 12, 24)]
-    assert _window_series.cache_info().misses == 1
+    runs = [(desc, M) for desc in (EXPN, ML21N) for M in (2, 12, 24)]
+    values = [sigma_fn(desc, z, LatticeSpec(1.0, M)) for desc, M in runs]
+    assert _window_series.cache_info().misses == 2
     # a second pass reads the cached far-field coefficients
-    assert all(np.array_equal(sigma_fn(EXPN, z, LatticeSpec(1.0, M)), v)
-               for M, v in zip((2, 12, 24), values))
-    assert _window_series.cache_info().misses == 1
-    assert _e_table.cache_info().misses == 0
+    assert all(np.array_equal(sigma_fn(desc, z, LatticeSpec(1.0, M)), v)
+               for (desc, M), v in zip(runs, values))
+    assert _window_series.cache_info().misses == 2
+    assert callers == ["_window_series"]
 
 
 def test_sigma_far_series_only():
@@ -728,10 +738,10 @@ def test_lattice_tail_degree_within_the_table(monkeypatch, M):
 
         top = weierstrass._least(refuses, 0, 1 << 20) - 1
         assert refuses(top + 1) and not refuses(top)
-        degree = 4 * build(M, top).size
+        degree = 4 * build(M, top)[1].size
     assert degree <= weierstrass._WIN_K
     if M == 0:  # the one real build, about 1.5 s (R2 = 7160)
-        assert 4 * weierstrass._lattice_tail(M, top).size == degree
+        assert 4 * weierstrass._lattice_tail(M, top)[1].size == degree
 
 
 def test_window_far_tail_within_the_table():
@@ -754,6 +764,24 @@ def test_ring2_constants_from_the_recurrence():
             assert abs(lit - want) <= math.ulp(want), k
 
 
+@pytest.mark.parametrize("R2", [0, 3, 14, 50, 200])
+@pytest.mark.parametrize("M", [0, 4, 12])
+def test_lattice_tail_partitions_the_lattice(M, R2):
+    # the near nodes are the disk m^2 + n^2 <= R2 less the window
+    # max(|m|, |n|) <= M, each once, m-major, and the far radius R is the
+    # least |nu| the excluded set E = window u disk can leave to the far set
+    R, _, near = weierstrass._lattice_tail(M, R2)
+    assert not near.flags.writeable and near.dtype == complex
+    m, n = near.real, near.imag
+    assert np.array_equal(m, np.round(m)) and np.array_equal(n, np.round(n))
+    assert np.all((m * m + n * n <= R2) & (np.maximum(abs(m), abs(n)) > M))
+    L = math.isqrt(R2)
+    want = [complex(a, b) for a in range(-L, L + 1) for b in range(-L, L + 1)
+            if a * a + b * b <= R2 and max(abs(a), abs(b)) > M]
+    assert near.tolist() == want and len(set(want)) == len(want) and 0j not in want
+    assert R == max(math.sqrt(R2 + 1), M + 1)
+
+
 @pytest.mark.parametrize("M, R2", [(0, 11), (12, 26)], ids=["disk", "window"])
 def test_lattice_tail_against_mpmath(M, R2):
     # the disk of the EXP winding contour at |z| = 2.5, and the M = 12
@@ -763,10 +791,10 @@ def test_lattice_tail_against_mpmath(M, R2):
     # subtraction, about eps (s / 3)^k for the nearest excluded nodes past
     # the rings, plus the direct sums' dropped tail, below 1e-18
     import mpmath as mp
-    tau = weierstrass._lattice_tail(M, R2)
+    R, tau, _ = weierstrass._lattice_tail(M, R2)
     assert not tau.flags.writeable
     K = 4 * tau.size
-    R, s = max(math.sqrt(R2 + 1), M + 1), weierstrass._FAR_RATIO * math.sqrt(R2 + 1)
+    s = weierstrass._FAR_RATIO * math.sqrt(R2 + 1)
     dps = 50 + math.ceil(K * math.log10(R))
     with mp.workdps(dps):
         want = np.array([float(t * mp.mpf(R) ** k)
@@ -788,7 +816,7 @@ def test_sigma_split_against_mpmath_product(name):
     zs = np.array([1.3 - 0.4j, -1.5 + 2.0j])
     want = np.array([sigma_lattice(family, params, z, 24) for z in zs])
     err = np.abs(sigma_fn(desc, zs, lat) - want) / np.abs(want)
-    direct_err = np.abs(g_fn(desc, zs, PerturbedLattice(lat)) - want) / np.abs(want)
+    direct_err = np.abs(np.exp(log_g_fn(desc, zs, PerturbedLattice(lat))) - want) / np.abs(want)
     assert np.all(err <= 1e-12 + direct_err)
     if name != "ML(2,1)":
         assert np.all(err <= 1e-12)
@@ -807,7 +835,7 @@ def test_sigma_split_property(name, M, x, y):
     assume(abs(z) >= 0.05 and lat.dist(z) >= 1e-3)
     desc, family, params = ORACLE_FAMILIES[name]
     want = sigma_lattice(family, params, z, M)
-    direct = g_fn(desc, z, PerturbedLattice(lat))
+    direct = np.exp(log_g_fn(desc, z, PerturbedLattice(lat))[0])
     assert abs(sigma_fn(desc, z, lat) - want) <= 1e-12 * abs(want) + abs(direct - want)
 
 
@@ -1019,7 +1047,7 @@ def test_outer_band_starts_horner_lower(monkeypatch):
     sigma_fn(ML11N, 2.5 * np.exp(2j * np.pi * np.arange(16) / 16), lat)
     *near, far = degrees
     band = weierstrass._BAND_GROUPS * weierstrass._LOG_GROUP
-    assert far == weierstrass._lattice_tail(0, 11).size == 37
+    assert far == weierstrass._lattice_tail(0, 11)[1].size == 37
     assert len(near) == -(-sigma_near_nodes(ML11N, lat, 2.5).size // band)
     assert near[-1] < near[0]
 
@@ -1085,7 +1113,7 @@ def test_e_table_against_mpmath(name, N):
     # log|phi_80| and the 80 roundings of psi2 in psi2^80 meet
     desc, family, params = FACTOR_ORACLES[name]
     want, scale = map(np.array, factor_series(family, params, N))
-    got = _e_table(desc, N)
+    got = _phi_table(desc, N)[1]
     assert got.size == want.size == 2 * N + 2
     assert np.all(np.abs(got - want) <= 1000 * np.finfo(float).eps * scale)
 
