@@ -48,9 +48,6 @@ class HermiteCoeffs(_CoeffVector):
         out = self.coeffs @ tab
         return out if np.ndim(x) else complex(out[0])
 
-    def __repr__(self):
-        return f"HermiteCoeffs(n<={self.degree_cap})"
-
 
 def sqrt_phi(desc: PhiDescriptor, nmax: int) -> np.ndarray:
     """s_n = principal sqrt(phi_n) for n = 0..nmax (imaginary where phi_n < 0)."""

@@ -287,12 +287,6 @@ class TruncatedSeries(_CoeffVector):
             return self
         return TruncatedSeries(np.concatenate([self.coeffs, np.zeros(n - self.degree_cap, complex)]))
 
-    def __eq__(self, other):
-        return isinstance(other, TruncatedSeries) and np.array_equal(self.coeffs, other.coeffs)
-
-    def __repr__(self):
-        return f"TruncatedSeries(deg<={self.degree_cap}, coeffs={np.array2string(self.coeffs, precision=4)})"
-
 
 def gl_derivative(desc: PhiDescriptor, f: TruncatedSeries) -> TruncatedSeries:
     """One application of the family derivative: (Df)_{k-1} = f_k phi_{k-1}/phi_k."""
