@@ -336,6 +336,29 @@ def test_frame_sweep_lower_bound_decays_past_critical():
     assert a14 < 1e-2 * a8
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 24: no rule ties --lattice-m to basis_N")
+def test_frames_sweep_flags_a_window_short_of_the_basis(capsys, tmp_path):
+    # at N = 160 the EXP basis peaks at radius sqrt(N) ~ 12.6, past the
+    # window radius sqrt(pi s) M ~ 9.7 of M = 10 at s = 0.3: the lowest
+    # eigenvalue measures the window (A = 5.66e-5), not the frame (3.287),
+    # so the row must not read ok (an exit with a named error would do)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"truncation": {"basis_N": 160}}))
+    rc = main(["frames-sweep", "--config", str(cfg), "--lattice-m", "10",
+               "--s-min", "0.3", "--s-max", "0.3", "--steps", "1"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rc != 0 or rows[0].split(",")[-1] != "ok"
+
+
+def test_frame_sweep_window_covers_the_basis_at_m14():
+    # the resolved side of item 24's rule: at N = 160, s = 0.3 the window
+    # M = 14 holds A within 1e-6 of the wider M = 20 (3.2872192 against
+    # 3.2872198, which M = 24 repeats)
+    near, wide = (frame_sweep(EXPN, WK, 0, [0.3], 160, M)[0].A for M in (14, 20))
+    assert abs(near - wide) <= 1e-6 and abs(wide - 3.2872198) <= 1e-6
+
+
 # lattice sizes s and half-widths M that no lattice has: a ValueError, not
 # an all-nan result, a LinAlgError or an empty report
 BAD_LATTICES = [(math.nan, 4), (math.inf, 4), (0.0, 4), (-1.0, 4), (1.0, -1)]
