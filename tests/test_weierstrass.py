@@ -491,7 +491,7 @@ def test_exp_sigma_against_theta_property(reach, t, theta):
 def test_exp_sigma_past_double_range():
     # log sigma at 27.3 + 0.4i is about 1,170: exp of it overflows, and the
     # value takes the signs of cos and sin of its argument, with no nan part
-    # and no warning; a finite value keeps its bits, z exp(log sigma / z),
+    # and no warning; a finite value keeps its bits, z exp(log(sigma / z)),
     # and the origin and a node (i) give 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
