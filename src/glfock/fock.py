@@ -308,6 +308,9 @@ def reproduce(desc: PhiDescriptor, wk: WeightKernel, f: TruncatedSeries, z: comp
 
     For the radius-1 family, DivergenceError where |z|^2 x >= 1 at a node of
     the rule's first two levels: the kernel series diverges there.
+
+    z^k is a scalar running product: special._power_rows' bits at about
+    half its cost per call.
     """
     z = complex(z)
     _require_verified(wk)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import PhiDescriptor, phi_coeffs, signs_logs
 from .errors import UnverifiedWeightError
+from .special import _power_rows, _square_window
 if TYPE_CHECKING:  # annotations only, so importing this module loads no fock
     from .fock import WeightKernel
 
@@ -121,28 +122,11 @@ class FrameReport:
             raise ValueError("frame report with A > B")
 
 
-def _powers(w: np.ndarray, N: int) -> np.ndarray:
-    """Rows w_j^0 .. w_j^N from one running product, so 0^0 = 1 and 0^p = 0
-    exactly; conj(w)^p is read off as conj(w^p)."""
-    P = np.empty((w.size, N + 1), dtype=complex)
-    P[:, 0] = 1.0
-    P[:, 1:] = w[:, None]
-    return np.cumprod(P, axis=1, out=P)
-
-
-def _lattice_scale(s: float, M: int) -> float:
-    """sqrt(pi s), the spacing of the Fock lattice of size s, half-width M."""
+def _lattice_scale(s: float) -> float:
+    """sqrt(pi s), the spacing of the Fock lattice of size s."""
     if not 0 < s < math.inf:
         raise ValueError("lattice size must be finite and positive")
-    if M < 0:
-        raise ValueError("lattice half-width M must be >= 0")
     return math.sqrt(math.pi * s)
-
-
-def _fock_lattice(s: float, M: int) -> np.ndarray:
-    """The Fock-side lattice nodes sqrt(pi s)(m + i n), |m|, |n| <= M, m-major."""
-    g = np.arange(-M, M + 1)
-    return _lattice_scale(s, M) * (g[:, None] + 1j * g[None, :]).ravel()
 
 
 def _weight(wk: WeightKernel, w: np.ndarray, norm: float = 1.0) -> np.ndarray:
@@ -166,7 +150,7 @@ def _sample_matrix(desc: PhiDescriptor, w: np.ndarray, N: int, window_n: int) ->
     s, l = signs_logs(desc, N)
     if np.any(s <= 0):
         raise ValueError("sampling functionals need positive phi coefficients")
-    P = _powers(w, N)
+    P = _power_rows(w, N).T.copy()  # row j: w_j^0 .. w_j^N
     out = np.zeros_like(P)
     for k in range(min(window_n, N) + 1):
         # (D^k e_m)(w) = (phi_{m-k} / sqrt(phi_m)) w^{m-k}, m = k..N
@@ -231,13 +215,13 @@ def _radius_blocks(desc: PhiDescriptor, N: int, window_n: int,
     real coefficients in g and conj(g), and each class is closed under
     conjugation, so H_r is real symmetric.  ValueError where G or H is not
     finite, as when |g|^N leaves the double range."""
-    g = np.arange(-M, M + 1)
-    r2 = (g[:, None] ** 2 + g[None, :] ** 2).ravel()
+    g = _square_window(M).ravel()
+    r2 = (g.real ** 2 + g.imag ** 2).astype(np.int64)
     order = np.argsort(r2, kind="stable")
     counts = np.bincount(r2)
     counts = counts[counts > 0]
     starts = np.cumsum(counts) - counts
-    lattice = (g[:, None] + 1j * g[None, :]).ravel()[order]
+    lattice = g[order]
     with np.errstate(over="ignore", invalid="ignore"):
         G = _sample_matrix(desc, lattice, N, window_n)
     if not np.isfinite(G).all():
@@ -284,7 +268,7 @@ def frame_sweep(desc: PhiDescriptor, wk: WeightKernel, window_n: int,
     sN, lN = signs_logs(desc, window_n)
     if sN[window_n] <= 0:
         raise ValueError("phi_{window_n} must be positive")
-    scale = np.array([_lattice_scale(s, M) for s in s_values])
+    scale = np.array([_lattice_scale(s) for s in s_values])
     if scale.size == 0:
         return []
     nodes, H = _radius_blocks(desc, N, window_n, M)
@@ -309,7 +293,7 @@ def kernel_atoms(desc: PhiDescriptor, wk: WeightKernel, zs, N: int) -> np.ndarra
     """Coordinate rows of the weighted reproducing kernels at the points zs:
     row entry p is sqrt(W(|z|^2)) phi_p conj(z)^p."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    return np.sqrt(_weight(wk, zs))[:, None] * (phi_coeffs(desc, N) * np.conj(_powers(zs, N)))
+    return np.sqrt(_weight(wk, zs))[:, None] * (phi_coeffs(desc, N) * np.conj(_power_rows(zs, N).T))
 
 
 def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int, N: int) -> np.ndarray:
@@ -321,7 +305,7 @@ def canonical_dual(desc: PhiDescriptor, wk: WeightKernel, s: float, M: int, N: i
     """
     if not wk.weight(0.0) > 0:
         raise ValueError("weight must be positive at the origin")
-    Kw = kernel_atoms(desc, wk, _fock_lattice(s, M), N)
+    Kw = kernel_atoms(desc, wk, _lattice_scale(s) * _square_window(M).ravel(), N)
     S = Kw.T @ Kw.conj()
     rhs = kernel_atoms(desc, wk, 0.0, N)[0]
     gam = np.linalg.solve(S, rhs)

@@ -9,6 +9,10 @@ points.  ``log_gamma_deriv`` gives log|Gamma^(n)(x)| for the gamma-derivative
 family from the defining integral int_0^inf t^(x-1) e^(-t) (ln t)^n dt, on a
 double-exponential rule, and ``hermite_fn_table`` the orthonormal Hermite
 function table.
+
+Private helpers shared across modules, one per job: ``_horner`` (power
+series), ``_square_window`` (every lattice window m + i n, |m|, |n| <= M)
+and ``_power_rows`` (running-product rows w^0 .. w^N).
 """
 
 from __future__ import annotations
@@ -48,6 +52,26 @@ def _horner(coefs, U: np.ndarray) -> np.ndarray:
         np.multiply(V, U, out=V)
         V += c
     return V
+
+
+def _square_window(M: int) -> np.ndarray:
+    """The (2M+1) x (2M+1) window of Gaussian integers m + i n, |m|, |n| <= M,
+    rows m, so ravel() is m-major: glfock's one lattice window."""
+    if M < 0:
+        raise ValueError("lattice half-width M must be >= 0")
+    g = np.arange(-M, M + 1)
+    return g[:, None] + 1j * g[None, :]
+
+
+def _power_rows(w: np.ndarray, N: int) -> np.ndarray:
+    """The (N+1) x w.size table whose row p is w^p, from one running product
+    down the rows (0^0 = 1 and 0^p = 0 exactly; row p takes p - 1
+    roundings): glfock's one power builder.  Power-major, the layout
+    sigma's lattice sums read; the frame rows transpose it."""
+    P = np.empty((N + 1, w.size), dtype=complex)
+    P[0] = 1.0
+    P[1:] = w
+    return np.cumprod(P, axis=0, out=P)
 
 
 def _log(v: np.ndarray) -> np.ndarray:

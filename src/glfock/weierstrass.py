@@ -56,7 +56,7 @@ import numpy as np
 
 from .core import PhiDescriptor, phi_coeffs, phi_eval, signs_logs
 from .errors import ConvergenceError, DivergenceError
-from .special import _horner
+from .special import _horner, _power_rows, _square_window
 if TYPE_CHECKING:  # annotations only, so importing this module loads no fock
     from .fock import WeightKernel
 
@@ -271,8 +271,7 @@ class LatticeSpec:
 
     def points(self) -> np.ndarray:
         """The window's nodes, m-major: (m, n) at index (m + M)(2M + 1) + n + M."""
-        g = np.arange(-self.trunc_M, self.trunc_M + 1)
-        return self.lam * (np.repeat(g, g.size) + 1j * np.tile(g, g.size))
+        return self.lam * _square_window(self.trunc_M).ravel()
 
     def dist(self, z) -> np.ndarray:
         """Distance to the infinite lattice lam (Z + iZ), where sigma
@@ -540,9 +539,9 @@ def _lattice_tail(M: int, R2: int) -> tuple[float, np.ndarray, np.ndarray]:
         raise ConvergenceError(f"the lattice far field at max|z| / (lam r) ~ {t:.4g} "
                                f"needs direct sums over {math.pi / 8 * hi2[0]:.3g} nodes")
     L = max(M, math.isqrt(R2), 2)
-    mm, nn = np.ogrid[-L:L + 1, -L:L + 1]  # rows m, columns n
-    box, nu = np.maximum(abs(mm), abs(nn)), mm + 1j * nn
-    excl = (mm * mm + nn * nn <= R2) | (box <= M)
+    nu = _square_window(L)
+    box = np.maximum(abs(nu.real), abs(nu.imag))
+    excl = (nu.real ** 2 + nu.imag ** 2 <= R2) | (box <= M)
     near = nu[excl & (box > M)]
     near.setflags(write=False)
     # T_4, T_8 over the quadrant m >= 1, n >= 0
@@ -564,7 +563,7 @@ def _lattice_tail(M: int, R2: int) -> tuple[float, np.ndarray, np.ndarray]:
             w *= w
             # rows w^3 .. w^(J+2), the terms of T_12 .. T_(8+4J), each summed
             # over the nodes within its R_k
-            P = np.cumprod(np.broadcast_to(w, (J + 2, w.size)), axis=0)[2:]
+            P = _power_rows(w, J + 2)[3:]
             tau[2:J + 2] += np.where(r2 <= hi2[:J, None], P.real, 0.0) @ weight
     tau.setflags(write=False)
     return R, tau, near
@@ -653,7 +652,9 @@ def _near_logs(desc: PhiDescriptor, z: np.ndarray, nodes: np.ndarray,
 
 
 def _powers(w: np.ndarray, K: int) -> np.ndarray:
-    """Rows w^0..w^K, by doubling: row k takes about 2 log2(k) roundings."""
+    """Rows w^0..w^K, by doubling: row k takes about 2 log2(k) roundings,
+    where special._power_rows' running product takes k - 1.  Only
+    _window_far reads it, and two_sided_diag's bits rest on its rounding."""
     P = np.empty((K + 1, w.size), dtype=w.dtype)
     P[0] = 1.0
     h, wh = 1, w

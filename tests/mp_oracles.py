@@ -101,6 +101,16 @@ def omega_deviation_on_circle(family: str, params: dict, r: float, n: int,
         return float(dev)
 
 
+def remainder_max_on_unit_circle(family: str, params: dict, n: int, N: int = 80) -> float:
+    """max |Omega_N(w)| = max |E_N(w) - 1| over the n points
+    w = e^(2 pi i j / n), j < n, at 30 digits: on |w| = 1 the remainder
+    Omega_N = (E_N - 1) / w^3 has the modulus of E_N - 1.  Omega_N is a
+    polynomial, so its largest modulus on the unit disk lies on this circle."""
+    with mp.workdps(30):
+        E = _factor(family, params, N)
+        return float(max(abs(E(mp.expjpi(mp.mpf(2 * j) / n)) - 1) for j in range(n)))
+
+
 def log_factor(family: str, params: dict, w: complex, N: int = 80) -> complex:
     """log E_N(w) = log[(1 - w) phi_N(psi1 w + psi2 w^2)] at 30 digits, the
     principal branch."""
@@ -326,6 +336,27 @@ def log_abs_pair_product(family: str, params: dict, z: complex, pairs, N: int = 
             node, den = mp.mpc(node), mp.mpc(den)
             prod *= (1 - z / node) * phi(psi1 * z / node + psi2 * z * z / (den * den))
         return float(mp.log(abs(prod)))
+
+
+def log_abs_cut_product(family: str, params: dict, z: complex, nodes,
+                        N: int = 80) -> tuple[float, list]:
+    """(log |z prod (1 - z/nu) phi_N(psi1 z/nu + psi2 z^2/nu^2)| over the
+    nodes nu, the Horner condition number sum_k |phi_k| |u|^k / |phi_N(u)|
+    of each factor's u), with phi_N cut at degree N and no term dropped.
+    Evaluated at 60 digits, so the log holds 30 after a cancellation of up
+    to 30 digits in a factor."""
+    with mp.workdps(60):
+        phis = _phis(family, params, N)
+        psi1, psi2 = _psi(phis)
+        z = mp.mpc(z)
+        total, conds = mp.log(abs(z)), []
+        for nu in nodes:
+            w = z / mp.mpc(nu)
+            u = psi1 * w + psi2 * w * w
+            val = mp.polyval(phis[::-1], u)
+            total += mp.log(abs((1 - w) * val))
+            conds.append(float(mp.polyval([abs(c) for c in phis[::-1]], abs(u)) / abs(val)))
+        return float(total), conds
 
 
 def lattice_sample_rows(log_phis, s: float, M: int, windows) -> dict:

@@ -12,8 +12,9 @@ from glfock.cli import main
 from glfock.core import PhiDescriptor, TruncatedSeries, gl_derivative, phi_coeffs, signs_logs
 from glfock.errors import UnverifiedWeightError
 from glfock.fock import registered_weight, verified_weight
-from glfock.frames import (_eig_reports, _fock_lattice, _sample_matrix, canonical_dual, density,
-                           frame_bounds, frame_sweep, kernel_atoms)
+from glfock.frames import (_eig_reports, _sample_matrix, canonical_dual, density, frame_bounds,
+                           frame_sweep, kernel_atoms)
+from glfock.special import _square_window
 from glfock.weierstrass import LatticeSpec, PerturbedLattice
 from mp_oracles import _phis, exp_kernel_atom_rows, gauss_zak_sum, lattice_sample_rows
 
@@ -272,7 +273,7 @@ def test_frame_sweep_matches_the_row_path(family, window_n):
     norm = math.pi ** window_n * math.exp(l[window_n])
     reps = frame_sweep(desc, wk, window_n, s_values, N, M)
     for s, rep in zip(s_values, reps):
-        w = _fock_lattice(s, M)
+        w = math.sqrt(math.pi * s) * _square_window(M).ravel()
         if window_n == 0:
             ref = frame_bounds(desc, wk, w, N)
             A, B = ref.A / norm, ref.B / norm
