@@ -420,19 +420,46 @@ OUT_OF_RANGE = [
         {"phi": {"family": "exponential", "params": {"rho": 1.0}}},
         {"weight": "exp"},
         {"phi": {"family": "mittag_leffler", "params": {"rho": 2.0, "mu": 1.0}}, "weight": "ml"})],
+    # the library's own refusals: LatticeSpec's, and registered_weight's
+    # for a family with no weight or a normalized one whose phi_0 is not 1
+    (["weierstrass-table", "--lam", "0"], None),
+    *[(argv, {"phi": {"family": "dunkl", "params": {"kappa": 0.5}}})
+      for argv in (["frames-sweep"], ["check", "--suite", "reproduce"])],
+    (["check", "--suite", "reproduce"], {"phi": {"family": "stretched_gamma",
+                                                 "params": {"a": 1.0, "b": 2.0},
+                                                 "normalized": True}}),
 ]
 
 
+def _case_id(argv, config):
+    return " ".join(argv) + (f" {json.dumps(config)}" if config else "")
+
+
+# cases whose message is the library's, printed as it is
+LIBRARY_MESSAGES = {
+    "weierstrass-table --lam 0": "lam must be a finite number > 0",
+    "density --lam 0": "lam must be a finite number > 0",
+    **{_case_id(argv, {"phi": {"family": "dunkl", "params": {"kappa": 0.5}}}):
+       "no closed-form weight registered for family 'dunkl'"
+       for argv in (["frames-sweep"], ["check", "--suite", "reproduce"])},
+    _case_id(["check", "--suite", "reproduce"], OUT_OF_RANGE[-1][1]):
+        "no registered weight for normalized 'stretched_gamma' with params "
+        "{'a': 1.0, 'b': 2.0}: its phi_0 is not 1",
+}
+
+
 @pytest.mark.parametrize("argv, config", OUT_OF_RANGE,
-                         ids=[" ".join(a) + (f" {json.dumps(c)}" if c else "")
-                              for a, c in OUT_OF_RANGE])
+                         ids=[_case_id(a, c) for a, c in OUT_OF_RANGE])
 def test_out_of_range_arguments_exit_2(capsys, tmp_path, argv, config):
+    message = LIBRARY_MESSAGES.get(_case_id(argv, config))
     if config is not None:
         argv = argv + ["--config", write_cfg(tmp_path, config)]
     rc, out, err = run_cli(capsys, argv)
     assert rc == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    if message is not None:
+        assert err == f"config error: {message}\n"
 
 
 def test_readme_lists_the_config_keys():
