@@ -76,17 +76,19 @@ class WeightKernel:
         return not (self.form == "log" and int(self.desc.params_dict["n"]) % 2 == 1)
 
     def weight(self, x):
-        """W(x) on x > 0, vectorized."""
+        """W(x) on x > 0, vectorized, with no numpy warning: where a power
+        overflows or divides by 0 the value is inf or nan, for the caller
+        to refuse or drop."""
         x = np.asarray(x, dtype=float)
         form, p = self.form, self.desc.params_dict
-        if form == "exp":
-            return np.exp(-x)
-        if form == "ml":
-            rho, mu = p["rho"], p["mu"]
-            return rho * x ** (rho * mu - 1.0) * np.exp(-(x ** rho))
-        if form == "stretched_exp":
-            return np.exp(-p["a"] * x ** p["b"])
-        with np.errstate(divide="ignore"):
+        with np.errstate(all="ignore"):
+            if form == "exp":
+                return np.exp(-x)
+            if form == "ml":
+                rho, mu = p["rho"], p["mu"]
+                return rho * x ** (rho * mu - 1.0) * np.exp(-(x ** rho))
+            if form == "stretched_exp":
+                return np.exp(-p["a"] * x ** p["b"])
             return np.exp(-x) * np.log(x) ** int(p["n"])
 
 

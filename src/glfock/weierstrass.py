@@ -114,7 +114,8 @@ def _factor(desc: PhiDescriptor) -> tuple[PhiDescriptor, PsiPair]:
     the psi pair making (1 - z) phi_d(psi1 z + psi2 z^2) vanish to 3rd order."""
     d = desc.normalize()
     s, l = signs_logs(d, 2)
-    v = s * np.exp(l)
+    with np.errstate(over="ignore"):  # an inf phi_1 gives psi1 = 0 and a nan psi2
+        v = s * np.exp(l)
     p1, p2 = float(v[1]), float(v[2])
     try:
         psi1 = 1.0 / p1
@@ -818,7 +819,8 @@ def log_g_fn(desc: PhiDescriptor, z, gamma: PerturbedLattice,
 
 def _grid_gate(wk: WeightKernel, grid, own: Callable, name: str, why: str):
     """Grid refusals of the diagnostic `name`, in order: a point that is not
-    finite; own(grid), its own check and value; a point where W is 0 (why).
+    finite; own(grid), its own check and value; a point where W is 0 (why);
+    a point where W is not finite.
     Returns (grid, own's value, |W|), with a warning where W is signed."""
     grid = np.atleast_1d(np.asarray(grid, dtype=complex))
     if not np.isfinite(grid).all():
@@ -827,6 +829,8 @@ def _grid_gate(wk: WeightKernel, grid, own: Callable, name: str, why: str):
     w = wk.weight(np.abs(grid) ** 2)
     if np.any(w == 0):
         raise ValueError(f"weight is 0 at grid point {grid[np.argmax(w == 0)]}: {why}")
+    if not (ok := np.isfinite(w)).all():
+        raise ValueError(f"weight {w[~ok][0]} at grid point {grid[~ok][0]}")
     if np.any(w < 0):
         warnings.warn(f"signed weight in {name}; using |W|")
     return grid, value, np.abs(w)
@@ -850,7 +854,8 @@ def sigma_lower_diag(desc: PhiDescriptor, wk: WeightKernel, lat: LatticeSpec,
     |K(-|z|^2) sigma(z)| >= c * dist(z, Lambda) near the lattice.  A signed
     weight (GD(1), GD(3)) enters as |W|, with a warning.  ValueError, before
     sigma is formed, at a grid point that is not finite, is a lattice point
-    or where W is 0 (an underflow, or a zero of a signed weight).
+    or where W is 0 (an underflow, or a zero of a signed weight) or not
+    finite.
     """
     def dist(grid):
         d = lat.dist(grid)
@@ -887,7 +892,7 @@ def two_sided_diag(desc: PhiDescriptor, wk: WeightKernel, gamma: PerturbedLattic
     means ratio <= 1 and lhs <= W|g|).  d(z) is the distance to the zeros of
     g: the nodes of Gamma and the lattice outside its window.  ValueError at
     a grid point that is not finite, is a zero of g or where W is 0 (an
-    underflow, or a zero of a signed weight).
+    underflow, or a zero of a signed weight) or not finite.
     """
     def log_g(grid):
         logs = log_g_fn(desc, grid, gamma, N)

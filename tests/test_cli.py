@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,76 @@ def test_warning_is_one_stderr_line(capsys, tmp_path, n, argv, message):
     assert rc == 0 and err == f"warning: {message}\n"
     assert hashlib.sha256(out.encode()).hexdigest() == golden[f"GD({n}) {' '.join(argv)}"]
 
+
+
+def run_cli_showing_warnings(capsys, tmp_path, argv, phi):
+    """run_cli with every warning shown, as a user's default filters show
+    the first of each, rather than raised as the test filters would."""
+    if phi is not None:
+        argv = argv + ["--config", write_cfg(tmp_path, {"phi": phi})]
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        return run_cli(capsys, argv)
+
+
+def ml(rho, mu):
+    return {"family": "mittag_leffler", "params": {"rho": rho, "mu": mu}}
+
+
+def sg(a, b, normalized=False):
+    return {"family": "stretched_gamma", "params": {"a": a, "b": b}, "normalized": normalized}
+
+
+FRAMES_ERROR_ROWS = "s,A,B,condition,basis_dim,stability,status\n" + "".join(
+    f"{s!r},nan,nan,nan,13,nan,error:ValueError\n" for s in np.linspace(0.3, 1.5, 13).tolist())
+
+
+@pytest.mark.parametrize("argv, phi, rc_want, out_want, err_want", [
+    # ML(0.5, 0.5)'s W = 0.5 x^-0.75 e^(-sqrt x) divides by 0 at the node 0;
+    # ML(3, 50)'s W = 3 x^149 e^(-x^3) is inf * 0 past x ~ 117: each s
+    # refuses its node where W is not finite
+    (["frames-sweep"], ml(0.5, 0.5), 0, FRAMES_ERROR_ROWS, ""),
+    (["frames-sweep"], ml(3, 50), 0, FRAMES_ERROR_ROWS, ""),
+    (["weierstrass-table"], ml(50, 50), 2, "",
+     "config error: weight is 0 at grid point (-1.125-0.125j): the ratio bounds nothing there\n"),
+    # phi_1 is inf, so psi1 is 0 and psi2 nan until phi_1 itself is refused
+    (["check", "--suite", "weierstrass"], sg(1e6, 1e-3), 2, "",
+     "config error: phi_1 for stretched_gamma outside double range (log=6521.8)\n"),
+], ids=["frames-sweep ML(0.5,0.5)", "frames-sweep ML(3,50)", "weierstrass-table ML(50,50)",
+        "check weierstrass SG(1e6,0.001)"])
+def test_overflowing_weight_or_phi_warns_nothing(capsys, tmp_path, argv, phi, rc_want,
+                                                  out_want, err_want):
+    # a power or exp that leaves the doubles is refused by its caller, with
+    # no numpy warning line ahead of the rows or the refusal
+    assert run_cli_showing_warnings(capsys, tmp_path, argv, phi) == (rc_want, out_want, err_want)
+
+
+CHECK = {suite: ["check", "--suite", suite] for suite in ("weierstrass", "reproduce", "moments")}
+DUNKL = {"family": "dunkl", "params": {"kappa": 0.5}}
+BACKWARD = {"family": "backward_shift", "params": {}}
+NO_ESCAPE = [
+    (["frames-sweep"], ml(0.5, 0.5)), (["weierstrass-table"], ml(0.5, 0.5)),
+    (["frames-sweep"], ml(3, 50)), (CHECK["reproduce"], ml(3, 50)),
+    (["weierstrass-table"], ml(50, 50)), (["frames-sweep"], ml(50, 50)),
+    (CHECK["weierstrass"], sg(1e6, 1e-3)), (["weierstrass-table"], sg(1e6, 1e-3)),
+    (["phi-info"], sg(1e6, 1e-3)), (CHECK["weierstrass"], sg(1e30, 1.0)),
+    (["frames-sweep"], DUNKL), (CHECK["reproduce"], DUNKL), (["weierstrass-table"], DUNKL),
+    (["phi-info"], BACKWARD), (CHECK["weierstrass"], BACKWARD), (["weierstrass-table"], BACKWARD),
+    (["phi-info"], ml(1e-3, 1)), (CHECK["moments"], ml(1, 0.01)), (CHECK["reproduce"], ml(1, 0.03)),
+    (CHECK["reproduce"], sg(1.0, 2.0, normalized=True)), (["frames-sweep"], {"family": "gamma_deriv", "params": {"n": 2}}),
+    (["bargmann-roundtrip"], ml(2, 1)), (["density", "--lam", "0"], None),
+    (["weierstrass-table", "--lam", "0"], None),
+]
+
+
+@pytest.mark.parametrize("argv, phi", NO_ESCAPE,
+                         ids=[_case_id(a, p and {"phi": p}) for a, p in NO_ESCAPE])
+def test_no_escape(capsys, tmp_path, argv, phi):
+    # every outcome is an exit code: no exception leaves main, and no
+    # warning line reaches stderr (no config here has a signed weight)
+    rc, _, err = run_cli_showing_warnings(capsys, tmp_path, argv, phi)
+    assert rc in (0, 1, 2, 3)
+    assert not any(line.startswith("warning:") for line in err.splitlines()), err
 
 def test_frames_sweep_header_only(capsys):
     rc, out, _ = run_cli(capsys, ["frames-sweep", "--steps", "0"])

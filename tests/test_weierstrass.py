@@ -66,6 +66,33 @@ def test_psi_pair_values():
     assert abs(ps.psi2 - 0.19018592584879454) <= 1e-14
 
 
+_SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.builds(PhiDescriptor.mittag_leffler, _SCALE, _SCALE),
+                 st.builds(PhiDescriptor.stretched_gamma, _SCALE, _SCALE),
+                 st.builds(PhiDescriptor.dunkl, st.floats(1e-300, 1e3)),
+                 st.builds(PhiDescriptor.gamma_deriv, st.integers(1, 170))),
+       st.booleans())
+def test_psi_pair_cancels_degrees_1_and_2(desc, normalized):
+    # E = (1 - z) phi(psi1 z + psi2 z^2) has e1 = p1 psi1 - 1 and
+    # e2 = p1 psi2 + p2 psi1^2 - p1 psi1, p_k the normalized phi_k: both are
+    # 0 exactly, so psi_pair leaves rounding residues only
+    desc = replace(desc, normalized=normalized)
+    try:
+        ps = psi_pair(desc)
+    except OverflowError:  # phi_1 or its cube underflows to 0
+        return
+    with np.errstate(over="ignore"):
+        s, l = signs_logs(desc.normalize(), 2)
+        p1, p2 = (float(v) for v in s[1:] * np.exp(l[1:]))
+    assume(math.isfinite(ps.psi1) and math.isfinite(ps.psi2) and math.isfinite(p2))
+    tol = 8 * sys.float_info.epsilon * (1.0 + abs(ps.psi1) + abs(ps.psi2))
+    assert abs(p1 * ps.psi1 - 1.0) <= tol
+    assert abs(p1 * ps.psi2 + p2 * ps.psi1 * ps.psi1 - p1 * ps.psi1) <= tol
+
+
 @pytest.mark.parametrize("raw", [PhiDescriptor.gamma_deriv(1), PhiDescriptor.exponential()],
                          ids=["GD1", "EXP"])
 def test_raw_descriptor_takes_the_normalized_factor(raw):
@@ -1455,6 +1482,17 @@ def test_sigma_lower_diag_refuses_a_zero_weight(monkeypatch):
     monkeypatch.setattr(weierstrass, "sigma_fn", None)
     with pytest.raises(ValueError, match=r"weight is 0 at grid point \(0\.6\+0\.8j\)"):
         sigma_lower_diag(GD1N, wk, LatticeSpec(1.0, 8), np.array([0.5 + 0.5j, 0.6 + 0.8j]))
+
+
+def test_sigma_lower_diag_refuses_a_nonfinite_weight(monkeypatch):
+    # the ML(3, 50) weight 3 x^149 e^(-x^3) is inf * 0 = nan at x = |z|^2
+    # = 121.25, with no warning: ValueError naming the point, before sigma
+    # is formed, where a nan lhs would otherwise pass through
+    desc = PhiDescriptor.mittag_leffler(3, 50)
+    monkeypatch.setattr(weierstrass, "sigma_fn", None)
+    with pytest.raises(ValueError, match=r"^weight nan at grid point \(11\+0\.5j\)$"):
+        sigma_lower_diag(desc.normalize(), registered_weight(desc), LatticeSpec(1.0, 8),
+                         np.array([11 + 0.5j]))
 
 
 def test_sigma_lower_single_cell_center():
