@@ -6,7 +6,9 @@ config and seed: floats are rendered with shortest-roundtrip repr, rows keep
 a fixed order, and no timestamps or environment data are emitted.
 
 Exit codes: 0 all checks passed, 1 assertion failure, 2 configuration error,
-3 numerical non-convergence.
+3 numerical non-convergence.  main alone maps the library's refusals to them:
+UnverifiedWeightError exits 1, any other ValueError (NonEntireError and
+DivergenceError among them) and OverflowError exit 2, ConvergenceError 3.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import numpy as np
 # glfock modules it calls where it is defined; load_config and main need these.
 from .core import (PhiDescriptor, TruncatedSeries, order_degree_check, phi_coeff,
                    signs_logs)
-from .errors import (ConvergenceError, DivergenceError, NonEntireError,
-                     UnverifiedWeightError)
+from .errors import ConvergenceError, NonEntireError, UnverifiedWeightError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -137,12 +138,7 @@ def _require_range(desc: PhiDescriptor, kmax: int) -> None:
 def _resolve_weight(cfg: RunConfig, verify: bool = True):
     from .fock import registered_weight, verified_weight
     _require_range(cfg.desc, 10)  # the moment gate's n_max
-    try:
-        wk = registered_weight(cfg.desc)
-    except ValueError as e:
-        raise ConfigError(str(e))
-    # out of the try: UnverifiedWeightError is a ValueError but exits 1, not 2
-    return verified_weight(cfg.desc) if verify else wk
+    return verified_weight(cfg.desc) if verify else registered_weight(cfg.desc)
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +381,14 @@ def cmd_weierstrass_table(cfg: RunConfig, args) -> int:
         raise ConfigError("grid-n must be >= 1")
     if not 0 < args.extent < math.inf:
         raise ConfigError("extent must be a finite number > 0")
-    try:
-        lat = LatticeSpec(args.lam)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    lat = LatticeSpec(args.lam)
     n = args.grid_n
     h = 2.0 * args.extent / n
     xs = np.linspace(-args.extent + 0.5 * h, args.extent - 0.5 * h, n)
     grid = (xs[:, None] + 1j * xs[None, :]).ravel()
     if np.any(lat.dist(grid) < 1e-9):
         raise ConfigError("grid touches a lattice node; change --grid-n or --extent")
-    try:
-        rep = sigma_lower_diag(cfg.desc, wk, lat, grid, N=cfg.series_N)
-    except ValueError as e:  # W is 0 at a grid point
-        raise ConfigError(str(e))
+    rep = sigma_lower_diag(cfg.desc, wk, lat, grid, N=cfg.series_N)
     header = ["z_re", "z_im", "lhs", "rhs", "ratio"]
     rows = np.column_stack([rep.z.real, rep.z.imag, rep.lhs, rep.rhs, rep.ratio]).tolist()
     _emit(cfg, args, header, rows,
@@ -414,11 +404,8 @@ def cmd_density(cfg: RunConfig, args) -> int:
         radii = [float(x) for x in args.radii.split(",") if x.strip()]
     except ValueError:
         raise ConfigError("--radii must be a comma-separated list of numbers")
-    try:
-        lat = LatticeSpec(args.lam, args.trunc_m if args.trunc_m else cfg.lattice_M)
-        rep = density(lat.points(), radii, norm=args.norm)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    lat = LatticeSpec(args.lam, args.trunc_m if args.trunc_m else cfg.lattice_M)
+    rep = density(lat.points(), radii, norm=args.norm)
     rows = [[r, *cnt, *dens] for r, cnt, dens in zip(rep.r_sequence, rep.counts, rep.densities)]
     _emit(cfg, args, ["r", "n_min", "n_max", "d_minus", "d_plus"], rows,
           {"d_plus": rep.d_plus, "d_minus": rep.d_minus, "norm": rep.norm,
@@ -516,15 +503,15 @@ def main(argv=None) -> int:
                     raise ConfigError("--seed must be a natural number")
                 cfg.seed = args.seed
             return _COMMANDS[args.command](cfg, args)
-        except (ConfigError, NonEntireError, DivergenceError, OverflowError) as e:  # phi_k past doubles
+        except UnverifiedWeightError as e:  # a ValueError, so it is caught first
+            print(f"unverified weight: {e}", file=sys.stderr)
+            return EXIT_FAIL
+        except (ConfigError, ValueError, OverflowError) as e:  # OverflowError: phi_k past doubles
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
         except ConvergenceError as e:
             print(f"non-convergence: {e}", file=sys.stderr)
             return EXIT_NONCONV
-        except UnverifiedWeightError as e:
-            print(f"unverified weight: {e}", file=sys.stderr)
-            return EXIT_FAIL
 
 
 if __name__ == "__main__":

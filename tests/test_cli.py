@@ -429,6 +429,9 @@ OUT_OF_RANGE = [
     (["check", "--suite", "reproduce"], {"phi": {"family": "stretched_gamma",
                                                  "params": {"a": 1.0, "b": 2.0},
                                                  "normalized": True}}),
+    # order_degree_check's refusals, which phi-info once let out as tracebacks
+    (["phi-info"], {"truncation": {"series_N": 2}}),
+    (["phi-info"], {"phi": {"family": "mittag_leffler", "params": {"rho": 1e300, "mu": 1.0}}}),
 ]
 
 
@@ -443,9 +446,12 @@ LIBRARY_MESSAGES = {
     **{_case_id(argv, {"phi": {"family": "dunkl", "params": {"kappa": 0.5}}}):
        "no closed-form weight registered for family 'dunkl'"
        for argv in (["frames-sweep"], ["check", "--suite", "reproduce"])},
-    _case_id(["check", "--suite", "reproduce"], OUT_OF_RANGE[-1][1]):
+    _case_id(["check", "--suite", "reproduce"], OUT_OF_RANGE[-3][1]):
         "no registered weight for normalized 'stretched_gamma' with params "
         "{'a': 1.0, 'b': 2.0}: its phi_0 is not 1",
+    _case_id(["phi-info"], OUT_OF_RANGE[-2][1]): "K too small for a stable fit",
+    _case_id(["phi-info"], OUT_OF_RANGE[-1][1]):
+        "non-positive slope: coefficients do not decay like an entire family",
 }
 
 

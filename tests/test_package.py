@@ -230,6 +230,24 @@ def test_defaulted_parameters_have_a_caller():
     assert sorted(set(unset) - UNSET_ALLOWED) == []
 
 
+def _config_rewraps(source: str) -> list:
+    """Lines of the handlers that re-raise their caught exception e as
+    ConfigError(str(e)), which adds no text of its own."""
+    return [h.lineno for h in ast.walk(ast.parse(source))
+            if isinstance(h, ast.ExceptHandler) and h.name
+            for r in ast.walk(h) if isinstance(r, ast.Raise) and r.exc is not None
+            and ast.unparse(r.exc) == f"ConfigError(str({h.name}))"]
+
+
+def test_cli_maps_library_refusals_in_main_alone():
+    # main turns a library ValueError or OverflowError into 'config error:'
+    # and exit 2; a command that re-raises one as ConfigError(str(e)) makes
+    # a second place deciding that
+    assert _config_rewraps("try:\n    f()\nexcept ValueError as e:\n"
+                           "    raise ConfigError(str(e))\n") == [3]
+    assert _config_rewraps((SRC / "glfock" / "cli.py").read_text()) == []
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # each demo as a cold process: exit 0, output, and nothing on stderr (no
