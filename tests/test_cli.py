@@ -429,7 +429,7 @@ OUT_OF_RANGE = [
     (["check", "--suite", "reproduce"], {"phi": {"family": "stretched_gamma",
                                                  "params": {"a": 1.0, "b": 2.0},
                                                  "normalized": True}}),
-    # order_degree_check's refusals, which phi-info once let out as tracebacks
+    # order_degree_check's refusals, ValueErrors that phi-info does not catch
     (["phi-info"], {"truncation": {"series_N": 2}}),
     (["phi-info"], {"phi": {"family": "mittag_leffler", "params": {"rho": 1e300, "mu": 1.0}}}),
 ]
